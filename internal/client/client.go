@@ -324,9 +324,8 @@ func (p *Pool) Stats(protocol string) (wire.Stats, error) {
 	return st, r.Err()
 }
 
-// Audit runs the server-side integrity audits (document Verify plus lock
-// LeakCheck) for a protocol — the remote equivalent of the checks a local
-// TaMix run finishes with.
+// Audit runs the server-side residue audit (node.Manager.Audit) for a
+// protocol — the very check a local TaMix run finishes with.
 func (p *Pool) Audit(protocol string) error {
 	c, err := p.conn()
 	if err != nil {

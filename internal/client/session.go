@@ -254,170 +254,127 @@ func (s *Session) LookupName(name string) (xmlmodel.Sur, bool, error) {
 	return xmlmodel.Sur(sur), found, nil
 }
 
-// nodeResult decodes a single-node response.
-func nodeResult(resp []byte, err error) (xmlmodel.Node, error) {
+// Do round-trips one node operation: the request body is encoded and the
+// response decoded by the shapes the operation table declares for op. The
+// typed methods below are this call with the operands named. Node values and
+// Bytes in the result alias the response frame, which nothing else holds.
+func (s *Session) Do(op wire.Op, a wire.Args) (wire.Result, error) {
+	spec, _ := op.Spec()
+	resp, err := s.call(op, wire.AppendArgs(nil, spec.Args, a))
 	if err != nil {
-		return xmlmodel.Node{}, err
+		return wire.Result{}, err
 	}
-	r := wire.NewReader(resp)
-	n := r.Node()
-	return n, r.Err()
+	return wire.DecodeResult(spec.Result, resp)
 }
 
-// nodesResult decodes a node-list response.
-func nodesResult(resp []byte, err error) ([]xmlmodel.Node, error) {
-	if err != nil {
-		return nil, err
-	}
-	r := wire.NewReader(resp)
-	ns := r.Nodes()
-	return ns, r.Err()
-}
+func oneNode(r wire.Result, err error) (xmlmodel.Node, error)    { return r.Node, err }
+func nodeList(r wire.Result, err error) ([]xmlmodel.Node, error) { return r.Nodes, err }
+func value(r wire.Result, err error) ([]byte, error)             { return r.Bytes, err }
+func done(_ wire.Result, err error) error                        { return err }
 
 // GetNode fetches one node by SPLID.
 func (s *Session) GetNode(id splid.ID) (xmlmodel.Node, error) {
-	return nodeResult(s.call(wire.OpGetNode, wire.AppendID(nil, id)))
+	return oneNode(s.Do(wire.OpGetNode, wire.Args{ID: id}))
 }
 
 // JumpToID resolves an ID-attribute value to its element.
 func (s *Session) JumpToID(value string) (xmlmodel.Node, error) {
-	return nodeResult(s.call(wire.OpJumpToID, wire.AppendString(nil, value)))
+	return oneNode(s.Do(wire.OpJumpToID, wire.Args{Name: value}))
 }
 
 // FirstChild returns the first regular child (null-ID node when none).
 func (s *Session) FirstChild(id splid.ID) (xmlmodel.Node, error) {
-	return nodeResult(s.call(wire.OpFirstChild, wire.AppendID(nil, id)))
+	return oneNode(s.Do(wire.OpFirstChild, wire.Args{ID: id}))
 }
 
 // LastChild returns the last regular child.
 func (s *Session) LastChild(id splid.ID) (xmlmodel.Node, error) {
-	return nodeResult(s.call(wire.OpLastChild, wire.AppendID(nil, id)))
+	return oneNode(s.Do(wire.OpLastChild, wire.Args{ID: id}))
 }
 
 // NextSibling returns the following sibling.
 func (s *Session) NextSibling(id splid.ID) (xmlmodel.Node, error) {
-	return nodeResult(s.call(wire.OpNextSibling, wire.AppendID(nil, id)))
+	return oneNode(s.Do(wire.OpNextSibling, wire.Args{ID: id}))
 }
 
 // PrevSibling returns the preceding sibling.
 func (s *Session) PrevSibling(id splid.ID) (xmlmodel.Node, error) {
-	return nodeResult(s.call(wire.OpPrevSibling, wire.AppendID(nil, id)))
+	return oneNode(s.Do(wire.OpPrevSibling, wire.Args{ID: id}))
 }
 
 // Parent returns the parent node (null-ID node for the root).
 func (s *Session) Parent(id splid.ID) (xmlmodel.Node, error) {
-	return nodeResult(s.call(wire.OpParent, wire.AppendID(nil, id)))
+	return oneNode(s.Do(wire.OpParent, wire.Args{ID: id}))
 }
 
 // GetChildren returns the regular children of a node.
 func (s *Session) GetChildren(id splid.ID) ([]xmlmodel.Node, error) {
-	return nodesResult(s.call(wire.OpGetChildren, wire.AppendID(nil, id)))
+	return nodeList(s.Do(wire.OpGetChildren, wire.Args{ID: id}))
 }
 
 // GetAttributes returns an element's attributes.
 func (s *Session) GetAttributes(el splid.ID) ([]xmlmodel.Node, error) {
-	return nodesResult(s.call(wire.OpGetAttributes, wire.AppendID(nil, el)))
+	return nodeList(s.Do(wire.OpGetAttributes, wire.Args{ID: el}))
 }
 
 // Value reads one node's value.
 func (s *Session) Value(id splid.ID) ([]byte, error) {
-	resp, err := s.call(wire.OpValue, wire.AppendID(nil, id))
-	if err != nil {
-		return nil, err
-	}
-	r := wire.NewReader(resp)
-	v := r.Bytes()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	// Detach from the response buffer.
-	return append([]byte(nil), v...), nil
+	return value(s.Do(wire.OpValue, wire.Args{ID: id}))
 }
 
 // AttributeValue reads one attribute's value by name.
 func (s *Session) AttributeValue(el splid.ID, name string) ([]byte, error) {
-	resp, err := s.call(wire.OpAttributeValue, wire.AppendString(wire.AppendID(nil, el), name))
-	if err != nil {
-		return nil, err
-	}
-	r := wire.NewReader(resp)
-	v := r.Bytes()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), v...), nil
-}
-
-func jumpByte(jump bool) byte {
-	if jump {
-		return 1
-	}
-	return 0
+	return value(s.Do(wire.OpAttributeValue, wire.Args{ID: el, Name: name}))
 }
 
 // ReadFragment scans a subtree in document order.
 func (s *Session) ReadFragment(id splid.ID, jump bool) ([]xmlmodel.Node, error) {
-	return nodesResult(s.call(wire.OpReadFragment, append(wire.AppendID(nil, id), jumpByte(jump))))
+	return nodeList(s.Do(wire.OpReadFragment, wire.Args{ID: id, Flag: jump}))
 }
 
 // ReadFragmentForUpdate scans a subtree under update-mode locks.
 func (s *Session) ReadFragmentForUpdate(id splid.ID, jump bool) ([]xmlmodel.Node, error) {
-	return nodesResult(s.call(wire.OpReadFragmentForUpdate, append(wire.AppendID(nil, id), jumpByte(jump))))
+	return nodeList(s.Do(wire.OpReadFragmentForUpdate, wire.Args{ID: id, Flag: jump}))
 }
 
 // UpdateLastChildFragment locks and reads the last child's subtree for
 // update, returning the child and its fragment.
 func (s *Session) UpdateLastChildFragment(id splid.ID) (xmlmodel.Node, []xmlmodel.Node, error) {
-	resp, err := s.call(wire.OpUpdateLastChildFragment, wire.AppendID(nil, id))
-	if err != nil {
-		return xmlmodel.Node{}, nil, err
-	}
-	r := wire.NewReader(resp)
-	n := r.Node()
-	frag := r.Nodes()
-	if err := r.Err(); err != nil {
-		return xmlmodel.Node{}, nil, err
-	}
-	return n, frag, nil
+	r, err := s.Do(wire.OpUpdateLastChildFragment, wire.Args{ID: id})
+	return r.Node, r.Nodes, err
 }
 
 // SetValue overwrites one node's value.
 func (s *Session) SetValue(id splid.ID, value []byte) error {
-	_, err := s.call(wire.OpSetValue, wire.AppendBytes(wire.AppendID(nil, id), value))
-	return err
+	return done(s.Do(wire.OpSetValue, wire.Args{ID: id, Bytes: value}))
 }
 
 // Rename changes an element's name.
 func (s *Session) Rename(id splid.ID, newName string) error {
-	_, err := s.call(wire.OpRename, wire.AppendString(wire.AppendID(nil, id), newName))
-	return err
+	return done(s.Do(wire.OpRename, wire.Args{ID: id, Name: newName}))
 }
 
 // AppendElement appends a child element.
 func (s *Session) AppendElement(parent splid.ID, name string) (xmlmodel.Node, error) {
-	return nodeResult(s.call(wire.OpAppendElement, wire.AppendString(wire.AppendID(nil, parent), name)))
+	return oneNode(s.Do(wire.OpAppendElement, wire.Args{ID: parent, Name: name}))
 }
 
 // AppendText appends a text child.
 func (s *Session) AppendText(parent splid.ID, value []byte) (xmlmodel.Node, error) {
-	return nodeResult(s.call(wire.OpAppendText, wire.AppendBytes(wire.AppendID(nil, parent), value)))
+	return oneNode(s.Do(wire.OpAppendText, wire.Args{ID: parent, Bytes: value}))
 }
 
 // InsertElementBefore inserts a child element before a sibling.
 func (s *Session) InsertElementBefore(parent, before splid.ID, name string) (xmlmodel.Node, error) {
-	body := wire.AppendString(wire.AppendID(wire.AppendID(nil, parent), before), name)
-	return nodeResult(s.call(wire.OpInsertElementBefore, body))
+	return oneNode(s.Do(wire.OpInsertElementBefore, wire.Args{ID: parent, ID2: before, Name: name}))
 }
 
 // SetAttribute sets (inserting or overwriting) an attribute.
 func (s *Session) SetAttribute(el splid.ID, name string, value []byte) error {
-	body := wire.AppendBytes(wire.AppendString(wire.AppendID(nil, el), name), value)
-	_, err := s.call(wire.OpSetAttribute, body)
-	return err
+	return done(s.Do(wire.OpSetAttribute, wire.Args{ID: el, Name: name, Bytes: value}))
 }
 
 // DeleteSubtree deletes a node and its subtree.
 func (s *Session) DeleteSubtree(id splid.ID) error {
-	_, err := s.call(wire.OpDeleteSubtree, wire.AppendID(nil, id))
-	return err
+	return done(s.Do(wire.OpDeleteSubtree, wire.Args{ID: id}))
 }

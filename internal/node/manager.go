@@ -21,6 +21,7 @@ import (
 	"repro/internal/splid"
 	"repro/internal/storage"
 	"repro/internal/tx"
+	"repro/internal/wire"
 	"repro/internal/xmlmodel"
 )
 
@@ -47,6 +48,10 @@ type Options struct {
 // lock protocol. It is safe for concurrent use; each transaction must stay
 // on a single goroutine.
 type Manager struct {
+	// Ops supplies the typed DOM methods — GetNode, FirstChild, SetValue, …:
+	// each is Do with the operation's opcode and operands named.
+	wire.Ops[*tx.Txn]
+
 	doc   *storage.Document
 	proto protocol.Protocol
 	lm    *lock.Manager
@@ -67,13 +72,15 @@ func New(doc *storage.Document, proto protocol.Protocol, opts Options) *Manager 
 	})
 	tm := tx.NewManager(lm)
 	tm.SetMetrics(opts.Metrics)
-	return &Manager{
+	m := &Manager{
 		doc:   doc,
 		proto: proto,
 		lm:    lm,
 		tm:    tm,
 		depth: opts.Depth,
 	}
+	m.Exec = m.Do
+	return m
 }
 
 // Document exposes the underlying document (for tools and tests; access
@@ -111,28 +118,10 @@ func (m *Manager) ctx(t *tx.Txn) *protocol.Ctx {
 	return c
 }
 
-func (m *Manager) check(t *tx.Txn) error {
-	if !t.Active() {
-		return ErrNotActive
-	}
-	return nil
-}
-
 // ErrReadOnly is returned when an update operation runs under a
 // tx.LevelSnapshot transaction: snapshot transactions read a frozen view
 // and hold no locks, so they cannot write.
 var ErrReadOnly = errors.New("snapshot transaction is read-only")
-
-// checkWrite is check plus the read-only guard for snapshot transactions.
-func (m *Manager) checkWrite(t *tx.Txn, op string) error {
-	if err := m.check(t); err != nil {
-		return err
-	}
-	if t.Isolation() == tx.LevelSnapshot {
-		return opErr(op, ErrReadOnly)
-	}
-	return nil
-}
 
 // EnableSnapshotReads switches on copy-on-write page versioning in the
 // document's page store, feeding it the transaction manager's
@@ -157,6 +146,33 @@ func (m *Manager) snap(t *tx.Txn) *storage.Snapshot {
 	v := m.doc.AtSnapshot(t.SnapshotLSN())
 	t.SetSnapView(v)
 	return v
+}
+
+// Audit is the engine's post-run residue check, meaningful once every
+// transaction has finished: the document must verify, the lock table must
+// be empty, and — with snapshot reads on — every snapshot registration must
+// be gone and, after a final prune at the drained watermark, no retired page
+// version may survive. Local TaMix runs and the server's OpAudit both end
+// with it.
+func (m *Manager) Audit() error {
+	if err := m.doc.Verify(); err != nil {
+		return fmt.Errorf("document corrupted: %w", err)
+	}
+	if err := m.lm.LeakCheck(); err != nil {
+		return fmt.Errorf("leaked locks: %w", err)
+	}
+	if !m.SnapshotsEnabled() {
+		return nil
+	}
+	if err := m.tm.SnapshotLeakCheck(); err != nil {
+		return fmt.Errorf("leaked snapshots: %w", err)
+	}
+	w := m.tm.SnapshotWatermark()
+	m.doc.Store().PruneVersions(w)
+	if n := m.doc.Store().StaleVersions(w); n > 0 {
+		return fmt.Errorf("%d stale page versions retained below watermark %d", n, w)
+	}
+	return nil
 }
 
 // treeAccess adapts the Manager to protocol.TreeAccess: raw physical reads
@@ -202,16 +218,6 @@ func (a *treeAccess) SubtreeNodes(id splid.ID) ([]splid.ID, error) {
 		return true
 	})
 	return out, err
-}
-
-// opErr wraps protocol/lock failures with operation context. Lock errors
-// (deadlock victim, timeout) pass through errors.Is for the caller's
-// abort-and-retry logic.
-func opErr(op string, err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("node: %s: %w", op, err)
 }
 
 // IsAbortWorthy reports whether err means the transaction should be aborted

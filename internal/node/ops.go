@@ -5,335 +5,344 @@ import (
 	"fmt"
 
 	"repro/internal/lock"
-
 	"repro/internal/protocol"
 	"repro/internal/splid"
 	"repro/internal/storage"
 	"repro/internal/tx"
+	"repro/internal/wire"
 	"repro/internal/xmlmodel"
 )
 
-// Read operations. Each public operation is one logical operation in the
-// meta-lock sense: under the weak isolation levels its short read locks are
-// released at the end (EndOperation); under repeatable read they are held
-// to commit. Under tx.LevelSnapshot every read op branches to the
-// transaction's frozen Snapshot view before touching the protocol: zero
-// lock-manager traffic, no EndOperation (there is no lock context).
-
-// GetNode reads one node by SPLID (navigational access).
-func (m *Manager) GetNode(t *tx.Txn, id splid.ID) (xmlmodel.Node, error) {
-	if err := m.check(t); err != nil {
-		return xmlmodel.Node{}, err
-	}
-	if t.Isolation() == tx.LevelSnapshot {
-		return m.snap(t).GetNode(id)
-	}
-	defer t.EndOperation()
-	if err := m.proto.ReadNode(m.ctx(t), id, protocol.Navigate); err != nil {
-		return xmlmodel.Node{}, opErr("GetNode", err)
-	}
-	return m.doc.GetNode(id)
+// op is one node operation in flight: the transaction it runs under, the
+// view it reads — the transaction's frozen snapshot or the live document —
+// and its lock context. A tx.LevelSnapshot transaction has none (c is nil)
+// and every read-lock step below is then a no-op, since a frozen view needs
+// no isolation; that is what lets each read operation be written once for
+// both kinds of transaction.
+type op struct {
+	m    *Manager
+	t    *tx.Txn
+	code wire.Op
+	v    storage.Reader
+	c    *protocol.Ctx
 }
 
-// JumpToID resolves an ID-attribute value to its element (getElementById)
-// and read-locks the target as a direct jump.
-func (m *Manager) JumpToID(t *tx.Txn, value string) (xmlmodel.Node, error) {
-	if err := m.check(t); err != nil {
-		return xmlmodel.Node{}, err
+// impls binds every node-op row of the wire operation table to the code
+// that runs it. Adding an operation is one row there, its implementation
+// and entry here, and its typed spelling in wire.Ops; server dispatch,
+// codec and TaMix engines follow from the table.
+var impls = [wire.NumOps]func(op, wire.Args) (wire.Result, error){
+	wire.OpGetNode:  op.getNode,
+	wire.OpJumpToID: op.jumpToID,
+	wire.OpFirstChild: func(o op, a wire.Args) (wire.Result, error) {
+		return o.navigate(a.ID, protocol.EdgeFirstChild, storage.Reader.FirstChild)
+	},
+	wire.OpLastChild: func(o op, a wire.Args) (wire.Result, error) {
+		return o.navigate(a.ID, protocol.EdgeLastChild, storage.Reader.LastChild)
+	},
+	wire.OpNextSibling: func(o op, a wire.Args) (wire.Result, error) {
+		return o.navigate(a.ID, protocol.EdgeNextSibling, storage.Reader.NextSibling)
+	},
+	wire.OpPrevSibling: func(o op, a wire.Args) (wire.Result, error) {
+		return o.navigate(a.ID, protocol.EdgePrevSibling, storage.Reader.PrevSibling)
+	},
+	wire.OpParent:                  op.parent,
+	wire.OpGetChildren:             op.getChildren,
+	wire.OpGetAttributes:           op.getAttributes,
+	wire.OpValue:                   op.value,
+	wire.OpAttributeValue:          op.attributeValue,
+	wire.OpReadFragment:            op.readFragment,
+	wire.OpReadFragmentForUpdate:   op.readFragmentForUpdate,
+	wire.OpUpdateLastChildFragment: op.updateLastChildFragment,
+	wire.OpSetValue:                op.setValue,
+	wire.OpRename:                  op.rename,
+	wire.OpAppendElement: func(o op, a wire.Args) (wire.Result, error) {
+		return o.insert(a.ID, splid.Null, func(d storage.TxDoc, id splid.ID) (xmlmodel.Node, error) {
+			return d.InsertElement(id, a.Name)
+		})
+	},
+	wire.OpAppendText: func(o op, a wire.Args) (wire.Result, error) {
+		return o.insert(a.ID, splid.Null, func(d storage.TxDoc, id splid.ID) (xmlmodel.Node, error) {
+			return d.InsertText(id, a.Bytes)
+		})
+	},
+	wire.OpInsertElementBefore: func(o op, a wire.Args) (wire.Result, error) {
+		return o.insert(a.ID, a.ID2, func(d storage.TxDoc, id splid.ID) (xmlmodel.Node, error) {
+			return d.InsertElement(id, a.Name)
+		})
+	},
+	wire.OpSetAttribute:  op.setAttribute,
+	wire.OpDeleteSubtree: op.deleteSubtree,
+}
+
+// Do executes one node operation named by its opcode — the entry point the
+// server's dispatcher and the TaMix engines drive, and what every typed
+// method (the embedded wire.Ops) forwards to. It is the one place an
+// operation opens and closes: finished transactions are refused, update ops
+// (the operation table's write class) are refused under a snapshot
+// transaction, and the short read locks of the weak isolation levels are
+// released at the end (each call is one logical operation in the meta-lock
+// sense; under repeatable read locks are held to commit).
+func (m *Manager) Do(t *tx.Txn, code wire.Op, a wire.Args) (wire.Result, error) {
+	if int(code) >= len(impls) || impls[code] == nil {
+		return wire.Result{}, fmt.Errorf("node: %s is not a node operation", code)
 	}
-	if t.Isolation() == tx.LevelSnapshot {
-		v := m.snap(t)
-		id, err := v.ElementByID([]byte(value))
-		if err != nil {
-			return xmlmodel.Node{}, err
-		}
-		return v.GetNode(id)
+	if !t.Active() {
+		return wire.Result{}, ErrNotActive
+	}
+	o := op{m: m, t: t, code: code, v: m.doc.Reader()}
+	if t.Isolation() != tx.LevelSnapshot {
+		o.c = m.ctx(t)
+	} else if spec, _ := code.Spec(); spec.Write {
+		return wire.Result{}, o.err(ErrReadOnly)
+	} else {
+		o.v = m.snap(t).Reader()
 	}
 	defer t.EndOperation()
-	id, err := m.doc.ElementByID([]byte(value))
+	return impls[code](o, a)
+}
+
+// err wraps a protocol/lock failure with the operation's name. Lock errors
+// (deadlock victim, timeout) pass through errors.Is for the caller's
+// abort-and-retry logic.
+func (o op) err(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("node: %s: %w", o.code, err)
+}
+
+// The read-lock steps: no-ops without a lock context.
+
+func (o op) lockNode(id splid.ID, acc protocol.Access) error {
+	if o.c == nil {
+		return nil
+	}
+	return o.err(o.m.proto.ReadNode(o.c, id, acc))
+}
+
+func (o op) lockEdge(owner splid.ID, e protocol.Edge) error {
+	if o.c == nil {
+		return nil
+	}
+	return o.err(o.m.proto.ReadEdge(o.c, owner, e))
+}
+
+// lockLevel read-locks parent and all its children with one request and
+// reports how many children that was (0 without a lock context).
+func (o op) lockLevel(parent splid.ID) (int, error) {
+	if o.c == nil {
+		return 0, nil
+	}
+	kids, err := (*treeAccess)(o.m).Children(parent)
 	if err != nil {
-		return xmlmodel.Node{}, err
+		return 0, err
 	}
-	if err := m.proto.ReadNode(m.ctx(t), id, protocol.Jump); err != nil {
-		return xmlmodel.Node{}, opErr("JumpToID", err)
+	return len(kids), o.err(o.m.proto.ReadLevel(o.c, parent, kids))
+}
+
+// lockAttributes is the lock step of getAttributes: a level read on the
+// virtual attribute root covers all attributes with one request. Even "no
+// attributes" must be a repeatable observation, so an element without an
+// attribute root is locked itself.
+func (o op) lockAttributes(el splid.ID) error {
+	if o.c == nil {
+		return nil
 	}
-	return m.doc.GetNode(id)
+	ar := el.AttributeRoot()
+	ok, err := o.m.doc.Exists(ar)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return o.lockNode(el, protocol.Navigate)
+	}
+	_, err = o.lockLevel(ar)
+	return err
+}
+
+func (o op) lockTree(id splid.ID, jump bool) error {
+	if o.c == nil {
+		return nil
+	}
+	return o.err(o.m.proto.ReadTree(o.c, id, access(jump)))
+}
+
+// access maps the jump flag of the fragment ops: index-based access to the
+// fragment root versus step-by-step navigation.
+func access(jump bool) protocol.Access {
+	if jump {
+		return protocol.Jump
+	}
+	return protocol.Navigate
+}
+
+// collect gathers every visited node into *out.
+func collect(out *[]xmlmodel.Node) func(xmlmodel.Node) bool {
+	return func(n xmlmodel.Node) bool {
+		*out = append(*out, n)
+		return true
+	}
+}
+
+// --- reads --------------------------------------------------------------------
+
+// getNode reads one node by SPLID (navigational access).
+func (o op) getNode(a wire.Args) (r wire.Result, err error) {
+	if err = o.lockNode(a.ID, protocol.Navigate); err != nil {
+		return r, err
+	}
+	r.Node, err = o.v.GetNode(a.ID)
+	return r, err
+}
+
+// jumpToID resolves an ID-attribute value to its element (getElementById)
+// and read-locks the target as a direct jump.
+func (o op) jumpToID(a wire.Args) (r wire.Result, err error) {
+	id, err := o.v.ElementByID([]byte(a.Name))
+	if err != nil {
+		return r, err
+	}
+	if err = o.lockNode(id, protocol.Jump); err != nil {
+		return r, err
+	}
+	r.Node, err = o.v.GetNode(id)
+	return r, err
 }
 
 // navigate factors the four sibling/child axes: lock the traversed logical
 // edge, resolve it physically, then lock the target node.
-func (m *Manager) navigate(t *tx.Txn, op string, owner splid.ID, e protocol.Edge,
-	resolve func(storage.ReadView, splid.ID) (xmlmodel.Node, error)) (xmlmodel.Node, error) {
-	if err := m.check(t); err != nil {
-		return xmlmodel.Node{}, err
+func (o op) navigate(owner splid.ID, e protocol.Edge,
+	resolve func(storage.Reader, splid.ID) (xmlmodel.Node, error)) (r wire.Result, err error) {
+	if err = o.lockEdge(owner, e); err != nil {
+		return r, err
 	}
-	if t.Isolation() == tx.LevelSnapshot {
-		return resolve(m.snap(t), owner)
+	n, err := resolve(o.v, owner)
+	if err != nil || n.ID.IsNull() {
+		return r, err // null: the edge leads nowhere; the edge lock isolates that fact
 	}
-	defer t.EndOperation()
-	c := m.ctx(t)
-	if err := m.proto.ReadEdge(c, owner, e); err != nil {
-		return xmlmodel.Node{}, opErr(op, err)
+	if err = o.lockNode(n.ID, protocol.Navigate); err != nil {
+		return r, err
 	}
-	n, err := resolve(m.doc, owner)
-	if err != nil {
-		return xmlmodel.Node{}, err
-	}
-	if n.ID.IsNull() {
-		return n, nil // edge leads nowhere; the edge lock isolates that fact
-	}
-	if err := m.proto.ReadNode(c, n.ID, protocol.Navigate); err != nil {
-		return xmlmodel.Node{}, opErr(op, err)
-	}
-	return n, nil
+	r.Node = n
+	return r, nil
 }
 
-// FirstChild returns the first regular child (null-ID node when none).
-func (m *Manager) FirstChild(t *tx.Txn, id splid.ID) (xmlmodel.Node, error) {
-	return m.navigate(t, "FirstChild", id, protocol.EdgeFirstChild, storage.ReadView.FirstChild)
-}
-
-// LastChild returns the last regular child.
-func (m *Manager) LastChild(t *tx.Txn, id splid.ID) (xmlmodel.Node, error) {
-	return m.navigate(t, "LastChild", id, protocol.EdgeLastChild, storage.ReadView.LastChild)
-}
-
-// NextSibling returns the following sibling.
-func (m *Manager) NextSibling(t *tx.Txn, id splid.ID) (xmlmodel.Node, error) {
-	return m.navigate(t, "NextSibling", id, protocol.EdgeNextSibling, storage.ReadView.NextSibling)
-}
-
-// PrevSibling returns the preceding sibling.
-func (m *Manager) PrevSibling(t *tx.Txn, id splid.ID) (xmlmodel.Node, error) {
-	return m.navigate(t, "PrevSibling", id, protocol.EdgePrevSibling, storage.ReadView.PrevSibling)
-}
-
-// Parent returns the parent node (null-ID node for the root).
-func (m *Manager) Parent(t *tx.Txn, id splid.ID) (xmlmodel.Node, error) {
-	if err := m.check(t); err != nil {
-		return xmlmodel.Node{}, err
-	}
-	if t.Isolation() == tx.LevelSnapshot {
-		return m.snap(t).Parent(id)
-	}
-	defer t.EndOperation()
-	p := id.Parent()
+// parent returns the parent node (null-ID node for the root).
+func (o op) parent(a wire.Args) (r wire.Result, err error) {
+	p := a.ID.Parent()
 	if p.IsNull() {
-		return xmlmodel.Node{}, nil
+		return r, nil
 	}
-	if err := m.proto.ReadNode(m.ctx(t), p, protocol.Navigate); err != nil {
-		return xmlmodel.Node{}, opErr("Parent", err)
+	if err = o.lockNode(p, protocol.Navigate); err != nil {
+		return r, err
 	}
-	return m.doc.GetNode(p)
+	r.Node, err = o.v.GetNode(p)
+	return r, err
 }
 
-// GetChildren returns all regular children (getChildNodes): one level-read
+// getChildren returns all regular children (getChildNodes): one level-read
 // meta-lock.
-func (m *Manager) GetChildren(t *tx.Txn, id splid.ID) ([]xmlmodel.Node, error) {
-	if err := m.check(t); err != nil {
-		return nil, err
-	}
-	if t.Isolation() == tx.LevelSnapshot {
-		var out []xmlmodel.Node
-		err := m.snap(t).ScanChildren(id, func(n xmlmodel.Node) bool {
-			out = append(out, n)
-			return true
-		})
-		return out, err
-	}
-	defer t.EndOperation()
-	kids, err := (*treeAccess)(m).Children(id)
+func (o op) getChildren(a wire.Args) (r wire.Result, err error) {
+	n, err := o.lockLevel(a.ID)
 	if err != nil {
-		return nil, err
+		return r, err
 	}
-	if err := m.proto.ReadLevel(m.ctx(t), id, kids); err != nil {
-		return nil, opErr("GetChildren", err)
-	}
-	out := make([]xmlmodel.Node, 0, len(kids))
-	err = m.doc.ScanChildren(id, func(n xmlmodel.Node) bool {
-		out = append(out, n)
-		return true
-	})
-	return out, err
+	r.Nodes = make([]xmlmodel.Node, 0, n)
+	err = o.v.ScanChildren(a.ID, collect(&r.Nodes))
+	return r, err
 }
 
-// GetAttributes returns the attribute nodes of an element (getAttributes):
-// a level-read on the virtual attribute root covers them with one request.
-func (m *Manager) GetAttributes(t *tx.Txn, el splid.ID) ([]xmlmodel.Node, error) {
-	if err := m.check(t); err != nil {
-		return nil, err
+// getAttributes returns the attribute nodes of an element (getAttributes).
+func (o op) getAttributes(a wire.Args) (r wire.Result, err error) {
+	if err = o.lockAttributes(a.ID); err != nil {
+		return r, err
 	}
-	if t.Isolation() == tx.LevelSnapshot {
-		var out []xmlmodel.Node
-		err := m.snap(t).Attributes(el, func(n xmlmodel.Node) bool {
-			out = append(out, n)
-			return true
-		})
-		return out, err
-	}
-	defer t.EndOperation()
-	ar := el.AttributeRoot()
-	ok, err := m.doc.Exists(ar)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		// Even "no attributes" must be a repeatable observation: lock the
-		// element node itself.
-		if err := m.proto.ReadNode(m.ctx(t), el, protocol.Navigate); err != nil {
-			return nil, opErr("GetAttributes", err)
-		}
-		return nil, nil
-	}
-	attrs, err := (*treeAccess)(m).Children(ar)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.proto.ReadLevel(m.ctx(t), ar, attrs); err != nil {
-		return nil, opErr("GetAttributes", err)
-	}
-	var out []xmlmodel.Node
-	err = m.doc.Attributes(el, func(n xmlmodel.Node) bool {
-		out = append(out, n)
-		return true
-	})
-	return out, err
+	err = o.v.Attributes(a.ID, collect(&r.Nodes))
+	return r, err
 }
 
-// Value reads the character data of a text or attribute node.
-func (m *Manager) Value(t *tx.Txn, id splid.ID) ([]byte, error) {
-	if err := m.check(t); err != nil {
-		return nil, err
+// value reads the character data of a text or attribute node.
+func (o op) value(a wire.Args) (r wire.Result, err error) {
+	if err = o.lockNode(a.ID, protocol.Navigate); err != nil {
+		return r, err
 	}
-	if t.Isolation() == tx.LevelSnapshot {
-		return m.snap(t).Value(id)
-	}
-	defer t.EndOperation()
-	if err := m.proto.ReadNode(m.ctx(t), id, protocol.Navigate); err != nil {
-		return nil, opErr("Value", err)
-	}
-	return m.doc.Value(id)
+	r.Bytes, err = o.v.Value(a.ID)
+	return r, err
 }
 
-// AttributeValue reads one attribute of an element by name.
-func (m *Manager) AttributeValue(t *tx.Txn, el splid.ID, name string) ([]byte, error) {
-	if err := m.check(t); err != nil {
-		return nil, err
-	}
-	if t.Isolation() == tx.LevelSnapshot {
-		v := m.snap(t)
-		a, err := v.AttributeByName(el, name)
-		if err != nil || a.ID.IsNull() {
-			return nil, err
-		}
-		return v.Value(a.ID)
-	}
-	defer t.EndOperation()
-	a, err := m.doc.AttributeByName(el, name)
+// attributeValue reads one attribute of an element by name.
+func (o op) attributeValue(a wire.Args) (r wire.Result, err error) {
+	attr, err := o.v.AttributeByName(a.ID, a.Name)
 	if err != nil {
-		return nil, err
+		return r, err
 	}
-	if a.ID.IsNull() {
-		if err := m.proto.ReadNode(m.ctx(t), el, protocol.Navigate); err != nil {
-			return nil, opErr("AttributeValue", err)
-		}
-		return nil, nil
+	if attr.ID.IsNull() {
+		// A missing attribute is isolated by locking the element itself.
+		return r, o.lockNode(a.ID, protocol.Navigate)
 	}
-	if err := m.proto.ReadNode(m.ctx(t), a.ID, protocol.Navigate); err != nil {
-		return nil, opErr("AttributeValue", err)
+	if err = o.lockNode(attr.ID, protocol.Navigate); err != nil {
+		return r, err
 	}
-	return m.doc.Value(a.ID)
+	r.Bytes, err = o.v.Value(attr.ID)
+	return r, err
 }
 
-// ReadFragment reads the whole subtree under id in document order (the
+// readFragment reads the whole subtree under id in document order (the
 // getFragment operation of Section 5.2), returning all regular nodes. jump
 // marks index-based access to the fragment root.
-func (m *Manager) ReadFragment(t *tx.Txn, id splid.ID, jump bool) ([]xmlmodel.Node, error) {
-	if err := m.check(t); err != nil {
-		return nil, err
+func (o op) readFragment(a wire.Args) (r wire.Result, err error) {
+	if err = o.lockTree(a.ID, a.Flag); err != nil {
+		return r, err
 	}
-	if t.Isolation() == tx.LevelSnapshot {
-		var out []xmlmodel.Node
-		err := m.snap(t).ScanSubtree(id, func(n xmlmodel.Node) bool {
-			out = append(out, n)
-			return true
-		})
-		return out, err
-	}
-	defer t.EndOperation()
-	acc := protocol.Navigate
-	if jump {
-		acc = protocol.Jump
-	}
-	if err := m.proto.ReadTree(m.ctx(t), id, acc); err != nil {
-		return nil, opErr("ReadFragment", err)
-	}
-	var out []xmlmodel.Node
-	err := m.doc.ScanSubtree(id, func(n xmlmodel.Node) bool {
-		out = append(out, n)
-		return true
-	})
-	return out, err
+	err = o.v.ScanSubtree(a.ID, collect(&r.Nodes))
+	return r, err
 }
 
 // --- updates ----------------------------------------------------------------
+//
+// Update ops never run under a snapshot transaction (Do refuses them), so
+// they read the live document and always have a lock context.
 
-// SetValue overwrites the character data of a text or attribute node.
-func (m *Manager) SetValue(t *tx.Txn, id splid.ID, value []byte) error {
-	if err := m.checkWrite(t, "SetValue"); err != nil {
-		return err
+// setValue overwrites the character data of a text or attribute node.
+func (o op) setValue(a wire.Args) (wire.Result, error) {
+	if err := o.m.proto.WriteNode(o.c, a.ID); err != nil {
+		return wire.Result{}, o.err(err)
 	}
-	defer t.EndOperation()
-	if err := m.proto.WriteNode(m.ctx(t), id); err != nil {
-		return opErr("SetValue", err)
-	}
-	old, err := m.doc.Value(id)
+	return o.storeValue(a.ID, a.Bytes)
+}
+
+// storeValue writes a value under an already held write lock, registering
+// the undo that restores the old one.
+func (o op) storeValue(id splid.ID, value []byte) (r wire.Result, err error) {
+	old, err := o.m.doc.Value(id)
 	if err != nil {
-		return err
+		return r, err
 	}
-	if err := m.doc.ForTx(t.ID()).SetValue(id, value); err != nil {
-		return err
+	txd := o.m.doc.ForTx(o.t.ID())
+	if err = txd.SetValue(id, value); err != nil {
+		return r, err
 	}
-	txd := m.doc.ForTx(t.ID())
-	t.PushUndo(func() error { return txd.SetValue(id, old) })
-	return nil
+	o.t.PushUndo(func() error { return txd.SetValue(id, old) })
+	return r, nil
 }
 
-// Rename changes an element's name (DOM level 3 renameNode).
-func (m *Manager) Rename(t *tx.Txn, id splid.ID, newName string) error {
-	if err := m.checkWrite(t, "Rename"); err != nil {
-		return err
+// rename changes an element's name (DOM level 3 renameNode).
+func (o op) rename(a wire.Args) (r wire.Result, err error) {
+	if err = o.m.proto.Rename(o.c, a.ID); err != nil {
+		return r, o.err(err)
 	}
-	defer t.EndOperation()
-	if err := m.proto.Rename(m.ctx(t), id); err != nil {
-		return opErr("Rename", err)
-	}
-	n, err := m.doc.GetNode(id)
+	n, err := o.m.doc.GetNode(a.ID)
 	if err != nil {
-		return err
+		return r, err
 	}
-	oldName := m.doc.Vocabulary().Name(n.Name)
-	if err := m.doc.ForTx(t.ID()).Rename(id, newName); err != nil {
-		return err
+	oldName := o.m.doc.Vocabulary().Name(n.Name)
+	txd := o.m.doc.ForTx(o.t.ID())
+	if err = txd.Rename(a.ID, a.Name); err != nil {
+		return r, err
 	}
-	txd := m.doc.ForTx(t.ID())
-	t.PushUndo(func() error { return txd.Rename(id, oldName) })
-	return nil
-}
-
-// AppendElement inserts a new element as the last child of parent and
-// returns it.
-func (m *Manager) AppendElement(t *tx.Txn, parent splid.ID, name string) (xmlmodel.Node, error) {
-	return m.insertChild(t, parent, func(id splid.ID) (xmlmodel.Node, error) {
-		return m.doc.ForTx(t.ID()).InsertElement(id, name)
-	})
-}
-
-// AppendText inserts a new text node as the last child of parent.
-func (m *Manager) AppendText(t *tx.Txn, parent splid.ID, value []byte) (xmlmodel.Node, error) {
-	return m.insertChild(t, parent, func(id splid.ID) (xmlmodel.Node, error) {
-		return m.doc.ForTx(t.ID()).InsertText(id, value)
-	})
+	o.t.PushUndo(func() error { return txd.Rename(a.ID, oldName) })
+	return r, nil
 }
 
 // insertRetries bounds the revalidation loop of structural inserts. The
@@ -342,263 +351,154 @@ func (m *Manager) AppendText(t *tx.Txn, parent splid.ID, value []byte) (xmlmodel
 // aborts like a timeout victim.
 const insertRetries = 8
 
-func (m *Manager) insertChild(t *tx.Txn, parent splid.ID,
-	create func(splid.ID) (xmlmodel.Node, error)) (xmlmodel.Node, error) {
-	if err := m.checkWrite(t, "Append"); err != nil {
-		return xmlmodel.Node{}, err
+// insert creates a child of parent in front of sibling `before` (a null
+// `before` appends).
+func (o op) insert(parent, before splid.ID,
+	create func(storage.TxDoc, splid.ID) (xmlmodel.Node, error)) (r wire.Result, err error) {
+	doc := o.m.doc
+	leftOf := func() (xmlmodel.Node, error) {
+		if before.IsNull() {
+			return doc.LastChild(parent)
+		}
+		return doc.PrevSibling(before)
 	}
-	defer t.EndOperation()
-	// The append position is computed physically, then locked, then
-	// revalidated: a concurrent appender may have extended the child list
+	txd := doc.ForTx(o.t.ID())
+	// The insert position is computed physically, then locked, then
+	// revalidated: a concurrent inserter may have changed the child list
 	// while this transaction blocked on the boundary locks.
 	for attempt := 0; attempt < insertRetries; attempt++ {
-		last, err := m.doc.LastChild(parent)
+		left, err := leftOf()
 		if err != nil {
-			return xmlmodel.Node{}, err
+			return r, err
 		}
-		newID, err := m.doc.Allocator().Between(parent, last.ID, splid.Null)
+		newID, err := doc.Allocator().Between(parent, left.ID, before)
 		if err != nil {
-			return xmlmodel.Node{}, err
+			return r, err
 		}
-		if err := m.proto.Insert(m.ctx(t), parent, newID, last.ID, splid.Null); err != nil {
-			return xmlmodel.Node{}, opErr("Append", err)
+		if err := o.m.proto.Insert(o.c, parent, newID, left.ID, before); err != nil {
+			return r, o.err(err)
 		}
-		check, err := m.doc.LastChild(parent)
+		check, err := leftOf()
 		if err != nil {
-			return xmlmodel.Node{}, err
+			return r, err
 		}
-		if !check.ID.Equal(last.ID) {
+		if !check.ID.Equal(left.ID) {
 			continue // position moved while blocking; relock the new slot
 		}
-		n, err := create(newID)
+		r.Node, err = create(txd, newID)
 		if errors.Is(err, storage.ErrNodeExists) {
-			// Under the weak isolation levels no locks serialize appenders;
+			// Under the weak isolation levels no locks serialize inserters;
 			// the storage latch rejected a racing twin. Recompute and retry.
 			continue
 		}
 		if err != nil {
-			return xmlmodel.Node{}, err
+			return wire.Result{}, err
 		}
-		txd := m.doc.ForTx(t.ID())
-		t.PushUndo(func() error {
-			_, err := txd.DeleteSubtree(newID)
+		created := r.Node.ID
+		o.t.PushUndo(func() error {
+			_, err := txd.DeleteSubtree(created)
 			return err
 		})
-		return n, nil
+		return r, nil
 	}
-	return xmlmodel.Node{}, opErr("Append", lock.ErrLockTimeout)
+	return wire.Result{}, o.err(lock.ErrLockTimeout)
 }
 
-// InsertElementBefore inserts a new element in front of sibling `before`
-// under parent.
-func (m *Manager) InsertElementBefore(t *tx.Txn, parent, before splid.ID, name string) (xmlmodel.Node, error) {
-	if err := m.checkWrite(t, "InsertElementBefore"); err != nil {
-		return xmlmodel.Node{}, err
-	}
-	defer t.EndOperation()
-	for attempt := 0; attempt < insertRetries; attempt++ {
-		prev, err := m.doc.PrevSibling(before)
-		if err != nil {
-			return xmlmodel.Node{}, err
-		}
-		newID, err := m.doc.Allocator().Between(parent, prev.ID, before)
-		if err != nil {
-			return xmlmodel.Node{}, err
-		}
-		if err := m.proto.Insert(m.ctx(t), parent, newID, prev.ID, before); err != nil {
-			return xmlmodel.Node{}, opErr("InsertElementBefore", err)
-		}
-		check, err := m.doc.PrevSibling(before)
-		if err != nil {
-			return xmlmodel.Node{}, err
-		}
-		if !check.ID.Equal(prev.ID) {
-			continue
-		}
-		n, err := m.doc.ForTx(t.ID()).InsertElement(newID, name)
-		if errors.Is(err, storage.ErrNodeExists) {
-			continue
-		}
-		if err != nil {
-			return xmlmodel.Node{}, err
-		}
-		txd := m.doc.ForTx(t.ID())
-		t.PushUndo(func() error {
-			_, err := txd.DeleteSubtree(newID)
-			return err
-		})
-		return n, nil
-	}
-	return xmlmodel.Node{}, opErr("InsertElementBefore", lock.ErrLockTimeout)
-}
-
-// SetAttribute creates or overwrites an attribute on an element.
-func (m *Manager) SetAttribute(t *tx.Txn, el splid.ID, name string, value []byte) error {
-	if err := m.checkWrite(t, "SetAttribute"); err != nil {
-		return err
-	}
-	defer t.EndOperation()
+// setAttribute creates or overwrites an attribute on an element.
+func (o op) setAttribute(a wire.Args) (wire.Result, error) {
 	// Attribute updates are writes below the element's attribute root; the
 	// whole attribute compound is protected like a child insert/update.
-	existing, err := m.doc.AttributeByName(el, name)
-	if err != nil {
-		return err
-	}
-	c := m.ctx(t)
-	txd := m.doc.ForTx(t.ID())
-	if existing.ID.IsNull() {
-		// A new attribute is a structural insert under the virtual
-		// attribute root. The SPLID is computed with the same append rule
-		// storage.SetAttribute uses, so the locked slot is the stored slot;
-		// like the other structural inserts, the position is revalidated
-		// after blocking on the boundary locks.
-		ar := el.AttributeRoot()
-		lastAttr := func() (splid.ID, error) {
-			var last splid.ID
-			err := m.doc.ScanChildren(ar, func(n xmlmodel.Node) bool {
-				last = n.ID
-				return true
-			})
-			return last, err
+	for attempt := 0; attempt < insertRetries; attempt++ {
+		existing, err := o.m.doc.AttributeByName(a.ID, a.Name)
+		if err != nil {
+			return wire.Result{}, err
 		}
-		for attempt := 0; attempt < insertRetries; attempt++ {
-			last, err := lastAttr()
-			if err != nil {
-				return err
-			}
-			var newID splid.ID
-			if last.IsNull() {
-				newID = m.doc.Allocator().FirstChild(ar)
-			} else {
-				newID = m.doc.Allocator().NextSibling(last)
-			}
-			if err := m.proto.Insert(c, ar, newID, last, splid.Null); err != nil {
-				return opErr("SetAttribute", err)
-			}
-			check, err := lastAttr()
-			if err != nil {
-				return err
-			}
-			if !check.Equal(last) {
-				continue
-			}
-			if _, err := txd.SetAttribute(el, name, value); err != nil {
-				return err
-			}
-			doc := m.doc
-			t.PushUndo(func() error {
-				a, err := doc.AttributeByName(el, name)
-				if err != nil || a.ID.IsNull() {
-					return err
-				}
-				_, err = txd.DeleteSubtree(a.ID)
-				return err
+		if existing.ID.IsNull() {
+			// A new attribute is a structural insert under the virtual
+			// attribute root. insert computes the SPLID with the same append
+			// rule storage.SetAttribute uses, so the locked slot is the
+			// stored slot.
+			return o.insert(a.ID.AttributeRoot(), splid.Null, func(d storage.TxDoc, _ splid.ID) (xmlmodel.Node, error) {
+				return d.SetAttribute(a.ID, a.Name, a.Bytes)
 			})
-			return nil
 		}
-		return opErr("SetAttribute", lock.ErrLockTimeout)
+		if err := o.m.proto.WriteNode(o.c, existing.ID); err != nil {
+			return wire.Result{}, o.err(err)
+		}
+		// The attribute was found by an unlocked read, so it may have been
+		// another transaction's uncommitted insert, rolled back while this one
+		// waited for the lock; like the structural inserts, look again.
+		check, err := o.m.doc.AttributeByName(a.ID, a.Name)
+		if err != nil {
+			return wire.Result{}, err
+		}
+		if check.ID.Equal(existing.ID) {
+			return o.storeValue(existing.ID, a.Bytes)
+		}
 	}
-	if err := m.proto.WriteNode(c, existing.ID); err != nil {
-		return opErr("SetAttribute", err)
-	}
-	old, err := m.doc.Value(existing.ID)
-	if err != nil {
-		return err
-	}
-	if _, err := txd.SetAttribute(el, name, value); err != nil {
-		return err
-	}
-	t.PushUndo(func() error { return txd.SetValue(existing.ID, old) })
-	return nil
+	return wire.Result{}, o.err(lock.ErrLockTimeout)
 }
 
-// DeleteSubtree removes the node and its whole subtree.
-func (m *Manager) DeleteSubtree(t *tx.Txn, id splid.ID) error {
-	if err := m.checkWrite(t, "DeleteSubtree"); err != nil {
-		return err
-	}
-	defer t.EndOperation()
-	left, err := m.doc.PrevSibling(id)
+// deleteSubtree removes the node and its whole subtree.
+func (o op) deleteSubtree(a wire.Args) (r wire.Result, err error) {
+	doc := o.m.doc
+	left, err := doc.PrevSibling(a.ID)
 	if err != nil {
-		return err
+		return r, err
 	}
-	right, err := m.doc.NextSibling(id)
+	right, err := doc.NextSibling(a.ID)
 	if err != nil {
-		return err
+		return r, err
 	}
-	if err := m.proto.DeleteTree(m.ctx(t), id, left.ID, right.ID); err != nil {
-		return opErr("DeleteSubtree", err)
+	if err = o.m.proto.DeleteTree(o.c, a.ID, left.ID, right.ID); err != nil {
+		return r, o.err(err)
 	}
 	// Capture the victim records for physical undo before removal.
 	var victims []xmlmodel.Node
-	if err := m.doc.ScanSubtree(id, func(n xmlmodel.Node) bool {
-		victims = append(victims, n)
-		return true
-	}); err != nil {
-		return err
+	if err = doc.ScanSubtree(a.ID, collect(&victims)); err != nil {
+		return r, err
 	}
 	if len(victims) == 0 {
-		return fmt.Errorf("node: DeleteSubtree: %w", storage.ErrNodeNotFound)
+		return r, o.err(storage.ErrNodeNotFound)
 	}
-	if _, err := m.doc.ForTx(t.ID()).DeleteSubtree(id); err != nil {
-		return err
+	txd := doc.ForTx(o.t.ID())
+	if _, err = txd.DeleteSubtree(a.ID); err != nil {
+		return r, err
 	}
-	txd := m.doc.ForTx(t.ID())
-	t.PushUndo(func() error { return txd.RestoreSubtree(victims) })
-	return nil
+	o.t.PushUndo(func() error { return txd.RestoreSubtree(victims) })
+	return r, nil
 }
 
-// ReadFragmentForUpdate reads the subtree under id like ReadFragment but
+// readFragmentForUpdate reads the subtree under id like ReadFragment but
 // declares update intent: protocols with update modes (URIX's U, taDOM's
 // SU) serialize intending writers up front, which prevents the symmetric
 // read-then-convert deadlocks the paper attributes to lock conversion.
-func (m *Manager) ReadFragmentForUpdate(t *tx.Txn, id splid.ID, jump bool) ([]xmlmodel.Node, error) {
-	if err := m.checkWrite(t, "ReadFragmentForUpdate"); err != nil {
-		return nil, err
+func (o op) readFragmentForUpdate(a wire.Args) (r wire.Result, err error) {
+	if err = o.m.proto.UpdateTree(o.c, a.ID, access(a.Flag)); err != nil {
+		return r, o.err(err)
 	}
-	defer t.EndOperation()
-	acc := protocol.Navigate
-	if jump {
-		acc = protocol.Jump
-	}
-	if err := m.proto.UpdateTree(m.ctx(t), id, acc); err != nil {
-		return nil, opErr("ReadFragmentForUpdate", err)
-	}
-	var out []xmlmodel.Node
-	err := m.doc.ScanSubtree(id, func(n xmlmodel.Node) bool {
-		out = append(out, n)
-		return true
-	})
-	return out, err
+	err = o.m.doc.ScanSubtree(a.ID, collect(&r.Nodes))
+	return r, err
 }
 
-// UpdateLastChildFragment navigates to the last child of id and reads its
+// updateLastChildFragment navigates to the last child of id and reads its
 // whole subtree with *declared update intent in one step*: the traversed
 // edge is share-locked, then the target subtree is locked in the protocol's
 // update mode (SU/U) directly — without first taking a node read lock that
 // would make the update request conflict with other intending writers'
 // reads. This is how a transaction that knows it will modify the fragment
 // avoids the read-then-convert deadlock altogether.
-func (m *Manager) UpdateLastChildFragment(t *tx.Txn, id splid.ID) (xmlmodel.Node, []xmlmodel.Node, error) {
-	if err := m.checkWrite(t, "UpdateLastChildFragment"); err != nil {
-		return xmlmodel.Node{}, nil, err
+func (o op) updateLastChildFragment(a wire.Args) (r wire.Result, err error) {
+	if err = o.lockEdge(a.ID, protocol.EdgeLastChild); err != nil {
+		return r, err
 	}
-	defer t.EndOperation()
-	c := m.ctx(t)
-	if err := m.proto.ReadEdge(c, id, protocol.EdgeLastChild); err != nil {
-		return xmlmodel.Node{}, nil, opErr("UpdateLastChildFragment", err)
+	r.Node, err = o.m.doc.LastChild(a.ID)
+	if err != nil || r.Node.ID.IsNull() {
+		return r, err
 	}
-	n, err := m.doc.LastChild(id)
-	if err != nil || n.ID.IsNull() {
-		return n, nil, err
+	if err = o.m.proto.UpdateTree(o.c, r.Node.ID, protocol.Navigate); err != nil {
+		return wire.Result{}, o.err(err)
 	}
-	if err := m.proto.UpdateTree(c, n.ID, protocol.Navigate); err != nil {
-		return xmlmodel.Node{}, nil, opErr("UpdateLastChildFragment", err)
-	}
-	var frag []xmlmodel.Node
-	err = m.doc.ScanSubtree(n.ID, func(fn xmlmodel.Node) bool {
-		frag = append(frag, fn)
-		return true
-	})
-	return n, frag, err
+	err = o.m.doc.ScanSubtree(r.Node.ID, collect(&r.Nodes))
+	return r, err
 }

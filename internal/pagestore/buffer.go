@@ -176,6 +176,9 @@ type Store struct {
 	snapSrc  atomic.Pointer[func() uint64]
 	verMu    sync.Mutex
 	versions map[PageID][]*pageVersion
+	// fixAtParked is a test seam: when set, FixAt calls it between giving up
+	// on the live frame and consulting the version chain.
+	fixAtParked func()
 
 	retry    RetryPolicy
 	retryMu  sync.Mutex

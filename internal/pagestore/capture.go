@@ -110,12 +110,14 @@ func (c *Capture) note(f *Frame) {
 	pre := make([]byte, PageSize)
 	copy(pre, f.data)
 	e := &captureEntry{f: f, pre: pre}
-	// Raise the in-flux flag before the owner can mutate the page (the
-	// owner's first touch is this Fix), diverting snapshot readers to the
-	// version chain, and publish the pre-image as the chain's open head.
-	// The slice is shared with the entry: both sides only read it.
-	f.influx.Store(true)
+	// Publish the pre-image as the chain's open head, then raise the
+	// in-flux flag — both before the owner can mutate the page (the owner's
+	// first touch is this Fix) — diverting snapshot readers to the version
+	// chain. Chain first, flag second (and the reverse at Close): a reader
+	// that sees the flag up must be able to rely on the entry having been
+	// there. The slice is shared with the entry: both sides only read it.
 	e.pushed = c.s.pushVersion(f.id, pre)
+	f.influx.Store(true)
 	c.entries[f.id] = e
 	c.order = append(c.order, f.id)
 }
@@ -231,19 +233,23 @@ func (c *Capture) Close() {
 	pushed := false
 	for _, id := range c.order {
 		e := c.entries[id]
+		// Lower the in-flux flag after Commit's stamp: the release/acquire
+		// pair on the flag is what publishes the new pageLSN to snapshot
+		// readers that go on to read the live bytes.
+		e.f.influx.Store(false)
 		if e.pushed {
 			pushed = true
 			if !e.logged {
 				// The page's body never changed (a read-only touch, or an
 				// operation that failed before mutating it): the open chain
-				// entry duplicates the live bytes and retains nothing.
+				// entry duplicates the live bytes and retains nothing. It
+				// goes only after the flag is down, so a reader that misses
+				// it finds the live page visible again on its next look —
+				// there is no moment with the flag up and the chain empty,
+				// however long this goroutine is descheduled in between.
 				c.s.dropOpenVersion(id)
 			}
 		}
-		// Lower the in-flux flag after Commit's stamp: the release/acquire
-		// pair on the flag is what publishes the new pageLSN to snapshot
-		// readers that go on to read the live bytes.
-		e.f.influx.Store(false)
 		if e.deferred > 0 {
 			if n := e.f.pins.Add(-e.deferred); n < 0 {
 				panic("pagestore: capture pin accounting underflow")

@@ -119,32 +119,56 @@ func (s *Store) versionAt(id PageID, snap uint64) ([]byte, bool) {
 	return nil, false
 }
 
+// fixAtRetries bounds FixAt's second looks at a page it found in flux.
+// Every retry means a whole capture closed between two instructions of the
+// reader, so more than a handful in a row is not contention but a bug.
+const fixAtRetries = 16
+
 // FixAt resolves page id as of snapshot snap: the live frame when it is
 // visible (released via the returned func), otherwise the covering version
 // chain entry (whose release func is a no-op). An error means no image
 // covering snap exists — with a correctly maintained watermark that is an
 // invariant violation, not a transient condition.
 func (s *Store) FixAt(id PageID, snap uint64) ([]byte, func(), error) {
-	f, err := s.Fix(id)
-	if err != nil {
-		// The live page is unreachable (I/O failure); a retained version
-		// can still serve the snapshot.
-		if data, ok := s.versionAt(id, snap); ok {
+	for attempt := 0; ; attempt++ {
+		f, err := s.Fix(id)
+		if err != nil {
+			// The live page is unreachable (I/O failure); a retained version
+			// can still serve the snapshot.
+			if data, ok := s.versionAt(id, snap); ok {
+				return data, func() {}, nil
+			}
+			return nil, nil, err
+		}
+		// The influx flag must be read before the page bytes: a capture stamps
+		// pageLSN only while the flag is up, so a down flag (acquire) means the
+		// bytes — stamp included — are settled.
+		influx := f.influx.Load()
+		if !influx && PageLSN(f.data) <= snap {
+			return f.data, func() { s.Unfix(f) }, nil
+		}
+		if s.fixAtParked != nil {
+			s.fixAtParked()
+		}
+		// The chain is consulted before the pin is given back: Unfix on a
+		// captured frame queues on the capture's mutex, which Close holds
+		// while it retires its entries, and a reader that unpinned first
+		// would resume right behind Close on every look.
+		data, ok := s.versionAt(id, snap)
+		s.Unfix(f)
+		if ok {
 			return data, func() {}, nil
 		}
-		return nil, nil, err
+		// A chain miss after seeing the flag up is not a hole: the capture
+		// only read the page and closed in between — lowering the flag, then
+		// dropping the open chain entry that duplicated the live bytes — so
+		// the live frame is visible again; look once more. A miss with the
+		// flag down (the stamp is final and newer than snap) is the real
+		// invariant violation.
+		if !influx || attempt == fixAtRetries {
+			return nil, nil, fmt.Errorf("pagestore: no version of page %d covers snapshot LSN %d", id, snap)
+		}
 	}
-	// The influx flag must be read before the page bytes: a capture stamps
-	// pageLSN only while the flag is up, so a down flag (acquire) means the
-	// bytes — stamp included — are settled.
-	if !f.influx.Load() && PageLSN(f.data) <= snap {
-		return f.data, func() { s.Unfix(f) }, nil
-	}
-	s.Unfix(f)
-	if data, ok := s.versionAt(id, snap); ok {
-		return data, func() {}, nil
-	}
-	return nil, nil, fmt.Errorf("pagestore: no version of page %d covers snapshot LSN %d", id, snap)
 }
 
 // PruneVersions retires every chain entry sealed at or below the watermark

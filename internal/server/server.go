@@ -552,6 +552,12 @@ func (s *Server) dispatch(c *conn, m wire.Msg) {
 		return
 	}
 
+	// An opcode outside the operation table is the client's fault; reject it
+	// here, before it can occupy a session-queue slot.
+	if _, ok := m.Op.Spec(); !ok {
+		c.replyErr(m, wire.StatusBadRequest, fmt.Errorf("server: unknown opcode %s", m.Op))
+		return
+	}
 	s.mu.Lock()
 	sess := s.sessions[m.Session]
 	s.mu.Unlock()
@@ -730,8 +736,8 @@ func (s *Server) serveStats(c *conn, m wire.Msg) {
 	}))
 }
 
-// serveAudit answers OpAudit: the engine's integrity audits (document Verify
-// plus lock LeakCheck), the same checks a local TaMix run ends with.
+// serveAudit answers OpAudit with the engine's residue audit — the same
+// node.Manager.Audit a local TaMix run ends with.
 func (s *Server) serveAudit(c *conn, m wire.Msg) {
 	name := wire.NewReader(m.Body).String()
 	eng := s.lookupEngine(name)
@@ -739,12 +745,8 @@ func (s *Server) serveAudit(c *conn, m wire.Msg) {
 		c.replyErr(m, wire.StatusNotFound, fmt.Errorf("server: no engine for protocol %q", name))
 		return
 	}
-	if err := eng.Mgr.Document().Verify(); err != nil {
-		c.replyErr(m, wire.StatusErr, fmt.Errorf("verify: %w", err))
-		return
-	}
-	if err := eng.Mgr.LockManager().LeakCheck(); err != nil {
-		c.replyErr(m, wire.StatusErr, fmt.Errorf("leak check: %w", err))
+	if err := eng.Mgr.Audit(); err != nil {
+		c.replyErr(m, wire.StatusErr, err)
 		return
 	}
 	c.reply(m, wire.StatusOK, nil)

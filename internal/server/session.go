@@ -11,7 +11,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/tx"
 	"repro/internal/wire"
-	"repro/internal/xmlmodel"
 )
 
 // session is one client session: a protocol choice, at most one active
@@ -94,6 +93,8 @@ func statusOf(err error) wire.Status {
 		return wire.StatusNotFound
 	case errors.Is(err, tx.ErrTxnDone):
 		return wire.StatusTxDone
+	case errors.Is(err, errBadRequest):
+		return wire.StatusBadRequest
 	default:
 		return wire.StatusErr
 	}
@@ -225,8 +226,12 @@ func (s *Server) handle(sess *session, m wire.Msg) {
 // errNoTxn is the out-of-protocol "node op without a transaction" failure.
 var errNoTxn = fmt.Errorf("%w: no active transaction", tx.ErrTxnDone)
 
-// execute dispatches one opcode against the session's engine, returning the
-// encoded result body.
+// errBadRequest marks a node-op body that does not decode under its op's
+// argument shape: the client's fault, answered with StatusBadRequest.
+var errBadRequest = errors.New("server: malformed request")
+
+// execute runs one session-scoped request against the session's engine,
+// returning the encoded result body.
 func (s *Server) execute(sess *session, m wire.Msg, ctx context.Context) ([]byte, error) {
 	mgr := sess.eng.Mgr
 
@@ -283,189 +288,21 @@ func (s *Server) execute(sess *session, m wire.Msg, ctx context.Context) ([]byte
 		return wire.AppendUvarint(body, uint64(sur)), nil
 	}
 
-	// Everything below operates on the document and needs a transaction.
+	// Everything else is a node operation — a row of the operation table —
+	// and needs a transaction: decode its operands by the row's shape, run the
+	// implementation node.Manager.Do binds to the row, encode the result by its
+	// shape.
 	if sess.txn == nil || !sess.txn.Active() {
 		return nil, errNoTxn
 	}
-	txn := sess.txn
-	r := wire.NewReader(m.Body)
-
-	switch m.Op {
-	case wire.OpGetNode:
-		id := r.ID()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		n, err := mgr.GetNode(txn, id)
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendNode(nil, n), nil
-	case wire.OpJumpToID:
-		value := r.String()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		n, err := mgr.JumpToID(txn, value)
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendNode(nil, n), nil
-	case wire.OpFirstChild, wire.OpLastChild, wire.OpNextSibling, wire.OpPrevSibling, wire.OpParent:
-		id := r.ID()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		var n xmlmodel.Node
-		var err error
-		switch m.Op {
-		case wire.OpFirstChild:
-			n, err = mgr.FirstChild(txn, id)
-		case wire.OpLastChild:
-			n, err = mgr.LastChild(txn, id)
-		case wire.OpNextSibling:
-			n, err = mgr.NextSibling(txn, id)
-		case wire.OpPrevSibling:
-			n, err = mgr.PrevSibling(txn, id)
-		default:
-			n, err = mgr.Parent(txn, id)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendNode(nil, n), nil
-	case wire.OpGetChildren:
-		id := r.ID()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		ns, err := mgr.GetChildren(txn, id)
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendNodes(nil, ns), nil
-	case wire.OpGetAttributes:
-		id := r.ID()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		ns, err := mgr.GetAttributes(txn, id)
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendNodes(nil, ns), nil
-	case wire.OpValue:
-		id := r.ID()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		v, err := mgr.Value(txn, id)
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendBytes(nil, v), nil
-	case wire.OpAttributeValue:
-		id := r.ID()
-		name := r.String()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		v, err := mgr.AttributeValue(txn, id, name)
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendBytes(nil, v), nil
-	case wire.OpReadFragment, wire.OpReadFragmentForUpdate:
-		id := r.ID()
-		jump := r.Byte() != 0
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if m.Op == wire.OpReadFragment {
-			out, err := mgr.ReadFragment(txn, id, jump)
-			if err != nil {
-				return nil, err
-			}
-			return wire.AppendNodes(nil, out), nil
-		}
-		out, err := mgr.ReadFragmentForUpdate(txn, id, jump)
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendNodes(nil, out), nil
-	case wire.OpUpdateLastChildFragment:
-		id := r.ID()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		n, frag, err := mgr.UpdateLastChildFragment(txn, id)
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendNodes(wire.AppendNode(nil, n), frag), nil
-	case wire.OpSetValue:
-		id := r.ID()
-		value := r.Bytes()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		return nil, mgr.SetValue(txn, id, value)
-	case wire.OpRename:
-		id := r.ID()
-		name := r.String()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		return nil, mgr.Rename(txn, id, name)
-	case wire.OpAppendElement:
-		id := r.ID()
-		name := r.String()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		n, err := mgr.AppendElement(txn, id, name)
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendNode(nil, n), nil
-	case wire.OpAppendText:
-		id := r.ID()
-		value := r.Bytes()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		n, err := mgr.AppendText(txn, id, value)
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendNode(nil, n), nil
-	case wire.OpInsertElementBefore:
-		parent := r.ID()
-		before := r.ID()
-		name := r.String()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		n, err := mgr.InsertElementBefore(txn, parent, before, name)
-		if err != nil {
-			return nil, err
-		}
-		return wire.AppendNode(nil, n), nil
-	case wire.OpSetAttribute:
-		id := r.ID()
-		name := r.String()
-		value := r.Bytes()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		return nil, mgr.SetAttribute(txn, id, name, value)
-	case wire.OpDeleteSubtree:
-		id := r.ID()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		return nil, mgr.DeleteSubtree(txn, id)
-	default:
-		return nil, fmt.Errorf("server: unknown opcode %s", m.Op)
+	spec, _ := m.Op.Spec()
+	args, err := wire.DecodeArgs(spec.Args, m.Body)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %v", errBadRequest, m.Op, err)
 	}
+	res, err := mgr.Do(sess.txn, m.Op, args)
+	if err != nil {
+		return nil, err
+	}
+	return wire.AppendResult(nil, spec.Result, res), nil
 }

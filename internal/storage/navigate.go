@@ -1,8 +1,9 @@
 package storage
 
 import (
-	"repro/internal/btree"
+	"errors"
 
+	"repro/internal/btree"
 	"repro/internal/splid"
 	"repro/internal/xmlmodel"
 )
@@ -108,28 +109,38 @@ func (r reader) FirstChild(id splid.ID) (xmlmodel.Node, error) {
 	return out, err
 }
 
-// LastChild returns the last regular child of id, or a null-ID node.
+// LastChild returns the last regular child of id, or a null-ID node. Reads
+// are latch-free, so a concurrent subtree delete (another transaction's
+// rollback, say) can be caught half done: the seek lands on a descendant
+// whose top-level ancestor is already gone. That child no longer exists —
+// the answer is looked for below it.
 func (r reader) LastChild(id splid.ID) (xmlmodel.Node, error) {
-	k, v, err := r.doc.SeekLT(id.SubtreeLimit().Encode())
-	if err != nil {
-		return xmlmodel.Node{}, err
+	limit := id.SubtreeLimit()
+	for {
+		k, v, err := r.doc.SeekLT(limit.Encode())
+		if err != nil {
+			return xmlmodel.Node{}, err
+		}
+		last, err := splid.Decode(k)
+		if err != nil {
+			return xmlmodel.Node{}, err
+		}
+		if last.Equal(id) || !id.IsAncestorOf(last) {
+			return xmlmodel.Node{}, nil // empty subtree
+		}
+		child := last.AncestorAtLevel(id.Level() + 1)
+		if child.IsReservedChild() {
+			return xmlmodel.Node{}, nil // only attribute/string machinery below
+		}
+		if child.Equal(last) {
+			return xmlmodel.DecodeRecord(child, v)
+		}
+		n, err := r.GetNode(child)
+		if !errors.Is(err, ErrNodeNotFound) {
+			return n, err
+		}
+		limit = child
 	}
-	last, err := splid.Decode(k)
-	if err != nil {
-		return xmlmodel.Node{}, err
-	}
-	if last.Equal(id) || !id.IsAncestorOf(last) {
-		return xmlmodel.Node{}, nil // empty subtree
-	}
-	child := last.AncestorAtLevel(id.Level() + 1)
-	if child.IsReservedChild() {
-		return xmlmodel.Node{}, nil // only attribute/string machinery below
-	}
-	if child.Equal(last) {
-		n, err := xmlmodel.DecodeRecord(child, v)
-		return n, err
-	}
-	return r.GetNode(child)
 }
 
 // NextSibling returns the following regular sibling of id, or a null-ID

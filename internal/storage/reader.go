@@ -42,6 +42,17 @@ type reader struct {
 	vocab *xmlmodel.Vocabulary
 }
 
+// Reader is that one implementation under an exported name: the read-only
+// operation surface shared by the live *Document and point-in-time *Snapshot
+// views, for callers that must work against either — the node manager
+// routing a snapshot transaction. It is the concrete type rather than an
+// interface so such callers stay statically dispatched: a callback handed
+// to a Reader's scan does not escape to the heap.
+type Reader = reader
+
+// Reader returns the reader behind a *Document or *Snapshot.
+func (r reader) Reader() Reader { return r }
+
 // liveReader builds the reader a Document embeds over its live trees.
 func liveReader(doc, elem, ids *btree.Tree, vocab *xmlmodel.Vocabulary) reader {
 	return reader{doc: doc, elem: elem, ids: ids, vocab: vocab}
@@ -124,36 +135,6 @@ func (r reader) ElementsByName(name string, fn func(splid.ID) bool) error {
 		return fn(id)
 	})
 }
-
-// ReadView is the read-only operation surface shared by the live *Document
-// and point-in-time *Snapshot views: every method is implemented once on
-// reader and promoted into both. Callers that must work against either —
-// the node manager routing a snapshot transaction, tests comparing live and
-// frozen state — program against this interface.
-type ReadView interface {
-	GetNode(id splid.ID) (xmlmodel.Node, error)
-	Exists(id splid.ID) (bool, error)
-	Value(id splid.ID) ([]byte, error)
-	ElementByID(value []byte) (splid.ID, error)
-	ElementsByName(name string, fn func(splid.ID) bool) error
-	ScanSubtree(id splid.ID, fn func(xmlmodel.Node) bool) error
-	ScanDocument(fn func(xmlmodel.Node) bool) error
-	ScanChildren(id splid.ID, fn func(xmlmodel.Node) bool) error
-	FirstChild(id splid.ID) (xmlmodel.Node, error)
-	LastChild(id splid.ID) (xmlmodel.Node, error)
-	NextSibling(id splid.ID) (xmlmodel.Node, error)
-	PrevSibling(id splid.ID) (xmlmodel.Node, error)
-	Parent(id splid.ID) (xmlmodel.Node, error)
-	Attributes(el splid.ID, fn func(xmlmodel.Node) bool) error
-	AttributeByName(el splid.ID, name string) (xmlmodel.Node, error)
-	CountChildren(id splid.ID) (int, error)
-	SubtreeSize(id splid.ID) (int, error)
-}
-
-var (
-	_ ReadView = (*Document)(nil)
-	_ ReadView = (*Snapshot)(nil)
-)
 
 // Snapshot is a read-only view of a document frozen at one WAL snapshot
 // LSN: every promoted reader method resolves pages through the version

@@ -122,10 +122,10 @@ func RunCluster2(protocolName string, docScale float64, runs int) (*Cluster2Resu
 	for i := 0; i < runs; i++ {
 		// Deterministic topic choice so every protocol deletes comparable
 		// subtrees.
-		r := &runner{m: newLocalEngine(mgr, tx.LevelRepeatable), cat: &Catalog{
+		r := newRunner(&localEngine{m: mgr}, &Catalog{
 			TopicIDs: []string{cat.TopicIDs[i]},
 			BookIDs:  cat.BookIDs,
-		}, rng: newSeededRand(int64(i)), waitOp: 0}
+		}, newSeededRand(int64(i)))
 		txn := mgr.Begin(tx.LevelRepeatable)
 		t0 := time.Now()
 		if err := r.run(TAdelBook, txn); err != nil {

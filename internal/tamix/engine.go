@@ -1,11 +1,11 @@
 package tamix
 
 import (
-	"fmt"
+	"sync"
 
 	"repro/internal/node"
-	"repro/internal/splid"
 	"repro/internal/tx"
+	"repro/internal/wire"
 	"repro/internal/xmlmodel"
 )
 
@@ -18,30 +18,20 @@ type Txn interface {
 	Abort() error
 }
 
-// Engine is the operation surface the TaMix transaction bodies run against —
-// the subset of the node manager the workload uses, abstracted so the same
-// bodies drive either an in-process engine or an xtcd server over the wire.
+// Engine is what the TaMix transaction bodies run against, abstracted so
+// the same bodies drive either an in-process node manager or an xtcd server
+// over the wire. Node operations are named by their opcode in the wire
+// operation table, so an engine is one Do, not one method per operation.
 // Error contracts carry over: deadlock-victim and lock-timeout failures
 // satisfy node.IsAbortWorthy, vanished targets satisfy
 // errors.Is(storage.ErrNodeNotFound).
 type Engine interface {
-	// Begin starts a transaction (the isolation level is fixed per engine).
-	// readOnly declares that the transaction body performs no updates;
-	// engines with snapshot reads enabled downgrade such transactions to
-	// tx.LevelSnapshot, all others ignore the flag.
-	Begin(readOnly bool) (Txn, error)
-	JumpToID(t Txn, value string) (xmlmodel.Node, error)
-	FirstChild(t Txn, id splid.ID) (xmlmodel.Node, error)
-	LastChild(t Txn, id splid.ID) (xmlmodel.Node, error)
-	NextSibling(t Txn, id splid.ID) (xmlmodel.Node, error)
-	GetChildren(t Txn, id splid.ID) ([]xmlmodel.Node, error)
-	ReadFragment(t Txn, id splid.ID, jump bool) ([]xmlmodel.Node, error)
-	UpdateLastChildFragment(t Txn, id splid.ID) (xmlmodel.Node, []xmlmodel.Node, error)
-	SetValue(t Txn, id splid.ID, value []byte) error
-	Rename(t Txn, id splid.ID, newName string) error
-	AppendElement(t Txn, parent splid.ID, name string) (xmlmodel.Node, error)
-	SetAttribute(t Txn, el splid.ID, name string, value []byte) error
-	DeleteSubtree(t Txn, id splid.ID) error
+	// Begin starts a transaction. The isolation level is fixed per engine:
+	// every slot has its own, and the snapshot contestant's read-only slots
+	// get theirs at tx.LevelSnapshot.
+	Begin() (Txn, error)
+	// Do executes one node operation under t.
+	Do(t Txn, op wire.Op, a wire.Args) (wire.Result, error)
 	// LookupName resolves a vocabulary name to its surrogate.
 	LookupName(name string) (xmlmodel.Sur, bool)
 }
@@ -51,80 +41,25 @@ type Engine interface {
 type localEngine struct {
 	m   *node.Manager
 	iso tx.Level
-	// snapReads routes read-only transactions to tx.LevelSnapshot (set when
-	// the manager has EnableSnapshotReads on — the "snapshot" contestant).
-	snapReads bool
+	// txType and txTypes (lock.TxID -> TxType), when txTypes is set, register
+	// every transaction the engine begins under its slot's TaMix type so the
+	// run's deadlock observer can attribute victims.
+	txType  TxType
+	txTypes *sync.Map
 }
 
-// newLocalEngine wraps an in-process node manager.
-func newLocalEngine(m *node.Manager, iso tx.Level) *localEngine {
-	return &localEngine{m: m, iso: iso}
-}
-
-// localTxn unwraps the concrete transaction; mixing engines is a programming
-// error worth failing loudly on.
-func localTxn(t Txn) *tx.Txn {
-	txn, ok := t.(*tx.Txn)
-	if !ok {
-		panic(fmt.Sprintf("tamix: local engine got foreign transaction %T", t))
+func (e *localEngine) Begin() (Txn, error) {
+	t := e.m.Begin(e.iso)
+	if ltx := t.LockTx(); ltx != nil && e.txTypes != nil {
+		e.txTypes.Store(ltx.ID(), e.txType)
 	}
-	return txn
+	return t, nil
 }
 
-func (e *localEngine) Begin(readOnly bool) (Txn, error) {
-	iso := e.iso
-	if readOnly && e.snapReads {
-		iso = tx.LevelSnapshot
-	}
-	return e.m.Begin(iso), nil
-}
-
-func (e *localEngine) JumpToID(t Txn, value string) (xmlmodel.Node, error) {
-	return e.m.JumpToID(localTxn(t), value)
-}
-
-func (e *localEngine) FirstChild(t Txn, id splid.ID) (xmlmodel.Node, error) {
-	return e.m.FirstChild(localTxn(t), id)
-}
-
-func (e *localEngine) LastChild(t Txn, id splid.ID) (xmlmodel.Node, error) {
-	return e.m.LastChild(localTxn(t), id)
-}
-
-func (e *localEngine) NextSibling(t Txn, id splid.ID) (xmlmodel.Node, error) {
-	return e.m.NextSibling(localTxn(t), id)
-}
-
-func (e *localEngine) GetChildren(t Txn, id splid.ID) ([]xmlmodel.Node, error) {
-	return e.m.GetChildren(localTxn(t), id)
-}
-
-func (e *localEngine) ReadFragment(t Txn, id splid.ID, jump bool) ([]xmlmodel.Node, error) {
-	return e.m.ReadFragment(localTxn(t), id, jump)
-}
-
-func (e *localEngine) UpdateLastChildFragment(t Txn, id splid.ID) (xmlmodel.Node, []xmlmodel.Node, error) {
-	return e.m.UpdateLastChildFragment(localTxn(t), id)
-}
-
-func (e *localEngine) SetValue(t Txn, id splid.ID, value []byte) error {
-	return e.m.SetValue(localTxn(t), id, value)
-}
-
-func (e *localEngine) Rename(t Txn, id splid.ID, newName string) error {
-	return e.m.Rename(localTxn(t), id, newName)
-}
-
-func (e *localEngine) AppendElement(t Txn, parent splid.ID, name string) (xmlmodel.Node, error) {
-	return e.m.AppendElement(localTxn(t), parent, name)
-}
-
-func (e *localEngine) SetAttribute(t Txn, el splid.ID, name string, value []byte) error {
-	return e.m.SetAttribute(localTxn(t), el, name, value)
-}
-
-func (e *localEngine) DeleteSubtree(t Txn, id splid.ID) error {
-	return e.m.DeleteSubtree(localTxn(t), id)
+// Do unwraps the concrete transaction; mixing engines is a programming
+// error, and the failed assertion panics loudly on it.
+func (e *localEngine) Do(t Txn, op wire.Op, a wire.Args) (wire.Result, error) {
+	return e.m.Do(t.(*tx.Txn), op, a)
 }
 
 func (e *localEngine) LookupName(name string) (xmlmodel.Sur, bool) {

@@ -1,18 +1,14 @@
 package tamix
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
-	"time"
 
 	"repro/internal/client"
 	"repro/internal/protocol"
-	"repro/internal/splid"
 	"repro/internal/storage"
 	"repro/internal/tx"
+	"repro/internal/wire"
 	"repro/internal/xmlmodel"
 )
 
@@ -21,86 +17,31 @@ import (
 // slot discipline exactly: every slot owns its session.
 type remoteEngine struct {
 	sess *client.Session
-	// names caches vocabulary lookups; the workload resolves the same one or
-	// two names every traversal and a cache turns that round trip into a map
+	// names caches resolved vocabulary names; the workload resolves the same
+	// one or two every traversal and a cache turns that round trip into a map
 	// hit. Single-goroutine access, no lock.
-	names map[string]nameEntry
+	names map[string]xmlmodel.Sur
 }
 
-type nameEntry struct {
-	sur xmlmodel.Sur
-	ok  bool
-}
+func (e *remoteEngine) Begin() (Txn, error) { return e.sess.Begin() }
 
-func newRemoteEngine(sess *client.Session) *remoteEngine {
-	return &remoteEngine{sess: sess, names: map[string]nameEntry{}}
-}
-
-// Begin ignores the read-only flag: a remote session's isolation level is
-// fixed at OpenSession, so snapshot routing happens per-slot (runRemote
-// opens the read-only slots' sessions at tx.LevelSnapshot).
-func (e *remoteEngine) Begin(bool) (Txn, error) { return e.sess.Begin() }
-
-func (e *remoteEngine) JumpToID(_ Txn, value string) (xmlmodel.Node, error) {
-	return e.sess.JumpToID(value)
-}
-
-func (e *remoteEngine) FirstChild(_ Txn, id splid.ID) (xmlmodel.Node, error) {
-	return e.sess.FirstChild(id)
-}
-
-func (e *remoteEngine) LastChild(_ Txn, id splid.ID) (xmlmodel.Node, error) {
-	return e.sess.LastChild(id)
-}
-
-func (e *remoteEngine) NextSibling(_ Txn, id splid.ID) (xmlmodel.Node, error) {
-	return e.sess.NextSibling(id)
-}
-
-func (e *remoteEngine) GetChildren(_ Txn, id splid.ID) ([]xmlmodel.Node, error) {
-	return e.sess.GetChildren(id)
-}
-
-func (e *remoteEngine) ReadFragment(_ Txn, id splid.ID, jump bool) ([]xmlmodel.Node, error) {
-	return e.sess.ReadFragment(id, jump)
-}
-
-func (e *remoteEngine) UpdateLastChildFragment(_ Txn, id splid.ID) (xmlmodel.Node, []xmlmodel.Node, error) {
-	return e.sess.UpdateLastChildFragment(id)
-}
-
-func (e *remoteEngine) SetValue(_ Txn, id splid.ID, value []byte) error {
-	return e.sess.SetValue(id, value)
-}
-
-func (e *remoteEngine) Rename(_ Txn, id splid.ID, newName string) error {
-	return e.sess.Rename(id, newName)
-}
-
-func (e *remoteEngine) AppendElement(_ Txn, parent splid.ID, name string) (xmlmodel.Node, error) {
-	return e.sess.AppendElement(parent, name)
-}
-
-func (e *remoteEngine) SetAttribute(_ Txn, el splid.ID, name string, value []byte) error {
-	return e.sess.SetAttribute(el, name, value)
-}
-
-func (e *remoteEngine) DeleteSubtree(_ Txn, id splid.ID) error {
-	return e.sess.DeleteSubtree(id)
+// Do ignores the handle: the session carries its one transaction.
+func (e *remoteEngine) Do(_ Txn, op wire.Op, a wire.Args) (wire.Result, error) {
+	return e.sess.Do(op, a)
 }
 
 func (e *remoteEngine) LookupName(name string) (xmlmodel.Sur, bool) {
-	if ent, hit := e.names[name]; hit {
-		return ent.sur, ent.ok
+	if sur, hit := e.names[name]; hit {
+		return sur, true
 	}
 	sur, ok, err := e.sess.LookupName(name)
-	if err != nil {
+	if err != nil || !ok {
 		// Lookup failures surface on the next locked operation; treat as
 		// unknown here (the traversal then simply finds no summaries).
 		return 0, false
 	}
-	e.names[name] = nameEntry{sur: sur, ok: ok}
-	return sur, ok
+	e.names[name] = sur
+	return sur, true
 }
 
 // statDelta is after-minus-before with a wrap clamp: a server restart
@@ -113,53 +54,20 @@ func statDelta(after, before uint64) uint64 {
 	return after - before
 }
 
-// runRemote executes the TaMix workload against an xtcd server: same slot
-// structure, same restart policy, same post-run audits — but every slot is a
-// wire session and the audits and lock statistics come from the server. The
-// figure harnesses double as server load tests this way.
-func runRemote(cfg Config) (*Result, error) {
-	p, err := protocol.Parse(cfg.Protocol)
-	if err != nil {
-		return nil, err
-	}
-	conns := cfg.RemoteConns
-	if conns <= 0 {
-		conns = 4
-	}
+// runRemote points the slot driver at an xtcd server: every slot is a wire
+// session, and the post-run audit and the lock statistics come from the
+// server. The figure harnesses double as server load tests this way.
+func runRemote(cfg Config, p protocol.Protocol, res *Result) (*Result, error) {
 	copts := cfg.RemoteClient
-	copts.Conns = conns
+	if copts.Conns = cfg.RemoteConns; copts.Conns <= 0 {
+		copts.Conns = 4
+	}
 	copts.Metrics = cfg.Metrics
 	pool, err := client.Dial(cfg.Remote, copts)
 	if err != nil {
 		return nil, fmt.Errorf("tamix: dial %s: %w", cfg.Remote, err)
 	}
 	defer pool.Close()
-
-	maxRestarts := cfg.MaxRestarts
-	if maxRestarts == 0 {
-		maxRestarts = DefaultMaxRestarts
-	} else if maxRestarts < 0 {
-		maxRestarts = 0
-	}
-	restartBase := cfg.RestartBackoff
-	if restartBase <= 0 {
-		restartBase = DefaultRestartBackoff
-	}
-	restartCap := cfg.RestartMaxBackoff
-	if restartCap <= 0 {
-		restartCap = DefaultRestartMaxBackoff
-	}
-
-	res := &Result{
-		Protocol:        p.Name(),
-		Isolation:       cfg.Isolation,
-		Depth:           cfg.Depth,
-		PerType:         make(map[TxType]*TypeStats),
-		DeadlockVictims: make(map[TxType]uint64),
-	}
-	for _, t := range TxTypes {
-		res.PerType[t] = NewTypeStats()
-	}
 
 	// A bootstrap session forces the server to build the engine (loading the
 	// document) and serves the catalog every slot works from.
@@ -191,99 +99,29 @@ func runRemote(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("tamix: baseline stats: %w", err)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var failOnce sync.Once
-	var runErr error
-	fail := func(err error) {
-		failOnce.Do(func() {
-			runErr = err
-			cancel()
-		})
-	}
-
-	var txTypes sync.Map // unused remotely, but runOnce records when it can
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	start := time.Now()
-	deadline := start.Add(cfg.Duration)
-
-	slot := 0
-	for c := 0; c < cfg.Clients; c++ {
-		for _, txType := range TxTypes {
-			for i := 0; i < cfg.Mix[txType]; i++ {
-				slot++
-				wg.Add(1)
-				go func(txType TxType, seed int64) {
-					defer wg.Done()
-					// A session's isolation level is fixed at open, so the
-					// snapshot contestant's read-only slots open whole
-					// sessions at tx.LevelSnapshot.
-					iso := cfg.Isolation
-					if protocol.UsesSnapshotReads(p) && txType.ReadOnly() {
-						iso = tx.LevelSnapshot
-					}
-					sess, err := pool.OpenSession(p.Name(), iso, cfg.Depth)
-					if err != nil {
-						fail(fmt.Errorf("tamix: %s: open session: %w", txType, err))
-						return
-					}
-					defer sess.Close()
-					rng := rand.New(rand.NewSource(seed))
-					eng := newRemoteEngine(sess)
-					r := &runner{m: eng, cat: cat, rng: rng,
-						waitOp: cfg.WaitAfterOperation, updateLocks: cfg.UseUpdateLocks}
-					if cfg.MaxStartDelay > 0 {
-						if !sleepCtx(ctx, time.Duration(rng.Int63n(int64(cfg.MaxStartDelay)))) {
-							return
-						}
-					}
-					for time.Now().Before(deadline) && ctx.Err() == nil {
-						if !runOnce(ctx, cfg, eng, r, res, &mu, &txTypes, txType,
-							deadline, maxRestarts, restartBase, restartCap, fail) {
-							return
-						}
-						if !sleepCtx(ctx, cfg.WaitAfterCommit) {
-							return
-						}
-					}
-				}(txType, cfg.Seed+int64(slot)*7919)
-			}
+	engine := func(_ TxType, iso tx.Level) (Engine, func(), error) {
+		sess, err := pool.OpenSession(p.Name(), iso, cfg.Depth)
+		if err != nil {
+			return nil, nil, fmt.Errorf("open session: %w", err)
 		}
+		return &remoteEngine{sess: sess, names: map[string]xmlmodel.Sur{}}, func() { sess.Close() }, nil
 	}
-	wg.Wait()
-	res.Elapsed = time.Since(start)
-	if cfg.Metrics != nil {
-		res.Metrics = cfg.Metrics.Snapshot()
+	finish := func() error {
+		if err := pool.Audit(p.Name()); err != nil {
+			return err
+		}
+		after, err := pool.Stats(p.Name())
+		if err != nil {
+			return fmt.Errorf("final stats: %w", err)
+		}
+		res.Deadlocks = statDelta(after.Deadlocks, before.Deadlocks)
+		res.ConversionDeadlocks = statDelta(after.ConversionDeadlocks, before.ConversionDeadlocks)
+		res.SubtreeDeadlocks = statDelta(after.SubtreeDeadlocks, before.SubtreeDeadlocks)
+		res.Timeouts = statDelta(after.Timeouts, before.Timeouts)
+		res.LockRequests = statDelta(after.LockRequests, before.LockRequests)
+		res.LockCacheHits = statDelta(after.LockCacheHits, before.LockCacheHits)
+		res.LockWaits = statDelta(after.LockWaits, before.LockWaits)
+		return nil
 	}
-	if runErr != nil {
-		return nil, fmt.Errorf("tamix: remote run failed under %s: %w", p.Name(), runErr)
-	}
-
-	// The same post-run integrity gate as a local run, executed server-side:
-	// the document must verify and the lock table must be empty.
-	if err := pool.Audit(p.Name()); err != nil {
-		return nil, fmt.Errorf("tamix: remote audit under %s: %w", p.Name(), err)
-	}
-	after, err := pool.Stats(p.Name())
-	if err != nil {
-		return nil, fmt.Errorf("tamix: final stats: %w", err)
-	}
-	res.Deadlocks = statDelta(after.Deadlocks, before.Deadlocks)
-	res.ConversionDeadlocks = statDelta(after.ConversionDeadlocks, before.ConversionDeadlocks)
-	res.SubtreeDeadlocks = statDelta(after.SubtreeDeadlocks, before.SubtreeDeadlocks)
-	res.Timeouts = statDelta(after.Timeouts, before.Timeouts)
-	res.LockRequests = statDelta(after.LockRequests, before.LockRequests)
-	res.LockCacheHits = statDelta(after.LockCacheHits, before.LockCacheHits)
-	res.LockWaits = statDelta(after.LockWaits, before.LockWaits)
-
-	for _, t := range TxTypes {
-		st := res.PerType[t]
-		res.Committed += st.Committed
-		res.Aborted += st.Aborted
-		res.Restarts += st.Restarts
-		res.RestartWait += st.RestartWait
-		res.Dropped += st.Dropped
-	}
-	return res, nil
+	return drive(cfg, p, res, cat, engine, finish)
 }

@@ -245,29 +245,46 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// Run executes one TaMix benchmark: it generates the bib document, starts
-// Clients×Mix transaction slots, keeps each slot running transactions of
-// its type until Duration elapses, and gathers the metrics.
+// Run executes one TaMix benchmark against an in-process engine (it
+// generates the bib document) or, with Config.Remote set, an xtcd server: it
+// starts Clients×Mix transaction slots, keeps each slot running transactions
+// of its type until Duration elapses, and gathers the metrics.
 //
 // Failure semantics: transactions aborted as deadlock victims or by lock
 // timeouts are restarted with randomized exponential backoff up to
 // MaxRestarts. Any other engine error cancels the run via context — no
 // worker panics — and Run returns the first such error, classified
 // (transient/permanent/unclassified) in its message. A successful run ends
-// with two audits: the document must pass Verify and the lock table must be
-// empty (no leaked locks).
+// with the engine's residue audit (node.Manager.Audit, run server-side for
+// a remote engine): the document must verify, the lock table must be empty,
+// and a snapshot engine must hold no snapshot or stale page version.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Remote != "" {
-		return runRemote(cfg)
-	}
 	p, err := protocol.Parse(cfg.Protocol)
 	if err != nil {
 		return nil, err
 	}
+	res := &Result{
+		Protocol:        p.Name(),
+		Isolation:       cfg.Isolation,
+		Depth:           cfg.Depth,
+		PerType:         make(map[TxType]*TypeStats),
+		DeadlockVictims: make(map[TxType]uint64),
+	}
+	for _, t := range TxTypes {
+		res.PerType[t] = NewTypeStats()
+	}
+	if cfg.Remote != "" {
+		return runRemote(cfg, p, res)
+	}
+	return runLocal(cfg, p, res)
+}
+
+// runLocal points the slot driver at an in-process engine on a freshly
+// generated bib document.
+func runLocal(cfg Config, p protocol.Protocol, res *Result) (*Result, error) {
 	// The snapshot contestant needs commit-consistent WAL positions to pin
 	// its read views to, so it always runs with the log attached.
 	snapReads := protocol.UsesSnapshotReads(p)
-	useWAL := cfg.WAL || snapReads
 	var backend pagestore.Backend = pagestore.NewMemBackend()
 	var fb *pagestore.FaultBackend
 	if cfg.Faults != nil {
@@ -286,7 +303,7 @@ func Run(cfg Config) (*Result, error) {
 		doc.Store().SetRetryPolicy(*cfg.Retry)
 	}
 	var wlog *wal.Log
-	if useWAL {
+	if cfg.WAL || snapReads {
 		wlog, err = wal.Open(wal.NewMemSegmentStore(), wal.Config{Metrics: cfg.Metrics})
 		if err != nil {
 			return nil, err
@@ -296,36 +313,14 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-
 	lockTimeout := cfg.LockTimeout
 	if lockTimeout <= 0 {
 		lockTimeout = 5 * time.Second
-	}
-	maxRestarts := cfg.MaxRestarts
-	if maxRestarts == 0 {
-		maxRestarts = DefaultMaxRestarts
-	} else if maxRestarts < 0 {
-		maxRestarts = 0
-	}
-	restartBase := cfg.RestartBackoff
-	if restartBase <= 0 {
-		restartBase = DefaultRestartBackoff
-	}
-	restartCap := cfg.RestartMaxBackoff
-	if restartCap <= 0 {
-		restartCap = DefaultRestartMaxBackoff
 	}
 
 	// Deadlock analysis: every lock-manager transaction is registered with
 	// its TaMix type so detected cycles can be attributed.
 	var txTypes sync.Map // lock.TxID -> TxType
-	res := &Result{
-		Protocol:        cfg.Protocol,
-		Isolation:       cfg.Isolation,
-		Depth:           cfg.Depth,
-		PerType:         make(map[TxType]*TypeStats),
-		DeadlockVictims: make(map[TxType]uint64),
-	}
 	var dlMu sync.Mutex
 	mgr := node.New(doc, p, node.Options{
 		Depth:       cfg.Depth,
@@ -351,30 +346,75 @@ func Run(cfg Config) (*Result, error) {
 	if snapReads {
 		mgr.EnableSnapshotReads()
 	}
-	for _, t := range TxTypes {
-		res.PerType[t] = NewTypeStats()
+	if fb != nil {
+		fb.Arm()
+		// Verification and teardown read the document without injection.
+		defer fb.Disarm()
+	}
+
+	engine := func(txType TxType, iso tx.Level) (Engine, func(), error) {
+		return &localEngine{m: mgr, iso: iso, txType: txType, txTypes: &txTypes}, func() {}, nil
+	}
+	finish := func() error {
+		if fb != nil {
+			fb.Disarm()
+			fs := fb.Stats()
+			res.FaultsInjected = fs.TotalInjected()
+			res.TornWrites = fs.TornWrites
+		}
+		bs := doc.Store().Stats()
+		res.BufferRetries = bs.Retries
+		res.BufferRetryFailures = bs.RetryFailures
+		// Every run doubles as an integrity and residue check: a protocol
+		// that let an interleaving corrupt the document, or a release path
+		// that was skipped, must not produce a result.
+		if err := mgr.Audit(); err != nil {
+			return err
+		}
+		ls := mgr.LockManager().Stats()
+		res.Deadlocks = ls.Deadlocks
+		res.ConversionDeadlocks = ls.ConversionDeadlocks
+		res.SubtreeDeadlocks = ls.SubtreeDeadlocks
+		res.Timeouts = ls.Timeouts
+		res.LockRequests = ls.Requests
+		res.LockCacheHits = ls.CacheHits
+		res.LockWaits = ls.Waits
+		res.PartitionWaits = mgr.LockManager().PartitionWaits()
+		return nil
+	}
+	return drive(cfg, p, res, cat, engine, finish)
+}
+
+// drive is the slot driver, the one place a run's shape lives. It is
+// parameterised only by what differs between an in-process and a remote
+// run: engine makes the engine one slot of the given type runs against, at
+// the slot's isolation level (plus its release), and finish — called once
+// every slot has stopped cleanly — audits the engine and fills res with its
+// statistics.
+func drive(cfg Config, p protocol.Protocol, res *Result, cat *Catalog,
+	engine func(TxType, tx.Level) (Engine, func(), error), finish func() error) (*Result, error) {
+	maxRestarts := cfg.MaxRestarts
+	if maxRestarts == 0 {
+		maxRestarts = DefaultMaxRestarts
+	} else if maxRestarts < 0 {
+		maxRestarts = 0
+	}
+	restartBase := cfg.RestartBackoff
+	if restartBase <= 0 {
+		restartBase = DefaultRestartBackoff
+	}
+	restartCap := cfg.RestartMaxBackoff
+	if restartCap <= 0 {
+		restartCap = DefaultRestartMaxBackoff
 	}
 
 	// Graceful degradation: the first engine error cancels every worker
 	// through ctx and becomes Run's return value. Workers never panic.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var failOnce sync.Once
-	var runErr error
-	fail := func(err error) {
-		failOnce.Do(func() {
-			runErr = err
-			cancel()
-		})
-	}
+	ctx, fail := context.WithCancelCause(context.Background())
+	defer fail(nil)
 
-	eng := newLocalEngine(mgr, cfg.Isolation)
-	eng.snapReads = snapReads
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	if fb != nil {
-		fb.Arm()
-	}
 	start := time.Now()
 	deadline := start.Add(cfg.Duration)
 
@@ -386,15 +426,29 @@ func Run(cfg Config) (*Result, error) {
 				wg.Add(1)
 				go func(txType TxType, seed int64) {
 					defer wg.Done()
+					// The snapshot contestant runs its pure readers lock-free
+					// on frozen views; an engine's isolation level is fixed, so
+					// those slots get engines at tx.LevelSnapshot.
+					iso := cfg.Isolation
+					if protocol.UsesSnapshotReads(p) && txType.ReadOnly() {
+						iso = tx.LevelSnapshot
+					}
+					eng, release, err := engine(txType, iso)
+					if err != nil {
+						fail(fmt.Errorf("tamix: %s: %w", txType, err))
+						return
+					}
+					defer release()
 					rng := rand.New(rand.NewSource(seed))
-					r := &runner{m: eng, cat: cat, rng: rng, waitOp: cfg.WaitAfterOperation, updateLocks: cfg.UseUpdateLocks}
+					r := newRunner(eng, cat, rng)
+					r.waitOp, r.updateLocks = cfg.WaitAfterOperation, cfg.UseUpdateLocks
 					if cfg.MaxStartDelay > 0 {
 						if !sleepCtx(ctx, time.Duration(rng.Int63n(int64(cfg.MaxStartDelay)))) {
 							return
 						}
 					}
 					for time.Now().Before(deadline) && ctx.Err() == nil {
-						if !runOnce(ctx, cfg, eng, r, res, &mu, &txTypes, txType,
+						if !runOnce(ctx, r, res, &mu, txType,
 							deadline, maxRestarts, restartBase, restartCap, fail) {
 							return
 						}
@@ -408,50 +462,16 @@ func Run(cfg Config) (*Result, error) {
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)
-	if fb != nil {
-		// Verification and teardown read the document without injection.
-		fb.Disarm()
-		fs := fb.Stats()
-		res.FaultsInjected = fs.TotalInjected()
-		res.TornWrites = fs.TornWrites
-	}
-	bs := doc.Store().Stats()
-	res.BufferRetries = bs.Retries
-	res.BufferRetryFailures = bs.RetryFailures
 	if cfg.Metrics != nil {
 		res.Metrics = cfg.Metrics.Snapshot()
 	}
-
-	if runErr != nil {
+	if runErr := context.Cause(ctx); runErr != nil {
 		return nil, fmt.Errorf("tamix: run failed under %s (%s fault): %w",
-			cfg.Protocol, pagestore.Classify(runErr), runErr)
+			p.Name(), pagestore.Classify(runErr), runErr)
 	}
-
-	// Every run doubles as an integrity check: a protocol that let an
-	// interleaving corrupt the document must not produce a result.
-	if err := doc.Verify(); err != nil {
-		return nil, fmt.Errorf("tamix: document corrupted after run under %s: %w", cfg.Protocol, err)
+	if err := finish(); err != nil {
+		return nil, fmt.Errorf("tamix: audit after run under %s: %w", p.Name(), err)
 	}
-	// ... and as a leak check: with every transaction committed or aborted,
-	// a non-empty lock table means a release path was skipped.
-	if err := mgr.LockManager().LeakCheck(); err != nil {
-		return nil, fmt.Errorf("tamix: run under %s leaked locks: %w", cfg.Protocol, err)
-	}
-	if snapReads {
-		// Snapshot runs audit the version layer the same way: every snapshot
-		// registration must have been dropped, and after a final prune at the
-		// drained watermark no retired page version may survive.
-		if err := mgr.TxManager().SnapshotLeakCheck(); err != nil {
-			return nil, fmt.Errorf("tamix: run under %s leaked snapshots: %w", cfg.Protocol, err)
-		}
-		w := mgr.TxManager().SnapshotWatermark()
-		doc.Store().PruneVersions(w)
-		if n := doc.Store().StaleVersions(w); n > 0 {
-			return nil, fmt.Errorf("tamix: run under %s retained %d stale page versions below watermark %d",
-				cfg.Protocol, n, w)
-		}
-	}
-
 	for _, t := range TxTypes {
 		st := res.PerType[t]
 		res.Committed += st.Committed
@@ -460,40 +480,23 @@ func Run(cfg Config) (*Result, error) {
 		res.RestartWait += st.RestartWait
 		res.Dropped += st.Dropped
 	}
-	ls := mgr.LockManager().Stats()
-	res.Deadlocks = ls.Deadlocks
-	res.ConversionDeadlocks = ls.ConversionDeadlocks
-	res.SubtreeDeadlocks = ls.SubtreeDeadlocks
-	res.Timeouts = ls.Timeouts
-	res.LockRequests = ls.Requests
-	res.LockCacheHits = ls.CacheHits
-	res.LockWaits = ls.Waits
-	res.PartitionWaits = mgr.LockManager().PartitionWaits()
 	return res, nil
 }
 
 // runOnce drives one logical transaction to commit, restarting it with
 // randomized exponential backoff after deadlock/timeout aborts. It reports
 // false when the worker should exit (context canceled or engine failure).
-func runOnce(ctx context.Context, cfg Config, eng Engine, r *runner,
-	res *Result, mu *sync.Mutex, txTypes *sync.Map, txType TxType,
+func runOnce(ctx context.Context, r *runner, res *Result, mu *sync.Mutex, txType TxType,
 	deadline time.Time, maxRestarts int, backoffBase, backoffCap time.Duration,
 	fail func(error)) bool {
 
 	restarts := 0
 	backoff := backoffBase
 	for {
-		txn, err := eng.Begin(txType.ReadOnly())
+		txn, err := r.eng.Begin()
 		if err != nil {
 			fail(fmt.Errorf("tamix: %s: begin: %w", txType, err))
 			return false
-		}
-		// Deadlock-victim attribution needs the lock-layer transaction id;
-		// remote engines cannot provide one, so attribution is best-effort.
-		if lt, ok := txn.(interface{ LockTx() *lock.Tx }); ok {
-			if ltx := lt.LockTx(); ltx != nil {
-				txTypes.Store(ltx.ID(), txType)
-			}
 		}
 		t0 := time.Now()
 		err = r.run(txType, txn)

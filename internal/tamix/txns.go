@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/splid"
 	"repro/internal/storage"
+	"repro/internal/wire"
 	"repro/internal/xmlmodel"
 )
 
@@ -60,9 +61,10 @@ var TxTypes = []TxType{TAqueryBook, TAchapter, TAdelBook, TAlendAndReturn, TAren
 func (t TxType) ReadOnly() bool { return t == TAqueryBook }
 
 // runner executes transaction bodies against one engine (in-process or
-// remote; see Engine).
+// remote; see Engine); m spells the engine's node operations as typed calls.
 type runner struct {
-	m      Engine
+	eng    Engine
+	m      wire.Ops[Txn]
 	cat    *Catalog
 	rng    *rand.Rand
 	waitOp time.Duration
@@ -72,6 +74,10 @@ type runner struct {
 	// paper's observation that lock conversions are the dominant deadlock
 	// source.
 	updateLocks bool
+}
+
+func newRunner(eng Engine, cat *Catalog, rng *rand.Rand) *runner {
+	return &runner{eng: eng, m: wire.Ops[Txn]{Exec: eng.Do}, cat: cat, rng: rng}
 }
 
 // pause models the client think time between operations
@@ -132,7 +138,7 @@ func (r *runner) traverseBook(txn Txn, bookID string) (summaries []splid.ID, err
 	if err != nil {
 		return nil, err
 	}
-	sumSur, _ := r.m.LookupName("summary")
+	sumSur, _ := r.eng.LookupName("summary")
 	for !child.ID.IsNull() {
 		frag, err := r.m.ReadFragment(txn, child.ID, false)
 		if err != nil {

@@ -232,6 +232,90 @@ func AppendStringList(dst []byte, ss []string) []byte {
 	return dst
 }
 
+// --- node operations: the shape-driven codec --------------------------------
+
+// AppendArgs appends a node operation's request body: the slots shape names,
+// in the fixed order id, id2, name, bytes, flag.
+func AppendArgs(dst []byte, shape ArgShape, a Args) []byte {
+	if shape&ArgID != 0 {
+		dst = AppendID(dst, a.ID)
+	}
+	if shape&ArgID2 != 0 {
+		dst = AppendID(dst, a.ID2)
+	}
+	if shape&ArgName != 0 {
+		dst = AppendString(dst, a.Name)
+	}
+	if shape&ArgBytes != 0 {
+		dst = AppendBytes(dst, a.Bytes)
+	}
+	if shape&ArgFlag != 0 {
+		flag := byte(0)
+		if a.Flag {
+			flag = 1
+		}
+		dst = append(dst, flag)
+	}
+	return dst
+}
+
+// DecodeArgs parses a node operation's request body (Bytes aliases body). On
+// error the returned Args are not meaningful.
+func DecodeArgs(shape ArgShape, body []byte) (Args, error) {
+	r := Reader{b: body}
+	var a Args
+	if shape&ArgID != 0 {
+		a.ID = r.ID()
+	}
+	if shape&ArgID2 != 0 {
+		a.ID2 = r.ID()
+	}
+	if shape&ArgName != 0 {
+		a.Name = r.String()
+	}
+	if shape&ArgBytes != 0 {
+		a.Bytes = r.Bytes()
+	}
+	if shape&ArgFlag != 0 {
+		a.Flag = r.Byte() != 0
+	}
+	return a, r.err
+}
+
+// AppendResult appends a node operation's StatusOK body.
+func AppendResult(dst []byte, shape ResultShape, res Result) []byte {
+	switch shape {
+	case ResNode:
+		return AppendNode(dst, res.Node)
+	case ResNodes:
+		return AppendNodes(dst, res.Nodes)
+	case ResBytes:
+		return AppendBytes(dst, res.Bytes)
+	case ResNodeNodes:
+		return AppendNodes(AppendNode(dst, res.Node), res.Nodes)
+	}
+	return dst
+}
+
+// DecodeResult parses a node operation's StatusOK body (node values and
+// Bytes alias body). On error the returned Result is not meaningful.
+func DecodeResult(shape ResultShape, body []byte) (Result, error) {
+	r := Reader{b: body}
+	var res Result
+	switch shape {
+	case ResNode:
+		res.Node = r.Node()
+	case ResNodes:
+		res.Nodes = r.Nodes()
+	case ResBytes:
+		res.Bytes = r.Bytes()
+	case ResNodeNodes:
+		res.Node = r.Node()
+		res.Nodes = r.Nodes()
+	}
+	return res, r.err
+}
+
 // --- composite shapes -------------------------------------------------------
 
 // Catalog is the jump-target catalog an engine exposes to remote workloads:

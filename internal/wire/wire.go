@@ -20,10 +20,14 @@
 // error string).
 //
 // Body values use a compact self-describing vocabulary: unsigned varints,
-// length-prefixed byte strings, encoded SPLIDs, and node records. The codec
-// is deliberately free of reflection — every message shape is a hand-written
-// append/read pair in codec.go, and the fuzz target in fuzz_test.go beats on
-// the decoders with the frame corpus.
+// length-prefixed byte strings, encoded SPLIDs, and node records. Session
+// control bodies (open, resume, stats, catalog) are hand-written append/read
+// pairs in codec.go. Node operations are not: each is one row of the
+// operation table in ops.go — name, which operand slots its request carries,
+// the layout of its result — and one shape-driven codec (AppendArgs,
+// DecodeArgs, AppendResult, DecodeResult) serves them all. The codec is
+// free of reflection, and the fuzz target in fuzz_test.go beats on the
+// decoders with the frame corpus.
 package wire
 
 import (
@@ -80,8 +84,9 @@ const (
 	// OpStats returns the engine counters for a protocol (body = protocol
 	// name; session 0 allowed): see AppendStats.
 	OpStats Op = 8
-	// OpAudit runs the engine's integrity audits (document Verify + lock
-	// LeakCheck) for a protocol (body = protocol name; session 0 allowed).
+	// OpAudit runs the engine's residue audit (node.Manager.Audit: document
+	// Verify, lock LeakCheck, snapshot and page-version residue) for a
+	// protocol (body = protocol name; session 0 allowed).
 	OpAudit Op = 9
 	// OpPing is a connectivity check; the body is echoed.
 	OpPing Op = 10
@@ -101,107 +106,6 @@ const (
 	// session, not in-flight work.
 	OpResumeSession Op = 12
 )
-
-// Node-operation opcodes (session must hold an active transaction). Bodies
-// are listed next to each op; responses carry the node/list encodings of
-// codec.go.
-const (
-	OpGetNode                 Op = 16 // id
-	OpJumpToID                Op = 17 // string
-	OpFirstChild              Op = 18 // id
-	OpLastChild               Op = 19 // id
-	OpNextSibling             Op = 20 // id
-	OpPrevSibling             Op = 21 // id
-	OpParent                  Op = 22 // id
-	OpGetChildren             Op = 23 // id
-	OpGetAttributes           Op = 24 // id
-	OpValue                   Op = 25 // id
-	OpAttributeValue          Op = 26 // id, string
-	OpReadFragment            Op = 27 // id, u8 jump
-	OpReadFragmentForUpdate   Op = 28 // id, u8 jump
-	OpUpdateLastChildFragment Op = 29 // id
-	OpSetValue                Op = 30 // id, bytes
-	OpRename                  Op = 31 // id, string
-	OpAppendElement           Op = 32 // id, string
-	OpAppendText              Op = 33 // id, bytes
-	OpInsertElementBefore     Op = 34 // parent id, before id, string
-	OpSetAttribute            Op = 35 // id, string, bytes
-	OpDeleteSubtree           Op = 36 // id
-)
-
-// String implements fmt.Stringer (metrics labels and error text).
-func (o Op) String() string {
-	switch o {
-	case OpOpenSession:
-		return "OpenSession"
-	case OpCloseSession:
-		return "CloseSession"
-	case OpBegin:
-		return "Begin"
-	case OpCommit:
-		return "Commit"
-	case OpAbort:
-		return "Abort"
-	case OpCatalog:
-		return "Catalog"
-	case OpLookupName:
-		return "LookupName"
-	case OpStats:
-		return "Stats"
-	case OpAudit:
-		return "Audit"
-	case OpPing:
-		return "Ping"
-	case OpHeartbeat:
-		return "Heartbeat"
-	case OpResumeSession:
-		return "ResumeSession"
-	case OpGetNode:
-		return "GetNode"
-	case OpJumpToID:
-		return "JumpToID"
-	case OpFirstChild:
-		return "FirstChild"
-	case OpLastChild:
-		return "LastChild"
-	case OpNextSibling:
-		return "NextSibling"
-	case OpPrevSibling:
-		return "PrevSibling"
-	case OpParent:
-		return "Parent"
-	case OpGetChildren:
-		return "GetChildren"
-	case OpGetAttributes:
-		return "GetAttributes"
-	case OpValue:
-		return "Value"
-	case OpAttributeValue:
-		return "AttributeValue"
-	case OpReadFragment:
-		return "ReadFragment"
-	case OpReadFragmentForUpdate:
-		return "ReadFragmentForUpdate"
-	case OpUpdateLastChildFragment:
-		return "UpdateLastChildFragment"
-	case OpSetValue:
-		return "SetValue"
-	case OpRename:
-		return "Rename"
-	case OpAppendElement:
-		return "AppendElement"
-	case OpAppendText:
-		return "AppendText"
-	case OpInsertElementBefore:
-		return "InsertElementBefore"
-	case OpSetAttribute:
-		return "SetAttribute"
-	case OpDeleteSubtree:
-		return "DeleteSubtree"
-	default:
-		return fmt.Sprintf("Op(%d)", uint8(o))
-	}
-}
 
 // Status is the first byte of every response body.
 type Status uint8
@@ -234,34 +138,26 @@ const (
 	StatusErr Status = 255
 )
 
+var statusNames = map[Status]string{
+	StatusOK:         "ok",
+	StatusDeadlock:   "deadlock",
+	StatusTimeout:    "timeout",
+	StatusNotFound:   "not-found",
+	StatusTxDone:     "tx-done",
+	StatusBusy:       "busy",
+	StatusCanceled:   "canceled",
+	StatusShutdown:   "shutdown",
+	StatusBadRequest: "bad-request",
+	StatusNoSession:  "no-session",
+	StatusErr:        "error",
+}
+
 // String implements fmt.Stringer.
 func (s Status) String() string {
-	switch s {
-	case StatusOK:
-		return "ok"
-	case StatusDeadlock:
-		return "deadlock"
-	case StatusTimeout:
-		return "timeout"
-	case StatusNotFound:
-		return "not-found"
-	case StatusTxDone:
-		return "tx-done"
-	case StatusBusy:
-		return "busy"
-	case StatusCanceled:
-		return "canceled"
-	case StatusShutdown:
-		return "shutdown"
-	case StatusBadRequest:
-		return "bad-request"
-	case StatusNoSession:
-		return "no-session"
-	case StatusErr:
-		return "error"
-	default:
-		return fmt.Sprintf("Status(%d)", uint8(s))
+	if name, ok := statusNames[s]; ok {
+		return name
 	}
+	return fmt.Sprintf("Status(%d)", uint8(s))
 }
 
 // Msg is one decoded protocol message (request or response).
