@@ -38,12 +38,14 @@ netchaos:
 # bursts, checkpointed bursts, crashes inside the checkpoint protocol's
 # three phases), the serial-vs-parallel redo oracle, recovery idempotence,
 # the checkpoint codec and master-record tests (plus their fuzz corpora),
-# checksum rejection on page fix, and the transaction double-finish /
-# durable-commit contracts. TestMain fails the run if the crash matrix
-# orphans scratch directories. Budget: ~2-3 min on 8 cores (the matrix is
-# seed-parallel; -short roughly quarters it).
+# the redo-completeness oracle (live store vs a store redone from the log
+# alone, byte for byte, and its late-declaration mutant), checksum rejection
+# on page fix, and the transaction double-finish / durable-commit
+# contracts. TestMain fails the run if the crash matrix orphans scratch
+# directories. Budget: ~2-3 min on 8 cores (the matrix is seed-parallel;
+# -short roughly quarters it).
 recovery:
-	$(GO) test -race -run 'Recover|Crash|TxnDone|Checksum|Corrupt|WAL|GroupCommit|Checkpoint|Master|Fuzz' \
+	$(GO) test -race -run 'Recover|Crash|TxnDone|Checksum|Corrupt|WAL|GroupCommit|Checkpoint|Master|Fuzz|RedoOracle' \
 		./internal/wal/ ./internal/storage/ ./internal/tx/ ./internal/pagestore/
 
 # metrics runs the observability-layer suite under the race detector: the
@@ -77,7 +79,7 @@ verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestAlloc' ./internal/lock/ ./internal/server/
+	$(GO) test -run 'TestAlloc' ./internal/lock/ ./internal/server/ ./internal/storage/
 	$(GO) test -race -count=20 -run 'TestLoopbackTaMixAllProtocols/snapshot' ./internal/bibserve/
 
 # loc prints non-blank, non-comment Go lines per package (tests and bench/

@@ -294,6 +294,8 @@ func initPage(p []byte, kind byte) {
 	}
 }
 
+// newPage returns a pinned, initialized page of the given kind, already
+// declared for writing, so callers fill it without a further MarkDirty.
 func (t *Tree) newPage(kind byte) (*pagestore.Frame, error) {
 	if n := len(t.free); n > 0 {
 		id := t.free[n-1]
@@ -302,16 +304,16 @@ func (t *Tree) newPage(kind byte) (*pagestore.Frame, error) {
 		if err != nil {
 			return nil, fmt.Errorf("btree: reuse free page %d: %w", id, err)
 		}
-		initPage(f.Data(), kind)
 		f.MarkDirty()
+		initPage(f.Data(), kind)
 		return f, nil
 	}
 	f, err := t.store.FixNew()
 	if err != nil {
 		return nil, fmt.Errorf("btree: grow: %w", err)
 	}
-	initPage(f.Data(), kind)
 	f.MarkDirty()
+	initPage(f.Data(), kind)
 	return f, nil
 }
 

@@ -125,21 +125,21 @@ func (t *Tree) insertRec(id pagestore.PageID, key, val []byte) (sep []byte, newI
 	p := f.Data()
 
 	if pageKind(p) == kindLeaf {
+		// Every path below writes the leaf (a cell that does not fit may
+		// still have compacted the page), so declare it before the first.
+		f.MarkDirty()
 		slot, found := search(p, key)
 		if found {
 			if replaceCellValue(p, slot, key, val) {
-				f.MarkDirty()
 				return nil, pagestore.InvalidPage, false, nil
 			}
 			// The larger value did not fit even after compaction;
 			// replaceCellValue has already removed the old cell, so split
 			// and place the new one.
-			f.MarkDirty()
 			sep, newID, err := t.splitLeafAndInsert(f, key, val)
 			return sep, newID, false, err
 		}
 		if insertCell(p, slot, key, val) {
-			f.MarkDirty()
 			return nil, pagestore.InvalidPage, true, nil
 		}
 		sep, newID, err := t.splitLeafAndInsert(f, key, val)
@@ -151,18 +151,19 @@ func (t *Tree) insertRec(id pagestore.PageID, key, val []byte) (sep []byte, newI
 	if err != nil || childNew == pagestore.InvalidPage {
 		return nil, pagestore.InvalidPage, added, err
 	}
+	f.MarkDirty()
 	slot, _ := search(p, childSep)
 	if insertCell(p, slot, childSep, encodeChild(childNew)) {
-		f.MarkDirty()
 		return nil, pagestore.InvalidPage, added, nil
 	}
 	sep, newID, err = t.splitInternalAndInsert(f, childSep, childNew)
 	return sep, newID, added, err
 }
 
-// splitLeafAndInsert splits the full leaf in frame f and inserts (key, val)
-// into the proper half. It returns the separator (first key of the right
-// page) and the right page's ID.
+// splitLeafAndInsert splits the full leaf in frame f (which the caller has
+// declared for writing) and inserts (key, val) into the proper half. It
+// returns the separator (first key of the right page) and the right page's
+// ID.
 func (t *Tree) splitLeafAndInsert(f *pagestore.Frame, key, val []byte) ([]byte, pagestore.PageID, error) {
 	p := f.Data()
 	rf, err := t.newPage(kindLeaf)
@@ -189,8 +190,6 @@ func (t *Tree) splitLeafAndInsert(f *pagestore.Frame, key, val []byte) ([]byte, 
 	compact(p)
 	recompress(p)
 	recompress(rp)
-	f.MarkDirty()
-	rf.MarkDirty()
 
 	// Chain links: left <-> right <-> old next.
 	oldNext := leafNext(p)
@@ -202,21 +201,20 @@ func (t *Tree) splitLeafAndInsert(f *pagestore.Frame, key, val []byte) ([]byte, 
 		if err != nil {
 			return nil, pagestore.InvalidPage, err
 		}
-		setLeafPrev(nf.Data(), rf.ID())
 		nf.MarkDirty()
+		setLeafPrev(nf.Data(), rf.ID())
 		t.store.Unfix(nf)
 	}
 
 	sep := fullKey(rp, 0, nil)
-	target, tp := f, p
+	tp := p
 	if bytes.Compare(key, sep) >= 0 {
-		target, tp = rf, rp
+		tp = rp
 	}
 	slot, _ := search(tp, key)
 	if !insertCell(tp, slot, key, val) {
 		return nil, pagestore.InvalidPage, fmt.Errorf("btree: cell of %d+%d bytes does not fit a half-empty page", len(key), len(val))
 	}
-	target.MarkDirty()
 	// The separator may have changed if key landed at slot 0 of the right
 	// page. Truncate it to the shortest byte string that still separates the
 	// halves — separator truncation complements the page prefix compression
@@ -242,8 +240,9 @@ func shortestSeparator(left, right []byte) []byte {
 	return append([]byte(nil), right[:cpl+1]...)
 }
 
-// splitInternalAndInsert splits a full internal page and inserts the
-// (sep, child) pair. The middle separator moves up to the caller.
+// splitInternalAndInsert splits a full internal page (which the caller has
+// declared for writing) and inserts the (sep, child) pair. The middle
+// separator moves up to the caller.
 func (t *Tree) splitInternalAndInsert(f *pagestore.Frame, sep []byte, child pagestore.PageID) ([]byte, pagestore.PageID, error) {
 	p := f.Data()
 	rf, err := t.newPage(kindInternal)
@@ -270,19 +269,16 @@ func (t *Tree) splitInternalAndInsert(f *pagestore.Frame, sep []byte, child page
 	compact(p)
 	recompress(p)
 	recompress(rp)
-	f.MarkDirty()
-	rf.MarkDirty()
 
 	// Insert the pending separator into the correct half.
-	target, tp := f, p
+	tp := p
 	if bytes.Compare(sep, up) >= 0 {
-		target, tp = rf, rp
+		tp = rp
 	}
 	slot, _ := search(tp, sep)
 	if !insertCell(tp, slot, sep, encodeChild(child)) {
 		return nil, pagestore.InvalidPage, fmt.Errorf("btree: separator does not fit a half-empty page")
 	}
-	target.MarkDirty()
 	return up, rf.ID(), nil
 }
 
@@ -356,8 +352,8 @@ func (t *Tree) deleteRec(id pagestore.PageID, key []byte) (removed, emptied bool
 		if !found {
 			return false, false, nil
 		}
-		removeCell(p, slot)
 		f.MarkDirty()
+		removeCell(p, slot)
 		if nCells(p) > 0 || id == t.root {
 			return true, false, nil
 		}
@@ -374,18 +370,18 @@ func (t *Tree) deleteRec(id pagestore.PageID, key []byte) (removed, emptied bool
 		return removed, false, err
 	}
 	t.free = append(t.free, childID)
+	if idx < 0 && nCells(p) == 0 {
+		// The only child vanished: the page is emptied as it stands.
+		return removed, id != t.root, nil
+	}
+	f.MarkDirty()
 	if idx < 0 {
 		// child0 vanished: promote the first cell's child.
-		if nCells(p) == 0 {
-			f.MarkDirty()
-			return removed, id != t.root, nil
-		}
 		setChild0(p, childAt(p, 0))
 		removeCell(p, 0)
 	} else {
 		removeCell(p, idx)
 	}
-	f.MarkDirty()
 	return removed, false, nil
 }
 
@@ -397,8 +393,8 @@ func (t *Tree) unlinkLeaf(p []byte) error {
 		if err != nil {
 			return err
 		}
-		setLeafNext(pf.Data(), next)
 		pf.MarkDirty()
+		setLeafNext(pf.Data(), next)
 		t.store.Unfix(pf)
 	}
 	if next != pagestore.InvalidPage {
@@ -406,8 +402,8 @@ func (t *Tree) unlinkLeaf(p []byte) error {
 		if err != nil {
 			return err
 		}
-		setLeafPrev(nf.Data(), prev)
 		nf.MarkDirty()
+		setLeafPrev(nf.Data(), prev)
 		t.store.Unfix(nf)
 	}
 	return nil

@@ -84,13 +84,13 @@ type Frame struct {
 	// that keeps every torn page healable from the post-redo-LSN log suffix
 	// even after WAL segments below it are garbage-collected.
 	imaged atomic.Bool
-	// influx is up while an active capture holds the page: its bytes (the
-	// pageLSN stamp included) may change until the capture closes. Snapshot
-	// readers (FixAt) divert to the version chain instead of reading the
-	// live bytes; the Store(false) at capture close releases the stamp to
-	// their Load. Set by Capture.note only while a snapshot source is
-	// installed; captured frames keep their pins, so the frame cannot be
-	// remapped while the flag matters.
+	// influx is up while the page is declared for writing in the active
+	// capture: its bytes (the pageLSN stamp included) may change until the
+	// capture closes. Snapshot readers (FixAt) divert to the version chain
+	// instead of reading the live bytes; the Store(false) at capture close
+	// releases the stamp to their Load. Raised by Capture.declare, which also
+	// pins the frame for the capture, so the frame cannot be remapped while
+	// the flag is up.
 	influx atomic.Bool
 
 	mu    sync.Mutex
@@ -106,12 +106,21 @@ type Frame struct {
 func (f *Frame) ID() PageID { return f.id }
 
 // Data returns the page bytes. Mutating them requires holding the pin and
-// calling MarkDirty before Unfix.
+// having called MarkDirty first: declare before you write.
 func (f *Frame) Data() []byte { return f.data }
 
-// MarkDirty records that the page content changed and must be written back
-// before eviction.
-func (f *Frame) MarkDirty() { f.dirty.Store(true) }
+// MarkDirty declares the intent to write the page: call it while holding
+// the pin and before changing the first byte. It records that the page must
+// be written back before eviction, and while a capture is active it is the
+// moment the page's pre-image is taken — a byte changed before the
+// declaration is a change the log never sees. Declaring and then changing
+// nothing is harmless.
+func (f *Frame) MarkDirty() {
+	f.dirty.Store(true)
+	if c := &f.store.capture; c.active.Load() && !f.influx.Load() {
+		c.declare(f, false)
+	}
+}
 
 // markClean ends a dirty epoch after a successful write-back (or remap):
 // the dirty-page-table entry and the full-image flag reset together, so the
@@ -156,7 +165,7 @@ type Store struct {
 	cap       int
 
 	wal     atomic.Pointer[walRef]
-	capture atomic.Pointer[Capture]
+	capture Capture // the one reusable capture session (capture.go)
 
 	// captureFloor is the LSN floor published by the active capture: no
 	// record the capture will log has an LSN below it. DirtyPageTable reads
@@ -376,6 +385,7 @@ func OpenConfig(backend Backend, cfg Config) *Store {
 		shardMask: uint32(shards - 1),
 		cap:       frames,
 	}
+	s.capture.s = s
 	base, rem := frames/shards, frames%shards
 	for i := range s.shards {
 		c := base
@@ -462,7 +472,6 @@ func (s *Store) Fix(id PageID) (*Frame, error) {
 				f.ref.Store(true)
 				s.hits.Add(1)
 				sh.cHits.Add(1)
-				s.noteCapture(f)
 				return f, nil
 			}
 			// The frame is mid-I/O (being loaded, or written back by an
@@ -495,12 +504,14 @@ func (s *Store) Fix(id PageID) (*Frame, error) {
 		s.hFixMiss.Since(t0)
 		s.misses.Add(1)
 		sh.cMisses.Add(1)
-		s.noteCapture(f)
 		return f, nil
 	}
 }
 
-// FixNew allocates a fresh zeroed page in the backend and pins it.
+// FixNew allocates a fresh zeroed page in the backend and pins it. A fresh
+// page exists to be written, so FixNew is its own write-intent declaration:
+// the page is born dirty, and an active capture enters it without a
+// pre-image (zeros) and logs it as a full image.
 func (s *Store) FixNew() (*Frame, error) {
 	var id PageID
 	err := s.withRetry(func() (e error) { id, e = s.backend.Allocate(); return e })
@@ -524,7 +535,9 @@ func (s *Store) FixNew() (*Frame, error) {
 	f.state = frameResident
 	f.cond.Broadcast()
 	f.mu.Unlock()
-	s.noteCapture(f)
+	if s.capture.active.Load() {
+		s.capture.declare(f, true)
+	}
 	return f, nil
 }
 
@@ -724,16 +737,11 @@ func (s *Store) writeBack(f *Frame) error {
 
 // Unfix releases one pin. When the pin count reaches zero the frame becomes
 // eligible for eviction (dirty content is written back lazily, or earlier
-// by the background flusher). Unfixing an already-unpinned frame is always
-// a caller bug — the pin count would silently corrupt — so it panics with
-// the frame's page identity.
+// by the background flusher); a page declared for writing in an active
+// capture stays pinned by the capture until it closes. Unfixing an
+// already-unpinned frame is always a caller bug — the pin count would
+// silently corrupt — so it panics with the frame's page identity.
 func (s *Store) Unfix(f *Frame) {
-	// A frame inside an active capture keeps its pins until the capture
-	// closes: its content may be ahead of the log, so it must not become
-	// evictable before the operation's record is appended and stamped.
-	if c := s.capture.Load(); c != nil && c.deferUnfix(f) {
-		return
-	}
 	for {
 		n := f.pins.Load()
 		if n <= 0 {

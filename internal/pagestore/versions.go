@@ -5,8 +5,8 @@ import "fmt"
 // Page-version sidecar: the copy-on-write layer behind MVCC snapshot reads.
 //
 // While a snapshot source is installed (SetSnapshotSource), every page
-// noted by a capture publishes its pre-image into a per-page version chain
-// before the capture mutates the live bytes. A chain entry covers the
+// declared for writing in a capture publishes its pre-image into a per-page
+// version chain before the live bytes change. A chain entry covers the
 // half-open LSN interval [lsn, end): lsn is the pre-image's own pageLSN and
 // end is the stamp the capture's record put on the live page (0 while the
 // capture is still open). A snapshot reader pinned at S resolves a page via
@@ -48,9 +48,10 @@ func (s *Store) snapshotWatermark() uint64 {
 }
 
 // pushVersion publishes a page's pre-image as the open head of its version
-// chain. Called by Capture.note with the pre-image it just copied; the
-// slice is shared (both sides only read it). Reports whether an entry was
-// pushed — the capture closes or drops it when it resolves.
+// chain. Called by Capture.declare with the pre-image it just copied; the
+// slice is shared (both sides only read it) and owned by the chain from
+// then on. Reports whether an entry was pushed — the capture closes or
+// drops it when it resolves.
 func (s *Store) pushVersion(id PageID, pre []byte) bool {
 	if s.snapSrc.Load() == nil {
 		return false
@@ -62,8 +63,8 @@ func (s *Store) pushVersion(id PageID, pre []byte) bool {
 	if n := len(chain); n > 0 {
 		tail := chain[n-1]
 		if tail.end == 0 || tail.lsn >= lsn {
-			// An open entry (a racing note of the same capture) or an image
-			// at least as new already heads the chain.
+			// An open entry or an image at least as new already heads the
+			// chain.
 			return false
 		}
 	}
@@ -86,9 +87,9 @@ func (s *Store) closeVersion(id PageID, end uint64) {
 	}
 }
 
-// dropOpenVersion removes a page's open head entry — the capture noted the
-// page but never logged a change to it, so the pre-image equals the live
-// bytes and retains nothing.
+// dropOpenVersion removes a page's open head entry — the capture declared
+// the page for writing but never logged a change to it, so the pre-image
+// equals the live bytes and retains nothing.
 func (s *Store) dropOpenVersion(id PageID) {
 	s.verMu.Lock()
 	defer s.verMu.Unlock()
@@ -150,21 +151,17 @@ func (s *Store) FixAt(id PageID, snap uint64) ([]byte, func(), error) {
 		if s.fixAtParked != nil {
 			s.fixAtParked()
 		}
-		// The chain is consulted before the pin is given back: Unfix on a
-		// captured frame queues on the capture's mutex, which Close holds
-		// while it retires its entries, and a reader that unpinned first
-		// would resume right behind Close on every look.
 		data, ok := s.versionAt(id, snap)
 		s.Unfix(f)
 		if ok {
 			return data, func() {}, nil
 		}
 		// A chain miss after seeing the flag up is not a hole: the capture
-		// only read the page and closed in between — lowering the flag, then
-		// dropping the open chain entry that duplicated the live bytes — so
-		// the live frame is visible again; look once more. A miss with the
-		// flag down (the stamp is final and newer than snap) is the real
-		// invariant violation.
+		// declared the page but logged no change to it, and closed in between
+		// — lowering the flag, then dropping the open chain entry that
+		// duplicated the live bytes — so the live frame is visible again;
+		// look once more. A miss with the flag down (the stamp is final and
+		// newer than snap) is the real invariant violation.
 		if !influx || attempt == fixAtRetries {
 			return nil, nil, fmt.Errorf("pagestore: no version of page %d covers snapshot LSN %d", id, snap)
 		}

@@ -23,26 +23,30 @@ func newVersionedPage(t *testing.T, lsn uint64) (*Store, PageID) {
 	return s, id
 }
 
-// TestFixAtSurvivesReadOnlyCaptureClose is the deterministic form of the
+// TestFixAtSurvivesUnchangedCaptureClose is the deterministic form of the
 // TestLoopbackTaMixAllProtocols/snapshot flake: a snapshot reader loads the
-// in-flux flag of a page a capture merely read (root and inner pages on
-// every write descent, and any page a concurrent reader fixes meanwhile), and
-// the capture closes — lowering the flag, then dropping the open chain entry
-// — before the reader consults the chain. The reader must fall back to the
+// in-flux flag of a page a capture declared for writing but never changed (a
+// write that stores what was there, an operation that fails first), and the
+// capture closes — lowering the flag, then dropping the open chain entry —
+// before the reader consults the chain. The reader must fall back to the
 // (settled, visible) live frame instead of reporting a hole in the version
 // chain, and one second look must be enough: Close lowers the flag before it
 // drops the entry, so a page is never in flux with an empty chain.
-func TestFixAtSurvivesReadOnlyCaptureClose(t *testing.T) {
+func TestFixAtSurvivesUnchangedCaptureClose(t *testing.T) {
 	s, id := newVersionedPage(t, 5)
 
 	c := s.BeginCapture(0)
-	f, err := s.Fix(id) // read-only touch: noted, flag up, open chain entry
+	f, err := s.Fix(id)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if f.influx.Load() || s.RetainedVersions() != 0 {
+		t.Fatalf("a plain Fix entered the capture: influx=%v versions=%d", f.influx.Load(), s.RetainedVersions())
+	}
+	f.MarkDirty() // declared, flag up, open chain entry — and then no change
 	s.Unfix(f)
 	if !f.influx.Load() || s.RetainedVersions() != 1 {
-		t.Fatalf("capture did not note the page: influx=%v versions=%d", f.influx.Load(), s.RetainedVersions())
+		t.Fatalf("write intent did not enter the capture: influx=%v versions=%d", f.influx.Load(), s.RetainedVersions())
 	}
 
 	parked := 0
@@ -53,7 +57,7 @@ func TestFixAtSurvivesReadOnlyCaptureClose(t *testing.T) {
 	}
 	data, release, err := s.FixAt(id, 10)
 	if err != nil {
-		t.Fatalf("FixAt across a read-only capture close: %v", err)
+		t.Fatalf("FixAt across an unchanged capture close: %v", err)
 	}
 	defer release()
 	if parked != 1 {
@@ -63,7 +67,7 @@ func TestFixAtSurvivesReadOnlyCaptureClose(t *testing.T) {
 		t.Errorf("FixAt returned pageLSN %d, want the live page at 5", got)
 	}
 	if n := s.RetainedVersions(); n != 0 {
-		t.Errorf("read-only capture left %d chain entries", n)
+		t.Errorf("unchanged capture left %d chain entries", n)
 	}
 }
 

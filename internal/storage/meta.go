@@ -48,6 +48,7 @@ func (d *Document) writeMeta() error {
 		return err
 	}
 	defer d.store.Unfix(f)
+	f.MarkDirty()
 	p := f.Data()[metaBase:]
 	copy(p[0:4], metaMagic)
 	binary.BigEndian.PutUint16(p[4:6], metaVersion)
@@ -61,7 +62,6 @@ func (d *Document) writeMeta() error {
 	}
 	binary.BigEndian.PutUint16(p[22:24], uint16(len(blob)))
 	copy(p[24:], blob)
-	f.MarkDirty()
 	return nil
 }
 

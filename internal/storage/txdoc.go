@@ -10,11 +10,13 @@ package storage
 // undo-without-pages: recovery sees the whole operation or none of it.
 //
 // The page deltas come from a pagestore capture (see pagestore/capture.go)
-// bracketing the operation: pre-images are snapshotted at Fix, and the
-// diff against them after the operation is the after-image set. The first
-// delta a page contributes after AttachWAL is upgraded to a full body
-// image — the anchor that lets redo heal a torn page whose on-disk bytes
-// fail their checksum.
+// bracketing the operation: a page's pre-image is snapshotted when the
+// btree (or writeMeta) declares it for writing — Frame.MarkDirty, before the
+// first byte changes — and the diff against it after the operation is the
+// after-image set, handed to the log as ranges of the still-pinned frames.
+// The first delta a page contributes in a dirty epoch is upgraded to a full
+// body image — the anchor that lets redo heal a torn page whose on-disk
+// bytes fail their checksum.
 //
 // Undo is logical, not physical: the payload names the inverse operation
 // (delete this subtree, restore these nodes, set this old value/name), and

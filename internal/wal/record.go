@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 
 	"repro/internal/pagestore"
 )
@@ -72,18 +73,19 @@ const (
 // payload length.
 func frameSize(payloadLen int) int { return frameOverhead + bodyHeader + payloadLen }
 
-// appendFrame encodes one record frame onto buf.
-func appendFrame(buf []byte, typ byte, txn uint64, payload []byte) []byte {
-	size := bodyHeader + len(payload)
+// appendFrame encodes one record frame onto buf. body appends the payload
+// behind the frame header, so a payload assembled from several sources (a
+// RecOp's page deltas) is written once, straight into the record.
+func appendFrame(buf []byte, typ byte, txn uint64, body func([]byte) []byte) []byte {
+	start := len(buf)
 	var hdr [frameOverhead + bodyHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(size))
 	hdr[8] = typ
 	binary.LittleEndian.PutUint64(hdr[9:], txn)
-	crc := crc32.ChecksumIEEE(hdr[8:])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	binary.LittleEndian.PutUint32(hdr[4:], crc)
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	buf = body(append(buf, hdr[:]...))
+	frame := buf[start:]
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(frame)-frameOverhead))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(frame[frameOverhead:]))
+	return buf
 }
 
 // parseFrame decodes the frame at buf[off:]. ok is false when the bytes do
@@ -114,16 +116,40 @@ func parseFrame(buf []byte, off int) (r Record, next int, ok bool) {
 // this means a CRC-clean record holds garbage, which is a bug, not a crash.
 var ErrCorruptOp = errors.New("wal: corrupt op payload")
 
-// EncodeOp builds a RecOp payload from a logical undo payload and the
-// operation's page deltas:
-//
-//	[u32 undoLen][undo][u16 nDeltas] nDeltas × [u32 page][u16 off][u16 len][data]
-func EncodeOp(undo []byte, deltas []pagestore.PageDelta) []byte {
+// ErrOpTooLarge reports an operation whose page deltas do not fit the RecOp
+// payload's 16-bit counts. Encoding it anyway would wrap the counts and log
+// a record that redoes a fraction of the operation.
+var ErrOpTooLarge = errors.New("wal: operation exceeds the op record's limits")
+
+// maxOpCount is the largest value of the payload's u16 fields: the delta
+// count and each delta's offset and length.
+const maxOpCount = math.MaxUint16
+
+// opLen returns the EncodeOp payload size of (undo, deltas), or
+// ErrOpTooLarge when a count or length overflows its field.
+func opLen(undo []byte, deltas []pagestore.PageDelta) (int, error) {
+	if len(deltas) > maxOpCount {
+		return 0, fmt.Errorf("%w: %d page deltas (limit %d)", ErrOpTooLarge, len(deltas), maxOpCount)
+	}
 	n := 4 + len(undo) + 2
 	for _, d := range deltas {
+		if len(d.Data) > maxOpCount || d.Off < 0 || d.Off > maxOpCount {
+			return 0, fmt.Errorf("%w: page %d delta of %d bytes at offset %d", ErrOpTooLarge, d.Page, len(d.Data), d.Off)
+		}
 		n += 8 + len(d.Data)
 	}
-	out := make([]byte, 0, n)
+	if uint64(n) > math.MaxUint32-bodyHeader {
+		return 0, fmt.Errorf("%w: %d payload bytes", ErrOpTooLarge, n)
+	}
+	return n, nil
+}
+
+// appendOp appends the RecOp payload of (undo, deltas) to out:
+//
+//	[u32 undoLen][undo][u16 nDeltas] nDeltas × [u32 page][u16 off][u16 len][data]
+//
+// The caller has checked the operation with opLen.
+func appendOp(out, undo []byte, deltas []pagestore.PageDelta) []byte {
 	var tmp [8]byte
 	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(undo)))
 	out = append(out, tmp[:4]...)
@@ -138,6 +164,13 @@ func EncodeOp(undo []byte, deltas []pagestore.PageDelta) []byte {
 		out = append(out, d.Data...)
 	}
 	return out
+}
+
+// EncodeOp builds a RecOp payload (the appendOp layout) on its own, for
+// tools and tests; AppendOp writes the same bytes straight into the log,
+// and is where an operation's size is checked.
+func EncodeOp(undo []byte, deltas []pagestore.PageDelta) []byte {
+	return appendOp(nil, undo, deltas)
 }
 
 // DecodeOp parses an EncodeOp payload.

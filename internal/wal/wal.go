@@ -21,6 +21,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -313,6 +314,12 @@ func Open(store SegmentStore, cfg Config) (*Log, error) {
 // The record is not durable until Force (or a page write-back's FlushTo)
 // covers it.
 func (l *Log) Append(typ byte, txn uint64, payload []byte) (LSN, error) {
+	return l.append(typ, txn, len(payload), func(buf []byte) []byte { return append(buf, payload...) })
+}
+
+// append frames one record whose payload — payloadLen bytes — body appends
+// to the pending buffer.
+func (l *Log) append(typ byte, txn uint64, payloadLen int, body func([]byte) []byte) (LSN, error) {
 	t0 := l.hAppend.Start()
 	defer l.hAppend.Since(t0)
 	l.mu.Lock()
@@ -333,9 +340,11 @@ func (l *Log) Append(typ byte, txn uint64, payload []byte) (LSN, error) {
 	}
 	lsn := l.next
 	l.noteRecord(Record{LSN: lsn, Type: typ, Txn: txn})
-	l.pending = appendFrame(l.pending, typ, txn, payload)
+	// The flusher takes the whole buffer with each batch, so most records
+	// start a new one: size it for the record instead of growing into it.
+	l.pending = appendFrame(slices.Grow(l.pending, frameSize(payloadLen)), typ, txn, body)
 	l.pendingRecs++
-	l.next += LSN(frameSize(len(payload)))
+	l.next += LSN(frameSize(payloadLen))
 	l.kick()
 	return lsn, nil
 }
@@ -391,9 +400,17 @@ func (l *Log) NextLSN() LSN {
 	return l.next
 }
 
-// AppendOp appends a RecOp built from an undo payload and page deltas.
+// AppendOp appends a RecOp built from an undo payload and page deltas. The
+// delta bytes are copied once, from wherever deltas point (the storage
+// layer passes ranges of the pinned page frames) into the pending buffer.
+// An operation too large for the record format fails with ErrOpTooLarge and
+// appends nothing.
 func (l *Log) AppendOp(txn uint64, undo []byte, deltas []pagestore.PageDelta) (LSN, error) {
-	return l.Append(RecOp, txn, EncodeOp(undo, deltas))
+	n, err := opLen(undo, deltas)
+	if err != nil {
+		return 0, err
+	}
+	return l.append(RecOp, txn, n, func(buf []byte) []byte { return appendOp(buf, undo, deltas) })
 }
 
 // AppendCommit appends a RecCommit. The caller must Force to the returned

@@ -343,6 +343,87 @@ func TestEncodeDecodeOp(t *testing.T) {
 	}
 }
 
+// TestAppendOpMatchesEncodeOp pins the in-place encoder to the record
+// format: the payload AppendOp writes straight into the log is byte for byte
+// what EncodeOp builds, and it survives a scan.
+func TestAppendOpMatchesEncodeOp(t *testing.T) {
+	l, err := Open(NewMemSegmentStore(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	undo := []byte("undo")
+	page := bytes.Repeat([]byte{0xC3}, pagestore.PageSize)
+	deltas := []pagestore.PageDelta{
+		{Page: 2, Off: 40, Data: page[40:57]}, // aliases a page, as storage's deltas do
+		{Page: 5, Off: pagestore.PageHeaderSize, Data: page[pagestore.PageHeaderSize:]},
+	}
+	lsn, err := l.AppendOp(9, undo, deltas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := lsn + LSN(frameSize(len(EncodeOp(undo, deltas)))); l.NextLSN() != want {
+		t.Errorf("NextLSN = %d after the op record, want %d", l.NextLSN(), want)
+	}
+	if err := l.Force(lsn); err != nil {
+		t.Fatal(err)
+	}
+	var got []Record
+	if err := l.Scan(func(r Record) error { got = append(got, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].LSN != lsn || got[0].Type != RecOp || got[0].Txn != 9 {
+		t.Fatalf("scan = %+v, want the one op record at LSN %d", got, lsn)
+	}
+	if !bytes.Equal(got[0].Payload, EncodeOp(undo, deltas)) {
+		t.Error("AppendOp's payload differs from EncodeOp's")
+	}
+}
+
+// TestAppendOpRejectsOversizedOp: the payload counts deltas, and a delta's
+// bytes, in 16 bits. An operation beyond either limit used to wrap silently
+// and log a record that redoes a fraction of it; it must fail instead, and
+// append nothing.
+func TestAppendOpRejectsOversizedOp(t *testing.T) {
+	l, err := Open(NewMemSegmentStore(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	one := []byte{1}
+	many := make([]pagestore.PageDelta, 1<<16)
+	for i := range many {
+		many[i] = pagestore.PageDelta{Page: pagestore.PageID(i), Off: pagestore.PageHeaderSize, Data: one}
+	}
+	long := []pagestore.PageDelta{{Page: 1, Off: pagestore.PageHeaderSize, Data: make([]byte, 1<<16)}}
+	for name, deltas := range map[string][]pagestore.PageDelta{"65536 deltas": many, "65536-byte delta": long} {
+		if _, err := l.AppendOp(1, []byte("undo"), deltas); !errors.Is(err, ErrOpTooLarge) {
+			t.Errorf("%s: AppendOp = %v, want ErrOpTooLarge", name, err)
+		}
+	}
+	if st := l.Stats(); st.Appends != 0 || st.Next != 1 || st.ActiveTxns != 0 {
+		t.Errorf("rejected ops left a trace in the log: %+v", st)
+	}
+	// The largest representable operation still goes through, whole.
+	lsn, err := l.AppendOp(1, nil, many[:1<<16-1])
+	if err != nil {
+		t.Fatalf("65535 deltas: %v", err)
+	}
+	if err := l.Force(lsn); err != nil {
+		t.Fatal(err)
+	}
+	err = l.Scan(func(r Record) error {
+		_, deltas, err := DecodeOp(r.Payload)
+		if err == nil && len(deltas) != 1<<16-1 {
+			err = fmt.Errorf("decoded %d deltas, want %d", len(deltas), 1<<16-1)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestForceOnEmptyLog(t *testing.T) {
 	l, err := Open(NewMemSegmentStore(), Config{})
 	if err != nil {
