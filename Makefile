@@ -7,7 +7,7 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: build test verify loc bench-lock bench-wal bench-buffer bench-recovery bench-snapshot bench-all bench-server chaos netchaos recovery metrics server
+.PHONY: build test verify loc loc-check bench-lock bench-wal bench-buffer bench-recovery bench-snapshot bench-all bench-server chaos netchaos recovery metrics server
 
 build:
 	$(GO) build ./...
@@ -67,17 +67,18 @@ server:
 	$(GO) test -race -run 'Fuzz|Frame|Msg|Codec|Roundtrip' ./internal/wire/
 
 # verify is the full pre-merge gate, and runs everything once: compile, vet,
-# the complete test suite under the race detector (the lock package's
-# equivalence tests lean on it heavily), the allocation-regression guards
-# (non-race: the race detector changes allocation behavior, so the alloc
-# tests are tagged !race), and a 20x loop of the loopback snapshot
-# contestant — the run that found the FixAt version-chain hole, kept as its
-# guard. The chaos, netchaos, recovery, metrics and server targets above are
-# -run filtered subsets of the race pass, for humans iterating on one layer;
-# verify does not repeat them.
+# the line-budget gate (loc-check), the complete test suite under the race
+# detector (the lock package's equivalence tests lean on it heavily), the
+# allocation-regression guards (non-race: the race detector changes
+# allocation behavior, so the alloc tests are tagged !race), and a 20x loop
+# of the loopback snapshot contestant — the run that found the FixAt
+# version-chain hole, kept as its guard. The chaos, netchaos, recovery,
+# metrics and server targets above are -run filtered subsets of the race
+# pass, for humans iterating on one layer; verify does not repeat them.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(MAKE) -s loc-check
 	$(GO) test -race ./...
 	$(GO) test -run 'TestAlloc' ./internal/lock/ ./internal/server/ ./internal/storage/
 	$(GO) test -race -count=20 -run 'TestLoopbackTaMixAllProtocols/snapshot' ./internal/bibserve/
@@ -88,6 +89,18 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -print0 | xargs -0 awk \
 		'!/^[ \t]*(\/\/.*)?$$/ { d = FILENAME; sub(/\/[^\/]*$$/, "", d); n[d]++; total++ } \
 		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", total }' | sort -k2,2
+
+# loc-check makes the line budget a gate (ROADMAP aim 2: net-negative diffs
+# are a goal): it fails when loc's total exceeds LOC_BUDGET, the total of the
+# last PR that moved it. A PR that needs more lines raises the number here,
+# in the open, and says why in its CHANGES.md row; one that deletes lowers it.
+LOC_BUDGET := 15678
+loc-check:
+	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
+	if [ "$$total" -gt $(LOC_BUDGET) ]; then \
+		echo "loc-check: $$total non-test lines exceed the budget of $(LOC_BUDGET) (make loc lists them per package)"; exit 1; \
+	fi; \
+	echo "loc-check: $$total non-test lines, budget $(LOC_BUDGET)"
 
 # bench-lock runs the lock-table contention benchmark and appends one JSON
 # line per result to BENCH_lock.json, so successive runs accumulate a

@@ -38,7 +38,6 @@ func main() {
 		faultProb   = flag.Float64("fault", 0, "transient storage-fault probability per page read/write (0 = off)")
 		tornWrites  = flag.Bool("torn-writes", false, "injected write faults also tear the page image")
 		frames      = flag.Int("frames", 0, "page-buffer frames (0 = default; shrink below the working set so -fault reaches the backend)")
-		shards      = flag.Int("buffer-shards", 0, "page-buffer table shards (0 = default 16; clamped to the pool size)")
 		flusher     = flag.Duration("flusher", 0, "background flusher interval for dirty pages (0 = disabled)")
 		useWAL      = flag.Bool("wal", true, "attach an in-memory WAL so commits pay a durability force (wal.* latencies)")
 		jsonOut     = flag.String("json", "", "write the JSON run report to this file (\"-\" = stdout, table moves to stderr)")
@@ -88,7 +87,6 @@ func main() {
 		}
 		cfg.MaxRestarts = *maxRestarts
 		cfg.Bib.BufferFrames = *frames
-		cfg.Bib.BufferShards = *shards
 		cfg.Bib.FlusherInterval = *flusher
 		cfg.WAL = *useWAL
 		if *faultProb > 0 {

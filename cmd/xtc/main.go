@@ -40,11 +40,9 @@ func main() {
 		id        = flag.String("id", "", "resolve an id attribute value to its element")
 		walDir    = flag.String("wal", "", "directory of write-ahead log segments to attach")
 		recover   = flag.Bool("recover", false, "run ARIES-style recovery from -wal before opening (requires -open)")
-		shards    = flag.Int("buffer-shards", 0, "page-buffer table shards (0 = default 16; clamped to the pool size)")
 		flusher   = flag.Duration("flusher", 0, "background flusher interval for dirty pages (0 = disabled)")
 		ckptEvery = flag.Duration("checkpoint-interval", 0, "fuzzy-checkpoint cadence; flusher-driven, enables WAL segment GC (0 = disabled; requires -wal)")
 		walRetain = flag.Int("wal-retain", 0, "newest WAL segments kept by checkpoint GC (0 = default)")
-		redoShard = flag.Int("redo-shards", 0, "parallel redo shards for -recover (0 = default 16)")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address while running")
 		metricsFl = flag.Bool("metrics", false, "print the buffer/WAL latency digests after the run")
 	)
@@ -67,10 +65,8 @@ func main() {
 	}
 
 	opts := storage.Options{
-		BufferShards:       *shards,
 		FlusherInterval:    *flusher,
 		CheckpointInterval: *ckptEvery,
-		RedoShards:         *redoShard,
 		Metrics:            reg,
 	}
 

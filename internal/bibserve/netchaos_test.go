@@ -377,9 +377,9 @@ func TestNetChaosSessionResumeAbortWorthy(t *testing.T) {
 	}
 	// The restart loop's next moves must both work: abort the lost
 	// transaction (vacuously — the resumed session has no transaction, which
-	// surfaces as ErrNotActive exactly like a local double-finish, the case
+	// surfaces as ErrTxnDone exactly like a local double-finish, the case
 	// TaMix's restart loop already tolerates), then run it again.
-	if err := txn.Abort(); err != nil && !errors.Is(err, tx.ErrNotActive) {
+	if err := txn.Abort(); err != nil && !errors.Is(err, tx.ErrTxnDone) {
 		t.Fatalf("abort after resume: %v", err)
 	}
 	txn, err = sess.Begin()

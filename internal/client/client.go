@@ -38,9 +38,9 @@ var ErrBusy = errors.New("client: server busy")
 // ErrShutdown is returned when the server is draining or the connection died.
 var ErrShutdown = errors.New("client: server shutting down")
 
-// ErrTimeout is returned when a deadline-bounded round trip got no response
-// in time; the offending connection is evicted (closed) so the next use
-// re-dials rather than trusting a stalled peer.
+// ErrTimeout is returned when a Ping round trip got no response in time; the
+// offending connection is evicted (closed) so the next use re-dials rather
+// than trusting a stalled peer.
 var ErrTimeout = errors.New("client: request timed out")
 
 // ErrNoSession is returned when the server no longer knows the session the
@@ -73,44 +73,35 @@ func (e *abortWorthyError) Unwrap() error { return e.err }
 // AbortWorthy opts the failure into node.IsAbortWorthy.
 func (e *abortWorthyError) AbortWorthy() bool { return true }
 
+// Connection-lifecycle timing: constants, not Options, because no caller has
+// a reason to run a pool at other values.
+const (
+	// dialTimeout bounds each dial.
+	dialTimeout = 5 * time.Second
+	// pingTimeout bounds each per-connection Ping round trip — one stalled
+	// connection must not hang the health check; it is evicted instead.
+	pingTimeout = 2 * time.Second
+	// redialBackoff is the base of the jittered exponential backoff between
+	// re-dial attempts. The sleep is jittered to 50-150% and doubles per
+	// attempt up to redialMaxBackoff — the same shape as the TaMix restart
+	// backoff.
+	redialBackoff    = 25 * time.Millisecond
+	redialMaxBackoff = time.Second
+	// redialBudget bounds how long one operation blocks on redial/resume
+	// before giving up. A server bounce shorter than this is absorbed; a
+	// longer outage surfaces as a redial failure.
+	redialBudget = 15 * time.Second
+)
+
 // Options configure a Pool.
 type Options struct {
 	// Conns is the number of TCP connections to stripe sessions over
 	// (default 1).
 	Conns int
-	// DialTimeout bounds each dial (default 5s).
-	DialTimeout time.Duration
-	// RequestDeadline, when positive, is stamped on every request as its
-	// deadline-ms budget so the server bounds lock waits on our behalf.
-	RequestDeadline time.Duration
-	// CallTimeout, when positive, bounds each round trip client-side; a
-	// connection that produces no response in time is evicted and the call
-	// fails with ErrTimeout. Leave zero when requests may legitimately wait
-	// in long lock queues without a RequestDeadline.
-	CallTimeout time.Duration
-	// PingTimeout bounds each per-connection Ping round trip (default 2s) —
-	// one stalled connection must not hang the health check; it is evicted
-	// instead.
-	PingTimeout time.Duration
 	// HeartbeatInterval is the keep-alive cadence each connection ticks
 	// OpHeartbeat at (default 10s, negative disables). Keep it under the
 	// server's KeepAliveInterval so idle-but-healthy clients are not reaped.
 	HeartbeatInterval time.Duration
-	// DisableReconnect turns off redial and session resume: a dead
-	// connection stays dead and its requests fail with ErrShutdown (the
-	// pre-resilience behavior, still wanted by teardown tests).
-	DisableReconnect bool
-	// RedialBackoff is the base of the jittered exponential backoff between
-	// re-dial attempts (default 25ms). The sleep is jittered to 50-150% and
-	// doubles per attempt up to RedialMaxBackoff — the same shape as the
-	// TaMix restart backoff.
-	RedialBackoff time.Duration
-	// RedialMaxBackoff caps the redial backoff doubling (default 1s).
-	RedialMaxBackoff time.Duration
-	// RedialBudget bounds how long one operation blocks on redial/resume
-	// before giving up (default 15s). A server bounce shorter than this is
-	// absorbed; a longer outage surfaces as a redial failure.
-	RedialBudget time.Duration
 	// Dialer overrides the TCP dial (fault-injection harnesses wrap
 	// connections here); net.DialTimeout when nil.
 	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
@@ -146,23 +137,8 @@ func Dial(addr string, opts Options) (*Pool, error) {
 	if opts.Conns <= 0 {
 		opts.Conns = 1
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
-	if opts.PingTimeout <= 0 {
-		opts.PingTimeout = 2 * time.Second
-	}
 	if opts.HeartbeatInterval == 0 {
 		opts.HeartbeatInterval = 10 * time.Second
-	}
-	if opts.RedialBackoff <= 0 {
-		opts.RedialBackoff = 25 * time.Millisecond
-	}
-	if opts.RedialMaxBackoff <= 0 {
-		opts.RedialMaxBackoff = time.Second
-	}
-	if opts.RedialBudget <= 0 {
-		opts.RedialBudget = 15 * time.Second
 	}
 	p := &Pool{
 		opts:        opts,
@@ -193,7 +169,7 @@ func (p *Pool) dial() (*Conn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		}
 	}
-	nc, err := dial(p.addr, p.opts.DialTimeout)
+	nc, err := dial(p.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +216,7 @@ func backoffSleep(cur, cap time.Duration) time.Duration {
 }
 
 // get returns the slot's connection, re-dialing with jittered capped
-// backoff (bounded by RedialBudget) when it is dead. Concurrent callers
+// backoff (bounded by redialBudget) when it is dead. Concurrent callers
 // coalesce on one redial.
 func (sl *slot) get() (*Conn, error) {
 	sl.mu.Lock()
@@ -252,14 +228,8 @@ func (sl *slot) get() (*Conn, error) {
 	if p.isClosed() {
 		return nil, ErrShutdown
 	}
-	if p.opts.DisableReconnect {
-		if sl.c != nil {
-			return nil, sl.c.cause()
-		}
-		return nil, ErrShutdown
-	}
-	backoff := p.opts.RedialBackoff
-	deadline := time.Now().Add(p.opts.RedialBudget)
+	backoff := redialBackoff
+	deadline := time.Now().Add(redialBudget)
 	for {
 		p.mRedials.Add(1)
 		c, err := p.dial()
@@ -273,7 +243,7 @@ func (sl *slot) get() (*Conn, error) {
 		if !time.Now().Before(deadline) {
 			return nil, fmt.Errorf("client: redial %s: %w", p.addr, err)
 		}
-		backoff = backoffSleep(backoff, p.opts.RedialMaxBackoff)
+		backoff = backoffSleep(backoff, redialMaxBackoff)
 	}
 }
 
@@ -289,7 +259,7 @@ func (p *Pool) conn() (*Conn, error) {
 }
 
 // Ping round-trips a frame on every currently-connected slot, each under
-// PingTimeout. A connection that stalls past the deadline (or fails) is
+// pingTimeout. A connection that stalls past the deadline (or fails) is
 // evicted — closed, so the slot's next use re-dials — and reported; the
 // remaining connections are still checked.
 func (p *Pool) Ping() error {
@@ -302,7 +272,7 @@ func (p *Pool) Ping() error {
 			errs = append(errs, fmt.Errorf("client: conn %d: %w", i, ErrShutdown))
 			continue
 		}
-		if _, _, err := c.roundTripTimeout(wire.OpPing, 0, 0, []byte("ping"), p.opts.PingTimeout); err != nil {
+		if _, _, err := c.roundTripTimeout(wire.OpPing, 0, 0, []byte("ping"), pingTimeout); err != nil {
 			errs = append(errs, fmt.Errorf("client: conn %d: %w", i, err))
 		}
 	}

@@ -59,18 +59,16 @@ func (p *Pool) OpenSession(protocol string, iso tx.Level, depth int) (*Session, 
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	s := &Session{pool: p, sl: sl, c: c, id: uint32(id),
-		protocol: protocol, iso: iso, depth: depth}
-	if p.opts.RequestDeadline > 0 {
-		s.deadline = uint32(p.opts.RequestDeadline.Milliseconds())
-	}
-	return s, nil
+	return &Session{pool: p, sl: sl, c: c, id: uint32(id),
+		protocol: protocol, iso: iso, depth: depth}, nil
 }
 
 // Protocol returns the protocol name the session was opened with.
 func (s *Session) Protocol() string { return s.protocol }
 
-// SetRequestDeadline overrides the per-request deadline budget (0 disables).
+// SetRequestDeadline stamps every further request of the session with a
+// deadline-ms budget, so the server bounds lock waits on its behalf (0, the
+// default, disables).
 func (s *Session) SetRequestDeadline(d time.Duration) {
 	if d <= 0 {
 		s.deadline = 0
@@ -88,7 +86,7 @@ func (s *Session) call(op wire.Op, body []byte) ([]byte, error) {
 	if s.pool.mLatency != nil {
 		t0 = s.pool.mLatency.Start()
 	}
-	_, resp, err := s.c.roundTripTimeout(op, s.id, s.deadline, body, s.pool.opts.CallTimeout)
+	_, resp, err := s.c.roundTrip(op, s.id, s.deadline, body)
 	if s.pool.mLatency != nil {
 		s.pool.mLatency.Since(t0)
 	}
@@ -105,21 +103,19 @@ func (s *Session) call(op wire.Op, body []byte) ([]byte, error) {
 
 // shouldResume reports whether a call failure means "session-level death
 // worth resuming from": the conn died, the server is bouncing, or the
-// server forgot the session (idle reap) — and the pool is still open with
-// reconnects enabled.
+// server forgot the session (idle reap) — and the pool is still open.
 func (s *Session) shouldResume(err error) bool {
-	return (errors.Is(err, ErrShutdown) || errors.Is(err, ErrNoSession)) &&
-		!s.pool.opts.DisableReconnect && !s.pool.isClosed()
+	return (errors.Is(err, ErrShutdown) || errors.Is(err, ErrNoSession)) && !s.pool.isClosed()
 }
 
 // resume re-establishes the session after a connection loss: get a live
 // connection from the session's slot (redialing under its backoff), then
 // ask the server to resume — evicting the stale predecessor session if the
 // server still holds it — retrying through drain windows and busy rejections
-// under the redial backoff until RedialBudget runs out.
+// under the redial backoff until redialBudget runs out.
 func (s *Session) resume() error {
-	backoff := s.pool.opts.RedialBackoff
-	deadline := time.Now().Add(s.pool.opts.RedialBudget)
+	backoff := redialBackoff
+	deadline := time.Now().Add(redialBudget)
 	var lastErr error
 	for {
 		if s.pool.isClosed() {
@@ -133,7 +129,7 @@ func (s *Session) resume() error {
 					Protocol: s.protocol, Isolation: uint8(s.iso), Depth: s.depth,
 				},
 			})
-			_, resp, rerr := c.roundTripTimeout(wire.OpResumeSession, 0, 0, body, s.pool.opts.CallTimeout)
+			_, resp, rerr := c.roundTrip(wire.OpResumeSession, 0, 0, body)
 			if rerr == nil {
 				r := wire.NewReader(resp)
 				rr := r.ResumeResult()
@@ -153,7 +149,7 @@ func (s *Session) resume() error {
 		if !time.Now().Before(deadline) {
 			return fmt.Errorf("client: session resume: %w", lastErr)
 		}
-		backoff = backoffSleep(backoff, s.pool.opts.RedialMaxBackoff)
+		backoff = backoffSleep(backoff, redialMaxBackoff)
 	}
 }
 
@@ -161,7 +157,7 @@ func (s *Session) resume() error {
 // dead connection counts as closed — the server reaps the session on its
 // own — so Close never triggers a redial.
 func (s *Session) Close() error {
-	_, _, err := s.c.roundTripTimeout(wire.OpCloseSession, s.id, s.deadline, nil, s.pool.opts.CallTimeout)
+	_, _, err := s.c.roundTrip(wire.OpCloseSession, s.id, s.deadline, nil)
 	if err != nil && (errors.Is(err, ErrShutdown) || errors.Is(err, ErrNoSession)) {
 		return nil
 	}

@@ -3,11 +3,13 @@ package client_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/bibserve"
 	"repro/internal/client"
+	"repro/internal/lock"
 	"repro/internal/node"
 	"repro/internal/pagestore"
 	"repro/internal/protocol"
@@ -154,6 +156,102 @@ func TestTypedMethodsOverLoopback(t *testing.T) {
 	}
 	if err := txn.Commit(); err != nil {
 		t.Errorf("twin commit: %v", err)
+	}
+	if err := pool.Audit("taDOM3+"); err != nil {
+		t.Errorf("server audit: %v", err)
+	}
+}
+
+// TestRequestDeadlineBoundsLockWait sends the only non-zero per-request
+// deadline any test sends: session A holds a write lock, session B stamps
+// its requests with a 50 ms budget (Session.SetRequestDeadline → Msg.DeadlineMS
+// → the server layers it onto the session context and the lock wait) and asks
+// for the same node. B must get the canceled sentinel, abort-worthy, long
+// before the engine's 5 s lock timeout, and nothing may be left behind.
+func TestRequestDeadlineBoundsLockWait(t *testing.T) {
+	srv, err := bibserve.Start(bibserve.Options{Bib: tamix.Scaled(0.01)}, server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown audit: %v", err)
+		}
+	}()
+	pool, err := client.Dial(srv.Addr(), client.Options{Conns: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	open := func() (*client.Session, *client.Txn) {
+		t.Helper()
+		s, err := pool.OpenSession("taDOM3+", tx.LevelRepeatable, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txn, err := s.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, txn
+	}
+
+	a, atxn := open()
+	defer a.Close()
+	cat, err := a.Catalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	book, err := a.JumpToID(cat.Books[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	title, err := a.FirstChild(book.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := a.FirstChild(title.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SetValue(text.ID, []byte("held by A")); err != nil {
+		t.Fatal(err)
+	}
+
+	b, btxn := open()
+	defer b.Close()
+	b.SetRequestDeadline(50 * time.Millisecond)
+	t0 := time.Now()
+	_, err = b.Value(text.ID)
+	waited := time.Since(t0)
+	if !errors.Is(err, lock.ErrCanceled) {
+		t.Errorf("read under A's write lock with a 50ms deadline: %v, want lock.ErrCanceled", err)
+	}
+	if !node.IsAbortWorthy(err) {
+		t.Errorf("deadline error %v is not abort-worthy", err)
+	}
+	if waited < 40*time.Millisecond || waited > 2*time.Second {
+		t.Errorf("request returned after %v, want about its 50ms budget (lock timeout is 5s)", waited)
+	}
+	if err := btxn.Abort(); err != nil {
+		t.Errorf("abort B: %v", err)
+	}
+
+	// Without a deadline the same read simply waits for A.
+	b.SetRequestDeadline(0)
+	if err := atxn.Commit(); err != nil {
+		t.Errorf("commit A: %v", err)
+	}
+	if btxn, err = b.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := b.Value(text.ID); err != nil || string(v) != "held by A" {
+		t.Errorf("read after A committed: %q, %v", v, err)
+	}
+	if err := btxn.Commit(); err != nil {
+		t.Errorf("commit B: %v", err)
 	}
 	if err := pool.Audit("taDOM3+"); err != nil {
 		t.Errorf("server audit: %v", err)

@@ -66,7 +66,7 @@ func newEqHarness(t *testing.T, seed int64, stripes, numTx, numRes int) *eqHarne
 	h := &eqHarness{t: t, rng: rand.New(rand.NewSource(seed))}
 	// Timeout far beyond the stabilization deadline: a divergence must show
 	// up as a state mismatch, never be papered over by a lock timeout.
-	opts := Options{Timeout: time.Minute, Stripes: stripes}
+	opts := Options{Timeout: time.Minute, stripes: stripes}
 	sOpts, oOpts := opts, opts
 	sOpts.OnDeadlock = func(info DeadlockInfo) {
 		h.dlMu.Lock()

@@ -340,9 +340,10 @@ type DeadlockInfo struct {
 type Options struct {
 	// Timeout bounds each lock wait; DefaultTimeout when zero.
 	Timeout time.Duration
-	// Stripes is the number of lock-table partitions, rounded up to a power
-	// of two; DefaultStripes when zero or negative.
-	Stripes int
+	// stripes is the number of lock-table partitions, rounded up to a power
+	// of two; DefaultStripes when zero or negative. Only the in-package
+	// tests set it.
+	stripes int
 	// OnDeadlock, when non-nil, observes every detected deadlock. It runs
 	// on the detector goroutine with every partition mutex held and must
 	// return quickly without calling back into the Manager.
@@ -468,7 +469,7 @@ func newManager(table ModeTable, opts Options) *Manager {
 	if to <= 0 {
 		to = DefaultTimeout
 	}
-	n := opts.Stripes
+	n := opts.stripes
 	if n <= 0 {
 		n = DefaultStripes
 	}

@@ -19,7 +19,7 @@ import (
 // test: observers must never tear a read or trip the detector while the
 // table churns underneath them.
 func TestObserverStorm(t *testing.T) {
-	m := newMgr(t, Options{Timeout: 2 * time.Second, Stripes: 8})
+	m := newMgr(t, Options{Timeout: 2 * time.Second, stripes: 8})
 
 	const (
 		workers   = 8

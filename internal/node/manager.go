@@ -1,8 +1,9 @@
 // Package node implements XTC's node manager: the transactional DOM-style
 // operation layer. Every public operation issues the meta-lock requests of
 // Section 3.3 through the configured protocol before touching the document
-// store, and registers physical undo actions so aborting transactions roll
-// back cleanly while still holding their locks.
+// store; an update's logical inverse is recorded by the store itself, with
+// the transaction (storage.Document.For), so aborting transactions roll back
+// cleanly while still holding their locks.
 //
 // This is the layer the paper's meta-synchronization plugs into: exchanging
 // the protocol value exchanges the complete locking mechanism underneath an
@@ -24,9 +25,6 @@ import (
 	"repro/internal/wire"
 	"repro/internal/xmlmodel"
 )
-
-// ErrNotActive is returned when operating under a finished transaction.
-var ErrNotActive = tx.ErrNotActive
 
 // Options configure a Manager.
 type Options struct {
@@ -72,6 +70,11 @@ func New(doc *storage.Document, proto protocol.Protocol, opts Options) *Manager 
 	})
 	tm := tx.NewManager(lm)
 	tm.SetMetrics(opts.Metrics)
+	// One undo: Abort replays a transaction's payloads through the applier
+	// storage.Recover rolls losers back with.
+	tm.SetUndoApplier(func(txn uint64, payload []byte) error {
+		return doc.ForTx(txn).ApplyUndo(payload)
+	})
 	m := &Manager{
 		doc:   doc,
 		proto: proto,

@@ -412,10 +412,10 @@ func TestOperationsOnFinishedTxn(t *testing.T) {
 	m := newLibrary(t, "taDOM3+", -1)
 	txn := m.Begin(tx.LevelRepeatable)
 	txn.Commit()
-	if _, err := m.GetNode(txn, m.Document().Root()); !errors.Is(err, ErrNotActive) {
+	if _, err := m.GetNode(txn, m.Document().Root()); !errors.Is(err, tx.ErrTxnDone) {
 		t.Errorf("GetNode on finished txn: %v", err)
 	}
-	if err := m.SetValue(txn, m.Document().Root(), nil); !errors.Is(err, ErrNotActive) {
+	if err := m.SetValue(txn, m.Document().Root(), nil); !errors.Is(err, tx.ErrTxnDone) {
 		t.Errorf("SetValue on finished txn: %v", err)
 	}
 }

@@ -15,10 +15,11 @@ import (
 
 // op is one node operation in flight: the transaction it runs under, the
 // view it reads — the transaction's frozen snapshot or the live document —
-// and its lock context. A tx.LevelSnapshot transaction has none (c is nil)
-// and every read-lock step below is then a no-op, since a frozen view needs
-// no isolation; that is what lets each read operation be written once for
-// both kinds of transaction.
+// and its lock context. The context is nil when the operation takes no locks
+// (lockPlan: a snapshot transaction's frozen view needs no isolation, and the
+// weak isolation levels skip read or all locks) and every lock step below is
+// then a no-op; that is what lets each operation be written once for every
+// kind of transaction.
 type op struct {
 	m    *Manager
 	t    *tx.Txn
@@ -80,26 +81,58 @@ var impls = [wire.NumOps]func(op, wire.Args) (wire.Result, error){
 // method (the embedded wire.Ops) forwards to. It is the one place an
 // operation opens and closes: finished transactions are refused, update ops
 // (the operation table's write class) are refused under a snapshot
-// transaction, and the short read locks of the weak isolation levels are
-// released at the end (each call is one logical operation in the meta-lock
-// sense; under repeatable read locks are held to commit).
+// transaction, the isolation level decides whether the operation locks at
+// all and for how long (lockPlan), and the short read locks of the weak
+// isolation levels are released at the end (each call is one logical
+// operation in the meta-lock sense; under repeatable read locks are held to
+// commit).
 func (m *Manager) Do(t *tx.Txn, code wire.Op, a wire.Args) (wire.Result, error) {
 	if int(code) >= len(impls) || impls[code] == nil {
 		return wire.Result{}, fmt.Errorf("node: %s is not a node operation", code)
 	}
 	if !t.Active() {
-		return wire.Result{}, ErrNotActive
+		return wire.Result{}, tx.ErrTxnDone
 	}
 	o := op{m: m, t: t, code: code, v: m.doc.Reader()}
-	if t.Isolation() != tx.LevelSnapshot {
-		o.c = m.ctx(t)
-	} else if spec, _ := code.Spec(); spec.Write {
-		return wire.Result{}, o.err(ErrReadOnly)
-	} else {
+	spec, _ := code.Spec()
+	iso := t.Isolation()
+	if iso == tx.LevelSnapshot {
+		if spec.Write {
+			return wire.Result{}, o.err(ErrReadOnly)
+		}
 		o.v = m.snap(t).Reader()
+	}
+	// The two fragment reads that declare update intent are update ops, but
+	// their locks (UpdateTree, the traversed edge) are read locks in an
+	// update mode and follow the read rule.
+	write := spec.Write && code != wire.OpReadFragmentForUpdate && code != wire.OpUpdateLastChildFragment
+	if locks, short := lockPlan(iso, write); locks {
+		o.c = m.ctx(t)
+		o.c.Short = short
 	}
 	defer t.EndOperation()
 	return impls[code](o, a)
+}
+
+// lockPlan is the isolation rule of the paper's footnote 5, which is the
+// same under every protocol and therefore lives here, above them: level none
+// takes no locks at all, uncommitted takes long write locks but no read
+// locks, committed takes short read locks (released at operation end) and
+// long write locks, repeatable holds every lock to commit; a snapshot
+// transaction reads a frozen view and locks nothing. It reports whether an
+// operation requesting write (else read) locks requests any, and whether
+// they are short.
+func lockPlan(iso tx.Level, write bool) (locks, short bool) {
+	switch iso {
+	case tx.LevelRepeatable:
+		return true, false
+	case tx.LevelCommitted:
+		return true, !write
+	case tx.LevelUncommitted:
+		return write, false
+	default:
+		return false, false
+	}
 }
 
 // err wraps a protocol/lock failure with the operation's name. Lock errors
@@ -112,7 +145,7 @@ func (o op) err(err error) error {
 	return fmt.Errorf("node: %s: %w", o.code, err)
 }
 
-// The read-lock steps: no-ops without a lock context.
+// The lock steps: no-ops without a lock context.
 
 func (o op) lockNode(id splid.ID, acc protocol.Access) error {
 	if o.c == nil {
@@ -166,6 +199,23 @@ func (o op) lockTree(id splid.ID, jump bool) error {
 		return nil
 	}
 	return o.err(o.m.proto.ReadTree(o.c, id, access(jump)))
+}
+
+// lockUpdateTree declares update intent on the subtree (see
+// readFragmentForUpdate).
+func (o op) lockUpdateTree(id splid.ID, jump bool) error {
+	if o.c == nil {
+		return nil
+	}
+	return o.err(o.m.proto.UpdateTree(o.c, id, access(jump)))
+}
+
+// lockWrite isolates a content update of a text or attribute node.
+func (o op) lockWrite(id splid.ID) error {
+	if o.c == nil {
+		return nil
+	}
+	return o.err(o.m.proto.WriteNode(o.c, id))
 }
 
 // access maps the jump flag of the fragment ops: index-based access to the
@@ -302,47 +352,26 @@ func (o op) readFragment(a wire.Args) (r wire.Result, err error) {
 // --- updates ----------------------------------------------------------------
 //
 // Update ops never run under a snapshot transaction (Do refuses them), so
-// they read the live document and always have a lock context.
+// they read the live document. None of them reads a pre-image or registers
+// an undo: the store's mutators state their own inverse and hand it to the
+// transaction (storage.Document.For).
 
 // setValue overwrites the character data of a text or attribute node.
-func (o op) setValue(a wire.Args) (wire.Result, error) {
-	if err := o.m.proto.WriteNode(o.c, a.ID); err != nil {
-		return wire.Result{}, o.err(err)
-	}
-	return o.storeValue(a.ID, a.Bytes)
-}
-
-// storeValue writes a value under an already held write lock, registering
-// the undo that restores the old one.
-func (o op) storeValue(id splid.ID, value []byte) (r wire.Result, err error) {
-	old, err := o.m.doc.Value(id)
-	if err != nil {
+func (o op) setValue(a wire.Args) (r wire.Result, err error) {
+	if err = o.lockWrite(a.ID); err != nil {
 		return r, err
 	}
-	txd := o.m.doc.ForTx(o.t.ID())
-	if err = txd.SetValue(id, value); err != nil {
-		return r, err
-	}
-	o.t.PushUndo(func() error { return txd.SetValue(id, old) })
-	return r, nil
+	return r, o.m.doc.For(o.t).SetValue(a.ID, a.Bytes)
 }
 
 // rename changes an element's name (DOM level 3 renameNode).
 func (o op) rename(a wire.Args) (r wire.Result, err error) {
-	if err = o.m.proto.Rename(o.c, a.ID); err != nil {
-		return r, o.err(err)
+	if o.c != nil {
+		if err = o.m.proto.Rename(o.c, a.ID); err != nil {
+			return r, o.err(err)
+		}
 	}
-	n, err := o.m.doc.GetNode(a.ID)
-	if err != nil {
-		return r, err
-	}
-	oldName := o.m.doc.Vocabulary().Name(n.Name)
-	txd := o.m.doc.ForTx(o.t.ID())
-	if err = txd.Rename(a.ID, a.Name); err != nil {
-		return r, err
-	}
-	o.t.PushUndo(func() error { return txd.Rename(a.ID, oldName) })
-	return r, nil
+	return r, o.m.doc.For(o.t).Rename(a.ID, a.Name)
 }
 
 // insertRetries bounds the revalidation loop of structural inserts. The
@@ -362,7 +391,6 @@ func (o op) insert(parent, before splid.ID,
 		}
 		return doc.PrevSibling(before)
 	}
-	txd := doc.ForTx(o.t.ID())
 	// The insert position is computed physically, then locked, then
 	// revalidated: a concurrent inserter may have changed the child list
 	// while this transaction blocked on the boundary locks.
@@ -375,17 +403,19 @@ func (o op) insert(parent, before splid.ID,
 		if err != nil {
 			return r, err
 		}
-		if err := o.m.proto.Insert(o.c, parent, newID, left.ID, before); err != nil {
-			return r, o.err(err)
+		if o.c != nil {
+			if err := o.m.proto.Insert(o.c, parent, newID, left.ID, before); err != nil {
+				return r, o.err(err)
+			}
+			check, err := leftOf()
+			if err != nil {
+				return r, err
+			}
+			if !check.ID.Equal(left.ID) {
+				continue // position moved while blocking; relock the new slot
+			}
 		}
-		check, err := leftOf()
-		if err != nil {
-			return r, err
-		}
-		if !check.ID.Equal(left.ID) {
-			continue // position moved while blocking; relock the new slot
-		}
-		r.Node, err = create(txd, newID)
+		r.Node, err = create(doc.For(o.t), newID)
 		if errors.Is(err, storage.ErrNodeExists) {
 			// Under the weak isolation levels no locks serialize inserters;
 			// the storage latch rejected a racing twin. Recompute and retry.
@@ -394,11 +424,6 @@ func (o op) insert(parent, before splid.ID,
 		if err != nil {
 			return wire.Result{}, err
 		}
-		created := r.Node.ID
-		o.t.PushUndo(func() error {
-			_, err := txd.DeleteSubtree(created)
-			return err
-		})
 		return r, nil
 	}
 	return wire.Result{}, o.err(lock.ErrLockTimeout)
@@ -422,8 +447,8 @@ func (o op) setAttribute(a wire.Args) (wire.Result, error) {
 				return d.SetAttribute(a.ID, a.Name, a.Bytes)
 			})
 		}
-		if err := o.m.proto.WriteNode(o.c, existing.ID); err != nil {
-			return wire.Result{}, o.err(err)
+		if err := o.lockWrite(existing.ID); err != nil {
+			return wire.Result{}, err
 		}
 		// The attribute was found by an unlocked read, so it may have been
 		// another transaction's uncommitted insert, rolled back while this one
@@ -433,7 +458,7 @@ func (o op) setAttribute(a wire.Args) (wire.Result, error) {
 			return wire.Result{}, err
 		}
 		if check.ID.Equal(existing.ID) {
-			return o.storeValue(existing.ID, a.Bytes)
+			return wire.Result{}, o.m.doc.For(o.t).SetValue(existing.ID, a.Bytes)
 		}
 	}
 	return wire.Result{}, o.err(lock.ErrLockTimeout)
@@ -442,31 +467,23 @@ func (o op) setAttribute(a wire.Args) (wire.Result, error) {
 // deleteSubtree removes the node and its whole subtree.
 func (o op) deleteSubtree(a wire.Args) (r wire.Result, err error) {
 	doc := o.m.doc
-	left, err := doc.PrevSibling(a.ID)
-	if err != nil {
-		return r, err
+	if o.c != nil {
+		// The neighbors are read only to name the navigation edges the
+		// deletion invalidates.
+		left, err := doc.PrevSibling(a.ID)
+		if err != nil {
+			return r, err
+		}
+		right, err := doc.NextSibling(a.ID)
+		if err != nil {
+			return r, err
+		}
+		if err = o.m.proto.DeleteTree(o.c, a.ID, left.ID, right.ID); err != nil {
+			return r, o.err(err)
+		}
 	}
-	right, err := doc.NextSibling(a.ID)
-	if err != nil {
-		return r, err
-	}
-	if err = o.m.proto.DeleteTree(o.c, a.ID, left.ID, right.ID); err != nil {
-		return r, o.err(err)
-	}
-	// Capture the victim records for physical undo before removal.
-	var victims []xmlmodel.Node
-	if err = doc.ScanSubtree(a.ID, collect(&victims)); err != nil {
-		return r, err
-	}
-	if len(victims) == 0 {
-		return r, o.err(storage.ErrNodeNotFound)
-	}
-	txd := doc.ForTx(o.t.ID())
-	if _, err = txd.DeleteSubtree(a.ID); err != nil {
-		return r, err
-	}
-	o.t.PushUndo(func() error { return txd.RestoreSubtree(victims) })
-	return r, nil
+	_, err = doc.For(o.t).DeleteSubtree(a.ID)
+	return r, err
 }
 
 // readFragmentForUpdate reads the subtree under id like ReadFragment but
@@ -474,8 +491,8 @@ func (o op) deleteSubtree(a wire.Args) (r wire.Result, err error) {
 // SU) serialize intending writers up front, which prevents the symmetric
 // read-then-convert deadlocks the paper attributes to lock conversion.
 func (o op) readFragmentForUpdate(a wire.Args) (r wire.Result, err error) {
-	if err = o.m.proto.UpdateTree(o.c, a.ID, access(a.Flag)); err != nil {
-		return r, o.err(err)
+	if err = o.lockUpdateTree(a.ID, a.Flag); err != nil {
+		return r, err
 	}
 	err = o.m.doc.ScanSubtree(a.ID, collect(&r.Nodes))
 	return r, err
@@ -496,8 +513,8 @@ func (o op) updateLastChildFragment(a wire.Args) (r wire.Result, err error) {
 	if err != nil || r.Node.ID.IsNull() {
 		return r, err
 	}
-	if err = o.m.proto.UpdateTree(o.c, r.Node.ID, protocol.Navigate); err != nil {
-		return wire.Result{}, o.err(err)
+	if err = o.lockUpdateTree(r.Node.ID, false); err != nil {
+		return wire.Result{}, err
 	}
 	err = o.m.doc.ScanSubtree(r.Node.ID, collect(&r.Nodes))
 	return r, err

@@ -337,10 +337,11 @@ const minFramesPerShard = 64
 type Config struct {
 	// Frames is the pool capacity (DefaultFrames if <= 0).
 	Frames int
-	// Shards is the requested page-table shard count (DefaultShards if
+	// shards is the requested page-table shard count (DefaultShards if
 	// <= 0). It is rounded down to a power of two and clamped so every
-	// shard holds at least minFramesPerShard frames.
-	Shards int
+	// shard holds at least minFramesPerShard frames. Only the in-package
+	// tests set it: every pool runs at the default, clamped from Frames.
+	shards int
 	// FlusherInterval enables the background flusher: every interval, all
 	// dirty unpinned frames are trickled to the backend so evictions
 	// rarely stall on a write-back. Zero or negative disables it.
@@ -369,7 +370,7 @@ func OpenConfig(backend Backend, cfg Config) *Store {
 	if frames <= 0 {
 		frames = DefaultFrames
 	}
-	shards := cfg.Shards
+	shards := cfg.shards
 	if shards <= 0 {
 		shards = DefaultShards
 	}

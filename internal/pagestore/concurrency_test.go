@@ -30,7 +30,7 @@ func TestShardClamping(t *testing.T) {
 		{DefaultFrames, DefaultShards, 16},
 	}
 	for _, c := range cases {
-		s := OpenConfig(NewMemBackend(), Config{Frames: c.frames, Shards: c.shards})
+		s := OpenConfig(NewMemBackend(), Config{Frames: c.frames, shards: c.shards})
 		if got := s.Shards(); got != c.want {
 			t.Errorf("frames=%d shards=%d: got %d shards, want %d", c.frames, c.shards, got, c.want)
 		}
@@ -41,7 +41,7 @@ func TestShardClamping(t *testing.T) {
 // TestShardCapacitySum checks the per-shard capacities sum to the pool
 // capacity (the remainder frames must not be lost).
 func TestShardCapacitySum(t *testing.T) {
-	s := OpenConfig(NewMemBackend(), Config{Frames: 1030, Shards: 16})
+	s := OpenConfig(NewMemBackend(), Config{Frames: 1030, shards: 16})
 	defer s.Close()
 	total := 0
 	for _, sh := range s.shards {
@@ -125,7 +125,7 @@ func TestBufferTorture(t *testing.T) {
 	)
 	s := OpenConfig(NewMemBackend(), Config{
 		Frames:          frames,
-		Shards:          16, // clamps to 4
+		shards:          16, // clamps to 4
 		FlusherInterval: 200 * time.Microsecond,
 	})
 	defer s.Close()

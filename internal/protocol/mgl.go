@@ -80,9 +80,9 @@ X   X  X  X X`
 		ir: m[0], ix: m[1], r: m[2], x: m[3], es: m[4], eu: m[5], ex: m[6]}
 }
 
-func newURIX() *mglProto {
-	// Figure 2 of the paper, verbatim (held mode = row, request = column).
-	compat := `
+// figure2Compat and figure2Conv are Figure 2 of the paper, verbatim (held
+// mode = row, request = column): URIX's matrices, which Node2PLa borrows.
+const figure2Compat = `
      IR IX R RIX U X
 IR   +  +  + +   - -
 IX   +  +  - -   - -
@@ -90,7 +90,8 @@ R    +  -  + -   - -
 RIX  +  -  - -   - -
 U    +  -  + -   - -
 X    -  -  - -   - -`
-	conv := `
+
+const figure2Conv = `
      IR  IX  R   RIX U X
 IR   IR  IX  R   RIX U X
 IX   IX  IX  RIX RIX X X
@@ -98,7 +99,9 @@ R    R   RIX R   RIX R X
 RIX  RIX RIX RIX RIX X X
 U    U   X   U   X   U X
 X    X   X   X   X   X X`
-	t, idx := buildTable(compat, conv, true)
+
+func newURIX() *mglProto {
+	t, idx := buildTable(figure2Compat, figure2Conv, true)
 	m := modes(idx, "IR", "IX", "R", "X", "U", "ES", "EU", "EX")
 	return &mglProto{name: "URIX", table: t,
 		ir: m[0], ix: m[1], r: m[2], x: m[3], u: m[4], es: m[5], eu: m[6], ex: m[7]}
@@ -120,24 +123,17 @@ func (p *mglProto) Table() lock.ModeTable { return p.table }
 // ancestor) plus IR along the ancestor path — identical for navigation and
 // direct jumps.
 func (p *mglProto) ReadNode(c *Ctx, id splid.ID, acc Access) error {
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
 	tgt, sub := depthTarget(c, id)
 	m := p.ir
 	if sub {
 		m = p.r
 	}
-	return lockPathAndNode(c, tgt, p.ir, m, short)
+	return lockPathAndNode(c, tgt, p.ir, m, c.Short)
 }
 
 // WriteNode implements Protocol: X on the node (whose subtree is just its
 // string child) or on the lock-depth ancestor, with IX along the path.
 func (p *mglProto) WriteNode(c *Ctx, id splid.ID) error {
-	if writePlan(c.Txn) {
-		return nil
-	}
 	tgt, _ := depthTarget(c, id)
 	return lockPathAndNode(c, tgt, p.ix, p.x, false)
 }
@@ -147,30 +143,26 @@ func (p *mglProto) WriteNode(c *Ctx, id splid.ID) error {
 // lock depth is exceeded) — more requests for the same isolation,
 // exactly the overhead taDOM's LR mode eliminates.
 func (p *mglProto) ReadLevel(c *Ctx, parent splid.ID, children []splid.ID) error {
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
 	tgt, sub := depthTarget(c, parent)
 	if sub {
-		return lockPathAndNode(c, tgt, p.ir, p.r, short)
+		return lockPathAndNode(c, tgt, p.ir, p.r, c.Short)
 	}
-	if err := lockPathAndNode(c, parent, p.ir, p.ir, short); err != nil {
+	if err := lockPathAndNode(c, parent, p.ir, p.ir, c.Short); err != nil {
 		return err
 	}
 	// The child list itself must be a repeatable observation: lock the
 	// traversal edges too (taDOM's LR mode makes all of this one request).
 	reqs := make([]lock.Req, 0, 2*len(children)+1)
-	reqs = append(reqs, lock.Req{Res: edgeRes(parent, EdgeFirstChild), Mode: p.es, Short: short})
+	reqs = append(reqs, lock.Req{Res: edgeRes(parent, EdgeFirstChild), Mode: p.es, Short: c.Short})
 	for _, ch := range children {
 		chTgt, chSub := depthTarget(c, ch)
 		m := p.ir
 		if chSub {
 			m = p.r
 		}
-		reqs = append(reqs, lock.Req{Res: nodeRes(chTgt), Mode: m, Short: short})
+		reqs = append(reqs, lock.Req{Res: nodeRes(chTgt), Mode: m, Short: c.Short})
 		if !chSub {
-			reqs = append(reqs, lock.Req{Res: edgeRes(ch, EdgeNextSibling), Mode: p.es, Short: short})
+			reqs = append(reqs, lock.Req{Res: edgeRes(ch, EdgeNextSibling), Mode: p.es, Short: c.Short})
 		}
 	}
 	return lockBatch(c, reqs)
@@ -178,20 +170,13 @@ func (p *mglProto) ReadLevel(c *Ctx, parent splid.ID, children []splid.ID) error
 
 // ReadTree implements Protocol: R on the subtree root plus IR on the path.
 func (p *mglProto) ReadTree(c *Ctx, id splid.ID, acc Access) error {
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
 	tgt, _ := depthTarget(c, id)
-	return lockPathAndNode(c, tgt, p.ir, p.r, short)
+	return lockPathAndNode(c, tgt, p.ir, p.r, c.Short)
 }
 
 // Insert implements Protocol: X on the new node's slot, IX on the path, and
 // exclusive locks on the navigation edges the insertion redirects.
 func (p *mglProto) Insert(c *Ctx, parent, newID, left, right splid.ID) error {
-	if writePlan(c.Txn) {
-		return nil
-	}
 	tgt, sub := depthTarget(c, newID)
 	if err := lockPathAndNode(c, tgt, p.ix, p.x, false); err != nil {
 		return err
@@ -199,16 +184,13 @@ func (p *mglProto) Insert(c *Ctx, parent, newID, left, right splid.ID) error {
 	if sub {
 		return nil // edges inside the locked subtree are covered
 	}
-	return p.writeBoundaryEdges(c, parent, left, right)
+	return lockBoundaryEdges(c, p.ex, c.Depth, parent, left, right)
 }
 
 // DeleteTree implements Protocol: X on the subtree root, IX on the path,
 // exclusive edge locks on the boundary. No subtree scan is needed — the
 // group's decisive advantage in CLUSTER2.
 func (p *mglProto) DeleteTree(c *Ctx, id, left, right splid.ID) error {
-	if writePlan(c.Txn) {
-		return nil
-	}
 	tgt, sub := depthTarget(c, id)
 	if err := lockPathAndNode(c, tgt, p.ix, p.x, false); err != nil {
 		return err
@@ -216,15 +198,12 @@ func (p *mglProto) DeleteTree(c *Ctx, id, left, right splid.ID) error {
 	if sub {
 		return nil
 	}
-	return p.writeBoundaryEdges(c, id.Parent(), left, right)
+	return lockBoundaryEdges(c, p.ex, c.Depth, id.Parent(), left, right)
 }
 
 // Rename implements Protocol. MGL cannot separate a node's name from its
 // content (Section 5.2): renaming locks the whole subtree exclusively.
 func (p *mglProto) Rename(c *Ctx, id splid.ID) error {
-	if writePlan(c.Txn) {
-		return nil
-	}
 	tgt, _ := depthTarget(c, id)
 	return lockPathAndNode(c, tgt, p.ix, p.x, false)
 }
@@ -232,36 +211,10 @@ func (p *mglProto) Rename(c *Ctx, id splid.ID) error {
 // ReadEdge implements Protocol: a shared edge lock, unless the edge lies
 // below the lock depth (then the covering subtree lock isolates it).
 func (p *mglProto) ReadEdge(c *Ctx, id splid.ID, e Edge) error {
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
 	if c.Depth >= 0 && level0(id) > c.Depth {
 		return nil
 	}
-	return lockOne(c, edgeRes(id, e), p.es, short)
-}
-
-// writeBoundaryEdges exclusively locks the edges a structural change at a
-// child-list position redirects: the neighbors' sibling edges and, at the
-// list boundaries, the parent's first/last-child edges.
-func (p *mglProto) writeBoundaryEdges(c *Ctx, parent, left, right splid.ID) error {
-	if c.Depth >= 0 && level0(parent) >= c.Depth {
-		return nil // covered by subtree locks at the cut-off level
-	}
-	if left.IsNull() {
-		if err := lockOne(c, edgeRes(parent, EdgeFirstChild), p.ex, false); err != nil {
-			return err
-		}
-	} else {
-		if err := lockOne(c, edgeRes(left, EdgeNextSibling), p.ex, false); err != nil {
-			return err
-		}
-	}
-	if right.IsNull() {
-		return lockOne(c, edgeRes(parent, EdgeLastChild), p.ex, false)
-	}
-	return lockOne(c, edgeRes(right, EdgePrevSibling), p.ex, false)
+	return lockOne(c, edgeRes(id, e), p.es, c.Short)
 }
 
 // UpdateTree implements Protocol: U on the subtree root for URIX; IRX and
@@ -270,10 +223,6 @@ func (p *mglProto) UpdateTree(c *Ctx, id splid.ID, acc Access) error {
 	if p.u == lock.ModeNone {
 		return p.ReadTree(c, id, acc)
 	}
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
 	tgt, _ := depthTarget(c, id)
-	return lockPathAndNode(c, tgt, p.ir, p.u, short)
+	return lockPathAndNode(c, tgt, p.ir, p.u, c.Short)
 }

@@ -34,24 +34,7 @@ type node2PLa struct {
 var Node2PLa = register(newNode2PLa())
 
 func newNode2PLa() *node2PLa {
-	// Same matrices as URIX (Figure 2).
-	compat := `
-     IR IX R RIX U X
-IR   +  +  + +   - -
-IX   +  +  - -   - -
-R    +  -  + -   - -
-RIX  +  -  - -   - -
-U    +  -  + -   - -
-X    -  -  - -   - -`
-	conv := `
-     IR  IX  R   RIX U X
-IR   IR  IX  R   RIX U X
-IX   IX  IX  RIX RIX X X
-R    R   RIX R   RIX R X
-RIX  RIX RIX RIX RIX X X
-U    U   X   U   X   U X
-X    X   X   X   X   X X`
-	t, idx := buildTable(compat, conv, true)
+	t, idx := buildTable(figure2Compat, figure2Conv, true) // URIX's matrices
 	m := modes(idx, "IR", "IX", "R", "RIX", "U", "X", "ES", "EU", "EX")
 	return &node2PLa{name: "Node2PLa", table: t,
 		ir: m[0], ix: m[1], r: m[2], rix: m[3], u: m[4], x: m[5],
@@ -83,24 +66,17 @@ func (p *node2PLa) anchor(c *Ctx, id splid.ID) (splid.ID, bool) {
 // ReadNode implements Protocol: IR on the parent (R beyond lock depth), IR
 // along the path — jumps included, that is the optimization over IDR.
 func (p *node2PLa) ReadNode(c *Ctx, id splid.ID, acc Access) error {
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
 	tgt, sub := p.anchor(c, id)
 	m := p.ir
 	if sub {
 		m = p.r
 	}
-	return lockPathAndNode(c, tgt, p.ir, m, short)
+	return lockPathAndNode(c, tgt, p.ir, m, c.Short)
 }
 
 // WriteNode implements Protocol: subtree X on the parent — the group's
 // coarse write granule.
 func (p *node2PLa) WriteNode(c *Ctx, id splid.ID) error {
-	if writePlan(c.Txn) {
-		return nil
-	}
 	return p.writeParent(c, id)
 }
 
@@ -112,49 +88,32 @@ func (p *node2PLa) writeParent(c *Ctx, id splid.ID) error {
 // ReadLevel implements Protocol: subtree R on the parent of the children —
 // i.e. the context node itself.
 func (p *node2PLa) ReadLevel(c *Ctx, parent splid.ID, children []splid.ID) error {
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
 	tgt, _ := depthTarget(c, parent)
-	return lockPathAndNode(c, tgt, p.ir, p.r, short)
+	return lockPathAndNode(c, tgt, p.ir, p.r, c.Short)
 }
 
 // ReadTree implements Protocol: fragment reads anchor a subtree R on the
 // parent of the fragment root — one level coarser than the MGL*/taDOM*
 // protocols, the "reacts a level deeper" effect of Figure 10.
 func (p *node2PLa) ReadTree(c *Ctx, id splid.ID, acc Access) error {
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
 	tgt, _ := p.anchor(c, id)
-	return lockPathAndNode(c, tgt, p.ir, p.r, short)
+	return lockPathAndNode(c, tgt, p.ir, p.r, c.Short)
 }
 
 // Insert implements Protocol: subtree X on the parent of the new node.
 func (p *node2PLa) Insert(c *Ctx, parent, newID, left, right splid.ID) error {
-	if writePlan(c.Txn) {
-		return nil
-	}
 	return p.writeParent(c, newID)
 }
 
 // DeleteTree implements Protocol: subtree X on the parent — intention locks
 // make the IDX subtree scan of the pure *-2PL protocols unnecessary.
 func (p *node2PLa) DeleteTree(c *Ctx, id, left, right splid.ID) error {
-	if writePlan(c.Txn) {
-		return nil
-	}
 	return p.writeParent(c, id)
 }
 
 // Rename implements Protocol: the parent-level X means renaming a topic
 // locks the whole topics subtree — the very large granules of Figure 10d.
 func (p *node2PLa) Rename(c *Ctx, id splid.ID) error {
-	if writePlan(c.Txn) {
-		return nil
-	}
 	return p.writeParent(c, id)
 }
 
@@ -164,10 +123,6 @@ func (p *node2PLa) ReadEdge(c *Ctx, id splid.ID, e Edge) error { return nil }
 
 // UpdateTree implements Protocol: U on the parent anchor.
 func (p *node2PLa) UpdateTree(c *Ctx, id splid.ID, acc Access) error {
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
 	tgt, _ := p.anchor(c, id)
-	return lockPathAndNode(c, tgt, p.ir, p.u, short)
+	return lockPathAndNode(c, tgt, p.ir, p.u, c.Short)
 }

@@ -97,6 +97,13 @@ type Ctx struct {
 	Depth int
 	// Tree provides structural lookups.
 	Tree TreeAccess
+	// Short makes the read locks of the running operation short-duration
+	// (released at operation end). The caller sets it per operation from the
+	// transaction's isolation level — footnote 5's rule is the same for every
+	// protocol, so it is decided once, where the context is built
+	// (node.Manager.Do), which also never calls a protocol at all when the
+	// level takes no lock for the operation. Write locks are always long.
+	Short bool
 
 	// reqs is the scratch buffer for batched lock requests. A context serves
 	// one transaction, and a transaction runs on one goroutine at a time, so
@@ -174,27 +181,6 @@ func edgeRes(id splid.ID, e Edge) lock.Resource {
 	return lock.Resource(string(id.Encode()) + ":e" + string(rune('0'+int(e))))
 }
 
-// readPlan reports whether a read lock is needed and with what duration,
-// given the transaction's isolation level (footnote 5 of the paper: none
-// takes no locks, uncommitted no read locks, committed short read locks,
-// repeatable long read locks).
-func readPlan(t *tx.Txn) (skip, short bool) {
-	switch t.Isolation() {
-	case tx.LevelNone, tx.LevelUncommitted:
-		return true, false
-	case tx.LevelCommitted:
-		return false, true
-	default:
-		return false, false
-	}
-}
-
-// writePlan reports whether a write lock is needed (all levels except none
-// take long write locks).
-func writePlan(t *tx.Txn) (skip bool) {
-	return t.Isolation() == tx.LevelNone
-}
-
 // lockOne acquires one lock respecting the transaction's lifecycle.
 func lockOne(c *Ctx, res lock.Resource, m lock.Mode, short bool) error {
 	return c.LM.Lock(c.Txn.LockTx(), res, m, short)
@@ -230,6 +216,29 @@ func lockPathAndNode(c *Ctx, id splid.ID, pathMode, nodeMode lock.Mode, short bo
 	}
 	reqs = append(reqs, lock.Req{Res: nodeRes(id), Mode: nodeMode, Short: short})
 	return lockBatch(c, reqs)
+}
+
+// lockBoundaryEdges exclusively locks (mode ex, long) the edges a structural
+// change at a child-list position redirects: the neighbors' sibling edges
+// and, at the list boundaries, the parent's first/last-child edges. cutoff
+// is the lock depth from which subtree locks at the cut-off level cover the
+// edges instead (negative: none does — the pure *-2PL protocols, or
+// unlimited depth).
+func lockBoundaryEdges(c *Ctx, ex lock.Mode, cutoff int, parent, left, right splid.ID) error {
+	if cutoff >= 0 && level0(parent) >= cutoff {
+		return nil
+	}
+	first := edgeRes(parent, EdgeFirstChild)
+	if !left.IsNull() {
+		first = edgeRes(left, EdgeNextSibling)
+	}
+	if err := lockOne(c, first, ex, false); err != nil {
+		return err
+	}
+	if right.IsNull() {
+		return lockOne(c, edgeRes(parent, EdgeLastChild), ex, false)
+	}
+	return lockOne(c, edgeRes(right, EdgePrevSibling), ex, false)
 }
 
 // level0 is the 0-based tree level used by the lock-depth parameter

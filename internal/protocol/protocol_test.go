@@ -493,51 +493,6 @@ func TestTaDOM2FanoutConversion(t *testing.T) {
 	t2.Abort()
 }
 
-func TestIsolationLevelsControlLocking(t *testing.T) {
-	node := splid.MustParse("1.3.3.5")
-	for _, name := range Names() {
-		h := newHarness(t, name)
-		// Level none: no locks at all.
-		t0 := h.tm.Begin(tx.LevelNone)
-		if err := h.p.WriteNode(h.ctx(t0, -1), node); err != nil {
-			t.Errorf("%s/none: %v", name, err)
-		}
-		t0.Commit()
-
-		// Uncommitted: reads lock nothing.
-		t1 := h.tm.Begin(tx.LevelUncommitted)
-		if err := h.p.ReadTree(h.ctx(t1, -1), node, Navigate); err != nil {
-			t.Errorf("%s/uncommitted: %v", name, err)
-		}
-		if n := h.lm.HeldCount(t1.LockTx()); n != 0 {
-			t.Errorf("%s/uncommitted read acquired %d locks", name, n)
-		}
-		t1.Commit()
-
-		// Committed: read locks released at operation end.
-		t2 := h.tm.Begin(tx.LevelCommitted)
-		if err := h.p.ReadTree(h.ctx(t2, -1), node, Navigate); err != nil {
-			t.Errorf("%s/committed: %v", name, err)
-		}
-		t2.EndOperation()
-		if n := h.lm.HeldCount(t2.LockTx()); n != 0 {
-			t.Errorf("%s/committed kept %d locks after EndOperation", name, n)
-		}
-		t2.Commit()
-
-		// Repeatable: read locks survive until commit.
-		t3 := h.tm.Begin(tx.LevelRepeatable)
-		if err := h.p.ReadNode(h.ctx(t3, -1), node, Navigate); err != nil {
-			t.Errorf("%s/repeatable: %v", name, err)
-		}
-		t3.EndOperation()
-		if n := h.lm.HeldCount(t3.LockTx()); n == 0 {
-			t.Errorf("%s/repeatable dropped read locks at operation end", name)
-		}
-		t3.Commit()
-	}
-}
-
 func TestEdgeLockConflicts(t *testing.T) {
 	// Protocols with edge locks: reading a sibling edge conflicts with an
 	// insert that redirects it.

@@ -357,7 +357,8 @@ func (p *tadomProto) lockNode(c *Ctx, id splid.ID, m lock.Mode, short bool) erro
 // (some child of it is exclusively locked), IX on all higher ancestors. The
 // "+" protocols never fan out, so their whole path goes through one batch;
 // the base protocols must probe each ancestor for fan-out conversions.
-func (p *tadomProto) writePath(c *Ctx, target splid.ID, short bool) error {
+// Write locks are long at every isolation level.
+func (p *tadomProto) writePath(c *Ctx, target splid.ID) error {
 	anc := target.Ancestors()
 	if p.combined {
 		reqs := c.reqBuf(len(anc))
@@ -366,7 +367,7 @@ func (p *tadomProto) writePath(c *Ctx, target splid.ID, short bool) error {
 			if i == len(anc)-1 {
 				m = p.cx
 			}
-			reqs = append(reqs, lock.Req{Res: nodeRes(a), Mode: m, Short: short})
+			reqs = append(reqs, lock.Req{Res: nodeRes(a), Mode: m})
 		}
 		return lockBatch(c, reqs)
 	}
@@ -375,7 +376,7 @@ func (p *tadomProto) writePath(c *Ctx, target splid.ID, short bool) error {
 		if i == len(anc)-1 {
 			m = p.cx
 		}
-		if err := p.lockNode(c, a, m, short); err != nil {
+		if err := p.lockNode(c, a, m, false); err != nil {
 			return err
 		}
 	}
@@ -386,41 +387,29 @@ func (p *tadomProto) writePath(c *Ctx, target splid.ID, short bool) error {
 // batch: IR requests never trigger fan-out conversions (Figure 4 converts
 // IR into any held mode without child materialization), so the probe in
 // lockNode is unnecessary for every variant.
-func (p *tadomProto) readPath(c *Ctx, target splid.ID, short bool) error {
-	anc := target.Ancestors()
-	reqs := c.reqBuf(len(anc))
-	for _, a := range anc {
-		reqs = append(reqs, lock.Req{Res: nodeRes(a), Mode: p.ir, Short: short})
-	}
-	return lockBatch(c, reqs)
+func (p *tadomProto) readPath(c *Ctx, target splid.ID) error {
+	return lockPath(c, target, p.ir, c.Short)
 }
 
 // ReadNode implements Protocol: NR on the node (SR on the lock-depth
 // ancestor) plus IR on the ancestor path — Figure 3b's T1/T2 pattern.
 func (p *tadomProto) ReadNode(c *Ctx, id splid.ID, acc Access) error {
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
 	tgt, sub := depthTarget(c, id)
-	if err := p.readPath(c, tgt, short); err != nil {
+	if err := p.readPath(c, tgt); err != nil {
 		return err
 	}
 	m := p.nr
 	if sub {
 		m = p.sr
 	}
-	return p.lockNode(c, tgt, m, short)
+	return p.lockNode(c, tgt, m, c.Short)
 }
 
 // WriteNode implements Protocol: SX on the text/attribute node (covering
 // its string child), CX on the parent, IX above.
 func (p *tadomProto) WriteNode(c *Ctx, id splid.ID) error {
-	if writePlan(c.Txn) {
-		return nil
-	}
 	tgt, _ := depthTarget(c, id)
-	if err := p.writePath(c, tgt, false); err != nil {
+	if err := p.writePath(c, tgt); err != nil {
 		return err
 	}
 	return p.lockNode(c, tgt, p.sx, false)
@@ -430,42 +419,31 @@ func (p *tadomProto) WriteNode(c *Ctx, id splid.ID) error {
 // node and all direct children — getChildNodes and getAttributes need no
 // per-child requests (Section 2.3).
 func (p *tadomProto) ReadLevel(c *Ctx, parent splid.ID, children []splid.ID) error {
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
 	tgt, sub := depthTarget(c, parent)
-	if err := p.readPath(c, tgt, short); err != nil {
+	if err := p.readPath(c, tgt); err != nil {
 		return err
 	}
 	m := p.lr
 	if sub {
 		m = p.sr
 	}
-	return p.lockNode(c, tgt, m, short)
+	return p.lockNode(c, tgt, m, c.Short)
 }
 
 // ReadTree implements Protocol: SR on the subtree root, IR on the path.
 func (p *tadomProto) ReadTree(c *Ctx, id splid.ID, acc Access) error {
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
 	tgt, _ := depthTarget(c, id)
-	if err := p.readPath(c, tgt, short); err != nil {
+	if err := p.readPath(c, tgt); err != nil {
 		return err
 	}
-	return p.lockNode(c, tgt, p.sr, short)
+	return p.lockNode(c, tgt, p.sr, c.Short)
 }
 
 // Insert implements Protocol: SX on the new slot, CX on the parent, IX
 // above, and exclusive edge locks on the redirected navigation edges.
 func (p *tadomProto) Insert(c *Ctx, parent, newID, left, right splid.ID) error {
-	if writePlan(c.Txn) {
-		return nil
-	}
 	tgt, sub := depthTarget(c, newID)
-	if err := p.writePath(c, tgt, false); err != nil {
+	if err := p.writePath(c, tgt); err != nil {
 		return err
 	}
 	if err := p.lockNode(c, tgt, p.sx, false); err != nil {
@@ -474,17 +452,14 @@ func (p *tadomProto) Insert(c *Ctx, parent, newID, left, right splid.ID) error {
 	if sub {
 		return nil
 	}
-	return p.writeBoundaryEdges(c, parent, left, right)
+	return lockBoundaryEdges(c, p.ex, c.Depth, parent, left, right)
 }
 
 // DeleteTree implements Protocol: SX on the subtree root (T2conv in Figure
 // 3b), CX on the parent, IX above, plus boundary edge locks.
 func (p *tadomProto) DeleteTree(c *Ctx, id, left, right splid.ID) error {
-	if writePlan(c.Txn) {
-		return nil
-	}
 	tgt, sub := depthTarget(c, id)
-	if err := p.writePath(c, tgt, false); err != nil {
+	if err := p.writePath(c, tgt); err != nil {
 		return err
 	}
 	if err := p.lockNode(c, tgt, p.sx, false); err != nil {
@@ -493,18 +468,15 @@ func (p *tadomProto) DeleteTree(c *Ctx, id, left, right splid.ID) error {
 	if sub {
 		return nil
 	}
-	return p.writeBoundaryEdges(c, id.Parent(), left, right)
+	return lockBoundaryEdges(c, p.ex, c.Depth, id.Parent(), left, right)
 }
 
 // Rename implements Protocol. taDOM3 and taDOM3+ lock only the node (NX);
 // taDOM2 and taDOM2+ lack node-exclusive modes and must take the subtree
 // lock — the difference Figure 10d measures on TArenameTopic.
 func (p *tadomProto) Rename(c *Ctx, id splid.ID) error {
-	if writePlan(c.Txn) {
-		return nil
-	}
 	tgt, sub := depthTarget(c, id)
-	if err := p.writePath(c, tgt, false); err != nil {
+	if err := p.writePath(c, tgt); err != nil {
 		return err
 	}
 	m := p.sx
@@ -516,33 +488,10 @@ func (p *tadomProto) Rename(c *Ctx, id splid.ID) error {
 
 // ReadEdge implements Protocol: shared edge lock, skipped below lock depth.
 func (p *tadomProto) ReadEdge(c *Ctx, id splid.ID, e Edge) error {
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
 	if c.Depth >= 0 && level0(id) > c.Depth {
 		return nil
 	}
-	return lockOne(c, edgeRes(id, e), p.es, short)
-}
-
-func (p *tadomProto) writeBoundaryEdges(c *Ctx, parent, left, right splid.ID) error {
-	if c.Depth >= 0 && level0(parent) >= c.Depth {
-		return nil
-	}
-	if left.IsNull() {
-		if err := lockOne(c, edgeRes(parent, EdgeFirstChild), p.ex, false); err != nil {
-			return err
-		}
-	} else {
-		if err := lockOne(c, edgeRes(left, EdgeNextSibling), p.ex, false); err != nil {
-			return err
-		}
-	}
-	if right.IsNull() {
-		return lockOne(c, edgeRes(parent, EdgeLastChild), p.ex, false)
-	}
-	return lockOne(c, edgeRes(right, EdgePrevSibling), p.ex, false)
+	return lockOne(c, edgeRes(id, e), p.es, c.Short)
 }
 
 // taDOM2Figure3a and taDOM2Figure4 are the paper's matrices verbatim; a test
@@ -573,13 +522,9 @@ SX  SX SX SX SX SX SX SX SX`
 // update mode admits concurrent readers but serializes intending writers,
 // so the later conversion to SX cannot deadlock symmetrically.
 func (p *tadomProto) UpdateTree(c *Ctx, id splid.ID, acc Access) error {
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
 	tgt, _ := depthTarget(c, id)
-	if err := p.readPath(c, tgt, short); err != nil {
+	if err := p.readPath(c, tgt); err != nil {
 		return err
 	}
-	return p.lockNode(c, tgt, p.su, short)
+	return p.lockNode(c, tgt, p.su, c.Short)
 }

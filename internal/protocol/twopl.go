@@ -106,37 +106,33 @@ func (p *twoPL) Table() lock.ModeTable { return p.table }
 // Node2PL/NO2PL, on nothing for OO2PL (edges carry its read protection) —
 // plus a shared content lock on the node itself for NO2PL/OO2PL.
 func (p *twoPL) ReadNode(c *Ctx, id splid.ID, acc Access) error {
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
 	if acc == Jump {
-		if err := lockOne(c, jumpRes(id), p.idr, short); err != nil {
+		if err := lockOne(c, jumpRes(id), p.idr, c.Short); err != nil {
 			return err
 		}
 	}
 	// Reading a node's value always takes a shared content lock.
-	if err := lockOne(c, contentRes(id), p.cs, short); err != nil {
+	if err := lockOne(c, contentRes(id), p.cs, c.Short); err != nil {
 		return err
 	}
 	switch p.style {
 	case styleNode2PL:
-		return p.lockAncestorsT(c, id, short)
+		return p.lockAncestorsT(c, id)
 	case styleNO2PL:
-		if err := p.lockAncestorsT(c, id, short); err != nil {
+		if err := p.lockAncestorsT(c, id); err != nil {
 			return err
 		}
-		return lockOne(c, structRes(id), p.t, short)
+		return lockOne(c, structRes(id), p.t, c.Short)
 	default: // OO2PL: structure is protected by edge locks alone
 		return nil
 	}
 }
 
-func (p *twoPL) lockAncestorsT(c *Ctx, id splid.ID, short bool) error {
+func (p *twoPL) lockAncestorsT(c *Ctx, id splid.ID) error {
 	anc := id.Ancestors()
 	reqs := c.reqBuf(len(anc))
 	for _, a := range anc {
-		reqs = append(reqs, lock.Req{Res: structRes(a), Mode: p.t, Short: short})
+		reqs = append(reqs, lock.Req{Res: structRes(a), Mode: p.t, Short: c.Short})
 	}
 	return lockBatch(c, reqs)
 }
@@ -144,9 +140,6 @@ func (p *twoPL) lockAncestorsT(c *Ctx, id splid.ID, short bool) error {
 // WriteNode implements Protocol: a content-exclusive lock; structure locks
 // are not involved in pure value updates.
 func (p *twoPL) WriteNode(c *Ctx, id splid.ID) error {
-	if writePlan(c.Txn) {
-		return nil
-	}
 	return lockOne(c, contentRes(id), p.cx, false)
 }
 
@@ -154,30 +147,26 @@ func (p *twoPL) WriteNode(c *Ctx, id splid.ID) error {
 // a child list costs one structure lock on the parent plus per-child locks
 // for the finer variants.
 func (p *twoPL) ReadLevel(c *Ctx, parent splid.ID, children []splid.ID) error {
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
 	switch p.style {
 	case styleNode2PL:
-		if err := p.lockAncestorsT(c, parent, short); err != nil {
+		if err := p.lockAncestorsT(c, parent); err != nil {
 			return err
 		}
-		return lockOne(c, structRes(parent), p.t, short)
+		return lockOne(c, structRes(parent), p.t, c.Short)
 	case styleNO2PL:
 		reqs := make([]lock.Req, 0, len(children)+1)
-		reqs = append(reqs, lock.Req{Res: structRes(parent), Mode: p.t, Short: short})
+		reqs = append(reqs, lock.Req{Res: structRes(parent), Mode: p.t, Short: c.Short})
 		for _, ch := range children {
-			reqs = append(reqs, lock.Req{Res: structRes(ch), Mode: p.t, Short: short})
+			reqs = append(reqs, lock.Req{Res: structRes(ch), Mode: p.t, Short: c.Short})
 		}
 		return lockBatch(c, reqs)
 	default: // OO2PL: the traversal edges
 		reqs := make([]lock.Req, 0, 2*len(children)+1)
-		reqs = append(reqs, lock.Req{Res: edgeRes(parent, EdgeFirstChild), Mode: p.es, Short: short})
+		reqs = append(reqs, lock.Req{Res: edgeRes(parent, EdgeFirstChild), Mode: p.es, Short: c.Short})
 		for _, ch := range children {
 			reqs = append(reqs,
-				lock.Req{Res: contentRes(ch), Mode: p.cs, Short: short},
-				lock.Req{Res: edgeRes(ch, EdgeNextSibling), Mode: p.es, Short: short})
+				lock.Req{Res: contentRes(ch), Mode: p.cs, Short: c.Short},
+				lock.Req{Res: edgeRes(ch, EdgeNextSibling), Mode: p.es, Short: c.Short})
 		}
 		return lockBatch(c, reqs)
 	}
@@ -186,12 +175,8 @@ func (p *twoPL) ReadLevel(c *Ctx, parent splid.ID, children []splid.ID) error {
 // ReadTree implements Protocol. With no subtree modes, fragment isolation
 // degenerates to node-by-node locking of the whole subtree.
 func (p *twoPL) ReadTree(c *Ctx, id splid.ID, acc Access) error {
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
 	if acc == Jump {
-		if err := lockOne(c, jumpRes(id), p.idr, short); err != nil {
+		if err := lockOne(c, jumpRes(id), p.idr, c.Short); err != nil {
 			return err
 		}
 	}
@@ -201,23 +186,23 @@ func (p *twoPL) ReadTree(c *Ctx, id splid.ID, acc Access) error {
 	}
 	switch p.style {
 	case styleNode2PL, styleNO2PL:
-		if err := p.lockAncestorsT(c, id, short); err != nil {
+		if err := p.lockAncestorsT(c, id); err != nil {
 			return err
 		}
 		reqs := make([]lock.Req, 0, 2*len(nodes))
 		for _, n := range nodes {
 			reqs = append(reqs,
-				lock.Req{Res: structRes(n), Mode: p.t, Short: short},
-				lock.Req{Res: contentRes(n), Mode: p.cs, Short: short})
+				lock.Req{Res: structRes(n), Mode: p.t, Short: c.Short},
+				lock.Req{Res: contentRes(n), Mode: p.cs, Short: c.Short})
 		}
 		return lockBatch(c, reqs)
 	default: // OO2PL
 		reqs := make([]lock.Req, 0, 3*len(nodes))
 		for _, n := range nodes {
 			reqs = append(reqs,
-				lock.Req{Res: contentRes(n), Mode: p.cs, Short: short},
-				lock.Req{Res: edgeRes(n, EdgeFirstChild), Mode: p.es, Short: short},
-				lock.Req{Res: edgeRes(n, EdgeNextSibling), Mode: p.es, Short: short})
+				lock.Req{Res: contentRes(n), Mode: p.cs, Short: c.Short},
+				lock.Req{Res: edgeRes(n, EdgeFirstChild), Mode: p.es, Short: c.Short},
+				lock.Req{Res: edgeRes(n, EdgeNextSibling), Mode: p.es, Short: c.Short})
 		}
 		return lockBatch(c, reqs)
 	}
@@ -225,9 +210,6 @@ func (p *twoPL) ReadTree(c *Ctx, id splid.ID, acc Access) error {
 
 // Insert implements Protocol.
 func (p *twoPL) Insert(c *Ctx, parent, newID, left, right splid.ID) error {
-	if writePlan(c.Txn) {
-		return nil
-	}
 	switch p.style {
 	case styleNode2PL:
 		// M on the parent blocks the entire level of the context node.
@@ -236,7 +218,7 @@ func (p *twoPL) Insert(c *Ctx, parent, newID, left, right splid.ID) error {
 		// Only the nodes reachable from the insert position.
 		return p.lockNeighborsM(c, parent, left, right)
 	default: // OO2PL: only the affected navigation edges.
-		return p.lockBoundaryEdgesX(c, parent, left, right)
+		return lockBoundaryEdges(c, p.ex, -1, parent, left, right)
 	}
 }
 
@@ -258,22 +240,6 @@ func (p *twoPL) lockNeighborsM(c *Ctx, parent, left, right splid.ID) error {
 	return nil
 }
 
-func (p *twoPL) lockBoundaryEdgesX(c *Ctx, parent, left, right splid.ID) error {
-	if left.IsNull() {
-		if err := lockOne(c, edgeRes(parent, EdgeFirstChild), p.ex, false); err != nil {
-			return err
-		}
-	} else {
-		if err := lockOne(c, edgeRes(left, EdgeNextSibling), p.ex, false); err != nil {
-			return err
-		}
-	}
-	if right.IsNull() {
-		return lockOne(c, edgeRes(parent, EdgeLastChild), p.ex, false)
-	}
-	return lockOne(c, edgeRes(right, EdgePrevSibling), p.ex, false)
-}
-
 // DeleteTree implements Protocol — the CLUSTER2 experiment. Because jumps
 // carry no path protection, the subtree must be searched for elements owning
 // ID attributes and each must be IDX-locked before removal; additionally the
@@ -281,9 +247,6 @@ func (p *twoPL) lockBoundaryEdgesX(c *Ctx, parent, left, right splid.ID) error {
 // location steps run through the node manager and may touch disk — the
 // reason the group takes roughly twice as long as everyone else (Figure 11).
 func (p *twoPL) DeleteTree(c *Ctx, id, left, right splid.ID) error {
-	if writePlan(c.Txn) {
-		return nil
-	}
 	idOwners, err := c.Tree.ElementsWithIDAttribute(id)
 	if err != nil {
 		return err
@@ -317,7 +280,7 @@ func (p *twoPL) DeleteTree(c *Ctx, id, left, right splid.ID) error {
 		}
 		return lockBatch(c, reqs)
 	default: // OO2PL
-		if err := p.lockBoundaryEdgesX(c, id.Parent(), left, right); err != nil {
+		if err := lockBoundaryEdges(c, p.ex, -1, id.Parent(), left, right); err != nil {
 			return err
 		}
 		reqs := make([]lock.Req, 0, 5*len(nodes))
@@ -333,9 +296,6 @@ func (p *twoPL) DeleteTree(c *Ctx, id, left, right splid.ID) error {
 
 // Rename implements Protocol: the group has no tailored mode for renames.
 func (p *twoPL) Rename(c *Ctx, id splid.ID) error {
-	if writePlan(c.Txn) {
-		return nil
-	}
 	switch p.style {
 	case styleNode2PL:
 		// M on the parent: the whole level blocks.
@@ -353,11 +313,7 @@ func (p *twoPL) ReadEdge(c *Ctx, id splid.ID, e Edge) error {
 	if p.style != styleOO2PL {
 		return nil
 	}
-	skip, short := readPlan(c.Txn)
-	if skip {
-		return nil
-	}
-	return lockOne(c, edgeRes(id, e), p.es, short)
+	return lockOne(c, edgeRes(id, e), p.es, c.Short)
 }
 
 // UpdateTree implements Protocol: the *-2PL lock spaces have no update

@@ -80,9 +80,6 @@ type Options struct {
 	Dist uint32
 	// BufferFrames sizes the page buffer (pagestore.DefaultFrames if zero).
 	BufferFrames int
-	// BufferShards requests a page-table shard count
-	// (pagestore.DefaultShards if zero; clamped to the pool size).
-	BufferShards int
 	// FlusherInterval enables the buffer pool's background flusher
 	// (disabled if zero).
 	FlusherInterval time.Duration
@@ -90,10 +87,12 @@ type Options struct {
 	// checkpoint on this cadence once a WAL is attached (disabled if
 	// zero). Checkpoints bound both restart time and WAL disk usage.
 	CheckpointInterval time.Duration
-	// RedoShards is the parallelism of recovery's redo pass (Recover
+	// redoShards is the parallelism of recovery's redo pass (Recover
 	// partitions pages with the buffer pool's shard map). Zero means
-	// DefaultRedoShards; 1 forces serial redo.
-	RedoShards int
+	// DefaultRedoShards; 1 forces serial redo. Only the in-package tests
+	// set it (the serial-vs-parallel redo oracle): redo is under 2 % of a
+	// restart, so the choice is not worth an option.
+	redoShards int
 	// Metrics, when non-nil, receives the buffer pool's instruments (the
 	// buffer.* namespace); run harnesses pass one registry through every
 	// layer so the run report is a single document.
@@ -104,7 +103,6 @@ type Options struct {
 func (o Options) bufferConfig() pagestore.Config {
 	return pagestore.Config{
 		Frames:             o.BufferFrames,
-		Shards:             o.BufferShards,
 		FlusherInterval:    o.FlusherInterval,
 		CheckpointInterval: o.CheckpointInterval,
 		Metrics:            o.Metrics,
@@ -245,13 +243,19 @@ func (d *Document) InsertElement(id splid.ID, name string) (xmlmodel.Node, error
 	return d.ForTx(SystemTxn).InsertElement(id, name)
 }
 
-func (d *Document) insertElementLocked(id splid.ID, name string) (xmlmodel.Node, error) {
+// The *Locked mutators below run under d.latch, inside TxDoc.logOp. Each
+// returns its result (if it has one), the logical inverse of what it did —
+// the undo payload that both a runtime abort and recovery replay through
+// TxDoc.ApplyUndo — and its error. This is the one place an update
+// operation's inverse is stated.
+
+func (d *Document) insertElementLocked(id splid.ID, name string) (xmlmodel.Node, []byte, error) {
 	sur, err := d.vocab.Intern(name)
 	if err != nil {
-		return xmlmodel.Node{}, err
+		return xmlmodel.Node{}, nil, err
 	}
 	n := xmlmodel.Node{ID: id, Kind: xmlmodel.KindElement, Name: sur}
-	return n, d.insertRaw(n)
+	return n, encodeUndoDelete(id), d.insertRaw(n)
 }
 
 // InsertText adds a text node labeled id with the given character data (a
@@ -260,13 +264,13 @@ func (d *Document) InsertText(id splid.ID, value []byte) (xmlmodel.Node, error) 
 	return d.ForTx(SystemTxn).InsertText(id, value)
 }
 
-func (d *Document) insertTextLocked(id splid.ID, value []byte) (xmlmodel.Node, error) {
+func (d *Document) insertTextLocked(id splid.ID, value []byte) (xmlmodel.Node, []byte, error) {
 	n := xmlmodel.Node{ID: id, Kind: xmlmodel.KindText}
 	if err := d.insertRaw(n); err != nil {
-		return xmlmodel.Node{}, err
+		return xmlmodel.Node{}, nil, err
 	}
 	s := xmlmodel.Node{ID: id.StringNode(), Kind: xmlmodel.KindString, Value: value}
-	return n, d.insertRaw(s)
+	return n, encodeUndoDelete(id), d.insertRaw(s)
 }
 
 // SetAttribute adds (or overwrites) an attribute on element el, creating the
@@ -275,9 +279,8 @@ func (d *Document) SetAttribute(el splid.ID, name string, value []byte) (xmlmode
 	return d.ForTx(SystemTxn).SetAttribute(el, name, value)
 }
 
-// setAttributeLocked performs SetAttribute and returns the logical inverse:
-// deleting the attribute when it was created, or restoring the previous
-// value when it was overwritten.
+// setAttributeLocked's inverse deletes the attribute when it was created and
+// restores the previous value when it was overwritten.
 func (d *Document) setAttributeLocked(el splid.ID, name string, value []byte) (xmlmodel.Node, []byte, error) {
 	sur, err := d.vocab.Intern(name)
 	if err != nil {
@@ -306,20 +309,8 @@ func (d *Document) setAttributeLocked(el splid.ID, name string, value []byte) (x
 		return xmlmodel.Node{}, nil, err
 	}
 	if !existing.IsNull() {
-		old, err := d.Value(existing)
-		if err != nil {
-			return xmlmodel.Node{}, nil, err
-		}
-		if name == IDAttrName {
-			if err := d.reindexID(el, existing, value); err != nil {
-				return xmlmodel.Node{}, nil, err
-			}
-		}
-		s := xmlmodel.Node{ID: existing.StringNode(), Kind: xmlmodel.KindString, Value: value}
-		if err := d.doc.Insert(s.ID.Encode(), xmlmodel.EncodeRecord(s)); err != nil {
-			return xmlmodel.Node{}, nil, err
-		}
-		return xmlmodel.Node{ID: existing, Kind: xmlmodel.KindAttribute, Name: sur}, encodeUndoSetValue(existing, old), nil
+		undo, err := d.setValueLocked(existing, value)
+		return xmlmodel.Node{ID: existing, Kind: xmlmodel.KindAttribute, Name: sur}, undo, err
 	}
 	var attrID splid.ID
 	if last.IsNull() {
@@ -348,8 +339,7 @@ func (d *Document) SetValue(id splid.ID, value []byte) error {
 	return d.ForTx(SystemTxn).SetValue(id, value)
 }
 
-// setValueLocked performs SetValue and returns the previous value for the
-// logical undo record.
+// setValueLocked's inverse restores the previous value.
 func (d *Document) setValueLocked(id splid.ID, value []byte) ([]byte, error) {
 	n, err := d.GetNode(id)
 	if err != nil {
@@ -365,23 +355,15 @@ func (d *Document) setValueLocked(id splid.ID, value []byte) ([]byte, error) {
 	if n.Kind == xmlmodel.KindAttribute && d.vocab.Name(n.Name) == IDAttrName {
 		// id attributes feed the direct-jump index: keep it in sync.
 		el := id.Parent().Parent() // attribute -> attribute root -> element
-		if err := d.reindexID(el, id, value); err != nil {
+		if err := d.ids.Delete(old); err != nil && err != btree.ErrNotFound {
+			return nil, err
+		}
+		if err := d.ids.Insert(append([]byte(nil), value...), el.Encode()); err != nil {
 			return nil, err
 		}
 	}
 	s := xmlmodel.Node{ID: id.StringNode(), Kind: xmlmodel.KindString, Value: value}
-	return old, d.doc.Insert(s.ID.Encode(), xmlmodel.EncodeRecord(s))
-}
-
-// reindexID replaces the ID-index entry of attribute attr (on element el)
-// with a mapping for the new value.
-func (d *Document) reindexID(el, attr splid.ID, newValue []byte) error {
-	if old, err := d.Value(attr); err == nil {
-		if err := d.ids.Delete(old); err != nil && err != btree.ErrNotFound {
-			return err
-		}
-	}
-	return d.ids.Insert(append([]byte(nil), newValue...), el.Encode())
+	return encodeUndoSetValue(id, old), d.doc.Insert(s.ID.Encode(), xmlmodel.EncodeRecord(s))
 }
 
 // Rename changes the name of an element or attribute node (the DOM level 3
@@ -390,31 +372,30 @@ func (d *Document) Rename(id splid.ID, newName string) error {
 	return d.ForTx(SystemTxn).Rename(id, newName)
 }
 
-// renameLocked performs Rename and returns the previous name for the
-// logical undo record.
-func (d *Document) renameLocked(id splid.ID, newName string) (string, error) {
+// renameLocked's inverse restores the previous name.
+func (d *Document) renameLocked(id splid.ID, newName string) ([]byte, error) {
 	n, err := d.GetNode(id)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if !n.HasName() {
-		return "", fmt.Errorf("storage: cannot rename %v node %v", n.Kind, id)
+		return nil, fmt.Errorf("storage: cannot rename %v node %v", n.Kind, id)
 	}
-	oldName := d.vocab.Name(n.Name)
+	undo := encodeUndoRename(id, d.vocab.Name(n.Name))
 	sur, err := d.vocab.Intern(newName)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n.Kind == xmlmodel.KindElement && sur != n.Name {
 		if err := d.elem.Delete(elemKey(n.Name, n.ID)); err != nil && err != btree.ErrNotFound {
-			return "", err
+			return nil, err
 		}
 		if err := d.elem.Insert(elemKey(sur, n.ID), nil); err != nil {
-			return "", err
+			return nil, err
 		}
 	}
 	n.Name = sur
-	return oldName, d.doc.Insert(id.Encode(), xmlmodel.EncodeRecord(n))
+	return undo, d.doc.Insert(id.Encode(), xmlmodel.EncodeRecord(n))
 }
 
 // DeleteSubtree removes the node labeled id together with every descendant
@@ -424,11 +405,11 @@ func (d *Document) DeleteSubtree(id splid.ID) (int, error) {
 	return d.ForTx(SystemTxn).DeleteSubtree(id)
 }
 
-// deleteSubtreeLocked performs DeleteSubtree and returns the removed nodes
-// (in document order) — both the result count and the undo payload source.
-func (d *Document) deleteSubtreeLocked(id splid.ID) ([]xmlmodel.Node, error) {
+// deleteSubtreeLocked returns the number of nodes removed; its inverse
+// reinserts them, in document order.
+func (d *Document) deleteSubtreeLocked(id splid.ID) (int, []byte, error) {
 	if id.IsRoot() {
-		return nil, errors.New("storage: cannot delete the document root")
+		return 0, nil, errors.New("storage: cannot delete the document root")
 	}
 	var victims []xmlmodel.Node
 	err := d.ScanSubtree(id, func(n xmlmodel.Node) bool {
@@ -436,26 +417,26 @@ func (d *Document) deleteSubtreeLocked(id splid.ID) ([]xmlmodel.Node, error) {
 		return true
 	})
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if len(victims) == 0 {
-		return nil, fmt.Errorf("%w: %v", ErrNodeNotFound, id)
+		return 0, nil, fmt.Errorf("%w: %v", ErrNodeNotFound, id)
 	}
 	for _, n := range victims {
 		if n.Kind == xmlmodel.KindAttribute && d.vocab.Name(n.Name) == IDAttrName {
 			if v, err := d.Value(n.ID); err == nil {
 				if err := d.ids.Delete(v); err != nil && err != btree.ErrNotFound {
-					return nil, err
+					return 0, nil, err
 				}
 			}
 		}
 	}
 	for _, n := range victims {
 		if err := d.deleteRaw(n); err != nil {
-			return nil, err
+			return 0, nil, err
 		}
 	}
-	return victims, nil
+	return len(victims), encodeUndoRestore(victims), nil
 }
 
 // RestoreSubtree reinserts previously deleted node records (in document
@@ -465,29 +446,34 @@ func (d *Document) RestoreSubtree(nodes []xmlmodel.Node) error {
 	return d.ForTx(SystemTxn).RestoreSubtree(nodes)
 }
 
-func (d *Document) restoreSubtreeLocked(nodes []xmlmodel.Node) error {
+// restoreSubtreeLocked's inverse deletes the subtree again.
+func (d *Document) restoreSubtreeLocked(nodes []xmlmodel.Node) ([]byte, error) {
+	if len(nodes) == 0 {
+		return nil, nil
+	}
 	for _, n := range nodes {
 		if err := d.insertRaw(n); err != nil {
-			return err
+			return nil, err
 		}
 	}
+	undo := encodeUndoDelete(nodes[0].ID)
 	idSur, ok := d.vocab.Lookup(IDAttrName)
 	if !ok {
-		return nil
+		return undo, nil
 	}
 	for _, n := range nodes {
 		if n.Kind == xmlmodel.KindAttribute && n.Name == idSur {
 			el := n.ID.Parent().Parent()
 			v, err := d.Value(n.ID)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if err := d.ids.Insert(v, el.Encode()); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	return nil
+	return undo, nil
 }
 
 // DocStats summarizes a document's physical shape — the storage-density

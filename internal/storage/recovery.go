@@ -48,7 +48,7 @@ import (
 	"repro/internal/wal"
 )
 
-// DefaultRedoShards is the redo parallelism when Options.RedoShards is 0.
+// DefaultRedoShards is the parallelism of recovery's redo pass.
 const DefaultRedoShards = 16
 
 // RecoveryReport summarizes a Recover run.
@@ -185,7 +185,7 @@ func Recover(backend pagestore.Backend, log *wal.Log, opts Options) (*Document, 
 	sort.Slice(losers, func(i, j int) bool { return losers[i].lsn > losers[j].lsn })
 	sort.Slice(rep.Losers, func(i, j int) bool { return rep.Losers[i] < rep.Losers[j] })
 	for _, op := range losers {
-		if err := applyUndo(d.ForTx(op.txn), op.undo); err != nil {
+		if err := d.ForTx(op.txn).ApplyUndo(op.undo); err != nil {
 			return nil, rep, fmt.Errorf("storage: undo for txn %d at LSN %d: %w", op.txn, op.lsn, err)
 		}
 		rep.UndoneOps++
@@ -215,7 +215,7 @@ func Recover(backend pagestore.Backend, log *wal.Log, opts Options) (*Document, 
 // shards share nothing but the backend, and each page's chain replays in
 // LSN order within its shard.
 func redoChains(backend pagestore.Backend, chains map[pagestore.PageID][]redoDelta, opts Options, rep *RecoveryReport) error {
-	nShards := opts.RedoShards
+	nShards := opts.redoShards
 	if nShards <= 0 {
 		nShards = DefaultRedoShards
 	}

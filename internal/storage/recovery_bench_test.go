@@ -97,9 +97,7 @@ func benchRecover(b *testing.B, mem *pagestore.MemBackend, out *tamix.CrashOutco
 		if err != nil {
 			b.Fatal(err)
 		}
-		opts := out.Opts
-		opts.RedoShards = shards
-		d, rep, err := storage.Recover(backend, log, opts)
+		d, rep, err := storage.Recover(backend, log, out.Opts.WithRedoShards(shards))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -29,9 +29,7 @@ func recoverImage(t *testing.T, out *tamix.CrashOutcome, shards int) *pagestore.
 	if err != nil {
 		t.Fatalf("reopening log: %v", err)
 	}
-	opts := out.Opts
-	opts.RedoShards = shards
-	d, rep, err := storage.Recover(backend, log, opts)
+	d, rep, err := storage.Recover(backend, log, out.Opts.WithRedoShards(shards))
 	if err != nil {
 		t.Fatalf("recover with %d shards: %v", shards, err)
 	}

@@ -256,9 +256,7 @@ func TestRedoOracleCatchesLateDeclaration(t *testing.T) {
 	for _, declareFirst := range []bool{true, false} {
 		var page pagestore.PageID
 		diverged := redoOracle(t, 4200, oracleOps/4, func(d *Document) {
-			d.latch.Lock()
-			defer d.latch.Unlock()
-			err := d.logOp(SystemTxn, func() ([]byte, error) {
+			err := d.ForTx(SystemTxn).logOp(func() ([]byte, error) {
 				page = d.doc.Root()
 				f, err := d.store.Fix(page)
 				if err != nil {

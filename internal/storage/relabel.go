@@ -25,13 +25,11 @@ var ErrRelabelRoot = errors.New("storage: cannot relabel the document root")
 // every descendant gets gap-spaced child labels. It returns the subtree's
 // new root label. Both secondary indexes follow the move.
 func (d *Document) RelabelSubtree(old splid.ID) (splid.ID, error) {
-	d.latch.Lock()
-	defer d.latch.Unlock()
 	// Logged as a system operation: relabeling is its own recovery unit
 	// (redo-only, never undone) regardless of which transaction triggered it
 	// — XTC runs it under exclusive subtree access, outside user rollback.
 	var newRoot splid.ID
-	err := d.logOp(SystemTxn, func() ([]byte, error) {
+	err := d.ForTx(SystemTxn).logOp(func() ([]byte, error) {
 		var err error
 		newRoot, err = d.relabelSubtreeLocked(old)
 		return nil, err

@@ -18,13 +18,15 @@ package storage
 // body image — the anchor that lets redo heal a torn page whose on-disk
 // bytes fail their checksum.
 //
-// Undo is logical, not physical: the payload names the inverse operation
-// (delete this subtree, restore these nodes, set this old value/name), and
-// recovery applies it through the same TxDoc path, so compensations are
-// themselves logged with their own inverses. Rolling back a loser is then
-// just applying its undo payloads in reverse log order; compensation pairs
-// telescope away, and a RecEnd written afterwards makes the rollback
-// idempotent across repeated recoveries.
+// Undo is logical, not physical, and there is one of it: the payload names
+// the inverse operation (delete this subtree, restore these nodes, set this
+// old value/name) and is built once, by the mutator, next to the mutation.
+// logOp appends it to the log and hands it to the acting transaction
+// (UndoLog); a runtime abort replays the transaction's list and recovery
+// replays a loser's records, both in reverse order and both through
+// TxDoc.ApplyUndo, so compensations are themselves logged with their own
+// inverses. Compensation pairs telescope away, and a RecEnd written
+// afterwards makes the rollback idempotent across repeated recoveries.
 
 import (
 	"encoding/binary"
@@ -42,15 +44,31 @@ import (
 // operations but never undoes them.
 const SystemTxn uint64 = 0
 
-// TxDoc is a transaction-scoped mutation handle. Zero-cost to create;
-// obtain one per operation via Document.ForTx.
-type TxDoc struct {
-	d   *Document
-	txn uint64
+// UndoLog is the acting transaction as a mutation sees it: ID attributes the
+// log record, and LogUndo receives the logical inverse of every mutation
+// that succeeded, in execution order — what the transaction replays, last
+// first, if it aborts. tx.Txn implements it.
+type UndoLog interface {
+	ID() uint64
+	LogUndo(payload []byte)
 }
 
+// TxDoc is a transaction-scoped mutation handle. Zero-cost to create;
+// obtain one per operation via Document.For or Document.ForTx.
+type TxDoc struct {
+	d    *Document
+	txn  uint64
+	keep UndoLog // nil: the inverse goes to the log only
+}
+
+// For returns a view of the document whose mutations are attributed to the
+// running transaction t and whose inverses t keeps for its own abort.
+func (d *Document) For(t UndoLog) TxDoc { return TxDoc{d: d, txn: t.ID(), keep: t} }
+
 // ForTx returns a view of the document whose mutations are attributed (and,
-// once a WAL is attached, logged) to the given transaction.
+// once a WAL is attached, logged) to the given transaction, with no one
+// keeping their inverses in memory: system operations, recovery, and the
+// compensations of a rollback.
 func (d *Document) ForTx(txn uint64) TxDoc { return TxDoc{d: d, txn: txn} }
 
 // Txn returns the transaction the view writes for.
@@ -135,27 +153,39 @@ func (d *Document) metaSig() metaSig {
 	}
 }
 
-// logOp brackets one structural mutation with a page capture and appends
-// its RecOp. fn runs the mutation and returns the logical undo payload
-// (nil when the operation failed or needs no undo). Caller holds d.latch.
+// logOp runs one structural mutation under the document latch, brackets it
+// with a page capture and appends its RecOp — the one shape every mutation
+// below has. fn is a mutator (the *Locked methods of document.go: result if
+// any, then undo payload, then error); its logical undo payload (nil when
+// the operation needs no undo, dropped when it failed) goes into the record
+// and to the acting transaction; with no WAL attached the transaction is
+// the only taker.
 //
 // Page deltas are logged even when fn errors: a failed operation may have
 // mutated pages before failing (the runtime treats that as residue for the
 // transaction's abort path), and redo must reproduce whatever the buffer
 // pool holds, or the pageLSN chain would lie.
-func (d *Document) logOp(txn uint64, fn func() (undo []byte, err error)) error {
-	if d.wal == nil {
-		_, err := fn()
-		return err
+func (t TxDoc) logOp(fn func() (undo []byte, err error)) error {
+	d := t.d
+	d.latch.Lock()
+	defer d.latch.Unlock()
+	var cap *pagestore.Capture
+	if d.wal != nil {
+		// The capture floor is the log position this operation's record
+		// cannot precede; publishing it lets a concurrent checkpoint's
+		// dirty-page scan bound the records of pages this capture is about
+		// to dirty.
+		cap = d.store.BeginCapture(d.wal.NextLSN())
+		defer cap.Close()
 	}
-	// The capture floor is the log position this operation's record cannot
-	// precede; publishing it lets a concurrent checkpoint's dirty-page
-	// scan bound the records of pages this capture is about to dirty.
-	cap := d.store.BeginCapture(d.wal.NextLSN())
-	defer cap.Close()
 	undo, opErr := fn()
 	if opErr != nil {
 		undo = nil
+	} else if t.keep != nil && len(undo) > 0 {
+		t.keep.LogUndo(undo)
+	}
+	if cap == nil {
+		return opErr
 	}
 	var metaErr error
 	if sig := d.metaSig(); sig != d.walMeta {
@@ -170,7 +200,7 @@ func (d *Document) logOp(txn uint64, fn func() (undo []byte, err error)) error {
 		}
 		return metaErr
 	}
-	lsn, appendErr := d.wal.AppendOp(txn, undo, deltas)
+	lsn, appendErr := d.wal.AppendOp(t.txn, undo, deltas)
 	if appendErr == nil {
 		cap.Commit(lsn)
 		// Record any root movement under the operation's LSN — before the
@@ -189,43 +219,27 @@ func (d *Document) logOp(txn uint64, fn func() (undo []byte, err error)) error {
 }
 
 // InsertElement adds an element node labeled id.
-func (t TxDoc) InsertElement(id splid.ID, name string) (xmlmodel.Node, error) {
-	d := t.d
-	d.latch.Lock()
-	defer d.latch.Unlock()
-	var n xmlmodel.Node
-	err := d.logOp(t.txn, func() (undo []byte, err error) {
-		if n, err = d.insertElementLocked(id, name); err != nil {
-			return nil, err
-		}
-		return encodeUndoDelete(id), nil
+func (t TxDoc) InsertElement(id splid.ID, name string) (n xmlmodel.Node, err error) {
+	err = t.logOp(func() (undo []byte, err error) {
+		n, undo, err = t.d.insertElementLocked(id, name)
+		return undo, err
 	})
 	return n, err
 }
 
 // InsertText adds a text node (and its string child) labeled id.
-func (t TxDoc) InsertText(id splid.ID, value []byte) (xmlmodel.Node, error) {
-	d := t.d
-	d.latch.Lock()
-	defer d.latch.Unlock()
-	var n xmlmodel.Node
-	err := d.logOp(t.txn, func() (undo []byte, err error) {
-		if n, err = d.insertTextLocked(id, value); err != nil {
-			return nil, err
-		}
-		return encodeUndoDelete(id), nil
+func (t TxDoc) InsertText(id splid.ID, value []byte) (n xmlmodel.Node, err error) {
+	err = t.logOp(func() (undo []byte, err error) {
+		n, undo, err = t.d.insertTextLocked(id, value)
+		return undo, err
 	})
 	return n, err
 }
 
 // SetAttribute adds or overwrites an attribute on element el.
-func (t TxDoc) SetAttribute(el splid.ID, name string, value []byte) (xmlmodel.Node, error) {
-	d := t.d
-	d.latch.Lock()
-	defer d.latch.Unlock()
-	var n xmlmodel.Node
-	err := d.logOp(t.txn, func() (undo []byte, err error) {
-		n, undo, err = d.setAttributeLocked(el, name, value)
+func (t TxDoc) SetAttribute(el splid.ID, name string, value []byte) (n xmlmodel.Node, err error) {
+	err = t.logOp(func() (undo []byte, err error) {
+		n, undo, err = t.d.setAttributeLocked(el, name, value)
 		return undo, err
 	})
 	return n, err
@@ -233,64 +247,28 @@ func (t TxDoc) SetAttribute(el splid.ID, name string, value []byte) (xmlmodel.No
 
 // SetValue overwrites the character data of a text or attribute node.
 func (t TxDoc) SetValue(id splid.ID, value []byte) error {
-	d := t.d
-	d.latch.Lock()
-	defer d.latch.Unlock()
-	return d.logOp(t.txn, func() (undo []byte, err error) {
-		old, err := d.setValueLocked(id, value)
-		if err != nil {
-			return nil, err
-		}
-		return encodeUndoSetValue(id, old), nil
-	})
+	return t.logOp(func() ([]byte, error) { return t.d.setValueLocked(id, value) })
 }
 
 // Rename changes the name of an element or attribute node.
 func (t TxDoc) Rename(id splid.ID, newName string) error {
-	d := t.d
-	d.latch.Lock()
-	defer d.latch.Unlock()
-	return d.logOp(t.txn, func() (undo []byte, err error) {
-		oldName, err := d.renameLocked(id, newName)
-		if err != nil {
-			return nil, err
-		}
-		return encodeUndoRename(id, oldName), nil
-	})
+	return t.logOp(func() ([]byte, error) { return t.d.renameLocked(id, newName) })
 }
 
-// DeleteSubtree removes the node labeled id and all its descendants.
-func (t TxDoc) DeleteSubtree(id splid.ID) (int, error) {
-	d := t.d
-	d.latch.Lock()
-	defer d.latch.Unlock()
-	count := 0
-	err := d.logOp(t.txn, func() (undo []byte, err error) {
-		victims, err := d.deleteSubtreeLocked(id)
-		if err != nil {
-			return nil, err
-		}
-		count = len(victims)
-		return encodeUndoRestore(victims), nil
+// DeleteSubtree removes the node labeled id and all its descendants, and
+// returns how many nodes that was.
+func (t TxDoc) DeleteSubtree(id splid.ID) (count int, err error) {
+	err = t.logOp(func() (undo []byte, err error) {
+		count, undo, err = t.d.deleteSubtreeLocked(id)
+		return undo, err
 	})
 	return count, err
 }
 
 // RestoreSubtree reinserts previously deleted nodes (the inverse of
-// DeleteSubtree; also the operation recovery uses to undo deletions).
+// DeleteSubtree).
 func (t TxDoc) RestoreSubtree(nodes []xmlmodel.Node) error {
-	d := t.d
-	d.latch.Lock()
-	defer d.latch.Unlock()
-	return d.logOp(t.txn, func() (undo []byte, err error) {
-		if err := d.restoreSubtreeLocked(nodes); err != nil {
-			return nil, err
-		}
-		if len(nodes) == 0 {
-			return nil, nil
-		}
-		return encodeUndoDelete(nodes[0].ID), nil
-	})
+	return t.logOp(func() ([]byte, error) { return t.d.restoreSubtreeLocked(nodes) })
 }
 
 // Logical undo payload catalog. Each payload starts with a one-byte opcode
@@ -356,12 +334,14 @@ func encodeUndoRestore(nodes []xmlmodel.Node) []byte {
 	return buf
 }
 
-// applyUndo executes one logical undo payload through the transaction
-// view, so the compensation is logged like any other operation. It is
-// tolerant of already-undone state (ErrNodeNotFound, ErrNodeExists):
+// ApplyUndo executes one logical undo payload through the transaction view,
+// so the compensation is logged like any other operation — the one applier
+// behind both rollbacks, tx.Txn.Abort at runtime and Recover for losers. It
+// is tolerant of already-undone state (ErrNodeNotFound, surviving nodes):
 // recovery may replay an undo whose effect partially survives from a
-// runtime abort that crashed halfway.
-func applyUndo(t TxDoc, payload []byte) error {
+// runtime abort that crashed halfway, and under isolation level none a
+// runtime abort may find its node deleted by somebody else.
+func (t TxDoc) ApplyUndo(payload []byte) error {
 	if len(payload) == 0 {
 		return nil
 	}

@@ -36,9 +36,6 @@ type BibConfig struct {
 	// (pagestore.DefaultFrames when zero). Chaos tests shrink it so the
 	// run does real backend I/O instead of staying buffer-resident.
 	BufferFrames int
-	// BufferShards requests a page-table shard count
-	// (pagestore.DefaultShards when zero; clamped to the pool size).
-	BufferShards int
 	// FlusherInterval enables the buffer pool's background flusher
 	// (disabled when zero).
 	FlusherInterval time.Duration
@@ -108,7 +105,6 @@ func GenerateBib(backend pagestore.Backend, cfg BibConfig) (*storage.Document, *
 	doc, err := storage.Create(backend, "bib", storage.Options{
 		Dist:               cfg.Dist,
 		BufferFrames:       cfg.BufferFrames,
-		BufferShards:       cfg.BufferShards,
 		FlusherInterval:    cfg.FlusherInterval,
 		CheckpointInterval: cfg.CheckpointInterval,
 		Metrics:            cfg.Metrics,

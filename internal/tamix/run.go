@@ -520,7 +520,7 @@ func runOnce(ctx context.Context, r *runner, res *Result, mu *sync.Mutex, txType
 			// unknowable — the server process itself died — still leaves the
 			// committed count a lower bound across restarts.
 		}
-		if aerr := txn.Abort(); aerr != nil && !errors.Is(aerr, tx.ErrNotActive) {
+		if aerr := txn.Abort(); aerr != nil && !errors.Is(aerr, tx.ErrTxnDone) {
 			// A failed rollback is unrecoverable: the document may hold
 			// partial effects of an aborted transaction.
 			fail(fmt.Errorf("tamix: %s: abort: %w", txType, aerr))

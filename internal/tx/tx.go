@@ -1,11 +1,11 @@
 // Package tx provides the transaction layer of the XDBMS: begin/commit/
-// abort with physical undo logging, the four isolation levels of the
+// abort with logical undo logging, the four isolation levels of the
 // paper's experiments (Section 4.3), and transaction statistics.
 //
 // Lock acquisition itself lives in the protocol layer; this package decides
 // *when* locks are released (commit for repeatable read, operation end for
-// the weaker levels) and guarantees that an aborting transaction physically
-// undoes its document changes while still holding its locks.
+// the weaker levels) and guarantees that an aborting transaction undoes its
+// document changes while still holding its locks.
 package tx
 
 import (
@@ -97,10 +97,6 @@ const (
 // outcome always stands.
 var ErrTxnDone = errors.New("tx: transaction already finished")
 
-// ErrNotActive is the historical name for ErrTxnDone; both errors.Is checks
-// match the same sentinel.
-var ErrNotActive = ErrTxnDone
-
 // Txn is one transaction. A Txn is owned by a single goroutine; only the
 // status accessors are safe for cross-goroutine use.
 type Txn struct {
@@ -112,7 +108,7 @@ type Txn struct {
 
 	mu     sync.Mutex
 	status Status
-	undo   []func() error
+	undo   [][]byte // logical undo payloads, in execution order
 
 	// protoCtx caches the protocol-layer context for this transaction so the
 	// node manager does not rebuild it on every DOM operation. The tx package
@@ -168,20 +164,16 @@ func (t *Txn) Status() Status {
 // Active reports whether the transaction can still operate.
 func (t *Txn) Active() bool { return t.Status() == StatusActive }
 
-// PushUndo records a compensation action. Undo actions run in reverse order
-// during Abort, while the transaction still holds every lock it acquired, so
-// they may touch the document without further synchronization.
-func (t *Txn) PushUndo(fn func() error) {
+// LogUndo records the logical inverse of one document mutation — the same
+// payload the storage layer writes into the operation's log record (the
+// transaction is the storage.UndoLog of its mutations). Abort replays the
+// payloads in reverse order through the manager's undo applier while the
+// transaction still holds every lock it acquired, so the compensations may
+// touch the document without further synchronization.
+func (t *Txn) LogUndo(payload []byte) {
 	t.mu.Lock()
-	t.undo = append(t.undo, fn)
+	t.undo = append(t.undo, payload)
 	t.mu.Unlock()
-}
-
-// UndoDepth returns the number of pending undo actions (test aid).
-func (t *Txn) UndoDepth() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.undo)
 }
 
 // Stats aggregates transaction outcomes.
@@ -196,6 +188,9 @@ type Manager struct {
 	lm     *lock.Manager
 	wal    *wal.Log
 	nextID atomic.Uint64
+	// applyUndo executes one logical undo payload on behalf of a transaction
+	// (SetUndoApplier); the applier recovery uses for losers.
+	applyUndo func(txn uint64, payload []byte) error
 
 	begun     atomic.Uint64
 	committed atomic.Uint64
@@ -316,6 +311,14 @@ func (m *Manager) SetWAL(l *wal.Log) { m.wal = l }
 // WAL returns the attached log (nil when logging is off).
 func (m *Manager) WAL() *wal.Log { return m.wal }
 
+// SetUndoApplier installs the function Abort replays a transaction's undo
+// payloads through. The node manager installs storage.TxDoc.ApplyUndo on its
+// document — the applier storage.Recover rolls losers back with — so the
+// two rollbacks cannot drift apart. Call before starting transactions.
+func (m *Manager) SetUndoApplier(apply func(txn uint64, payload []byte) error) {
+	m.applyUndo = apply
+}
+
 // SetMetrics registers the transaction instruments on a registry: the tx.*
 // counters (computed at snapshot time from the existing atomics) and
 // commit/abort latency histograms. Call before starting transactions.
@@ -407,7 +410,7 @@ func (t *Txn) Commit() error {
 }
 
 // Abort undoes all changes in reverse order (still holding locks) and then
-// releases the locks. All undo actions are attempted and the locks are
+// releases the locks. All undo payloads are applied and the locks are
 // released regardless of failures; every undo error is reported, aggregated
 // with errors.Join, so a multi-step rollback cannot silently half-fail.
 func (t *Txn) Abort() error {
@@ -428,7 +431,7 @@ func (t *Txn) Abort() error {
 
 	var errs []error
 	for i := len(undo) - 1; i >= 0; i-- {
-		if err := undo[i](); err != nil {
+		if err := t.mgr.applyUndo(t.id, undo[i]); err != nil {
 			errs = append(errs, fmt.Errorf("tx %d: undo step %d: %w", t.id, i, err))
 		}
 	}

@@ -2,6 +2,7 @@ package tx
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/lock"
@@ -62,21 +63,43 @@ func TestCommitReleasesLocks(t *testing.T) {
 	}
 }
 
-func TestAbortRunsUndoInReverse(t *testing.T) {
-	m := newMgr()
+// recorder is a recording undo applier: it notes every payload Abort hands
+// it, in order, and fails the ones listed in fail.
+type recorder struct {
+	txns     []uint64
+	payloads []string
+	fail     map[string]error
+}
+
+func (r *recorder) apply(txn uint64, payload []byte) error {
+	r.txns = append(r.txns, txn)
+	r.payloads = append(r.payloads, string(payload))
+	return r.fail[string(payload)]
+}
+
+// newRecordedMgr returns a manager whose aborts replay into the recorder.
+func newRecordedMgr(fail map[string]error) (*Manager, *recorder) {
+	m, r := newMgr(), &recorder{fail: fail}
+	m.SetUndoApplier(r.apply)
+	return m, r
+}
+
+func TestAbortReplaysUndoInReverse(t *testing.T) {
+	m, rec := newRecordedMgr(nil)
 	t1 := m.Begin(LevelRepeatable)
-	var order []int
-	t1.PushUndo(func() error { order = append(order, 1); return nil })
-	t1.PushUndo(func() error { order = append(order, 2); return nil })
-	t1.PushUndo(func() error { order = append(order, 3); return nil })
-	if t1.UndoDepth() != 3 {
-		t.Errorf("UndoDepth = %d", t1.UndoDepth())
+	for _, p := range []string{"one", "two", "three"} {
+		t1.LogUndo([]byte(p))
 	}
 	if err := t1.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 3 || order[0] != 3 || order[1] != 2 || order[2] != 1 {
-		t.Errorf("undo order = %v", order)
+	if got := strings.Join(rec.payloads, ","); got != "three,two,one" {
+		t.Errorf("undo order = %s", got)
+	}
+	for _, id := range rec.txns {
+		if id != t1.ID() {
+			t.Errorf("payload applied for transaction %d, want %d", id, t1.ID())
+		}
 	}
 	if t1.Status() != StatusAborted {
 		t.Error("status should be aborted")
@@ -84,19 +107,18 @@ func TestAbortRunsUndoInReverse(t *testing.T) {
 }
 
 func TestAbortReportsUndoErrorButReleases(t *testing.T) {
-	m := newMgr()
+	sentinel := errors.New("undo failed")
+	m, rec := newRecordedMgr(map[string]error{"second": sentinel})
 	t1 := m.Begin(LevelRepeatable)
 	m.LockManager().Lock(t1.LockTx(), "n", mX, false)
-	sentinel := errors.New("undo failed")
-	ran := 0
-	t1.PushUndo(func() error { ran++; return nil })
-	t1.PushUndo(func() error { ran++; return sentinel })
+	t1.LogUndo([]byte("first"))
+	t1.LogUndo([]byte("second"))
 	err := t1.Abort()
 	if !errors.Is(err, sentinel) {
 		t.Errorf("err = %v", err)
 	}
-	if ran != 2 {
-		t.Errorf("all undo actions must run, got %d", ran)
+	if len(rec.payloads) != 2 {
+		t.Errorf("all undo payloads must be applied, got %v", rec.payloads)
 	}
 	// Locks were released despite the undo error.
 	t2 := m.Begin(LevelRepeatable)
@@ -107,18 +129,17 @@ func TestAbortReportsUndoErrorButReleases(t *testing.T) {
 }
 
 func TestAbortAggregatesAllUndoErrors(t *testing.T) {
-	m := newMgr()
-	t1 := m.Begin(LevelRepeatable)
-	m.LockManager().Lock(t1.LockTx(), "n", mX, false)
 	errA := errors.New("undo A failed")
 	errB := errors.New("undo B failed")
-	ran := 0
-	t1.PushUndo(func() error { ran++; return errA })
-	t1.PushUndo(func() error { ran++; return nil })
-	t1.PushUndo(func() error { ran++; return errB })
+	m, rec := newRecordedMgr(map[string]error{"a": errA, "b": errB})
+	t1 := m.Begin(LevelRepeatable)
+	m.LockManager().Lock(t1.LockTx(), "n", mX, false)
+	for _, p := range []string{"a", "fine", "b"} {
+		t1.LogUndo([]byte(p))
+	}
 	err := t1.Abort()
-	if ran != 3 {
-		t.Fatalf("all undo actions must run, got %d", ran)
+	if len(rec.payloads) != 3 {
+		t.Fatalf("all undo payloads must be applied, got %v", rec.payloads)
 	}
 	// errors.Join keeps every failure reachable, not just the first.
 	if !errors.Is(err, errA) {
@@ -139,13 +160,15 @@ func TestAbortAggregatesAllUndoErrors(t *testing.T) {
 }
 
 func TestCommitClearsUndo(t *testing.T) {
-	m := newMgr()
+	m, rec := newRecordedMgr(nil)
 	t1 := m.Begin(LevelRepeatable)
-	called := false
-	t1.PushUndo(func() error { called = true; return nil })
+	t1.LogUndo([]byte("never"))
 	t1.Commit()
-	if called {
-		t.Error("undo must not run on commit")
+	if err := t1.Abort(); !errors.Is(err, ErrTxnDone) {
+		t.Errorf("abort after commit: %v", err)
+	}
+	if len(rec.payloads) != 0 {
+		t.Errorf("undo must not run on or after commit, applied %v", rec.payloads)
 	}
 }
 
@@ -153,10 +176,10 @@ func TestDoubleFinish(t *testing.T) {
 	m := newMgr()
 	t1 := m.Begin(LevelRepeatable)
 	t1.Commit()
-	if err := t1.Commit(); !errors.Is(err, ErrNotActive) {
+	if err := t1.Commit(); !errors.Is(err, ErrTxnDone) {
 		t.Errorf("second commit: %v", err)
 	}
-	if err := t1.Abort(); !errors.Is(err, ErrNotActive) {
+	if err := t1.Abort(); !errors.Is(err, ErrTxnDone) {
 		t.Errorf("abort after commit: %v", err)
 	}
 }
@@ -233,15 +256,10 @@ func TestErrTxnDoneBothOrderings(t *testing.T) {
 	if t2.Status() != StatusAborted {
 		t.Errorf("status = %v after rejected finishes, want aborted", t2.Status())
 	}
-
-	// The historical sentinel name still matches.
-	if !errors.Is(t2.Commit(), ErrNotActive) {
-		t.Error("ErrNotActive no longer matches the double-finish error")
-	}
 }
 
 func TestCommitForcesWALAndSurvivesLogCrash(t *testing.T) {
-	m := newMgr()
+	m, rec := newRecordedMgr(nil)
 	segs := wal.NewMemSegmentStore()
 	log, err := wal.Open(segs, wal.Config{})
 	if err != nil {
@@ -293,12 +311,11 @@ func TestCommitForcesWALAndSurvivesLogCrash(t *testing.T) {
 	if t2.Status() != StatusActive {
 		t.Fatalf("status = %v after failed commit, want active", t2.Status())
 	}
-	undone := false
-	t2.PushUndo(func() error { undone = true; return nil })
+	t2.LogUndo([]byte("op"))
 	if err := t2.Abort(); err != nil {
 		t.Fatalf("abort after failed commit: %v", err)
 	}
-	if !undone {
+	if len(rec.payloads) != 1 {
 		t.Error("undo did not run on abort after failed commit")
 	}
 }
