@@ -79,15 +79,20 @@ func counterAtLeast(t *testing.T, srv *server.Server, name string, want uint64) 
 // acquires them well inside the engine lock timeout.
 func TestNetChaosKeepAliveClosesSilentConn(t *testing.T) {
 	const proto = "taDOM2"
+	// The window is the test's clock in both directions: the silent victim
+	// must outlive it, and everyone else must get a frame through inside it
+	// however the scheduler treats them. At 100ms a loaded machine (four
+	// -race copies on two CPUs) stalled the heartbeating clients long enough
+	// to get them closed about once in 70 runs; 400ms leaves room.
 	srv := startServer(t, server.Config{
-		KeepAliveInterval: 50 * time.Millisecond,
+		KeepAliveInterval: 200 * time.Millisecond,
 		KeepAliveMisses:   2,
 	})
 
 	// Warm the engine through a heartbeating client first: building the
-	// document takes longer than the aggressive 100ms keep-alive window, and
-	// only a client that heartbeats through the build survives it. The raw
-	// victim below then rides the cached engine between its (fast) calls.
+	// document takes longer than the keep-alive window, and only a client
+	// that heartbeats through the build survives it. The raw victim below
+	// then rides the cached engine between its (fast) calls.
 	warm, err := client.Dial(srv.Addr(), client.Options{HeartbeatInterval: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +105,11 @@ func TestNetChaosKeepAliveClosesSilentConn(t *testing.T) {
 	warm.Close()
 
 	victim := dialRaw(t, srv.Addr())
+	// Silent is not gone: the socket stays open until the test is over. With
+	// no reference left after the last call, the collector would finalize the
+	// connection, the server would read EOF inside the window, and no
+	// keep-alive miss would ever be counted.
+	defer victim.nc.Close()
 	victim.open(proto)
 	cat := victim.catalog()
 	victim.call(wire.OpBegin, nil)
@@ -112,7 +122,7 @@ func TestNetChaosKeepAliveClosesSilentConn(t *testing.T) {
 		wire.AppendBytes(wire.AppendString(wire.AppendID(nil, book.ID), "flag"), []byte("stalled")))
 
 	// Go silent: no heartbeats, no requests. The server's keep-alive window
-	// (100ms) must fire and tear the connection down.
+	// must fire and tear the connection down.
 	counterAtLeast(t, srv, "server.heartbeat_misses", 1)
 
 	// The victim's X lock must be free for a live client (which heartbeats
@@ -634,8 +644,9 @@ type commitCut struct {
 }
 
 func (c *commitCut) Write(b []byte) (int, error) {
-	// wire.WriteFrame emits each frame in a single Write call —
-	// [u32 len][payload][u32 crc] — so b[4] is the message opcode.
+	// A commit that follows an operation is the only frame in its Write —
+	// [u32 len][payload][u32 crc] — so b[4] is the message opcode. (A commit
+	// that carries its transaction's Begin is client.TestBeginThenCommit's.)
 	if len(b) >= 5 && wire.Op(b[4]) == wire.OpCommit && c.armed.CompareAndSwap(true, false) {
 		if !c.afterSend {
 			c.Conn.Close()

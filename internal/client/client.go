@@ -16,6 +16,7 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -39,8 +40,8 @@ var ErrBusy = errors.New("client: server busy")
 var ErrShutdown = errors.New("client: server shutting down")
 
 // ErrTimeout is returned when a Ping round trip got no response in time; the
-// offending connection is evicted (closed) so the next use re-dials rather
-// than trusting a stalled peer.
+// offending connection is evicted (closed — its response demux can no longer
+// be trusted to be prompt) so the next use re-dials.
 var ErrTimeout = errors.New("client: request timed out")
 
 // ErrNoSession is returned when the server no longer knows the session the
@@ -173,7 +174,7 @@ func (p *Pool) dial() (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{nc: nc, pending: map[uint32]chan wire.Msg{}, hbStop: make(chan struct{})}
+	c := &Conn{nc: nc, fw: wire.NewFrameWriter(nc), pending: map[uint32]chan reply{}, done: make(chan struct{})}
 	go c.readLoop()
 	if p.opts.HeartbeatInterval > 0 {
 		go c.heartbeatLoop(p.opts.HeartbeatInterval)
@@ -221,7 +222,7 @@ func backoffSleep(cur, cap time.Duration) time.Duration {
 func (sl *slot) get() (*Conn, error) {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	if sl.c != nil && !sl.c.isClosed() {
+	if sl.c != nil && sl.c.cause() == nil {
 		return sl.c, nil
 	}
 	p := sl.p
@@ -268,13 +269,17 @@ func (p *Pool) Ping() error {
 		sl.mu.Lock()
 		c := sl.c
 		sl.mu.Unlock()
-		if c == nil || c.isClosed() {
+		if c == nil || c.cause() != nil {
 			errs = append(errs, fmt.Errorf("client: conn %d: %w", i, ErrShutdown))
 			continue
 		}
-		if _, _, err := c.roundTripTimeout(wire.OpPing, 0, 0, []byte("ping"), pingTimeout); err != nil {
+		evict := time.AfterFunc(pingTimeout, func() {
+			c.close(fmt.Errorf("%w: %w: ping after %v", ErrShutdown, ErrTimeout, pingTimeout))
+		})
+		if _, err := c.roundTrip(wire.OpPing, 0, []byte("ping")); err != nil {
 			errs = append(errs, fmt.Errorf("client: conn %d: %w", i, err))
 		}
+		evict.Stop()
 	}
 	return errors.Join(errs...)
 }
@@ -285,7 +290,7 @@ func (p *Pool) Stats(protocol string) (wire.Stats, error) {
 	if err != nil {
 		return wire.Stats{}, err
 	}
-	_, body, err := c.roundTrip(wire.OpStats, 0, 0, wire.AppendString(nil, protocol))
+	body, err := c.roundTrip(wire.OpStats, 0, wire.AppendString(nil, protocol))
 	if err != nil {
 		return wire.Stats{}, err
 	}
@@ -301,50 +306,49 @@ func (p *Pool) Audit(protocol string) error {
 	if err != nil {
 		return err
 	}
-	_, _, err = c.roundTrip(wire.OpAudit, 0, 0, wire.AppendString(nil, protocol))
+	_, err = c.roundTrip(wire.OpAudit, 0, wire.AppendString(nil, protocol))
 	return err
 }
 
-// Conn is one TCP connection: a write lock serializing frames out, a reader
+// Conn is one TCP connection: a frame buffer under a write lock, a reader
 // goroutine routing responses to waiting requests by id, and a heartbeat
 // goroutine keeping the server's keep-alive check fed.
 type Conn struct {
 	nc      net.Conn
-	wmu     sync.Mutex
 	nextReq atomic.Uint32
-	hbStop  chan struct{}
+	done    chan struct{} // closed when the connection dies
+
+	// wmu guards fw: send appends a caller's frames and writes them with one
+	// Write under it, so frames never interleave.
+	wmu sync.Mutex
+	fw  *wire.FrameWriter
 
 	mu      sync.Mutex
-	pending map[uint32]chan wire.Msg
-	err     error
-	closed  bool
+	pending map[uint32]chan reply
+	err     error // why the connection died; nil while it lives
+}
+
+// reply is one response as the reader hands it to its waiter: the request id
+// it answers and a private copy of the body (status byte, then the result),
+// which decoded results go on aliasing.
+type reply struct {
+	req  uint32
+	body []byte
 }
 
 // close fails the connection: every in-flight and future request returns
 // cause.
 func (c *Conn) close(cause error) {
 	c.mu.Lock()
-	if c.closed {
+	if c.err != nil {
 		c.mu.Unlock()
 		return
 	}
-	c.closed = true
 	c.err = cause
-	pending := c.pending
 	c.pending = nil
 	c.mu.Unlock()
-	close(c.hbStop)
+	close(c.done)
 	c.nc.Close()
-	for _, ch := range pending {
-		close(ch)
-	}
-}
-
-// isClosed reports whether the connection has died.
-func (c *Conn) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
 }
 
 // cause returns the close cause (ErrShutdown-based) or nil while live.
@@ -354,26 +358,27 @@ func (c *Conn) cause() error {
 	return c.err
 }
 
-// readLoop routes response frames to their waiters.
+// readLoop routes response frames to their waiters. A mailbox always has room
+// for the replies registered on it, so the send under mu never blocks — and
+// no reply is delivered once close has dropped the registrations.
 func (c *Conn) readLoop() {
+	fr := wire.NewFrameReader(c.nc)
 	for {
-		payload, err := wire.ReadFrame(c.nc)
-		if err != nil {
-			c.close(fmt.Errorf("%w: %v", ErrShutdown, err))
-			return
+		payload, err := fr.Next()
+		var m wire.Msg
+		if err == nil {
+			m, err = wire.DecodeMsg(payload)
 		}
-		m, err := wire.DecodeMsg(payload)
 		if err != nil {
 			c.close(fmt.Errorf("%w: %v", ErrShutdown, err))
 			return
 		}
 		c.mu.Lock()
-		ch := c.pending[m.Req]
-		delete(c.pending, m.Req)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- m
+		if box := c.pending[m.Req]; box != nil {
+			delete(c.pending, m.Req)
+			box <- reply{m.Req, bytes.Clone(m.Body)}
 		}
+		c.mu.Unlock()
 	}
 }
 
@@ -385,83 +390,113 @@ func (c *Conn) heartbeatLoop(interval time.Duration) {
 	defer t.Stop()
 	for {
 		select {
-		case <-c.hbStop:
+		case <-c.done:
 			return
 		case <-t.C:
-			payload := wire.AppendMsg(nil, wire.Msg{Op: wire.OpHeartbeat, Req: c.nextReq.Add(1)})
-			c.wmu.Lock()
-			err := wire.WriteFrame(c.nc, payload)
-			c.wmu.Unlock()
+			err := c.send(func(fw *wire.FrameWriter) error {
+				return fw.End(fw.Begin(wire.Msg{Op: wire.OpHeartbeat, Req: c.nextReq.Add(1)}))
+			})
 			if err != nil {
-				c.close(fmt.Errorf("%w: heartbeat: %v", ErrShutdown, err))
 				return
 			}
 		}
 	}
 }
 
-// roundTrip sends one request and blocks for its response, returning the
-// result portion of the body (after the status byte). Non-OK statuses are
-// surfaced as the matching sentinel errors.
-func (c *Conn) roundTrip(op wire.Op, session uint32, deadlineMS uint32, body []byte) (wire.Status, []byte, error) {
-	return c.roundTripTimeout(op, session, deadlineMS, body, 0)
+// send lets frames append to the connection's frame buffer and writes what
+// it appended with one Write. Any failure is fatal to the connection and
+// comes back as its close cause.
+func (c *Conn) send(frames func(fw *wire.FrameWriter) error) error {
+	c.wmu.Lock()
+	err := frames(c.fw)
+	if err == nil {
+		err = c.fw.Flush()
+	}
+	c.wmu.Unlock()
+	if err == nil {
+		return nil
+	}
+	c.close(fmt.Errorf("%w: %v", ErrShutdown, err))
+	return c.cause()
 }
 
-// roundTripTimeout is roundTrip with a client-side wall bound: when timeout
-// is positive and no response arrives in time, the connection is evicted
-// (closed — its response demux can no longer be trusted to be prompt) and
-// the call fails with ErrTimeout.
-func (c *Conn) roundTripTimeout(op wire.Op, session uint32, deadlineMS uint32, body []byte, timeout time.Duration) (wire.Status, []byte, error) {
-	req := c.nextReq.Add(1)
-	ch := make(chan wire.Msg, 1)
-	c.mu.Lock()
-	if c.closed {
-		err := c.err
-		c.mu.Unlock()
-		return wire.StatusShutdown, nil, err
-	}
-	c.pending[req] = ch
-	c.mu.Unlock()
-
-	payload := wire.AppendMsg(nil, wire.Msg{
-		Op: op, Session: session, Req: req, DeadlineMS: deadlineMS, Body: body,
-	})
-	c.wmu.Lock()
-	err := wire.WriteFrame(c.nc, payload)
-	c.wmu.Unlock()
-	if err != nil {
-		c.close(fmt.Errorf("%w: %v", ErrShutdown, err))
-		c.mu.Lock()
-		delete(c.pending, req)
-		c.mu.Unlock()
-		return wire.StatusShutdown, nil, c.cause()
-	}
-
-	var timeoutCh <-chan time.Time
-	if timeout > 0 {
-		timer := time.NewTimer(timeout)
-		defer timer.Stop()
-		timeoutCh = timer.C
-	}
+// await blocks for the next reply on box, or the connection's death.
+func (c *Conn) await(box chan reply) (reply, error) {
 	select {
-	case m, ok := <-ch:
-		if !ok {
-			return wire.StatusShutdown, nil, c.cause()
+	case r := <-box:
+		return r, nil
+	case <-c.done:
+		select {
+		case r := <-box: // delivered just before the connection died
+			return r, nil
+		default:
+			return reply{}, c.cause()
 		}
-		if len(m.Body) == 0 {
-			return wire.StatusErr, nil, fmt.Errorf("client: empty response body for %s", op)
-		}
-		status := wire.Status(m.Body[0])
-		rest := m.Body[1:]
-		if status != wire.StatusOK {
-			return status, nil, statusError(status, rest)
-		}
-		return status, rest, nil
-	case <-timeoutCh:
-		terr := fmt.Errorf("%w: %s after %v", ErrTimeout, op, timeout)
-		c.close(fmt.Errorf("%w: %v", ErrShutdown, terr))
-		return wire.StatusShutdown, nil, terr
 	}
+}
+
+// result splits a reply body into status and result, surfacing non-OK
+// statuses as the matching sentinel errors.
+func (r reply) result(op wire.Op) ([]byte, error) {
+	if len(r.body) == 0 {
+		return nil, fmt.Errorf("client: empty response body for %s", op)
+	}
+	if status := wire.Status(r.body[0]); status != wire.StatusOK {
+		return nil, statusError(status, r.body[1:])
+	}
+	return r.body[1:], nil
+}
+
+// exchange is the one way a request leaves: it sends hdr's request — hdr.Body,
+// then a under shape — behind an OpBegin frame for the same session when
+// begin is set, both in one Write, and returns the reply to each. box needs
+// room for them. The server executes a session's pipelined requests in order,
+// but a rejection can overtake a reply queued behind a worker, so the replies
+// are told apart by request id.
+func (c *Conn) exchange(box chan reply, begin bool, hdr wire.Msg, shape wire.ArgShape, a wire.Args) (op, bgn reply, err error) {
+	n := uint32(1)
+	if begin {
+		n = 2
+	}
+	hdr.Req = c.nextReq.Add(n)
+	first := hdr.Req - n + 1 // the Begin's id when begin is set, else hdr.Req
+	c.mu.Lock()
+	if err = c.err; err == nil {
+		c.pending[first], c.pending[hdr.Req] = box, box
+	}
+	c.mu.Unlock()
+	if err != nil {
+		return op, bgn, err
+	}
+	err = c.send(func(fw *wire.FrameWriter) error {
+		if begin {
+			b := fw.Begin(wire.Msg{Op: wire.OpBegin, Session: hdr.Session, Req: first, DeadlineMS: hdr.DeadlineMS})
+			if err := fw.End(b); err != nil {
+				return err
+			}
+		}
+		return fw.End(wire.AppendArgs(fw.Begin(hdr), shape, a))
+	})
+	for ; n > 0 && err == nil; n-- {
+		var r reply
+		if r, err = c.await(box); r.req == hdr.Req {
+			op = r
+		} else {
+			bgn = r
+		}
+	}
+	return op, bgn, err
+}
+
+// roundTrip sends one connection-scoped request (or a session's open and
+// close) and blocks for its response, returning the result portion of the
+// body.
+func (c *Conn) roundTrip(op wire.Op, session uint32, body []byte) ([]byte, error) {
+	r, _, err := c.exchange(make(chan reply, 1), false, wire.Msg{Op: op, Session: session, Body: body}, 0, wire.Args{})
+	if err != nil {
+		return nil, err
+	}
+	return r.result(op)
 }
 
 // statusError converts a non-OK response to an error wrapping the sentinel

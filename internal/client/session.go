@@ -30,6 +30,15 @@ type Session struct {
 	depth    int
 	deadline uint32 // per-request deadline-ms (0 = none)
 
+	// box is the session's reusable reply slot on c: at most a deferred Begin
+	// and one operation are in flight, so it has room for two.
+	box chan reply
+	// txn is the transaction Begin last handed out. While beginQueued is set
+	// its OpBegin frame has not been written: it leaves in the same Write as
+	// the session's next request.
+	txn         *Txn
+	beginQueued bool
+
 	// resumeFate/resumeFateTxn hold the fate report from the most recent
 	// session resume: what became of the transaction that was in flight when
 	// the old connection died. Commit consults them to turn an interrupted
@@ -50,7 +59,7 @@ func (p *Pool) OpenSession(protocol string, iso tx.Level, depth int) (*Session, 
 	body := wire.AppendOpenSession(nil, wire.OpenSession{
 		Protocol: protocol, Isolation: uint8(iso), Depth: depth,
 	})
-	_, resp, err := c.roundTrip(wire.OpOpenSession, 0, 0, body)
+	resp, err := c.roundTrip(wire.OpOpenSession, 0, body)
 	if err != nil {
 		return nil, err
 	}
@@ -59,7 +68,7 @@ func (p *Pool) OpenSession(protocol string, iso tx.Level, depth int) (*Session, 
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	return &Session{pool: p, sl: sl, c: c, id: uint32(id),
+	return &Session{pool: p, sl: sl, c: c, id: uint32(id), box: make(chan reply, 2),
 		protocol: protocol, iso: iso, depth: depth}, nil
 }
 
@@ -81,24 +90,53 @@ func (s *Session) SetRequestDeadline(d time.Duration) {
 // latency histogram. A connection-level failure triggers the resume path:
 // redial (via the slot) and re-open the session, then report the
 // interrupted call as abort-worthy so the caller restarts its transaction.
-func (s *Session) call(op wire.Op, body []byte) ([]byte, error) {
-	var t0 time.Time
-	if s.pool.mLatency != nil {
-		t0 = s.pool.mLatency.Start()
-	}
-	_, resp, err := s.c.roundTrip(op, s.id, s.deadline, body)
-	if s.pool.mLatency != nil {
+// The exception is a call that carried its transaction's Begin: nothing of
+// that transaction was acknowledged — whatever the lost frames started, the
+// resume's eviction rolled back — so it is started again on the resumed
+// session and the caller never sees the bounce. A commit is never repeated;
+// its fate report decides.
+func (s *Session) call(op wire.Op, shape wire.ArgShape, a wire.Args) ([]byte, error) {
+	for attempt := 0; ; attempt++ {
+		carried := s.beginQueued
+		t0 := s.pool.mLatency.Start()
+		resp, err := s.exchange(op, shape, a)
 		s.pool.mLatency.Since(t0)
+		if err == nil || !s.shouldResume(err) {
+			return resp, err
+		}
+		s.beginQueued = carried
+		if rerr := s.resume(); rerr != nil {
+			return nil, fmt.Errorf("client: %s: %w (reconnect failed: %v)", op, err, rerr)
+		}
+		s.pool.mReconnects.Add(1)
+		if !carried || op == wire.OpCommit || attempt == 4 {
+			return nil, &abortWorthyError{fmt.Errorf(
+				"%w: %s interrupted (session resumed as %d): %v", ErrConnLost, op, s.id, err)}
+		}
 	}
-	if err == nil || !s.shouldResume(err) {
-		return resp, err
+}
+
+// exchange sends one request, behind the queued Begin if there is one (op ==
+// OpBegin sends that Begin alone). A failed Begin is the call's error:
+// whatever the operation behind it answered says nothing new.
+func (s *Session) exchange(op wire.Op, shape wire.ArgShape, a wire.Args) ([]byte, error) {
+	begin := s.beginQueued && op != wire.OpBegin
+	s.beginQueued = false
+	hdr := wire.Msg{Op: op, Session: s.id, DeadlineMS: s.deadline}
+	r, bgn, err := s.c.exchange(s.box, begin, hdr, shape, a)
+	if err != nil {
+		return nil, err
 	}
-	if rerr := s.resume(); rerr != nil {
-		return nil, fmt.Errorf("client: %s: %w (reconnect failed: %v)", op, err, rerr)
+	if begin {
+		id, err := bgn.result(wire.OpBegin)
+		if err == nil {
+			err = s.txn.setID(id)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	s.pool.mReconnects.Add(1)
-	return nil, &abortWorthyError{fmt.Errorf(
-		"%w: %s interrupted (session resumed as %d): %v", ErrConnLost, op, s.id, err)}
+	return r.result(op)
 }
 
 // shouldResume reports whether a call failure means "session-level death
@@ -129,14 +167,16 @@ func (s *Session) resume() error {
 					Protocol: s.protocol, Isolation: uint8(s.iso), Depth: s.depth,
 				},
 			})
-			_, resp, rerr := c.roundTrip(wire.OpResumeSession, 0, 0, body)
+			resp, rerr := c.roundTrip(wire.OpResumeSession, 0, body)
 			if rerr == nil {
 				r := wire.NewReader(resp)
 				rr := r.ResumeResult()
 				if err := r.Err(); err != nil {
 					return err
 				}
-				s.c, s.id = c, rr.ID
+				// A fresh slot: replies the dead connection left in the old
+				// one must not answer requests on this one.
+				s.c, s.id, s.box = c, rr.ID, make(chan reply, 2)
 				s.resumeFate, s.resumeFateTxn = rr.Fate, rr.FateTxn
 				return nil
 			}
@@ -157,7 +197,7 @@ func (s *Session) resume() error {
 // dead connection counts as closed — the server reaps the session on its
 // own — so Close never triggers a redial.
 func (s *Session) Close() error {
-	_, _, err := s.c.roundTrip(wire.OpCloseSession, s.id, s.deadline, nil)
+	_, err := s.c.roundTrip(wire.OpCloseSession, s.id, nil)
 	if err != nil && (errors.Is(err, ErrShutdown) || errors.Is(err, ErrNoSession)) {
 		return nil
 	}
@@ -171,8 +211,27 @@ type Txn struct {
 	id uint64
 }
 
-// ID returns the server-assigned transaction id.
-func (t *Txn) ID() uint64 { return t.id }
+// setID records the transaction id a Begin reply carries.
+func (t *Txn) setID(resp []byte) error {
+	r := wire.NewReader(resp)
+	t.id = r.Uvarint()
+	return r.Err()
+}
+
+// ID returns the server-assigned transaction id. Asked before the
+// transaction's first request, it sends the queued Begin on its own and
+// waits; a Begin that fails leaves 0 here and stays queued, so that first
+// request meets the server's refusal itself.
+func (t *Txn) ID() uint64 {
+	if s := t.s; s.txn == t && s.beginQueued {
+		resp, err := s.call(wire.OpBegin, 0, wire.Args{})
+		if err == nil {
+			err = t.setID(resp)
+		}
+		s.beginQueued = err != nil
+	}
+	return t.id
+}
 
 // Commit commits the transaction. A commit whose round trip is severed by a
 // connection loss is not guessed at: the resume's fate report says whether
@@ -180,7 +239,7 @@ func (t *Txn) ID() uint64 { return t.id }
 // nil — the transaction landed exactly once — and anything else surfaces the
 // abort-worthy error as before.
 func (t *Txn) Commit() error {
-	_, err := t.s.call(wire.OpCommit, nil)
+	_, err := t.s.call(wire.OpCommit, 0, wire.Args{})
 	if err != nil && errors.Is(err, ErrConnLost) &&
 		t.s.resumeFateTxn == t.id && t.s.resumeFate == wire.FateCommitted {
 		return nil
@@ -190,43 +249,32 @@ func (t *Txn) Commit() error {
 
 // Abort rolls the transaction back. A transaction lost to a connection
 // bounce is already aborted server-side (session teardown released its
-// locks), so an abort interrupted by a resume reports success.
+// locks), so an abort interrupted by a resume reports success — and one whose
+// Begin was never written has nothing to roll back.
 func (t *Txn) Abort() error {
-	_, err := t.s.call(wire.OpAbort, nil)
+	if s := t.s; s.txn == t && s.beginQueued {
+		s.beginQueued = false
+		return nil
+	}
+	_, err := t.s.call(wire.OpAbort, 0, wire.Args{})
 	if err != nil && errors.Is(err, ErrConnLost) {
 		return nil
 	}
 	return err
 }
 
-// Begin starts a transaction on the session (one at a time). Unlike
-// mid-transaction operations, a Begin interrupted by a connection loss has
-// no in-flight work to lose — any transaction the lost request may have
-// started was aborted by the resume's session eviction — so it retries
-// transparently on the resumed session instead of surfacing the abort.
+// Begin starts a transaction on the session (one at a time) without a round
+// trip of its own: the OpBegin frame leaves in the same Write as the
+// session's next request, and a Begin the server refuses fails that request
+// with the server's error.
 func (s *Session) Begin() (*Txn, error) {
-	var lastErr error
-	for attempt := 0; attempt < 5; attempt++ {
-		resp, err := s.call(wire.OpBegin, nil)
-		if err == nil {
-			r := wire.NewReader(resp)
-			id := r.Uvarint()
-			if err := r.Err(); err != nil {
-				return nil, err
-			}
-			return &Txn{s: s, id: id}, nil
-		}
-		if !errors.Is(err, ErrConnLost) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
+	s.txn, s.beginQueued = &Txn{s: s}, true
+	return s.txn, nil
 }
 
 // Catalog fetches the engine's jump-target catalog.
 func (s *Session) Catalog() (wire.Catalog, error) {
-	resp, err := s.call(wire.OpCatalog, nil)
+	resp, err := s.call(wire.OpCatalog, 0, wire.Args{})
 	if err != nil {
 		return wire.Catalog{}, err
 	}
@@ -237,7 +285,7 @@ func (s *Session) Catalog() (wire.Catalog, error) {
 
 // LookupName resolves a vocabulary name to its surrogate.
 func (s *Session) LookupName(name string) (xmlmodel.Sur, bool, error) {
-	resp, err := s.call(wire.OpLookupName, wire.AppendString(nil, name))
+	resp, err := s.call(wire.OpLookupName, wire.ArgName, wire.Args{Name: name})
 	if err != nil {
 		return 0, false, err
 	}
@@ -256,7 +304,7 @@ func (s *Session) LookupName(name string) (xmlmodel.Sur, bool, error) {
 // Bytes in the result alias the response frame, which nothing else holds.
 func (s *Session) Do(op wire.Op, a wire.Args) (wire.Result, error) {
 	spec, _ := op.Spec()
-	resp, err := s.call(op, wire.AppendArgs(nil, spec.Args, a))
+	resp, err := s.call(op, spec.Args, a)
 	if err != nil {
 		return wire.Result{}, err
 	}

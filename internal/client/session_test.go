@@ -20,6 +20,16 @@ import (
 	"repro/internal/xmlmodel"
 )
 
+// shutdown drains a test server; its audit fails the test on lock residue.
+func shutdown(t *testing.T, srv *server.Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Errorf("shutdown audit: %v", err)
+	}
+}
+
 func sameNode(a, b xmlmodel.Node) bool {
 	return a.ID.Equal(b.ID) && a.Kind == b.Kind && a.Name == b.Name && bytes.Equal(a.Value, b.Value)
 }
@@ -34,13 +44,7 @@ func TestTypedMethodsOverLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown audit: %v", err)
-		}
-	}()
+	defer shutdown(t, srv)
 	pool, err := client.Dial(srv.Addr(), client.Options{Conns: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -173,13 +177,7 @@ func TestRequestDeadlineBoundsLockWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown audit: %v", err)
-		}
-	}()
+	defer shutdown(t, srv)
 	pool, err := client.Dial(srv.Addr(), client.Options{Conns: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -37,10 +37,12 @@ func newBibEngine(t testing.TB) (*Engine, *tamix.Catalog) {
 
 // wired drives a session's execute path without a socket: the request body is
 // encoded by the op's argument shape, dispatched, and the response decoded by
-// its result shape — exactly what a client round trip does around the wire.
+// its result shape — exactly what a client round trip does around the wire,
+// into buffers that are reused like a connection's frame buffers.
 type wired struct {
-	srv  *Server
-	sess *session
+	srv       *Server
+	sess      *session
+	req, resp []byte
 }
 
 func newWired(t testing.TB, eng *Engine) *wired {
@@ -53,11 +55,13 @@ func newWired(t testing.TB, eng *Engine) *wired {
 
 func (w *wired) do(op wire.Op, a wire.Args) (wire.Result, error) {
 	spec, _ := op.Spec()
-	resp, err := w.srv.execute(w.sess, wire.Msg{Op: op, Body: wire.AppendArgs(nil, spec.Args, a)}, context.Background())
+	w.req = wire.AppendArgs(w.req[:0], spec.Args, a)
+	resp, err := w.srv.execute(w.sess, wire.Msg{Op: op, Body: w.req}, context.Background())
 	if err != nil {
 		return wire.Result{}, err
 	}
-	return wire.DecodeResult(spec.Result, resp)
+	w.resp = resp.appendTo(w.resp[:0])
+	return wire.DecodeResult(spec.Result, w.resp)
 }
 
 func sameNode(a, b xmlmodel.Node) bool {

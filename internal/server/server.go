@@ -4,13 +4,16 @@
 // level: each session names its protocol at open time) and multiplexes many
 // sessions over many connections.
 //
-// Concurrency model: each connection runs a reader goroutine and a writer
-// goroutine; each session runs exactly one worker goroutine draining a
-// bounded queue, which preserves the engine's one-goroutine-per-transaction
-// discipline while letting sessions on the same connection proceed
-// independently. Admission control is two-level — a session cap at open time
-// and the per-session queue bound per request — and both reject with
-// StatusBusy rather than queueing unboundedly.
+// Concurrency model: each connection runs one reader goroutine; each session
+// runs exactly one worker goroutine draining a bounded queue, which preserves
+// the engine's one-goroutine-per-transaction discipline while letting
+// sessions on the same connection proceed independently. There is no writer
+// goroutine: whoever produced a reply — a session worker, or the reader for
+// pings, heartbeats and rejections — appends it to the connection's frame
+// buffer and writes the pending frames itself, under the connection's write
+// mutex and write deadline. Admission control is two-level — a session cap at
+// open time and the per-session queue bound per request — and both reject
+// with StatusBusy rather than queueing unboundedly.
 //
 // Teardown: a dropped connection cancels its sessions' contexts, which
 // aborts in-flight transactions and (through lock.Tx.SetContext) unblocks
@@ -20,6 +23,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -62,10 +66,10 @@ type Config struct {
 	SessionQueue int
 	// DrainTimeout bounds the graceful phase of Shutdown (default 10s).
 	DrainTimeout time.Duration
-	// WriteTimeout bounds each frame write to a connection (default 10s,
-	// negative disables). A peer that accepts the TCP stream but stops
-	// reading would otherwise park the writer goroutine indefinitely —
-	// through Shutdown's drain window included.
+	// WriteTimeout bounds each write to a connection (default 10s, negative
+	// disables). A peer that accepts the TCP stream but stops reading would
+	// otherwise park the replying session worker indefinitely — through
+	// Shutdown's drain window included.
 	WriteTimeout time.Duration
 	// KeepAliveInterval is the heartbeat cadence clients are expected to
 	// tick at (default 30s, negative disables keep-alive enforcement). Any
@@ -274,7 +278,8 @@ func (s *Server) Serve() error {
 		c := &conn{
 			srv:      s,
 			nc:       nc,
-			out:      make(chan []byte, 64),
+			fr:       wire.NewFrameReader(nc),
+			fw:       wire.NewFrameWriter(nc),
 			closed:   make(chan struct{}),
 			sessions: map[uint32]*session{},
 		}
@@ -287,8 +292,7 @@ func (s *Server) Serve() error {
 		s.conns[c] = struct{}{}
 		s.mu.Unlock()
 		s.mConns.Add(1)
-		s.connWG.Add(2)
-		go c.writeLoop()
+		s.connWG.Add(1)
 		go c.readLoop()
 	}
 }
@@ -365,9 +369,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.logf("server: drain timeout after %v", s.cfg.DrainTimeout)
 	}
 
-	// Hard-close whatever connections remain; their readers and writers
-	// unblock with errors and the conn teardown reaps any session a worker
-	// still holds.
+	// Hard-close whatever connections remain; their readers (and any worker
+	// blocked in a write) unblock with errors and the conn teardown reaps any
+	// session a worker still holds.
 	s.mu.Lock()
 	for c := range s.conns {
 		c.nc.Close()
@@ -403,21 +407,26 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // conn is one accepted TCP connection: a reader goroutine decoding frames
-// and routing them, and a writer goroutine serializing response frames.
+// and routing them, and a frame buffer the repliers share.
 type conn struct {
 	srv    *Server
 	nc     net.Conn
-	out    chan []byte // response frame payloads
+	fr     *wire.FrameReader // the reader goroutine's
 	closed chan struct{}
 	once   sync.Once
+
+	// wmu serializes the repliers: frames are appended to fw and written to
+	// the socket only under it, so frames never interleave.
+	wmu sync.Mutex
+	fw  *wire.FrameWriter
 
 	// sessions opened on this connection (guarded by srv.mu); a dying
 	// connection cancels exactly these.
 	sessions map[uint32]*session
 }
 
-// close tears the connection down once: unblocks the writer, closes the
-// socket, and cancels every session the connection owns.
+// close tears the connection down once: closes the socket (failing any write
+// in progress) and cancels every session the connection owns.
 func (c *conn) close() {
 	c.once.Do(func() {
 		close(c.closed)
@@ -436,51 +445,51 @@ func (c *conn) close() {
 	})
 }
 
-// send queues one response frame payload, dropping it if the connection died
+// result is a reply body not yet encoded: the already-encoded bytes of a
+// control reply, then a node operation's Result under the shape that encodes
+// it. Either part may be empty.
+type result struct {
+	raw   []byte
+	shape wire.ResultShape
+	res   wire.Result
+}
+
+func (r result) appendTo(dst []byte) []byte {
+	return wire.AppendResult(append(dst, r.raw...), r.shape, r.res)
+}
+
+// reply appends the response to m — header, status byte, result — to the
+// connection's frame buffer and, when flush is set, writes every pending
+// frame with one Write under the write deadline: a peer that stops reading
+// fails the write within WriteTimeout instead of parking the replier (and
+// everyone waiting on wmu) forever. A replier that knows another reply of its
+// own follows at once passes flush=false so the two leave together. Any
+// failure closes the connection; replies to a closed connection are dropped
 // (the client is gone; nobody is waiting).
-func (c *conn) send(payload []byte) {
+func (c *conn) reply(m wire.Msg, status wire.Status, r result, flush bool) {
+	var err error
+	c.wmu.Lock()
 	select {
-	case c.out <- payload:
 	case <-c.closed:
-	}
-}
-
-// reply encodes a response to m: status byte, then the result body.
-func (c *conn) reply(m wire.Msg, status wire.Status, body []byte) {
-	resp := wire.Msg{Op: m.Op, Session: m.Session, Req: m.Req}
-	resp.Body = append([]byte{byte(status)}, body...)
-	c.send(wire.AppendMsg(nil, resp))
-}
-
-// replyErr encodes a failure response carrying the error text.
-func (c *conn) replyErr(m wire.Msg, status wire.Status, err error) {
-	c.reply(m, status, wire.AppendString(nil, err.Error()))
-}
-
-// writeLoop serializes frames onto the socket. Frames are built as single
-// buffers and written with one Write each (WriteFrame), so no interleaving
-// is possible even with many producing sessions. Every write runs under the
-// configured write deadline: a peer that stops reading fails the write
-// within WriteTimeout instead of parking this goroutine (and everyone
-// waiting on the out channel) forever.
-func (c *conn) writeLoop() {
-	defer c.srv.connWG.Done()
-	wt := c.srv.cfg.WriteTimeout
-	for {
-		select {
-		case payload := <-c.out:
-			if wt > 0 {
+	default:
+		b := c.fw.Begin(wire.Msg{Op: m.Op, Session: m.Session, Req: m.Req})
+		if err = c.fw.End(r.appendTo(append(b, byte(status)))); err == nil && flush {
+			if wt := c.srv.cfg.WriteTimeout; wt > 0 {
 				c.nc.SetWriteDeadline(time.Now().Add(wt))
 			}
-			if err := wire.WriteFrame(c.nc, payload); err != nil {
-				c.srv.logf("server: %s: write: %v", c.nc.RemoteAddr(), err)
-				c.close()
-				return
-			}
-		case <-c.closed:
-			return
+			err = c.fw.Flush()
 		}
 	}
+	c.wmu.Unlock()
+	if err != nil {
+		c.srv.logf("server: %s: write: %v", c.nc.RemoteAddr(), err)
+		c.close()
+	}
+}
+
+// replyErr sends a failure response carrying the error text.
+func (c *conn) replyErr(m wire.Msg, status wire.Status, err error) {
+	c.reply(m, status, result{raw: wire.AppendString(nil, err.Error())}, true)
 }
 
 // readLoop decodes frames and routes them until the connection dies. Any
@@ -496,7 +505,7 @@ func (c *conn) readLoop() {
 		if window > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(window))
 		}
-		payload, err := wire.ReadFrame(c.nc)
+		payload, err := c.fr.Next()
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -515,20 +524,17 @@ func (c *conn) readLoop() {
 	}
 }
 
-// dispatch routes one decoded request. Connection-scoped ops run on short
-// spawned goroutines (opening a session may build an engine, which loads a
-// document); session ops are enqueued to the session's worker.
+// dispatch routes one decoded request, whose body still aliases the
+// connection's read buffer. Pings and heartbeats are answered in place;
+// everything else outlives this call and gets its own copy of the body.
+// Connection-scoped ops run on short spawned goroutines (opening a session
+// may build an engine, which loads a document); session ops are enqueued to
+// the session's worker.
 func (s *Server) dispatch(c *conn, m wire.Msg) {
 	s.mRequests.Add(1)
 	switch m.Op {
-	case wire.OpOpenSession:
-		go s.openSession(c, m)
-		return
-	case wire.OpResumeSession:
-		go s.resumeSession(c, m)
-		return
 	case wire.OpPing:
-		c.reply(m, wire.StatusOK, m.Body)
+		c.reply(m, wire.StatusOK, result{raw: m.Body}, true)
 		return
 	case wire.OpHeartbeat:
 		// The frame itself already renewed the connection's read-idle
@@ -542,7 +548,16 @@ func (s *Server) dispatch(c *conn, m wire.Msg) {
 			}
 			s.mu.Unlock()
 		}
-		c.reply(m, wire.StatusOK, nil)
+		c.reply(m, wire.StatusOK, result{}, true)
+		return
+	}
+	m.Body = bytes.Clone(m.Body)
+	switch m.Op {
+	case wire.OpOpenSession:
+		go s.openSession(c, m)
+		return
+	case wire.OpResumeSession:
+		go s.resumeSession(c, m)
 		return
 	case wire.OpStats:
 		go s.serveStats(c, m)
@@ -706,10 +721,10 @@ func (s *Server) admitSession(c *conn, m wire.Msg, open wire.OpenSession, resume
 	go s.sessionWorker(sess)
 	if resume != nil {
 		resume.ID = sess.id
-		c.reply(m, wire.StatusOK, wire.AppendResumeResult(nil, *resume))
+		c.reply(m, wire.StatusOK, result{raw: wire.AppendResumeResult(nil, *resume)}, true)
 		return
 	}
-	c.reply(m, wire.StatusOK, wire.AppendUvarint(nil, uint64(sess.id)))
+	c.reply(m, wire.StatusOK, result{raw: wire.AppendUvarint(nil, uint64(sess.id))}, true)
 }
 
 // serveStats answers OpStats: counters for one protocol's engine.
@@ -722,7 +737,7 @@ func (s *Server) serveStats(c *conn, m wire.Msg) {
 	}
 	ls := eng.Mgr.LockManager().Stats()
 	ts := eng.Mgr.TxManager().Stats()
-	c.reply(m, wire.StatusOK, wire.AppendStats(nil, wire.Stats{
+	c.reply(m, wire.StatusOK, result{raw: wire.AppendStats(nil, wire.Stats{
 		LockRequests:        ls.Requests,
 		LockCacheHits:       ls.CacheHits,
 		LockWaits:           ls.Waits,
@@ -733,7 +748,7 @@ func (s *Server) serveStats(c *conn, m wire.Msg) {
 		TxBegun:             ts.Begun,
 		TxCommitted:         ts.Committed,
 		TxAborted:           ts.Aborted,
-	}))
+	})}, true)
 }
 
 // serveAudit answers OpAudit with the engine's residue audit — the same
@@ -749,5 +764,5 @@ func (s *Server) serveAudit(c *conn, m wire.Msg) {
 		c.replyErr(m, wire.StatusErr, err)
 		return
 	}
-	c.reply(m, wire.StatusOK, nil)
+	c.reply(m, wire.StatusOK, result{}, true)
 }

@@ -114,12 +114,10 @@ func (s *Server) sessionWorker(sess *session) {
 			s.mQueue.Add(-1)
 			if m.Op == wire.OpCloseSession {
 				s.finishSession(sess)
-				sess.c.reply(m, wire.StatusOK, nil)
+				sess.c.reply(m, wire.StatusOK, result{}, true)
 				return
 			}
-			t0 := s.mLatency.Start()
 			s.handle(sess, m)
-			s.mLatency.Since(t0)
 		}
 	}
 }
@@ -197,14 +195,31 @@ func (s *Server) finishSession(sess *session) {
 	s.mu.Unlock()
 }
 
-// handle executes one session-scoped request on the worker goroutine. The
-// request's deadline (when present) is layered onto the session context and
-// installed as the transaction's lock-wait context, so a slow lock queue
-// cannot hold the request past its budget.
+// handle executes one session-scoped request on the worker goroutine and
+// writes its reply. server.request_ns times the execution alone: encoding
+// the reply and the socket write are transport. While the queue still holds
+// a request, this worker's next reply follows at once, so the write is left
+// to it and pipelined replies leave together; the worker is the queue's only
+// consumer and answers everything it takes, so a deferred frame never
+// strands.
 func (s *Server) handle(sess *session, m wire.Msg) {
+	t0 := s.mLatency.Start()
+	r, err := s.run(sess, m)
+	s.mLatency.Since(t0)
+	status := wire.StatusOK
+	if err != nil {
+		status, r = statusOf(err), result{raw: wire.AppendString(nil, err.Error())}
+	}
+	sess.c.reply(m, status, r, len(sess.queue) == 0)
+}
+
+// run executes one request. Its deadline (when present) is layered onto the
+// session context and installed as the transaction's lock-wait context, so a
+// slow lock queue cannot hold the request past its budget.
+func (s *Server) run(sess *session, m wire.Msg) (result, error) {
 	ctx := sess.ctx
-	var cancel context.CancelFunc
 	if m.DeadlineMS > 0 {
+		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(sess.ctx, time.Duration(m.DeadlineMS)*time.Millisecond)
 		defer cancel()
 	}
@@ -214,13 +229,7 @@ func (s *Server) handle(sess *session, m wire.Msg) {
 			defer ltx.SetContext(sess.ctx)
 		}
 	}
-
-	body, err := s.execute(sess, m, ctx)
-	if err != nil {
-		sess.c.replyErr(m, statusOf(err), err)
-		return
-	}
-	sess.c.reply(m, wire.StatusOK, body)
+	return s.execute(sess, m, ctx)
 }
 
 // errNoTxn is the out-of-protocol "node op without a transaction" failure.
@@ -231,25 +240,25 @@ var errNoTxn = fmt.Errorf("%w: no active transaction", tx.ErrTxnDone)
 var errBadRequest = errors.New("server: malformed request")
 
 // execute runs one session-scoped request against the session's engine,
-// returning the encoded result body.
-func (s *Server) execute(sess *session, m wire.Msg, ctx context.Context) ([]byte, error) {
+// returning the result for reply to encode into the outgoing frame.
+func (s *Server) execute(sess *session, m wire.Msg, ctx context.Context) (result, error) {
 	mgr := sess.eng.Mgr
 
 	// Transaction lifecycle ops.
 	switch m.Op {
 	case wire.OpBegin:
 		if sess.txn != nil && sess.txn.Active() {
-			return nil, fmt.Errorf("server: session %d already has transaction %d", sess.id, sess.txn.ID())
+			return result{}, fmt.Errorf("server: session %d already has transaction %d", sess.id, sess.txn.ID())
 		}
 		sess.txn = mgr.Begin(sess.iso)
 		// Snapshot transactions hold no lock context.
 		if ltx := sess.txn.LockTx(); ltx != nil {
 			ltx.SetContext(ctx)
 		}
-		return wire.AppendUvarint(nil, sess.txn.ID()), nil
+		return result{raw: wire.AppendUvarint(nil, sess.txn.ID())}, nil
 	case wire.OpCommit:
 		if sess.txn == nil {
-			return nil, errNoTxn
+			return result{}, errNoTxn
 		}
 		id := sess.txn.ID()
 		err := sess.txn.Commit()
@@ -266,18 +275,18 @@ func (s *Server) execute(sess *session, m wire.Msg, ctx context.Context) ([]byte
 		} else {
 			sess.noteFate(id, wire.FateAborted)
 		}
-		return nil, err
+		return result{}, err
 	case wire.OpAbort:
 		if sess.txn == nil {
-			return nil, errNoTxn
+			return result{}, errNoTxn
 		}
 		id := sess.txn.ID()
 		err := sess.txn.Abort()
 		sess.txn = nil
 		sess.noteFate(id, wire.FateAborted)
-		return nil, err
+		return result{}, err
 	case wire.OpCatalog:
-		return wire.AppendCatalog(nil, sess.eng.Catalog), nil
+		return result{raw: wire.AppendCatalog(nil, sess.eng.Catalog)}, nil
 	case wire.OpLookupName:
 		name := wire.NewReader(m.Body).String()
 		sur, ok := mgr.Document().Vocabulary().Lookup(name)
@@ -285,7 +294,7 @@ func (s *Server) execute(sess *session, m wire.Msg, ctx context.Context) ([]byte
 		if ok {
 			body[0] = 1
 		}
-		return wire.AppendUvarint(body, uint64(sur)), nil
+		return result{raw: wire.AppendUvarint(body, uint64(sur))}, nil
 	}
 
 	// Everything else is a node operation — a row of the operation table —
@@ -293,16 +302,13 @@ func (s *Server) execute(sess *session, m wire.Msg, ctx context.Context) ([]byte
 	// implementation node.Manager.Do binds to the row, encode the result by its
 	// shape.
 	if sess.txn == nil || !sess.txn.Active() {
-		return nil, errNoTxn
+		return result{}, errNoTxn
 	}
 	spec, _ := m.Op.Spec()
 	args, err := wire.DecodeArgs(spec.Args, m.Body)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %v", errBadRequest, m.Op, err)
+		return result{}, fmt.Errorf("%w: %s: %v", errBadRequest, m.Op, err)
 	}
 	res, err := mgr.Do(sess.txn, m.Op, args)
-	if err != nil {
-		return nil, err
-	}
-	return wire.AppendResult(nil, spec.Result, res), nil
+	return result{shape: spec.Result, res: res}, err
 }

@@ -199,11 +199,7 @@ func AppendString(dst []byte, s string) []byte {
 
 // AppendID appends an encoded SPLID (null ID = empty bytes).
 func AppendID(dst []byte, id splid.ID) []byte {
-	if id.IsNull() {
-		return binary.AppendUvarint(dst, 0)
-	}
-	enc := id.Encode()
-	return AppendBytes(dst, enc)
+	return id.AppendEncode(binary.AppendUvarint(dst, uint64(id.EncodedLen())))
 }
 
 // AppendNode appends one node record: id, kind byte, name surrogate, value.

@@ -85,15 +85,14 @@ func hostileFrames() [][]byte {
 // FuzzReadFrame beats on the framing layer alone: arbitrary byte streams,
 // seeded with truncated frames and hostile length headers. ReadFrame must
 // return an error or a payload — never panic, never allocate beyond
-// MaxFrame.
+// MaxFrame — and FrameReader must make of the stream exactly what ReadFrame
+// makes of it, however the bytes arrive, inside the same bound.
 func FuzzReadFrame(f *testing.F) {
-	for _, s := range seedFrames() {
-		f.Add(s)
-	}
-	for _, s := range hostileFrames() {
+	for _, s := range frameStreams() {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstReadFrame(t, data)
 		payload, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
 			return

@@ -19,6 +19,11 @@
 // (StatusOK followed by the result encoding, anything else followed by an
 // error string).
 //
+// A connection reads and writes frames through a FrameReader and a
+// FrameWriter (frame.go): one Read delivers every frame in flight, a reply is
+// built in place in the buffer one Write sends. ReadFrame and WriteFrame are
+// the one-frame-at-a-time reference the tests hold them to.
+//
 // Body values use a compact self-describing vocabulary: unsigned varints,
 // length-prefixed byte strings, encoded SPLIDs, and node records. Session
 // control bodies (open, resume, stats, catalog) are hand-written append/read

@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the repository's benchmark.
+
+    scripts/bench_pairs.py PARENT [N] [WORKLOAD...]      (make bench-pairs PARENT=<rev> N=10 WORKLOAD=...)
+
+Builds ./bench at PARENT (from `git archive`, in a scratch directory) and at
+the working tree, runs N pairs per workload with the order flipped each pair
+(`-trace 0`: the end-to-end metrics only), and prints, per workload and
+end-to-end metric of BENCHMARK.json, each side's median and quartiles, the
+change of the median, and how many pairs the working tree won (ties count
+for neither). Extra arguments for the benchmark go in BENCH_FLAGS, e.g.
+BENCH_FLAGS="-seed 7".
+"""
+import json
+import os
+import shlex
+import statistics
+import subprocess
+import sys
+import tempfile
+
+
+def build(src, out):
+    subprocess.run(["go", "build", "-o", out, "./bench"], cwd=src, check=True)
+
+
+def run(binary, cwd, workload, flags):
+    cmd = [binary, "-workload", workload, "-trace", "0"] + flags
+    out = subprocess.run(cmd, cwd=cwd, check=True, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True).stdout
+    res = json.loads(out.strip().splitlines()[-1])
+    if not res["correct"] or res["failed"]:
+        sys.exit(f"{cwd}: {workload}: correct={res['correct']} failed={res['failed']} of {res['attempted']}")
+    return {k: v["value"] for k, v in res["metrics"].items()}
+
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def main():
+    if len(sys.argv) < 2:
+        sys.exit(__doc__)
+    parent, n = sys.argv[1], int(sys.argv[2]) if len(sys.argv) > 2 else 10
+    root = subprocess.run(["git", "rev-parse", "--show-toplevel"], check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
+    spec = json.load(open(os.path.join(root, "BENCHMARK.json")))
+    workloads = sys.argv[3:] or [w["name"] for w in spec["workloads"]]
+    flags = shlex.split(os.environ.get("BENCH_FLAGS", ""))
+
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        src = os.path.join(tmp, "parent")
+        os.mkdir(src)
+        archive = subprocess.Popen(["git", "archive", parent], cwd=root, stdout=subprocess.PIPE)
+        subprocess.run(["tar", "-x", "-C", src], stdin=archive.stdout, check=True)
+        if archive.wait() != 0:
+            sys.exit(f"git archive {parent} failed")
+        sides = {"parent": (os.path.join(tmp, "bench-parent"), src), "change": (os.path.join(tmp, "bench-change"), root)}
+        for binary, cwd in sides.values():
+            build(cwd, binary)
+
+        print(f"parent {parent}, {n} alternating pairs, flags {flags or '-'}")
+        print(f"{'workload':<11}{'metric':<12}{'parent med [q1, q3]':>34}{'change med [q1, q3]':>34}{'delta':>9}{'wins':>7}")
+        for w in workloads:
+            runs = {"parent": [], "change": []}
+            for i in range(n):
+                for side in (("parent", "change"), ("change", "parent"))[i % 2]:
+                    runs[side].append(run(*sides[side], w, flags))
+                print(f"  {w}: pair {i + 1}/{n}", file=sys.stderr)
+            for m in spec["end_to_end"]:
+                name, sign = m["name"], 1 if m["better"] == "higher" else -1
+                p = [r[name] for r in runs["parent"]]
+                c = [r[name] for r in runs["change"]]
+                wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+                ties = sum(a == b for a, b in zip(p, c))
+                cell = lambda xs: "{1:.5g} [{0:.5g}, {2:.5g}]".format(*quartiles(xs))
+                delta = (statistics.median(c) / statistics.median(p) - 1) * 100
+                print(f"{w:<11}{name:<12}{cell(p):>34}{cell(c):>34}{delta:>+8.1f}%{wins:>4}/{n - ties}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
