@@ -96,8 +96,10 @@ var ErrValueTooLong = errors.New("btree: value exceeds MaxValueLen")
 var ErrNotFound = errors.New("btree: key not found")
 
 // Tree is a B+tree over a page store. Create with Create or attach to an
-// existing root with Open.
+// existing root with Open. Its read methods are those of the embedded live
+// View (cursor.go).
 type Tree struct {
+	View
 	mu    treeLatch
 	store *pagestore.Store
 	root  pagestore.PageID
@@ -108,6 +110,7 @@ type Tree struct {
 // Create allocates an empty tree (a single empty leaf root).
 func Create(store *pagestore.Store) (*Tree, error) {
 	t := &Tree{store: store}
+	t.View.t = t
 	f, err := t.newPage(kindLeaf)
 	if err != nil {
 		return nil, err
@@ -121,6 +124,7 @@ func Create(store *pagestore.Store) (*Tree, error) {
 // recomputed by a leaf walk.
 func Open(store *pagestore.Store, root pagestore.PageID) (*Tree, error) {
 	t := &Tree{store: store, root: root}
+	t.View.t = t
 	n := 0
 	err := t.Ascend(nil, nil, func(k, v []byte) bool { n++; return true })
 	if err != nil {

@@ -1,0 +1,377 @@
+package btree
+
+import (
+	"bytes"
+	"fmt"
+
+	"repro/internal/pagestore"
+)
+
+// View is the read surface of a tree: the live tree (every Tree embeds one)
+// or the tree as of one WAL snapshot LSN (ViewAt). Every read — Get, Has, the
+// scans and seeks below, and the document layer's navigation — is a Cursor
+// over a View, so the live and the snapshot paths share one iteration code.
+type View struct {
+	t *Tree
+	// A snapshot view descends from root, the tree's root as of snap, and
+	// resolves pages through the version layer; the live view (atSnap false)
+	// reads the tree's current root under the cursor's latch.
+	root   pagestore.PageID
+	snap   uint64
+	atSnap bool
+}
+
+// Cursor is a position in a view's key order. From Cursor to Close it holds
+// the tree's read latch — which is what orders its byte reads against a
+// writer's in-place page mutations — and at most one pinned page: the leaf it
+// stands on. A seek whose target lies inside that leaf's key range is a
+// binary search, not a descent; a target just past the leaf is looked for in
+// the next leaf first. A cursor belongs to one goroutine, must be closed, and
+// must not be held across anything that waits for a writer of its tree.
+//
+// The position runs from just before the first key to just past the last:
+// a move that reports false leaves the cursor at that end, from where the
+// opposite move comes back.
+type Cursor struct {
+	v     *View
+	latch int
+	p     []byte           // the pinned leaf; nil before the first seek and after an error
+	f     *pagestore.Frame // its pin; nil when p is a version-chain image
+	slot  int              // position in p: -1 … nCells(p)
+	end   int              // slots of p below the limit; Seek and Next stop there
+	exact bool             // the last Seek landed on its target
+	limit []byte
+	err   error
+	kbuf  [MaxKeyLen]byte
+}
+
+// Cursor opens a cursor on the view; the caller must Close it.
+func (v *View) Cursor() Cursor { return Cursor{v: v, latch: v.t.mu.rlock()} }
+
+// Close releases the pin and the latch; the cursor is dead afterwards.
+func (c *Cursor) Close() {
+	if c.v == nil {
+		return
+	}
+	c.unpin()
+	c.v.t.mu.runlock(c.latch)
+	c.v = nil
+}
+
+// Err returns the page-resolution error that ended the cursor's moves, if any.
+func (c *Cursor) Err() error { return c.err }
+
+// Limit bounds forward movement: Seek and Next report false at the first key
+// >= limit (nil: no bound). It is compared once per leaf, not once per key.
+func (c *Cursor) Limit(limit []byte) {
+	c.limit = limit
+	if c.p != nil {
+		c.enter(c.p, c.f)
+	}
+}
+
+// Key returns the key under the cursor, assembled in the cursor's own buffer:
+// valid until the next move.
+func (c *Cursor) Key() []byte { return fullKey(c.p, c.slot, c.kbuf[:0]) }
+
+// Value returns the value under the cursor. It aliases page memory: valid
+// until the next move or Close.
+func (c *Cursor) Value() []byte {
+	_, v := cellAt(c.p, c.slot)
+	return v
+}
+
+// fix resolves one page for the view: the live frame, or the page as of the
+// snapshot (whose image may come from the version chain, without a pin).
+func (c *Cursor) fix(id pagestore.PageID) ([]byte, *pagestore.Frame, error) {
+	if c.v.atSnap {
+		return c.v.t.store.FixAt(id, c.v.snap)
+	}
+	f, err := c.v.t.store.Fix(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f.Data(), f, nil
+}
+
+func (c *Cursor) unpin() {
+	if c.f != nil {
+		c.v.t.store.Unfix(c.f)
+	}
+	c.p, c.f = nil, nil
+}
+
+// enter makes p the pinned leaf and places the limit in it.
+func (c *Cursor) enter(p []byte, f *pagestore.Frame) {
+	c.p, c.f = p, f
+	c.end = nCells(p)
+	if c.limit != nil {
+		c.end, _ = search(p, c.limit)
+	}
+}
+
+// descend pins the leaf covering key, or the first (edge < 0) or last
+// (edge > 0) leaf. The old pin goes first: a cursor never holds two.
+func (c *Cursor) descend(key []byte, edge int) bool {
+	c.unpin()
+	id := c.v.root
+	if !c.v.atSnap {
+		id = c.v.t.root // stable under the latch
+	}
+	for {
+		p, f, err := c.fix(id)
+		if err != nil {
+			c.err = fmt.Errorf("btree: descend to page %d: %w", id, err)
+			return false
+		}
+		if pageKind(p) == kindLeaf {
+			c.enter(p, f)
+			return true
+		}
+		switch {
+		case edge == 0:
+			id = childPage(p, childIndexFor(p, key))
+		case edge < 0 || nCells(p) == 0:
+			id = child0(p)
+		default:
+			id = childAt(p, nCells(p)-1)
+		}
+		if f != nil {
+			c.v.t.store.Unfix(f)
+		}
+	}
+}
+
+// hop moves the pin along the leaf chain to page id; at the end of the chain
+// (or on an error) it reports false and, at the end, keeps the old leaf.
+func (c *Cursor) hop(id pagestore.PageID) bool {
+	if id == pagestore.InvalidPage {
+		return false
+	}
+	c.unpin()
+	p, f, err := c.fix(id)
+	if err != nil {
+		c.err = fmt.Errorf("btree: leaf chain to page %d: %w", id, err)
+		return false
+	}
+	c.enter(p, f)
+	return true
+}
+
+// seekHere places the cursor at target's slot in the pinned leaf. settled
+// means the leaf's own keys bracket the target, so the slot is the answer
+// wherever the neighbouring leaves begin and end; past, that every key of the
+// leaf is below the target.
+func (c *Cursor) seekHere(target []byte) (past, settled bool) {
+	c.slot, c.exact = search(c.p, target)
+	n := nCells(c.p)
+	return c.slot == n, c.slot < n && (c.slot > 0 || c.exact)
+}
+
+// Seek moves to the first key >= target (nil: the first key) and reports
+// whether there is one below the limit.
+func (c *Cursor) Seek(target []byte) bool {
+	if c.err != nil {
+		return false
+	}
+	if c.p != nil && target != nil && nCells(c.p) > 0 {
+		past, settled := c.seekHere(target)
+		switch {
+		case settled:
+		case past && leafNext(c.p) == pagestore.InvalidPage:
+			return false // beyond the last key of the tree
+		case past && c.hop(leafNext(c.p)):
+			// Just past the pinned leaf: the next one is a page away, a
+			// descent three. All its keys are above the old leaf's, so any
+			// slot it offers is the answer.
+			past, _ = c.seekHere(target)
+			settled = !past
+		case !past && c.hop(leafPrev(c.p)):
+			_, settled = c.seekHere(target) // just before it: likewise
+		}
+		if settled || c.err != nil {
+			return c.err == nil && c.slot < c.end
+		}
+	}
+	edge := 0
+	if target == nil {
+		edge = -1
+	}
+	if !c.descend(target, edge) {
+		return false
+	}
+	c.slot, c.exact = 0, false
+	if target != nil {
+		c.seekHere(target)
+	}
+	if c.slot == nCells(c.p) && c.hop(leafNext(c.p)) {
+		c.slot = 0 // routed past the leaf's last key: the answer opens the next leaf
+	}
+	return c.p != nil && c.slot < c.end
+}
+
+// SeekLT moves to the last key < target (nil: the last key) and reports
+// whether there is one. The limit does not bound backward movement.
+func (c *Cursor) SeekLT(target []byte) bool {
+	if c.err != nil {
+		return false
+	}
+	if c.p != nil && target != nil {
+		if s, _ := search(c.p, target); s > 0 && s < nCells(c.p) {
+			c.slot = s - 1
+			return true
+		}
+	}
+	edge := 0
+	if target == nil {
+		edge = 1
+	}
+	if !c.descend(target, edge) {
+		return false
+	}
+	c.slot = nCells(c.p) - 1
+	if target != nil {
+		s, _ := search(c.p, target)
+		c.slot = s - 1
+	}
+	if c.slot < 0 && c.hop(leafPrev(c.p)) {
+		c.slot = nCells(c.p) - 1
+	}
+	return c.p != nil && c.slot >= 0
+}
+
+// Next moves one key forward and reports whether it is below the limit.
+func (c *Cursor) Next() bool {
+	if c.p == nil {
+		return false
+	}
+	if c.slot < nCells(c.p) {
+		c.slot++
+	}
+	for c.slot >= c.end {
+		if c.end < nCells(c.p) || !c.hop(leafNext(c.p)) {
+			return false
+		}
+		c.slot = 0
+	}
+	return true
+}
+
+// Prev moves one key back and reports whether there is one.
+func (c *Cursor) Prev() bool {
+	if c.p == nil {
+		return false
+	}
+	if c.slot >= 0 {
+		c.slot--
+	}
+	for c.slot < 0 {
+		if !c.hop(leafPrev(c.p)) {
+			return false
+		}
+		c.slot = nCells(c.p) - 1
+	}
+	return true
+}
+
+// Find moves to key and reports whether it is stored.
+func (c *Cursor) Find(key []byte) bool {
+	return c.Seek(key) && c.exact
+}
+
+// miss is the error of a move that reported false: the cursor's, or
+// ErrNotFound.
+func (c *Cursor) miss() error {
+	if c.err != nil {
+		return c.err
+	}
+	return ErrNotFound
+}
+
+// pair returns copies of the key and value under the cursor when ok.
+func (c *Cursor) pair(ok bool) (key, val []byte, err error) {
+	if !ok {
+		return nil, nil, c.miss()
+	}
+	return append([]byte(nil), c.Key()...), append([]byte(nil), c.Value()...), nil
+}
+
+// Get returns a copy of the value stored under key, or ErrNotFound.
+func (v *View) Get(key []byte) ([]byte, error) {
+	c := v.Cursor()
+	defer c.Close()
+	if !c.Find(key) {
+		return nil, c.miss()
+	}
+	return append([]byte(nil), c.Value()...), nil
+}
+
+// Has reports whether key is present.
+func (v *View) Has(key []byte) (bool, error) {
+	c := v.Cursor()
+	defer c.Close()
+	return c.Find(key), c.err
+}
+
+// Ascend visits keys in [start, limit) in ascending order. A nil start
+// begins at the first key; a nil limit runs to the end. fn's slices alias
+// cursor and page memory and are only valid during the callback; return
+// false to stop.
+func (v *View) Ascend(start, limit []byte, fn func(key, val []byte) bool) error {
+	c := v.Cursor()
+	defer c.Close()
+	c.Limit(limit)
+	for ok := c.Seek(start); ok && fn(c.Key(), c.Value()); ok = c.Next() {
+	}
+	return c.err
+}
+
+// Descend visits keys strictly below high in descending order, stopping
+// before keys below low. A nil high begins at the last key (inclusive); a
+// nil low runs to the first key. fn's slices alias cursor and page memory;
+// return false to stop.
+func (v *View) Descend(high, low []byte, fn func(key, val []byte) bool) error {
+	c := v.Cursor()
+	defer c.Close()
+	for ok := c.SeekLT(high); ok; ok = c.Prev() {
+		k := c.Key()
+		if low != nil && bytes.Compare(k, low) < 0 || !fn(k, c.Value()) {
+			break
+		}
+	}
+	return c.err
+}
+
+// SeekGE returns copies of the first key-value pair with key >= target, or
+// ErrNotFound when no such key exists.
+func (v *View) SeekGE(target []byte) (key, val []byte, err error) {
+	c := v.Cursor()
+	defer c.Close()
+	return c.pair(c.Seek(target))
+}
+
+// SeekGT returns the first pair with key strictly greater than target.
+func (v *View) SeekGT(target []byte) (key, val []byte, err error) {
+	c := v.Cursor()
+	defer c.Close()
+	ok := c.Seek(target)
+	if ok && c.exact {
+		ok = c.Next()
+	}
+	return c.pair(ok)
+}
+
+// SeekLT returns the last pair with key strictly less than target; a nil
+// target seeks the greatest key in the tree.
+func (v *View) SeekLT(target []byte) (key, val []byte, err error) {
+	c := v.Cursor()
+	defer c.Close()
+	return c.pair(c.SeekLT(target))
+}
+
+// SeekLE returns the last pair with key <= target.
+func (v *View) SeekLE(target []byte) (key, val []byte, err error) {
+	c := v.Cursor()
+	defer c.Close()
+	return c.pair(c.Find(target) || c.Prev())
+}

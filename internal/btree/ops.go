@@ -7,73 +7,6 @@ import (
 	"repro/internal/pagestore"
 )
 
-// Get returns a copy of the value stored under key, or ErrNotFound.
-func (t *Tree) Get(key []byte) ([]byte, error) {
-	slot := t.mu.rlock()
-	defer t.mu.runlock(slot)
-	f, err := t.findLeaf(key)
-	if err != nil {
-		return nil, err
-	}
-	defer t.store.Unfix(f)
-	slot, found := search(f.Data(), key)
-	if !found {
-		return nil, ErrNotFound
-	}
-	_, v := cellAt(f.Data(), slot)
-	return append([]byte(nil), v...), nil
-}
-
-// Has reports whether key is present.
-func (t *Tree) Has(key []byte) (bool, error) {
-	_, err := t.Get(key)
-	if err == ErrNotFound {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// findLeaf descends to the leaf page covering key and returns it pinned.
-func (t *Tree) findLeaf(key []byte) (*pagestore.Frame, error) {
-	id := t.root
-	for {
-		f, err := t.store.Fix(id)
-		if err != nil {
-			return nil, fmt.Errorf("btree: descend to page %d: %w", id, err)
-		}
-		p := f.Data()
-		if pageKind(p) == kindLeaf {
-			return f, nil
-		}
-		id = childPage(p, childIndexFor(p, key))
-		t.store.Unfix(f)
-	}
-}
-
-// findEdgeLeaf descends to the first (dir < 0) or last (dir > 0) leaf.
-func (t *Tree) findEdgeLeaf(dir int) (*pagestore.Frame, error) {
-	id := t.root
-	for {
-		f, err := t.store.Fix(id)
-		if err != nil {
-			return nil, fmt.Errorf("btree: descend to edge page %d: %w", id, err)
-		}
-		p := f.Data()
-		if pageKind(p) == kindLeaf {
-			return f, nil
-		}
-		if dir < 0 || nCells(p) == 0 {
-			id = child0(p)
-		} else {
-			id = childAt(p, nCells(p)-1)
-		}
-		t.store.Unfix(f)
-	}
-}
-
 // Insert stores val under key, replacing any existing value (upsert).
 func (t *Tree) Insert(key, val []byte) error {
 	if len(key) == 0 {
@@ -407,168 +340,6 @@ func (t *Tree) unlinkLeaf(p []byte) error {
 		t.store.Unfix(nf)
 	}
 	return nil
-}
-
-// Ascend visits keys in [start, limit) in ascending order. A nil start
-// begins at the first key; a nil limit runs to the end. fn's slices alias
-// page memory and are only valid during the callback; return false to stop.
-func (t *Tree) Ascend(start, limit []byte, fn func(key, val []byte) bool) error {
-	lt := t.mu.rlock()
-	defer t.mu.runlock(lt)
-	var f *pagestore.Frame
-	var err error
-	if start == nil {
-		f, err = t.findEdgeLeaf(-1)
-	} else {
-		f, err = t.findLeaf(start)
-	}
-	if err != nil {
-		return err
-	}
-	slot := 0
-	if start != nil {
-		slot, _ = search(f.Data(), start)
-	}
-	var kbuf []byte
-	for {
-		p := f.Data()
-		for ; slot < nCells(p); slot++ {
-			kbuf = fullKey(p, slot, kbuf[:0])
-			_, v := cellAt(p, slot)
-			if limit != nil && bytes.Compare(kbuf, limit) >= 0 {
-				t.store.Unfix(f)
-				return nil
-			}
-			if !fn(kbuf, v) {
-				t.store.Unfix(f)
-				return nil
-			}
-		}
-		next := leafNext(p)
-		t.store.Unfix(f)
-		if next == pagestore.InvalidPage {
-			return nil
-		}
-		f, err = t.store.Fix(next)
-		if err != nil {
-			return err
-		}
-		slot = 0
-	}
-}
-
-// Descend visits keys strictly below high in descending order, stopping
-// before keys below low. A nil high begins at the last key (inclusive); a
-// nil low runs to the first key. fn's slices alias page memory; return
-// false to stop.
-func (t *Tree) Descend(high, low []byte, fn func(key, val []byte) bool) error {
-	lt := t.mu.rlock()
-	defer t.mu.runlock(lt)
-	var f *pagestore.Frame
-	var err error
-	var slot int
-	if high == nil {
-		f, err = t.findEdgeLeaf(1)
-		if err != nil {
-			return err
-		}
-		slot = nCells(f.Data()) - 1
-	} else {
-		f, err = t.findLeaf(high)
-		if err != nil {
-			return err
-		}
-		s, _ := search(f.Data(), high)
-		slot = s - 1
-	}
-	var kbuf []byte
-	for {
-		p := f.Data()
-		for ; slot >= 0; slot-- {
-			kbuf = fullKey(p, slot, kbuf[:0])
-			_, v := cellAt(p, slot)
-			if low != nil && bytes.Compare(kbuf, low) < 0 {
-				t.store.Unfix(f)
-				return nil
-			}
-			if !fn(kbuf, v) {
-				t.store.Unfix(f)
-				return nil
-			}
-		}
-		prev := leafPrev(p)
-		t.store.Unfix(f)
-		if prev == pagestore.InvalidPage {
-			return nil
-		}
-		f, err = t.store.Fix(prev)
-		if err != nil {
-			return err
-		}
-		slot = nCells(f.Data()) - 1
-	}
-}
-
-// SeekGE returns copies of the first key-value pair with key >= target, or
-// ErrNotFound when no such key exists.
-func (t *Tree) SeekGE(target []byte) (key, val []byte, err error) {
-	err = ErrNotFound
-	serr := t.Ascend(target, nil, func(k, v []byte) bool {
-		key = append([]byte(nil), k...)
-		val = append([]byte(nil), v...)
-		err = nil
-		return false
-	})
-	if serr != nil {
-		return nil, nil, serr
-	}
-	return key, val, err
-}
-
-// SeekGT returns the first pair with key strictly greater than target.
-func (t *Tree) SeekGT(target []byte) (key, val []byte, err error) {
-	err = ErrNotFound
-	serr := t.Ascend(target, nil, func(k, v []byte) bool {
-		if bytes.Equal(k, target) {
-			return true
-		}
-		key = append([]byte(nil), k...)
-		val = append([]byte(nil), v...)
-		err = nil
-		return false
-	})
-	if serr != nil {
-		return nil, nil, serr
-	}
-	return key, val, err
-}
-
-// SeekLT returns the last pair with key strictly less than target; a nil
-// target seeks the greatest key in the tree.
-func (t *Tree) SeekLT(target []byte) (key, val []byte, err error) {
-	err = ErrNotFound
-	serr := t.Descend(target, nil, func(k, v []byte) bool {
-		key = append([]byte(nil), k...)
-		val = append([]byte(nil), v...)
-		err = nil
-		return false
-	})
-	if serr != nil {
-		return nil, nil, serr
-	}
-	return key, val, err
-}
-
-// SeekLE returns the last pair with key <= target.
-func (t *Tree) SeekLE(target []byte) (key, val []byte, err error) {
-	v, gerr := t.Get(target)
-	if gerr == nil {
-		return append([]byte(nil), target...), v, nil
-	}
-	if gerr != ErrNotFound {
-		return nil, nil, gerr
-	}
-	return t.SeekLT(target)
 }
 
 // DeleteRange removes all keys in [start, limit) and returns how many were

@@ -1,238 +1,17 @@
 package btree
 
-import (
-	"bytes"
-	"fmt"
+import "repro/internal/pagestore"
 
-	"repro/internal/pagestore"
-)
-
-// SnapView is a read-only view of a tree as of one WAL snapshot LSN. It
-// descends from a pinned historical root and resolves every page through
-// pagestore.Store.FixAt, which serves the live frame when it is visible at
-// the snapshot and the page's retained version-chain image otherwise — so a
-// view observes exactly the committed tree shape at its LSN, no matter how
-// far the live tree has moved on.
-//
-// A view takes the tree's reader latch around each operation, just like the
-// live read paths: the latch is what serializes its byte reads against a
-// writer's in-place page mutations (the version layer handles visibility,
-// the latch handles atomicity). Views are cheap value-like handles; create
-// one per snapshot transaction and share it freely across its reads.
-type SnapView struct {
-	t    *Tree
-	root pagestore.PageID
-	snap uint64
-}
-
-// ViewAt returns a read-only view of the tree rooted at root (the caller's
-// recorded root as of the snapshot — the live root may have split away from
-// it since) at WAL position snap.
-func (t *Tree) ViewAt(root pagestore.PageID, snap uint64) *SnapView {
-	return &SnapView{t: t, root: root, snap: snap}
-}
-
-// SnapshotLSN returns the WAL position the view reads at.
-func (v *SnapView) SnapshotLSN() uint64 { return v.snap }
-
-// fix resolves one page at the view's snapshot.
-func (v *SnapView) fix(id pagestore.PageID) ([]byte, func(), error) {
-	return v.t.store.FixAt(id, v.snap)
-}
-
-// findLeaf descends to the leaf covering key, returning its page image and
-// release func.
-func (v *SnapView) findLeaf(key []byte) ([]byte, func(), error) {
-	id := v.root
-	for {
-		p, rel, err := v.fix(id)
-		if err != nil {
-			return nil, nil, fmt.Errorf("btree: snapshot descend to page %d: %w", id, err)
-		}
-		if pageKind(p) == kindLeaf {
-			return p, rel, nil
-		}
-		id = childPage(p, childIndexFor(p, key))
-		rel()
-	}
-}
-
-// findEdgeLeaf descends to the first (dir < 0) or last (dir > 0) leaf.
-func (v *SnapView) findEdgeLeaf(dir int) ([]byte, func(), error) {
-	id := v.root
-	for {
-		p, rel, err := v.fix(id)
-		if err != nil {
-			return nil, nil, fmt.Errorf("btree: snapshot descend to edge page %d: %w", id, err)
-		}
-		if pageKind(p) == kindLeaf {
-			return p, rel, nil
-		}
-		if dir < 0 || nCells(p) == 0 {
-			id = child0(p)
-		} else {
-			id = childAt(p, nCells(p)-1)
-		}
-		rel()
-	}
-}
-
-// Get returns a copy of the value stored under key at the snapshot, or
-// ErrNotFound.
-func (v *SnapView) Get(key []byte) ([]byte, error) {
-	lt := v.t.mu.rlock()
-	defer v.t.mu.runlock(lt)
-	p, rel, err := v.findLeaf(key)
-	if err != nil {
-		return nil, err
-	}
-	defer rel()
-	slot, found := search(p, key)
-	if !found {
-		return nil, ErrNotFound
-	}
-	_, val := cellAt(p, slot)
-	return append([]byte(nil), val...), nil
-}
-
-// Has reports whether key is present at the snapshot.
-func (v *SnapView) Has(key []byte) (bool, error) {
-	_, err := v.Get(key)
-	if err == ErrNotFound {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Ascend visits keys in [start, limit) in ascending order as of the
-// snapshot. fn's slices alias page (or version-chain) memory and are only
-// valid during the callback; return false to stop.
-func (v *SnapView) Ascend(start, limit []byte, fn func(key, val []byte) bool) error {
-	lt := v.t.mu.rlock()
-	defer v.t.mu.runlock(lt)
-	var p []byte
-	var rel func()
-	var err error
-	if start == nil {
-		p, rel, err = v.findEdgeLeaf(-1)
-	} else {
-		p, rel, err = v.findLeaf(start)
-	}
-	if err != nil {
-		return err
-	}
-	slot := 0
-	if start != nil {
-		slot, _ = search(p, start)
-	}
-	var kbuf []byte
-	for {
-		for ; slot < nCells(p); slot++ {
-			kbuf = fullKey(p, slot, kbuf[:0])
-			_, val := cellAt(p, slot)
-			if limit != nil && bytes.Compare(kbuf, limit) >= 0 {
-				rel()
-				return nil
-			}
-			if !fn(kbuf, val) {
-				rel()
-				return nil
-			}
-		}
-		next := leafNext(p)
-		rel()
-		if next == pagestore.InvalidPage {
-			return nil
-		}
-		p, rel, err = v.fix(next)
-		if err != nil {
-			return err
-		}
-		slot = 0
-	}
-}
-
-// Descend visits keys strictly below high in descending order (a nil high
-// starts at the last key, inclusive), stopping before keys below low.
-func (v *SnapView) Descend(high, low []byte, fn func(key, val []byte) bool) error {
-	lt := v.t.mu.rlock()
-	defer v.t.mu.runlock(lt)
-	var p []byte
-	var rel func()
-	var err error
-	var slot int
-	if high == nil {
-		p, rel, err = v.findEdgeLeaf(1)
-		if err != nil {
-			return err
-		}
-		slot = nCells(p) - 1
-	} else {
-		p, rel, err = v.findLeaf(high)
-		if err != nil {
-			return err
-		}
-		s, _ := search(p, high)
-		slot = s - 1
-	}
-	var kbuf []byte
-	for {
-		for ; slot >= 0; slot-- {
-			kbuf = fullKey(p, slot, kbuf[:0])
-			_, val := cellAt(p, slot)
-			if low != nil && bytes.Compare(kbuf, low) < 0 {
-				rel()
-				return nil
-			}
-			if !fn(kbuf, val) {
-				rel()
-				return nil
-			}
-		}
-		prev := leafPrev(p)
-		rel()
-		if prev == pagestore.InvalidPage {
-			return nil
-		}
-		p, rel, err = v.fix(prev)
-		if err != nil {
-			return err
-		}
-		slot = nCells(p) - 1
-	}
-}
-
-// SeekGE returns copies of the first key-value pair with key >= target at
-// the snapshot, or ErrNotFound when no such key exists.
-func (v *SnapView) SeekGE(target []byte) (key, val []byte, err error) {
-	err = ErrNotFound
-	serr := v.Ascend(target, nil, func(k, vb []byte) bool {
-		key = append([]byte(nil), k...)
-		val = append([]byte(nil), vb...)
-		err = nil
-		return false
-	})
-	if serr != nil {
-		return nil, nil, serr
-	}
-	return key, val, err
-}
-
-// SeekLT returns the last pair with key strictly less than target at the
-// snapshot; a nil target seeks the greatest key.
-func (v *SnapView) SeekLT(target []byte) (key, val []byte, err error) {
-	err = ErrNotFound
-	serr := v.Descend(target, nil, func(k, vb []byte) bool {
-		key = append([]byte(nil), k...)
-		val = append([]byte(nil), vb...)
-		err = nil
-		return false
-	})
-	if serr != nil {
-		return nil, nil, serr
-	}
-	return key, val, err
+// ViewAt returns a read-only view of the tree as of WAL position snap,
+// descending from root (the caller's recorded root as of the snapshot — the
+// live root may have split away from it since). Its cursors resolve every
+// page through pagestore.Store.FixAt, which serves the live frame when it is
+// visible at the snapshot and the page's retained version-chain image
+// otherwise — so the view observes exactly the committed tree shape at its
+// LSN, no matter how far the live tree has moved on. The version layer
+// handles visibility; the read latch a cursor holds handles atomicity, as on
+// the live tree. Views are cheap handles: create one per snapshot
+// transaction and share it freely across its reads.
+func (t *Tree) ViewAt(root pagestore.PageID, snap uint64) *View {
+	return &View{t: t, root: root, snap: snap, atSnap: true}
 }

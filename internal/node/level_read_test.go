@@ -1,0 +1,197 @@
+package node
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/pagestore"
+	"repro/internal/protocol"
+	"repro/internal/splid"
+	"repro/internal/storage"
+	"repro/internal/tx"
+	"repro/internal/xmlmodel"
+)
+
+// TestLevelReadReturnsPostLockState is the isolation oracle of the two-pass
+// level reads. GetChildren and GetAttributes read the child list twice: once
+// without locks, to learn which nodes the level lock must name, and once
+// after the lock is granted, for the result. Only the second may be
+// returned: while the reader waited for the lock, the writer it waited for
+// was free to change the list.
+//
+// A writer adds a member to the list (taking the level and edge locks), the
+// repeatable-read reader starts and blocks behind it, the writer adds a
+// second member and finishes. After a commit the reader must see both new
+// members, after an abort neither.
+//
+// Mutant (run by hand, not committed): read the result in getChildren /
+// getAttributes before lockLevel / lockAttributes instead of after it. The
+// reader then returns the first new member without the second — the commit
+// case fails on the missing member, the abort case on the rolled-back one.
+func TestLevelReadReturnsPostLockState(t *testing.T) {
+	lists := []struct {
+		name string
+		// owner picks the node whose list is read; add gives it one more member.
+		owner func(m *Manager, book splid.ID) splid.ID
+		add   func(m *Manager, w *tx.Txn, owner splid.ID, i int) error
+		read  func(m *Manager, r *tx.Txn, owner splid.ID) ([]xmlmodel.Node, error)
+	}{
+		{"children",
+			func(m *Manager, book splid.ID) splid.ID { h, _ := m.Document().LastChild(book); return h.ID },
+			func(m *Manager, w *tx.Txn, history splid.ID, _ int) error {
+				_, err := m.AppendElement(w, history, "lend")
+				return err
+			},
+			func(m *Manager, r *tx.Txn, history splid.ID) ([]xmlmodel.Node, error) {
+				return m.GetChildren(r, history)
+			}},
+		{"attributes",
+			func(m *Manager, book splid.ID) splid.ID { return book },
+			func(m *Manager, w *tx.Txn, book splid.ID, i int) error {
+				return m.SetAttribute(w, book, fmt.Sprintf("attr%d", i), []byte("v"))
+			},
+			func(m *Manager, r *tx.Txn, book splid.ID) ([]xmlmodel.Node, error) {
+				return m.GetAttributes(r, book)
+			}},
+	}
+	for _, name := range []string{"taDOM3+", "URIX", "Node2PLa"} {
+		for _, list := range lists {
+			for _, commit := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s/%s/commit=%v", name, list.name, commit), func(t *testing.T) {
+					m := newLibrary(t, name, -1)
+					defer m.Close()
+					book, err := m.Document().ElementByID([]byte("b-1-1"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					owner := list.owner(m, book)
+					r0 := m.Begin(tx.LevelRepeatable)
+					before, err := list.read(m, r0, owner)
+					if err != nil || len(before) != 1 {
+						t.Fatalf("list before the writer: %d members, %v", len(before), err)
+					}
+					r0.Commit()
+
+					w := m.Begin(tx.LevelRepeatable)
+					if err := list.add(m, w, owner, 1); err != nil {
+						t.Fatal(err)
+					}
+					waits := m.LockManager().Stats().Waits
+					type result struct {
+						nodes []xmlmodel.Node
+						err   error
+					}
+					done := make(chan result, 1)
+					r := m.Begin(tx.LevelRepeatable)
+					go func() {
+						nodes, err := list.read(m, r, owner)
+						done <- result{nodes, err}
+					}()
+					for deadline := time.Now().Add(300 * time.Millisecond); m.LockManager().Stats().Waits == waits; time.Sleep(time.Millisecond) {
+						select {
+						case res := <-done:
+							t.Fatalf("the level read did not wait for the writer: %d members, %v", len(res.nodes), res.err)
+						default:
+						}
+						if time.Now().After(deadline) {
+							t.Fatal("the reader neither finished nor waited")
+						}
+					}
+					if err := list.add(m, w, owner, 2); err != nil {
+						t.Fatal(err)
+					}
+					want := 1
+					if commit {
+						want = 3
+						err = w.Commit()
+					} else {
+						err = w.Abort()
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					res := <-done
+					if res.err != nil || len(res.nodes) != want {
+						t.Errorf("level read behind a writer that added two members and commit=%v: %d members, %v; want %d",
+							commit, len(res.nodes), res.err, want)
+					}
+					if err := r.Commit(); err != nil {
+						t.Fatal(err)
+					}
+					if err := m.Audit(); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestLevelReadIsTwoDescents is the node-level half of the descent gate
+// (storage.TestFixesPerReadOp): on a document tree of height 3, a level read
+// under locks fixes two root-to-leaf paths — the lock pass and the result
+// pass — and a jump one per tree, each plus at most one page for a leaf
+// boundary; the length of the list does not enter.
+func TestLevelReadIsTwoDescents(t *testing.T) {
+	d, err := storage.Create(pagestore.NewMemBackend(), "bib", storage.Options{BufferFrames: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	b := d.NewBuilder()
+	filler := string(make([]byte, 1500))
+	for i := 0; i < 2500; i++ {
+		b.StartElement("person").Attribute("id", fmt.Sprintf("p%d", i))
+		for _, a := range []string{"born", "city", "zip", "rev"} {
+			b.Attribute(a, a)
+		}
+		for _, f := range []string{"first", "last", "street", "phone"} {
+			b.Element(f, f)
+		}
+		b.Text(filler).EndElement()
+	}
+	if err := b.Err(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := d.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DocTree.Depth != 3 {
+		t.Fatalf("document tree has depth %d, the gate is written for 3", st.DocTree.Depth)
+	}
+	p, _ := protocol.ByName("taDOM3+")
+	m := New(d, p, Options{Depth: -1})
+	defer m.Close()
+	txn := m.Begin(tx.LevelRepeatable)
+	defer txn.Commit()
+	fixes := func() uint64 { s := d.Store().Stats(); return s.Hits + s.Misses }
+	for i := 0; i < 100; i++ {
+		f0 := fixes()
+		el, err := m.JumpToID(txn, fmt.Sprintf("p%d", i*25))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f1 := fixes()
+		attrs, err := m.GetAttributes(txn, el.ID)
+		if err != nil || len(attrs) != 5 {
+			t.Fatalf("GetAttributes: %d attributes, %v", len(attrs), err)
+		}
+		f2 := fixes()
+		kids, err := m.GetChildren(txn, el.ID)
+		if err != nil || len(kids) != 5 {
+			t.Fatalf("GetChildren: %d children, %v", len(kids), err)
+		}
+		f3 := fixes()
+		if n := int(f1 - f0); n != st.IDTree.Depth+3 {
+			t.Errorf("JumpToID fixed %d pages, want %d (id index) + 3", n, st.IDTree.Depth)
+		}
+		if n := f2 - f1; n < 6 || n > 8 {
+			t.Errorf("GetAttributes of 5 attributes fixed %d pages, want two descents of 3 (+1 each across a leaf boundary)", n)
+		}
+		if n := f3 - f2; n < 6 || n > 8 {
+			t.Errorf("GetChildren of 5 children fixed %d pages, want two descents of 3 (+1 each across a leaf boundary)", n)
+		}
+	}
+}

@@ -184,12 +184,8 @@ type treeAccess Manager
 
 // Children implements protocol.TreeAccess.
 func (a *treeAccess) Children(id splid.ID) ([]splid.ID, error) {
-	var out []splid.ID
-	err := a.doc.ScanChildren(id, func(n xmlmodel.Node) bool {
-		out = append(out, n.ID)
-		return true
-	})
-	return out, err
+	ids, _, err := a.doc.ChildIDs(id)
+	return ids, err
 }
 
 // ElementsWithIDAttribute implements protocol.TreeAccess: the *-2PL IDX

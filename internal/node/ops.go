@@ -161,13 +161,16 @@ func (o op) lockEdge(owner splid.ID, e protocol.Edge) error {
 	return o.err(o.m.proto.ReadEdge(o.c, owner, e))
 }
 
-// lockLevel read-locks parent and all its children with one request and
-// reports how many children that was (0 without a lock context).
+// lockLevel read-locks parent and all its children with one request. It is
+// the first of a level read's two passes over the child list: it reads the
+// lock set (labels only), and the count it reports (0 without a lock
+// context) sizes the result the second pass reads once the locks are held.
+// The cursor of the first pass is closed before the lock manager is asked.
 func (o op) lockLevel(parent splid.ID) (int, error) {
 	if o.c == nil {
 		return 0, nil
 	}
-	kids, err := (*treeAccess)(o.m).Children(parent)
+	kids, _, err := o.m.doc.ChildIDs(parent)
 	if err != nil {
 		return 0, err
 	}
@@ -178,20 +181,19 @@ func (o op) lockLevel(parent splid.ID) (int, error) {
 // virtual attribute root covers all attributes with one request. Even "no
 // attributes" must be a repeatable observation, so an element without an
 // attribute root is locked itself.
-func (o op) lockAttributes(el splid.ID) error {
+func (o op) lockAttributes(el splid.ID) (int, error) {
 	if o.c == nil {
-		return nil
+		return 0, nil
 	}
 	ar := el.AttributeRoot()
-	ok, err := o.m.doc.Exists(ar)
+	kids, ok, err := o.m.doc.ChildIDs(ar)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if !ok {
-		return o.lockNode(el, protocol.Navigate)
+		return 0, o.lockNode(el, protocol.Navigate)
 	}
-	_, err = o.lockLevel(ar)
-	return err
+	return len(kids), o.err(o.m.proto.ReadLevel(o.c, ar, kids))
 }
 
 func (o op) lockTree(id splid.ID, jump bool) error {
@@ -292,7 +294,8 @@ func (o op) parent(a wire.Args) (r wire.Result, err error) {
 }
 
 // getChildren returns all regular children (getChildNodes): one level-read
-// meta-lock.
+// meta-lock. The result is read after the lock is granted — a writer the
+// lock waited for may have changed the list the lock pass saw.
 func (o op) getChildren(a wire.Args) (r wire.Result, err error) {
 	n, err := o.lockLevel(a.ID)
 	if err != nil {
@@ -303,11 +306,14 @@ func (o op) getChildren(a wire.Args) (r wire.Result, err error) {
 	return r, err
 }
 
-// getAttributes returns the attribute nodes of an element (getAttributes).
+// getAttributes returns the attribute nodes of an element (getAttributes),
+// read, like getChildren's result, after the lock.
 func (o op) getAttributes(a wire.Args) (r wire.Result, err error) {
-	if err = o.lockAttributes(a.ID); err != nil {
+	n, err := o.lockAttributes(a.ID)
+	if err != nil {
 		return r, err
 	}
+	r.Nodes = make([]xmlmodel.Node, 0, n)
 	err = o.v.Attributes(a.ID, collect(&r.Nodes))
 	return r, err
 }

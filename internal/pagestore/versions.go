@@ -126,18 +126,18 @@ func (s *Store) versionAt(id PageID, snap uint64) ([]byte, bool) {
 const fixAtRetries = 16
 
 // FixAt resolves page id as of snapshot snap: the live frame when it is
-// visible (released via the returned func), otherwise the covering version
-// chain entry (whose release func is a no-op). An error means no image
-// covering snap exists — with a correctly maintained watermark that is an
-// invariant violation, not a transient condition.
-func (s *Store) FixAt(id PageID, snap uint64) ([]byte, func(), error) {
+// visible (returned pinned: the caller must Unfix it), otherwise the covering
+// version chain entry (a nil frame: nothing to release). An error means no
+// image covering snap exists — with a correctly maintained watermark that is
+// an invariant violation, not a transient condition.
+func (s *Store) FixAt(id PageID, snap uint64) ([]byte, *Frame, error) {
 	for attempt := 0; ; attempt++ {
 		f, err := s.Fix(id)
 		if err != nil {
 			// The live page is unreachable (I/O failure); a retained version
 			// can still serve the snapshot.
 			if data, ok := s.versionAt(id, snap); ok {
-				return data, func() {}, nil
+				return data, nil, nil
 			}
 			return nil, nil, err
 		}
@@ -146,7 +146,7 @@ func (s *Store) FixAt(id PageID, snap uint64) ([]byte, func(), error) {
 		// bytes — stamp included — are settled.
 		influx := f.influx.Load()
 		if !influx && PageLSN(f.data) <= snap {
-			return f.data, func() { s.Unfix(f) }, nil
+			return f.data, f, nil
 		}
 		if s.fixAtParked != nil {
 			s.fixAtParked()
@@ -154,7 +154,7 @@ func (s *Store) FixAt(id PageID, snap uint64) ([]byte, func(), error) {
 		data, ok := s.versionAt(id, snap)
 		s.Unfix(f)
 		if ok {
-			return data, func() {}, nil
+			return data, nil, nil
 		}
 		// A chain miss after seeing the flag up is not a hole: the capture
 		// declared the page but logged no change to it, and closed in between

@@ -55,11 +55,11 @@ func TestFixAtSurvivesUnchangedCaptureClose(t *testing.T) {
 			c.Close()
 		}
 	}
-	data, release, err := s.FixAt(id, 10)
+	data, f, err := s.FixAt(id, 10)
 	if err != nil {
 		t.Fatalf("FixAt across an unchanged capture close: %v", err)
 	}
-	defer release()
+	defer s.Unfix(f)
 	if parked != 1 {
 		t.Errorf("reader parked %d times, want 1 (second look must hit the live frame)", parked)
 	}

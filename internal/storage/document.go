@@ -187,17 +187,21 @@ func (d *Document) Size() int {
 // tree.
 func (d *Document) insertRaw(n xmlmodel.Node) error {
 	key := n.ID.Encode()
-	if ok, err := d.doc.Has(key); err != nil {
+	parent := n.ID.Parent()
+	// Both probes from one cursor — the parent is usually in the child's
+	// leaf — closed before Insert asks for the tree's write latch.
+	c := d.doc.Cursor()
+	exists := c.Find(key)
+	orphan := !exists && !parent.IsNull() && !c.Find(parent.Encode())
+	err := c.Err()
+	c.Close()
+	switch {
+	case err != nil:
 		return err
-	} else if ok {
+	case exists:
 		return fmt.Errorf("%w: %v", ErrNodeExists, n.ID)
-	}
-	if parent := n.ID.Parent(); !parent.IsNull() {
-		if ok, err := d.doc.Has(parent.Encode()); err != nil {
-			return err
-		} else if !ok {
-			return fmt.Errorf("%w: parent %v of %v", ErrNodeNotFound, parent, n.ID)
-		}
+	case orphan:
+		return fmt.Errorf("%w: parent %v of %v", ErrNodeNotFound, parent, n.ID)
 	}
 	if err := d.doc.Insert(key, xmlmodel.EncodeRecord(n)); err != nil {
 		return err

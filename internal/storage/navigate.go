@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 
 	"repro/internal/btree"
 	"repro/internal/splid"
@@ -11,11 +13,15 @@ import (
 // Navigation primitives. All of them work purely on the document B*-tree:
 // because the document is stored in document order under SPLID keys, every
 // DOM axis reduces to one or two index seeks — the paper's argument for
-// prefix-based labeling (Section 3.2).
+// prefix-based labeling (Section 3.2). Each primitive opens one cursor, so
+// its seeks after the first stay in the leaf the first one pinned whenever
+// the keys are neighbours, which in document order they are: a read
+// primitive is one descent.
 //
 // They are defined on reader, so the same implementations serve the live
 // document (promoted through Document's embedded reader) and point-in-time
-// Snapshot views (whose tree views resolve pages through the version layer).
+// Snapshot views (whose cursors resolve pages through the version layer).
+// Callbacks run under the cursor's latch and pin: they must not write.
 
 // ScanSubtree visits the node labeled id and all its descendants (including
 // virtual attribute-root and string nodes) in document order. fn returns
@@ -30,72 +36,79 @@ func (r reader) ScanDocument(fn func(xmlmodel.Node) bool) error {
 }
 
 func (r reader) scanRange(start, limit []byte, fn func(xmlmodel.Node) bool) error {
-	var decodeErr error
-	err := r.doc.Ascend(start, limit, func(k, v []byte) bool {
-		id, err := splid.Decode(append([]byte(nil), k...))
+	c := r.doc.Cursor()
+	defer c.Close()
+	c.Limit(limit)
+	for ok := c.Seek(start); ok; ok = c.Next() {
+		n, err := nodeAt(&c)
 		if err != nil {
-			decodeErr = err
-			return false
+			return err
 		}
-		n, err := xmlmodel.DecodeRecord(id, append([]byte(nil), v...))
-		if err != nil {
-			decodeErr = err
-			return false
+		if !fn(n) {
+			break
 		}
-		return fn(n)
-	})
-	if err != nil {
-		return err
 	}
-	return decodeErr
+	return c.Err()
 }
 
 // ScanChildren visits the direct children of id in document order,
 // excluding the reserved attribute-root and string-node children (they are
 // not DOM children). fn returns false to stop.
 func (r reader) ScanChildren(id splid.ID, fn func(xmlmodel.Node) bool) error {
-	// Children are exactly the level+1 nodes inside the subtree; skip whole
-	// child subtrees between siblings by seeking to each SubtreeLimit.
-	childLevel := id.Level() + 1
-	cur := id.Encode()
-	limit := id.SubtreeLimit().Encode()
-	for {
-		var child splid.ID
-		var node xmlmodel.Node
-		found := false
-		err := r.scanRange(cur, limit, func(n xmlmodel.Node) bool {
-			if n.ID.Equal(id) {
-				return true // the subtree root itself
-			}
-			child = n.ID.AncestorAtLevel(childLevel)
-			node = n
-			found = true
-			return false
-		})
-		if err != nil {
-			return err
-		}
-		if !found {
-			return nil
-		}
-		if !child.Equal(node.ID) {
-			// A child node precedes its descendants in document order, so
-			// the first key past the previous child's subtree limit is the
-			// next child itself; reaching a deeper node first would mean an
-			// orphaned subtree. Re-fetch defensively.
-			n, err := r.GetNode(child)
-			if err != nil {
-				return err
-			}
-			node = n
-		}
-		if !child.IsReservedChild() {
-			if !fn(node) {
-				return nil
-			}
-		}
-		cur = child.SubtreeLimit().Encode()
+	_, err := r.children(id, false, fn)
+	return err
+}
+
+// ChildIDs returns the labels of id's regular children and whether id itself
+// is stored — what a level lock needs of a child list, read from keys alone.
+func (r reader) ChildIDs(id splid.ID) (ids []splid.ID, found bool, err error) {
+	found, err = r.children(id, true, func(n xmlmodel.Node) bool {
+		ids = append(ids, n.ID)
+		return true
+	})
+	return ids, found, err
+}
+
+// children is the one walk over a child list: children are exactly the
+// level+1 nodes inside the subtree, so the cursor hops from each child to its
+// SubtreeLimit, skipping whole child subtrees — in-leaf seeks for a list that
+// fits a leaf. With keysOnly the visited nodes carry their ID alone. found
+// reports whether id itself is stored.
+func (r reader) children(id splid.ID, keysOnly bool, fn func(xmlmodel.Node) bool) (found bool, err error) {
+	c := r.doc.Cursor()
+	defer c.Close()
+	c.Limit(id.SubtreeLimit().Encode())
+	var kb [btree.MaxKeyLen]byte
+	key := id.AppendEncode(kb[:0])
+	ok := c.Seek(key)
+	if found = ok && bytes.Equal(c.Key(), key); found {
+		ok = c.Next()
 	}
+	for level := id.Level() + 1; ok; {
+		var n xmlmodel.Node
+		if n.ID, err = splid.Decode(c.Key()); err != nil {
+			return found, err
+		}
+		if n.ID.Level() != level {
+			// A child precedes its descendants in document order, so the
+			// first key past the previous child's subtree is the next child
+			// itself; a deeper node first is a subtree whose root is gone (a
+			// concurrent subtree delete caught half done).
+			return found, fmt.Errorf("%w: %v", ErrNodeNotFound, n.ID.AncestorAtLevel(level))
+		}
+		if !n.ID.IsReservedChild() {
+			if !keysOnly {
+				if n, err = recordAt(&c, n.ID); err != nil {
+					return found, err
+				}
+			}
+			if !fn(n) {
+				break
+			}
+		}
+		ok = c.Seek(n.ID.SubtreeLimit().AppendEncode(kb[:0]))
+	}
+	return found, c.Err()
 }
 
 // FirstChild returns the first regular (non-reserved) child of id, or a
@@ -115,13 +128,14 @@ func (r reader) FirstChild(id splid.ID) (xmlmodel.Node, error) {
 // whose top-level ancestor is already gone. That child no longer exists —
 // the answer is looked for below it.
 func (r reader) LastChild(id splid.ID) (xmlmodel.Node, error) {
+	c := r.doc.Cursor()
+	defer c.Close()
 	limit := id.SubtreeLimit()
 	for {
-		k, v, err := r.doc.SeekLT(limit.Encode())
-		if err != nil {
-			return xmlmodel.Node{}, err
+		if !c.SeekLT(limit.Encode()) {
+			return xmlmodel.Node{}, c.Err()
 		}
-		last, err := splid.Decode(k)
+		last, err := splid.Decode(c.Key())
 		if err != nil {
 			return xmlmodel.Node{}, err
 		}
@@ -133,9 +147,9 @@ func (r reader) LastChild(id splid.ID) (xmlmodel.Node, error) {
 			return xmlmodel.Node{}, nil // only attribute/string machinery below
 		}
 		if child.Equal(last) {
-			return xmlmodel.DecodeRecord(child, v)
+			return recordAt(&c, child)
 		}
-		n, err := r.GetNode(child)
+		n, err := find(&c, child)
 		if !errors.Is(err, ErrNodeNotFound) {
 			return n, err
 		}
@@ -150,22 +164,16 @@ func (r reader) NextSibling(id splid.ID) (xmlmodel.Node, error) {
 	if parent.IsNull() {
 		return xmlmodel.Node{}, nil // root has no siblings
 	}
-	k, v, err := r.doc.SeekGE(id.SubtreeLimit().Encode())
-	if err == btree.ErrNotFound {
-		return xmlmodel.Node{}, nil // id closes the document
+	c := r.doc.Cursor()
+	defer c.Close()
+	if !c.Seek(id.SubtreeLimit().Encode()) {
+		return xmlmodel.Node{}, c.Err() // id closes the document
 	}
-	if err != nil {
+	next, err := splid.Decode(c.Key())
+	if err != nil || !next.ChildOf(parent) {
 		return xmlmodel.Node{}, err
 	}
-	next, err := splid.Decode(k)
-	if err != nil {
-		return xmlmodel.Node{}, err
-	}
-	if !next.ChildOf(parent) {
-		return xmlmodel.Node{}, nil
-	}
-	n, err := xmlmodel.DecodeRecord(next, v)
-	return n, err
+	return recordAt(&c, next)
 }
 
 // PrevSibling returns the preceding regular sibling of id, or a null-ID
@@ -175,11 +183,12 @@ func (r reader) PrevSibling(id splid.ID) (xmlmodel.Node, error) {
 	if parent.IsNull() {
 		return xmlmodel.Node{}, nil
 	}
-	k, _, err := r.doc.SeekLT(id.Encode())
-	if err != nil {
-		return xmlmodel.Node{}, err
+	c := r.doc.Cursor()
+	defer c.Close()
+	if !c.SeekLT(id.Encode()) {
+		return xmlmodel.Node{}, c.Err()
 	}
-	before, err := splid.Decode(k)
+	before, err := splid.Decode(c.Key())
 	if err != nil {
 		return xmlmodel.Node{}, err
 	}
@@ -190,7 +199,7 @@ func (r reader) PrevSibling(id splid.ID) (xmlmodel.Node, error) {
 	if sib.IsReservedChild() {
 		return xmlmodel.Node{}, nil // only the attribute root precedes id
 	}
-	return r.GetNode(sib)
+	return find(&c, sib)
 }
 
 // Parent returns the parent node of id, or a null-ID node for the root.
@@ -202,25 +211,28 @@ func (r reader) Parent(id splid.ID) (xmlmodel.Node, error) {
 	return r.GetNode(p)
 }
 
-// Attributes visits the attribute nodes of element el in storage order.
+// Attributes visits the attribute nodes of element el in storage order: one
+// seek to the attribute root, then its subtree forward. An element without an
+// attribute root has none.
 func (r reader) Attributes(el splid.ID, fn func(xmlmodel.Node) bool) error {
 	ar := el.AttributeRoot()
-	if ok, err := r.Exists(ar); err != nil || !ok {
-		return err
+	c := r.doc.Cursor()
+	defer c.Close()
+	c.Limit(ar.SubtreeLimit().Encode())
+	var kb [btree.MaxKeyLen]byte
+	for ok := c.Find(ar.AppendEncode(kb[:0])) && c.Next(); ok; ok = c.Next() {
+		if xmlmodel.RecordKind(c.Value()) != xmlmodel.KindAttribute {
+			continue // a string node: not worth decoding
+		}
+		n, err := nodeAt(&c)
+		if err != nil {
+			return err
+		}
+		if !fn(n) {
+			break
+		}
 	}
-	stop := false
-	return r.ScanSubtree(ar, func(n xmlmodel.Node) bool {
-		if stop {
-			return false
-		}
-		if n.Kind == xmlmodel.KindAttribute {
-			if !fn(n) {
-				stop = true
-				return false
-			}
-		}
-		return true
-	})
+	return c.Err()
 }
 
 // AttributeByName returns the attribute node of el with the given name, or

@@ -11,34 +11,19 @@ import (
 	"repro/internal/xmlmodel"
 )
 
-// treeView is the read surface the document layer needs from a B*-tree. It
-// is satisfied by both *btree.Tree (the live tree) and *btree.SnapView (the
-// tree as of one WAL snapshot LSN), which is what lets every navigation
-// primitive serve live and snapshot reads from a single implementation.
-type treeView interface {
-	Get(key []byte) ([]byte, error)
-	Has(key []byte) (bool, error)
-	Ascend(start, limit []byte, fn func(key, val []byte) bool) error
-	SeekGE(target []byte) (key, val []byte, err error)
-	SeekLT(target []byte) (key, val []byte, err error)
-}
-
-var (
-	_ treeView = (*btree.Tree)(nil)
-	_ treeView = (*btree.SnapView)(nil)
-)
-
-// reader bundles the three tree views plus the vocabulary and implements
-// every read-only document operation (lookups in reader.go, the navigation
-// axes in navigate.go). Document embeds a reader over its live trees, so
-// all existing read calls promote through it unchanged; Snapshot embeds a
-// reader over SnapViews pinned at one LSN. The vocabulary is shared between
-// the two: it is append-only with stable surrogates, so a name interned
-// after the snapshot simply resolves to a name no snapshot node references.
+// reader bundles read views of the three trees plus the vocabulary and
+// implements every read-only document operation (lookups in reader.go, the
+// navigation axes in navigate.go). Document embeds a reader over its live
+// trees, so all existing read calls promote through it unchanged; Snapshot
+// embeds a reader over views pinned at one LSN. Either way a tree is read
+// through a *btree.View, so every primitive is written once, on one
+// btree.Cursor per call. The vocabulary is shared between the two: it is
+// append-only with stable surrogates, so a name interned after the snapshot
+// simply resolves to a name no snapshot node references.
 type reader struct {
-	doc   treeView // SPLID -> node record, document order
-	elem  treeView // name surrogate + SPLID -> nil (element index)
-	ids   treeView // id-attribute value -> element SPLID
+	doc   *btree.View // SPLID -> node record, document order
+	elem  *btree.View // name surrogate + SPLID -> nil (element index)
+	ids   *btree.View // id-attribute value -> element SPLID
 	vocab *xmlmodel.Vocabulary
 }
 
@@ -55,47 +40,73 @@ func (r reader) Reader() Reader { return r }
 
 // liveReader builds the reader a Document embeds over its live trees.
 func liveReader(doc, elem, ids *btree.Tree, vocab *xmlmodel.Vocabulary) reader {
-	return reader{doc: doc, elem: elem, ids: ids, vocab: vocab}
+	return reader{doc: &doc.View, elem: &elem.View, ids: &ids.View, vocab: vocab}
+}
+
+// nodeAt decodes the record under the cursor, key and all. Only a string
+// node's character data leaves the page, as a copy.
+func nodeAt(c *btree.Cursor) (xmlmodel.Node, error) {
+	id, err := splid.Decode(c.Key())
+	if err != nil {
+		return xmlmodel.Node{}, err
+	}
+	return recordAt(c, id)
+}
+
+// recordAt decodes the record under the cursor for a caller that knows its
+// SPLID already.
+func recordAt(c *btree.Cursor, id splid.ID) (xmlmodel.Node, error) {
+	n, err := xmlmodel.DecodeRecord(id, c.Value())
+	if n.Value != nil {
+		n.Value = append([]byte(nil), n.Value...)
+	}
+	return n, err
+}
+
+// find moves the cursor to the node labeled id and decodes it. A seek from
+// wherever the cursor stands: a node in the leaf it already pins costs no
+// descent.
+func find(c *btree.Cursor, id splid.ID) (xmlmodel.Node, error) {
+	var kb [btree.MaxKeyLen]byte
+	if id.IsNull() || !c.Find(id.AppendEncode(kb[:0])) {
+		if err := c.Err(); err != nil {
+			return xmlmodel.Node{}, err
+		}
+		return xmlmodel.Node{}, fmt.Errorf("%w: %v", ErrNodeNotFound, id)
+	}
+	return recordAt(c, id)
 }
 
 // GetNode fetches the node labeled id.
 func (r reader) GetNode(id splid.ID) (xmlmodel.Node, error) {
-	if id.IsNull() {
-		return xmlmodel.Node{}, fmt.Errorf("%w: null SPLID", ErrNodeNotFound)
-	}
-	v, err := r.doc.Get(id.Encode())
-	if err == btree.ErrNotFound {
-		return xmlmodel.Node{}, fmt.Errorf("%w: %v", ErrNodeNotFound, id)
-	}
-	if err != nil {
-		return xmlmodel.Node{}, err
-	}
-	return xmlmodel.DecodeRecord(id, v)
+	c := r.doc.Cursor()
+	defer c.Close()
+	return find(&c, id)
 }
 
 // Exists reports whether a node is stored under id.
 func (r reader) Exists(id splid.ID) (bool, error) {
-	if id.IsNull() {
-		return false, nil
-	}
-	return r.doc.Has(id.Encode())
+	c := r.doc.Cursor()
+	defer c.Close()
+	var kb [btree.MaxKeyLen]byte
+	return !id.IsNull() && c.Find(id.AppendEncode(kb[:0])), c.Err()
 }
 
-// Value returns the character data of a text or attribute node.
+// Value returns the character data of a text or attribute node. The string
+// node is the key right after its owner, so both are read from one position.
 func (r reader) Value(id splid.ID) ([]byte, error) {
-	n, err := r.GetNode(id)
+	c := r.doc.Cursor()
+	defer c.Close()
+	n, err := find(&c, id)
 	if err != nil {
 		return nil, err
 	}
 	switch n.Kind {
 	case xmlmodel.KindText, xmlmodel.KindAttribute:
-		s, err := r.GetNode(id.StringNode())
-		if err != nil {
-			return nil, err
-		}
-		return append([]byte(nil), s.Value...), nil
+		n, err = find(&c, id.StringNode())
+		return n.Value, err
 	case xmlmodel.KindString:
-		return append([]byte(nil), n.Value...), nil
+		return n.Value, nil
 	default:
 		return nil, fmt.Errorf("storage: node %v (%v) has no value", id, n.Kind)
 	}
@@ -104,14 +115,15 @@ func (r reader) Value(id splid.ID) ([]byte, error) {
 // ElementByID resolves an id-attribute value to the owning element's SPLID —
 // the getElementById direct jump.
 func (r reader) ElementByID(value []byte) (splid.ID, error) {
-	v, err := r.ids.Get(value)
-	if err == btree.ErrNotFound {
+	c := r.ids.Cursor()
+	defer c.Close()
+	if !c.Find(value) {
+		if err := c.Err(); err != nil {
+			return splid.Null, err
+		}
 		return splid.Null, fmt.Errorf("%w: id %q", ErrNodeNotFound, value)
 	}
-	if err != nil {
-		return splid.Null, err
-	}
-	return splid.Decode(v)
+	return splid.Decode(c.Value())
 }
 
 // ElementsByName visits the SPLIDs of all elements with the given name in
@@ -128,7 +140,7 @@ func (r reader) ElementsByName(name string, fn func(splid.ID) bool) error {
 		limit = []byte{prefix[0] + 1, 0}
 	}
 	return r.elem.Ascend(prefix[:], limit, func(k, _ []byte) bool {
-		id, err := splid.Decode(append([]byte(nil), k[2:]...))
+		id, err := splid.Decode(k[2:])
 		if err != nil {
 			return true
 		}

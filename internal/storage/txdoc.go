@@ -301,7 +301,7 @@ func takeSplid(p []byte) (splid.ID, []byte, error) {
 	if len(p) < n {
 		return splid.Null, nil, errCorruptUndo
 	}
-	id, err := splid.Decode(append([]byte(nil), p[:n]...))
+	id, err := splid.Decode(p[:n])
 	if err != nil {
 		return splid.Null, nil, fmt.Errorf("%w: %v", errCorruptUndo, err)
 	}

@@ -116,7 +116,7 @@ func (d *Document) Verify() error {
 			return false
 		}
 		sur := xmlmodel.Sur(binary.BigEndian.Uint16(k[:2]))
-		id, derr := splid.Decode(append([]byte(nil), k[2:]...))
+		id, derr := splid.Decode(k[2:])
 		if derr != nil {
 			verr = derr
 			return false
@@ -147,7 +147,7 @@ func (d *Document) Verify() error {
 	idIndexed := 0
 	scanErr = d.ids.Ascend(nil, nil, func(k, v []byte) bool {
 		idIndexed++
-		el, derr := splid.Decode(append([]byte(nil), v...))
+		el, derr := splid.Decode(v)
 		if derr != nil {
 			verr = derr
 			return false

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -119,7 +120,10 @@ func BenchmarkLoggedWrite(b *testing.B) {
 // SetAttribute keeps a capture open most of the time while a reader does
 // point lookups over a document twenty times the 64-frame pool. When every
 // page fixed during a capture stayed pinned until it closed, the reader's
-// misses ran the pool out of frames within a tenth of a second.
+// misses ran the pool out of frames within a tenth of a second. The reader
+// leaves its cursors every way there is — scans run to the end, callbacks
+// that stop early, lookups that fail — and none may leave a pin behind: a
+// cursor holds one, and 64 frames do not forgive a leak for long.
 func TestReadsDuringCapturesSmallPool(t *testing.T) {
 	const (
 		frames  = 64
@@ -181,17 +185,13 @@ func TestReadsDuringCapturesSmallPool(t *testing.T) {
 			}
 		}
 	}()
-	go func() { // reader: JumpToID + GetAttributes
+	go func() { // reader: JumpToID, then one read primitive — run out, stopped early, or failing
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(2))
 		for ; time.Now().Before(deadline); reads++ {
 			el, err := person(rng)
-			attrs := 0
 			if err == nil {
-				err = d.Attributes(el, func(xmlmodel.Node) bool { attrs++; return true })
-			}
-			if err == nil && attrs == 0 {
-				err = fmt.Errorf("person %v has no attributes", el)
+				err = readOneWay(d, el, reads)
 			}
 			if err != nil {
 				t.Errorf("read %d: %v", reads, err)
@@ -209,4 +209,55 @@ func TestReadsDuringCapturesSmallPool(t *testing.T) {
 	if err := d.Verify(); err != nil {
 		t.Error(err)
 	}
+}
+
+// readOneWay reads person el by the i-th of the ways a cursor can be left.
+func readOneWay(d *Document, el splid.ID, i int) error {
+	seen := 0
+	stopAtFirst := func(xmlmodel.Node) bool { seen++; return false }
+	switch i % 6 {
+	case 0: // a scan run to its end
+		if err := d.Attributes(el, func(xmlmodel.Node) bool { seen++; return true }); err != nil || seen == 0 {
+			return fmt.Errorf("person %v: %d attributes, %v", el, seen, err)
+		}
+	case 1: // callbacks that stop the scan at the first node
+		for _, scan := range []func(splid.ID, func(xmlmodel.Node) bool) error{d.Attributes, d.ScanChildren, d.ScanSubtree} {
+			if err := scan(el, stopAtFirst); err != nil {
+				return err
+			}
+		}
+		if seen != 3 {
+			return fmt.Errorf("person %v: early-stopping scans saw %d nodes, want 3", el, seen)
+		}
+	case 2: // lookups that fail: a missing node, a node without a value
+		if _, err := d.GetNode(el.Child(99999)); !errors.Is(err, ErrNodeNotFound) {
+			return fmt.Errorf("GetNode of a missing child: %v", err)
+		}
+		if _, err := d.Value(el); err == nil {
+			return fmt.Errorf("Value of element %v did not fail", el)
+		}
+		if ids, found, err := d.ChildIDs(el.Child(99999)); err != nil || found || len(ids) != 0 {
+			return fmt.Errorf("ChildIDs of a missing child: %v, %v, %v", ids, found, err)
+		}
+	case 3: // two positions on one cursor: the text node and its 1800-byte string, often a leaf apart
+		text, err := d.LastChild(el)
+		if err != nil {
+			return err
+		}
+		if v, err := d.Value(text.ID); err != nil || len(v) != 1800 {
+			return fmt.Errorf("text of %v: %d bytes, %v", el, len(v), err)
+		}
+	case 4:
+		if a, err := d.AttributeByName(el, IDAttrName); err != nil || a.ID.IsNull() {
+			return fmt.Errorf("person %v: id attribute %v, %v", el, a.ID, err)
+		}
+	default:
+		if _, err := d.NextSibling(el); err != nil {
+			return err
+		}
+		if _, err := d.PrevSibling(el); err != nil {
+			return err
+		}
+	}
+	return nil
 }

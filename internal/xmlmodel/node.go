@@ -96,6 +96,15 @@ func EncodeRecord(n Node) []byte {
 	return buf
 }
 
+// RecordKind returns the node kind of an encoded record without decoding the
+// rest (0, no valid kind, for an empty one).
+func RecordKind(b []byte) Kind {
+	if len(b) == 0 {
+		return 0
+	}
+	return Kind(b[0])
+}
+
 // DecodeRecord parses a node record produced by EncodeRecord. The SPLID key
 // is supplied by the caller. The returned Node's Value aliases b.
 func DecodeRecord(id splid.ID, b []byte) (Node, error) {

@@ -10,6 +10,11 @@ end-to-end metric of BENCHMARK.json, each side's median and quartiles, the
 change of the median, and how many pairs the working tree won (ties count
 for neither). Extra arguments for the benchmark go in BENCH_FLAGS, e.g.
 BENCH_FLAGS="-seed 7".
+
+With TRACE=1 the pairs are traced runs (`-trace 1`) and the rows are the
+per-layer metrics named in METRICS, in the same layout:
+
+    TRACE=1 METRICS="pagestore.fix_per_txn node.allocs_per_txn" scripts/bench_pairs.py HEAD~1 3 cold_jump
 """
 import json
 import os
@@ -24,8 +29,8 @@ def build(src, out):
     subprocess.run(["go", "build", "-o", out, "./bench"], cwd=src, check=True)
 
 
-def run(binary, cwd, workload, flags):
-    cmd = [binary, "-workload", workload, "-trace", "0"] + flags
+def run(binary, cwd, workload, flags, trace):
+    cmd = [binary, "-workload", workload, "-trace", trace] + flags
     out = subprocess.run(cmd, cwd=cwd, check=True, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True).stdout
     res = json.loads(out.strip().splitlines()[-1])
     if not res["correct"] or res["failed"]:
@@ -48,6 +53,14 @@ def main():
     spec = json.load(open(os.path.join(root, "BENCHMARK.json")))
     workloads = sys.argv[3:] or [w["name"] for w in spec["workloads"]]
     flags = shlex.split(os.environ.get("BENCH_FLAGS", ""))
+    trace = "1" if os.environ.get("TRACE", "0") not in ("", "0") else "0"
+    metrics = spec["end_to_end"]
+    if trace == "1":
+        layer = {m["name"]: m for m in spec["per_layer"]}
+        metrics = [layer.get(name) or sys.exit(f"METRICS: {name} is not a per-layer metric of BENCHMARK.json")
+                   for name in os.environ.get("METRICS", "").split()]
+        if not metrics:
+            sys.exit("TRACE=1 needs METRICS=\"<per-layer metric> ...\"")
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         src = os.path.join(tmp, "parent")
@@ -60,23 +73,27 @@ def main():
         for binary, cwd in sides.values():
             build(cwd, binary)
 
-        print(f"parent {parent}, {n} alternating pairs, flags {flags or '-'}")
-        print(f"{'workload':<11}{'metric':<12}{'parent med [q1, q3]':>34}{'change med [q1, q3]':>34}{'delta':>9}{'wins':>7}")
+        width = max(len(m["name"]) for m in metrics) + 2
+        print(f"parent {parent}, {n} alternating {'traced ' if trace == '1' else ''}pairs, flags {flags or '-'}")
+        print(f"{'workload':<11}{'metric':<{width}}{'parent med [q1, q3]':>34}{'change med [q1, q3]':>34}{'delta':>9}{'wins':>7}")
         for w in workloads:
             runs = {"parent": [], "change": []}
             for i in range(n):
                 for side in (("parent", "change"), ("change", "parent"))[i % 2]:
-                    runs[side].append(run(*sides[side], w, flags))
+                    runs[side].append(run(*sides[side], w, flags, trace))
                 print(f"  {w}: pair {i + 1}/{n}", file=sys.stderr)
-            for m in spec["end_to_end"]:
+            for m in metrics:
                 name, sign = m["name"], 1 if m["better"] == "higher" else -1
+                if any(name not in r for r in runs["parent"] + runs["change"]):
+                    print(f"{w:<11}{name:<{width}}{'not reported on this workload':>34}", flush=True)
+                    continue
                 p = [r[name] for r in runs["parent"]]
                 c = [r[name] for r in runs["change"]]
                 wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
                 ties = sum(a == b for a, b in zip(p, c))
                 cell = lambda xs: "{1:.5g} [{0:.5g}, {2:.5g}]".format(*quartiles(xs))
-                delta = (statistics.median(c) / statistics.median(p) - 1) * 100
-                print(f"{w:<11}{name:<12}{cell(p):>34}{cell(c):>34}{delta:>+8.1f}%{wins:>4}/{n - ties}", flush=True)
+                delta = (statistics.median(c) / statistics.median(p) - 1) * 100 if statistics.median(p) else float("nan")
+                print(f"{w:<11}{name:<{width}}{cell(p):>34}{cell(c):>34}{delta:>+8.1f}%{wins:>4}/{n - ties}", flush=True)
 
 
 if __name__ == "__main__":
