@@ -1,6 +1,6 @@
 // Command tamix regenerates the figures of "Contest of XML Lock Protocols"
 // (VLDB 2006) by running the TaMix benchmark framework against the embedded
-// XTC-style engine.
+// XTC-style engine, and runs the contest itself.
 //
 // Usage:
 //
@@ -9,24 +9,20 @@
 //	tamix -fig all -csv out/         # everything, CSV files per figure
 //	tamix -fig 9 -doc 1 -time 1      # the paper's full setting (hours!)
 //
+//	tamix -fig contest               # CLUSTER1 under all protocols, ranked
+//	tamix -fig contest -depths 7 -doc 0.05 -time 0.005
+//	tamix -fig contest -json report.json   # machine-readable run report
+//	tamix -fig contest -json -             # report to stdout, table to stderr
+//	tamix -fig contest -remote self        # the same over a loopback xtcd
+//	tamix -fig contest -remote localhost:4410 -protocols taDOM*
+//
 // Scaling: -doc scales the bib document (1.0 = 2000 books), -time scales
 // the run-control intervals (1.0 = 5-minute runs). Throughput is always
 // normalized to the paper's 5-minute interval.
-//
-// Server mode drives the same workload through the xtcd wire protocol
-// instead of an in-process engine:
-//
-//	tamix -server self               # spin up a loopback xtcd, bench it
-//	tamix -server localhost:4410     # bench a running xtcd
-//	tamix -server self -protocols taDOM* -conns 1,16,64
-//
-// Each (protocol, connection-count) cell appends one JSON line — throughput
-// plus the client request-latency percentiles — to BENCH_server.json.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -34,6 +30,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"repro/internal/bibserve"
@@ -47,34 +44,41 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure to regenerate: 7, 8, 9, 10, 11, or all")
+		fig      = flag.String("fig", "all", "figure to regenerate: 7, 8, 9, 10, 11, all — or contest: CLUSTER1 under every protocol, ranked")
 		docScale = flag.Float64("doc", 0.02, "document scale (1.0 = the paper's 2000 books)")
 		timeSc   = flag.Float64("time", 0.002, "timing scale (1.0 = 5-minute runs)")
-		depths   = flag.String("depths", "0,1,2,3,4,5,6,7", "comma-separated lock depths")
+		depths   = flag.String("depths", "", "comma-separated lock depths (default 0..7; the contest ranks at one depth, default 5)")
 		runs     = flag.Int("runs", 3, "TAdelBook repetitions for figure 11")
 		avg      = flag.Int("avg", 1, "repetitions averaged per CLUSTER1 configuration (the paper used 4)")
 		csvDir   = flag.String("csv", "", "also write CSV files into this directory")
 		seed     = flag.Int64("seed", 0, "workload seed offset")
 		lockTO   = flag.Duration("lock-timeout", 0, "lock-wait timeout (0 = scaled default)")
 
-		serverAddr = flag.String("server", "", "bench an xtcd server instead of regenerating figures: an address, or \"self\" for an in-process loopback daemon")
-		protoList  = flag.String("protocols", "all", "server mode: protocols to bench ("+protocol.NamesHelp()+")")
-		connList   = flag.String("conns", "1,16,64", "server mode: comma-separated pooled-connection counts to sweep")
-		isoName    = flag.String("iso", "repeatable", "server mode: isolation level (none, uncommitted, committed, repeatable, snapshot; \"snapshot\" runs the read-only transaction types at MVCC snapshot isolation — snapshot protocol only — with writers at repeatable)")
-		benchOut   = flag.String("out", "BENCH_server.json", "server mode: append one JSON line per cell to this file (\"-\" = stdout)")
+		protoList = flag.String("protocols", "all", "contest: protocols to rank ("+protocol.NamesHelp()+")")
+		remote    = flag.String("remote", "", "contest: run against an xtcd server at this address instead of in-process engines (\"self\" = an in-process loopback daemon)")
+		flusher   = flag.Duration("flusher", 0, "contest: background flusher interval for dirty pages (0 = disabled)")
+		jsonOut   = flag.String("json", "", "contest: write the JSON run report to this file (\"-\" = stdout, table moves to stderr)")
 	)
 	flag.Parse()
 
-	if *serverAddr != "" {
-		if err := runServerBench(*serverAddr, *protoList, *connList, *isoName, *benchOut, *docScale, *timeSc, *seed); err != nil {
+	var ds []int // empty: each mode's default
+	if *depths != "" {
+		var err error
+		if ds, err = parseDepths(*depths); err != nil {
+			fatal(err)
+		}
+	}
+	if *fig == "contest" {
+		depth := 5
+		if len(ds) == 1 {
+			depth = ds[0]
+		} else if len(ds) > 1 {
+			fatal(fmt.Errorf("the contest ranks at one lock depth, -depths names %d", len(ds)))
+		}
+		if err := contest(*protoList, *remote, *jsonOut, depth, *docScale, *timeSc, *seed, *lockTO, *flusher); err != nil {
 			fatal(err)
 		}
 		return
-	}
-
-	ds, err := parseDepths(*depths)
-	if err != nil {
-		fatal(err)
 	}
 	opt := figures.Options{DocScale: *docScale, TimeScale: *timeSc, Depths: ds, Runs: *avg, Seed: *seed, LockTimeout: *lockTO}
 
@@ -169,68 +173,34 @@ func writeCSV(dir, name string, series []figures.Series) {
 	figures.WriteSeriesCSV(f, series)
 }
 
-// serverBenchRow is one BENCH_server.json line: one protocol at one
-// connection count, with throughput (commits normalized to the paper's
-// 5-minute interval) and the client-side request-latency percentiles.
-type serverBenchRow struct {
-	Date         string                 `json:"date"`
-	Server       string                 `json:"server"`
-	Protocol     string                 `json:"protocol"`
-	Conns        int                    `json:"conns"`
-	DocScale     float64                `json:"doc_scale"`
-	TimeScale    float64                `json:"time_scale"`
-	Committed    int                    `json:"committed"`
-	Aborted      int                    `json:"aborted"`
-	Deadlocks    uint64                 `json:"deadlocks"`
-	Timeouts     uint64                 `json:"timeouts"`
-	LockRequests uint64                 `json:"lock_requests"`
-	Reconnects   uint64                 `json:"reconnects"`
-	Redials      uint64                 `json:"redials"`
-	Throughput   float64                `json:"throughput"`
-	Latency      metrics.LatencySummary `json:"request_latency"`
-}
-
-// runServerBench sweeps the CLUSTER1 workload over (protocol × connection
-// count) against an xtcd server — a loopback daemon started in-process when
-// addr is "self" — and appends one JSON line per cell to the out file. Every
-// run carries the server-side audit (Verify + LeakCheck) from the remote
-// TaMix path, so this doubles as an end-to-end integrity gate.
-func runServerBench(addr, protoList, connList, isoName, out string, docScale, timeSc float64, seed int64) error {
-	protos, err := protocol.ParseList(protoList)
+// contest runs the headline experiment — CLUSTER1 at isolation level
+// repeatable under every listed protocol, an in-memory WAL attached so commits
+// pay a durability force — and prints the ranking table, the "contest" of the
+// paper's title. With remote set the same workload runs through the wire
+// protocol against an xtcd server ("self" starts a loopback daemon with the
+// same document and lock timeout); the server owns its engines then, audits
+// them itself, and ships their counters, not their latency distributions.
+// Every statistic is read from the run's snapshot by the name its layer
+// registered.
+func contest(protoList, remote, jsonOut string, depth int, docScale, timeSc float64, seed int64, lockTO, flusher time.Duration) error {
+	contestants, err := protocol.ParseList(protoList)
 	if err != nil {
 		return err
 	}
-	iso, err := tx.ParseLevel(isoName)
-	if err != nil {
-		return err
-	}
-	if iso == tx.LevelSnapshot {
-		// Snapshot isolation is read-only, so the mixed CLUSTER1 workload
-		// keeps its writers at repeatable; the read-only transaction types
-		// pin snapshots (the remote engine downgrades them automatically
-		// for snapshot-read protocols).
-		iso = tx.LevelRepeatable
-		for _, p := range protos {
-			if !protocol.UsesSnapshotReads(p) {
-				return fmt.Errorf("-iso snapshot needs snapshot-read protocols; %s takes read locks (use -protocols snapshot)", p.Name())
-			}
+	config := func(p protocol.Protocol) tamix.Config {
+		cfg := tamix.Cluster1Config(p.Name(), tx.LevelRepeatable, depth, docScale, timeSc)
+		cfg.Seed += seed
+		if lockTO > 0 {
+			cfg.LockTimeout = lockTO
 		}
+		cfg.Bib.FlusherInterval = flusher
+		cfg.WAL = true
+		cfg.Remote = remote // read at call time: "self" is the loopback's address by then
+		return cfg
 	}
-	var conns []int
-	for _, part := range strings.Split(connList, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return fmt.Errorf("bad connection count %q", part)
-		}
-		conns = append(conns, n)
-	}
-
-	serverLabel := addr
-	if addr == "self" {
-		srv, err := bibserve.Start(bibserve.Options{
-			Bib:         tamix.Scaled(docScale),
-			LockTimeout: tamix.ScaledTiming(timeSc).LockTimeout,
-		}, server.Config{})
+	if remote == "self" {
+		cfg := config(contestants[0])
+		srv, err := bibserve.Start(bibserve.Options{Bib: cfg.Bib, LockTimeout: cfg.LockTimeout}, server.Config{})
 		if err != nil {
 			return fmt.Errorf("start loopback server: %w", err)
 		}
@@ -241,59 +211,65 @@ func runServerBench(addr, protoList, connList, isoName, out string, docScale, ti
 				fmt.Fprintln(os.Stderr, "tamix: loopback shutdown:", err)
 			}
 		}()
-		addr = srv.Addr()
-		serverLabel = "self"
+		remote = srv.Addr()
 	}
 
-	var w io.Writer = os.Stdout
-	if out != "-" {
-		f, err := os.OpenFile(out, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	report := &tamix.ContestReport{DocScale: docScale, TimeScale: timeSc, Depth: depth, Seed: seed}
+	for _, p := range contestants {
+		fmt.Fprintf(os.Stderr, "running %-10s ...", p.Name())
+		start := time.Now()
+		res, err := tamix.Run(config(p))
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		w = f
+		fmt.Fprintf(os.Stderr, " %6.1f tx/5min, %d deadlocks, %d restarts (%s)\n",
+			res.Throughput(), res.Metrics.CounterValue("lock.deadlocks"), res.Restarts, time.Since(start).Round(time.Millisecond))
+		report.Results = append(report.Results, tamix.RankedReport{Group: p.Group(), Report: res.Report()})
 	}
-	enc := json.NewEncoder(w)
-	date := time.Now().UTC().Format(time.RFC3339)
+	report.Rank()
 
-	for _, p := range protos {
-		for _, c := range conns {
-			cfg := tamix.Cluster1Config(p.Name(), iso, 5, docScale, timeSc)
-			cfg.Remote = addr
-			cfg.RemoteConns = c
-			cfg.Seed = seed
-			cfg.Metrics = metrics.NewRegistry() // fresh per cell: distributions must not mix
-			res, err := tamix.Run(cfg)
-			if err != nil {
-				return fmt.Errorf("%s @ %d conns: %w", p.Name(), c, err)
-			}
-			row := serverBenchRow{
-				Date:         date,
-				Server:       serverLabel,
-				Protocol:     p.Name(),
-				Conns:        c,
-				DocScale:     docScale,
-				TimeScale:    timeSc,
-				Committed:    res.Committed,
-				Aborted:      res.Aborted,
-				Deadlocks:    res.Deadlocks,
-				Timeouts:     res.Timeouts,
-				LockRequests: res.LockRequests,
-				Reconnects:   res.Metrics.CounterValue("client.reconnects"),
-				Redials:      res.Metrics.CounterValue("client.redials"),
-				Throughput:   res.Throughput(),
-				Latency:      res.Metrics.Summary("client.request_ns"),
-			}
-			if err := enc.Encode(row); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "%-12s conns=%-3d committed=%-6d tpmC=%-10.1f p95=%s\n",
-				p.Name(), c, res.Committed, row.Throughput,
-				time.Duration(row.Latency.P95))
-		}
+	tableOut := io.Writer(os.Stdout)
+	if jsonOut == "-" {
+		tableOut = os.Stderr
 	}
-	return nil
+	w := tabwriter.NewWriter(tableOut, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, "rank\tprotocol\tgroup\tthroughput\tcommitted\taborted\trestarts\tdropped\tdeadlocks\tconv-deadlocks\tlock requests\tcache hits\tlock waits\twait p95\tfix-miss p95\twal-force p95\tfaults\tretries")
+	for _, rr := range report.Results {
+		fmt.Fprintf(w, "%d\t%s\t%s\t%.1f\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\t%s\t%s\t%d\t%d\n",
+			rr.Rank, rr.Protocol, rr.Group, rr.Throughput,
+			rr.Committed, rr.Aborted, rr.Restarts, rr.Dropped,
+			rr.Counters["lock.deadlocks"], rr.Counters["lock.conversion_deadlocks"], rr.Counters["lock.requests"],
+			rr.Counters["lock.cache_hits"], rr.Counters["lock.waits"],
+			p95(rr.Latencies["lock.wait"]), p95(rr.Latencies["buffer.fix_miss"]), p95(rr.Latencies["wal.force"]),
+			rr.Counters["fault.injected"], rr.Counters["buffer.retries"])
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+
+	switch jsonOut {
+	case "":
+		return nil
+	case "-":
+		return report.WriteJSON(os.Stdout)
+	}
+	f, err := os.Create(jsonOut)
+	if err != nil {
+		return err
+	}
+	if err := report.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// p95 formats a latency digest's p95 for the table ("-" when empty).
+func p95(s metrics.LatencySummary) string {
+	if s.Count == 0 {
+		return "-"
+	}
+	return time.Duration(s.P95).Round(time.Microsecond).String()
 }
 
 func fatal(err error) {

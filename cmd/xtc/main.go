@@ -40,35 +40,17 @@ func main() {
 		id        = flag.String("id", "", "resolve an id attribute value to its element")
 		walDir    = flag.String("wal", "", "directory of write-ahead log segments to attach")
 		recover   = flag.Bool("recover", false, "run ARIES-style recovery from -wal before opening (requires -open)")
-		flusher   = flag.Duration("flusher", 0, "background flusher interval for dirty pages (0 = disabled)")
-		ckptEvery = flag.Duration("checkpoint-interval", 0, "fuzzy-checkpoint cadence; flusher-driven, enables WAL segment GC (0 = disabled; requires -wal)")
-		walRetain = flag.Int("wal-retain", 0, "newest WAL segments kept by checkpoint GC (0 = default)")
-		debugAddr = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address while running")
 		metricsFl = flag.Bool("metrics", false, "print the buffer/WAL latency digests after the run")
 	)
 	flag.Parse()
 
 	// One registry for the whole invocation: the buffer pool and the WAL
-	// report into it, the debug endpoint reads it live, and -metrics prints
-	// the digests at the end.
+	// report into it and -metrics prints the digests at the end.
 	var reg *metrics.Registry
-	if *debugAddr != "" || *metricsFl {
+	if *metricsFl {
 		reg = metrics.NewRegistry()
 	}
-	if *debugAddr != "" {
-		addr, stop, err := metrics.ServeDebug(*debugAddr, reg.Snapshot)
-		if err != nil {
-			fatal(err)
-		}
-		defer stop()
-		fmt.Fprintf(os.Stderr, "debug endpoint on http://%s/ (metrics, pprof)\n", addr)
-	}
-
-	opts := storage.Options{
-		FlusherInterval:    *flusher,
-		CheckpointInterval: *ckptEvery,
-		Metrics:            reg,
-	}
+	opts := storage.Options{Metrics: reg}
 
 	var log *wal.Log
 	if *walDir != "" {
@@ -77,16 +59,13 @@ func main() {
 			fatal(serr)
 		}
 		var lerr error
-		log, lerr = wal.Open(segs, wal.Config{Retain: *walRetain, Metrics: reg})
+		log, lerr = wal.Open(segs, wal.Config{Metrics: reg})
 		if lerr != nil {
 			fatal(lerr)
 		}
 	}
 	if *recover && (*open == "" || log == nil) {
 		fatal(fmt.Errorf("-recover requires both -open and -wal"))
-	}
-	if *ckptEvery > 0 && log == nil {
-		fatal(fmt.Errorf("-checkpoint-interval requires -wal"))
 	}
 
 	var doc *storage.Document
@@ -194,7 +173,7 @@ func main() {
 }
 
 // printMetrics prints the registry's latency digests and counters — the
-// offline twin of the -debug-addr /metrics/summary endpoint.
+// offline twin of xtcd's /metrics/summary debug endpoint.
 func printMetrics(s *metrics.Snapshot) {
 	for _, name := range s.HistogramNames() {
 		d := s.Summary(name)

@@ -7,7 +7,9 @@
 //
 //	xtcd                                  # listen on 127.0.0.1:4410
 //	xtcd -addr :4410 -doc 0.05
-//	xtcd -debug-addr localhost:6060       # live /metrics + pprof
+//	xtcd -debug-addr localhost:6060       # live /metrics + pprof: server.* and,
+//	                                      # per built engine, engine.<protocol>.*
+//	                                      # (lock.wait, lock.deadlocks, tx.commit, …)
 //
 // SIGINT/SIGTERM drain gracefully: the listener closes, in-flight
 // transactions are aborted, and every engine must pass LeakCheck before the
@@ -46,7 +48,7 @@ func main() {
 		kaMisses     = flag.Int("keepalive-misses", 3, "missed keep-alive intervals before a silent connection is closed")
 		idleSession  = flag.Duration("idle-session", 5*time.Minute, "reap sessions idle this long: abort their transaction, release locks, free the slot (negative disables)")
 		reapEvery    = flag.Duration("reap-interval", 0, "idle-session sweep cadence (0 = idle-session/4)")
-		debugAddr    = flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address")
+		debugAddr    = flag.String("debug-addr", "", "serve /metrics (server.* plus every built engine's instruments as engine.<protocol>.*) and /debug/pprof on this address")
 		quiet        = flag.Bool("quiet", false, "suppress connection-level diagnostics")
 	)
 	flag.Parse()
@@ -80,7 +82,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *debugAddr != "" {
-		dbg, stop, err := metrics.ServeDebug(*debugAddr, srv.Metrics().Snapshot)
+		dbg, stop, err := metrics.ServeDebug(*debugAddr, srv.Snapshot)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "xtcd: debug endpoint:", err)
 			os.Exit(1)

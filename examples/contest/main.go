@@ -1,7 +1,7 @@
 // Contest: a miniature version of the paper's experiment through the public
 // API — the same concurrent workload is replayed under every lock protocol
 // and the outcomes are ranked. For the full TaMix reproduction with the
-// paper's CLUSTER1/CLUSTER2 workloads, use cmd/tamix and cmd/contest.
+// paper's CLUSTER1/CLUSTER2 workloads, use cmd/tamix (-fig contest for the ranking).
 package main
 
 import (
@@ -94,8 +94,8 @@ func main() {
 			}(int64(w))
 		}
 		wg.Wait()
-		st := eng.Stats()
-		results = append(results, outcome{proto, st.Committed, st.Aborted})
+		st := eng.Metrics()
+		results = append(results, outcome{proto, st.CounterValue("tx.committed"), st.CounterValue("tx.aborted")})
 		eng.Close()
 	}
 

@@ -95,9 +95,9 @@ func main() {
 	}
 	wg.Wait()
 
-	st := eng.Stats()
+	st := eng.Metrics()
 	fmt.Printf("edited by %d authors: %d committed, %d deadlock aborts absorbed by retry\n",
-		*authors, st.Committed, st.Aborted)
+		*authors, st.CounterValue("tx.committed"), st.CounterValue("tx.aborted"))
 
 	// Verify the document is intact: every section still has a title.
 	err = eng.Exec(core.Repeatable, func(s *core.Session) error {

@@ -122,8 +122,9 @@ func main() {
 	}
 
 	wg.Wait()
-	st := eng.Stats()
+	st := eng.Metrics()
 	fmt.Printf("done: %d lends, %d returns, %d browses\n", lends, returns, browses)
 	fmt.Printf("engine: %d committed, %d aborted (%d deadlocks, %d by conversion), %d lock requests\n",
-		st.Committed, st.Aborted, st.Deadlocks, st.ConversionDeadlocks, st.LockRequests)
+		st.CounterValue("tx.committed"), st.CounterValue("tx.aborted"), st.CounterValue("lock.deadlocks"),
+		st.CounterValue("lock.conversion_deadlocks"), st.CounterValue("lock.requests"))
 }

@@ -89,9 +89,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	st := eng.Stats()
+	st := eng.Metrics()
 	fmt.Printf("engine: %d committed, %d aborted, %d lock requests\n",
-		st.Committed, st.Aborted, st.LockRequests)
+		st.CounterValue("tx.committed"), st.CounterValue("tx.aborted"), st.CounterValue("lock.requests"))
 
 	fmt.Println("\ndocument after the session:")
 	if err := eng.ExportXML(os.Stdout, eng.Root()); err != nil {

@@ -8,8 +8,8 @@ package bibserve
 import (
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/node"
-	"repro/internal/pagestore"
 	"repro/internal/protocol"
 	"repro/internal/server"
 	"repro/internal/tamix"
@@ -34,10 +34,10 @@ type Options struct {
 }
 
 // NewEngineFactory returns the server.Config.NewEngine implementation: build
-// a bib document and node manager for the protocol. The engine's stats are
-// served over the wire (OpStats), so engines take no registry — the server's
-// own registry holds only the server.* instruments and stays free of
-// per-protocol collisions.
+// a bib engine (tamix.NewBibEngine) for the protocol. Each engine reports into
+// a registry of its own — protocols share instrument names, so they cannot
+// share a registry — which is what OpStats ships and what the server's
+// Snapshot shows under "engine.<protocol>.".
 func NewEngineFactory(opts Options) func(p protocol.Protocol, depth int) (*server.Engine, error) {
 	if opts.Bib.Topics == 0 {
 		opts.Bib = tamix.DefaultBibConfig()
@@ -45,51 +45,34 @@ func NewEngineFactory(opts Options) func(p protocol.Protocol, depth int) (*serve
 	if opts.LockTimeout <= 0 {
 		opts.LockTimeout = 5 * time.Second
 	}
+	var walCfg *wal.Config
 	if opts.CheckpointInterval > 0 {
 		opts.Bib.CheckpointInterval = opts.CheckpointInterval
+		walCfg = &wal.Config{Retain: opts.WALRetain}
 	}
 	return func(p protocol.Protocol, depth int) (*server.Engine, error) {
-		doc, cat, err := tamix.GenerateBib(pagestore.NewMemBackend(), opts.Bib)
+		eng, err := tamix.NewBibEngine(p, opts.Bib, node.Options{
+			Depth:       depth,
+			LockTimeout: opts.LockTimeout,
+			Metrics:     metrics.NewRegistry(),
+		}, walCfg, nil)
 		if err != nil {
 			return nil, err
 		}
-		closeFn := doc.Close
-		var log *wal.Log
-		// The snapshot contestant needs a WAL even when checkpointing is off:
-		// commit LSNs are what its read snapshots pin.
-		if opts.CheckpointInterval > 0 || protocol.UsesSnapshotReads(p) {
-			log, err = wal.Open(wal.NewMemSegmentStore(), wal.Config{Retain: opts.WALRetain})
-			if err != nil {
-				doc.Close()
-				return nil, err
-			}
-			if err := doc.AttachWAL(log); err != nil {
-				doc.Close()
-				return nil, err
-			}
-			closeFn = func() error {
-				err := doc.Close()
-				if cerr := log.Close(); err == nil {
-					err = cerr
-				}
-				return err
-			}
-		}
-		mgr := node.New(doc, p, node.Options{Depth: depth, LockTimeout: opts.LockTimeout})
-		if log != nil {
-			mgr.TxManager().SetWAL(log)
-			// A WAL-backed engine can serve tx.LevelSnapshot sessions: page
-			// versions pin commit-LSN snapshots for lock-free reads.
-			mgr.EnableSnapshotReads()
+		if eng.Log != nil {
+			// A WAL-backed engine can serve tx.LevelSnapshot sessions under
+			// any protocol: page versions pin commit-LSN snapshots for
+			// lock-free reads.
+			eng.Mgr.EnableSnapshotReads()
 		}
 		return &server.Engine{
-			Mgr: mgr,
+			Mgr: eng.Mgr,
 			Catalog: wire.Catalog{
-				Books:   cat.BookIDs,
-				Topics:  cat.TopicIDs,
-				Persons: cat.PersonIDs,
+				Books:   eng.Cat.BookIDs,
+				Topics:  eng.Cat.TopicIDs,
+				Persons: eng.Cat.PersonIDs,
 			},
-			CloseFn: closeFn,
+			CloseFn: eng.Close,
 		}, nil
 	}
 }

@@ -71,7 +71,7 @@ func TestLoopbackTaMixAllProtocols(t *testing.T) {
 			if res.Committed == 0 {
 				t.Fatal("no transactions committed over loopback")
 			}
-			if res.LockRequests == 0 {
+			if res.Metrics.CounterValue("lock.requests") == 0 {
 				t.Fatal("server reported no lock requests — stats plumbing broken")
 			}
 		})

@@ -173,7 +173,7 @@ func (f *beginFixture) committed(t *testing.T) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.TxCommitted
+	return st.CounterValue("tx.committed")
 }
 
 // TestBeginRidesWithFirstRequestGolden: Begin itself writes nothing, and the

@@ -284,19 +284,23 @@ func (p *Pool) Ping() error {
 	return errors.Join(errs...)
 }
 
-// Stats fetches the server-side engine counters for a protocol.
-func (p *Pool) Stats(protocol string) (wire.Stats, error) {
+// Stats fetches the counters of a protocol's server-side engine registry, by
+// the names a local run's snapshot carries (lock.requests, tx.committed, …).
+func (p *Pool) Stats(protocol string) (*metrics.Snapshot, error) {
 	c, err := p.conn()
 	if err != nil {
-		return wire.Stats{}, err
+		return nil, err
 	}
 	body, err := c.roundTrip(wire.OpStats, 0, wire.AppendString(nil, protocol))
 	if err != nil {
-		return wire.Stats{}, err
+		return nil, err
 	}
 	r := wire.NewReader(body)
-	st := r.Stats()
-	return st, r.Err()
+	counters := r.Counters()
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return &metrics.Snapshot{Counters: counters}, nil
 }
 
 // Audit runs the server-side residue audit (node.Manager.Audit) for a

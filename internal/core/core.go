@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/lock"
+	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/pagestore"
 	"repro/internal/protocol"
@@ -113,14 +114,16 @@ func Create(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	reg := metrics.NewRegistry()
 	doc, err := storage.Create(backend, cfg.RootName, storage.Options{
 		Dist:         cfg.Dist,
 		BufferFrames: cfg.BufferFrames,
+		Metrics:      reg,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return wrap(cfg, doc)
+	return wrap(cfg, doc, reg)
 }
 
 // OpenFile reopens an engine over a document previously created with a
@@ -134,11 +137,12 @@ func OpenFile(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc, err := storage.Open(backend, storage.Options{BufferFrames: cfg.BufferFrames})
+	reg := metrics.NewRegistry()
+	doc, err := storage.Open(backend, storage.Options{BufferFrames: cfg.BufferFrames, Metrics: reg})
 	if err != nil {
 		return nil, err
 	}
-	return wrap(cfg, doc)
+	return wrap(cfg, doc, reg)
 }
 
 func makeBackend(path string) (pagestore.Backend, error) {
@@ -149,13 +153,15 @@ func makeBackend(path string) (pagestore.Backend, error) {
 }
 
 // Wrap builds an engine around an already-constructed document (for
-// example, one produced by the TaMix bib generator).
+// example, one produced by the TaMix bib generator). Its Metrics carry the
+// lock.* and tx.* instruments only: the document's buffer pool reports to
+// whatever registry the document was built with.
 func Wrap(doc *storage.Document, cfg Config) (*Engine, error) {
 	cfg.fill()
-	return wrap(cfg, doc)
+	return wrap(cfg, doc, metrics.NewRegistry())
 }
 
-func wrap(cfg Config, doc *storage.Document) (*Engine, error) {
+func wrap(cfg Config, doc *storage.Document, reg *metrics.Registry) (*Engine, error) {
 	p, err := protocol.ByName(cfg.Protocol)
 	if err != nil {
 		doc.Close()
@@ -164,6 +170,7 @@ func wrap(cfg Config, doc *storage.Document) (*Engine, error) {
 	mgr := node.New(doc, p, node.Options{
 		Depth:       *cfg.LockDepth,
 		LockTimeout: cfg.LockTimeout,
+		Metrics:     reg,
 	})
 	return &Engine{cfg: cfg, doc: doc, mgr: mgr}, nil
 }
@@ -190,37 +197,14 @@ func (e *Engine) ProtocolName() string { return e.mgr.Protocol().Name() }
 // directly).
 func (e *Engine) Manager() *node.Manager { return e.mgr }
 
-// Stats summarizes engine activity.
-type Stats struct {
-	// Committed and Aborted count finished transactions.
-	Committed, Aborted uint64
-	// Deadlocks counts detected lock cycles; ConversionDeadlocks of those
-	// were caused by lock conversion (the paper's frequent class).
-	Deadlocks, ConversionDeadlocks uint64
-	// LockRequests counts all lock-manager requests.
-	LockRequests uint64
-	// BufferHits and BufferMisses describe page-buffer behavior.
-	BufferHits, BufferMisses uint64
-	// Nodes is the current document size in stored nodes.
-	Nodes int
-}
+// Metrics returns a snapshot of the engine's registry: every layer's
+// statistics under the name the layer registered — tx.committed, tx.aborted,
+// lock.requests, lock.deadlocks, lock.conversion_deadlocks, buffer.hits,
+// buffer.misses, … — plus the latency distributions (lock.wait, tx.commit).
+func (e *Engine) Metrics() *metrics.Snapshot { return e.mgr.Metrics().Snapshot() }
 
-// Stats returns a snapshot of the engine counters.
-func (e *Engine) Stats() Stats {
-	ts := e.mgr.TxManager().Stats()
-	ls := e.mgr.LockManager().Stats()
-	bs := e.doc.Store().Stats()
-	return Stats{
-		Committed:           ts.Committed,
-		Aborted:             ts.Aborted,
-		Deadlocks:           ls.Deadlocks,
-		ConversionDeadlocks: ls.ConversionDeadlocks,
-		LockRequests:        ls.Requests,
-		BufferHits:          bs.Hits,
-		BufferMisses:        bs.Misses,
-		Nodes:               e.doc.Size(),
-	}
-}
+// Size returns the current document size in stored nodes.
+func (e *Engine) Size() int { return e.doc.Size() }
 
 // Session is one transaction's view of the document. All methods follow the
 // DOM-style operations of the node manager and acquire locks through the

@@ -100,9 +100,9 @@ func TestExecReadWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stats()
-	if st.Committed != 2 || st.Aborted != 0 {
-		t.Errorf("stats = %+v", st)
+	st := eng.Metrics()
+	if st.CounterValue("tx.committed") != 2 || st.CounterValue("tx.aborted") != 0 {
+		t.Errorf("stats = %+v", st.Counters)
 	}
 }
 
@@ -302,19 +302,22 @@ func TestEveryProtocolThroughFacade(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	eng := newEngine(t, Config{})
-	before := eng.Stats()
+	before := eng.Metrics()
 	eng.Exec(Repeatable, func(s *Session) error {
 		_, err := s.JumpToID("b1")
 		return err
 	})
-	after := eng.Stats()
-	if after.Committed != before.Committed+1 {
-		t.Errorf("committed: %d -> %d", before.Committed, after.Committed)
+	after := eng.Metrics()
+	if b, a := before.CounterValue("tx.committed"), after.CounterValue("tx.committed"); a != b+1 {
+		t.Errorf("committed: %d -> %d", b, a)
 	}
-	if after.LockRequests <= before.LockRequests {
+	if after.CounterValue("lock.requests") <= before.CounterValue("lock.requests") {
 		t.Error("lock requests should grow")
 	}
-	if after.Nodes == 0 {
+	if after.CounterValue("buffer.hits") == 0 {
+		t.Error("buffer counters missing: the document does not report into the engine's registry")
+	}
+	if eng.Size() == 0 {
 		t.Error("node count missing")
 	}
 }

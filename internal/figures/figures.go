@@ -103,25 +103,7 @@ func runCluster1(proto string, iso tx.Level, depth int, o Options) (*tamix.Resul
 		agg.Restarts += r.Restarts
 		agg.RestartWait += r.RestartWait
 		agg.Dropped += r.Dropped
-		agg.FaultsInjected += r.FaultsInjected
-		agg.TornWrites += r.TornWrites
-		agg.BufferRetries += r.BufferRetries
-		agg.BufferRetryFailures += r.BufferRetryFailures
-		agg.Deadlocks += r.Deadlocks
-		agg.ConversionDeadlocks += r.ConversionDeadlocks
-		agg.SubtreeDeadlocks += r.SubtreeDeadlocks
-		agg.Timeouts += r.Timeouts
-		agg.LockRequests += r.LockRequests
-		agg.LockCacheHits += r.LockCacheHits
-		agg.LockWaits += r.LockWaits
-		for i, w := range r.PartitionWaits {
-			if i < len(agg.PartitionWaits) {
-				agg.PartitionWaits[i] += w
-			}
-		}
-		if agg.Metrics != nil && r.Metrics != nil {
-			agg.Metrics.Merge(r.Metrics)
-		}
+		agg.Metrics.Merge(r.Metrics)
 		for typ, st := range r.PerType {
 			dst := agg.PerType[typ]
 			dst.Committed += st.Committed
@@ -147,7 +129,7 @@ func point(depth int, r *tamix.Result) Point {
 	return Point{
 		Depth:      depth,
 		Throughput: r.Throughput(),
-		Deadlocks:  r.Deadlocks + r.Timeouts,
+		Deadlocks:  r.Metrics.CounterValue("lock.deadlocks") + r.Metrics.CounterValue("lock.timeouts"),
 		Committed:  r.Committed,
 		Aborted:    r.Aborted,
 	}
@@ -183,11 +165,9 @@ func Figure7(o Options) (throughput, deadlocks []Series, err error) {
 // Figure8Row is one bar group of Figure 8: a *-2PL protocol's committed and
 // aborted counts, total and per transaction type.
 type Figure8Row struct {
-	Protocol  string
-	Total     Point
-	PerType   map[tamix.TxType]Point
-	Elapsed   string
-	Deadlocks uint64
+	Protocol string
+	Total    Point
+	PerType  map[tamix.TxType]Point
 }
 
 // Figure8 reproduces Figure 8: CLUSTER1 under Node2PL, NO2PL, and OO2PL
@@ -202,11 +182,9 @@ func Figure8(o Options) ([]Figure8Row, error) {
 			return nil, err
 		}
 		row := Figure8Row{
-			Protocol:  proto,
-			Total:     point(-1, r),
-			PerType:   make(map[tamix.TxType]Point),
-			Elapsed:   r.Elapsed.String(),
-			Deadlocks: r.Deadlocks + r.Timeouts,
+			Protocol: proto,
+			Total:    point(-1, r),
+			PerType:  make(map[tamix.TxType]Point),
 		}
 		for _, typ := range tamix.TxTypes {
 			st := r.PerType[typ]

@@ -374,10 +374,6 @@ type stripe struct {
 	// under mu.
 	index headIndex
 
-	// waits counts requests that blocked on this partition — the
-	// per-partition contention metric the benchmark harness reports.
-	waits atomic.Uint64
-
 	// emptySeen counts heads observed empty at release time; every
 	// gcInterval observations the stripe sweeps dead heads. Atomic because
 	// the mutex-free release path increments it too.
@@ -524,16 +520,6 @@ func (m *Manager) PartitionOf(res Resource) int {
 	return int(fnv1a(string(res)) & m.mask)
 }
 
-// PartitionWaits returns the per-partition count of requests that blocked —
-// the contention profile of the lock table.
-func (m *Manager) PartitionWaits() []uint64 {
-	out := make([]uint64, len(m.stripes))
-	for i := range m.stripes {
-		out[i] = m.stripes[i].waits.Load()
-	}
-	return out
-}
-
 func fnv1a(s string) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
@@ -542,10 +528,6 @@ func fnv1a(s string) uint64 {
 		h *= prime64
 	}
 	return h
-}
-
-func (m *Manager) stripeFor(res Resource) *stripe {
-	return &m.stripes[fnv1a(string(res))&m.mask]
 }
 
 // headOf resolves res to its head (nil if absent). Caller holds the stripe
@@ -827,7 +809,6 @@ func (m *Manager) lockSlow(tx *Tx, res Resource, mode Mode, short bool, hash uin
 
 	tx.waiting = req
 	tx.mu.Unlock()
-	s.waits.Add(1)
 	m.finishHeadLocked(s, h)
 	s.unlock()
 	m.stats.waits.Add(1)

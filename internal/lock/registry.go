@@ -88,22 +88,6 @@ func (ix *headIndex) growLocked(old *headBuckets) *headBuckets {
 	return nb
 }
 
-// removeLocked unlinks res. Caller holds the stripe mutex. A concurrent
-// reader that already loaded the slot still sees its (dead-sealed) head;
-// the seal diverts it to the slow path.
-func (ix *headIndex) removeLocked(res Resource, hash uint64) {
-	b := ix.buckets.Load()
-	prev := b.bucketOf(hash)
-	for sl := prev.Load(); sl != nil; sl = prev.Load() {
-		if sl.hash == hash && sl.res == res {
-			prev.Store(sl.next.Load())
-			ix.count--
-			return
-		}
-		prev = &sl.next
-	}
-}
-
 // walk visits every (resource, head) pair. Safe both under the stripe mutex
 // (exact) and lock-free (stale-but-typed; callers pair it with the stripe
 // seqlock for stability).

@@ -12,8 +12,8 @@ import (
 // Debug endpoint: an expvar-style live view of a registry plus the
 // standard pprof handlers, mounted on a private mux so tools never touch
 // http.DefaultServeMux. The snapshot provider is a function, not a
-// registry pointer, so a harness that runs many registries in sequence
-// (cmd/contest: one per protocol run) can swap the live one atomically.
+// registry pointer, so a server can compose the view it serves (xtcd: its
+// own instruments plus every engine's, server.Server.Snapshot).
 
 // DebugMux builds the debug handler tree:
 //

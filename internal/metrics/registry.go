@@ -123,8 +123,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // Func registers a computed counter: fn is called at snapshot time and its
 // value appears among the counters. Subsystems that already maintain their
-// own atomic counters (lock.Stats, pagestore.Stats, wal.Stats) unify onto
-// the registry this way without double-counting on their hot paths. A
+// own atomic counters (lock, pagestore, wal, tx) unify onto the registry
+// this way without double-counting on their hot paths. A
 // second registration under the same name replaces the first.
 func (r *Registry) Func(name string, fn func() uint64) {
 	if r == nil || fn == nil {
@@ -177,7 +177,11 @@ type Snapshot struct {
 
 // Merge folds o into s: counters add, gauges take o's value (last write
 // wins — they are instantaneous), histograms merge bucket-wise.
-func (s *Snapshot) Merge(o *Snapshot) {
+func (s *Snapshot) Merge(o *Snapshot) { s.MergeAs("", o) }
+
+// MergeAs is Merge with prefix put before each of o's names: a server shows
+// every engine's instruments beside its own as "engine.<protocol>.<name>".
+func (s *Snapshot) MergeAs(prefix string, o *Snapshot) {
 	if s == nil || o == nil {
 		return
 	}
@@ -185,21 +189,21 @@ func (s *Snapshot) Merge(o *Snapshot) {
 		s.Counters = map[string]uint64{}
 	}
 	for name, v := range o.Counters {
-		s.Counters[name] += v
+		s.Counters[prefix+name] += v
 	}
 	if len(o.Gauges) > 0 && s.Gauges == nil {
 		s.Gauges = map[string]int64{}
 	}
 	for name, v := range o.Gauges {
-		s.Gauges[name] = v
+		s.Gauges[prefix+name] = v
 	}
 	if s.Histograms == nil {
 		s.Histograms = map[string]HistSnapshot{}
 	}
 	for name, h := range o.Histograms {
-		merged := s.Histograms[name]
+		merged := s.Histograms[prefix+name]
 		merged.Merge(h)
-		s.Histograms[name] = merged
+		s.Histograms[prefix+name] = merged
 	}
 }
 

@@ -55,6 +55,7 @@ type Manager struct {
 	lm    *lock.Manager
 	tm    *tx.Manager
 	depth int
+	reg   *metrics.Registry
 
 	// snapReads is set by EnableSnapshotReads: copy-on-write page versioning
 	// is active and tx.LevelSnapshot transactions read frozen views.
@@ -81,6 +82,7 @@ func New(doc *storage.Document, proto protocol.Protocol, opts Options) *Manager 
 		lm:    lm,
 		tm:    tm,
 		depth: opts.Depth,
+		reg:   opts.Metrics,
 	}
 	m.Exec = m.Do
 	return m
@@ -93,11 +95,16 @@ func (m *Manager) Document() *storage.Document { return m.doc }
 // Protocol returns the active lock protocol.
 func (m *Manager) Protocol() protocol.Protocol { return m.proto }
 
-// LockManager exposes the lock manager (statistics).
+// LockManager exposes the lock manager.
 func (m *Manager) LockManager() *lock.Manager { return m.lm }
 
-// TxManager exposes the transaction manager (statistics).
+// TxManager exposes the transaction manager.
 func (m *Manager) TxManager() *tx.Manager { return m.tm }
+
+// Metrics returns Options.Metrics, the registry the engine's statistics are
+// read from by name (nil when the manager was built without one; a nil
+// registry snapshots as empty).
+func (m *Manager) Metrics() *metrics.Registry { return m.reg }
 
 // Depth returns the configured lock depth.
 func (m *Manager) Depth() int { return m.depth }

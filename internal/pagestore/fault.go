@@ -229,12 +229,6 @@ func (b *FaultBackend) Arm() { b.armed.Store(true) }
 // Disarm makes the backend a transparent pass-through.
 func (b *FaultBackend) Disarm() { b.armed.Store(false) }
 
-// Armed reports whether injection is enabled.
-func (b *FaultBackend) Armed() bool { return b.armed.Load() }
-
-// Inner returns the wrapped backend.
-func (b *FaultBackend) Inner() Backend { return b.inner }
-
 // Stats snapshots the injection counters.
 func (b *FaultBackend) Stats() FaultStats {
 	b.mu.Lock()

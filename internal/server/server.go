@@ -262,6 +262,37 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Metrics returns the registry holding the server.* instruments.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
+// Snapshot captures the server.* instruments and, as "engine.<protocol>.<name>",
+// those of every engine built so far: the counters OpStats ships for that
+// protocol plus the engine's gauges and histograms. It waits out an engine
+// build in progress.
+func (s *Server) Snapshot() *metrics.Snapshot {
+	snap := s.reg.Snapshot()
+	for name, eng := range s.builtEngines() {
+		snap.MergeAs("engine."+name+".", eng.Mgr.Metrics().Snapshot())
+	}
+	return snap
+}
+
+// builtEngines returns the engines built so far by protocol name, waiting
+// out a build in progress.
+func (s *Server) builtEngines() map[string]*Engine {
+	s.mu.Lock()
+	slots := make(map[string]*engineSlot, len(s.engines))
+	for name, slot := range s.engines {
+		slots[name] = slot
+	}
+	s.mu.Unlock()
+	engines := make(map[string]*Engine, len(slots))
+	for name, slot := range slots {
+		slot.once.Do(func() {})
+		if slot.err == nil && slot.eng != nil {
+			engines[name] = slot.eng
+		}
+	}
+	return engines
+}
+
 // Serve accepts connections until the listener is closed by Shutdown.
 func (s *Server) Serve() error {
 	for {
@@ -381,18 +412,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.sessWG.Wait()
 
 	var errs []error
-	s.mu.Lock()
-	slots := make([]*engineSlot, 0, len(s.engines))
-	for _, slot := range s.engines {
-		slots = append(slots, slot)
-	}
-	s.mu.Unlock()
-	for _, slot := range slots {
-		slot.once.Do(func() {})
-		if slot.err != nil || slot.eng == nil {
-			continue
-		}
-		eng := slot.eng
+	for _, eng := range s.builtEngines() {
 		if err := eng.Mgr.LockManager().LeakCheck(); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", eng.Mgr.Protocol().Name(), err))
 		}
@@ -727,7 +747,8 @@ func (s *Server) admitSession(c *conn, m wire.Msg, open wire.OpenSession, resume
 	c.reply(m, wire.StatusOK, result{raw: wire.AppendUvarint(nil, uint64(sess.id))}, true)
 }
 
-// serveStats answers OpStats: counters for one protocol's engine.
+// serveStats answers OpStats: the counters of one protocol's engine
+// registry, by name.
 func (s *Server) serveStats(c *conn, m wire.Msg) {
 	name := wire.NewReader(m.Body).String()
 	eng := s.lookupEngine(name)
@@ -735,20 +756,12 @@ func (s *Server) serveStats(c *conn, m wire.Msg) {
 		c.replyErr(m, wire.StatusNotFound, fmt.Errorf("server: no engine for protocol %q", name))
 		return
 	}
-	ls := eng.Mgr.LockManager().Stats()
-	ts := eng.Mgr.TxManager().Stats()
-	c.reply(m, wire.StatusOK, result{raw: wire.AppendStats(nil, wire.Stats{
-		LockRequests:        ls.Requests,
-		LockCacheHits:       ls.CacheHits,
-		LockWaits:           ls.Waits,
-		Deadlocks:           ls.Deadlocks,
-		ConversionDeadlocks: ls.ConversionDeadlocks,
-		SubtreeDeadlocks:    ls.SubtreeDeadlocks,
-		Timeouts:            ls.Timeouts,
-		TxBegun:             ts.Begun,
-		TxCommitted:         ts.Committed,
-		TxAborted:           ts.Aborted,
-	})}, true)
+	body, err := wire.AppendCounters(nil, eng.Mgr.Metrics().Snapshot().Counters)
+	if err != nil {
+		c.replyErr(m, wire.StatusErr, err)
+		return
+	}
+	c.reply(m, wire.StatusOK, result{raw: body}, true)
 }
 
 // serveAudit answers OpAudit with the engine's residue audit — the same

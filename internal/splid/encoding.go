@@ -143,21 +143,6 @@ func Decode(b []byte) (ID, error) {
 	return id, nil
 }
 
-// CommonPrefixLen returns the number of leading bytes a and b share. B-tree
-// pages use it for prefix compression of consecutive SPLID keys, which the
-// paper reports shrinks stored SPLIDs to 2–3 bytes on average.
-func CommonPrefixLen(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	return i
-}
-
 // EncodedLen returns the number of bytes Encode would produce.
 func (id ID) EncodedLen() int {
 	n := 0

@@ -47,16 +47,6 @@ func New(divs ...uint32) (ID, error) {
 	return id, nil
 }
 
-// MustNew is New for statically known division sequences; it panics on
-// invalid input and is intended for tests and package literals.
-func MustNew(divs ...uint32) ID {
-	id, err := New(divs...)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
-
 // errInvalid wraps all structural validation failures.
 var errInvalid = errors.New("splid: invalid label")
 

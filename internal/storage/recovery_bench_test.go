@@ -1,10 +1,10 @@
 // BenchmarkRecovery measures restart latency: crash a TaMix burst once per
 // configuration, then repeatedly recover clones of the crash image. The
 // grid crosses WAL length (burst size) × checkpointing (off / every 3 ops
-// per worker) × redo parallelism (1 / 16 shards), so BENCH_recovery.json
-// shows both effects the design promises: checkpoints bound restart work by
-// work-since-checkpoint instead of total history, and shard-parallel redo
-// overlaps per-page I/O.
+// per worker): checkpoints bound restart work by work-since-checkpoint
+// instead of total history. Redo runs at its one parallelism
+// (storage.DefaultRedoShards; not an option since PR 15). End to end,
+// restart is bench/'s storage.recover_ms.
 package storage_test
 
 import (
@@ -48,20 +48,16 @@ func BenchmarkRecovery(b *testing.B) {
 			if !ok {
 				b.Fatalf("benchmark needs a raw MemBackend, got %T", out.Backend)
 			}
-			for _, shards := range []int{1, 16} {
-				name := fmt.Sprintf("ops=%d/ckpt=%v/shards=%d", 3*ops, ckptEvery > 0, shards)
-				b.Run(name, func(b *testing.B) {
-					benchRecover(b, mem, out, shards, pageLatency)
-				})
-			}
+			b.Run(fmt.Sprintf("ops=%d/ckpt=%v", 3*ops, ckptEvery > 0), func(b *testing.B) {
+				benchRecover(b, mem, out, pageLatency)
+			})
 		}
 	}
 
 	// The redo-heavy image: no trickle flusher and a small pool, so the
 	// crash leaves deltas outstanding against many distinct pages and the
-	// redo pass is the bulk of restart. This is the cell where shard
-	// parallelism pays; the redo_ns metric is the redo critical path
-	// (slowest shard), isolated from the rest of restart.
+	// redo pass is the bulk of restart; the redo_ns metric is the redo
+	// critical path (slowest shard), isolated from the rest of restart.
 	cfg := tamix.CrashConfig{Seed: 9997, Workers: 8, OpsPerWorker: 300}
 	cfg.Bib = tamix.Scaled(0.15)
 	cfg.Bib.BufferFrames = 32
@@ -73,17 +69,15 @@ func BenchmarkRecovery(b *testing.B) {
 	if !ok {
 		b.Fatalf("benchmark needs a raw MemBackend, got %T", out.Backend)
 	}
-	for _, shards := range []int{1, 16} {
-		b.Run(fmt.Sprintf("redo=heavy/shards=%d", shards), func(b *testing.B) {
-			benchRecover(b, mem, out, shards, pageLatency)
-		})
-	}
+	b.Run("redo=heavy", func(b *testing.B) {
+		benchRecover(b, mem, out, pageLatency)
+	})
 }
 
 // benchRecover times one recovery configuration over clones of a crash
 // image, reporting the scan size and the redo critical path alongside
 // ns/op.
-func benchRecover(b *testing.B, mem *pagestore.MemBackend, out *tamix.CrashOutcome, shards int, lat time.Duration) {
+func benchRecover(b *testing.B, mem *pagestore.MemBackend, out *tamix.CrashOutcome, lat time.Duration) {
 	var records int
 	var redoNS int64
 	for i := 0; i < b.N; i++ {
@@ -97,7 +91,7 @@ func benchRecover(b *testing.B, mem *pagestore.MemBackend, out *tamix.CrashOutco
 		if err != nil {
 			b.Fatal(err)
 		}
-		d, rep, err := storage.Recover(backend, log, out.Opts.WithRedoShards(shards))
+		d, rep, err := storage.Recover(backend, log, out.Opts)
 		if err != nil {
 			b.Fatal(err)
 		}

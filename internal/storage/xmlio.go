@@ -101,9 +101,6 @@ func (b *Builder) Element(name, text string) *Builder {
 	return b.StartElement(name).Text(text).EndElement()
 }
 
-// CurrentID returns the SPLID of the innermost open element.
-func (b *Builder) CurrentID() splid.ID { return b.top().id }
-
 // Err returns the first error encountered while building.
 func (b *Builder) Err() error { return b.err }
 

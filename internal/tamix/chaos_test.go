@@ -76,14 +76,15 @@ func TestChaosRestartLoopUnderFaults(t *testing.T) {
 	if res.RestartWait == 0 {
 		t.Error("restart backoff time is zero")
 	}
-	if res.FaultsInjected == 0 {
+	counter := res.Metrics.CounterValue
+	if counter("fault.injected") == 0 {
 		t.Error("no faults injected; buffer too large or probabilities too low")
 	}
-	if res.BufferRetries == 0 {
+	if counter("buffer.retries") == 0 {
 		t.Error("no buffer retries; transient faults were not retried")
 	}
-	if res.BufferRetryFailures != 0 {
-		t.Errorf("%d transient faults outlived the retry budget", res.BufferRetryFailures)
+	if n := counter("buffer.retry_failures"); n != 0 {
+		t.Errorf("%d transient faults outlived the retry budget", n)
 	}
 	restarts := 0
 	for _, typ := range TxTypes {
@@ -94,7 +95,7 @@ func TestChaosRestartLoopUnderFaults(t *testing.T) {
 	}
 	t.Logf("chaos: committed=%d aborted=%d restarts=%d dropped=%d faults=%d torn=%d retries=%d",
 		res.Committed, res.Aborted, res.Restarts, res.Dropped,
-		res.FaultsInjected, res.TornWrites, res.BufferRetries)
+		counter("fault.injected"), counter("fault.torn_writes"), counter("buffer.retries"))
 }
 
 // TestChaosSnapshotContestantVersionAudit runs the high-conflict mix under

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/client"
+	"repro/internal/metrics"
 	"repro/internal/protocol"
 	"repro/internal/storage"
 	"repro/internal/tx"
@@ -44,25 +45,31 @@ func (e *remoteEngine) LookupName(name string) (xmlmodel.Sur, bool) {
 	return sur, true
 }
 
-// statDelta is after-minus-before with a wrap clamp: a server restart
-// mid-run resets the engine's counters, leaving after < before; report the
-// post-restart accumulation rather than an underflowed garbage value.
-func statDelta(after, before uint64) uint64 {
-	if after < before {
-		return after
+// countersSince returns after's counters minus before's, name by name: a
+// server's counters accumulate for its engine's lifetime, a run's share is
+// the difference. A server bounced mid-run starts its counters over, leaving
+// after < before; the post-restart accumulation is reported then, not an
+// underflowed difference.
+func countersSince(after, before *metrics.Snapshot) *metrics.Snapshot {
+	d := &metrics.Snapshot{Counters: make(map[string]uint64, len(after.Counters))}
+	for name, v := range after.Counters {
+		if b := before.CounterValue(name); b <= v {
+			v -= b
+		}
+		d.Counters[name] = v
 	}
-	return after - before
+	return d
 }
 
 // runRemote points the slot driver at an xtcd server: every slot is a wire
-// session, and the post-run audit and the lock statistics come from the
-// server. The figure harnesses double as server load tests this way.
-func runRemote(cfg Config, p protocol.Protocol, res *Result) (*Result, error) {
+// session, the post-run audit runs on the server and the engine's counters
+// come from it, by name.
+func runRemote(cfg Config, p protocol.Protocol, res *Result, reg *metrics.Registry) (*Result, error) {
 	copts := cfg.RemoteClient
 	if copts.Conns = cfg.RemoteConns; copts.Conns <= 0 {
 		copts.Conns = 4
 	}
-	copts.Metrics = cfg.Metrics
+	copts.Metrics = reg
 	pool, err := client.Dial(cfg.Remote, copts)
 	if err != nil {
 		return nil, fmt.Errorf("tamix: dial %s: %w", cfg.Remote, err)
@@ -92,8 +99,6 @@ func runRemote(cfg Config, p protocol.Protocol, res *Result) (*Result, error) {
 		return nil, fmt.Errorf("tamix: server catalog for %s is empty", p.Name())
 	}
 
-	// Server-side counters accumulate for the engine's lifetime; the run's
-	// contribution is the before/after difference.
 	before, err := pool.Stats(p.Name())
 	if err != nil && !errors.Is(err, storage.ErrNodeNotFound) {
 		return nil, fmt.Errorf("tamix: baseline stats: %w", err)
@@ -114,14 +119,8 @@ func runRemote(cfg Config, p protocol.Protocol, res *Result) (*Result, error) {
 		if err != nil {
 			return fmt.Errorf("final stats: %w", err)
 		}
-		res.Deadlocks = statDelta(after.Deadlocks, before.Deadlocks)
-		res.ConversionDeadlocks = statDelta(after.ConversionDeadlocks, before.ConversionDeadlocks)
-		res.SubtreeDeadlocks = statDelta(after.SubtreeDeadlocks, before.SubtreeDeadlocks)
-		res.Timeouts = statDelta(after.Timeouts, before.Timeouts)
-		res.LockRequests = statDelta(after.LockRequests, before.LockRequests)
-		res.LockCacheHits = statDelta(after.LockCacheHits, before.LockCacheHits)
-		res.LockWaits = statDelta(after.LockWaits, before.LockWaits)
+		res.Metrics.Merge(countersSince(after, before))
 		return nil
 	}
-	return drive(cfg, p, res, cat, engine, finish)
+	return drive(cfg, p, res, reg, cat, engine, finish)
 }

@@ -2,7 +2,6 @@ package tamix
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"time"
@@ -10,10 +9,12 @@ import (
 	"repro/internal/metrics"
 )
 
-// Report is the machine-readable form of one TaMix run: the Result counters
-// plus the latency distributions from the run's metrics registry, shaped for
-// JSON. Fields use stable snake_case names — scripts parse this, so renaming
-// a field is a breaking change (the schema test pins the layout).
+// Report is the machine-readable form of one TaMix run: what the slot driver
+// counted itself (commits, aborts, restarts, durations per type) plus the
+// run's registry snapshot — every engine statistic under the name its layer
+// registered — shaped for JSON. Fields use stable snake_case names — scripts
+// parse this, so renaming a field is a breaking change (the schema test pins
+// the layout).
 type Report struct {
 	Protocol   string  `json:"protocol"`
 	Isolation  string  `json:"isolation"`
@@ -27,29 +28,15 @@ type Report struct {
 	RestartWaitMS float64 `json:"restart_wait_ms"`
 	Dropped       int     `json:"dropped"`
 
-	Deadlocks           uint64 `json:"deadlocks"`
-	ConversionDeadlocks uint64 `json:"conversion_deadlocks"`
-	SubtreeDeadlocks    uint64 `json:"subtree_deadlocks"`
-	Timeouts            uint64 `json:"timeouts"`
-
-	LockRequests  uint64 `json:"lock_requests"`
-	LockCacheHits uint64 `json:"lock_cache_hits"`
-	LockWaits     uint64 `json:"lock_waits"`
-
-	FaultsInjected      uint64 `json:"faults_injected"`
-	TornWrites          uint64 `json:"torn_writes"`
-	BufferRetries       uint64 `json:"buffer_retries"`
-	BufferRetryFailures uint64 `json:"buffer_retry_failures"`
-
 	PerType map[string]TypeReport `json:"per_type"`
 
 	// Latencies maps histogram names (lock.wait, buffer.fix_miss,
-	// wal.force, tx.commit, ...) to their percentile digests. Empty when
-	// the run carried no metrics registry.
+	// wal.force, tx.commit, ...) to their percentile digests.
 	Latencies map[string]metrics.LatencySummary `json:"latencies,omitempty"`
-	// Counters carries the registry's counter values (lock.*, buffer.*,
-	// wal.*, tx.* namespaces). Empty without a registry.
-	Counters map[string]uint64 `json:"counters,omitempty"`
+	// Counters carries the registry's counter values: lock.deadlocks,
+	// lock.requests, lock.waits, buffer.retries, fault.injected,
+	// tx.committed, … (lock.*, buffer.*, wal.*, tx.*, fault.* namespaces).
+	Counters map[string]uint64 `json:"counters"`
 }
 
 // TypeReport is the per-transaction-type slice of a Report.
@@ -71,28 +58,19 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // Report converts the Result into its JSON form.
 func (r *Result) Report() *Report {
 	rep := &Report{
-		Protocol:            r.Protocol,
-		Isolation:           r.Isolation.String(),
-		Depth:               r.Depth,
-		ElapsedMS:           ms(r.Elapsed),
-		Throughput:          r.Throughput(),
-		Committed:           r.Committed,
-		Aborted:             r.Aborted,
-		Restarts:            r.Restarts,
-		RestartWaitMS:       ms(r.RestartWait),
-		Dropped:             r.Dropped,
-		Deadlocks:           r.Deadlocks,
-		ConversionDeadlocks: r.ConversionDeadlocks,
-		SubtreeDeadlocks:    r.SubtreeDeadlocks,
-		Timeouts:            r.Timeouts,
-		LockRequests:        r.LockRequests,
-		LockCacheHits:       r.LockCacheHits,
-		LockWaits:           r.LockWaits,
-		FaultsInjected:      r.FaultsInjected,
-		TornWrites:          r.TornWrites,
-		BufferRetries:       r.BufferRetries,
-		BufferRetryFailures: r.BufferRetryFailures,
-		PerType:             map[string]TypeReport{},
+		Protocol:      r.Protocol,
+		Isolation:     r.Isolation.String(),
+		Depth:         r.Depth,
+		ElapsedMS:     ms(r.Elapsed),
+		Throughput:    r.Throughput(),
+		Committed:     r.Committed,
+		Aborted:       r.Aborted,
+		Restarts:      r.Restarts,
+		RestartWaitMS: ms(r.RestartWait),
+		Dropped:       r.Dropped,
+		PerType:       map[string]TypeReport{},
+		Latencies:     map[string]metrics.LatencySummary{},
+		Counters:      map[string]uint64{},
 	}
 	for typ, st := range r.PerType {
 		tr := TypeReport{
@@ -108,31 +86,29 @@ func (r *Result) Report() *Report {
 		}
 		rep.PerType[typ.String()] = tr
 	}
+	for _, name := range r.Metrics.HistogramNames() {
+		rep.Latencies[name] = r.Metrics.Summary(name)
+	}
 	if r.Metrics != nil {
-		rep.Latencies = map[string]metrics.LatencySummary{}
-		for _, name := range r.Metrics.HistogramNames() {
-			rep.Latencies[name] = r.Metrics.Summary(name)
-		}
-		if len(r.Metrics.Counters) > 0 {
-			rep.Counters = make(map[string]uint64, len(r.Metrics.Counters))
-			for k, v := range r.Metrics.Counters {
-				rep.Counters[k] = v
-			}
+		for name, v := range r.Metrics.Counters {
+			rep.Counters[name] = v
 		}
 	}
 	return rep
 }
 
 // WriteJSON writes the report as one indented JSON document.
-func (rep *Report) WriteJSON(w io.Writer) error {
+func (rep *Report) WriteJSON(w io.Writer) error { return writeJSON(w, rep) }
+
+func writeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return enc.Encode(v)
 }
 
 // ContestReport is the run report of a whole contest: every protocol's
-// Report, ranked by throughput — the machine-readable twin of cmd/contest's
-// table.
+// Report, ranked by throughput — the machine-readable twin of the table
+// `tamix -fig contest` prints.
 type ContestReport struct {
 	// DocScale and TimeScale echo the contest's scaling knobs.
 	DocScale  float64 `json:"doc_scale"`
@@ -162,14 +138,4 @@ func (c *ContestReport) Rank() {
 }
 
 // WriteJSON writes the contest report as one indented JSON document.
-func (c *ContestReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c)
-}
-
-// String summarizes the report in one line (debug aid).
-func (rep *Report) String() string {
-	return fmt.Sprintf("%s/%s depth=%d: %.1f tx/5min (%d committed, %d aborted, %d deadlocks)",
-		rep.Protocol, rep.Isolation, rep.Depth, rep.Throughput, rep.Committed, rep.Aborted, rep.Deadlocks)
-}
+func (c *ContestReport) WriteJSON(w io.Writer) error { return writeJSON(w, c) }

@@ -45,7 +45,13 @@ func TestTypeStatsMinDurRegression(t *testing.T) {
 // goldenResult is a fully deterministic Result for the schema test.
 func goldenResult() *Result {
 	reg := metrics.NewRegistry()
-	reg.Counter("lock.requests").Add(1200)
+	for name, v := range map[string]uint64{
+		"lock.deadlocks": 7, "lock.conversion_deadlocks": 6, "lock.subtree_deadlocks": 1, "lock.timeouts": 1,
+		"lock.requests": 1200, "lock.cache_hits": 300, "lock.waits": 80,
+		"fault.injected": 0, "fault.torn_writes": 0, "buffer.retries": 0, "buffer.retry_failures": 0,
+	} {
+		reg.Counter(name).Add(v)
+	}
 	for i := 1; i <= 100; i++ {
 		reg.Histogram("lock.wait").Record(uint64(i) * 1000)
 		reg.Histogram("buffer.fix_miss").Record(uint64(i) * 500)
@@ -53,24 +59,17 @@ func goldenResult() *Result {
 		reg.Histogram("tx.commit").Record(uint64(i) * 3000)
 	}
 	res := &Result{
-		Protocol:            "taDOM3+",
-		Isolation:           tx.LevelRepeatable,
-		Depth:               5,
-		Elapsed:             600 * time.Millisecond,
-		PerType:             map[TxType]*TypeStats{},
-		Committed:           150,
-		Aborted:             12,
-		Restarts:            10,
-		RestartWait:         40 * time.Millisecond,
-		Dropped:             2,
-		Deadlocks:           7,
-		ConversionDeadlocks: 6,
-		SubtreeDeadlocks:    1,
-		Timeouts:            1,
-		LockRequests:        1200,
-		LockCacheHits:       300,
-		LockWaits:           80,
-		Metrics:             reg.Snapshot(),
+		Protocol:    "taDOM3+",
+		Isolation:   tx.LevelRepeatable,
+		Depth:       5,
+		Elapsed:     600 * time.Millisecond,
+		PerType:     map[TxType]*TypeStats{},
+		Committed:   150,
+		Aborted:     12,
+		Restarts:    10,
+		RestartWait: 40 * time.Millisecond,
+		Dropped:     2,
+		Metrics:     reg.Snapshot(),
 	}
 	for _, typ := range TxTypes {
 		st := NewTypeStats()
@@ -85,7 +84,9 @@ func goldenResult() *Result {
 
 // TestReportGoldenSchema locks the JSON layout of the run report against a
 // golden file: scripts parse these field names, so any drift must be a
-// conscious decision (re-bless with -update).
+// conscious decision (re-bless with -update). The eleven engine statistics
+// that were top-level keys through PR 17 (deadlocks, lock_requests,
+// faults_injected, …) are entries of "counters" under their registry names.
 func TestReportGoldenSchema(t *testing.T) {
 	var buf bytes.Buffer
 	if err := goldenResult().Report().WriteJSON(&buf); err != nil {
@@ -144,6 +145,14 @@ func TestReportFields(t *testing.T) {
 	}
 	if rep.Counters["lock.requests"] != 1200 {
 		t.Errorf("counters not carried: %+v", rep.Counters)
+	}
+	// A Result without a snapshot still reports a counters object, not null.
+	var buf bytes.Buffer
+	if err := (&Result{}).Report().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(`"counters": {}`)) {
+		t.Errorf("counters missing from an empty report:\n%s", buf.Bytes())
 	}
 }
 

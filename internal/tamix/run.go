@@ -74,11 +74,12 @@ type Config struct {
 	UseUpdateLocks bool
 	// Bib sizes the document.
 	Bib BibConfig
-	// Metrics, when non-nil, receives every layer's instruments for this
-	// run (lock.*, buffer.*, tx.*, and wal.* with WAL set). Use a fresh
-	// registry per run — instruments accumulate for the registry's
-	// lifetime, so sharing one across runs mixes protocols. Result.Metrics
-	// carries the end-of-run snapshot.
+	// Metrics receives every layer's instruments for this run (lock.*,
+	// buffer.*, tx.*, fault.*, and wal.* with WAL set; client.* for a remote
+	// run); the run uses a registry of its own when nil. Use a fresh registry
+	// per run — instruments accumulate for the registry's lifetime, so
+	// sharing one across runs mixes protocols. Result.Metrics carries the
+	// end-of-run snapshot, the run's statistics.
 	Metrics *metrics.Registry
 	// WAL attaches an in-memory write-ahead log to the run: operations
 	// append redo/undo records and every commit forces the log, so commit
@@ -91,8 +92,9 @@ type Config struct {
 	Seed int64
 	// Remote, when non-empty, runs the workload against an xtcd server at
 	// this address instead of an in-process engine: every slot opens its own
-	// session (the server's one-transaction-per-session discipline) and the
-	// post-run audits and lock statistics are fetched over the wire. Fields
+	// session (the server's one-transaction-per-session discipline), the
+	// post-run audit runs server-side and the engine's counters are fetched
+	// over the wire (OpStats) and merged into Result.Metrics. Fields
 	// that configure the in-process engine (Faults, Retry, WAL, LockTimeout,
 	// Metrics for engine layers, Bib) are ignored — the server owns its
 	// engine configuration.
@@ -183,40 +185,21 @@ type Result struct {
 	Restarts    int
 	RestartWait time.Duration
 	Dropped     int
-	// Deadlocks counts detected cycles, split into the paper's two classes.
-	Deadlocks, ConversionDeadlocks, SubtreeDeadlocks uint64
-	// Timeouts counts lock waits that hit the timeout.
-	Timeouts uint64
-	// LockRequests is the total number of lock requests issued.
-	LockRequests uint64
-	// LockCacheHits counts requests answered by the per-transaction lock
-	// cache without touching the shared lock table.
-	LockCacheHits uint64
-	// LockWaits counts requests that blocked.
-	LockWaits uint64
-	// PartitionWaits is the per-partition blocked-request profile of the
-	// striped lock table — where the contention actually landed.
-	PartitionWaits []uint64
-	// FaultsInjected totals the storage faults injected during the run
-	// (zero without fault injection).
-	FaultsInjected uint64
-	// TornWrites counts injected writes that persisted a torn page image.
-	TornWrites uint64
-	// BufferRetries counts buffer-manager re-attempts after transient
-	// storage faults; BufferRetryFailures counts operations whose budget
-	// ran out (escalated to permanent).
-	BufferRetries, BufferRetryFailures uint64
 	// DeadlockVictims attributes deadlock aborts to the victim's
 	// transaction type (the XTCdeadlockDetector analysis of Section 4.2).
 	DeadlockVictims map[TxType]uint64
 	// DeadlockCycleLengths histograms the detected cycle sizes (index =
 	// number of transactions on the cycle; index 0 collects longer ones).
 	DeadlockCycleLengths [8]uint64
-	// Metrics is the end-of-run snapshot of Config.Metrics (nil when the
-	// run had no registry): counters plus latency distributions for lock
+	// Metrics is the end-of-run snapshot of the run's registry, and the only
+	// place a statistic an engine layer counts is found: lock.deadlocks,
+	// lock.requests, buffer.retries, fault.injected, tx.committed, … by the
+	// name the owning layer registered, plus latency distributions for lock
 	// waits, buffer fixes, WAL forces, commits. Captured after the
 	// measurement interval but before the verification pass, so audit
-	// traffic does not pollute the distributions.
+	// traffic does not pollute the distributions. A remote run carries its
+	// client.* instruments here and the server engine's counters (no
+	// distributions) as the difference of two OpStats answers.
 	Metrics *metrics.Snapshot
 }
 
@@ -263,69 +246,30 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Protocol:        p.Name(),
-		Isolation:       cfg.Isolation,
-		Depth:           cfg.Depth,
-		PerType:         make(map[TxType]*TypeStats),
-		DeadlockVictims: make(map[TxType]uint64),
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = metrics.NewRegistry()
 	}
-	for _, t := range TxTypes {
-		res.PerType[t] = NewTypeStats()
-	}
+	res := newResult(cfg, p)
 	if cfg.Remote != "" {
-		return runRemote(cfg, p, res)
-	}
-	return runLocal(cfg, p, res)
-}
-
-// runLocal points the slot driver at an in-process engine on a freshly
-// generated bib document.
-func runLocal(cfg Config, p protocol.Protocol, res *Result) (*Result, error) {
-	// The snapshot contestant needs commit-consistent WAL positions to pin
-	// its read views to, so it always runs with the log attached.
-	snapReads := protocol.UsesSnapshotReads(p)
-	var backend pagestore.Backend = pagestore.NewMemBackend()
-	var fb *pagestore.FaultBackend
-	if cfg.Faults != nil {
-		fb = pagestore.NewFaultBackend(backend, *cfg.Faults)
-		fb.Disarm() // generation must run fault-free
-		backend = fb
-	}
-	bib := cfg.Bib
-	bib.Metrics = cfg.Metrics
-	doc, cat, err := GenerateBib(backend, bib)
-	if err != nil {
-		return nil, err
-	}
-	defer doc.Close()
-	if cfg.Retry != nil {
-		doc.Store().SetRetryPolicy(*cfg.Retry)
-	}
-	var wlog *wal.Log
-	if cfg.WAL || snapReads {
-		wlog, err = wal.Open(wal.NewMemSegmentStore(), wal.Config{Metrics: cfg.Metrics})
-		if err != nil {
-			return nil, err
-		}
-		defer wlog.Close()
-		if err := doc.AttachWAL(wlog); err != nil {
-			return nil, err
-		}
+		return runRemote(cfg, p, res, reg)
 	}
 	lockTimeout := cfg.LockTimeout
 	if lockTimeout <= 0 {
 		lockTimeout = 5 * time.Second
 	}
-
+	var walCfg *wal.Config
+	if cfg.WAL {
+		walCfg = &wal.Config{}
+	}
 	// Deadlock analysis: every lock-manager transaction is registered with
 	// its TaMix type so detected cycles can be attributed.
 	var txTypes sync.Map // lock.TxID -> TxType
 	var dlMu sync.Mutex
-	mgr := node.New(doc, p, node.Options{
+	eng, err := NewBibEngine(p, cfg.Bib, node.Options{
 		Depth:       cfg.Depth,
 		LockTimeout: lockTimeout,
-		Metrics:     cfg.Metrics,
+		Metrics:     reg,
 		OnDeadlock: func(info lock.DeadlockInfo) {
 			dlMu.Lock()
 			defer dlMu.Unlock()
@@ -338,60 +282,60 @@ func runLocal(cfg Config, p protocol.Protocol, res *Result) (*Result, error) {
 			}
 			res.DeadlockCycleLengths[n]++
 		},
-	})
-	defer mgr.Close()
-	if wlog != nil {
-		mgr.TxManager().SetWAL(wlog)
+	}, walCfg, cfg.Faults)
+	if err != nil {
+		return nil, err
 	}
-	if snapReads {
-		mgr.EnableSnapshotReads()
+	defer eng.Close()
+	if cfg.Retry != nil {
+		eng.Mgr.Document().Store().SetRetryPolicy(*cfg.Retry)
 	}
-	if fb != nil {
-		fb.Arm()
-		// Verification and teardown read the document without injection.
-		defer fb.Disarm()
-	}
+	return runLocal(cfg, res, reg, eng, &txTypes)
+}
 
+func newResult(cfg Config, p protocol.Protocol) *Result {
+	res := &Result{
+		Protocol:        p.Name(),
+		Isolation:       cfg.Isolation,
+		Depth:           cfg.Depth,
+		PerType:         make(map[TxType]*TypeStats),
+		DeadlockVictims: make(map[TxType]uint64),
+	}
+	for _, t := range TxTypes {
+		res.PerType[t] = NewTypeStats()
+	}
+	return res
+}
+
+// runLocal points the slot driver at an in-process engine, arming its fault
+// injector (if any) for the measurement interval only: generation ran, and
+// the audit and teardown run, fault-free.
+func runLocal(cfg Config, res *Result, reg *metrics.Registry, eng *BibEngine, txTypes *sync.Map) (*Result, error) {
+	if eng.Faults != nil {
+		eng.Faults.Arm()
+	}
 	engine := func(txType TxType, iso tx.Level) (Engine, func(), error) {
-		return &localEngine{m: mgr, iso: iso, txType: txType, txTypes: &txTypes}, func() {}, nil
+		return &localEngine{m: eng.Mgr, iso: iso, txType: txType, txTypes: txTypes}, func() {}, nil
 	}
 	finish := func() error {
-		if fb != nil {
-			fb.Disarm()
-			fs := fb.Stats()
-			res.FaultsInjected = fs.TotalInjected()
-			res.TornWrites = fs.TornWrites
+		if eng.Faults != nil {
+			eng.Faults.Disarm()
 		}
-		bs := doc.Store().Stats()
-		res.BufferRetries = bs.Retries
-		res.BufferRetryFailures = bs.RetryFailures
 		// Every run doubles as an integrity and residue check: a protocol
 		// that let an interleaving corrupt the document, or a release path
 		// that was skipped, must not produce a result.
-		if err := mgr.Audit(); err != nil {
-			return err
-		}
-		ls := mgr.LockManager().Stats()
-		res.Deadlocks = ls.Deadlocks
-		res.ConversionDeadlocks = ls.ConversionDeadlocks
-		res.SubtreeDeadlocks = ls.SubtreeDeadlocks
-		res.Timeouts = ls.Timeouts
-		res.LockRequests = ls.Requests
-		res.LockCacheHits = ls.CacheHits
-		res.LockWaits = ls.Waits
-		res.PartitionWaits = mgr.LockManager().PartitionWaits()
-		return nil
+		return eng.Mgr.Audit()
 	}
-	return drive(cfg, p, res, cat, engine, finish)
+	return drive(cfg, eng.Mgr.Protocol(), res, reg, eng.Cat, engine, finish)
 }
 
 // drive is the slot driver, the one place a run's shape lives. It is
 // parameterised only by what differs between an in-process and a remote
 // run: engine makes the engine one slot of the given type runs against, at
 // the slot's isolation level (plus its release), and finish — called once
-// every slot has stopped cleanly — audits the engine and fills res with its
-// statistics.
-func drive(cfg Config, p protocol.Protocol, res *Result, cat *Catalog,
+// every slot has stopped cleanly and res.Metrics holds reg's snapshot —
+// audits the engine.
+func drive(cfg Config, p protocol.Protocol, res *Result, reg *metrics.Registry, cat *Catalog,
 	engine func(TxType, tx.Level) (Engine, func(), error), finish func() error) (*Result, error) {
 	maxRestarts := cfg.MaxRestarts
 	if maxRestarts == 0 {
@@ -462,9 +406,7 @@ func drive(cfg Config, p protocol.Protocol, res *Result, cat *Catalog,
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)
-	if cfg.Metrics != nil {
-		res.Metrics = cfg.Metrics.Snapshot()
-	}
+	res.Metrics = reg.Snapshot()
 	if runErr := context.Cause(ctx); runErr != nil {
 		return nil, fmt.Errorf("tamix: run failed under %s (%s fault): %w",
 			p.Name(), pagestore.Classify(runErr), runErr)

@@ -145,7 +145,7 @@ func TestCluster1UnderEveryProtocolSmoke(t *testing.T) {
 			res := runQuick(t, name, tx.LevelRepeatable, 4)
 			if res.Committed == 0 {
 				t.Errorf("%s committed nothing (aborted %d, deadlocks %d, timeouts %d)",
-					name, res.Aborted, res.Deadlocks, res.Timeouts)
+					name, res.Aborted, res.Metrics.CounterValue("lock.deadlocks"), res.Metrics.CounterValue("lock.timeouts"))
 			}
 		})
 	}
@@ -156,8 +156,8 @@ func TestIsolationNoneNeverAborts(t *testing.T) {
 	if res.Aborted != 0 {
 		t.Errorf("isolation none aborted %d transactions", res.Aborted)
 	}
-	if res.LockRequests != 0 {
-		t.Errorf("isolation none issued %d lock requests", res.LockRequests)
+	if n := res.Metrics.CounterValue("lock.requests"); n != 0 {
+		t.Errorf("isolation none issued %d lock requests", n)
 	}
 }
 
@@ -246,19 +246,20 @@ func TestUpdateLocksReduceConversionDeadlocks(t *testing.T) {
 	}
 	plain := run(false)
 	update := run(true)
-	if plain.ConversionDeadlocks == 0 {
+	conv := func(r *Result) uint64 { return r.Metrics.CounterValue("lock.conversion_deadlocks") }
+	if conv(plain) == 0 {
 		t.Skip("workload produced no conversion deadlocks to ablate")
 	}
 	// Compare deadlocks per executed transaction: update intent must cut
 	// the conversion-deadlock rate drastically (structurally it eliminates
 	// the history-node cycle; residual cycles come from path locks).
 	rate := func(r *Result) float64 {
-		return float64(r.ConversionDeadlocks) / float64(r.Committed+r.Aborted+1)
+		return float64(conv(r)) / float64(r.Committed+r.Aborted+1)
 	}
 	if rate(update) > rate(plain)/2 {
 		t.Errorf("update locks did not reduce the conversion-deadlock rate: %.3f (%d/%d) -> %.3f (%d/%d)",
-			rate(plain), plain.ConversionDeadlocks, plain.Committed+plain.Aborted,
-			rate(update), update.ConversionDeadlocks, update.Committed+update.Aborted)
+			rate(plain), conv(plain), plain.Committed+plain.Aborted,
+			rate(update), conv(update), update.Committed+update.Aborted)
 	}
 }
 
@@ -274,15 +275,16 @@ func TestDeadlockAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Deadlocks == 0 {
+	deadlocks := res.Metrics.CounterValue("lock.deadlocks")
+	if deadlocks == 0 {
 		t.Skip("no deadlocks to attribute")
 	}
 	var attributed uint64
 	for _, n := range res.DeadlockVictims {
 		attributed += n
 	}
-	if attributed != res.Deadlocks {
-		t.Errorf("attributed %d of %d deadlocks", attributed, res.Deadlocks)
+	if attributed != deadlocks {
+		t.Errorf("attributed %d of %d deadlocks", attributed, deadlocks)
 	}
 	if res.DeadlockVictims[TAlendAndReturn] == 0 {
 		t.Error("the only running type must own the victims")
@@ -291,7 +293,7 @@ func TestDeadlockAttribution(t *testing.T) {
 	for _, n := range res.DeadlockCycleLengths {
 		cycles += n
 	}
-	if cycles != res.Deadlocks {
-		t.Errorf("cycle histogram holds %d of %d", cycles, res.Deadlocks)
+	if cycles != deadlocks {
+		t.Errorf("cycle histogram holds %d of %d", cycles, deadlocks)
 	}
 }

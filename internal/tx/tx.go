@@ -176,13 +176,6 @@ func (t *Txn) LogUndo(payload []byte) {
 	t.mu.Unlock()
 }
 
-// Stats aggregates transaction outcomes.
-type Stats struct {
-	Begun     uint64
-	Committed uint64
-	Aborted   uint64
-}
-
 // Manager creates and finishes transactions against one lock manager.
 type Manager struct {
 	lm     *lock.Manager
@@ -467,13 +460,4 @@ func (t *Txn) EndOperation() {
 	// here; dropping it anyway keeps the lifecycle contract simple — partial
 	// release means the cache starts over.
 	t.ltx.InvalidateCache()
-}
-
-// Stats returns a snapshot of the counters.
-func (m *Manager) Stats() Stats {
-	return Stats{
-		Begun:     m.begun.Load(),
-		Committed: m.committed.Load(),
-		Aborted:   m.aborted.Load(),
-	}
 }

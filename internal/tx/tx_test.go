@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/lock"
+	"repro/internal/metrics"
 	"repro/internal/wal"
 )
 
@@ -41,6 +42,8 @@ func TestLevelStringsRoundTrip(t *testing.T) {
 
 func TestCommitReleasesLocks(t *testing.T) {
 	m := newMgr()
+	reg := metrics.NewRegistry()
+	m.SetMetrics(reg)
 	t1 := m.Begin(LevelRepeatable)
 	if err := m.LockManager().Lock(t1.LockTx(), "n", mX, false); err != nil {
 		t.Fatal(err)
@@ -57,9 +60,9 @@ func TestCommitReleasesLocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	t2.Commit()
-	st := m.Stats()
-	if st.Begun != 2 || st.Committed != 2 || st.Aborted != 0 {
-		t.Errorf("stats %+v", st)
+	st := reg.Snapshot()
+	if st.CounterValue("tx.begun") != 2 || st.CounterValue("tx.committed") != 2 || st.CounterValue("tx.aborted") != 0 {
+		t.Errorf("stats %+v", st.Counters)
 	}
 }
 

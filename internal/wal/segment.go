@@ -183,17 +183,6 @@ func (s *MemSegmentStore) Clone() *MemSegmentStore {
 	return c
 }
 
-// TotalBytes reports the byte count across all segments (test aid).
-func (s *MemSegmentStore) TotalBytes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, seg := range s.segs {
-		n += len(seg.buf)
-	}
-	return n
-}
-
 type memSegmentWriter struct {
 	store *MemSegmentStore
 	index uint64

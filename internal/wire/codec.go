@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/splid"
 	"repro/internal/xmlmodel"
@@ -339,48 +340,57 @@ func (r *Reader) Catalog() Catalog {
 	}
 }
 
-// Stats is the engine counter snapshot served by OpStats: the lock-manager
-// activity the contest ranks protocols by, plus transaction outcomes, so a
-// remote harness reports the same columns as a local run.
-type Stats struct {
-	LockRequests        uint64
-	LockCacheHits       uint64
-	LockWaits           uint64
-	Deadlocks           uint64
-	ConversionDeadlocks uint64
-	SubtreeDeadlocks    uint64
-	Timeouts            uint64
-	TxBegun             uint64
-	TxCommitted         uint64
-	TxAborted           uint64
+// MaxCounters bounds the counter list of an OpStats response: several times
+// what an engine registers (~100 names with the per-shard buffer counters),
+// small enough that a hostile count cannot size an allocation.
+const MaxCounters = 1024
+
+// AppendCounters appends an OpStats response body: the count, then each
+// (name, value) pair in ascending name order — one canonical byte string per
+// counter set. More than MaxCounters is an error, never a silent truncation:
+// a missing name would read as zero.
+func AppendCounters(dst []byte, counters map[string]uint64) ([]byte, error) {
+	if len(counters) > MaxCounters {
+		return dst, fmt.Errorf("wire: %d counters exceed the limit of %d", len(counters), MaxCounters)
+	}
+	names := make([]string, 0, len(counters))
+	for name := range counters {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	dst = binary.AppendUvarint(dst, uint64(len(names)))
+	for _, name := range names {
+		dst = binary.AppendUvarint(AppendString(dst, name), counters[name])
+	}
+	return dst, nil
 }
 
-// AppendStats appends a stats body (fixed field order).
-func AppendStats(dst []byte, s Stats) []byte {
-	for _, v := range [...]uint64{
-		s.LockRequests, s.LockCacheHits, s.LockWaits,
-		s.Deadlocks, s.ConversionDeadlocks, s.SubtreeDeadlocks, s.Timeouts,
-		s.TxBegun, s.TxCommitted, s.TxAborted,
-	} {
-		dst = binary.AppendUvarint(dst, v)
+// Counters reads an OpStats response body (see AppendCounters). Names must
+// ascend strictly, so a duplicate cannot overwrite an earlier value.
+func (r *Reader) Counters() map[string]uint64 {
+	n := r.Uvarint()
+	if r.err != nil {
+		return nil
 	}
-	return dst
-}
-
-// Stats reads a stats body.
-func (r *Reader) Stats() Stats {
-	return Stats{
-		LockRequests:        r.Uvarint(),
-		LockCacheHits:       r.Uvarint(),
-		LockWaits:           r.Uvarint(),
-		Deadlocks:           r.Uvarint(),
-		ConversionDeadlocks: r.Uvarint(),
-		SubtreeDeadlocks:    r.Uvarint(),
-		Timeouts:            r.Uvarint(),
-		TxBegun:             r.Uvarint(),
-		TxCommitted:         r.Uvarint(),
-		TxAborted:           r.Uvarint(),
+	// A pair needs at least two bytes (empty name, one-byte value).
+	if n > MaxCounters || n > uint64(len(r.b))/2 {
+		r.fail("counter list")
+		return nil
 	}
+	out := make(map[string]uint64, n)
+	prev := ""
+	for i := uint64(0); i < n; i++ {
+		name, v := r.String(), r.Uvarint()
+		if r.err != nil {
+			return nil
+		}
+		if i > 0 && name <= prev {
+			r.err = fmt.Errorf("wire: counter %q out of order after %q", name, prev)
+			return nil
+		}
+		out[name], prev = v, name
+	}
+	return out
 }
 
 // OpenSession is the decoded OpOpenSession request body.

@@ -39,9 +39,12 @@ func seedFrames() [][]byte {
 			{ID: id, Kind: xmlmodel.KindElement, Name: 2},
 			{ID: id.Child(7), Kind: xmlmodel.KindText, Value: []byte("v")},
 		})})
-	// A stats response.
-	add(Msg{Op: OpStats, Req: 11,
-		Body: AppendStats([]byte{byte(StatusOK)}, Stats{LockRequests: 99, Deadlocks: 1})})
+	// A stats response: status byte + counter list.
+	stats, err := AppendCounters([]byte{byte(StatusOK)}, map[string]uint64{"lock.requests": 99, "lock.deadlocks": 1})
+	if err != nil {
+		panic(err)
+	}
+	add(Msg{Op: OpStats, Req: 11, Body: stats})
 	// Connection-lifecycle opcodes: keep-alive ticks (bare and session-
 	// scoped) and a session resume carrying the reopen parameters.
 	add(Msg{Op: OpHeartbeat, Req: 12})
@@ -165,8 +168,13 @@ func FuzzFrameDecode(f *testing.F) {
 		case OpOpenSession:
 			r.OpenSession()
 		case OpStats:
-			_ = r.String()
-			NewReader(m.Body).Stats()
+			_ = r.String() // request: protocol name
+			if len(m.Body) > 0 {
+				r = NewReader(m.Body[1:]) // response: status byte, counter list
+				if n := len(r.Counters()); n > MaxCounters {
+					t.Fatalf("decoded %d counters, over MaxCounters", n)
+				}
+			}
 		case OpCatalog:
 			NewReader(m.Body).Catalog()
 		default:

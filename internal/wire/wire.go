@@ -86,8 +86,8 @@ const (
 	// OpLookupName resolves a vocabulary name to its surrogate: body =
 	// string; response = u8 found, u16-as-uvarint surrogate.
 	OpLookupName Op = 7
-	// OpStats returns the engine counters for a protocol (body = protocol
-	// name; session 0 allowed): see AppendStats.
+	// OpStats returns the counters of a protocol's engine registry by name
+	// (body = protocol name; session 0 allowed): see AppendCounters.
 	OpStats Op = 8
 	// OpAudit runs the engine's residue audit (node.Manager.Audit: document
 	// Verify, lock LeakCheck, snapshot and page-version residue) for a

@@ -2,8 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/splid"
@@ -106,7 +110,10 @@ func TestBodyCodecRoundTrip(t *testing.T) {
 	b = AppendID(b, splid.ID{})
 	b = AppendNodes(b, nodes)
 	b = AppendCatalog(b, Catalog{Books: []string{"b0-0", "b0-1"}, Topics: []string{"t0"}, Persons: nil})
-	b = AppendStats(b, Stats{LockRequests: 10, Deadlocks: 2, TxCommitted: 5})
+	b, err := AppendCounters(b, map[string]uint64{"lock.requests": 10, "lock.deadlocks": 2, "tx.committed": 5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	b = AppendOpenSession(b, OpenSession{Protocol: "URIX", Isolation: 3, Depth: -1})
 	b = AppendResumeSession(b, ResumeSession{Old: 99,
 		Open: OpenSession{Protocol: "taDOM2+", Isolation: 2, Depth: 4}})
@@ -144,9 +151,9 @@ func TestBodyCodecRoundTrip(t *testing.T) {
 	if len(cat.Books) != 2 || cat.Topics[0] != "t0" || len(cat.Persons) != 0 {
 		t.Fatalf("catalog: %+v", cat)
 	}
-	st := r.Stats()
-	if st.LockRequests != 10 || st.Deadlocks != 2 || st.TxCommitted != 5 {
-		t.Fatalf("stats: %+v", st)
+	st := r.Counters()
+	if len(st) != 3 || st["lock.requests"] != 10 || st["lock.deadlocks"] != 2 || st["tx.committed"] != 5 {
+		t.Fatalf("counters: %+v", st)
 	}
 	os := r.OpenSession()
 	if os.Protocol != "URIX" || os.Isolation != 3 || os.Depth != -1 {
@@ -161,6 +168,72 @@ func TestBodyCodecRoundTrip(t *testing.T) {
 	}
 	if r.Len() != 0 {
 		t.Fatalf("%d bytes left", r.Len())
+	}
+}
+
+// TestCountersGolden pins the OpStats response body: count, then (name,
+// uvarint) pairs in ascending name order whatever order the map yields.
+func TestCountersGolden(t *testing.T) {
+	got, err := AppendCounters(nil, map[string]uint64{"tx.begun": 300, "lock.waits": 0, "lock.requests": 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "03" + "0d6c6f636b2e7265717565737473" + "808080808020" + "0a6c6f636b2e7761697473" + "00" + "0874782e626567756e" + "ac02"
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("OpStats body\n got %x\nwant %s", got, want)
+	}
+	if empty, err := AppendCounters(nil, nil); err != nil || !bytes.Equal(empty, []byte{0}) {
+		t.Fatalf("empty counter list: %x, %v", empty, err)
+	}
+	over := map[string]uint64{}
+	for i := 0; i <= MaxCounters; i++ {
+		over[fmt.Sprint("c", i)] = 1
+	}
+	if _, err := AppendCounters(nil, over); err == nil {
+		t.Fatal("a counter set beyond MaxCounters was encoded")
+	}
+}
+
+// TestCountersRejectsHostileBodies: every malformed OpStats body is an error
+// — never a panic, never an allocation sized by the body's own count.
+func TestCountersRejectsHostileBodies(t *testing.T) {
+	pair := func(name string, v uint64) []byte { return AppendUvarint(AppendString(nil, name), v) }
+	cases := map[string][]byte{
+		"count beyond the cap":       append(AppendUvarint(nil, MaxCounters+1), make([]byte, 4*MaxCounters)...),
+		"count beyond the body":      append(AppendUvarint(nil, 1000), pair("a", 1)...),
+		"count of 2^40":              AppendUvarint(nil, 1<<40),
+		"name length past the frame": append(AppendUvarint(AppendUvarint(nil, 1), 1<<30), 'x', 1),
+		"truncated name":             append(AppendUvarint(nil, 1), 5, 'l', 'o'),
+		"missing value":              append(AppendUvarint(nil, 1), AppendString(nil, "lock.waits")...),
+		"truncated varint":           append(append(AppendUvarint(nil, 1), AppendString(nil, "n")...), 0x80, 0x80),
+		"overlong varint":            append(append(AppendUvarint(nil, 1), AppendString(nil, "n")...), bytes.Repeat([]byte{0xFF}, 11)...),
+		"duplicate name":             append(append(AppendUvarint(nil, 2), pair("a", 1)...), pair("a", 2)...),
+		"names out of order":         append(append(AppendUvarint(nil, 2), pair("b", 1)...), pair("a", 2)...),
+		"second pair cut mid-name":   append(append(AppendUvarint(nil, 2), pair("a", 1)...), 9, 'b'),
+		"empty body":                 nil,
+		"one pair in one byte":       {1, 0},
+	}
+	for name, body := range cases {
+		r := NewReader(body)
+		if got := r.Counters(); got != nil || r.Err() == nil {
+			t.Errorf("%s: accepted as %v", name, got)
+		}
+		// A hostile count is refused before anything is sized by it: a map
+		// for MaxCounters entries alone would be tens of KiB.
+		if strings.HasPrefix(name, "count") {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			NewReader(body).Counters()
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; n > 4<<10 {
+				t.Errorf("%s: %d bytes allocated for a rejected count", name, n)
+			}
+		}
+	}
+	// The well-formed neighbours of the cases above decode.
+	r := NewReader(append(AppendUvarint(nil, 2), append(pair("", 7), pair("a", 1<<63)...)...))
+	if got := r.Counters(); r.Err() != nil || len(got) != 2 || got[""] != 7 || got["a"] != 1<<63 || r.Len() != 0 {
+		t.Fatalf("well-formed body: %v, err=%v, %d bytes left", got, r.Err(), r.Len())
 	}
 }
 
