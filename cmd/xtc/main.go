@@ -9,9 +9,11 @@
 //	xtc -open bib.xtc -dump 1.17.17      # export one subtree as XML
 //	xtc -open bib.xtc -id b42            # resolve an id attribute
 //	xtc -load doc.xml -verify            # run the structural verifier
-//	xtc -open bib.xtc -wal bib.wal       # attach a write-ahead log
-//	xtc -open bib.xtc -wal bib.wal -recover -stats
-//	                                     # replay the log after a crash
+//	xtc -open bib.xtc -wal bib.wal -stats
+//	                                     # open with its write-ahead log: the
+//	                                     # document is restarted from it (after
+//	                                     # a crash that replays the log; after a
+//	                                     # clean close it finds nothing to do)
 package main
 
 import (
@@ -20,10 +22,9 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"repro/internal/btree"
-	"repro/internal/metrics"
+	"repro/internal/core"
 	"repro/internal/pagestore"
 	"repro/internal/splid"
 	"repro/internal/storage"
@@ -38,79 +39,58 @@ func main() {
 		verify    = flag.Bool("verify", false, "run the structural verifier")
 		dump      = flag.String("dump", "", "SPLID of a subtree to export as XML (\"root\" for everything)")
 		id        = flag.String("id", "", "resolve an id attribute value to its element")
-		walDir    = flag.String("wal", "", "directory of write-ahead log segments to attach")
-		recover   = flag.Bool("recover", false, "run ARIES-style recovery from -wal before opening (requires -open)")
-		metricsFl = flag.Bool("metrics", false, "print the buffer/WAL latency digests after the run")
+		walDir    = flag.String("wal", "", "directory of the document's write-ahead log segments (a stored document is restarted from them)")
+		metricsFl = flag.Bool("metrics", false, "print the engine's counters and latency digests after the run")
 	)
 	flag.Parse()
 
-	// One registry for the whole invocation: the buffer pool and the WAL
-	// report into it and -metrics prints the digests at the end.
-	var reg *metrics.Registry
-	if *metricsFl {
-		reg = metrics.NewRegistry()
-	}
-	opts := storage.Options{Metrics: reg}
-
-	var log *wal.Log
-	if *walDir != "" {
-		segs, serr := wal.NewFileSegmentStore(*walDir)
-		if serr != nil {
-			fatal(serr)
-		}
-		var lerr error
-		log, lerr = wal.Open(segs, wal.Config{Metrics: reg})
-		if lerr != nil {
-			fatal(lerr)
-		}
-	}
-	if *recover && (*open == "" || log == nil) {
-		fatal(fmt.Errorf("-recover requires both -open and -wal"))
-	}
-
-	var doc *storage.Document
-	var err error
+	var backend pagestore.Backend
 	switch {
 	case *load != "" && *open != "":
 		fatal(fmt.Errorf("-load and -open are mutually exclusive"))
 	case *load != "":
-		f, ferr := os.Open(*load)
-		if ferr != nil {
-			fatal(ferr)
-		}
-		doc, err = storage.Create(pagestore.NewMemBackend(), "doc", opts)
-		if err == nil {
-			err = doc.ImportXML(bufio.NewReader(f))
-		}
-		f.Close()
-		if err == nil && log != nil {
-			err = doc.AttachWAL(log)
-		}
+		backend = pagestore.NewMemBackend()
 	case *open != "":
-		fb, ferr := pagestore.OpenFile(*open)
-		if ferr != nil {
-			fatal(ferr)
+		fb, err := pagestore.OpenFile(*open)
+		if err != nil {
+			fatal(err)
 		}
-		if *recover {
-			var rep *storage.RecoveryReport
-			doc, rep, err = storage.Recover(fb, log, opts)
-			if err == nil {
-				printRecovery(rep)
-			}
-		} else {
-			doc, err = storage.Open(fb, opts)
-			if err == nil && log != nil {
-				err = doc.AttachWAL(log)
-			}
+		if fb.NumPages() == 0 {
+			fatal(fmt.Errorf("%s holds no document", *open))
 		}
+		backend = fb
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
+	var segs wal.SegmentStore
+	if *walDir != "" {
+		fs, err := wal.NewFileSegmentStore(*walDir)
+		if err != nil {
+			fatal(err)
+		}
+		segs = fs
+	}
+	eng, err := core.Open(backend, segs, core.Config{})
 	if err != nil {
 		fatal(err)
 	}
-	defer doc.Close()
+	defer eng.Close()
+	if *load != "" {
+		f, err := os.Open(*load)
+		if err != nil {
+			fatal(err)
+		}
+		err = eng.Load(bufio.NewReader(f))
+		f.Close()
+		if err != nil {
+			fatal(err)
+		}
+	}
+	if rep := eng.Recovery(); rep != nil {
+		printRecovery(rep)
+	}
+	doc := eng.Manager().Document()
 
 	if *stats {
 		st, err := doc.Stats()
@@ -168,31 +148,7 @@ func main() {
 		}
 	}
 	if *metricsFl {
-		printMetrics(reg.Snapshot())
-	}
-}
-
-// printMetrics prints the registry's latency digests and counters — the
-// offline twin of xtcd's /metrics/summary debug endpoint.
-func printMetrics(s *metrics.Snapshot) {
-	for _, name := range s.HistogramNames() {
-		d := s.Summary(name)
-		if d.Count == 0 {
-			continue
-		}
-		fmt.Printf("latency %-24s n=%-8d avg=%-12v p50=%-12v p95=%-12v p99=%-12v max=%v\n",
-			name, d.Count,
-			time.Duration(d.Avg).Round(time.Nanosecond),
-			time.Duration(d.P50), time.Duration(d.P95), time.Duration(d.P99),
-			time.Duration(d.Max))
-	}
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Printf("counter %-24s %d\n", name, s.Counters[name])
+		eng.Metrics().WriteText(os.Stdout)
 	}
 }
 
@@ -209,18 +165,6 @@ func printRecovery(rep *storage.RecoveryReport) {
 	if rep.CheckpointLSN != 0 {
 		fmt.Printf("            checkpoint at LSN %d bounded the scan\n", rep.CheckpointLSN)
 	}
-	var busy int
-	var maxNS int64
-	for _, ns := range rep.ShardRedoNS {
-		if ns > 0 {
-			busy++
-		}
-		if ns > maxNS {
-			maxNS = ns
-		}
-	}
-	fmt.Printf("            redo: %d shards (%d busy), slowest %v\n",
-		rep.RedoShards, busy, time.Duration(maxNS))
 }
 
 func avgSep(st btree.TreeStats) float64 {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/pagestore"
 )
 
 func buildXML(topics, booksPerTopic int) string {
@@ -47,7 +48,7 @@ func main() {
 	var results []outcome
 
 	for _, proto := range core.Protocols() {
-		eng, err := core.Create(core.Config{
+		eng, err := core.Open(pagestore.NewMemBackend(), nil, core.Config{
 			RootName:    "bib",
 			Protocol:    proto,
 			LockTimeout: 2 * time.Second,

@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/pagestore"
 )
 
 const articleXML = `
@@ -33,7 +34,7 @@ func main() {
 	)
 	flag.Parse()
 
-	eng, err := core.Create(core.Config{RootName: "doc", Protocol: *protoName})
+	eng, err := core.Open(pagestore.NewMemBackend(), nil, core.Config{RootName: "doc", Protocol: *protoName})
 	if err != nil {
 		log.Fatal(err)
 	}

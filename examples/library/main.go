@@ -33,7 +33,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng, err := core.Wrap(doc, core.Config{Protocol: *protoName})
+	eng, err := core.Wrap(doc, nil, core.Config{Protocol: *protoName})
 	if err != nil {
 		log.Fatal(err)
 	}

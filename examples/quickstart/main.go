@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/pagestore"
 )
 
 const libraryXML = `
@@ -27,7 +28,7 @@ const libraryXML = `
 
 func main() {
 	// An in-memory engine under the contest winner, taDOM3+.
-	eng, err := core.Create(core.Config{RootName: "bib", Protocol: "taDOM3+"})
+	eng, err := core.Open(pagestore.NewMemBackend(), nil, core.Config{RootName: "bib", Protocol: "taDOM3+"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,8 +8,9 @@ package bibserve
 import (
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/node"
+	"repro/internal/pagestore"
 	"repro/internal/protocol"
 	"repro/internal/server"
 	"repro/internal/tamix"
@@ -33,11 +34,11 @@ type Options struct {
 	WALRetain int
 }
 
-// NewEngineFactory returns the server.Config.NewEngine implementation: build
-// a bib engine (tamix.NewBibEngine) for the protocol. Each engine reports into
-// a registry of its own — protocols share instrument names, so they cannot
-// share a registry — which is what OpStats ships and what the server's
-// Snapshot shows under "engine.<protocol>.".
+// NewEngineFactory returns the server.Config.NewEngine implementation:
+// generate a bib document and wrap a core.Engine around it for the protocol.
+// Each engine reports into a registry of its own — protocols share instrument
+// names, so they cannot share a registry — which is what OpStats ships and
+// what the server's Snapshot shows under "engine.<protocol>.".
 func NewEngineFactory(opts Options) func(p protocol.Protocol, depth int) (*server.Engine, error) {
 	if opts.Bib.Topics == 0 {
 		opts.Bib = tamix.DefaultBibConfig()
@@ -45,32 +46,39 @@ func NewEngineFactory(opts Options) func(p protocol.Protocol, depth int) (*serve
 	if opts.LockTimeout <= 0 {
 		opts.LockTimeout = 5 * time.Second
 	}
-	var walCfg *wal.Config
-	if opts.CheckpointInterval > 0 {
-		opts.Bib.CheckpointInterval = opts.CheckpointInterval
-		walCfg = &wal.Config{Retain: opts.WALRetain}
-	}
+	opts.Bib.CheckpointInterval = opts.CheckpointInterval
 	return func(p protocol.Protocol, depth int) (*server.Engine, error) {
-		eng, err := tamix.NewBibEngine(p, opts.Bib, node.Options{
-			Depth:       depth,
-			LockTimeout: opts.LockTimeout,
-			Metrics:     metrics.NewRegistry(),
-		}, walCfg, nil)
+		bib := opts.Bib
+		bib.Metrics = metrics.NewRegistry()
+		doc, cat, err := tamix.GenerateBib(pagestore.NewMemBackend(), bib)
 		if err != nil {
 			return nil, err
 		}
-		if eng.Log != nil {
+		var segs wal.SegmentStore
+		if opts.CheckpointInterval > 0 {
+			segs = wal.NewMemSegmentStore()
+		}
+		eng, err := core.Wrap(doc, segs, core.Config{
+			Protocol:    p.Name(),
+			LockDepth:   &depth,
+			LockTimeout: opts.LockTimeout,
+			Log:         wal.Config{Retain: opts.WALRetain},
+		})
+		if err != nil {
+			return nil, err
+		}
+		if doc.WAL() != nil {
 			// A WAL-backed engine can serve tx.LevelSnapshot sessions under
 			// any protocol: page versions pin commit-LSN snapshots for
 			// lock-free reads.
-			eng.Mgr.EnableSnapshotReads()
+			eng.Manager().EnableSnapshotReads()
 		}
 		return &server.Engine{
-			Mgr: eng.Mgr,
+			Mgr: eng.Manager(),
 			Catalog: wire.Catalog{
-				Books:   eng.Cat.BookIDs,
-				Topics:  eng.Cat.TopicIDs,
-				Persons: eng.Cat.PersonIDs,
+				Books:   cat.BookIDs,
+				Topics:  cat.TopicIDs,
+				Persons: cat.PersonIDs,
 			},
 			CloseFn: eng.Close,
 		}, nil

@@ -1,21 +1,29 @@
-// Package core is the public API of the library: an embedded XML database
-// engine in the spirit of XTC (the XML Transaction Coordinator), offering
-// transactional DOM operations on taDOM-stored XML documents under any of
-// the 11 lock protocols compared in "Contest of XML Lock Protocols"
-// (VLDB 2006).
+// Package core is the engine: one XML document in a page store, optionally a
+// write-ahead log, and a node manager running transactions on it under any
+// of the 11 lock protocols compared in "Contest of XML Lock Protocols" (VLDB
+// 2006) — an embedded XML database in the spirit of XTC (the XML Transaction
+// Coordinator). It is the library's public API and the one place that knows
+// how the layers are assembled, restarted and torn down: the examples, the
+// TaMix harnesses, the crash matrix's reopen, xtc and xtcd's engine factory
+// all open their engine here (DESIGN.md, "Opening, restarting and closing an
+// engine").
 //
-// A minimal session:
+// A minimal durable session:
 //
-//	eng, err := core.Create(core.Config{})           // in-memory, taDOM3+
-//	err = eng.Load(strings.NewReader("<bib>...</bib>"))
+//	backend, err := pagestore.OpenFile("bib.xtc")
+//	segs, err := wal.NewFileSegmentStore("bib.wal")
+//	eng, err := core.Open(backend, segs, core.Config{RootName: "bib"})
+//	defer eng.Close()
 //	err = eng.Exec(core.Repeatable, func(s *core.Session) error {
 //	    book, err := s.JumpToID("b42")
 //	    if err != nil { return err }
 //	    return s.SetAttribute(book.ID, "year", []byte("2006"))
 //	})
 //
-// Exec retries automatically when the transaction is chosen as a deadlock
-// victim, mirroring the restart behavior of the paper's TaMix clients.
+// Open creates the document when the backend is empty and otherwise restarts
+// it from the log, whether or not the last process closed it. Exec retries
+// automatically when the transaction is chosen as a deadlock victim,
+// mirroring the restart behavior of the paper's TaMix clients.
 package core
 
 import (
@@ -32,6 +40,7 @@ import (
 	"repro/internal/splid"
 	"repro/internal/storage"
 	"repro/internal/tx"
+	"repro/internal/wal"
 	"repro/internal/xmlmodel"
 )
 
@@ -56,9 +65,8 @@ type ID = splid.ID
 
 // Config configures an Engine.
 type Config struct {
-	// Path stores the document in a file; empty means in-memory.
-	Path string
-	// RootName names the document root element (default "doc").
+	// RootName names the root element of a document Open creates (default
+	// "doc").
 	RootName string
 	// Protocol selects the lock protocol by its paper name (default
 	// "taDOM3+", the contest winner). See Protocols() for the full list.
@@ -68,12 +76,14 @@ type Config struct {
 	LockDepth *int
 	// LockTimeout bounds lock waits (default 10s).
 	LockTimeout time.Duration
-	// Dist is the SPLID labeling gap for new documents.
-	Dist uint32
-	// BufferFrames sizes the page buffer.
+	// OnDeadlock observes detected deadlocks.
+	OnDeadlock func(lock.DeadlockInfo)
+	// BufferFrames sizes the page buffer Open puts over the backend.
 	BufferFrames int
-	// MaxRetries bounds Exec's deadlock-retry loop (default 10).
-	MaxRetries int
+	// Log tunes the write-ahead log opened over the segment store (segment
+	// size, retention, the crash harnesses' scheduled crashes); its Metrics
+	// field is overridden with the engine's registry.
+	Log wal.Config
 }
 
 func (c *Config) fill() {
@@ -90,9 +100,6 @@ func (c *Config) fill() {
 	if c.LockTimeout <= 0 {
 		c.LockTimeout = 10 * time.Second
 	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 10
-	}
 }
 
 // Protocols returns the names of all available lock protocols in the
@@ -102,81 +109,158 @@ func Protocols() []string { return protocol.Names() }
 // Engine is an embedded XML database instance: one document, one lock
 // protocol, arbitrarily many concurrent transactions.
 type Engine struct {
-	cfg Config
-	doc *storage.Document
+	doc *storage.Document // its WAL() is the engine's log, nil without one
 	mgr *node.Manager
+	rep *storage.RecoveryReport
+	// faults is the injector around the document's backend, nil without one.
+	faults *pagestore.FaultBackend
 }
 
-// Create builds a new engine with an empty document.
-func Create(cfg Config) (*Engine, error) {
+// Open opens an engine over a page backend and, with segs non-nil, the
+// write-ahead log in that segment store. An empty backend gets a new document
+// named Config.RootName; a log that already holds records is then an error,
+// not history to ignore. A backend with pages is restarted from the log —
+// always: restart is idempotent and bounded by the last checkpoint, so over a
+// cleanly closed store it redoes and rolls back nothing, and over a crashed
+// one it is what makes the pages a document again. Recovery reports what it
+// did. Without a log the pages are opened as they are.
+//
+// The engine owns both arguments from here on; Close releases them.
+func Open(backend pagestore.Backend, segs wal.SegmentStore, cfg Config) (*Engine, error) {
 	cfg.fill()
-	backend, err := makeBackend(cfg.Path)
+	p, err := protocol.Parse(cfg.Protocol)
 	if err != nil {
 		return nil, err
 	}
 	reg := metrics.NewRegistry()
-	doc, err := storage.Create(backend, cfg.RootName, storage.Options{
-		Dist:         cfg.Dist,
-		BufferFrames: cfg.BufferFrames,
-		Metrics:      reg,
-	})
+	log, err := openLog(segs, p, cfg.Log, reg)
 	if err != nil {
 		return nil, err
 	}
-	return wrap(cfg, doc, reg)
+	opts := storage.Options{BufferFrames: cfg.BufferFrames, Metrics: reg}
+	var doc *storage.Document
+	var rep *storage.RecoveryReport
+	switch {
+	case backend.NumPages() > 0 && log != nil:
+		doc, rep, err = storage.Recover(backend, log, opts)
+	case backend.NumPages() > 0:
+		doc, err = storage.Open(backend, opts)
+	case log != nil && log.NextLSN() > 1:
+		err = errors.New("core: the log holds records but the page backend is empty")
+	default:
+		if doc, err = storage.Create(backend, cfg.RootName, opts); err == nil && log != nil {
+			err = doc.AttachWAL(log)
+		}
+	}
+	if err != nil {
+		if log != nil {
+			log.Close()
+		}
+		return nil, err
+	}
+	return assemble(doc, p, cfg, reg, rep), nil
 }
 
-// OpenFile reopens an engine over a document previously created with a
-// file-backed Config.Path.
-func OpenFile(cfg Config) (*Engine, error) {
+// Wrap builds an engine around a document a generator has just built (the
+// TaMix bib generator, typically) and, with segs non-nil, starts a log in that
+// empty segment store: the document as handed over is the log's baseline. The
+// engine reports into the registry the document was built with
+// (storage.Options.Metrics), or one of its own without.
+func Wrap(doc *storage.Document, segs wal.SegmentStore, cfg Config) (*Engine, error) {
 	cfg.fill()
-	if cfg.Path == "" {
-		return nil, errors.New("core: OpenFile requires Config.Path")
-	}
-	backend, err := pagestore.OpenFile(cfg.Path)
-	if err != nil {
-		return nil, err
-	}
-	reg := metrics.NewRegistry()
-	doc, err := storage.Open(backend, storage.Options{BufferFrames: cfg.BufferFrames, Metrics: reg})
-	if err != nil {
-		return nil, err
-	}
-	return wrap(cfg, doc, reg)
-}
-
-func makeBackend(path string) (pagestore.Backend, error) {
-	if path == "" {
-		return pagestore.NewMemBackend(), nil
-	}
-	return pagestore.OpenFile(path)
-}
-
-// Wrap builds an engine around an already-constructed document (for
-// example, one produced by the TaMix bib generator). Its Metrics carry the
-// lock.* and tx.* instruments only: the document's buffer pool reports to
-// whatever registry the document was built with.
-func Wrap(doc *storage.Document, cfg Config) (*Engine, error) {
-	cfg.fill()
-	return wrap(cfg, doc, metrics.NewRegistry())
-}
-
-func wrap(cfg Config, doc *storage.Document, reg *metrics.Registry) (*Engine, error) {
-	p, err := protocol.ByName(cfg.Protocol)
+	p, err := protocol.Parse(cfg.Protocol)
 	if err != nil {
 		doc.Close()
 		return nil, err
 	}
+	reg := doc.Store().Metrics()
+	if reg == nil {
+		reg = metrics.NewRegistry()
+	}
+	log, err := openLog(segs, p, cfg.Log, reg)
+	if err == nil && log != nil {
+		if err = doc.AttachWAL(log); err != nil {
+			log.Close()
+		}
+	}
+	if err != nil {
+		doc.Close()
+		return nil, err
+	}
+	return assemble(doc, p, cfg, reg, nil), nil
+}
+
+// openLog opens the log over segs (nil: no log). The snapshot contestant pins
+// its read views to commit LSNs, so it gets an in-memory log when the caller
+// brought none.
+func openLog(segs wal.SegmentStore, p protocol.Protocol, wc wal.Config, reg *metrics.Registry) (*wal.Log, error) {
+	if segs == nil {
+		if !protocol.UsesSnapshotReads(p) {
+			return nil, nil
+		}
+		segs = wal.NewMemSegmentStore()
+	}
+	wc.Metrics = reg
+	return wal.Open(segs, wc)
+}
+
+// assemble puts the node manager over a document whose log (if any) is
+// already attached: the transaction manager writes commit and end records to
+// that log, and the snapshot contestant gets its page versions. With it reg
+// holds every layer's instruments: buffer.*, wal.*, lock.*, tx.* and fault.*
+// (zero without an injector around the backend).
+func assemble(doc *storage.Document, p protocol.Protocol, cfg Config, reg *metrics.Registry, rep *storage.RecoveryReport) *Engine {
 	mgr := node.New(doc, p, node.Options{
 		Depth:       *cfg.LockDepth,
 		LockTimeout: cfg.LockTimeout,
+		OnDeadlock:  cfg.OnDeadlock,
 		Metrics:     reg,
 	})
-	return &Engine{cfg: cfg, doc: doc, mgr: mgr}, nil
+	if log := doc.WAL(); log != nil {
+		mgr.TxManager().SetWAL(log)
+	}
+	if protocol.UsesSnapshotReads(p) {
+		mgr.EnableSnapshotReads()
+	}
+	fb, _ := doc.Store().Backend().(*pagestore.FaultBackend)
+	faultStats := func() (s pagestore.FaultStats) {
+		if fb != nil {
+			s = fb.Stats()
+		}
+		return s
+	}
+	reg.Func("fault.injected", func() uint64 { return faultStats().TotalInjected() })
+	reg.Func("fault.torn_writes", func() uint64 { return faultStats().TornWrites })
+	return &Engine{doc: doc, mgr: mgr, rep: rep, faults: fb}
 }
 
-// Close flushes and closes the engine.
-func (e *Engine) Close() error { return e.doc.Close() }
+// Close tears the engine down in dependency order: a fault injector around
+// the backend is disarmed first (the final flush must reach the pages), the
+// lock manager's deadlock detector is stopped, the document is flushed and
+// closed — its flush forces the log, which must still be open — and then the
+// log. Transactions must have finished.
+func (e *Engine) Close() error {
+	if e.faults != nil {
+		e.faults.Disarm()
+	}
+	e.mgr.Close()
+	log := e.doc.WAL()
+	err := e.doc.Close()
+	if log != nil {
+		if cerr := log.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
+// Faults returns the fault injector the engine found around its backend (nil
+// without one); a harness arms it for its measurement interval.
+func (e *Engine) Faults() *pagestore.FaultBackend { return e.faults }
+
+// Recovery reports the restart Open ran (nil when Open created the document
+// or had no log, and for a wrapped engine).
+func (e *Engine) Recovery() *storage.RecoveryReport { return e.rep }
 
 // Load bulk-imports XML below the document root. It bypasses locking and
 // must run before concurrent transactions start.
@@ -193,8 +277,8 @@ func (e *Engine) Root() ID { return e.doc.Root() }
 // ProtocolName returns the active lock protocol.
 func (e *Engine) ProtocolName() string { return e.mgr.Protocol().Name() }
 
-// Manager exposes the node manager for advanced use (TaMix drives it
-// directly).
+// Manager exposes the node manager (the harnesses drive it directly) and,
+// through it, the document and its attached log.
 func (e *Engine) Manager() *node.Manager { return e.mgr }
 
 // Metrics returns a snapshot of the engine's registry: every layer's
@@ -226,13 +310,16 @@ func (s *Session) Commit() error { return s.txn.Commit() }
 // Abort rolls the session's transaction back.
 func (s *Session) Abort() error { return s.txn.Abort() }
 
+// maxRetries bounds Exec's deadlock-retry loop.
+const maxRetries = 10
+
 // Exec runs fn in a transaction at the given isolation level, committing on
 // nil and aborting on error. If the transaction is aborted as a deadlock
-// victim (or times out on a lock), Exec retries it, up to
-// Config.MaxRetries attempts.
+// victim (or times out on a lock), Exec retries it, up to maxRetries
+// attempts.
 func (e *Engine) Exec(iso tx.Level, fn func(*Session) error) error {
 	var lastErr error
-	for attempt := 0; attempt < e.cfg.MaxRetries; attempt++ {
+	for attempt := 0; attempt < maxRetries; attempt++ {
 		s := e.Begin(iso)
 		err := fn(s)
 		if err == nil {
@@ -249,11 +336,8 @@ func (e *Engine) Exec(iso tx.Level, fn func(*Session) error) error {
 		}
 		lastErr = err
 	}
-	return fmt.Errorf("core: transaction failed after %d attempts: %w", e.cfg.MaxRetries, lastErr)
+	return fmt.Errorf("core: transaction failed after %d attempts: %w", maxRetries, lastErr)
 }
-
-// IsDeadlock reports whether err stems from a deadlock abort.
-func IsDeadlock(err error) bool { return errors.Is(err, lock.ErrDeadlockVictim) }
 
 // --- Session operations -----------------------------------------------------
 

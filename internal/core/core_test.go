@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/pagestore"
 )
 
 const sampleXML = `
@@ -28,7 +29,7 @@ const sampleXML = `
 func newEngine(t testing.TB, cfg Config) *Engine {
 	t.Helper()
 	cfg.RootName = "bib"
-	eng, err := Create(cfg)
+	eng, err := Open(pagestore.NewMemBackend(), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func newEngine(t testing.TB, cfg Config) *Engine {
 	return eng
 }
 
-func TestCreateDefaults(t *testing.T) {
+func TestOpenDefaults(t *testing.T) {
 	eng := newEngine(t, Config{})
 	if eng.ProtocolName() != "taDOM3+" {
 		t.Errorf("default protocol = %s", eng.ProtocolName())
@@ -49,8 +50,8 @@ func TestCreateDefaults(t *testing.T) {
 	}
 }
 
-func TestCreateRejectsUnknownProtocol(t *testing.T) {
-	_, err := Create(Config{Protocol: "MySQL"})
+func TestOpenRejectsUnknownProtocol(t *testing.T) {
+	_, err := Open(pagestore.NewMemBackend(), nil, Config{Protocol: "MySQL"})
 	if err == nil {
 		t.Fatal("expected error")
 	}
@@ -239,48 +240,7 @@ func TestExportXML(t *testing.T) {
 	}
 }
 
-func TestFilePersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bib.xtc")
-	cfg := Config{Path: path, RootName: "bib"}
-	eng, err := Create(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Load(strings.NewReader(sampleXML)); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	eng2, err := OpenFile(Config{Path: path, Protocol: "URIX"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng2.Close()
-	if eng2.ProtocolName() != "URIX" {
-		t.Errorf("protocol = %s", eng2.ProtocolName())
-	}
-	err = eng2.Exec(Repeatable, func(s *Session) error {
-		book, err := s.JumpToID("b1")
-		if err != nil {
-			return err
-		}
-		frag, err := s.ReadFragment(book.ID)
-		if err != nil {
-			return err
-		}
-		if len(frag) < 5 {
-			return fmt.Errorf("fragment = %d nodes", len(frag))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEveryProtocolThroughFacade(t *testing.T) {
+func TestEveryProtocol(t *testing.T) {
 	for _, name := range Protocols() {
 		name := name
 		t.Run(name, func(t *testing.T) {

@@ -6,13 +6,14 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/pagestore"
 )
 
 // ExampleEngine_Exec shows the basic transactional session: jump to an
 // element by ID, read, update, and let Exec handle commit and deadlock
 // retry.
 func ExampleEngine_Exec() {
-	eng, err := core.Create(core.Config{RootName: "bib"})
+	eng, err := core.Open(pagestore.NewMemBackend(), nil, core.Config{RootName: "bib"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,0 +1,235 @@
+package core_test
+
+import (
+	"fmt"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/figures"
+	"repro/internal/pagestore"
+	"repro/internal/storage"
+	"repro/internal/tamix"
+	"repro/internal/wal"
+)
+
+const bibXML = `<topic id="t1"><book id="b1" year="2005"><title>Contest of XML Lock Protocols</title></book></topic>`
+
+// media is one persistent store: open returns its page backend and, when the
+// store has a log, its segment store — the same bytes on every call.
+type media struct {
+	name   string
+	logged bool
+	open   func(t *testing.T) (pagestore.Backend, wal.SegmentStore)
+}
+
+func memMedia(logged bool) media {
+	backend := pagestore.NewMemBackend()
+	var segs wal.SegmentStore
+	if logged {
+		segs = wal.NewMemSegmentStore()
+	}
+	return media{fmt.Sprintf("memory/log=%v", logged), logged, func(*testing.T) (pagestore.Backend, wal.SegmentStore) {
+		return backend, segs
+	}}
+}
+
+func fileMedia(dir string, logged bool) media {
+	return media{fmt.Sprintf("file/log=%v", logged), logged, func(t *testing.T) (pagestore.Backend, wal.SegmentStore) {
+		backend, err := pagestore.OpenFile(filepath.Join(dir, "bib.xtc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !logged {
+			return backend, nil
+		}
+		segs, err := wal.NewFileSegmentStore(filepath.Join(dir, "bib.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return backend, segs
+	}}
+}
+
+func openEngine(t *testing.T, m media, cfg core.Config) *core.Engine {
+	t.Helper()
+	backend, segs := m.open(t)
+	eng, err := core.Open(backend, segs, cfg)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	return eng
+}
+
+func yearOfB1(eng *core.Engine) (string, error) {
+	var year []byte
+	err := eng.Exec(core.Repeatable, func(s *core.Session) error {
+		book, err := s.JumpToID("b1")
+		if err != nil {
+			return err
+		}
+		year, err = s.AttributeValue(book.ID, "year")
+		return err
+	})
+	return string(year), err
+}
+
+// wantNoOpRestart: over a store that was closed cleanly, the restart Open
+// always runs finds every delta already on its page and nobody to roll back.
+func wantNoOpRestart(t *testing.T, rep *storage.RecoveryReport) {
+	t.Helper()
+	if rep == nil {
+		t.Fatal("a logged store was reopened without a restart")
+	}
+	if rep.RedoneOps != 0 || len(rep.Losers) != 0 || rep.UndoneOps != 0 {
+		t.Errorf("restart of a cleanly closed store redid %d deltas, rolled back %v (%d ops)",
+			rep.RedoneOps, rep.Losers, rep.UndoneOps)
+	}
+}
+
+// TestOpenFreshAndReopen: an empty store gets a document, with or without a
+// log and on either medium; a committed update survives Close and is there
+// for the next Open, which may name another protocol.
+func TestOpenFreshAndReopen(t *testing.T) {
+	for _, m := range []media{
+		memMedia(false), memMedia(true),
+		fileMedia(t.TempDir(), false), fileMedia(t.TempDir(), true),
+	} {
+		m := m
+		t.Run(m.name, func(t *testing.T) {
+			eng := openEngine(t, m, core.Config{RootName: "bib"})
+			if eng.Recovery() != nil {
+				t.Error("creating a document reported a restart")
+			}
+			if err := eng.Load(strings.NewReader(bibXML)); err != nil {
+				t.Fatal(err)
+			}
+			err := eng.Exec(core.Repeatable, func(s *core.Session) error {
+				book, err := s.JumpToID("b1")
+				if err != nil {
+					return err
+				}
+				return s.SetAttribute(book.ID, "year", []byte("2006"))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if forced := eng.Metrics().CounterValue("wal.forces") > 0; forced != m.logged {
+				t.Errorf("commit forced a log: %v, store has a log: %v", forced, m.logged)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			eng = openEngine(t, m, core.Config{Protocol: "URIX"})
+			defer eng.Close()
+			if eng.ProtocolName() != "URIX" {
+				t.Errorf("protocol = %s", eng.ProtocolName())
+			}
+			if m.logged {
+				wantNoOpRestart(t, eng.Recovery())
+			} else if eng.Recovery() != nil {
+				t.Error("a store without a log reported a restart")
+			}
+			if year, err := yearOfB1(eng); err != nil || year != "2006" {
+				t.Errorf("after reopen year = %q, %v; want the committed 2006", year, err)
+			}
+		})
+	}
+}
+
+// TestOpenRestartsCrashResidue: what a crash burst leaves behind — pages with
+// an arbitrary subset of write-backs (one of them torn, in the second seed)
+// and a log with a torn tail — is opened like any other store, and nobody asks
+// for recovery: the result owes every acknowledged commit and nothing else.
+// Opening that result again is a no-op. (A residue opened WITHOUT its log is
+// not in the table: the pages are then taken as they are, and nothing is
+// promised about them.)
+func TestOpenRestartsCrashResidue(t *testing.T) {
+	for name, cfg := range map[string]tamix.CrashConfig{
+		"log-crash":       {Seed: 3, CrashAfterAppends: 59},
+		"torn-write-back": {Seed: 1003, TornWriteAt: 4},
+	} {
+		cfg := cfg
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			out, err := tamix.CrashBurst(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := media{logged: true, open: func(*testing.T) (pagestore.Backend, wal.SegmentStore) { return out.Backend, out.Segments }}
+			engCfg := core.Config{BufferFrames: out.Opts.BufferFrames}
+
+			eng := openEngine(t, m, engCfg)
+			rep := eng.Recovery()
+			if rep == nil {
+				t.Fatal("a crashed store was opened without a restart")
+			}
+			if out.CommittedTxns > 0 && len(rep.Committed) == 0 {
+				t.Errorf("%d commits acknowledged but none in the log", out.CommittedTxns)
+			}
+			owed := out.Expected(rep)
+			if err := tamix.AuditRecovered(eng.Manager().Document(), owed); err != nil {
+				t.Errorf("audit (commits %d, pending %d, losers %v): %v", out.CommittedTxns, out.PendingTxns, rep.Losers, err)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			eng = openEngine(t, m, engCfg)
+			defer eng.Close()
+			wantNoOpRestart(t, eng.Recovery())
+			if err := tamix.AuditRecovered(eng.Manager().Document(), owed); err != nil {
+				t.Errorf("audit after the second open: %v", err)
+			}
+		})
+	}
+}
+
+// TestOpenRefusesLogWithoutPages: a log that holds records belongs to some
+// document; an empty backend next to it is a lost file, not a fresh start.
+func TestOpenRefusesLogWithoutPages(t *testing.T) {
+	m := memMedia(true)
+	eng := openEngine(t, m, core.Config{})
+	if err := eng.Load(strings.NewReader(bibXML)); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, segs := m.open(t)
+	if eng, err := core.Open(pagestore.NewMemBackend(), segs, core.Config{}); err == nil {
+		eng.Close()
+		t.Fatal("a non-empty log over an empty backend opened as a fresh document")
+	}
+}
+
+// TestCloseStopsEveryGoroutine: an engine's goroutines (the lock manager's
+// deadlock detector, the log's flusher) end with Close, for every way an
+// engine is opened — 20 of them here, and the one-engine-per-protocol pass
+// of Figure 11.
+func TestCloseStopsEveryGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		eng := openEngine(t, memMedia(i%2 == 0), core.Config{Protocol: core.Protocols()[i%len(core.Protocols())]})
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := figures.Figure11(figures.Options{DocScale: 0.01}, 1); err != nil {
+		t.Fatal(err)
+	}
+	// A goroutine that has been told to stop may take a moment to be gone.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines before, %d after 20 engines and a Figure 11 pass:\n%s",
+			base, n, buf[:runtime.Stack(buf, true)])
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 )
 
 // Debug endpoint: an expvar-style live view of a registry plus the
@@ -38,22 +37,8 @@ func DebugMux(snap func() *Snapshot) *http.ServeMux {
 			http.NotFound(w, req)
 			return
 		}
-		s := snap()
-		names := s.HistogramNames()
-		counters := make([]string, 0, len(s.Counters))
-		for name := range s.Counters {
-			counters = append(counters, name)
-		}
-		sort.Strings(counters)
 		fmt.Fprintf(w, "debug endpoint — /metrics (JSON), /metrics/summary, /debug/pprof/\n\n")
-		for _, name := range counters {
-			fmt.Fprintf(w, "%-32s %d\n", name, s.Counters[name])
-		}
-		for _, name := range names {
-			sum := s.Summary(name)
-			fmt.Fprintf(w, "%-32s n=%d avg=%dns p50=%dns p95=%dns p99=%dns max=%dns\n",
-				name, sum.Count, sum.Avg, sum.P50, sum.P95, sum.P99, sum.Max)
-		}
+		snap().WriteText(w)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

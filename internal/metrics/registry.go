@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -243,4 +245,27 @@ func (s *Snapshot) HistogramNames() []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// WriteText renders the snapshot for a terminal, one instrument per line:
+// counters by name, then the digest of every histogram that recorded
+// anything (latencies are nanoseconds).
+func (s *Snapshot) WriteText(w io.Writer) {
+	if s == nil {
+		return
+	}
+	counters := make([]string, 0, len(s.Counters))
+	for name := range s.Counters {
+		counters = append(counters, name)
+	}
+	sort.Strings(counters)
+	for _, name := range counters {
+		fmt.Fprintf(w, "%-32s %d\n", name, s.Counters[name])
+	}
+	for _, name := range s.HistogramNames() {
+		if sum := s.Summary(name); sum.Count > 0 {
+			fmt.Fprintf(w, "%-32s n=%d avg=%d p50=%d p95=%d p99=%d max=%d\n",
+				name, sum.Count, sum.Avg, sum.P50, sum.P95, sum.P99, sum.Max)
+		}
+	}
 }

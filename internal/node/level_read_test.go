@@ -161,7 +161,7 @@ func TestLevelReadIsTwoDescents(t *testing.T) {
 	if st.DocTree.Depth != 3 {
 		t.Fatalf("document tree has depth %d, the gate is written for 3", st.DocTree.Depth)
 	}
-	p, _ := protocol.ByName("taDOM3+")
+	p, _ := protocol.Parse("taDOM3+")
 	m := New(d, p, Options{Depth: -1})
 	defer m.Close()
 	txn := m.Begin(tx.LevelRepeatable)

@@ -43,7 +43,7 @@ func newLibrary(t testing.TB, protoName string, depth int) *Manager {
 	if b.Err() != nil {
 		t.Fatal(b.Err())
 	}
-	p, err := protocol.ByName(protoName)
+	p, err := protocol.Parse(protoName)
 	if err != nil {
 		t.Fatal(err)
 	}

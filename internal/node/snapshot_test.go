@@ -63,7 +63,7 @@ func newSnapshotLibrarySized(t testing.TB, protoName string, topics, books int) 
 	if err := d.AttachWAL(log); err != nil {
 		t.Fatal(err)
 	}
-	p, err := protocol.ByName(protoName)
+	p, err := protocol.Parse(protoName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func TestSnapshotOracleCrashRestart(t *testing.T) {
 		t.Fatalf("recover: %v (report %+v)", err, rep)
 	}
 	defer d2.Close()
-	p, err := protocol.ByName("snapshot")
+	p, err := protocol.Parse("snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}

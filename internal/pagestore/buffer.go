@@ -200,9 +200,10 @@ type Store struct {
 	hits, misses, evictions, writebacks, retries, retryFailures atomic.Uint64
 	flusherWrites, flusherErrors                                atomic.Uint64
 
-	// Latency histograms (nil without Config.Metrics): miss-path load
-	// latency (backend read + checksum + retries) and write-back latency
+	// reg is Config.Metrics. Latency histograms (nil without it): miss-path
+	// load latency (backend read + checksum + retries) and write-back latency
 	// (WAL force + checksum stamp + backend write + retries).
+	reg        *metrics.Registry
 	hFixMiss   *metrics.Histogram
 	hWriteback *metrics.Histogram
 }
@@ -385,6 +386,7 @@ func OpenConfig(backend Backend, cfg Config) *Store {
 		shards:    make([]*bufShard, shards),
 		shardMask: uint32(shards - 1),
 		cap:       frames,
+		reg:       cfg.Metrics,
 	}
 	s.capture.s = s
 	base, rem := frames/shards, frames%shards
@@ -435,20 +437,18 @@ func (s *Store) Shards() int { return len(s.shards) }
 // shardFor hashes a page ID onto its shard. Multiplicative hashing spreads
 // the sequential IDs Allocate hands out across all shards.
 func (s *Store) shardFor(id PageID) *bufShard {
-	return s.shards[ShardIndex(id, len(s.shards))]
-}
-
-// ShardIndex returns the shard a page ID maps to in a pool of n shards
-// (n must be a power of two). Exported so recovery can partition its
-// parallel redo pass along exactly the buffer pool's shard map.
-func ShardIndex(id PageID, n int) int {
 	h := uint32(id) * 0x9E3779B1
 	h ^= h >> 16
-	return int(h & uint32(n-1))
+	return s.shards[h&s.shardMask]
 }
 
 // Backend exposes the underlying backend (used by tests and tools).
 func (s *Store) Backend() Backend { return s.backend }
+
+// Metrics returns Config.Metrics, the registry the pool reports into (nil
+// without one): an engine wrapped around an existing document reports its
+// other layers into the same one.
+func (s *Store) Metrics() *metrics.Registry { return s.reg }
 
 // newFrame allocates an empty frame for a shard.
 func newFrame(s *Store, sh *bufShard) *Frame {

@@ -267,15 +267,6 @@ func register(p Protocol) Protocol {
 	return p
 }
 
-// ByName returns a registered protocol.
-func ByName(name string) (Protocol, error) {
-	p, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("protocol: unknown protocol %q", name)
-	}
-	return p, nil
-}
-
 // All returns the registered protocols in presentation order: the paper's
 // 11 contestants followed by the snapshot-reads contestant.
 func All() []Protocol {

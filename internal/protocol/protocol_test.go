@@ -24,12 +24,12 @@ func TestRegistryComplete(t *testing.T) {
 		if got[i] != name {
 			t.Errorf("protocol %d = %s, want %s", i, got[i], name)
 		}
-		p, err := ByName(name)
+		p, err := Parse(name)
 		if err != nil || p.Name() != name {
-			t.Errorf("ByName(%s): %v", name, err)
+			t.Errorf("Parse(%s): %v", name, err)
 		}
 	}
-	if _, err := ByName("nope"); err == nil {
+	if _, err := Parse("nope"); err == nil {
 		t.Error("unknown protocol should error")
 	}
 }
@@ -46,7 +46,7 @@ func TestGroups(t *testing.T) {
 		"taDOM2": true, "taDOM2+": true, "taDOM3": true, "taDOM3+": true,
 	}
 	for name, g := range groups {
-		p, _ := ByName(name)
+		p, _ := Parse(name)
 		if p.Group() != g {
 			t.Errorf("%s group = %s, want %s", name, p.Group(), g)
 		}
@@ -182,7 +182,7 @@ func TestExclusiveModesConflictWithEverything(t *testing.T) {
 		"taDOM2": "SX", "taDOM2+": "SX", "taDOM3": "SX", "taDOM3+": "SX",
 	}
 	for name, xname := range cases {
-		p, _ := ByName(name)
+		p, _ := Parse(name)
 		tab := p.Table().(*lock.Table)
 		var x lock.Mode
 		for m := lock.Mode(1); int(m) < tab.NumModes(); m++ {
@@ -241,7 +241,7 @@ type harness struct {
 
 func newHarness(t *testing.T, name string) *harness {
 	t.Helper()
-	p, err := ByName(name)
+	p, err := Parse(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestLockDepthCoarsens(t *testing.T) {
 	readT := splid.MustParse("1.3.3.3.3")
 	writeT := splid.MustParse("1.5.3.3")
 	for _, name := range Names() {
-		p, _ := ByName(name)
+		p, _ := Parse(name)
 		if !p.DepthAware() {
 			continue
 		}

@@ -87,12 +87,6 @@ type Options struct {
 	// checkpoint on this cadence once a WAL is attached (disabled if
 	// zero). Checkpoints bound both restart time and WAL disk usage.
 	CheckpointInterval time.Duration
-	// redoShards is the parallelism of recovery's redo pass (Recover
-	// partitions pages with the buffer pool's shard map). Zero means
-	// DefaultRedoShards; 1 forces serial redo. Only the in-package tests
-	// set it (the serial-vs-parallel redo oracle): redo is under 2 % of a
-	// restart, so the choice is not worth an option.
-	redoShards int
 	// Metrics, when non-nil, receives the buffer pool's instruments (the
 	// buffer.* namespace); run harnesses pass one registry through every
 	// layer so the run report is a single document.

@@ -17,10 +17,10 @@ package storage
 //     checkpoint's redo LSN are applied in log order, conditional on the
 //     page's stamped pageLSN (a page already carrying LSN >= the record's
 //     was written back after that operation and is skipped). The scan
-//     groups deltas into per-page chains, partitions the pages across
-//     shards with the buffer pool's shard map, and replays the shards in
-//     parallel — pages are independent under physiological logging, and
-//     each page's chain stays in LSN order within its shard. Pages whose
+//     groups deltas into per-page chains and the pass replays them page by
+//     page, each chain in LSN order (one serial loop: redo is ~2 % of a
+//     restart, and 16 goroutines over it cost more than they saved —
+//     DESIGN.md §14). Pages whose
 //     on-disk checksum fails — torn by a crash mid-writeback — are reset
 //     and rebuilt from a full-page image; every dirty epoch logs one at
 //     the page's recLSN (>= the redo LSN by the checkpoint invariants), so
@@ -41,15 +41,10 @@ package storage
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/pagestore"
 	"repro/internal/wal"
 )
-
-// DefaultRedoShards is the parallelism of recovery's redo pass.
-const DefaultRedoShards = 16
 
 // RecoveryReport summarizes a Recover run.
 type RecoveryReport struct {
@@ -63,10 +58,6 @@ type RecoveryReport struct {
 	// CheckpointLSN is the checkpoint the scan started from (0 = none,
 	// full-history scan).
 	CheckpointLSN wal.LSN
-	// RedoShards is the parallelism the redo pass ran at.
-	RedoShards int
-	// ShardRedoNS is each redo shard's wall-clock nanoseconds.
-	ShardRedoNS []int64
 }
 
 // loserOp is one undoable operation of an unfinished transaction.
@@ -76,7 +67,7 @@ type loserOp struct {
 	undo []byte
 }
 
-// redoDelta is one page's slice of a RecOp, queued for shard replay.
+// redoDelta is one page's slice of a RecOp, queued for that page's replay.
 type redoDelta struct {
 	lsn  wal.LSN
 	full bool
@@ -156,7 +147,7 @@ func Recover(backend pagestore.Backend, log *wal.Log, opts Options) (*Document, 
 		return nil, rep, err
 	}
 
-	if err := redoChains(backend, chains, opts, rep); err != nil {
+	if err := redoChains(backend, chains, rep); err != nil {
 		return nil, rep, err
 	}
 
@@ -209,31 +200,16 @@ func Recover(backend pagestore.Backend, log *wal.Log, opts Options) (*Document, 
 	return d, rep, nil
 }
 
-// redoChains replays the per-page delta chains against the backend,
-// partitioned across shards by the buffer pool's page-shard map. Pages are
-// independent (physiological logging confines every delta to one page), so
-// shards share nothing but the backend, and each page's chain replays in
-// LSN order within its shard.
-func redoChains(backend pagestore.Backend, chains map[pagestore.PageID][]redoDelta, opts Options, rep *RecoveryReport) error {
-	nShards := opts.redoShards
-	if nShards <= 0 {
-		nShards = DefaultRedoShards
-	}
-	// ShardIndex masks with n-1, so round up to a power of two.
-	pow := 1
-	for pow < nShards {
-		pow <<= 1
-	}
-	nShards = pow
-	rep.RedoShards = nShards
-	rep.ShardRedoNS = make([]int64, nShards)
+// redoChains replays the per-page delta chains against the backend, one
+// page at a time. Physiological logging confines every delta to one page, so
+// the order pages are visited in does not matter; each page's chain is in LSN
+// order because the scan appended it that way.
+func redoChains(backend pagestore.Backend, chains map[pagestore.PageID][]redoDelta, rep *RecoveryReport) error {
 	if len(chains) == 0 {
 		return nil
 	}
-
 	// Pages beyond the backend were allocated by the crashed run but never
-	// written back; extend serially before the parallel pass (Allocate
-	// appends, so concurrent extension would race).
+	// written back.
 	maxPage := pagestore.PageID(0)
 	for id := range chains {
 		if id > maxPage {
@@ -246,86 +222,40 @@ func redoChains(backend pagestore.Backend, chains map[pagestore.PageID][]redoDel
 		}
 	}
 
-	shardPages := make([][]pagestore.PageID, nShards)
-	for id := range chains {
-		s := pagestore.ShardIndex(id, nShards)
-		shardPages[s] = append(shardPages[s], id)
-	}
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex // guards rep counters and firstErr
-		firstErr error
-	)
-	for s := 0; s < nShards; s++ {
-		if len(shardPages[s]) == 0 {
-			continue
+	buf := make([]byte, pagestore.PageSize)
+	for id, chain := range chains {
+		clear(buf)
+		torn := false
+		if err := backend.ReadPage(id, buf); err != nil || pagestore.VerifyChecksum(id, buf) != nil {
+			// Unreadable or torn: reset and rebuild from the log. The page
+			// stays unusable unless a full image arrives.
+			clear(buf)
+			torn = true
+			rep.HealedPages++
 		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			start := time.Now()
-			redone, skipped, healed := 0, 0, 0
-			var shardErr error
-			buf := make([]byte, pagestore.PageSize)
-			for _, id := range shardPages[s] {
-				for i := range buf {
-					buf[i] = 0
-				}
-				torn := false
-				if err := backend.ReadPage(id, buf); err != nil || pagestore.VerifyChecksum(id, buf) != nil {
-					// Unreadable or torn: reset and rebuild from the log.
-					// The page stays unusable unless a full image arrives.
-					for i := range buf {
-						buf[i] = 0
-					}
-					torn = true
-					healed++
-				}
-				applied := false
-				for _, dl := range chains[id] {
-					if dl.full {
-						torn = false
-					}
-					if pagestore.PageLSN(buf) >= dl.lsn {
-						skipped++
-						continue // writeback already carried this operation
-					}
-					copy(buf[dl.off:], dl.data)
-					pagestore.SetPageLSN(buf, dl.lsn)
-					applied = true
-					redone++
-				}
-				if torn {
-					shardErr = fmt.Errorf("storage: recovery: page %d is corrupt and the log holds no full image", id)
-					break
-				}
-				if applied {
-					pagestore.StampChecksum(buf)
-					if err := backend.WritePage(id, buf); err != nil {
-						shardErr = err
-						break
-					}
-				}
+		applied := false
+		for _, dl := range chain {
+			if dl.full {
+				torn = false
 			}
-			elapsed := time.Since(start).Nanoseconds()
-			mu.Lock()
-			rep.RedoneOps += redone
-			rep.SkippedOps += skipped
-			rep.HealedPages += healed
-			rep.ShardRedoNS[s] = elapsed
-			if shardErr != nil && firstErr == nil {
-				firstErr = shardErr
+			if pagestore.PageLSN(buf) >= dl.lsn {
+				rep.SkippedOps++
+				continue // writeback already carried this operation
 			}
-			mu.Unlock()
-			if c := opts.Metrics.Counter(fmt.Sprintf("recovery.redo_ns.shard%02d", s)); c != nil {
-				c.Add(uint64(elapsed))
+			copy(buf[dl.off:], dl.data)
+			pagestore.SetPageLSN(buf, dl.lsn)
+			applied = true
+			rep.RedoneOps++
+		}
+		if torn {
+			return fmt.Errorf("storage: recovery: page %d is corrupt and the log holds no full image", id)
+		}
+		if applied {
+			pagestore.StampChecksum(buf)
+			if err := backend.WritePage(id, buf); err != nil {
+				return err
 			}
-		}(s)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+		}
 	}
 	return backend.Sync()
 }

@@ -2,9 +2,8 @@
 // configuration, then repeatedly recover clones of the crash image. The
 // grid crosses WAL length (burst size) × checkpointing (off / every 3 ops
 // per worker): checkpoints bound restart work by work-since-checkpoint
-// instead of total history. Redo runs at its one parallelism
-// (storage.DefaultRedoShards; not an option since PR 15). End to end,
-// restart is bench/'s storage.recover_ms.
+// instead of total history. End to end, restart is bench/'s
+// storage.recover_ms.
 package storage_test
 
 import (
@@ -20,10 +19,9 @@ import (
 
 func BenchmarkRecovery(b *testing.B) {
 	// Per-page backend latency on the recovered clones: redo and the final
-	// flush pay it, so parallel redo has real I/O to overlap. Clones only —
-	// image generation stays fast. (time.Sleep granularity makes the
-	// effective cost closer to a disk seek than the nominal value, which is
-	// the point.)
+	// flush pay it. Clones only — image generation stays fast. (time.Sleep
+	// granularity makes the effective cost closer to a disk seek than the
+	// nominal value, which is the point.)
 	const pageLatency = 20 * time.Microsecond
 
 	for _, ops := range []int{40, 160} {
@@ -34,7 +32,7 @@ func BenchmarkRecovery(b *testing.B) {
 				CheckpointEvery: ckptEvery,
 			}
 			// A bigger document than the crash matrix uses, so redo touches
-			// enough distinct pages to parallelize; the trickle flusher keeps
+			// many distinct pages; the trickle flusher keeps
 			// the dirty-page table small, which is what lets a checkpoint
 			// advance the redo LSN past already-durable history.
 			cfg.Bib = tamix.Scaled(0.15)
@@ -55,9 +53,7 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 
 	// The redo-heavy image: no trickle flusher and a small pool, so the
-	// crash leaves deltas outstanding against many distinct pages and the
-	// redo pass is the bulk of restart; the redo_ns metric is the redo
-	// critical path (slowest shard), isolated from the rest of restart.
+	// crash leaves deltas outstanding against many distinct pages.
 	cfg := tamix.CrashConfig{Seed: 9997, Workers: 8, OpsPerWorker: 300}
 	cfg.Bib = tamix.Scaled(0.15)
 	cfg.Bib.BufferFrames = 32
@@ -75,11 +71,9 @@ func BenchmarkRecovery(b *testing.B) {
 }
 
 // benchRecover times one recovery configuration over clones of a crash
-// image, reporting the scan size and the redo critical path alongside
-// ns/op.
+// image, reporting the scan size and the deltas redone alongside ns/op.
 func benchRecover(b *testing.B, mem *pagestore.MemBackend, out *tamix.CrashOutcome, lat time.Duration) {
-	var records int
-	var redoNS int64
+	var records, redone int
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		backend := mem.Clone()
@@ -95,13 +89,7 @@ func benchRecover(b *testing.B, mem *pagestore.MemBackend, out *tamix.CrashOutco
 		if err != nil {
 			b.Fatal(err)
 		}
-		records = rep.Records
-		redoNS = 0
-		for _, ns := range rep.ShardRedoNS {
-			if ns > redoNS {
-				redoNS = ns
-			}
-		}
+		records, redone = rep.Records, rep.RedoneOps
 
 		b.StopTimer()
 		if err := d.Close(); err != nil {
@@ -110,5 +98,5 @@ func benchRecover(b *testing.B, mem *pagestore.MemBackend, out *tamix.CrashOutco
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(records), "records")
-	b.ReportMetric(float64(redoNS), "redo_ns")
+	b.ReportMetric(float64(redone), "redone")
 }

@@ -4,9 +4,8 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/node"
+	"repro/internal/core"
 	"repro/internal/pagestore"
-	"repro/internal/protocol"
 	"repro/internal/tx"
 )
 
@@ -105,16 +104,17 @@ type Cluster2Result struct {
 // IDX-locks every element owning an ID attribute; the intention-lock
 // protocols do not.
 func RunCluster2(protocolName string, docScale float64, runs int) (*Cluster2Result, error) {
-	p, err := protocol.Parse(protocolName)
-	if err != nil {
-		return nil, err
-	}
 	doc, cat, err := GenerateBib(pagestore.NewMemBackend(), Scaled(docScale))
 	if err != nil {
 		return nil, err
 	}
-	defer doc.Close()
-	mgr := node.New(doc, p, node.Options{Depth: 4, LockTimeout: 10 * time.Second})
+	depth := 4
+	eng, err := core.Wrap(doc, nil, core.Config{Protocol: protocolName, LockDepth: &depth})
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	mgr := eng.Manager()
 	if runs > len(cat.TopicIDs) {
 		runs = len(cat.TopicIDs)
 	}

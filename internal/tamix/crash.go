@@ -23,9 +23,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/node"
 	"repro/internal/pagestore"
-	"repro/internal/protocol"
 	"repro/internal/splid"
 	"repro/internal/storage"
 	"repro/internal/tx"
@@ -267,9 +267,6 @@ func (w *crashWorker) run() {
 // returns the residue. The document's buffer pool is deliberately
 // abandoned un-flushed.
 func CrashBurst(cfg CrashConfig) (*CrashOutcome, error) {
-	if cfg.Protocol == "" {
-		cfg.Protocol = "taDOM3+"
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 3
 	}
@@ -288,45 +285,41 @@ func CrashBurst(cfg CrashConfig) (*CrashOutcome, error) {
 	}
 	cfg.Bib.Seed = cfg.Seed
 
-	p, err := protocol.Parse(cfg.Protocol)
-	if err != nil {
-		return nil, err
-	}
-	var backend pagestore.Backend = pagestore.NewMemBackend()
-	var fb *pagestore.FaultBackend
+	var faults *pagestore.FaultConfig
 	if cfg.TornWriteAt > 0 {
-		fb = pagestore.NewFaultBackend(backend, pagestore.FaultConfig{
+		faults = &pagestore.FaultConfig{
 			Seed: cfg.Seed,
 			Schedule: []pagestore.ScheduledFault{
 				{Op: pagestore.OpWrite, N: cfg.TornWriteAt, Class: pagestore.ClassPermanent, Torn: true},
 			},
-		})
-		fb.Disarm() // generation and baseline flush run fault-free
-		backend = fb
+		}
 	}
+	backend := memBackend(faults)
 	doc, _, err := GenerateBib(backend, cfg.Bib)
 	if err != nil {
 		return nil, err
 	}
-	// No doc.Close(): the buffer pool dies with the "process".
-
 	segs := wal.NewMemSegmentStore()
-	log, err := wal.Open(segs, wal.Config{
-		SegmentSize:          cfg.SegmentSize,
-		CrashAfterAppends:    cfg.CrashAfterAppends,
-		Retain:               cfg.Retain,
-		CrashAtCheckpoint:    cfg.CheckpointCrashAt,
-		CheckpointCrashPhase: cfg.CheckpointCrashPhase,
+	depth := -1
+	eng, err := core.Wrap(doc, segs, core.Config{
+		Protocol:    cfg.Protocol,
+		LockDepth:   &depth,
+		LockTimeout: cfg.LockTimeout,
+		Log: wal.Config{
+			SegmentSize:          cfg.SegmentSize,
+			CrashAfterAppends:    cfg.CrashAfterAppends,
+			Retain:               cfg.Retain,
+			CrashAtCheckpoint:    cfg.CheckpointCrashAt,
+			CheckpointCrashPhase: cfg.CheckpointCrashPhase,
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := doc.AttachWAL(log); err != nil {
-		return nil, err
-	}
-	mgr := node.New(doc, p, node.Options{Depth: -1, LockTimeout: cfg.LockTimeout})
+	// No eng.Close(), which would flush: the buffer pool and the log die with
+	// the "process". Only the deadlock detector is stopped.
+	mgr, log, fb := eng.Manager(), doc.WAL(), eng.Faults()
 	defer mgr.Close()
-	mgr.TxManager().SetWAL(log)
 	if fb != nil {
 		fb.Arm()
 	}

@@ -4,10 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/node"
-	"repro/internal/pagestore"
-	"repro/internal/protocol"
 	"repro/internal/tx"
-	"repro/internal/wal"
 	"repro/internal/wire"
 	"repro/internal/xmlmodel"
 )
@@ -67,91 +64,4 @@ func (e *localEngine) Do(t Txn, op wire.Op, a wire.Args) (wire.Result, error) {
 
 func (e *localEngine) LookupName(name string) (xmlmodel.Sur, bool) {
 	return e.m.Document().Vocabulary().Lookup(name)
-}
-
-// BibEngine is a generated bib document under one protocol's node manager:
-// the engine a local run drives and the one an xtcd server hosts per
-// protocol.
-type BibEngine struct {
-	Mgr *node.Manager
-	Cat *Catalog
-	// Log is the attached write-ahead log (nil without one).
-	Log *wal.Log
-	// Faults is the injector around the document's backend (nil without
-	// one). It is handed over disarmed, so generation ran fault-free.
-	Faults *pagestore.FaultBackend
-}
-
-// NewBibEngine generates the bib document in memory and assembles the engine
-// around it. opts.Metrics, when non-nil, receives every layer's instruments
-// (buffer.*, wal.*, lock.*, tx.*, fault.*). A non-nil walCfg attaches an
-// in-memory log that every commit forces; the snapshot contestant pins its
-// read views to commit LSNs, so it gets a log (and page versioning) whatever
-// the caller asked for. faults wraps the backend in a seeded injector.
-func NewBibEngine(p protocol.Protocol, bib BibConfig, opts node.Options, walCfg *wal.Config, faults *pagestore.FaultConfig) (*BibEngine, error) {
-	var backend pagestore.Backend = pagestore.NewMemBackend()
-	var fb *pagestore.FaultBackend
-	if faults != nil {
-		fb = pagestore.NewFaultBackend(backend, *faults)
-		fb.Disarm()
-		backend = fb
-	}
-	faultStats := func() pagestore.FaultStats {
-		if fb == nil {
-			return pagestore.FaultStats{}
-		}
-		return fb.Stats()
-	}
-	opts.Metrics.Func("fault.injected", func() uint64 { return faultStats().TotalInjected() })
-	opts.Metrics.Func("fault.torn_writes", func() uint64 { return faultStats().TornWrites })
-
-	bib.Metrics = opts.Metrics
-	doc, cat, err := GenerateBib(backend, bib)
-	if err != nil {
-		return nil, err
-	}
-	snapReads := protocol.UsesSnapshotReads(p)
-	if snapReads && walCfg == nil {
-		walCfg = &wal.Config{}
-	}
-	var log *wal.Log
-	if walCfg != nil {
-		wc := *walCfg
-		wc.Metrics = opts.Metrics
-		if log, err = wal.Open(wal.NewMemSegmentStore(), wc); err == nil {
-			if err = doc.AttachWAL(log); err != nil {
-				log.Close()
-			}
-		}
-		if err != nil {
-			doc.Close()
-			return nil, err
-		}
-	}
-	mgr := node.New(doc, p, opts)
-	if log != nil {
-		mgr.TxManager().SetWAL(log)
-	}
-	if snapReads {
-		mgr.EnableSnapshotReads()
-	}
-	return &BibEngine{Mgr: mgr, Cat: cat, Log: log, Faults: fb}, nil
-}
-
-// Close tears the engine down in dependency order: the injector first (the
-// final flush must reach the backend), the lock manager's detector, the
-// document — its flush forces the log, which must still be open — then the
-// log.
-func (e *BibEngine) Close() error {
-	if e.Faults != nil {
-		e.Faults.Disarm()
-	}
-	e.Mgr.Close()
-	err := e.Mgr.Document().Close()
-	if e.Log != nil {
-		if cerr := e.Log.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
 }

@@ -5,10 +5,8 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/node"
 	"repro/internal/pagestore"
 	"repro/internal/protocol"
-	"repro/internal/wal"
 )
 
 // TestResultMetricsEqualLayerStats: a run's statistics are its registry
@@ -23,21 +21,22 @@ func TestResultMetricsEqualLayerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.WAL = true
+	cfg.Retry = &pagestore.RetryPolicy{
+		MaxRetries: 8, BaseBackoff: 20 * time.Microsecond, MaxBackoff: 500 * time.Microsecond,
+	}
 	reg := metrics.NewRegistry()
-	eng, err := NewBibEngine(p, cfg.Bib, node.Options{Depth: cfg.Depth, LockTimeout: cfg.LockTimeout, Metrics: reg},
-		&wal.Config{}, cfg.Faults)
+	eng, cat, err := newLocalEngine(cfg, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	eng.Mgr.Document().Store().SetRetryPolicy(pagestore.RetryPolicy{
-		MaxRetries: 8, BaseBackoff: 20 * time.Microsecond, MaxBackoff: 500 * time.Microsecond,
-	})
-	res, err := runLocal(cfg, newResult(cfg, p), reg, eng, nil)
+	res, err := runLocal(cfg, newResult(cfg, p), reg, eng, cat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls, bs, fs := eng.Mgr.LockManager().Stats(), eng.Mgr.Document().Store().Stats(), eng.Faults.Stats()
+	mgr := eng.Manager()
+	ls, bs, fs := mgr.LockManager().Stats(), mgr.Document().Store().Stats(), eng.Faults().Stats()
 	for name, want := range map[string]uint64{
 		"lock.requests":             ls.Requests,
 		"lock.waits":                ls.Waits,

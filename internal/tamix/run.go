@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/node"
@@ -254,43 +255,56 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Remote != "" {
 		return runRemote(cfg, p, res, reg)
 	}
-	lockTimeout := cfg.LockTimeout
-	if lockTimeout <= 0 {
-		lockTimeout = 5 * time.Second
-	}
-	var walCfg *wal.Config
-	if cfg.WAL {
-		walCfg = &wal.Config{}
-	}
 	// Deadlock analysis: every lock-manager transaction is registered with
 	// its TaMix type so detected cycles can be attributed.
 	var txTypes sync.Map // lock.TxID -> TxType
 	var dlMu sync.Mutex
-	eng, err := NewBibEngine(p, cfg.Bib, node.Options{
-		Depth:       cfg.Depth,
-		LockTimeout: lockTimeout,
-		Metrics:     reg,
-		OnDeadlock: func(info lock.DeadlockInfo) {
-			dlMu.Lock()
-			defer dlMu.Unlock()
-			if t, ok := txTypes.Load(info.Victim); ok {
-				res.DeadlockVictims[t.(TxType)]++
-			}
-			n := len(info.Members)
-			if n >= len(res.DeadlockCycleLengths) {
-				n = 0
-			}
-			res.DeadlockCycleLengths[n]++
-		},
-	}, walCfg, cfg.Faults)
+	eng, cat, err := newLocalEngine(cfg, reg, func(info lock.DeadlockInfo) {
+		dlMu.Lock()
+		defer dlMu.Unlock()
+		if t, ok := txTypes.Load(info.Victim); ok {
+			res.DeadlockVictims[t.(TxType)]++
+		}
+		n := len(info.Members)
+		if n >= len(res.DeadlockCycleLengths) {
+			n = 0
+		}
+		res.DeadlockCycleLengths[n]++
+	})
 	if err != nil {
 		return nil, err
 	}
 	defer eng.Close()
-	if cfg.Retry != nil {
-		eng.Mgr.Document().Store().SetRetryPolicy(*cfg.Retry)
+	return runLocal(cfg, res, reg, eng, cat, &txTypes)
+}
+
+// newLocalEngine generates the bib document in memory (behind a fault
+// injector with cfg.Faults) and wraps the engine a local run drives around it;
+// reg receives every layer's instruments. With cfg.WAL every commit forces an
+// in-memory log.
+func newLocalEngine(cfg Config, reg *metrics.Registry, onDeadlock func(lock.DeadlockInfo)) (*core.Engine, *Catalog, error) {
+	cfg.Bib.Metrics = reg
+	doc, cat, err := GenerateBib(memBackend(cfg.Faults), cfg.Bib)
+	if err != nil {
+		return nil, nil, err
 	}
-	return runLocal(cfg, res, reg, eng, &txTypes)
+	if cfg.Retry != nil {
+		doc.Store().SetRetryPolicy(*cfg.Retry)
+	}
+	var segs wal.SegmentStore
+	if cfg.WAL {
+		segs = wal.NewMemSegmentStore()
+	}
+	if cfg.LockTimeout <= 0 {
+		cfg.LockTimeout = 5 * time.Second
+	}
+	eng, err := core.Wrap(doc, segs, core.Config{
+		Protocol:    cfg.Protocol,
+		LockDepth:   &cfg.Depth,
+		LockTimeout: cfg.LockTimeout,
+		OnDeadlock:  onDeadlock,
+	})
+	return eng, cat, err
 }
 
 func newResult(cfg Config, p protocol.Protocol) *Result {
@@ -307,26 +321,40 @@ func newResult(cfg Config, p protocol.Protocol) *Result {
 	return res
 }
 
+// memBackend returns an empty in-memory page backend, inside a seeded fault
+// injector with faults set. The injector is handed over disarmed — generation
+// and the baseline flush run fault-free — and the engine built over it finds
+// it (core.Engine.Faults).
+func memBackend(faults *pagestore.FaultConfig) pagestore.Backend {
+	if faults == nil {
+		return pagestore.NewMemBackend()
+	}
+	fb := pagestore.NewFaultBackend(pagestore.NewMemBackend(), *faults)
+	fb.Disarm()
+	return fb
+}
+
 // runLocal points the slot driver at an in-process engine, arming its fault
 // injector (if any) for the measurement interval only: generation ran, and
 // the audit and teardown run, fault-free.
-func runLocal(cfg Config, res *Result, reg *metrics.Registry, eng *BibEngine, txTypes *sync.Map) (*Result, error) {
-	if eng.Faults != nil {
-		eng.Faults.Arm()
+func runLocal(cfg Config, res *Result, reg *metrics.Registry, eng *core.Engine, cat *Catalog, txTypes *sync.Map) (*Result, error) {
+	mgr, faults := eng.Manager(), eng.Faults()
+	if faults != nil {
+		faults.Arm()
 	}
 	engine := func(txType TxType, iso tx.Level) (Engine, func(), error) {
-		return &localEngine{m: eng.Mgr, iso: iso, txType: txType, txTypes: txTypes}, func() {}, nil
+		return &localEngine{m: mgr, iso: iso, txType: txType, txTypes: txTypes}, func() {}, nil
 	}
 	finish := func() error {
-		if eng.Faults != nil {
-			eng.Faults.Disarm()
+		if faults != nil {
+			faults.Disarm()
 		}
 		// Every run doubles as an integrity and residue check: a protocol
 		// that let an interleaving corrupt the document, or a release path
 		// that was skipped, must not produce a result.
-		return eng.Mgr.Audit()
+		return mgr.Audit()
 	}
-	return drive(cfg, eng.Mgr.Protocol(), res, reg, eng.Cat, engine, finish)
+	return drive(cfg, mgr.Protocol(), res, reg, cat, engine, finish)
 }
 
 // drive is the slot driver, the one place a run's shape lives. It is

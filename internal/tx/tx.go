@@ -62,24 +62,6 @@ func (l Level) String() string {
 	}
 }
 
-// ParseLevel converts the textual names used by the CLI tools.
-func ParseLevel(s string) (Level, error) {
-	switch s {
-	case "none":
-		return LevelNone, nil
-	case "uncommitted":
-		return LevelUncommitted, nil
-	case "committed":
-		return LevelCommitted, nil
-	case "repeatable":
-		return LevelRepeatable, nil
-	case "snapshot":
-		return LevelSnapshot, nil
-	default:
-		return 0, fmt.Errorf("tx: unknown isolation level %q", s)
-	}
-}
-
 // Status is a transaction's lifecycle state.
 type Status int
 

@@ -28,18 +28,6 @@ func newMgr() *Manager {
 	return NewManager(lock.NewManager(simpleTable(), lock.Options{}))
 }
 
-func TestLevelStringsRoundTrip(t *testing.T) {
-	for _, l := range []Level{LevelNone, LevelUncommitted, LevelCommitted, LevelRepeatable} {
-		got, err := ParseLevel(l.String())
-		if err != nil || got != l {
-			t.Errorf("ParseLevel(%s) = %v, %v", l, got, err)
-		}
-	}
-	if _, err := ParseLevel("bogus"); err == nil {
-		t.Error("bogus level should fail")
-	}
-}
-
 func TestCommitReleasesLocks(t *testing.T) {
 	m := newMgr()
 	reg := metrics.NewRegistry()

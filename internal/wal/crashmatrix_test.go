@@ -9,25 +9,23 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/storage"
 	"repro/internal/tamix"
 	"repro/internal/wal"
 )
 
-// recoverAndAudit runs recovery over a burst's residue and audits the
-// result against the workers' knowledge.
+// recoverAndAudit opens an engine over a burst's residue — which restarts it
+// — and audits the result against the workers' knowledge.
 func recoverAndAudit(t *testing.T, out *tamix.CrashOutcome) *storage.RecoveryReport {
 	t.Helper()
-	log, err := wal.Open(out.Segments, wal.Config{})
+	eng, err := core.Open(out.Backend, out.Segments, core.Config{BufferFrames: out.Opts.BufferFrames})
 	if err != nil {
-		t.Fatalf("reopening log: %v", err)
+		t.Fatalf("open: %v", err)
 	}
-	d, rep, err := storage.Recover(out.Backend, log, out.Opts)
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	defer d.Close()
-	if err := tamix.AuditRecovered(d, out.Expected(rep)); err != nil {
+	defer eng.Close()
+	rep := eng.Recovery()
+	if err := tamix.AuditRecovered(eng.Manager().Document(), out.Expected(rep)); err != nil {
 		t.Errorf("audit (commits %d, aborts %d, pending %d, losers %v): %v",
 			out.CommittedTxns, out.AbortedTxns, out.PendingTxns, rep.Losers, err)
 	}
