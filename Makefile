@@ -81,7 +81,7 @@ verify:
 	$(GO) vet ./...
 	$(MAKE) -s loc-check no-blobs
 	$(GO) test -race ./...
-	$(GO) test -run 'TestAlloc' ./internal/lock/ ./internal/server/ ./internal/client/ ./internal/storage/
+	$(GO) test -run 'TestAlloc' ./internal/lock/ ./internal/server/ ./internal/client/ ./internal/storage/ ./internal/wal/
 	$(GO) test -race -count=20 -run 'TestLoopbackTaMixAllProtocols/snapshot' ./internal/bibserve/
 
 # loc prints non-blank, non-comment Go lines per package (tests and bench/
@@ -95,7 +95,7 @@ loc:
 # are a goal): it fails when loc's total exceeds LOC_BUDGET, the total of the
 # last PR that moved it. A PR that needs more lines raises the number here,
 # in the open, and says why in its CHANGES.md row; one that deletes lowers it.
-LOC_BUDGET := 15302
+LOC_BUDGET := 15345
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_BUDGET) ]; then \
@@ -127,9 +127,10 @@ examples:
 # end-to-end metric, both medians with quartiles, the change and the pairs
 # won. make bench-pairs PARENT=HEAD~1 N=10 WORKLOAD="remote_nav remote_mix"
 # BENCH_FLAGS="-seed 7"; about 1 min per pair and workload. With TRACE=1
-# METRICS="pagestore.fix_per_txn node.allocs_per_txn ..." the pairs are traced
-# runs and the rows the named per-layer metrics, so a PR's per-layer
-# acceptance rows come from the same harness as its end-to-end ones.
+# [METRICS="pagestore.fix_per_txn wal.bytes_per_txn ..."] the pairs are traced
+# runs and the rows the named per-layer metrics (default: node.alloc_kb_per_txn
+# and node.allocs_per_txn), so a PR's per-layer acceptance rows come from the
+# same harness as its end-to-end ones.
 N ?= 10
 bench-pairs:
 	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<rev> [N=10] [WORKLOAD=...] [BENCH_FLAGS=...] [TRACE=1 METRICS=...]"; exit 2; }

@@ -70,6 +70,18 @@ func (c *Cursor) Limit(limit []byte) {
 	}
 }
 
+// Remaining returns how many keys of the pinned leaf lie between the cursor
+// (included) and the limit. When the limit falls inside the leaf that is all
+// the keys Next will still visit, so a caller collecting the range can size
+// its result before the first element; when the range runs on into the next
+// leaf it is a lower bound.
+func (c *Cursor) Remaining() int {
+	if c.p == nil || c.slot < 0 {
+		return 0
+	}
+	return max(c.end-c.slot, 0)
+}
+
 // Key returns the key under the cursor, assembled in the cursor's own buffer:
 // valid until the next move.
 func (c *Cursor) Key() []byte { return fullKey(c.p, c.slot, c.kbuf[:0]) }

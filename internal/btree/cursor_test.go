@@ -318,6 +318,26 @@ func compareReads(t *testing.T, v *View, o oracle, rng *rand.Rand) {
 	}
 	for _, a := range bounds {
 		for _, b := range bounds {
+			// Remaining, asked again whenever the last count has run out,
+			// cuts the range by leaves: every count is used up exactly, the
+			// last one by the end of the range.
+			c := v.Cursor()
+			c.Limit(b)
+			left, counted, visited := 0, 0, 0
+			for ok := c.Seek(a); ok; ok = c.Next() {
+				if left == 0 {
+					if left = c.Remaining(); left < 1 {
+						t.Fatalf("[%x, %x): Remaining %d on a key", a, b, left)
+					}
+					counted += left
+				}
+				left--
+				visited++
+			}
+			c.Close()
+			if want, _ := collect(func(fn func(k, v []byte) bool) error { return o.Ascend(a, b, fn) }, 0); left != 0 || counted != visited || visited != want.n {
+				t.Fatalf("[%x, %x): Remaining counted %d keys (%d unused), the cursor visited %d, the oracle %d", a, b, counted, left, visited, want.n)
+			}
 			for _, stop := range []int{0, 1, 7} {
 				got, gerr := collect(func(fn func(k, v []byte) bool) error { return v.Ascend(a, b, fn) }, stop)
 				want, werr := collect(func(fn func(k, v []byte) bool) error { return o.Ascend(a, b, fn) }, stop)

@@ -399,6 +399,43 @@ func TestLockAfterDone(t *testing.T) {
 	}
 }
 
+// TestTablesRecycledNotShared: a finished transaction's held map goes back to
+// the manager and on to the next transaction. The finished one must have let
+// go of it entirely — it sees nothing the successor locks, and releasing it a
+// second time takes nothing away from the successor — and a transaction that
+// held too many locks for its tables to be kept is released like any other.
+func TestTablesRecycledNotShared(t *testing.T) {
+	m := newMgr(t, Options{})
+	for round := 0; round < 50; round++ { // the pool may hand out fresh tables now and then
+		t1 := m.Begin()
+		m.Lock(t1, "a", tS, false)
+		m.Lock(t1, "b", tX, false)
+		m.ReleaseAll(t1)
+		t2 := m.Begin()
+		if err := m.Lock(t2, "b", tX, false); err != nil {
+			t.Fatal(err)
+		}
+		m.ReleaseAll(t1)
+		if n, mode := m.HeldCount(t1), m.HeldMode(t1, "b"); n != 0 || mode != ModeNone {
+			t.Fatalf("finished transaction holds %d locks, %v on its successor's resource", n, mode)
+		}
+		if n, mode := m.HeldCount(t2), m.HeldMode(t2, "b"); n != 1 || mode != tX {
+			t.Fatalf("successor holds %d locks, %v on b, after the finished transaction was released again", n, mode)
+		}
+		m.ReleaseAll(t2)
+	}
+	big := m.Begin()
+	for i := 0; i < 2*tablesKeep; i++ {
+		if err := m.Lock(big, Resource(fmt.Sprintf("r%d", i)), tS, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.ReleaseAll(big)
+	if err := m.LeakCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestReleaseWakesQueue(t *testing.T) {
 	m := newMgr(t, Options{})
 	t1 := m.Begin()

@@ -68,6 +68,10 @@ type Tx struct {
 	waiting *request
 	done    bool
 
+	// tables is what the transaction borrows from the manager between Begin
+	// and ReleaseAll: held is its map. Nil once handed back.
+	tables *txTables
+
 	// doomed flips when the deadlock detector picks this transaction as a
 	// victim. Atomic so the owner's cache fast path can observe it without
 	// taking any mutex.
@@ -427,8 +431,9 @@ type Manager struct {
 	stripes []stripe
 	mask    uint64
 
-	entryPool sync.Pool // *holderEntry
-	reqPool   sync.Pool // *request
+	entryPool  sync.Pool // *holderEntry
+	reqPool    sync.Pool // *request
+	tablesPool sync.Pool // *txTables
 
 	nextTx  atomic.Uint64
 	nextSeq atomic.Uint64
@@ -486,6 +491,9 @@ func newManager(table ModeTable, opts Options) *Manager {
 	}
 	m.entryPool.New = func() any { return new(holderEntry) }
 	m.reqPool.New = func() any { return &request{result: make(chan error, 1)} }
+	m.tablesPool.New = func() any {
+		return &txTables{held: make(map[Resource]*holderEntry, 32), pairs: make([]heldPair, 0, 32)}
+	}
 	for i := range m.stripes {
 		m.stripes[i].index.init()
 	}
@@ -537,13 +545,26 @@ func (m *Manager) headOf(res Resource) *lockHead {
 	return m.stripes[hash&m.mask].index.lookup(res, hash)
 }
 
+// txTables are the per-transaction tables that outlive the transaction: the
+// held map and the scratch ReleaseAll snapshots it into. They belong to the
+// manager; a transaction borrows one set from Begin to ReleaseAll and hands
+// it back empty. The *Tx itself is not recycled: the detector and the dump
+// hold *Tx across stripes, and a reused one would be a different transaction
+// under the same pointer.
+type txTables struct {
+	held  map[Resource]*holderEntry
+	pairs []heldPair
+}
+
+// tablesKeep is the most locks a transaction may have held for its tables to
+// go back to the pool: clearing a map costs its capacity, not its content, so
+// one grown map would tax every later transaction that drew it.
+const tablesKeep = 128
+
 // Begin registers a new transaction.
 func (m *Manager) Begin() *Tx {
-	return &Tx{
-		id:   TxID(m.nextTx.Add(1)),
-		mgr:  m,
-		held: make(map[Resource]*holderEntry, 32),
-	}
+	tb := m.tablesPool.Get().(*txTables)
+	return &Tx{id: TxID(m.nextTx.Add(1)), mgr: m, held: tb.held, tables: tb}
 }
 
 // takeEntryLocked pops a holder entry from the per-tx freelist or the shared
@@ -1063,7 +1084,12 @@ func (m *Manager) ReleaseAll(tx *Tx) {
 	// No sweep can grant to tx anymore (done is set), so the held snapshot
 	// is complete.
 	tx.mu.Lock()
-	pairs := make([]heldPair, 0, len(tx.held))
+	tb := tx.tables
+	if tb == nil { // released before: nothing is held
+		tx.mu.Unlock()
+		return
+	}
+	pairs := tb.pairs[:0]
 	for res, e := range tx.held {
 		pairs = append(pairs, heldPair{res, e})
 	}
@@ -1081,13 +1107,20 @@ func (m *Manager) ReleaseAll(tx *Tx) {
 		}
 	}
 	tx.mu.Lock()
-	clear(tx.held)
 	for _, p := range pairs {
 		if p.e != nil {
 			m.putEntryLocked(tx, p.e)
 		}
 	}
+	// done is set, so nothing writes held again; a nil map reads as empty.
+	tx.held, tx.tables = nil, nil
 	tx.mu.Unlock()
+	if len(pairs) <= tablesKeep {
+		clear(tb.held)
+		clear(pairs)
+		tb.pairs = pairs[:0]
+		m.tablesPool.Put(tb)
+	}
 }
 
 type heldPair struct {

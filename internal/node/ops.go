@@ -229,14 +229,6 @@ func access(jump bool) protocol.Access {
 	return protocol.Navigate
 }
 
-// collect gathers every visited node into *out.
-func collect(out *[]xmlmodel.Node) func(xmlmodel.Node) bool {
-	return func(n xmlmodel.Node) bool {
-		*out = append(*out, n)
-		return true
-	}
-}
-
 // --- reads --------------------------------------------------------------------
 
 // getNode reads one node by SPLID (navigational access).
@@ -302,7 +294,7 @@ func (o op) getChildren(a wire.Args) (r wire.Result, err error) {
 		return r, err
 	}
 	r.Nodes = make([]xmlmodel.Node, 0, n)
-	err = o.v.ScanChildren(a.ID, collect(&r.Nodes))
+	err = o.v.ScanChildren(a.ID, func(c xmlmodel.Node) bool { r.Nodes = append(r.Nodes, c); return true })
 	return r, err
 }
 
@@ -314,7 +306,7 @@ func (o op) getAttributes(a wire.Args) (r wire.Result, err error) {
 		return r, err
 	}
 	r.Nodes = make([]xmlmodel.Node, 0, n)
-	err = o.v.Attributes(a.ID, collect(&r.Nodes))
+	err = o.v.Attributes(a.ID, func(at xmlmodel.Node) bool { r.Nodes = append(r.Nodes, at); return true })
 	return r, err
 }
 
@@ -351,7 +343,7 @@ func (o op) readFragment(a wire.Args) (r wire.Result, err error) {
 	if err = o.lockTree(a.ID, a.Flag); err != nil {
 		return r, err
 	}
-	err = o.v.ScanSubtree(a.ID, collect(&r.Nodes))
+	r.Nodes, err = o.v.Subtree(a.ID)
 	return r, err
 }
 
@@ -500,7 +492,7 @@ func (o op) readFragmentForUpdate(a wire.Args) (r wire.Result, err error) {
 	if err = o.lockUpdateTree(a.ID, a.Flag); err != nil {
 		return r, err
 	}
-	err = o.m.doc.ScanSubtree(a.ID, collect(&r.Nodes))
+	r.Nodes, err = o.m.doc.Subtree(a.ID)
 	return r, err
 }
 
@@ -522,6 +514,6 @@ func (o op) updateLastChildFragment(a wire.Args) (r wire.Result, err error) {
 	if err = o.lockUpdateTree(r.Node.ID, false); err != nil {
 		return wire.Result{}, err
 	}
-	err = o.m.doc.ScanSubtree(r.Node.ID, collect(&r.Nodes))
+	r.Nodes, err = o.m.doc.Subtree(r.Node.ID)
 	return r, err
 }

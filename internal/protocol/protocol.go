@@ -171,9 +171,11 @@ type Protocol interface {
 
 // --- shared helpers --------------------------------------------------------
 
-// nodeRes names a node's lock resource.
+// nodeRes names a node's lock resource: its encoded label, assembled on the
+// stack so that the name is the only allocation.
 func nodeRes(id splid.ID) lock.Resource {
-	return lock.Resource(id.Encode())
+	var kb [32]byte
+	return lock.Resource(id.AppendEncode(kb[:0]))
 }
 
 // edgeRes names an edge lock resource.

@@ -158,19 +158,19 @@ func (id ID) Parent() ID {
 // Ancestors returns all proper ancestors of id ordered from the root down to
 // the direct parent. It returns nil for the root and the null ID. No
 // document access is needed — this is the SPLID property lock protocols
-// depend on for placing intention locks on the whole ancestor path.
+// depend on for placing intention locks on the whole ancestor path. Every
+// ancestor is a prefix of id's own divisions with its capacity clipped: IDs
+// are immutable, and the clip makes an append through one copy, whatever
+// code does it.
 func (id ID) Ancestors() []ID {
-	level := id.Level()
-	if level <= 1 {
+	if len(id.divs) <= 1 {
 		return nil
 	}
-	out := make([]ID, 0, level-1)
-	for p := id.Parent(); !p.IsNull(); p = p.Parent() {
-		out = append(out, p)
-	}
-	// Built parent-first; reverse to root-first order.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
+	out := make([]ID, 0, len(id.divs)-1)
+	for i, d := range id.divs[:len(id.divs)-1] {
+		if d%2 == 1 { // a label ends at the odd division that opens its level
+			out = append(out, ID{divs: id.divs[: i+1 : i+1]})
+		}
 	}
 	return out
 }

@@ -89,6 +89,41 @@ func TestAncestors(t *testing.T) {
 	}
 }
 
+// TestAncestorsAliasSafely is the property that lets Ancestors hand out
+// prefixes of the receiver's own divisions: every ancestor equals the
+// AncestorAtLevel of its level, and nothing done with one — deriving labels
+// from it, encoding it, even appending to its divisions — changes the
+// descendant.
+func TestAncestorsAliasSafely(t *testing.T) {
+	r := rand.New(rand.NewSource(20))
+	for n := 0; n < 2000; n++ {
+		id := randomID(r)
+		before := id.String()
+		anc := id.Ancestors()
+		if len(anc) != id.Level()-1 {
+			t.Fatalf("%s: %d ancestors, want %d", id, len(anc), id.Level()-1)
+		}
+		for i, a := range anc {
+			if want := id.AncestorAtLevel(i + 1); !a.Equal(want) {
+				t.Fatalf("%s: ancestor %d is %s, want %s", id, i, a, want)
+			}
+			a.Child(3)
+			a.Parent().Child(5)
+			a.SubtreeLimit()
+			a.AttributeRoot()
+			a.Encode()
+			_ = append(a.divs, 99) // what a careless method would do
+			if got := id.String(); got != before {
+				t.Fatalf("using ancestor %s changed its descendant %s into %s", a, before, got)
+			}
+		}
+	}
+	id := MustParse("1.3.5.7.9.11.13")
+	if avg := testing.AllocsPerRun(100, func() { id.Ancestors() }); avg > 1 {
+		t.Errorf("Ancestors allocates %.0f times, want 1 (the outer slice)", avg)
+	}
+}
+
 func TestAncestorAtLevel(t *testing.T) {
 	id := MustParse("1.3.4.3.5")
 	cases := map[int]string{1: "1", 2: "1.3", 3: "1.3.4.3", 4: "1.3.4.3.5"}

@@ -9,6 +9,9 @@ package storage
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/pagestore"
+	"repro/internal/xmlmodel"
 )
 
 // TestAllocLoggedSetValue pins what one warm, logged TxDoc.SetValue costs
@@ -51,5 +54,65 @@ func TestAllocLoggedSetValue(t *testing.T) {
 	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > maxBytes {
 		t.Errorf("logged SetValue allocates %d B/op, want at most %d (a pre-image or a delta copy is %d)",
 			perOp, maxBytes, 8192)
+	}
+}
+
+// TestAllocReadFragmentOneSlice pins what a fragment read (reader.Subtree,
+// the body of ReadFragment) allocates for a subtree that ends in the leaf it
+// starts in: one label per node, one copy per string value, the range's two
+// keys and its limit label — and the result slice once, at its size, because
+// the cursor says how many keys lie below the limit. A result that grows as
+// it is appended to costs log2(n) allocations more and fails here.
+func TestAllocReadFragmentOneSlice(t *testing.T) {
+	d, err := Create(pagestore.NewMemBackend(), "bib", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	b := d.NewBuilder()
+	for book := 0; book < 3; book++ {
+		b.StartElement("book").Attribute("year", "2006")
+		for ch := 0; ch < 12; ch++ {
+			b.StartElement("chapter").Element("title", "t").Element("summary", "s").EndElement()
+		}
+		b.EndElement()
+	}
+	if err := b.Err(); err != nil {
+		t.Fatal(err)
+	}
+	first, err := d.FirstChild(d.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	book, err := d.NextSibling(first.ID) // the middle book: keys on both sides
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []xmlmodel.Node
+	read := func() {
+		if got, err = d.Subtree(book.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read()
+	n, values := len(got), 0
+	for _, x := range got {
+		if x.Value != nil {
+			values++
+		}
+	}
+	if n < 64 || !got[0].ID.Equal(book.ID) {
+		t.Fatalf("fixture: %d nodes under %v, first %v", n, book.ID, got[0].ID)
+	}
+	if size, _ := d.SubtreeSize(book.ID); size != n {
+		t.Fatalf("Subtree returned %d nodes, ScanSubtree visits %d", n, size)
+	}
+	if cap(got) >= 2*n {
+		t.Errorf("result of %d nodes has capacity %d", n, cap(got))
+	}
+	const rangeKeys = 3 // SubtreeLimit and the two encoded bounds
+	if avg, want := testing.AllocsPerRun(50, read), float64(n+values+1+rangeKeys); avg > want {
+		t.Errorf("Subtree of %d nodes (%d string values) allocates %.0f times, want at most %.0f: the result grew %.0f times",
+			n, values, avg, want, avg-want)
 	}
 }

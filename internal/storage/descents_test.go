@@ -76,6 +76,7 @@ func TestFixesPerReadOp(t *testing.T) {
 		{"PrevSibling", 3, func(_, kid, _ splid.ID) error { _, err := d.PrevSibling(kid); return err }},
 		{"Value", 3, func(_, _, attr splid.ID) error { _, err := d.Value(attr); return err }},
 		{"ScanSubtree", 3, func(_, kid, _ splid.ID) error { return d.ScanSubtree(kid, visit(3)) }},
+		{"Subtree", 3, func(el, _, _ splid.ID) error { _, err := d.Subtree(el); return err }},
 		{"missing GetNode", 3, func(el, _, _ splid.ID) error {
 			if _, err := d.GetNode(el.Child(9999)); !errors.Is(err, ErrNodeNotFound) {
 				return fmt.Errorf("GetNode of a missing node: %v", err)

@@ -409,11 +409,7 @@ func (d *Document) deleteSubtreeLocked(id splid.ID) (int, []byte, error) {
 	if id.IsRoot() {
 		return 0, nil, errors.New("storage: cannot delete the document root")
 	}
-	var victims []xmlmodel.Node
-	err := d.ScanSubtree(id, func(n xmlmodel.Node) bool {
-		victims = append(victims, n)
-		return true
-	})
+	victims, err := d.Subtree(id)
 	if err != nil {
 		return 0, nil, err
 	}

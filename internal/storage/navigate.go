@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/splid"
@@ -28,6 +29,29 @@ import (
 // false to stop early.
 func (r reader) ScanSubtree(id splid.ID, fn func(xmlmodel.Node) bool) error {
 	return r.scanRange(id.Encode(), id.SubtreeLimit().Encode(), fn)
+}
+
+// Subtree returns what ScanSubtree visits as a slice the caller owns. The
+// cursor knows how many keys of its leaf lie below the subtree's limit, so
+// the result grows once per leaf the subtree touches: a subtree that ends in
+// the leaf it starts in — a book's chapter, a history — is allocated once, at
+// its size.
+func (r reader) Subtree(id splid.ID) ([]xmlmodel.Node, error) {
+	c := r.doc.Cursor()
+	defer c.Close()
+	c.Limit(id.SubtreeLimit().Encode())
+	var out []xmlmodel.Node
+	for ok := c.Seek(id.Encode()); ok; ok = c.Next() {
+		if len(out) == cap(out) {
+			out = slices.Grow(out, c.Remaining())
+		}
+		n, err := nodeAt(&c)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, n)
+	}
+	return out, c.Err()
 }
 
 // ScanDocument visits every stored node in document order.
@@ -55,26 +79,29 @@ func (r reader) scanRange(start, limit []byte, fn func(xmlmodel.Node) bool) erro
 // excluding the reserved attribute-root and string-node children (they are
 // not DOM children). fn returns false to stop.
 func (r reader) ScanChildren(id splid.ID, fn func(xmlmodel.Node) bool) error {
-	_, err := r.children(id, false, fn)
+	_, err := r.children(id, nil, fn)
 	return err
 }
+
+// childIDsRoom caps what ChildIDs reserves up front: the keys left in the
+// leaf bound a child list from above, but they count the children's own
+// descendants too, and most lists are shorter than this.
+const childIDsRoom = 8
 
 // ChildIDs returns the labels of id's regular children and whether id itself
 // is stored — what a level lock needs of a child list, read from keys alone.
 func (r reader) ChildIDs(id splid.ID) (ids []splid.ID, found bool, err error) {
-	found, err = r.children(id, true, func(n xmlmodel.Node) bool {
-		ids = append(ids, n.ID)
-		return true
-	})
+	found, err = r.children(id, &ids, nil)
 	return ids, found, err
 }
 
 // children is the one walk over a child list: children are exactly the
 // level+1 nodes inside the subtree, so the cursor hops from each child to its
 // SubtreeLimit, skipping whole child subtrees — in-leaf seeks for a list that
-// fits a leaf. With keysOnly the visited nodes carry their ID alone. found
-// reports whether id itself is stored.
-func (r reader) children(id splid.ID, keysOnly bool, fn func(xmlmodel.Node) bool) (found bool, err error) {
+// fits a leaf. It hands each regular child's record to fn or, with ids set,
+// reads no record and appends the labels there. found reports whether id
+// itself is stored.
+func (r reader) children(id splid.ID, ids *[]splid.ID, fn func(xmlmodel.Node) bool) (found bool, err error) {
 	c := r.doc.Cursor()
 	defer c.Close()
 	c.Limit(id.SubtreeLimit().Encode())
@@ -85,28 +112,31 @@ func (r reader) children(id splid.ID, keysOnly bool, fn func(xmlmodel.Node) bool
 		ok = c.Next()
 	}
 	for level := id.Level() + 1; ok; {
-		var n xmlmodel.Node
-		if n.ID, err = splid.Decode(c.Key()); err != nil {
+		kid, err := splid.Decode(c.Key())
+		if err != nil {
 			return found, err
 		}
-		if n.ID.Level() != level {
+		if kid.Level() != level {
 			// A child precedes its descendants in document order, so the
 			// first key past the previous child's subtree is the next child
 			// itself; a deeper node first is a subtree whose root is gone (a
 			// concurrent subtree delete caught half done).
-			return found, fmt.Errorf("%w: %v", ErrNodeNotFound, n.ID.AncestorAtLevel(level))
+			return found, fmt.Errorf("%w: %v", ErrNodeNotFound, kid.AncestorAtLevel(level))
 		}
-		if !n.ID.IsReservedChild() {
-			if !keysOnly {
-				if n, err = recordAt(&c, n.ID); err != nil {
-					return found, err
-				}
+		switch {
+		case kid.IsReservedChild():
+		case ids != nil:
+			if *ids == nil {
+				*ids = make([]splid.ID, 0, min(c.Remaining(), childIDsRoom))
 			}
-			if !fn(n) {
-				break
+			*ids = append(*ids, kid)
+		default:
+			n, err := recordAt(&c, kid)
+			if err != nil || !fn(n) {
+				return found, err
 			}
 		}
-		ok = c.Seek(n.ID.SubtreeLimit().AppendEncode(kb[:0]))
+		ok = c.Seek(kid.SubtreeLimit().AppendEncode(kb[:0]))
 	}
 	return found, c.Err()
 }

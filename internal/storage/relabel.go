@@ -42,11 +42,8 @@ func (d *Document) relabelSubtreeLocked(old splid.ID) (splid.ID, error) {
 		return splid.Null, ErrRelabelRoot
 	}
 	// Capture the subtree.
-	var nodes []xmlmodel.Node
-	if err := d.ScanSubtree(old, func(n xmlmodel.Node) bool {
-		nodes = append(nodes, n)
-		return true
-	}); err != nil {
+	nodes, err := d.Subtree(old)
+	if err != nil {
 		return splid.Null, err
 	}
 	if len(nodes) == 0 {

@@ -77,7 +77,14 @@ func (s *MemSegmentStore) Create(index uint64) (Segment, error) {
 	if _, ok := s.segs[index]; ok {
 		return nil, fmt.Errorf("wal: segment %d already exists", index)
 	}
-	s.segs[index] = &memSegment{}
+	// A log rotates at a fixed threshold and overshoots it by less than one
+	// batch, so a segment ends about where its predecessor did: reserve that
+	// much and a sixteenth once, instead of doubling into it.
+	seg := &memSegment{}
+	if prev, ok := s.segs[index-1]; ok {
+		seg.buf = make([]byte, 0, len(prev.buf)+len(prev.buf)/16)
+	}
+	s.segs[index] = seg
 	return &memSegmentWriter{store: s, index: index}, nil
 }
 

@@ -45,6 +45,11 @@ var ErrCorruptLog = errors.New("wal: corrupt record stream")
 // zero.
 const DefaultSegmentSize = 1 << 20
 
+// pendingKeep is the largest pending buffer the log keeps for the next batch:
+// a batch that outgrew it (a burst, a bulk operation) leaves its buffer to the
+// collector, so the two buffers the log owns never hold more than twice this.
+const pendingKeep = 16 << 10
+
 // Config tunes a Log.
 type Config struct {
 	// SegmentSize is the rotation threshold in bytes (DefaultSegmentSize
@@ -125,16 +130,23 @@ type Log struct {
 	// held across a blocking wait other than Force.
 	ckptMu sync.Mutex
 
-	mu          sync.Mutex
-	cond        *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// pending takes the appended frames; the flusher borrows it for one
+	// writeBatch, during which appends fill spare, and hands it back emptied
+	// as the next spare. Both belong to the log from Open to Close.
 	pending     []byte
+	spare       []byte
 	pendingRecs uint64 // records in pending (group-commit batch sizing)
-	next        LSN
-	durable     LSN
-	appends     uint64
-	crashed     bool
-	closed      bool
-	failure     error
+	// handedBack, set by the ownership test alone, sees every drained buffer
+	// at its full capacity at the moment the flusher gives it up.
+	handedBack func([]byte)
+	next       LSN
+	durable    LSN
+	appends    uint64
+	crashed    bool
+	closed     bool
+	failure    error
 
 	// att is the active-transaction table: every transaction with a logged
 	// operation and no commit/end record yet, mapped to its first record's
@@ -340,8 +352,7 @@ func (l *Log) append(typ byte, txn uint64, payloadLen int, body func([]byte) []b
 	}
 	lsn := l.next
 	l.noteRecord(Record{LSN: lsn, Type: typ, Txn: txn})
-	// The flusher takes the whole buffer with each batch, so most records
-	// start a new one: size it for the record instead of growing into it.
+	// Grow once for the whole frame, not once per piece body appends.
 	l.pending = appendFrame(slices.Grow(l.pending, frameSize(payloadLen)), typ, txn, body)
 	l.pendingRecs++
 	l.next += LSN(frameSize(payloadLen))
@@ -513,14 +524,21 @@ func (l *Log) flusher() {
 		l.mu.Lock()
 		batch := l.pending
 		recs := l.pendingRecs
-		l.pending = nil
-		l.pendingRecs = 0
-		l.mu.Unlock()
 		if len(batch) == 0 {
+			l.mu.Unlock()
 			continue
 		}
+		l.pending, l.spare = l.spare, nil
+		l.pendingRecs = 0
+		l.mu.Unlock()
 		err := l.writeBatch(batch)
 		l.mu.Lock()
+		if cap(batch) <= pendingKeep {
+			l.spare = batch[:0] // the segment has its copy; nobody reads batch again
+		}
+		if l.handedBack != nil {
+			l.handedBack(batch[:cap(batch)])
+		}
 		if err != nil {
 			l.failure = fmt.Errorf("wal: flush: %w", err)
 			l.fastDurable.Store(0)

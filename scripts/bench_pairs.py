@@ -12,7 +12,8 @@ for neither). Extra arguments for the benchmark go in BENCH_FLAGS, e.g.
 BENCH_FLAGS="-seed 7".
 
 With TRACE=1 the pairs are traced runs (`-trace 1`) and the rows are the
-per-layer metrics named in METRICS, in the same layout:
+per-layer metrics named in METRICS (default: what a transaction allocates,
+node.alloc_kb_per_txn and node.allocs_per_txn), in the same layout:
 
     TRACE=1 METRICS="pagestore.fix_per_txn node.allocs_per_txn" scripts/bench_pairs.py HEAD~1 3 cold_jump
 """
@@ -57,10 +58,9 @@ def main():
     metrics = spec["end_to_end"]
     if trace == "1":
         layer = {m["name"]: m for m in spec["per_layer"]}
+        names = os.environ.get("METRICS", "").split() or ["node.alloc_kb_per_txn", "node.allocs_per_txn"]
         metrics = [layer.get(name) or sys.exit(f"METRICS: {name} is not a per-layer metric of BENCHMARK.json")
-                   for name in os.environ.get("METRICS", "").split()]
-        if not metrics:
-            sys.exit("TRACE=1 needs METRICS=\"<per-layer metric> ...\"")
+                   for name in names]
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         src = os.path.join(tmp, "parent")
