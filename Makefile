@@ -6,7 +6,7 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: build test verify loc loc-check no-blobs examples bench-pairs chaos netchaos recovery metrics server
+.PHONY: build test verify fuzz loc loc-check no-blobs examples bench-pairs chaos netchaos recovery metrics server
 
 build:
 	$(GO) build ./...
@@ -81,8 +81,21 @@ verify:
 	$(GO) vet ./...
 	$(MAKE) -s loc-check no-blobs
 	$(GO) test -race ./...
-	$(GO) test -run 'TestAlloc' ./internal/lock/ ./internal/server/ ./internal/client/ ./internal/storage/ ./internal/wal/
+	$(GO) test -run 'TestAlloc' ./internal/lock/ ./internal/server/ ./internal/client/ ./internal/storage/ ./internal/wal/ ./internal/node/
 	$(GO) test -race -count=20 -run 'TestLoopbackTaMixAllProtocols/snapshot' ./internal/bibserve/
+
+# fuzz runs every fuzz target of the repository for 10 s of new inputs, one
+# at a time (go test -fuzz takes one target per run); the test suite only
+# replays their corpora. A target is found by its `func Fuzz` line, so a new
+# one joins without an edit here. An input that fails is written under the
+# package's testdata/fuzz/, to be committed with the fix.
+fuzz:
+	@for dir in $$(grep -rlE '^func Fuzz' --include='*_test.go' . | xargs -n1 dirname | sort -u); do \
+		for name in $$(grep -hoE '^func Fuzz[A-Za-z0-9_]*' $$dir/*_test.go | cut -c6-); do \
+			echo "fuzz: $$dir $$name"; \
+			$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s $$dir || exit 1; \
+		done; \
+	done
 
 # loc prints non-blank, non-comment Go lines per package (tests and bench/
 # excluded) and their total — the number CHANGES.md rows track.
@@ -95,7 +108,7 @@ loc:
 # are a goal): it fails when loc's total exceeds LOC_BUDGET, the total of the
 # last PR that moved it. A PR that needs more lines raises the number here,
 # in the open, and says why in its CHANGES.md row; one that deletes lowers it.
-LOC_BUDGET := 15345
+LOC_BUDGET := 15301
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_BUDGET) ]; then \

@@ -40,9 +40,15 @@ type Cursor struct {
 	slot  int              // position in p: -1 … nCells(p)
 	end   int              // slots of p below the limit; Seek and Next stop there
 	exact bool             // the last Seek landed on its target
-	limit []byte
 	err   error
 	kbuf  [MaxKeyLen]byte
+	// limit[:nlimit] bounds forward movement when bounded. It is a copy, so a
+	// caller may build the bound in a stack buffer; keys are at most MaxKeyLen
+	// bytes, and a bound's first MaxKeyLen+1 bytes order every key as the
+	// whole bound does.
+	limit   [MaxKeyLen + 1]byte
+	nlimit  int
+	bounded bool
 }
 
 // Cursor opens a cursor on the view; the caller must Close it.
@@ -62,9 +68,10 @@ func (c *Cursor) Close() {
 func (c *Cursor) Err() error { return c.err }
 
 // Limit bounds forward movement: Seek and Next report false at the first key
-// >= limit (nil: no bound). It is compared once per leaf, not once per key.
+// >= limit (nil: no bound). It is compared once per leaf, not once per key,
+// and the cursor keeps its own copy.
 func (c *Cursor) Limit(limit []byte) {
-	c.limit = limit
+	c.nlimit, c.bounded = copy(c.limit[:], limit), limit != nil
 	if c.p != nil {
 		c.enter(c.p, c.f)
 	}
@@ -117,8 +124,8 @@ func (c *Cursor) unpin() {
 func (c *Cursor) enter(p []byte, f *pagestore.Frame) {
 	c.p, c.f = p, f
 	c.end = nCells(p)
-	if c.limit != nil {
-		c.end, _ = search(p, c.limit)
+	if c.bounded {
+		c.end, _ = search(p, c.limit[:c.nlimit])
 	}
 }
 

@@ -195,3 +195,71 @@ func TestLevelReadIsTwoDescents(t *testing.T) {
 		}
 	}
 }
+
+// TestLevelReadLocksWhatItReturns is the oracle of relockLevel under the
+// protocols whose level lock names each child. A writer appends a child (so
+// the reader's lock pass sees it and waits behind its locks), appends a
+// second one while the reader waits, and commits. The reader's result then
+// holds a child its lock pass never named; it must hold a lock on it before
+// returning it, so a third transaction renaming that child times out.
+//
+// Mutant (run by hand, not committed): relockLevel returning (named, false,
+// nil) at once — the lock pass still skips, the re-check is gone. The rename
+// then succeeds under all three protocols.
+func TestLevelReadLocksWhatItReturns(t *testing.T) {
+	for _, name := range []string{"NO2PL", "OO2PL", "URIX"} {
+		t.Run(name, func(t *testing.T) {
+			m := newLibraryTimeout(t, name, -1, 200*time.Millisecond)
+			book, err := m.Document().ElementByID([]byte("b-0-2"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			history, err := m.Document().LastChild(book)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := m.Begin(tx.LevelRepeatable)
+			if _, err := m.AppendElement(w, history.ID, "lend"); err != nil {
+				t.Fatal(err)
+			}
+			waits := m.LockManager().Stats().Waits
+			type result struct {
+				kids []xmlmodel.Node
+				err  error
+			}
+			done := make(chan result, 1)
+			r := m.Begin(tx.LevelRepeatable)
+			go func() {
+				kids, err := m.GetChildren(r, history.ID)
+				done <- result{kids, err}
+			}()
+			for deadline := time.Now().Add(150 * time.Millisecond); m.LockManager().Stats().Waits == waits; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the level read did not wait for the writer")
+				}
+			}
+			late, err := m.AppendElement(w, history.ID, "lend")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			res := <-done
+			if res.err != nil || len(res.kids) != 3 || res.kids[2].ID != late.ID {
+				t.Fatalf("level read behind a committed writer: %d children, %v; want 3 ending in %v", len(res.kids), res.err, late.ID)
+			}
+			x := m.Begin(tx.LevelRepeatable)
+			if err := m.Rename(x, late.ID, "loan"); !IsAbortWorthy(err) {
+				t.Errorf("renaming a child the reader returned: %v; want a lock timeout (the reader holds no lock on %v)", err, late.ID)
+			}
+			x.Abort()
+			if err := r.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Audit(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}

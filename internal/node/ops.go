@@ -163,37 +163,70 @@ func (o op) lockEdge(owner splid.ID, e protocol.Edge) error {
 
 // lockLevel read-locks parent and all its children with one request. It is
 // the first of a level read's two passes over the child list: it reads the
-// lock set (labels only), and the count it reports (0 without a lock
-// context) sizes the result the second pass reads once the locks are held.
-// The cursor of the first pass is closed before the lock manager is asked.
-func (o op) lockLevel(parent splid.ID) (int, error) {
+// lock set (labels only), and the labels it names (none without a lock
+// context) size the result the second pass reads once the locks are held —
+// and are what relockLevel checks that result against. The cursor of the first
+// pass is closed before the lock manager is asked.
+func (o op) lockLevel(parent splid.ID) ([]splid.ID, error) {
 	if o.c == nil {
-		return 0, nil
+		return nil, nil
 	}
 	kids, _, err := o.m.doc.ChildIDs(parent)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return len(kids), o.err(o.m.proto.ReadLevel(o.c, parent, kids))
+	return kids, o.err(o.m.proto.ReadLevel(o.c, parent, kids))
 }
 
 // lockAttributes is the lock step of getAttributes: a level read on the
 // virtual attribute root covers all attributes with one request. Even "no
 // attributes" must be a repeatable observation, so an element without an
 // attribute root is locked itself.
-func (o op) lockAttributes(el splid.ID) (int, error) {
+func (o op) lockAttributes(el, ar splid.ID) ([]splid.ID, error) {
 	if o.c == nil {
-		return 0, nil
+		return nil, nil
 	}
-	ar := el.AttributeRoot()
 	kids, ok, err := o.m.doc.ChildIDs(ar)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if !ok {
-		return 0, o.lockNode(el, protocol.Navigate)
+		return nil, o.lockNode(el, protocol.Navigate)
 	}
-	return len(kids), o.err(o.m.proto.ReadLevel(o.c, ar, kids))
+	return kids, o.err(o.m.proto.ReadLevel(o.c, ar, kids))
+}
+
+// relockLevel checks a level read's result against the labels its lock pass
+// named. The lock pass skips a child it finds half deleted, and the list may
+// change while the lock waits, so protocols that lock each child (NO2PL,
+// OO2PL, MGL*) may hold nothing on a child the deleter's abort restored or an
+// inserter the lock waited for committed. If got holds such a label, the
+// level is locked again with got's labels and again tells the caller to read
+// once more; the lock now held keeps inserters out, so the next read agrees.
+func (o op) relockLevel(owner splid.ID, named []splid.ID, got []xmlmodel.Node) (_ []splid.ID, again bool, err error) {
+	if o.c == nil || covers(named, got) {
+		return named, false, nil
+	}
+	named = named[:0]
+	for _, n := range got {
+		named = append(named, n.ID)
+	}
+	return named, true, o.err(o.m.proto.ReadLevel(o.c, owner, named))
+}
+
+// covers reports whether every node's label is in named; both are in
+// document order.
+func covers(named []splid.ID, nodes []xmlmodel.Node) bool {
+	i := 0
+	for _, n := range nodes {
+		for i < len(named) && splid.Compare(named[i], n.ID) < 0 {
+			i++
+		}
+		if i == len(named) || named[i] != n.ID {
+			return false
+		}
+	}
+	return true
 }
 
 func (o op) lockTree(id splid.ID, jump bool) error {
@@ -287,26 +320,30 @@ func (o op) parent(a wire.Args) (r wire.Result, err error) {
 
 // getChildren returns all regular children (getChildNodes): one level-read
 // meta-lock. The result is read after the lock is granted — a writer the
-// lock waited for may have changed the list the lock pass saw.
+// lock waited for may have changed the list the lock pass saw — and is
+// returned once every label in it is locked (relockLevel).
 func (o op) getChildren(a wire.Args) (r wire.Result, err error) {
-	n, err := o.lockLevel(a.ID)
-	if err != nil {
-		return r, err
+	named, err := o.lockLevel(a.ID)
+	for again := true; again && err == nil; {
+		r.Nodes = make([]xmlmodel.Node, 0, len(named))
+		if err = o.v.ScanChildren(a.ID, func(c xmlmodel.Node) bool { r.Nodes = append(r.Nodes, c); return true }); err == nil {
+			named, again, err = o.relockLevel(a.ID, named, r.Nodes)
+		}
 	}
-	r.Nodes = make([]xmlmodel.Node, 0, n)
-	err = o.v.ScanChildren(a.ID, func(c xmlmodel.Node) bool { r.Nodes = append(r.Nodes, c); return true })
 	return r, err
 }
 
 // getAttributes returns the attribute nodes of an element (getAttributes),
 // read, like getChildren's result, after the lock.
 func (o op) getAttributes(a wire.Args) (r wire.Result, err error) {
-	n, err := o.lockAttributes(a.ID)
-	if err != nil {
-		return r, err
+	ar := a.ID.AttributeRoot()
+	named, err := o.lockAttributes(a.ID, ar)
+	for again := true; again && err == nil; {
+		r.Nodes = make([]xmlmodel.Node, 0, len(named))
+		if err = o.v.Attributes(a.ID, func(at xmlmodel.Node) bool { r.Nodes = append(r.Nodes, at); return true }); err == nil {
+			named, again, err = o.relockLevel(ar, named, r.Nodes)
+		}
 	}
-	r.Nodes = make([]xmlmodel.Node, 0, n)
-	err = o.v.Attributes(a.ID, func(at xmlmodel.Node) bool { r.Nodes = append(r.Nodes, at); return true })
 	return r, err
 }
 

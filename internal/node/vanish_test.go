@@ -12,20 +12,17 @@ import (
 )
 
 // TestLevelReadMeetsHalfDeletedSubtree reproduces the "storage: node not
-// found" that examples/library logs under core.Repeatable and that bench
-// counts as node.vanished_ratio (0.0004 on local_mix): two workers (seeds 1
+// found" that examples/library logged under core.Repeatable and that bench
+// counted as node.vanished_ratio (0.0004 on local_mix): two workers (seeds 1
 // and 2) run TAlendAndReturn alone under taDOM3+ at lock depth 7, and about
-// one GetChildren in 400 fails. It is not the caller's race and no lock is
-// missing: every failure comes from lockLevel's pass over the child list,
+// one GetChildren in 400 failed. It was not the caller's race and no lock was
+// missing: every failure came from lockLevel's pass over the child list,
 // which runs *before* the level lock is held (it reads the labels the lock
 // must name) and is latch-free against the other worker's DeleteSubtree — a
-// lend's keys go one by one, root first, so the walk finds descendants whose
-// root is gone and storage.reader.children reports ErrNodeNotFound instead of
-// a child list. The read after the lock never fails. What the lock pass
-// should do with a half-deleted child (skip it, as LastChild does, or look
-// again) is ROADMAP item 3's to decide; until then the test is skipped.
+// lend's keys go one by one, root first, so the walk found descendants whose
+// root was gone. storage.reader.children now skips such a child, as LastChild
+// does, and the level read looks again after the lock (relockLevel).
 func TestLevelReadMeetsHalfDeletedSubtree(t *testing.T) {
-	t.Skip("known: the unlocked pass of a level read fails on a subtree delete caught half done (ROADMAP item 3)")
 	m := newLibrary(t, "taDOM3+", 7)
 	defer m.Close()
 	var wg sync.WaitGroup

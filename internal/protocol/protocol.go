@@ -171,17 +171,14 @@ type Protocol interface {
 
 // --- shared helpers --------------------------------------------------------
 
-// nodeRes names a node's lock resource: its encoded label, assembled on the
-// stack so that the name is the only allocation.
-func nodeRes(id splid.ID) lock.Resource {
-	var kb [32]byte
-	return lock.Resource(id.AppendEncode(kb[:0]))
-}
+// nodeRes names a node's lock resource: its encoded label, as it is.
+func nodeRes(id splid.ID) lock.Resource { return lock.Resource(id.Key()) }
+
+// edgeSuffix tells an edge's resource from its owner's.
+var edgeSuffix = [...]string{EdgeFirstChild: ":e0", EdgeLastChild: ":e1", EdgeNextSibling: ":e2", EdgePrevSibling: ":e3"}
 
 // edgeRes names an edge lock resource.
-func edgeRes(id splid.ID, e Edge) lock.Resource {
-	return lock.Resource(string(id.Encode()) + ":e" + string(rune('0'+int(e))))
-}
+func edgeRes(id splid.ID, e Edge) lock.Resource { return lock.Resource(id.Key() + edgeSuffix[e]) }
 
 // lockOne acquires one lock respecting the transaction's lifecycle.
 func lockOne(c *Ctx, res lock.Resource, m lock.Mode, short bool) error {

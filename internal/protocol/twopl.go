@@ -26,9 +26,9 @@ import (
 //	          lock requests, the highest parallelism in the group.
 
 // Resource namespaces for the three lock spaces.
-func structRes(id splid.ID) lock.Resource  { return lock.Resource("s" + string(id.Encode())) }
-func contentRes(id splid.ID) lock.Resource { return lock.Resource("c" + string(id.Encode())) }
-func jumpRes(id splid.ID) lock.Resource    { return lock.Resource("j" + string(id.Encode())) }
+func structRes(id splid.ID) lock.Resource  { return lock.Resource("s" + id.Key()) }
+func contentRes(id splid.ID) lock.Resource { return lock.Resource("c" + id.Key()) }
+func jumpRes(id splid.ID) lock.Resource    { return lock.Resource("j" + id.Key()) }
 
 // twoPLTable builds the shared *-2PL mode table (Figure 1): three
 // independent two-mode hierarchies. Cross-space cells are never consulted

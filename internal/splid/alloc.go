@@ -41,7 +41,7 @@ func (a Allocator) FirstChild(parent ID) ID {
 	if parent.IsNull() {
 		panic("splid: FirstChild of null ID")
 	}
-	return parent.appendDiv(a.dist() + 1)
+	return parent.Child(a.dist() + 1)
 }
 
 // NextSibling returns a label following prev among the children of prev's
@@ -56,12 +56,12 @@ func (a Allocator) NextSibling(prev ID) ID {
 	if parent.IsNull() {
 		panic("splid: NextSibling of the document root")
 	}
-	fork := prev.divs[len(parent.divs)]
-	next := fork + a.dist()
+	fork, _ := code(prev.enc, len(parent.enc))
+	next := uint32(fork) + a.dist()
 	if next%2 == 0 {
 		next++
 	}
-	return parent.appendDiv(next)
+	return parent.Child(next)
 }
 
 // Between returns a fresh label that sorts strictly between left and right,
@@ -100,19 +100,29 @@ func (a Allocator) Between(parent, left, right ID) (ID, error) {
 		}
 	}
 
-	base := len(parent.divs)
-	// The reserved division 1 (attribute root / string node) acts as the
-	// virtual lower fence when inserting before the first regular child.
+	// The suffixes below parent are decoded for the arithmetic. The reserved
+	// division 1 (attribute root / string node) acts as the virtual lower
+	// fence when inserting before the first regular child.
 	l := []uint32{1}
 	if !left.IsNull() {
-		l = left.divs[base:]
+		l = left.divisionsFrom(len(parent.enc))
 	}
-	r := right.divs[base:]
-	mid := betweenSuffixes(l, r, a.dist())
-	out := make([]uint32, base+len(mid))
-	copy(out, parent.divs)
-	copy(out[base:], mid)
-	return ID{divs: out}, nil
+	r := right.divisionsFrom(len(parent.enc))
+	enc := []byte(parent.enc)
+	for _, d := range betweenSuffixes(l, r, a.dist()) {
+		enc = appendCode(enc, uint64(d))
+	}
+	return ID{enc: string(enc)}, nil
+}
+
+// divisionsFrom decodes the divisions whose codes start at or after byte i.
+func (id ID) divisionsFrom(i int) (dst []uint32) {
+	for i < len(id.enc) {
+		v, n := code(id.enc, i)
+		dst = append(dst, uint32(v))
+		i += n
+	}
+	return dst
 }
 
 const maxDiv = ^uint32(0)
@@ -238,5 +248,5 @@ func (a Allocator) NthChild(parent ID, n int) ID {
 		panic("splid: NthChild with negative index")
 	}
 	d := a.dist()
-	return parent.appendDiv(uint32(n)*d + d + 1)
+	return parent.Child(uint32(n)*d + d + 1)
 }

@@ -1,6 +1,7 @@
 package splid
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -24,7 +25,11 @@ import (
 //	11110000 X X X X                      remaining uint32 values
 //
 // where X is a payload byte and the stored payload is the value minus the
-// class base, big-endian.
+// class base, big-endian. The class ranges are disjoint and every class base
+// is even, so a value has exactly one code (byte equality is label
+// equality) and a division's parity is the low bit of its code's last byte.
+// An ID holds this encoding and nothing else: every method below walks the
+// codes' header bytes.
 
 var classBase = [5]uint64{
 	0,
@@ -34,10 +39,32 @@ var classBase = [5]uint64{
 	1<<7 + 1<<14 + 1<<21 + 1<<28,
 }
 
-// AppendDivision appends the order-preserving encoding of one division value
-// to dst and returns the extended slice.
-func AppendDivision(dst []byte, v uint32) []byte {
-	x := uint64(v)
+// maxPayload4 is the largest class-4 payload that still decodes to a uint32.
+const maxPayload4 = 1<<32 - 1 - 1<<7 - 1<<14 - 1<<21 - 1<<28
+
+// codeLen maps a header byte to the length of the code it opens; 0 marks the
+// bytes that open none (0xF1–0xFF).
+var codeLen = func() (t [256]uint8) {
+	for h := range t {
+		switch {
+		case h < 0x80:
+			t[h] = 1
+		case h < 0xC0:
+			t[h] = 2
+		case h < 0xE0:
+			t[h] = 3
+		case h < 0xF0:
+			t[h] = 4
+		case h == 0xF0:
+			t[h] = 5
+		}
+	}
+	return t
+}()
+
+// appendCode appends the code of value x. x may be 2^32 — the bumped final
+// division of a SubtreeLimit — which class 4's payload still holds.
+func appendCode(dst []byte, x uint64) []byte {
 	switch {
 	case x < classBase[1]:
 		return append(dst, byte(x))
@@ -56,110 +83,100 @@ func AppendDivision(dst []byte, v uint32) []byte {
 	}
 }
 
+// code returns the value of the well-formed code at s[i:] and its length.
+func code(s string, i int) (uint64, int) {
+	h := s[i]
+	switch n := int(codeLen[h]); n {
+	case 1:
+		return uint64(h), n
+	case 2:
+		return classBase[1] + (uint64(h&0x3F)<<8 | uint64(s[i+1])), n
+	case 3:
+		return classBase[2] + (uint64(h&0x1F)<<16 | uint64(s[i+1])<<8 | uint64(s[i+2])), n
+	case 4:
+		return classBase[3] + (uint64(h&0x0F)<<24 | uint64(s[i+1])<<16 | uint64(s[i+2])<<8 | uint64(s[i+3])), n
+	default:
+		return classBase[4] + (uint64(s[i+1])<<24 | uint64(s[i+2])<<16 | uint64(s[i+3])<<8 | uint64(s[i+4])), n
+	}
+}
+
 // ErrBadEncoding is returned when decoding malformed SPLID bytes.
 var ErrBadEncoding = errors.New("splid: bad encoding")
-
-// decodeDivision decodes one division from b, returning the value and the
-// number of bytes consumed.
-func decodeDivision(b []byte) (uint32, int, error) {
-	if len(b) == 0 {
-		return 0, 0, fmt.Errorf("%w: empty input", ErrBadEncoding)
-	}
-	h := b[0]
-	var class, n int
-	switch {
-	case h&0x80 == 0:
-		class, n = 0, 1
-	case h&0xC0 == 0x80:
-		class, n = 1, 2
-	case h&0xE0 == 0xC0:
-		class, n = 2, 3
-	case h&0xF0 == 0xE0:
-		class, n = 3, 4
-	case h == 0xF0:
-		class, n = 4, 5
-	default:
-		return 0, 0, fmt.Errorf("%w: header byte %#x", ErrBadEncoding, h)
-	}
-	if len(b) < n {
-		return 0, 0, fmt.Errorf("%w: truncated division (need %d bytes, have %d)", ErrBadEncoding, n, len(b))
-	}
-	var d uint64
-	switch class {
-	case 0:
-		d = uint64(h)
-	case 1:
-		d = uint64(h&0x3F)<<8 | uint64(b[1])
-	case 2:
-		d = uint64(h&0x1F)<<16 | uint64(b[1])<<8 | uint64(b[2])
-	case 3:
-		d = uint64(h&0x0F)<<24 | uint64(b[1])<<16 | uint64(b[2])<<8 | uint64(b[3])
-	case 4:
-		d = uint64(b[1])<<24 | uint64(b[2])<<16 | uint64(b[3])<<8 | uint64(b[4])
-	}
-	v := d + classBase[class]
-	if v > uint64(^uint32(0)) {
-		return 0, 0, fmt.Errorf("%w: division overflows uint32", ErrBadEncoding)
-	}
-	return uint32(v), n, nil
-}
 
 // Encode returns the order-preserving byte encoding of id. The null ID
 // encodes to an empty (non-nil) slice.
 func (id ID) Encode() []byte {
-	return id.AppendEncode(make([]byte, 0, 2*len(id.divs)))
+	return id.AppendEncode(make([]byte, 0, len(id.enc)))
 }
 
 // AppendEncode appends the encoding of id to dst.
 func (id ID) AppendEncode(dst []byte) []byte {
-	for _, d := range id.divs {
-		dst = AppendDivision(dst, d)
-	}
+	dst = append(dst, id.enc...)
 	if dst == nil {
 		dst = []byte{}
 	}
 	return dst
 }
 
-// Decode parses an encoded SPLID, consuming the whole input. Empty input
-// yields the null ID.
+// EncodedLen returns the number of bytes Encode would produce.
+func (id ID) EncodedLen() int { return len(id.enc) }
+
+// Decode parses an encoded SPLID, consuming the whole input: one walk over
+// the header bytes that accepts exactly the well-formed, valid labels, then
+// one copy. Empty input yields the null ID.
 func Decode(b []byte) (ID, error) {
 	if len(b) == 0 {
 		return Null, nil
 	}
-	divs := make([]uint32, 0, len(b))
-	for len(b) > 0 {
-		v, n, err := decodeDivision(b)
-		if err != nil {
-			return Null, err
-		}
-		divs = append(divs, v)
-		b = b[n:]
+	if !wellFormed(b) {
+		return Null, decodeError(b)
 	}
-	id := ID{divs: divs}
-	if err := id.validate(); err != nil {
-		return Null, err
-	}
-	return id, nil
+	return ID{enc: string(b)}, nil
 }
 
-// EncodedLen returns the number of bytes Encode would produce.
-func (id ID) EncodedLen() int {
-	n := 0
-	for _, d := range id.divs {
-		x := uint64(d)
-		switch {
-		case x < classBase[1]:
-			n++
-		case x < classBase[2]:
-			n += 2
-		case x < classBase[3]:
-			n += 3
-		case x < classBase[4]:
-			n += 4
-		default:
-			n += 5
-		}
+// wellFormed reports whether b is a sequence of whole codes with no class-4
+// overflow and no zero division that opens with division 1 (the one-byte
+// code 0x01) and closes on an odd division.
+func wellFormed(b []byte) bool {
+	if b[0] != 1 || b[len(b)-1]&1 == 0 {
+		return false
 	}
-	return n
+	for i := 0; i < len(b); {
+		h := b[i]
+		n := int(codeLen[h])
+		if n == 0 || h == 0 || len(b)-i < n || n == 5 && binary.BigEndian.Uint32(b[i+1:]) > maxPayload4 {
+			return false
+		}
+		i += n
+	}
+	return true
+}
+
+// decodeError explains why wellFormed refused b: a malformed code first,
+// then the structural rules in Parse's order.
+func decodeError(b []byte) error {
+	zero := -1
+	k := 0
+	for i := 0; i < len(b); k++ {
+		h := b[i]
+		n := int(codeLen[h])
+		switch {
+		case n == 0:
+			return fmt.Errorf("%w: header byte %#x", ErrBadEncoding, h)
+		case len(b)-i < n:
+			return fmt.Errorf("%w: truncated division (need %d bytes, have %d)", ErrBadEncoding, n, len(b)-i)
+		case n == 5 && binary.BigEndian.Uint32(b[i+1:]) > maxPayload4:
+			return fmt.Errorf("%w: division overflows uint32", ErrBadEncoding)
+		case h == 0 && zero < 0:
+			zero = k
+		}
+		i += n
+	}
+	if first, _ := code(string(b), 0); first != 1 {
+		return fmt.Errorf("%w: first division must be 1 (the root), got %d", errInvalid, first)
+	}
+	if zero >= 0 {
+		return fmt.Errorf("%w: division %d is zero", errInvalid, zero)
+	}
+	return fmt.Errorf("%w: trailing overflow division", errInvalid)
 }

@@ -23,72 +23,48 @@ import (
 	"strings"
 )
 
-// ID is a stable path labeling identifier. The zero value is the null ID,
-// which is not a valid node label; use Root for the document root. IDs are
-// immutable: all methods return new values and never alias the receiver's
-// backing array into results that could be modified.
+// ID is a stable path labeling identifier: the label's order-preserving
+// encoding (encoding.go), which is also its B*-tree key, its lock resource
+// name and its wire form. IDs are comparable values — == is label equality —
+// and immutable. The zero value is the null ID, which is not a valid node
+// label; use Root for the document root.
 type ID struct {
-	divs []uint32
+	enc string
 }
 
 // Null is the zero ID. It labels no node and compares before every valid ID.
 var Null = ID{}
 
 // Root returns the label of the document root node, 1.
-func Root() ID { return ID{divs: []uint32{1}} }
-
-// New builds an ID from explicit division values. It validates the same
-// structural rules Parse enforces.
-func New(divs ...uint32) (ID, error) {
-	id := ID{divs: append([]uint32(nil), divs...)}
-	if err := id.validate(); err != nil {
-		return Null, err
-	}
-	return id, nil
-}
+func Root() ID { return ID{enc: "\x01"} }
 
 // errInvalid wraps all structural validation failures.
 var errInvalid = errors.New("splid: invalid label")
-
-func (id ID) validate() error {
-	if len(id.divs) == 0 {
-		return fmt.Errorf("%w: empty division sequence", errInvalid)
-	}
-	if id.divs[0] != 1 {
-		return fmt.Errorf("%w: first division must be 1 (the root), got %d", errInvalid, id.divs[0])
-	}
-	for i, d := range id.divs {
-		if d == 0 {
-			return fmt.Errorf("%w: division %d is zero", errInvalid, i)
-		}
-	}
-	// A label must not end in an even (overflow) division: overflow values
-	// only connect a parent prefix to the final odd division of a level.
-	if last := id.divs[len(id.divs)-1]; last%2 == 0 {
-		return fmt.Errorf("%w: trailing overflow division %d", errInvalid, last)
-	}
-	return nil
-}
 
 // Parse converts the dotted textual form "1.3.4.3" into an ID.
 func Parse(s string) (ID, error) {
 	if s == "" {
 		return Null, fmt.Errorf("%w: empty string", errInvalid)
 	}
-	parts := strings.Split(s, ".")
-	divs := make([]uint32, len(parts))
-	for i, p := range parts {
+	enc := make([]byte, 0, len(s))
+	for i, p := range strings.Split(s, ".") {
 		v, err := strconv.ParseUint(p, 10, 32)
-		if err != nil {
+		switch {
+		case err != nil:
 			return Null, fmt.Errorf("%w: division %q: %v", errInvalid, p, err)
+		case i == 0 && v != 1:
+			return Null, fmt.Errorf("%w: first division must be 1 (the root), got %d", errInvalid, v)
+		case v == 0:
+			return Null, fmt.Errorf("%w: division %d is zero", errInvalid, i)
 		}
-		divs[i] = uint32(v)
+		enc = appendCode(enc, v)
 	}
-	id := ID{divs: divs}
-	if err := id.validate(); err != nil {
-		return Null, err
+	// A label must not end in an even (overflow) division: overflow values
+	// only connect a parent prefix to the final odd division of a level.
+	if enc[len(enc)-1]&1 == 0 {
+		return Null, fmt.Errorf("%w: trailing overflow division in %q", errInvalid, s)
 	}
-	return id, nil
+	return ID{enc: string(enc)}, nil
 }
 
 // MustParse is Parse that panics on error, for tests and literals.
@@ -105,71 +81,71 @@ func (id ID) String() string {
 	if id.IsNull() {
 		return "<null>"
 	}
-	var b strings.Builder
-	for i, d := range id.divs {
+	b := make([]byte, 0, 4*len(id.enc))
+	for i := 0; i < len(id.enc); {
+		v, n := code(id.enc, i)
 		if i > 0 {
-			b.WriteByte('.')
+			b = append(b, '.')
 		}
-		b.WriteString(strconv.FormatUint(uint64(d), 10))
+		b = strconv.AppendUint(b, v, 10)
+		i += n
 	}
-	return b.String()
+	return string(b)
 }
 
+// Key returns the label's encoding as a string — what Encode returns, without
+// the copy — for callers that name things after a label: lock resources.
+func (id ID) Key() string { return id.enc }
+
 // IsNull reports whether id is the null ID.
-func (id ID) IsNull() bool { return len(id.divs) == 0 }
+func (id ID) IsNull() bool { return id.enc == "" }
 
 // IsRoot reports whether id labels the document root.
-func (id ID) IsRoot() bool { return len(id.divs) == 1 && id.divs[0] == 1 }
-
-// Divisions returns a copy of the raw division values.
-func (id ID) Divisions() []uint32 { return append([]uint32(nil), id.divs...) }
+func (id ID) IsRoot() bool { return id.enc == "\x01" }
 
 // Level returns the tree level of the labeled node: the number of odd
 // divisions in the label. The root is level 1; even overflow divisions do
 // not open a level. The null ID has level 0.
 func (id ID) Level() int {
 	n := 0
-	for _, d := range id.divs {
-		if d%2 == 1 {
-			n++
-		}
+	for i := 0; i < len(id.enc); {
+		i += int(codeLen[id.enc[i]])
+		n += int(id.enc[i-1] & 1)
 	}
 	return n
 }
 
 // Parent returns the label of the parent node, derived purely from the label
-// itself: the trailing odd division and any even overflow divisions in front
-// of it are removed. The parent of the root (and of the null ID) is Null.
+// itself: the prefix that ends at the last odd division before the final one
+// (the final odd division and the even overflow divisions in front of it are
+// removed). The parent of the root (and of the null ID) is Null.
 func (id ID) Parent() ID {
-	if len(id.divs) <= 1 {
-		return Null
+	p := 0
+	for i := 0; i < len(id.enc); {
+		i += int(codeLen[id.enc[i]])
+		if id.enc[i-1]&1 == 1 && i < len(id.enc) {
+			p = i
+		}
 	}
-	i := len(id.divs) - 1 // divs[i] is odd by construction
-	i--                   // skip the level-opening odd division
-	for i >= 0 && id.divs[i]%2 == 0 {
-		i--
-	}
-	if i < 0 {
-		return Null
-	}
-	return ID{divs: id.divs[:i+1]}
+	return ID{enc: id.enc[:p]}
 }
 
 // Ancestors returns all proper ancestors of id ordered from the root down to
 // the direct parent. It returns nil for the root and the null ID. No
 // document access is needed — this is the SPLID property lock protocols
 // depend on for placing intention locks on the whole ancestor path. Every
-// ancestor is a prefix of id's own divisions with its capacity clipped: IDs
-// are immutable, and the clip makes an append through one copy, whatever
-// code does it.
+// ancestor is a prefix of id's own encoding; the outer slice is the only
+// allocation.
 func (id ID) Ancestors() []ID {
-	if len(id.divs) <= 1 {
+	n := id.Level() - 1
+	if n <= 0 {
 		return nil
 	}
-	out := make([]ID, 0, len(id.divs)-1)
-	for i, d := range id.divs[:len(id.divs)-1] {
-		if d%2 == 1 { // a label ends at the odd division that opens its level
-			out = append(out, ID{divs: id.divs[: i+1 : i+1]})
+	out := make([]ID, 0, n)
+	for i := 0; len(out) < n; {
+		i += int(codeLen[id.enc[i]])
+		if id.enc[i-1]&1 == 1 { // a label ends at the odd division that opens its level
+			out = append(out, ID{enc: id.enc[:i]})
 		}
 	}
 	return out
@@ -179,75 +155,44 @@ func (id ID) Ancestors() []ID {
 // (root = level 1). It returns Null if the requested level exceeds the
 // node's own level or is < 1.
 func (id ID) AncestorAtLevel(level int) ID {
-	if level < 1 || level > id.Level() {
-		return Null
-	}
-	seen := 0
-	for i, d := range id.divs {
-		if d%2 == 1 {
-			seen++
-			if seen == level {
-				// Consume trailing overflow divisions belonging to this
-				// level? No: overflow divisions precede the odd division of
-				// the *next* inserted sibling chain, so the ancestor label
-				// ends exactly at this odd division.
-				return ID{divs: id.divs[:i+1]}
+	for i := 0; level > 0 && i < len(id.enc); {
+		i += int(codeLen[id.enc[i]])
+		if id.enc[i-1]&1 == 1 {
+			if level--; level == 0 {
+				return ID{enc: id.enc[:i]}
 			}
 		}
 	}
-	return Null // unreachable for valid labels
+	return Null
 }
 
 // Compare orders two IDs in document order: a node precedes its descendants,
 // and siblings order by their division values. It returns -1, 0, or +1.
 // The null ID sorts before everything.
-func Compare(a, b ID) int {
-	n := len(a.divs)
-	if len(b.divs) < n {
-		n = len(b.divs)
-	}
-	for i := 0; i < n; i++ {
-		switch {
-		case a.divs[i] < b.divs[i]:
-			return -1
-		case a.divs[i] > b.divs[i]:
-			return 1
-		}
-	}
-	switch {
-	case len(a.divs) < len(b.divs):
-		return -1
-	case len(a.divs) > len(b.divs):
-		return 1
-	}
-	return 0
-}
+func Compare(a, b ID) int { return strings.Compare(a.enc, b.enc) }
 
 // Equal reports whether a and b are the same label.
-func (id ID) Equal(other ID) bool { return Compare(id, other) == 0 }
+func (id ID) Equal(other ID) bool { return id == other }
 
-// IsAncestorOf reports whether id is a proper ancestor of other, i.e. id's
-// division sequence is a strict prefix of other's and opens fewer levels.
+// IsAncestorOf reports whether id is a proper ancestor of other: id's
+// encoding is a strict prefix of other's. The code is prefix-free, so a
+// prefix that is a whole label ends on one of other's division boundaries.
 func (id ID) IsAncestorOf(other ID) bool {
-	if id.IsNull() || other.IsNull() || len(id.divs) >= len(other.divs) {
-		return false
-	}
-	for i, d := range id.divs {
-		if other.divs[i] != d {
-			return false
-		}
-	}
-	return true
-}
-
-// IsSelfOrAncestorOf reports whether id equals other or is its ancestor.
-func (id ID) IsSelfOrAncestorOf(other ID) bool {
-	return id.Equal(other) || id.IsAncestorOf(other)
+	return id.enc != "" && len(id.enc) < len(other.enc) && other.enc[:len(id.enc)] == id.enc
 }
 
 // ChildOf reports whether id is a direct child of parent.
 func (id ID) ChildOf(parent ID) bool {
-	return parent.IsAncestorOf(id) && id.Level() == parent.Level()+1
+	return !parent.IsNull() && id.Parent() == parent
+}
+
+// lastCode returns the offset of the final division's code.
+func (id ID) lastCode() int {
+	last := 0
+	for i := 0; i < len(id.enc); i += int(codeLen[id.enc[i]]) {
+		last = i
+	}
+	return last
 }
 
 // SubtreeLimit returns an exclusive upper bound for the subtree rooted at
@@ -257,78 +202,57 @@ func (id ID) ChildOf(parent ID) bool {
 // one; it is not itself a valid node label and must only be used for range
 // scans.
 func (id ID) SubtreeLimit() ID {
+	var b [64]byte // the conversion below is the one allocation
+	return ID{enc: string(id.AppendSubtreeLimit(b[:0]))}
+}
+
+// AppendSubtreeLimit appends the encoding of SubtreeLimit to dst: only the
+// final division is re-encoded.
+func (id ID) AppendSubtreeLimit(dst []byte) []byte {
 	if id.IsNull() {
-		return Null
+		return dst
 	}
-	divs := append([]uint32(nil), id.divs...)
-	divs[len(divs)-1]++
-	return ID{divs: divs}
+	last := id.lastCode()
+	v, _ := code(id.enc, last)
+	return appendCode(append(dst, id.enc[:last]...), v+1)
 }
 
 // AttributeRoot returns the label of the virtual attribute-root child of an
 // element (Section 3.1 of the paper): the element label extended by the
 // reserved division 1.
 func (id ID) AttributeRoot() ID {
-	return id.appendDiv(1)
+	var b [64]byte
+	return ID{enc: string(id.AppendAttributeRoot(b[:0]))}
 }
+
+// AppendAttributeRoot appends the encoding of AttributeRoot to dst.
+func (id ID) AppendAttributeRoot(dst []byte) []byte { return append(append(dst, id.enc...), 1) }
 
 // StringNode returns the label of the virtual string-node child of a text or
 // attribute node: the node label extended by the reserved division 1.
-func (id ID) StringNode() ID {
-	return id.appendDiv(1)
-}
+func (id ID) StringNode() ID { return id.AttributeRoot() }
 
 // IsReservedChild reports whether the final level of id was opened with the
 // reserved division value 1 at a level greater than one — i.e. the label
 // belongs to an attribute root or string node rather than a regular child.
+// The final code must be the one byte 0x01: 1.3.129 ends in byte 0x01 too.
 func (id ID) IsReservedChild() bool {
-	if len(id.divs) < 2 {
-		return false
-	}
-	return id.divs[len(id.divs)-1] == 1
-}
-
-func (id ID) appendDiv(d uint32) ID {
-	divs := make([]uint32, len(id.divs)+1)
-	copy(divs, id.divs)
-	divs[len(id.divs)] = d
-	return ID{divs: divs}
+	n := len(id.enc)
+	return n >= 2 && id.enc[n-1] == 1 && id.lastCode() == n-1
 }
 
 // Child returns the label of a child of id whose level is opened by the
 // given odd division value. It panics if the division is even or zero,
 // because such labels would violate the labeling invariants.
 func (id ID) Child(div uint32) ID {
+	var b [64]byte
+	return ID{enc: string(id.AppendChild(b[:0], div))}
+}
+
+// AppendChild appends the encoding of Child(div) to dst.
+func (id ID) AppendChild(dst []byte, div uint32) []byte {
 	if div == 0 || div%2 == 0 {
 		panic(fmt.Sprintf("splid: Child division must be odd, got %d", div))
 	}
-	return id.appendDiv(div)
-}
-
-// CommonAncestor returns the deepest label that is a self-or-ancestor of
-// both a and b, or Null if they share none (only possible with null inputs,
-// since all valid labels descend from the root).
-func CommonAncestor(a, b ID) ID {
-	if a.IsNull() || b.IsNull() {
-		return Null
-	}
-	n := len(a.divs)
-	if len(b.divs) < n {
-		n = len(b.divs)
-	}
-	i := 0
-	for i < n && a.divs[i] == b.divs[i] {
-		i++
-	}
-	if i == 0 {
-		return Null
-	}
-	// Trim back to a valid label: must not end on an even overflow division.
-	for i > 0 && a.divs[i-1]%2 == 0 {
-		i--
-	}
-	if i == 0 {
-		return Null
-	}
-	return ID{divs: a.divs[:i]}
+	return appendCode(append(dst, id.enc...), uint64(div))
 }

@@ -90,10 +90,9 @@ func TestAncestors(t *testing.T) {
 }
 
 // TestAncestorsAliasSafely is the property that lets Ancestors hand out
-// prefixes of the receiver's own divisions: every ancestor equals the
+// prefixes of the receiver's own encoding: every ancestor equals the
 // AncestorAtLevel of its level, and nothing done with one — deriving labels
-// from it, encoding it, even appending to its divisions — changes the
-// descendant.
+// from it, encoding it — changes the descendant.
 func TestAncestorsAliasSafely(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	for n := 0; n < 2000; n++ {
@@ -112,7 +111,6 @@ func TestAncestorsAliasSafely(t *testing.T) {
 			a.SubtreeLimit()
 			a.AttributeRoot()
 			a.Encode()
-			_ = append(a.divs, 99) // what a careless method would do
 			if got := id.String(); got != before {
 				t.Fatalf("using ancestor %s changed its descendant %s into %s", a, before, got)
 			}
@@ -171,9 +169,6 @@ func TestAncestryPredicates(t *testing.T) {
 	if book.IsAncestorOf(book) {
 		t.Error("a node is not its own proper ancestor")
 	}
-	if !book.IsSelfOrAncestorOf(book) {
-		t.Error("IsSelfOrAncestorOf must include self")
-	}
 	if title.IsAncestorOf(book) {
 		t.Error("descendant is not an ancestor")
 	}
@@ -222,26 +217,6 @@ func TestReservedChildren(t *testing.T) {
 	txt := MustParse("1.3.3.5")
 	if sn := txt.StringNode(); sn.String() != "1.3.3.5.1" || !sn.IsReservedChild() {
 		t.Errorf("StringNode = %s", txt.StringNode())
-	}
-}
-
-func TestCommonAncestor(t *testing.T) {
-	cases := []struct{ a, b, want string }{
-		{"1.3.3.5", "1.3.3.7", "1.3.3"},
-		{"1.3.3", "1.3.3.7", "1.3.3"},
-		{"1.3", "1.5", "1"},
-		{"1.3.4.3", "1.3.4.5", "1.3"}, // shared prefix ends on even division: back off
-		{"1.3.4.3", "1.3.5", "1.3"},
-		{"1", "1.5.3", "1"},
-	}
-	for _, c := range cases {
-		got := CommonAncestor(MustParse(c.a), MustParse(c.b))
-		if got.String() != c.want {
-			t.Errorf("CommonAncestor(%s, %s) = %s, want %s", c.a, c.b, got, c.want)
-		}
-	}
-	if !CommonAncestor(Null, Root()).IsNull() {
-		t.Error("CommonAncestor with null input should be null")
 	}
 }
 
@@ -335,7 +310,7 @@ func TestAllocatorAppend(t *testing.T) {
 		if !next.ChildOf(parent) {
 			t.Fatalf("NextSibling %s not a child of %s", next, parent)
 		}
-		if len(next.Divisions()) != len(parent.Divisions())+1 {
+		if len(toRef(next)) != len(toRef(parent))+1 {
 			t.Fatalf("appended sibling %s should not grow an overflow chain", next)
 		}
 		prev = next
@@ -455,7 +430,7 @@ func randomID(rng *rand.Rand) ID {
 		}
 		divs = append(divs, uint32(3+2*rng.Intn(1<<uint(2+rng.Intn(14)))))
 	}
-	return ID{divs: divs}
+	return fromDivs(divs...)
 }
 
 func TestPropertyEncodingOrder(t *testing.T) {
@@ -516,7 +491,7 @@ func TestPropertySubtreeLimit(t *testing.T) {
 	f := func() bool {
 		a, b := randomID(rng), randomID(rng)
 		lim := a.SubtreeLimit()
-		inSubtree := a.IsSelfOrAncestorOf(b)
+		inSubtree := a == b || a.IsAncestorOf(b)
 		inRange := Compare(b, a) >= 0 && Compare(b, lim) < 0
 		return inSubtree == inRange
 	}
@@ -554,15 +529,6 @@ func TestPropertyBetween(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDivisionsCopy(t *testing.T) {
-	id := MustParse("1.3.5")
-	d := id.Divisions()
-	d[1] = 99
-	if id.String() != "1.3.5" {
-		t.Error("Divisions must return a copy")
 	}
 }
 

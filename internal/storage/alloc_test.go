@@ -9,6 +9,7 @@ package storage
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/pagestore"
 	"repro/internal/xmlmodel"
@@ -59,10 +60,12 @@ func TestAllocLoggedSetValue(t *testing.T) {
 
 // TestAllocReadFragmentOneSlice pins what a fragment read (reader.Subtree,
 // the body of ReadFragment) allocates for a subtree that ends in the leaf it
-// starts in: one label per node, one copy per string value, the range's two
-// keys and its limit label — and the result slice once, at its size, because
-// the cursor says how many keys lie below the limit. A result that grows as
-// it is appended to costs log2(n) allocations more and fails here.
+// starts in: one label per node, one copy per string value — the range's
+// bounds are built on the stack — and the result slice once, at its size,
+// because the cursor says how many keys lie below the limit. A result that
+// grows as it is appended to costs log2(n) allocations more and fails here,
+// and so does a label that costs more than its encoded bytes and one size
+// class (a division slice is 4 bytes per encoded byte).
 func TestAllocReadFragmentOneSlice(t *testing.T) {
 	d, err := Create(pagestore.NewMemBackend(), "bib", Options{})
 	if err != nil {
@@ -95,10 +98,12 @@ func TestAllocReadFragmentOneSlice(t *testing.T) {
 		}
 	}
 	read()
-	n, values := len(got), 0
+	n, values, labelBytes, valueBytes := len(got), 0, 0, 0
 	for _, x := range got {
+		labelBytes += x.ID.EncodedLen()
 		if x.Value != nil {
 			values++
+			valueBytes += len(x.Value)
 		}
 	}
 	if n < 64 || !got[0].ID.Equal(book.ID) {
@@ -110,9 +115,21 @@ func TestAllocReadFragmentOneSlice(t *testing.T) {
 	if cap(got) >= 2*n {
 		t.Errorf("result of %d nodes has capacity %d", n, cap(got))
 	}
-	const rangeKeys = 3 // SubtreeLimit and the two encoded bounds
-	if avg, want := testing.AllocsPerRun(50, read), float64(n+values+1+rangeKeys); avg > want {
-		t.Errorf("Subtree of %d nodes (%d string values) allocates %.0f times, want at most %.0f: the result grew %.0f times",
-			n, values, avg, want, avg-want)
+	if avg, want := testing.AllocsPerRun(50, read), float64(n+values+1); avg > want {
+		t.Errorf("Subtree of %d nodes (%d string values) allocates %.0f times, want at most %.0f",
+			n, values, avg, want)
+	}
+	// The result slice is charged at its size class: append rounds up to it.
+	result := cap(append([]byte(nil), make([]byte, cap(got)*int(unsafe.Sizeof(got[0])))...))
+	const runs, class = 50, 8
+	maxBytes := uint64(result + labelBytes + valueBytes + class*(n+values))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / runs; perOp > maxBytes {
+		t.Errorf("Subtree of %d nodes (%d label bytes) allocates %d B/op, want at most %d", n, labelBytes, perOp, maxBytes)
 	}
 }

@@ -180,13 +180,15 @@ func (d *Document) Size() int {
 // subtree delete, and an orphan insert must fail rather than corrupt the
 // tree.
 func (d *Document) insertRaw(n xmlmodel.Node) error {
-	key := n.ID.Encode()
+	var kb [btree.MaxKeyLen]byte
+	key := n.ID.AppendEncode(kb[:0])
 	parent := n.ID.Parent()
 	// Both probes from one cursor — the parent is usually in the child's
-	// leaf — closed before Insert asks for the tree's write latch.
+	// leaf — closed before Insert asks for the tree's write latch. The
+	// parent's key is a prefix of the child's.
 	c := d.doc.Cursor()
 	exists := c.Find(key)
-	orphan := !exists && !parent.IsNull() && !c.Find(parent.Encode())
+	orphan := !exists && !parent.IsNull() && !c.Find(key[:parent.EncodedLen()])
 	err := c.Err()
 	c.Close()
 	switch {
@@ -214,7 +216,8 @@ func (d *Document) insertRaw(n xmlmodel.Node) error {
 // deleteRaw removes a node and its index entries. The caller is responsible
 // for subtree consistency.
 func (d *Document) deleteRaw(n xmlmodel.Node) error {
-	if err := d.doc.Delete(n.ID.Encode()); err != nil {
+	var kb [btree.MaxKeyLen]byte
+	if err := d.doc.Delete(n.ID.AppendEncode(kb[:0])); err != nil {
 		return err
 	}
 	if n.Kind == xmlmodel.KindElement {

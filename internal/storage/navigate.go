@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"slices"
 
 	"repro/internal/btree"
@@ -28,7 +27,8 @@ import (
 // virtual attribute-root and string nodes) in document order. fn returns
 // false to stop early.
 func (r reader) ScanSubtree(id splid.ID, fn func(xmlmodel.Node) bool) error {
-	return r.scanRange(id.Encode(), id.SubtreeLimit().Encode(), fn)
+	var kb, lb [btree.MaxKeyLen]byte
+	return r.scanRange(id.AppendEncode(kb[:0]), id.AppendSubtreeLimit(lb[:0]), fn)
 }
 
 // Subtree returns what ScanSubtree visits as a slice the caller owns. The
@@ -39,9 +39,10 @@ func (r reader) ScanSubtree(id splid.ID, fn func(xmlmodel.Node) bool) error {
 func (r reader) Subtree(id splid.ID) ([]xmlmodel.Node, error) {
 	c := r.doc.Cursor()
 	defer c.Close()
-	c.Limit(id.SubtreeLimit().Encode())
+	var kb, lb [btree.MaxKeyLen]byte
+	c.Limit(id.AppendSubtreeLimit(lb[:0]))
 	var out []xmlmodel.Node
-	for ok := c.Seek(id.Encode()); ok; ok = c.Next() {
+	for ok := c.Seek(id.AppendEncode(kb[:0])); ok; ok = c.Next() {
 		if len(out) == cap(out) {
 			out = slices.Grow(out, c.Remaining())
 		}
@@ -101,11 +102,18 @@ func (r reader) ChildIDs(id splid.ID) (ids []splid.ID, found bool, err error) {
 // fits a leaf. It hands each regular child's record to fn or, with ids set,
 // reads no record and appends the labels there. found reports whether id
 // itself is stored.
+//
+// A child precedes its descendants in document order, so the first key past
+// the previous child's subtree is the next child itself. A deeper key first is
+// a subtree whose root is gone — reads are latch-free, and another
+// transaction's subtree delete can be caught half done — so, as in LastChild,
+// that child no longer exists and its remains are skipped. A caller that locks
+// what it read must look again after the lock (node's level reads do).
 func (r reader) children(id splid.ID, ids *[]splid.ID, fn func(xmlmodel.Node) bool) (found bool, err error) {
 	c := r.doc.Cursor()
 	defer c.Close()
-	c.Limit(id.SubtreeLimit().Encode())
-	var kb [btree.MaxKeyLen]byte
+	var kb, lb [btree.MaxKeyLen]byte
+	c.Limit(id.AppendSubtreeLimit(lb[:0]))
 	key := id.AppendEncode(kb[:0])
 	ok := c.Seek(key)
 	if found = ok && bytes.Equal(c.Key(), key); found {
@@ -116,14 +124,9 @@ func (r reader) children(id splid.ID, ids *[]splid.ID, fn func(xmlmodel.Node) bo
 		if err != nil {
 			return found, err
 		}
-		if kid.Level() != level {
-			// A child precedes its descendants in document order, so the
-			// first key past the previous child's subtree is the next child
-			// itself; a deeper node first is a subtree whose root is gone (a
-			// concurrent subtree delete caught half done).
-			return found, fmt.Errorf("%w: %v", ErrNodeNotFound, kid.AncestorAtLevel(level))
-		}
 		switch {
+		case kid.Level() != level:
+			kid = kid.AncestorAtLevel(level)
 		case kid.IsReservedChild():
 		case ids != nil:
 			if *ids == nil {
@@ -136,7 +139,7 @@ func (r reader) children(id splid.ID, ids *[]splid.ID, fn func(xmlmodel.Node) bo
 				return found, err
 			}
 		}
-		ok = c.Seek(kid.SubtreeLimit().AppendEncode(kb[:0]))
+		ok = c.Seek(kid.AppendSubtreeLimit(kb[:0]))
 	}
 	return found, c.Err()
 }
@@ -160,9 +163,9 @@ func (r reader) FirstChild(id splid.ID) (xmlmodel.Node, error) {
 func (r reader) LastChild(id splid.ID) (xmlmodel.Node, error) {
 	c := r.doc.Cursor()
 	defer c.Close()
-	limit := id.SubtreeLimit()
-	for {
-		if !c.SeekLT(limit.Encode()) {
+	var kb [btree.MaxKeyLen]byte
+	for limit := id.AppendSubtreeLimit(kb[:0]); ; {
+		if !c.SeekLT(limit) {
 			return xmlmodel.Node{}, c.Err()
 		}
 		last, err := splid.Decode(c.Key())
@@ -183,7 +186,7 @@ func (r reader) LastChild(id splid.ID) (xmlmodel.Node, error) {
 		if !errors.Is(err, ErrNodeNotFound) {
 			return n, err
 		}
-		limit = child
+		limit = child.AppendEncode(kb[:0])
 	}
 }
 
@@ -196,7 +199,8 @@ func (r reader) NextSibling(id splid.ID) (xmlmodel.Node, error) {
 	}
 	c := r.doc.Cursor()
 	defer c.Close()
-	if !c.Seek(id.SubtreeLimit().Encode()) {
+	var kb [btree.MaxKeyLen]byte
+	if !c.Seek(id.AppendSubtreeLimit(kb[:0])) {
 		return xmlmodel.Node{}, c.Err() // id closes the document
 	}
 	next, err := splid.Decode(c.Key())
@@ -215,7 +219,8 @@ func (r reader) PrevSibling(id splid.ID) (xmlmodel.Node, error) {
 	}
 	c := r.doc.Cursor()
 	defer c.Close()
-	if !c.SeekLT(id.Encode()) {
+	var kb [btree.MaxKeyLen]byte
+	if !c.SeekLT(id.AppendEncode(kb[:0])) {
 		return xmlmodel.Node{}, c.Err()
 	}
 	before, err := splid.Decode(c.Key())
@@ -248,8 +253,8 @@ func (r reader) Attributes(el splid.ID, fn func(xmlmodel.Node) bool) error {
 	ar := el.AttributeRoot()
 	c := r.doc.Cursor()
 	defer c.Close()
-	c.Limit(ar.SubtreeLimit().Encode())
-	var kb [btree.MaxKeyLen]byte
+	var kb, lb [btree.MaxKeyLen]byte
+	c.Limit(ar.AppendSubtreeLimit(lb[:0]))
 	for ok := c.Find(ar.AppendEncode(kb[:0])) && c.Next(); ok; ok = c.Next() {
 		if xmlmodel.RecordKind(c.Value()) != xmlmodel.KindAttribute {
 			continue // a string node: not worth decoding

@@ -74,11 +74,11 @@ func (d *Document) relabelSubtreeLocked(old splid.ID) (splid.ID, error) {
 	// Remap every node: the root translates to newRoot; descendants are
 	// renumbered level by level with gap-spaced labels, erasing overflow
 	// chains entirely.
-	mapping := map[string]splid.ID{old.String(): newRoot}
-	childCount := map[string]int{}
+	mapping := map[splid.ID]splid.ID{old: newRoot}
+	childCount := map[splid.ID]int{}
 	for _, n := range nodes[1:] {
 		oldParent := n.ID.Parent()
-		newParent, ok := mapping[oldParent.String()]
+		newParent, ok := mapping[oldParent]
 		if !ok {
 			return splid.Null, fmt.Errorf("storage: relabel lost parent of %v", n.ID)
 		}
@@ -86,10 +86,10 @@ func (d *Document) relabelSubtreeLocked(old splid.ID) (splid.ID, error) {
 		if n.ID.IsReservedChild() {
 			newID = newParent.AttributeRoot() // also the string-node shape
 		} else {
-			newID = d.alloc.NthChild(newParent, childCount[oldParent.String()])
-			childCount[oldParent.String()]++
+			newID = d.alloc.NthChild(newParent, childCount[oldParent])
+			childCount[oldParent]++
 		}
-		mapping[n.ID.String()] = newID
+		mapping[n.ID] = newID
 	}
 
 	// Replace the records: delete all old keys, insert all new ones. The
@@ -102,7 +102,7 @@ func (d *Document) relabelSubtreeLocked(old splid.ID) (splid.ID, error) {
 	}
 	for _, n := range nodes {
 		moved := n
-		moved.ID = mapping[n.ID.String()]
+		moved.ID = mapping[n.ID]
 		if err := d.insertRaw(moved); err != nil {
 			return splid.Null, err
 		}
@@ -110,7 +110,7 @@ func (d *Document) relabelSubtreeLocked(old splid.ID) (splid.ID, error) {
 	// Re-point the ID index entries of relocated elements.
 	for _, n := range nodes {
 		if n.Kind == xmlmodel.KindAttribute && n.Name == idSur && idSur != xmlmodel.NoName {
-			newAttr := mapping[n.ID.String()]
+			newAttr := mapping[n.ID]
 			newEl := newAttr.Parent().Parent()
 			v, err := d.Value(newAttr)
 			if err != nil {

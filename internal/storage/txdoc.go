@@ -285,11 +285,7 @@ const (
 var errCorruptUndo = errors.New("storage: corrupt undo payload")
 
 func appendSplid(buf []byte, id splid.ID) []byte {
-	enc := id.Encode()
-	var l [2]byte
-	binary.BigEndian.PutUint16(l[:], uint16(len(enc)))
-	buf = append(buf, l[:]...)
-	return append(buf, enc...)
+	return id.AppendEncode(binary.BigEndian.AppendUint16(buf, uint16(id.EncodedLen())))
 }
 
 func takeSplid(p []byte) (splid.ID, []byte, error) {

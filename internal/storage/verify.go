@@ -17,17 +17,17 @@ func (d *Document) Verify() error {
 		kind xmlmodel.Kind
 		name xmlmodel.Sur
 	}
-	nodes := make(map[string]info)
-	elements := make(map[string]xmlmodel.Sur)
-	idAttrs := make(map[string]string) // id value -> element SPLID string
+	nodes := make(map[splid.ID]info)
+	elements := make(map[splid.ID]xmlmodel.Sur)
+	idAttrs := make(map[string]splid.ID) // id value -> element
 	idSur, _ := d.vocab.Lookup(IDAttrName)
 
 	count := 0
 	err := d.ScanDocument(func(n xmlmodel.Node) bool {
 		count++
-		nodes[n.ID.String()] = info{n.Kind, n.Name}
+		nodes[n.ID] = info{n.Kind, n.Name}
 		if n.Kind == xmlmodel.KindElement {
-			elements[n.ID.String()] = n.Name
+			elements[n.ID] = n.Name
 		}
 		return true
 	})
@@ -39,8 +39,7 @@ func (d *Document) Verify() error {
 	}
 
 	// Per-node structural rules.
-	for idStr, inf := range nodes {
-		id := splid.MustParse(idStr)
+	for id, inf := range nodes {
 		if inf.kind == xmlmodel.KindElement || inf.kind == xmlmodel.KindAttribute {
 			if inf.name == xmlmodel.NoName || d.vocab.Name(inf.name) == "" {
 				return fmt.Errorf("storage: %s %v has no vocabulary name", inf.kind, id)
@@ -56,7 +55,7 @@ func (d *Document) Verify() error {
 			}
 			continue
 		}
-		pinf, ok := nodes[parent.String()]
+		pinf, ok := nodes[parent]
 		if !ok {
 			return fmt.Errorf("storage: node %v is orphaned (parent %v missing)", id, parent)
 		}
@@ -86,9 +85,9 @@ func (d *Document) Verify() error {
 					return fmt.Errorf("storage: id attribute %v has no value: %w", id, err)
 				}
 				if prev, dup := idAttrs[string(v)]; dup {
-					return fmt.Errorf("storage: duplicate id %q on %s and %v", v, prev, el)
+					return fmt.Errorf("storage: duplicate id %q on %v and %v", v, prev, el)
 				}
-				idAttrs[string(v)] = el.String()
+				idAttrs[string(v)] = el
 			}
 		case xmlmodel.KindString:
 			if pinf.kind != xmlmodel.KindText && pinf.kind != xmlmodel.KindAttribute {
@@ -100,7 +99,7 @@ func (d *Document) Verify() error {
 		}
 		// Text and attribute nodes must own exactly their string child.
 		if inf.kind == xmlmodel.KindText || inf.kind == xmlmodel.KindAttribute {
-			if _, ok := nodes[id.StringNode().String()]; !ok {
+			if _, ok := nodes[id.StringNode()]; !ok {
 				return fmt.Errorf("storage: %v node %v lacks its string child", inf.kind, id)
 			}
 		}
@@ -121,7 +120,7 @@ func (d *Document) Verify() error {
 			verr = derr
 			return false
 		}
-		want, ok := elements[id.String()]
+		want, ok := elements[id]
 		if !ok {
 			verr = fmt.Errorf("storage: element index entry for missing element %v", id)
 			return false
@@ -157,8 +156,8 @@ func (d *Document) Verify() error {
 			verr = fmt.Errorf("storage: id index maps %q to %v but no such id attribute exists", k, el)
 			return false
 		}
-		if want != el.String() {
-			verr = fmt.Errorf("storage: id index maps %q to %v, attribute lives on %s", k, el, want)
+		if want != el {
+			verr = fmt.Errorf("storage: id index maps %q to %v, attribute lives on %v", k, el, want)
 			return false
 		}
 		return true

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // scratchRoot holds every crash-matrix scratch directory for this process.
@@ -35,9 +36,14 @@ func crashScratch(t *testing.T) string {
 
 func TestMain(m *testing.M) {
 	// Stale roots from previous crashed runs are orphans too: report them,
-	// then clear them so one crashed run does not poison every later one.
+	// then clear them so one crashed run does not poison every later one. A
+	// root touched in the last ten minutes belongs to a live process — under
+	// -fuzz the workers run this TestMain beside the coordinator's.
 	stale, _ := filepath.Glob(filepath.Join(os.TempDir(), "walcrashmatrix-*"))
 	for _, d := range stale {
+		if fi, err := os.Stat(d); err != nil || time.Since(fi.ModTime()) < 10*time.Minute {
+			continue
+		}
 		fmt.Fprintf(os.Stderr, "wal: removing orphan scratch root from a previous run: %s\n", d)
 		os.RemoveAll(d)
 	}
