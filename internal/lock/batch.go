@@ -78,7 +78,7 @@ func (m *Manager) LockBatch(tx *Tx, reqs []Req) error {
 		} else if len(pend) == 0 && m.ft != nil {
 			hash := fnv1a(string(r.Res))
 			if h := m.stripes[hash&m.mask].index.lookup(r.Res, hash); h != nil &&
-				m.tryFastGrantLocked(tx, h, r.Res, r.Mode, r.Short, hash) {
+				m.tryFastGrantLocked(tx, h, r.Res, r.Mode, r.Short) {
 				fasts++
 				continue
 			}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/splid"
 )
 
 // benchSystem abstracts one lock-manager configuration so the contention
@@ -19,10 +21,12 @@ type benchSystem[T any] struct {
 // benchScenario shapes the walk stream. turnover is how many walks a
 // transaction performs before committing (its cache dies with it); leavesPer
 // is how many distinct leaves each goroutine cycles through, so smaller
-// values revisit leaves sooner.
+// values revisit leaves sooner. splidKeys names the resources by SPLID key,
+// as protocol.nodeRes does, instead of by slash-joined path.
 type benchScenario struct {
 	turnover  int
 	leavesPer int
+	splidKeys bool
 }
 
 var benchScenarios = []struct {
@@ -39,6 +43,10 @@ var benchScenarios = []struct {
 	// re-requests outnumber first requests (50-60% cache-hit rates in the
 	// tamix contest runs).
 	{"warm", benchScenario{turnover: 1 << 30, leavesPer: 4}},
+	// turnover-splid: turnover over the keys the engine locks. Every leaf is
+	// a sibling under one parent, and sibling keys differ only in their last
+	// bytes — the distribution the head index's bucket choice must spread.
+	{"turnover-splid", benchScenario{turnover: 64, leavesPer: 32, splidKeys: true}},
 }
 
 // benchContention measures path-walks per second under the given scenario.
@@ -50,11 +58,22 @@ func benchContention[T any](b *testing.B, goroutines int, sc benchScenario, sys 
 		"bench/r/a/b/c",
 		"bench/r/a/b/c/d",
 	}
+	leaf := func(g, j int) Resource { return Resource(fmt.Sprintf("bench/r/a/b/c/d/leaf-%d-%d", g, j)) }
+	if sc.splidKeys {
+		parent := splid.MustParse("1.3.5.7.9")
+		ancestors = ancestors[:0]
+		for _, id := range append(parent.Ancestors(), parent) {
+			ancestors = append(ancestors, Resource(id.Key()))
+		}
+		leaf = func(g, j int) Resource {
+			return Resource(parent.Child(uint32(2*(g*sc.leavesPer+j) + 3)).Key())
+		}
+	}
 	leaves := make([][]Resource, goroutines)
 	for g := range leaves {
 		leaves[g] = make([]Resource, sc.leavesPer)
 		for j := range leaves[g] {
-			leaves[g][j] = Resource(fmt.Sprintf("bench/r/a/b/c/d/leaf-%d-%d", g, j))
+			leaves[g][j] = leaf(g, j)
 		}
 	}
 	b.ResetTimer()

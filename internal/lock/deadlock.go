@@ -146,12 +146,17 @@ func (m *Manager) detectAndResolve() {
 // table blocks no grant and no release. False positives are possible (the
 // per-partition reads are not simultaneous); false negatives for standing
 // cycles are not, because a standing cycle's edges persist until a victim
-// is aborted — and aborting only happens in the confirm pass.
+// is aborted — and aborting only happens in the confirm pass. A stripe
+// without waiters has no edges and is skipped: a waiter counts in its stripe
+// before its request kicks the detector.
 func (m *Manager) suspectCycle() bool {
 	succ := make(map[TxID][]TxID)
 	edges := false
 	for i := range m.stripes {
 		s := &m.stripes[i]
+		if s.waitingHeads.Load() == 0 {
+			continue
+		}
 		var local [][2]TxID
 		s.stableRead(func() bool {
 			local = local[:0]
@@ -253,6 +258,9 @@ func (m *Manager) waitingRequestsLocked() (map[TxID]*request, []*request) {
 	waiting := make(map[TxID]*request)
 	var order []*request
 	for i := range m.stripes {
+		if m.stripes[i].waitingHeads.Load() == 0 {
+			continue
+		}
 		m.stripes[i].index.walk(func(_ Resource, h *lockHead) {
 			for _, req := range h.queueLocked() {
 				if t := req.txp.Load(); t != nil {

@@ -149,10 +149,13 @@ type holderEntry struct {
 	state atomic.Uint32               // mode | short flag; see pack/loadState
 	next  atomic.Pointer[holderEntry] // holder-chain link
 
-	// hash is the resource's fnv1a hash, cached at grant time so release
-	// needn't rehash. Owner-written before the entry is published; lock-free
-	// observers never read it.
-	hash uint64
+	// head is the head the entry is chained on, so a release goes straight
+	// to it without a lookup. Every grant path sets it before the entry is
+	// published, and it is cleared before the entry is pooled, so a pooled
+	// entry keeps no dead head alive. A held entry's head is live and
+	// indexed: gcStripeLocked kills only heads with no live entry (txp !=
+	// nil) and no waiter. Lock-free observers never read it.
+	head *lockHead
 
 	// cacheEpoch is the lock-cache stamp (see Tx.cacheEpoch). Guarded by
 	// the owner's Tx mutex; lock-free observers never read it.
@@ -238,6 +241,10 @@ type lockHead struct {
 	// stale reader grant against the wrong resource. Guarded by the
 	// partition mutex.
 	dead bool
+
+	// stripe is the partition that indexes the head: a release that reaches
+	// the head through its holder entry takes this stripe's mutex.
+	stripe *stripe
 }
 
 func (h *lockHead) queueLocked() []*request {
@@ -247,12 +254,21 @@ func (h *lockHead) queueLocked() []*request {
 	return nil
 }
 
+// setQueueLocked publishes q as h's wait queue and keeps the stripe's count
+// of heads with waiters in step. Caller holds the partition mutex.
 func (h *lockHead) setQueueLocked(q []*request) {
+	had := h.waitq.Load() != nil
 	if len(q) == 0 {
 		h.waitq.Store(nil)
+		if had {
+			h.stripe.waitingHeads.Add(-1)
+		}
 		return
 	}
 	h.waitq.Store(&q)
+	if !had {
+		h.stripe.waitingHeads.Add(1)
+	}
 }
 
 // enqueueLocked appends req (conversions overtake non-conversion waiters but
@@ -383,7 +399,12 @@ type stripe struct {
 	// the mutex-free release path increments it too.
 	emptySeen atomic.Int64
 
-	_ [24]byte // keep adjacent stripes off one cache line
+	// waitingHeads counts the stripe's heads whose wait queue is non-empty
+	// (see setQueueLocked), so the deadlock detector skips stripes nobody
+	// waits in. Written under mu; atomic for the detector's mutex-free pass.
+	waitingHeads atomic.Int32
+
+	_ [20]byte // keep adjacent stripes off one cache line
 }
 
 // lock/unlock wrap mu with the seqlock bumps. Every mutating critical
@@ -404,7 +425,7 @@ func (s *stripe) headLocked(res Resource, hash uint64) *lockHead {
 	if h := s.index.lookup(res, hash); h != nil {
 		return h
 	}
-	h := &lockHead{}
+	h := &lockHead{stripe: s}
 	h.word.Store(wordSealed) // the open critical section owns it until publish
 	s.index.insertLocked(res, hash, h)
 	return h
@@ -492,7 +513,7 @@ func newManager(table ModeTable, opts Options) *Manager {
 	m.entryPool.New = func() any { return new(holderEntry) }
 	m.reqPool.New = func() any { return &request{result: make(chan error, 1)} }
 	m.tablesPool.New = func() any {
-		return &txTables{held: make(map[Resource]*holderEntry, 32), pairs: make([]heldPair, 0, 32)}
+		return &txTables{held: make(map[Resource]*holderEntry, 32), entries: make([]*holderEntry, 0, 32)}
 	}
 	for i := range m.stripes {
 		m.stripes[i].index.init()
@@ -546,14 +567,14 @@ func (m *Manager) headOf(res Resource) *lockHead {
 }
 
 // txTables are the per-transaction tables that outlive the transaction: the
-// held map and the scratch ReleaseAll snapshots it into. They belong to the
-// manager; a transaction borrows one set from Begin to ReleaseAll and hands
-// it back empty. The *Tx itself is not recycled: the detector and the dump
-// hold *Tx across stripes, and a reused one would be a different transaction
-// under the same pointer.
+// held map and the scratch ReleaseAll snapshots its entries into. They belong
+// to the manager; a transaction borrows one set from Begin to ReleaseAll and
+// hands it back empty. The *Tx itself is not recycled: the detector and the
+// dump hold *Tx across stripes, and a reused one would be a different
+// transaction under the same pointer.
 type txTables struct {
-	held  map[Resource]*holderEntry
-	pairs []heldPair
+	held    map[Resource]*holderEntry
+	entries []*holderEntry
 }
 
 // tablesKeep is the most locks a transaction may have held for its tables to
@@ -582,6 +603,7 @@ func (m *Manager) takeEntryLocked(tx *Tx) *holderEntry {
 func (m *Manager) putEntryLocked(tx *Tx, e *holderEntry) {
 	e.txp.Store(nil)
 	e.next.Store(nil)
+	e.head = nil
 	if tx != nil && tx.freeEntry == nil {
 		tx.freeEntry = e
 		return
@@ -699,7 +721,7 @@ func (m *Manager) Lock(tx *Tx, res Resource, mode Mode, short bool) error {
 	hash := fnv1a(string(res))
 	if m.ft != nil {
 		if h := m.stripes[hash&m.mask].index.lookup(res, hash); h != nil &&
-			m.tryFastGrantLocked(tx, h, res, mode, short, hash) {
+			m.tryFastGrantLocked(tx, h, res, mode, short) {
 			tx.mu.Unlock()
 			m.stats.requests.Add(1)
 			m.stats.immediateGrants.Add(1)
@@ -716,7 +738,7 @@ func (m *Manager) Lock(tx *Tx, res Resource, mode Mode, short bool) error {
 // compare-and-swap on the packed word, then the pooled entry is pushed onto
 // the lock-free holder chain. Caller holds tx.mu (only) and has verified tx
 // holds nothing on res. Returns false to divert to the slow path.
-func (m *Manager) tryFastGrantLocked(tx *Tx, h *lockHead, res Resource, mode Mode, short bool, hash uint64) bool {
+func (m *Manager) tryFastGrantLocked(tx *Tx, h *lockHead, res Resource, mode Mode, short bool) bool {
 	ft := m.ft
 	if int(mode) >= len(ft.incompat) {
 		return false // out-of-range mode: let the slow path reject it
@@ -729,7 +751,7 @@ func (m *Manager) tryFastGrantLocked(tx *Tx, h *lockHead, res Resource, mode Mod
 	e := m.takeEntryLocked(tx)
 	e.txp.Store(tx)
 	e.setState(mode, short)
-	e.hash = hash
+	e.head = h
 	bit := ft.bit[mode]
 	h.inflight.Add(1)
 	for spin := 0; ; spin++ {
@@ -813,7 +835,7 @@ func (m *Manager) lockSlow(tx *Tx, res Resource, mode Mode, short bool, hash uin
 			e := m.takeEntryLocked(tx)
 			e.txp.Store(tx)
 			e.setState(mode, short)
-			e.hash = hash
+			e.head = h
 			pushHolder(h, e)
 			tx.held[res] = e
 			tx.stampLocked(e)
@@ -941,6 +963,7 @@ func (m *Manager) pruneChainLocked(h *lockHead) {
 		if e.txp.Load() == nil {
 			unlinkHolder(h, e)
 			e.next.Store(nil)
+			e.head = nil
 			m.entryPool.Put(e)
 		}
 		e = next
@@ -950,7 +973,10 @@ func (m *Manager) pruneChainLocked(h *lockHead) {
 // gcStripeLocked sweeps the stripe's empty heads out of the index so the
 // table does not grow with every resource ever touched. Dead heads stay
 // sealed forever; a fast path holding a stale pointer diverts to the slow
-// path, which resolves the resource afresh. Caller holds the stripe mutex.
+// path, which resolves the resource afresh. A head dies only with no live
+// entry and no waiter on it, so an entry still held always points at a
+// live, indexed head — what lets a release skip the lookup (holderEntry.head).
+// Caller holds the stripe mutex.
 func (m *Manager) gcStripeLocked(s *stripe) {
 	s.emptySeen.Store(0)
 	b := s.index.buckets.Load()
@@ -1032,7 +1058,7 @@ func (m *Manager) sweepLocked(s *stripe, h *lockHead) {
 			e := m.takeEntryLocked(rtx)
 			e.txp.Store(rtx)
 			e.setState(target, req.shrt)
-			e.hash = fnv1a(string(req.res))
+			e.head = h
 			pushHolder(h, e)
 			rtx.held[req.res] = e
 		}
@@ -1089,43 +1115,49 @@ func (m *Manager) ReleaseAll(tx *Tx) {
 		tx.mu.Unlock()
 		return
 	}
-	pairs := tb.pairs[:0]
-	for res, e := range tx.held {
-		pairs = append(pairs, heldPair{res, e})
+	entries := tb.entries[:0]
+	for _, e := range tx.held {
+		entries = append(entries, e)
 	}
 	tx.mu.Unlock()
-	// Sole-holder entries release with one CAS; the rest take their
-	// partition mutex one at a time, so there is no cross-partition lock
-	// order to respect here.
-	for i := range pairs {
-		p := &pairs[i]
-		ok, pooled := m.tryFastRelease(p.res, p.e)
-		if !ok {
-			m.releaseOne(p.res, p.e)
-		} else if !pooled {
-			p.e = nil // still chained; the next sealed section repools it
-		}
-	}
+	m.releaseEntries(entries)
 	tx.mu.Lock()
-	for _, p := range pairs {
-		if p.e != nil {
-			m.putEntryLocked(tx, p.e)
-		}
-	}
+	m.repoolLocked(tx, entries)
 	// done is set, so nothing writes held again; a nil map reads as empty.
 	tx.held, tx.tables = nil, nil
 	tx.mu.Unlock()
-	if len(pairs) <= tablesKeep {
+	if len(entries) <= tablesKeep {
 		clear(tb.held)
-		clear(pairs)
-		tb.pairs = pairs[:0]
+		clear(entries)
+		tb.entries = entries[:0]
 		m.tablesPool.Put(tb)
 	}
 }
 
-type heldPair struct {
-	res Resource
-	e   *holderEntry
+// releaseEntries releases each entry through the head it records: a sole
+// holder with one CAS, the rest under their partition mutex one at a time,
+// so there is no cross-partition lock order to respect. An entry a racing
+// grant re-chained ahead of (see tryFastRelease) is set to nil in es: the
+// next sealed section repools it.
+func (m *Manager) releaseEntries(es []*holderEntry) {
+	for i, e := range es {
+		ok, pooled := m.tryFastRelease(e)
+		if !ok {
+			m.releaseOne(e)
+		} else if !pooled {
+			es[i] = nil
+		}
+	}
+}
+
+// repoolLocked recycles the entries releaseEntries left to the caller.
+// Caller holds tx.mu.
+func (m *Manager) repoolLocked(tx *Tx, es []*holderEntry) {
+	for _, e := range es {
+		if e != nil {
+			m.putEntryLocked(tx, e)
+		}
+	}
 }
 
 // tryFastRelease attempts the mutex-free release of a sole-holder entry: if
@@ -1139,7 +1171,7 @@ type heldPair struct {
 // release succeeded but a racing grant re-chained ahead of the (already
 // cleared) entry before it could be unlinked, so the entry must NOT be
 // reused until a sealed section prunes it (finishHeadLocked repools it).
-func (m *Manager) tryFastRelease(res Resource, e *holderEntry) (bool, bool) {
+func (m *Manager) tryFastRelease(e *holderEntry) (bool, bool) {
 	if m.ft == nil {
 		return false, false
 	}
@@ -1148,11 +1180,7 @@ func (m *Manager) tryFastRelease(res Resource, e *holderEntry) (bool, bool) {
 		return false, false
 	}
 	bit := m.ft.bit[mode]
-	s := &m.stripes[e.hash&m.mask]
-	h := s.index.lookup(res, e.hash)
-	if h == nil {
-		return false, false
-	}
+	h := e.head
 	h.inflight.Add(1)
 	w := h.word.Load()
 	if w&wordSealed != 0 || w&wordModeMask != bit ||
@@ -1167,7 +1195,7 @@ func (m *Manager) tryFastRelease(res Resource, e *holderEntry) (bool, bool) {
 	e.txp.Store(nil) // invisible to every reader from here on
 	pooled := h.holders.CompareAndSwap(e, nil)
 	h.inflight.Add(-1)
-	if s.emptySeen.Add(1) >= gcInterval {
+	if s := h.stripe; s.emptySeen.Add(1) >= gcInterval {
 		s.lock()
 		m.gcStripeLocked(s)
 		s.unlock()
@@ -1176,17 +1204,11 @@ func (m *Manager) tryFastRelease(res Resource, e *holderEntry) (bool, bool) {
 }
 
 // releaseOne unlinks one granted entry and sweeps its head. The entry is
-// left for the caller to recycle (it is unreachable once unlinked). The
-// resource hash was cached in the entry at grant time.
-func (m *Manager) releaseOne(res Resource, e *holderEntry) {
-	hash := e.hash
-	s := &m.stripes[hash&m.mask]
+// left for the caller to recycle (it is unreachable once unlinked).
+func (m *Manager) releaseOne(e *holderEntry) {
+	h := e.head
+	s := h.stripe
 	s.lock()
-	h := s.index.lookup(res, hash)
-	if h == nil {
-		s.unlock()
-		return
-	}
 	sealHeadLocked(h)
 	unlinkHolder(h, e)
 	e.txp.Store(nil)
@@ -1202,33 +1224,19 @@ func (m *Manager) releaseOne(res Resource, e *holderEntry) {
 // choose to invalidate it). Only the owner converts its entries, so reading
 // the short flag under tx.mu alone is sound.
 func (m *Manager) ReleaseShort(tx *Tx) {
-	var pairs []heldPair
+	var short []*holderEntry
 	tx.mu.Lock()
 	for res, e := range tx.held {
 		if e.isShort() {
-			pairs = append(pairs, heldPair{res, e})
+			short = append(short, e)
+			delete(tx.held, res)
 		}
-	}
-	for _, p := range pairs {
-		delete(tx.held, p.res)
 	}
 	tx.mu.Unlock()
-	for i := range pairs {
-		p := &pairs[i]
-		ok, pooled := m.tryFastRelease(p.res, p.e)
-		if !ok {
-			m.releaseOne(p.res, p.e)
-		} else if !pooled {
-			p.e = nil
-		}
-	}
-	if len(pairs) > 0 {
+	if len(short) > 0 {
+		m.releaseEntries(short)
 		tx.mu.Lock()
-		for _, p := range pairs {
-			if p.e != nil {
-				m.putEntryLocked(tx, p.e)
-			}
-		}
+		m.repoolLocked(tx, short)
 		tx.mu.Unlock()
 	}
 }

@@ -32,10 +32,18 @@ type headIndex struct {
 	count   int // live slots; guarded by the stripe mutex
 }
 
-// bucketOf picks the bucket from the high hash bits: the low bits already
-// chose the stripe, so they are constant within one index.
+// bucketHash derives the bits that pick a bucket from a resource's FNV-1a
+// hash by Fibonacci hashing. The raw high bits cannot serve: labels that
+// differ only in their last byte, by d, have hashes that differ by about
+// d × (2⁴⁰ + 0x1b3), so one parent's children crowd into a few buckets. The
+// multiply carries every hash bit into bits 32 and up. A variable only so a
+// test can make every resource of a stripe share one bucket.
+var bucketHash = func(hash uint64) uint64 { return hash * 0x9E3779B97F4A7C15 >> 32 }
+
+// bucketOf picks the bucket. The stripe was picked by the hash's low bits
+// (Manager.PartitionOf), which are constant within one index.
 func (b *headBuckets) bucketOf(hash uint64) *atomic.Pointer[headSlot] {
-	return &b.slots[(hash>>32)&b.mask]
+	return &b.slots[bucketHash(hash)&b.mask]
 }
 
 func (ix *headIndex) init() {

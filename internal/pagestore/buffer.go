@@ -140,7 +140,12 @@ func (f *Frame) markClean() {
 type bufShard struct {
 	store *Store
 
-	mu     sync.RWMutex
+	mu sync.RWMutex
+	// hits and misses count Fix outcomes on this shard; Stats and the
+	// buffer.* counters sum them. They sit next to mu, whose cache line
+	// every Fix already writes, so counting costs no line of its own.
+	hits, misses atomic.Uint64
+
 	pages  map[PageID]*Frame
 	frames []*Frame // every frame allocated in this shard
 	free   []*Frame // unmapped frames (recycled after failed loads)
@@ -148,11 +153,11 @@ type bufShard struct {
 	cap    int
 
 	// Per-shard instruments (nil without Config.Metrics; Counter and
-	// Histogram methods no-op on nil). They localize the contention
-	// picture the same way the lock table's PartitionWaits does: which
-	// shard the hits, misses, evictions, and write-back stalls landed on.
-	cHits, cMisses, cEvictions *metrics.Counter
-	hWriteback                 *metrics.Histogram
+	// Histogram methods no-op on nil): which shard the evictions and
+	// write-back stalls landed on (hits and misses are read from the fields
+	// above under buffer.shardNN.hits and .misses).
+	cEvictions *metrics.Counter
+	hWriteback *metrics.Histogram
 }
 
 // Store is the buffer manager: a fixed pool of page frames over a Backend,
@@ -197,8 +202,8 @@ type Store struct {
 	flusherWG   sync.WaitGroup
 	flusherOnce sync.Once
 
-	hits, misses, evictions, writebacks, retries, retryFailures atomic.Uint64
-	flusherWrites, flusherErrors                                atomic.Uint64
+	evictions, writebacks, retries, retryFailures atomic.Uint64
+	flusherWrites, flusherErrors                  atomic.Uint64
 
 	// reg is Config.Metrics. Latency histograms (nil without it): miss-path
 	// load latency (backend read + checksum + retries) and write-back latency
@@ -402,8 +407,8 @@ func OpenConfig(backend Backend, cfg Config) *Store {
 		s.hWriteback = reg.Histogram("buffer.writeback")
 		for i, sh := range s.shards {
 			prefix := fmt.Sprintf("buffer.shard%02d.", i)
-			sh.cHits = reg.Counter(prefix + "hits")
-			sh.cMisses = reg.Counter(prefix + "misses")
+			reg.Func(prefix+"hits", sh.hits.Load)
+			reg.Func(prefix+"misses", sh.misses.Load)
 			sh.cEvictions = reg.Counter(prefix + "evictions")
 			sh.hWriteback = reg.Histogram(prefix + "writeback")
 		}
@@ -420,8 +425,8 @@ func OpenConfig(backend Backend, cfg Config) *Store {
 // registry as snapshot-time computed values; the hot paths keep their
 // existing single atomic adds.
 func (s *Store) registerCounters(reg *metrics.Registry) {
-	reg.Func("buffer.hits", s.hits.Load)
-	reg.Func("buffer.misses", s.misses.Load)
+	reg.Func("buffer.hits", s.hitCount)
+	reg.Func("buffer.misses", s.missCount)
 	reg.Func("buffer.evictions", s.evictions.Load)
 	reg.Func("buffer.writebacks", s.writebacks.Load)
 	reg.Func("buffer.retries", s.retries.Load)
@@ -471,8 +476,7 @@ func (s *Store) Fix(id PageID) (*Frame, error) {
 				f.mu.Unlock()
 				sh.mu.RUnlock()
 				f.ref.Store(true)
-				s.hits.Add(1)
-				sh.cHits.Add(1)
+				sh.hits.Add(1)
 				return f, nil
 			}
 			// The frame is mid-I/O (being loaded, or written back by an
@@ -503,8 +507,7 @@ func (s *Store) Fix(id PageID) (*Frame, error) {
 			return nil, err
 		}
 		s.hFixMiss.Since(t0)
-		s.misses.Add(1)
-		sh.cMisses.Add(1)
+		sh.misses.Add(1)
 		return f, nil
 	}
 }
@@ -813,8 +816,8 @@ func (s *Store) Close() error {
 // atomics; the snapshot is race-clean against concurrent operation.
 func (s *Store) Stats() Stats {
 	return Stats{
-		Hits:          s.hits.Load(),
-		Misses:        s.misses.Load(),
+		Hits:          s.hitCount(),
+		Misses:        s.missCount(),
 		Evictions:     s.evictions.Load(),
 		Writebacks:    s.writebacks.Load(),
 		Retries:       s.retries.Load(),
@@ -822,6 +825,21 @@ func (s *Store) Stats() Stats {
 		FlusherWrites: s.flusherWrites.Load(),
 		FlusherErrors: s.flusherErrors.Load(),
 	}
+}
+
+// hitCount and missCount sum the per-shard Fix counters.
+func (s *Store) hitCount() (n uint64) {
+	for _, sh := range s.shards {
+		n += sh.hits.Load()
+	}
+	return n
+}
+
+func (s *Store) missCount() (n uint64) {
+	for _, sh := range s.shards {
+		n += sh.misses.Load()
+	}
+	return n
 }
 
 // PinnedFrames reports how many frames currently hold at least one pin
