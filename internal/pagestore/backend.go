@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -141,9 +142,11 @@ func (m *MemBackend) Close() error { return nil }
 
 // FileBackend stores pages in a single OS file at offset id*PageSize.
 type FileBackend struct {
-	mu    sync.Mutex
-	f     *os.File
-	pages PageID
+	mu sync.Mutex // serializes Allocate
+	f  *os.File
+	// pages is the page count, read without mu: a read or write of a page
+	// below it needs no lock, so concurrent misses share no line here.
+	pages atomic.Uint32
 }
 
 // OpenFile opens (creating if necessary) a file backend at path. An existing
@@ -162,14 +165,14 @@ func OpenFile(path string) (*FileBackend, error) {
 		f.Close()
 		return nil, fmt.Errorf("pagestore: %s has size %d, not a multiple of %d", path, st.Size(), PageSize)
 	}
-	return &FileBackend{f: f, pages: PageID(st.Size() / PageSize)}, nil
+	b := &FileBackend{f: f}
+	b.pages.Store(uint32(st.Size() / PageSize))
+	return b, nil
 }
 
 // ReadPage implements Backend.
 func (b *FileBackend) ReadPage(id PageID, buf []byte) error {
-	b.mu.Lock()
-	n := b.pages
-	b.mu.Unlock()
+	n := PageID(b.pages.Load())
 	if id >= n {
 		return fmt.Errorf("%w: read %d of %d", ErrPageOutOfRange, id, n)
 	}
@@ -181,9 +184,7 @@ func (b *FileBackend) ReadPage(id PageID, buf []byte) error {
 
 // WritePage implements Backend.
 func (b *FileBackend) WritePage(id PageID, buf []byte) error {
-	b.mu.Lock()
-	n := b.pages
-	b.mu.Unlock()
+	n := PageID(b.pages.Load())
 	if id >= n {
 		return fmt.Errorf("%w: write %d of %d", ErrPageOutOfRange, id, n)
 	}
@@ -197,21 +198,17 @@ func (b *FileBackend) WritePage(id PageID, buf []byte) error {
 func (b *FileBackend) Allocate() (PageID, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	id := b.pages
+	id := PageID(b.pages.Load())
 	var zero [PageSize]byte
 	if _, err := b.f.WriteAt(zero[:], int64(id)*PageSize); err != nil {
 		return InvalidPage, fmt.Errorf("pagestore: extend to page %d: %w", id, err)
 	}
-	b.pages++
+	b.pages.Add(1)
 	return id, nil
 }
 
 // NumPages implements Backend.
-func (b *FileBackend) NumPages() PageID {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.pages
-}
+func (b *FileBackend) NumPages() PageID { return PageID(b.pages.Load()) }
 
 // Sync implements Backend.
 func (b *FileBackend) Sync() error { return b.f.Sync() }

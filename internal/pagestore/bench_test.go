@@ -106,9 +106,9 @@ func runContention(b *testing.B, g int, op func(x uint64)) {
 	b.StopTimer()
 }
 
-// BenchmarkBufferContention measures resident-page Fix/Unfix throughput at
-// 1, 4, and 16 goroutines for the sharded pool and for the single-mutex
-// LRU design it replaced, in the same run. Two scenarios:
+// BenchmarkBufferContention measures Fix/Unfix throughput for the sharded
+// pool and for the single-mutex LRU design it replaced, in the same run.
+// Three scenarios:
 //
 //   - hits: every access is a buffer hit. This isolates raw
 //     synchronization overhead on the hot path.
@@ -121,9 +121,14 @@ func runContention(b *testing.B, g int, op func(x uint64)) {
 //     contention the redesign removes, and it shows even on a single-CPU
 //     host where parallel speedup of the lock-free-I/O hit path is
 //     unobservable.
+//   - cold: cold_jump's shape at 2 goroutines — a 64-frame pool (one
+//     shard), a working set 16 times the pool, a hot set of 8 pages standing
+//     in for the B*-tree inner pages every lookup fixes, 1 access in 16 a
+//     cold page, and no simulated latency: misses sweep and load while hits
+//     on the hot set run beside them.
 //
-// `make bench-buffer` records the results in BENCH_buffer.json; the
-// acceptance ratio is mixed/mutex/g16 over mixed/sharded/g16.
+// hits and mixed run at 1, 4 and 16 goroutines. Run it with
+// `go test -run XXX -bench BenchmarkBufferContention -benchmem ./internal/pagestore/`.
 func BenchmarkBufferContention(b *testing.B) {
 	const (
 		hotPages  = 128
@@ -202,5 +207,59 @@ func BenchmarkBufferContention(b *testing.B) {
 				})
 			}
 		}
+	}
+	benchColdContention(b)
+}
+
+// benchColdContention is BenchmarkBufferContention's cold scenario.
+func benchColdContention(b *testing.B) {
+	const (
+		frames    = 64
+		hotPages  = 8
+		coldPages = 16 * frames
+		coldShift = 4 // 1 cold access per 2^4
+	)
+	s := Open(NewMemBackend(), frames)
+	defer s.Close()
+	newPages := func(n int) []PageID {
+		ids := make([]PageID, n)
+		for i := range ids {
+			f, err := s.FixNew()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids[i] = f.ID()
+			s.Unfix(f)
+		}
+		return ids
+	}
+	cold, hot := newPages(coldPages), newPages(hotPages)
+	if err := s.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	base := newMutexLRU(frames, 0)
+	for _, im := range []struct {
+		name string
+		op   func(PageID)
+	}{
+		{"sharded", func(id PageID) {
+			f, err := s.Fix(id)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			s.Unfix(f)
+		}},
+		{"mutex", func(id PageID) { base.unfix(base.fix(id)) }},
+	} {
+		b.Run("cold/"+im.name+"/g2", func(b *testing.B) {
+			runContention(b, 2, func(x uint64) {
+				if x&(1<<coldShift-1) == 0 {
+					im.op(cold[(x>>16)%coldPages])
+				} else {
+					im.op(hot[(x>>16)%hotPages])
+				}
+			})
+		})
 	}
 }

@@ -35,43 +35,62 @@ type Stats struct {
 	FlusherErrors uint64
 }
 
-// frameState is the I/O state of a frame, guarded by Frame.mu. Transitions
-// out of the in-flight states broadcast Frame.cond.
-type frameState int32
+// frameState is the I/O state of a frame: the high half of Frame.word.
+// Transitions out of the in-flight states (loading, writing) are made under
+// Frame.mu and broadcast Frame.cond.
+type frameState uint32
 
 const (
-	// frameResident: data holds the page image; the frame may be pinned.
-	frameResident frameState = iota
+	// frameFree: the frame is not mapped to any page (new, or recycled after
+	// a failed load and parked on the shard free list).
+	frameFree frameState = iota
 	// frameLoading: a Fix miss owns the frame and is reading its page from
 	// the backend. Nobody may pin it; Fixers of the page wait on cond.
 	frameLoading
+	// frameResident: data holds the page image; the frame may be pinned.
+	frameResident
 	// frameWriting: an evictor, the background flusher, or Flush claimed
 	// the frame and is writing its image to the backend. Nobody may pin
 	// it; Fixers of the page wait on cond.
 	frameWriting
-	// frameFree: the frame is not mapped to any page (recycled after a
-	// failed load, parked on the shard free list).
-	frameFree
 )
+
+// pinMask selects the pin count, the low half of Frame.word.
+const pinMask = 1<<32 - 1
+
+// frameWord packs a state and a pin count into one Frame.word value.
+func frameWord(st frameState, pins uint32) uint64 { return uint64(st)<<32 | uint64(pins) }
 
 // Frame is a pinned buffer slot holding one page. It stays valid (and its
 // page stays in memory) until Unfix is called; a frame must not be used
 // afterwards.
 type Frame struct {
+	// word is the frame's state and pin count in one atomic word, so a pin
+	// and a claim exclude each other by CAS alone: a pin succeeds only on a
+	// resident frame (pin), and the evictor and the flusher claim only a
+	// resident frame with no pins (claim). Nobody pins an in-flight frame.
+	word atomic.Uint64
+	// hits counts Fix hits on this frame; the shard and pool counters sum
+	// it. It shares word's cache line, which every hit writes anyway.
+	hits atomic.Uint64
+	// ref is the CLOCK second-chance bit: set by a Fix when clear, cleared
+	// by the sweep.
+	ref atomic.Bool
+	// The pad keeps the fields below, which a pin holder reads, off the
+	// line the other cores' pins keep taking away.
+	_ [64 - 20]byte
+
+	// id is the page held. Remapped only under shard.mu write-locked while
+	// the frame is claimed or free; stable while the frame is pinned (a
+	// pinner reads it after its CAS) or while shard.mu is held.
+	id    PageID
 	store *Store
 	shard *bufShard
 	data  []byte
 
-	// pins counts active Fixes. It is incremented only under shard.mu
-	// (read-locked) plus mu, so holders of the shard write lock or of mu
-	// that observe zero know no pin can appear underneath them. Decrements
-	// (Unfix) are lock-free.
-	pins atomic.Int32
 	// dirty marks content that must reach the backend before the frame is
 	// recycled.
 	dirty atomic.Bool
-	// ref is the CLOCK second-chance bit, set on every Fix.
-	ref atomic.Bool
 	// recLSN is the LSN of the first log record that dirtied the page since
 	// it last went clean (0 = clean, or dirt that predates the WAL epoch).
 	// It is the page's dirty-page-table entry: a fuzzy checkpoint's redo
@@ -93,13 +112,73 @@ type Frame struct {
 	// the flag is up.
 	influx atomic.Bool
 
-	mu    sync.Mutex
-	cond  *sync.Cond
-	state frameState
-	// id is the page held. Remapped only under shard.mu write-locked with
-	// pins == 0; stable while the frame is pinned or while its mapping is
-	// observed under shard.mu.
-	id PageID
+	// mu and cond let Fixers sleep through a frame's I/O (awaitIO).
+	mu   sync.Mutex
+	cond *sync.Cond
+}
+
+func (f *Frame) state() frameState { return frameState(f.word.Load() >> 32) }
+
+func (f *Frame) pins() uint32 { return uint32(f.word.Load()) }
+
+// pin adds one pin by a CAS that succeeds only on a resident frame, sleeping
+// through I/O in flight. It reports false when the frame was unmapped
+// meanwhile. The frame may have been remapped between the caller's table
+// read and the CAS: the caller checks f.id once it holds the pin.
+func (f *Frame) pin() bool {
+	for {
+		w := f.word.Load()
+		switch frameState(w >> 32) {
+		case frameResident:
+			if f.word.CompareAndSwap(w, w+1) {
+				return true
+			}
+		case frameFree:
+			return false
+		default:
+			f.awaitIO()
+		}
+	}
+}
+
+// unpin drops one pin; false when the frame holds none.
+func (f *Frame) unpin() bool {
+	for {
+		w := f.word.Load()
+		if w&pinMask == 0 {
+			return false
+		}
+		if f.word.CompareAndSwap(w, w-1) {
+			return true
+		}
+	}
+}
+
+// claim moves a resident frame with no pins to frameWriting for the evictor
+// or the flusher: one CAS from (resident, 0 pins), so a pin that lands
+// first makes it fail and no pin can land after it.
+func (f *Frame) claim() bool {
+	return f.word.CompareAndSwap(frameWord(frameResident, 0), frameWord(frameWriting, 0))
+}
+
+// awaitIO sleeps until the frame leaves the in-flight states.
+func (f *Frame) awaitIO() {
+	f.mu.Lock()
+	for st := f.state(); st == frameLoading || st == frameWriting; st = f.state() {
+		f.cond.Wait()
+	}
+	f.mu.Unlock()
+}
+
+// settle ends the frame's I/O: it moves the frame to st, keeping its pins
+// (only Flush claims a pinned frame, and those pins may drop meanwhile), and
+// wakes the Fixers sleeping on it.
+func (f *Frame) settle(st frameState) {
+	f.mu.Lock()
+	for w := f.word.Load(); !f.word.CompareAndSwap(w, frameWord(st, uint32(w))); w = f.word.Load() {
+	}
+	f.cond.Broadcast()
+	f.mu.Unlock()
 }
 
 // ID returns the page ID held by the frame.
@@ -133,20 +212,19 @@ func (f *Frame) markClean() {
 	f.imaged.Store(false)
 }
 
-// bufShard is one partition of the buffer pool: a page table, the frames
-// backing it, and a CLOCK hand. Fix hits take only the shard read lock plus
-// the frame latch; the write lock is held for map surgery only — never
-// across backend I/O or WAL forces.
+// bufShard is one partition of the buffer pool's misses: the frames it may
+// map its pages to, a free list, and a CLOCK hand. Fix hits never touch it.
+// The miss path holds mu for the sweep and the page-table surgery — never
+// across backend I/O or WAL forces; the walkers (flush, trickle,
+// dirty-page table, counters) read the frames under it shared.
 type bufShard struct {
 	store *Store
 
 	mu sync.RWMutex
-	// hits and misses count Fix outcomes on this shard; Stats and the
-	// buffer.* counters sum them. They sit next to mu, whose cache line
-	// every Fix already writes, so counting costs no line of its own.
-	hits, misses atomic.Uint64
+	// misses counts Fix misses on this shard; Stats and the buffer.*
+	// counters sum it with the frames' hit counts.
+	misses atomic.Uint64
 
-	pages  map[PageID]*Frame
 	frames []*Frame // every frame allocated in this shard
 	free   []*Frame // unmapped frames (recycled after failed loads)
 	hand   int      // CLOCK hand over frames
@@ -154,16 +232,21 @@ type bufShard struct {
 
 	// Per-shard instruments (nil without Config.Metrics; Counter and
 	// Histogram methods no-op on nil): which shard the evictions and
-	// write-back stalls landed on (hits and misses are read from the fields
-	// above under buffer.shardNN.hits and .misses).
+	// write-back stalls landed on (hits and misses are summed under
+	// buffer.shardNN.hits and .misses).
 	cEvictions *metrics.Counter
 	hWriteback *metrics.Histogram
 }
 
 // Store is the buffer manager: a fixed pool of page frames over a Backend,
-// partitioned into power-of-two shards with per-shard CLOCK replacement of
-// unpinned frames.
+// found through one lock-free page table and partitioned into power-of-two
+// shards with per-shard CLOCK replacement of unpinned frames.
 type Store struct {
+	// table is what every Fix reads; the pad keeps the fields below, which
+	// misses and captures write, off its cache lines.
+	table pageTable
+	_     [64]byte
+
 	backend   Backend
 	shards    []*bufShard
 	shardMask uint32
@@ -193,6 +276,9 @@ type Store struct {
 	// fixAtParked is a test seam: when set, FixAt calls it between giving up
 	// on the live frame and consulting the version chain.
 	fixAtParked func()
+	// claimParked is a test seam: when set, the CLOCK sweep calls it between
+	// picking a victim and claiming it, holding the shard lock.
+	claimParked func()
 
 	retry    RetryPolicy
 	retryMu  sync.Mutex
@@ -400,14 +486,14 @@ func OpenConfig(backend Backend, cfg Config) *Store {
 		if i < rem {
 			c++
 		}
-		s.shards[i] = &bufShard{store: s, pages: make(map[PageID]*Frame, c), cap: c}
+		s.shards[i] = &bufShard{store: s, cap: c}
 	}
 	if reg := cfg.Metrics; reg != nil {
 		s.hFixMiss = reg.Histogram("buffer.fix_miss")
 		s.hWriteback = reg.Histogram("buffer.writeback")
 		for i, sh := range s.shards {
 			prefix := fmt.Sprintf("buffer.shard%02d.", i)
-			reg.Func(prefix+"hits", sh.hits.Load)
+			reg.Func(prefix+"hits", sh.hitCount)
 			reg.Func(prefix+"misses", sh.misses.Load)
 			sh.cEvictions = reg.Counter(prefix + "evictions")
 			sh.hWriteback = reg.Histogram(prefix + "writeback")
@@ -439,13 +525,16 @@ func (s *Store) registerCounters(reg *metrics.Registry) {
 // Shards reports the effective shard count after clamping.
 func (s *Store) Shards() int { return len(s.shards) }
 
-// shardFor hashes a page ID onto its shard. Multiplicative hashing spreads
-// the sequential IDs Allocate hands out across all shards.
-func (s *Store) shardFor(id PageID) *bufShard {
+// shardHash picks a page's shard. Multiplicative hashing spreads the
+// sequential IDs Allocate hands out across all shards. Only misses call it;
+// it is a variable so a test can put every page in one shard.
+var shardHash = func(id PageID) uint32 {
 	h := uint32(id) * 0x9E3779B1
-	h ^= h >> 16
-	return s.shards[h&s.shardMask]
+	return h ^ h>>16
 }
+
+// shardFor returns the shard whose lock guards the mapping of page id.
+func (s *Store) shardFor(id PageID) *bufShard { return s.shards[shardHash(id)&s.shardMask] }
 
 // Backend exposes the underlying backend (used by tests and tools).
 func (s *Store) Backend() Backend { return s.backend }
@@ -464,34 +553,34 @@ func newFrame(s *Store, sh *bufShard) *Frame {
 
 // Fix pins the page into a frame, reading it from the backend on a miss.
 // Every successful Fix must be paired with exactly one Unfix. A hit on a
-// resident page touches only its shard's read lock and the frame latch.
+// resident page takes no lock: it reads the page table and pins the frame
+// with one CAS, and writes no cache line but that frame's.
 func (s *Store) Fix(id PageID) (*Frame, error) {
-	sh := s.shardFor(id)
 	for {
-		sh.mu.RLock()
-		if f := sh.pages[id]; f != nil {
-			f.mu.Lock()
-			if f.state == frameResident {
-				f.pins.Add(1)
-				f.mu.Unlock()
-				sh.mu.RUnlock()
-				f.ref.Store(true)
-				sh.hits.Add(1)
-				return f, nil
+		if f := s.table.lookup(id); f != nil {
+			// pin sleeps through I/O in flight (a load, or a write-back by
+			// an evictor or the flusher); by the time it succeeds the frame
+			// may hold another page, and then the lookup starts over.
+			if f.pin() {
+				if f.id == id {
+					if !f.ref.Load() {
+						f.ref.Store(true)
+					}
+					f.hits.Add(1)
+					return f, nil
+				}
+				s.Unfix(f)
 			}
-			// The frame is mid-I/O (being loaded, or written back by an
-			// evictor/flusher). Wait on the frame, not the shard, then
-			// retry the lookup from scratch: the frame may belong to a
-			// different page by the time it settles.
-			sh.mu.RUnlock()
-			for f.state == frameLoading || f.state == frameWriting {
-				f.cond.Wait()
-			}
-			f.mu.Unlock()
 			continue
 		}
-		sh.mu.RUnlock()
 
+		// A page-table chunk is as large as the IDs below it: an ID the
+		// backend does not hold (a corrupt page pointer) must fail before it
+		// is mapped, not allocate gigabytes of slots.
+		if n := s.backend.NumPages(); id >= n {
+			return nil, fmt.Errorf("%w: fix %d of %d", ErrPageOutOfRange, id, n)
+		}
+		sh := s.shardFor(id)
 		f, err := sh.alloc(id)
 		if err != nil {
 			return nil, err
@@ -535,10 +624,7 @@ func (s *Store) FixNew() (*Frame, error) {
 	}
 	clear(f.data)
 	f.dirty.Store(true)
-	f.mu.Lock()
-	f.state = frameResident
-	f.cond.Broadcast()
-	f.mu.Unlock()
+	f.settle(frameResident)
 	if s.capture.active.Load() {
 		s.capture.declare(f, true)
 	}
@@ -555,7 +641,7 @@ func (sh *bufShard) alloc(id PageID) (*Frame, error) {
 	s := sh.store
 	for {
 		sh.mu.Lock()
-		if _, ok := sh.pages[id]; ok {
+		if s.table.lookup(id) != nil {
 			sh.mu.Unlock()
 			return nil, nil
 		}
@@ -576,34 +662,32 @@ func (sh *bufShard) alloc(id PageID) (*Frame, error) {
 
 		// CLOCK sweep: up to two revolutions (the first may only clear
 		// reference bits). A victim must be resident, unpinned, and
-		// unreferenced. It is claimed by moving it to frameWriting under
-		// its latch before the shard lock is dropped, which atomically
-		// excludes the background flusher and concurrent Fixers.
+		// unreferenced. It is claimed (claim: a CAS that fails if a Fix
+		// pinned it since) before the shard lock is dropped, which excludes
+		// the background flusher and concurrent Fixers.
 		var victim, inflight *Frame
 		for i := 0; i < 2*len(sh.frames); i++ {
 			f := sh.frames[sh.hand]
 			sh.hand = (sh.hand + 1) % len(sh.frames)
-			f.mu.Lock()
-			if f.state != frameResident {
-				if f.state == frameLoading || f.state == frameWriting {
-					inflight = f
-				}
-				f.mu.Unlock()
+			w := f.word.Load()
+			if st := frameState(w >> 32); st == frameLoading || st == frameWriting {
+				inflight = f
 				continue
 			}
-			if f.pins.Load() != 0 {
-				f.mu.Unlock()
-				continue
+			if w != frameWord(frameResident, 0) {
+				continue // free, or pinned
 			}
 			if f.ref.Load() {
 				f.ref.Store(false)
-				f.mu.Unlock()
 				continue
 			}
-			f.state = frameWriting
-			f.mu.Unlock()
-			victim = f
-			break
+			if s.claimParked != nil {
+				s.claimParked()
+			}
+			if f.claim() {
+				victim = f
+				break
+			}
 		}
 		if victim == nil {
 			sh.mu.Unlock()
@@ -612,16 +696,12 @@ func (sh *bufShard) alloc(id PageID) (*Frame, error) {
 			}
 			// Every unpinned frame is mid-I/O; wait for one to settle and
 			// rescan instead of failing a pool that is about to have room.
-			inflight.mu.Lock()
-			for inflight.state == frameLoading || inflight.state == frameWriting {
-				inflight.cond.Wait()
-			}
-			inflight.mu.Unlock()
+			inflight.awaitIO()
 			continue
 		}
 
 		if !victim.dirty.Load() {
-			delete(sh.pages, victim.id)
+			s.table.remove(victim.id, victim)
 			sh.mapFrameLocked(victim, id)
 			s.evictions.Add(1)
 			sh.cEvictions.Add(1)
@@ -630,9 +710,9 @@ func (sh *bufShard) alloc(id PageID) (*Frame, error) {
 		}
 
 		// Dirty victim: write it back with no shard lock held. The frame
-		// stays mapped in frameWriting, so Fixers of the old page block on
-		// the frame latch — not the whole shard — and cannot pin it while
-		// the backend reads its bytes.
+		// stays mapped in frameWriting, so Fixers of the old page sleep on
+		// the frame — not the shard — and cannot pin it while the backend
+		// reads its bytes.
 		sh.mu.Unlock()
 		err := s.writeBack(victim)
 		sh.mu.Lock()
@@ -640,46 +720,39 @@ func (sh *bufShard) alloc(id PageID) (*Frame, error) {
 			// Requeue: the page stays buffered and dirty — a failed
 			// write-back must never drop content. The error surfaces to
 			// the caller (permanent or retry-exhausted by now).
-			victim.mu.Lock()
-			victim.state = frameResident
-			victim.cond.Broadcast()
-			victim.mu.Unlock()
+			victim.settle(frameResident)
 			sh.mu.Unlock()
 			return nil, err
 		}
 		victim.markClean()
 		s.evictions.Add(1)
 		sh.cEvictions.Add(1)
-		if _, ok := sh.pages[id]; ok {
+		if s.table.lookup(id) != nil {
 			// Someone mapped our target page while we wrote; release the
 			// victim as a clean resident frame and retry the lookup.
-			victim.mu.Lock()
-			victim.state = frameResident
-			victim.cond.Broadcast()
-			victim.mu.Unlock()
+			victim.settle(frameResident)
 			sh.mu.Unlock()
 			return nil, nil
 		}
-		delete(sh.pages, victim.id)
+		s.table.remove(victim.id, victim)
 		sh.mapFrameLocked(victim, id)
 		sh.mu.Unlock()
 		return victim, nil
 	}
 }
 
-// mapFrameLocked binds an unpinned, unmapped (or just-claimed) frame to
-// page id in frameLoading state with one pin for the caller. The caller
-// holds sh.mu write-locked.
+// mapFrameLocked binds a free or just-claimed frame to page id in
+// frameLoading state with one pin for the caller, and enters it in the page
+// table. The caller holds sh.mu write-locked. A Fixer sleeping on the frame
+// under its old page keeps sleeping until the load settles it, then finds
+// that the frame holds another page.
 func (sh *bufShard) mapFrameLocked(f *Frame, id PageID) {
-	f.mu.Lock()
-	f.state = frameLoading
-	f.mu.Unlock()
 	f.id = id
-	f.pins.Store(1)
 	f.ref.Store(true)
 	f.markClean()
 	f.influx.Store(false)
-	sh.pages[id] = f
+	f.word.Store(frameWord(frameLoading, 1))
+	sh.store.table.insert(id, f)
 }
 
 // loadFrame fills a just-mapped frame from the backend and publishes it
@@ -695,19 +768,15 @@ func (s *Store) loadFrame(sh *bufShard, f *Frame, id PageID) error {
 		err = VerifyChecksum(id, f.data)
 	}
 	if err == nil {
-		f.mu.Lock()
-		f.state = frameResident
-		f.cond.Broadcast()
-		f.mu.Unlock()
+		f.settle(frameResident)
 		return nil
 	}
 	sh.mu.Lock()
-	delete(sh.pages, id)
+	s.table.remove(id, f)
 	f.mu.Lock()
-	f.state = frameFree
+	f.word.Store(frameWord(frameFree, 0)) // the loader's pin goes with the mapping
 	f.cond.Broadcast()
 	f.mu.Unlock()
-	f.pins.Store(0)
 	sh.free = append(sh.free, f)
 	sh.mu.Unlock()
 	return err
@@ -746,14 +815,8 @@ func (s *Store) writeBack(f *Frame) error {
 // already-unpinned frame is always a caller bug — the pin count would
 // silently corrupt — so it panics with the frame's page identity.
 func (s *Store) Unfix(f *Frame) {
-	for {
-		n := f.pins.Load()
-		if n <= 0 {
-			panic(fmt.Sprintf("pagestore: Unfix without matching Fix on frame for page %d", f.id))
-		}
-		if f.pins.CompareAndSwap(n, n-1) {
-			return
-		}
+	if !f.unpin() {
+		panic(fmt.Sprintf("pagestore: Unfix without matching Fix on frame for page %d", f.id))
 	}
 }
 
@@ -777,29 +840,36 @@ func (sh *bufShard) flushAll() error {
 	frames := append([]*Frame(nil), sh.frames...)
 	sh.mu.RUnlock()
 	for _, f := range frames {
-		f.mu.Lock()
-		for f.state == frameLoading || f.state == frameWriting {
-			f.cond.Wait()
-		}
-		if f.state != frameResident || !f.dirty.Load() {
-			f.mu.Unlock()
+		if !f.claimDirty() {
 			continue
 		}
-		f.state = frameWriting
-		f.mu.Unlock()
 		err := s.writeBack(f)
-		f.mu.Lock()
-		f.state = frameResident
 		if err == nil {
 			f.markClean()
 		}
-		f.cond.Broadcast()
-		f.mu.Unlock()
+		f.settle(frameResident)
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// claimDirty claims a dirty resident frame for Flush, pinned or not, after
+// sleeping through I/O in flight; false when the frame is clean or free.
+// Like claim it is one CAS from resident, so nobody pins the frame while
+// it is written.
+func (f *Frame) claimDirty() bool {
+	for {
+		w := f.word.Load()
+		if st := frameState(w >> 32); st == frameLoading || st == frameWriting {
+			f.awaitIO()
+		} else if st == frameFree || !f.dirty.Load() {
+			return false
+		} else if f.word.CompareAndSwap(w, frameWord(frameWriting, uint32(w))) {
+			return true
+		}
+	}
 }
 
 // Close stops the background flusher, flushes, and closes the backend.
@@ -827,11 +897,31 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// hitCount and missCount sum the per-shard Fix counters.
-func (s *Store) hitCount() (n uint64) {
+// eachFrame calls fn for every frame of every shard, holding the frame's
+// shard lock shared: no frame is added or remapped meanwhile.
+func (s *Store) eachFrame(fn func(*Frame)) {
 	for _, sh := range s.shards {
-		n += sh.hits.Load()
+		sh.eachFrame(fn)
 	}
+}
+
+func (sh *bufShard) eachFrame(fn func(*Frame)) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	for _, f := range sh.frames {
+		fn(f)
+	}
+}
+
+// hitCount sums the shard's frames' hit counters.
+func (sh *bufShard) hitCount() (n uint64) {
+	sh.eachFrame(func(f *Frame) { n += f.hits.Load() })
+	return n
+}
+
+// hitCount and missCount sum the Fix counters of the whole pool.
+func (s *Store) hitCount() (n uint64) {
+	s.eachFrame(func(f *Frame) { n += f.hits.Load() })
 	return n
 }
 
@@ -844,27 +934,21 @@ func (s *Store) missCount() (n uint64) {
 
 // PinnedFrames reports how many frames currently hold at least one pin
 // (test and debugging aid for pin-leak detection).
-func (s *Store) PinnedFrames() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, f := range sh.frames {
-			if f.pins.Load() > 0 {
-				n++
-			}
+func (s *Store) PinnedFrames() (n int) {
+	s.eachFrame(func(f *Frame) {
+		if f.pins() > 0 {
+			n++
 		}
-		sh.mu.RUnlock()
-	}
+	})
 	return n
 }
 
 // ResidentPages reports how many pages are currently buffered (all shards).
-func (s *Store) ResidentPages() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		n += len(sh.pages)
-		sh.mu.RUnlock()
-	}
+func (s *Store) ResidentPages() (n int) {
+	s.eachFrame(func(f *Frame) {
+		if f.state() != frameFree {
+			n++
+		}
+	})
 	return n
 }

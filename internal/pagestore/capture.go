@@ -126,8 +126,8 @@ func (c *Capture) declare(f *Frame, fresh bool) {
 		e.pushed = c.s.pushVersion(f.id, e.pre[:])
 	}
 	// The capture's own pin. The caller's pin keeps the count above zero, so
-	// adding one here cannot race an evictor that observed the frame unpinned.
-	f.pins.Add(1)
+	// adding one here cannot race an evictor's claim, which needs 0 pins.
+	f.word.Add(1)
 	f.influx.Store(true)
 	c.entries = append(c.entries, e)
 }
@@ -264,7 +264,7 @@ func (c *Capture) Close() {
 		case e.pre != nil:
 			preImages.Put(e.pre)
 		}
-		if n := e.f.pins.Add(-1); n < 0 {
+		if !e.f.unpin() {
 			panic("pagestore: capture pin accounting underflow")
 		}
 		*e = captureEntry{} // the reused slice must not keep a pooled buffer alive

@@ -185,7 +185,7 @@ func TestCapturePinsOnlyDeclaredPages(t *testing.T) {
 	c.Close()
 	for _, sh := range s.shards {
 		for _, f := range sh.frames {
-			if n := f.pins.Load(); n != 0 {
+			if n := f.pins(); n != 0 {
 				t.Errorf("page %d still has %d pins after Close", f.id, n)
 			}
 		}

@@ -29,15 +29,11 @@ type DirtyPage struct {
 func (s *Store) DirtyPageTable() ([]DirtyPage, uint64) {
 	floor := s.captureFloor.Load()
 	var out []DirtyPage
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for id, f := range sh.pages {
-			if f.dirty.Load() {
-				out = append(out, DirtyPage{Page: id, RecLSN: f.recLSN.Load()})
-			}
+	s.eachFrame(func(f *Frame) {
+		if f.dirty.Load() { // only a mapped frame is ever dirty
+			out = append(out, DirtyPage{Page: f.id, RecLSN: f.recLSN.Load()})
 		}
-		sh.mu.RUnlock()
-	}
+	})
 	return out, floor
 }
 

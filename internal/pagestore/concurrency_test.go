@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -77,7 +78,7 @@ func TestUnfixPanicMessage(t *testing.T) {
 		if !strings.Contains(msg, fmt.Sprintf("page %d", id)) {
 			t.Errorf("panic %q does not name page %d", msg, id)
 		}
-		if got := f.pins.Load(); got != 0 {
+		if got := f.pins(); got != 0 {
 			t.Errorf("pin count corrupted to %d by double Unfix", got)
 		}
 	}()
@@ -117,15 +118,20 @@ func checkPage(data []byte, id PageID) (uint32, error) {
 // the layers above the buffer do, so any corruption the test observes is
 // the buffer manager's fault. Run it under -race.
 func TestBufferTorture(t *testing.T) {
+	bufferTorture(t, 256) // half the working set: constant eviction traffic
+}
+
+// bufferTorture runs the torture on a pool of frames frames, requesting 16
+// shards (256 frames clamp to 4).
+func bufferTorture(t *testing.T, frames int) {
 	const (
 		pages   = 512
-		frames  = 256 // half the working set: constant eviction traffic
 		workers = 8
 		iters   = 400
 	)
 	s := OpenConfig(NewMemBackend(), Config{
 		Frames:          frames,
-		shards:          16, // clamps to 4
+		shards:          16,
 		FlusherInterval: 200 * time.Microsecond,
 	})
 	defer s.Close()
@@ -345,9 +351,11 @@ func (l *togglingSyncer) FlushTo(uint64) error {
 // TestFlusherTrickles checks the background flusher writes dirty unpinned
 // frames to the backend without evicting them, and leaves pinned frames
 // alone.
-func TestFlusherTrickles(t *testing.T) {
+func TestFlusherTrickles(t *testing.T) { flusherTrickles(t, 8) }
+
+func flusherTrickles(t *testing.T, frames int) {
 	mb := NewMemBackend()
-	s := OpenConfig(mb, Config{Frames: 8, FlusherInterval: time.Millisecond})
+	s := OpenConfig(mb, Config{Frames: frames, FlusherInterval: time.Millisecond})
 	defer s.Close()
 
 	f, err := s.FixNew()
@@ -397,9 +405,11 @@ func TestFlusherTrickles(t *testing.T) {
 // TestFlusherHonorsWALRule checks the flusher enforces the WAL rule: while
 // the log refuses FlushTo (crashed), dirty pages must not reach the
 // backend; once the log recovers, they trickle out.
-func TestFlusherHonorsWALRule(t *testing.T) {
+func TestFlusherHonorsWALRule(t *testing.T) { flusherHonorsWALRule(t, 8) }
+
+func flusherHonorsWALRule(t *testing.T, frames int) {
 	mb := NewMemBackend()
-	s := OpenConfig(mb, Config{Frames: 8, FlusherInterval: time.Millisecond})
+	s := OpenConfig(mb, Config{Frames: frames, FlusherInterval: time.Millisecond})
 	defer s.Close()
 	log := &togglingSyncer{}
 	log.fail.Store(true)
@@ -446,9 +456,11 @@ func TestFlusherHonorsWALRule(t *testing.T) {
 
 // TestConcurrentSamePageMiss checks that concurrent Fix misses of one page
 // load it exactly once and everybody gets the same frame.
-func TestConcurrentSamePageMiss(t *testing.T) {
+func TestConcurrentSamePageMiss(t *testing.T) { concurrentSamePageMiss(t, 8) }
+
+func concurrentSamePageMiss(t *testing.T, frames int) {
 	mb := NewMemBackend()
-	s := Open(mb, 8)
+	s := Open(mb, frames)
 	f, err := s.FixNew()
 	if err != nil {
 		t.Fatal(err)
@@ -460,11 +472,11 @@ func TestConcurrentSamePageMiss(t *testing.T) {
 	if err := s.Close(); err != nil { // write it out, then reopen cold
 		t.Fatal(err)
 	}
-	s = Open(mb, 8)
+	s = Open(mb, frames)
 	defer s.Close()
 
 	const workers = 16
-	frames := make([]*Frame, workers)
+	got := make([]*Frame, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -475,15 +487,15 @@ func TestConcurrentSamePageMiss(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			frames[i] = f
+			got[i] = f
 		}(w)
 	}
 	wg.Wait()
-	for _, f := range frames {
+	for _, f := range got {
 		if f == nil {
 			t.Fatal("a worker failed to fix the page")
 		}
-		if f != frames[0] {
+		if f != got[0] {
 			t.Fatal("concurrent misses produced distinct frames for one page")
 		}
 		if f.Data()[PageHeaderSize] != 'x' {
@@ -494,10 +506,278 @@ func TestConcurrentSamePageMiss(t *testing.T) {
 	if st.Misses != 1 {
 		t.Errorf("misses = %d, want 1 (single load)", st.Misses)
 	}
-	for range frames {
-		s.Unfix(frames[0])
+	for range got {
+		s.Unfix(got[0])
 	}
 	if s.PinnedFrames() != 0 {
 		t.Error("pins leaked")
+	}
+}
+
+// collideShards puts every page in shard 0 until the test ends — the
+// registry test of apache-lucy's LockFreeRegistry, whose keys hash to 1.
+// Stores opened meanwhile must be closed before the test returns.
+func collideShards(t *testing.T) {
+	old := shardHash
+	shardHash = func(PageID) uint32 { return 0 }
+	t.Cleanup(func() { shardHash = old })
+}
+
+// TestSuitesInOneShard runs the torture, small-pool, same-page-miss and
+// flusher suites again on a 1024-frame pool of 16 shards whose pages all
+// land in shard 0: the page table is shared by every shard, and a pool whose
+// misses crowd one shard must behave like a pool of that shard's 64 frames.
+func TestSuitesInOneShard(t *testing.T) {
+	collideShards(t)
+	const frames, usable = 1024, 1024 / DefaultShards
+	t.Run("torture", func(t *testing.T) { bufferTorture(t, frames) })
+	t.Run("all-pinned", func(t *testing.T) { bufferAllPinned(t, frames, usable) })
+	t.Run("eviction-writes-back", func(t *testing.T) { bufferEvictionWritesBack(t, frames, usable) })
+	t.Run("same-page-miss", func(t *testing.T) { concurrentSamePageMiss(t, frames) })
+	t.Run("flusher-trickles", func(t *testing.T) { flusherTrickles(t, frames) })
+	t.Run("flusher-wal-rule", func(t *testing.T) { flusherHonorsWALRule(t, frames) })
+}
+
+// newPage creates a page tagged with tag through FixNew and returns it
+// pinned.
+func newPage(t *testing.T, s *Store, tag byte) *Frame {
+	t.Helper()
+	f, err := s.FixNew()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Data()[PageHeaderSize] = tag
+	return f
+}
+
+// parkFirstClaim makes the first victim claim of s park, holding its shard
+// lock, until the returned release is called; parked is closed once it
+// has.
+func parkFirstClaim(s *Store) (parked chan struct{}, release func()) {
+	parked, resume := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s.claimParked = func() {
+		once.Do(func() {
+			close(parked)
+			<-resume
+		})
+	}
+	return parked, func() { close(resume) }
+}
+
+// fixAsync fixes id on its own goroutine; the result arrives on the channel.
+func fixAsync(s *Store, id PageID) chan fixResult {
+	c := make(chan fixResult, 1)
+	go func() {
+		f, err := s.Fix(id)
+		c <- fixResult{f, err}
+	}()
+	return c
+}
+
+type fixResult struct {
+	f   *Frame
+	err error
+}
+
+// await receives from c or fails the test after a bound.
+func await[T any](t *testing.T, c chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-c:
+		return v
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: no result after 5 s", what)
+		panic("unreachable")
+	}
+}
+
+// awaitStack waits until some goroutine's stack holds fn, or fails the test
+// after a bound.
+func awaitStack(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if strings.Contains(string(buf[:runtime.Stack(buf, true)]), fn) {
+			return
+		}
+	}
+	t.Fatalf("no goroutine reached %s after 5 s", fn)
+}
+
+// TestHitDoesNotWaitForClaim parks a miss in its victim claim, where it owns
+// the shard's sweep, and fixes another resident page of the same shard: the
+// hit must return while the miss is still parked. With the hit under the
+// shard lock, it waited for the whole sweep.
+func TestHitDoesNotWaitForClaim(t *testing.T) {
+	s := Open(NewMemBackend(), 3) // one shard
+	defer s.Close()
+	victim, hit, held := newPage(t, s, 'v'), newPage(t, s, 'h'), newPage(t, s, 'p')
+	s.Unfix(victim)
+	s.Unfix(hit)
+	defer s.Unfix(held)
+	cold, err := s.Backend().Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The sweep clears victim's and hit's reference bits, skips held, and
+	// parks on victim.
+	parked, release := parkFirstClaim(s)
+	miss := fixAsync(s, cold)
+	await(t, parked, "miss reaching its claim")
+
+	got := fixAsync(s, hit.ID())
+	var r fixResult
+	select {
+	case r = <-got:
+	case <-time.After(2 * time.Second):
+		t.Error("a Fix hit waited for a miss parked in its victim claim")
+		release()
+		r = await(t, got, "hit after the release")
+	}
+	if r.err != nil || r.f != hit {
+		t.Errorf("Fix(hit) = %p, %v; want the resident frame %p", r.f, r.err, hit)
+	} else {
+		s.Unfix(r.f)
+	}
+	if !t.Failed() {
+		release()
+	}
+	if r := await(t, miss, "parked miss"); r.err != nil {
+		t.Fatal(r.err)
+	} else {
+		s.Unfix(r.f)
+	}
+}
+
+// TestClaimLosesToAPin pins the victim a sweep has picked while the sweep is
+// parked before claiming it: the claim must fail, because it is one CAS
+// from (resident, 0 pins), and the sweep must take another frame. A claim
+// that flipped the state without the pin count in the same CAS would remap
+// the pinned frame underneath its holder.
+func TestClaimLosesToAPin(t *testing.T) {
+	s := Open(NewMemBackend(), 3) // one shard
+	defer s.Close()
+	victim, spare, held := newPage(t, s, 'v'), newPage(t, s, 's'), newPage(t, s, 'p')
+	v := victim.ID()
+	s.Unfix(victim)
+	s.Unfix(spare)
+	defer s.Unfix(held)
+	cold, err := s.Backend().Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, release := parkFirstClaim(s)
+	miss := fixAsync(s, cold)
+	await(t, parked, "miss reaching its claim")
+	f, err := s.Fix(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Unfix(f)
+	release()
+	r := await(t, miss, "parked miss")
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	defer s.Unfix(r.f)
+	if r.f != spare {
+		t.Errorf("the miss took frame %p, want the unpinned spare %p", r.f, spare)
+	}
+	if f.ID() != v || f.Data()[PageHeaderSize] != 'v' {
+		t.Errorf("pinned frame of page %d now holds page %d (tag %q): claimed under its pin",
+			v, f.ID(), f.Data()[PageHeaderSize])
+	}
+}
+
+// gatedWrites holds every WritePage until open is closed, and closes
+// entered when the first one arrives.
+type gatedWrites struct {
+	Backend
+	entered, open chan struct{}
+	once          sync.Once
+}
+
+func (g *gatedWrites) WritePage(id PageID, buf []byte) error {
+	g.once.Do(func() { close(g.entered) })
+	<-g.open
+	return g.Backend.WritePage(id, buf)
+}
+
+// TestPinRechecksRemappedFrame puts a Fixer to sleep on a frame whose page
+// is being evicted: the write-back is held, then released, and the frame is
+// remapped to the evicting miss's page and loaded. The Fixer wakes to a
+// resident frame and pins it, and only the check after the pin tells it the
+// frame now holds another page; it must look again and load its own.
+func TestPinRechecksRemappedFrame(t *testing.T) {
+	g := &gatedWrites{Backend: NewMemBackend(), entered: make(chan struct{}), open: make(chan struct{})}
+	s := Open(g, 3) // one shard
+	defer s.Close()
+	fa := newPage(t, s, 'a')
+	a := fa.ID()
+	s.Unfix(fa)
+	held, spare := newPage(t, s, 'p'), newPage(t, s, 's')
+	defer s.Unfix(held)
+	b, err := g.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	missB := fixAsync(s, b) // evicts a, the only unpinned page, and writes it back
+	await(t, g.entered, "write-back of the victim")
+	s.Unfix(spare) // the frame a's second miss will take
+	fixA := fixAsync(s, a)
+	awaitStack(t, "pagestore.(*Frame).awaitIO") // Fix(a) sleeps on a's frame
+	close(g.open)
+
+	rb := await(t, missB, "Fix(b)")
+	if rb.err != nil {
+		t.Fatal(rb.err)
+	}
+	defer s.Unfix(rb.f)
+	ra := await(t, fixA, "Fix(a)")
+	if ra.err != nil {
+		t.Fatal(ra.err)
+	}
+	defer s.Unfix(ra.f)
+	if ra.f.ID() != a || ra.f.Data()[PageHeaderSize] != 'a' {
+		t.Errorf("Fix(%d) returned the frame of page %d (tag %q)", a, ra.f.ID(), ra.f.Data()[PageHeaderSize])
+	}
+}
+
+// TestTableSlotsTileThePageSpace checks that the page table's chunks cover
+// every PageID exactly once, in order: each chunk starts where the one
+// before it ends, at offset 0, and the last ends at 2^32.
+func TestTableSlotsTileThePageSpace(t *testing.T) {
+	var next uint64
+	for k := range len(pageTable{}.chunks) {
+		gk, off, size := tableSlot(PageID(next))
+		if gk != k || off != 0 {
+			t.Fatalf("page %d: chunk %d offset %d, want chunk %d offset 0", next, gk, off, k)
+		}
+		last := next + uint64(size) - 1
+		if gk, off, _ := tableSlot(PageID(last)); gk != k || off != size-1 {
+			t.Fatalf("page %d: chunk %d offset %d, want chunk %d offset %d", last, gk, off, k, size-1)
+		}
+		next = last + 1
+	}
+	if next != 1<<32 {
+		t.Errorf("chunks end at %d, want 2^32", next)
+	}
+}
+
+// TestFixOutOfRangeMapsNothing fixes a page far beyond the backend: the
+// error is the backend's, and no page-table chunk is allocated for it.
+func TestFixOutOfRangeMapsNothing(t *testing.T) {
+	s := Open(NewMemBackend(), 8)
+	defer s.Close()
+	f := newPage(t, s, 'x')
+	s.Unfix(f)
+	if _, err := s.Fix(InvalidPage - 1); !errors.Is(err, ErrPageOutOfRange) {
+		t.Fatalf("Fix far beyond the backend: %v, want ErrPageOutOfRange", err)
+	}
+	for k := 1; k < len(s.table.chunks); k++ {
+		if s.table.chunks[k].Load() != nil {
+			t.Errorf("chunk %d allocated for a page the backend does not hold", k)
+		}
 	}
 }

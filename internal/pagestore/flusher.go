@@ -76,40 +76,32 @@ func (s *Store) FlushDirty() {
 }
 
 // trickle writes back the shard's dirty unpinned frames. Candidates are
-// collected under the read lock; each is then claimed via the frameWriting
-// protocol under its own latch, which re-validates the frame (it may have
-// been pinned, evicted, or cleaned since the scan) and excludes concurrent
-// evictors. Pins only appear under the frame latch, so the pins == 0 check
-// inside the latch is authoritative: once the frame is in frameWriting no
-// Fix can pin it until the write finishes.
+// collected under the read lock; each is then claimed like an eviction
+// victim (Frame.claim), which re-validates the frame (it may have been
+// pinned or evicted since the scan) and excludes concurrent evictors and
+// Fixers: once the frame is in frameWriting no Fix can pin it until the
+// write finishes. Dirt is checked after the claim, when nobody can clean the
+// frame underneath.
 func (sh *bufShard) trickle() {
 	s := sh.store
-	sh.mu.RLock()
 	var cands []*Frame
-	for _, f := range sh.frames {
-		if f.dirty.Load() && f.pins.Load() == 0 {
+	sh.eachFrame(func(f *Frame) {
+		if f.dirty.Load() && f.pins() == 0 {
 			cands = append(cands, f)
 		}
-	}
-	sh.mu.RUnlock()
+	})
 	for _, f := range cands {
-		f.mu.Lock()
-		if f.state != frameResident || f.pins.Load() != 0 || !f.dirty.Load() {
-			f.mu.Unlock()
+		if !f.claim() {
 			continue
 		}
-		f.state = frameWriting
-		f.mu.Unlock()
-		err := s.writeBack(f)
-		f.mu.Lock()
-		f.state = frameResident
-		if err == nil {
-			f.markClean()
-			s.flusherWrites.Add(1)
-		} else {
-			s.flusherErrors.Add(1)
+		if f.dirty.Load() {
+			if err := s.writeBack(f); err == nil {
+				f.markClean()
+				s.flusherWrites.Add(1)
+			} else {
+				s.flusherErrors.Add(1)
+			}
 		}
-		f.cond.Broadcast()
-		f.mu.Unlock()
+		f.settle(frameResident)
 	}
 }

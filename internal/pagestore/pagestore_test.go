@@ -129,11 +129,15 @@ func TestBufferFixUnfix(t *testing.T) {
 	}
 }
 
-func TestBufferEvictionWritesBack(t *testing.T) {
+func TestBufferEvictionWritesBack(t *testing.T) { bufferEvictionWritesBack(t, 2, 2) }
+
+// bufferEvictionWritesBack writes twice as many pages as a pool of frames
+// frames can use (usable) through it, then reads them all back.
+func bufferEvictionWritesBack(t *testing.T, frames, usable int) {
 	mb := NewMemBackend()
-	s := Open(mb, 2)
+	s := Open(mb, frames)
 	var ids []PageID
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 2*usable; i++ {
 		f, err := s.FixNew()
 		if err != nil {
 			t.Fatal(err)
@@ -143,10 +147,11 @@ func TestBufferEvictionWritesBack(t *testing.T) {
 		ids = append(ids, f.ID())
 		s.Unfix(f)
 	}
-	// Pool of 2 held 4 pages: at least 2 evictions with write-back.
+	// The pool held twice what it can: at least usable evictions with
+	// write-back.
 	st := s.Stats()
-	if st.Evictions < 2 || st.Writebacks < 2 {
-		t.Errorf("stats = %+v, want >=2 evictions and writebacks", st)
+	if st.Evictions < uint64(usable) || st.Writebacks < uint64(usable) {
+		t.Errorf("stats = %+v, want >=%d evictions and writebacks", st, usable)
 	}
 	// All pages readable with correct content, whether buffered or not.
 	for i, id := range ids {
@@ -155,7 +160,7 @@ func TestBufferEvictionWritesBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		if f.Data()[0] != byte(i+1) {
-			t.Errorf("page %d content %d, want %d", id, f.Data()[0], i+1)
+			t.Errorf("page %d content %d, want %d", id, f.Data()[0], byte(i+1))
 		}
 		s.Unfix(f)
 	}
@@ -164,19 +169,33 @@ func TestBufferEvictionWritesBack(t *testing.T) {
 	}
 }
 
-func TestBufferAllPinned(t *testing.T) {
-	s := Open(NewMemBackend(), 2)
+func TestBufferAllPinned(t *testing.T) { bufferAllPinned(t, 2, 2) }
+
+// bufferAllPinned pins usable fresh pages in a pool of frames frames: the
+// next FixNew finds no frame until one of them is unpinned.
+func bufferAllPinned(t *testing.T, frames, usable int) {
+	s := Open(NewMemBackend(), frames)
 	defer s.Close()
-	f1, _ := s.FixNew()
-	f2, _ := s.FixNew()
+	pinned := make([]*Frame, usable)
+	for i := range pinned {
+		f, err := s.FixNew()
+		if err != nil {
+			t.Fatalf("FixNew %d of %d: %v", i+1, usable, err)
+		}
+		pinned[i] = f
+	}
 	if _, err := s.FixNew(); !errors.Is(err, ErrNoFrames) {
 		t.Errorf("expected ErrNoFrames, got %v", err)
 	}
-	s.Unfix(f2)
-	if _, err := s.FixNew(); err != nil {
-		t.Errorf("after Unfix, FixNew should succeed: %v", err)
+	s.Unfix(pinned[usable-1])
+	f, err := s.FixNew()
+	if err != nil {
+		t.Fatalf("after Unfix, FixNew should succeed: %v", err)
 	}
-	s.Unfix(f1)
+	s.Unfix(f)
+	for _, f := range pinned[:usable-1] {
+		s.Unfix(f)
+	}
 }
 
 func TestBufferDoublePin(t *testing.T) {

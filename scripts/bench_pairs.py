@@ -8,7 +8,8 @@ the working tree, runs N pairs per workload with the order flipped each pair
 (`-trace 0`: the end-to-end metrics only), and prints, per workload and
 end-to-end metric of BENCHMARK.json, each side's median and quartiles, the
 change of the median, and how many pairs the working tree won (ties count
-for neither). Extra arguments for the benchmark go in BENCH_FLAGS, e.g.
+for neither). One more row, marked ungated, is bench.txn_p99_us, which the
+run prints but leaves out of its JSON line. Extra arguments for the benchmark go in BENCH_FLAGS, e.g.
 BENCH_FLAGS="-seed 7".
 
 With TRACE=1 the pairs are traced runs (`-trace 1`) and the rows are the
@@ -30,13 +31,24 @@ def build(src, out):
     subprocess.run(["go", "build", "-o", out, "./bench"], cwd=src, check=True)
 
 
+# P99 is the tail latency an untraced run prints but leaves out of its JSON
+# line; the pairs report it as one more row, marked ungated.
+P99 = {"name": "bench.txn_p99_us", "better": "lower", "ungated": True}
+
+
 def run(binary, cwd, workload, flags, trace):
     cmd = [binary, "-workload", workload, "-trace", trace] + flags
     out = subprocess.run(cmd, cwd=cwd, check=True, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True).stdout
-    res = json.loads(out.strip().splitlines()[-1])
+    lines = out.strip().splitlines()
+    res = json.loads(lines[-1])
     if not res["correct"] or res["failed"]:
         sys.exit(f"{cwd}: {workload}: correct={res['correct']} failed={res['failed']} of {res['attempted']}")
-    return {k: v["value"] for k, v in res["metrics"].items()}
+    values = {k: v["value"] for k, v in res["metrics"].items()}
+    if trace == "0":
+        for line in lines:
+            if line.split()[:1] == [P99["name"]]:
+                values[P99["name"]] = float(line.split()[1])
+    return values
 
 
 def quartiles(xs):
@@ -55,7 +67,7 @@ def main():
     workloads = sys.argv[3:] or [w["name"] for w in spec["workloads"]]
     flags = shlex.split(os.environ.get("BENCH_FLAGS", ""))
     trace = "1" if os.environ.get("TRACE", "0") not in ("", "0") else "0"
-    metrics = spec["end_to_end"]
+    metrics = spec["end_to_end"] + [P99]
     if trace == "1":
         layer = {m["name"]: m for m in spec["per_layer"]}
         names = os.environ.get("METRICS", "").split() or ["node.alloc_kb_per_txn", "node.allocs_per_txn"]
@@ -73,7 +85,7 @@ def main():
         for binary, cwd in sides.values():
             build(cwd, binary)
 
-        width = max(len(m["name"]) for m in metrics) + 2
+        width = max(len(m["name"]) + 10 * m.get("ungated", False) for m in metrics) + 2
         print(f"parent {parent}, {n} alternating {'traced ' if trace == '1' else ''}pairs, flags {flags or '-'}")
         print(f"{'workload':<11}{'metric':<{width}}{'parent med [q1, q3]':>34}{'change med [q1, q3]':>34}{'delta':>9}{'wins':>7}")
         for w in workloads:
@@ -84,8 +96,9 @@ def main():
                 print(f"  {w}: pair {i + 1}/{n}", file=sys.stderr)
             for m in metrics:
                 name, sign = m["name"], 1 if m["better"] == "higher" else -1
+                label = name + (" (ungated)" if m.get("ungated") else "")
                 if any(name not in r for r in runs["parent"] + runs["change"]):
-                    print(f"{w:<11}{name:<{width}}{'not reported on this workload':>34}", flush=True)
+                    print(f"{w:<11}{label:<{width}}{'not reported on this workload':>34}", flush=True)
                     continue
                 p = [r[name] for r in runs["parent"]]
                 c = [r[name] for r in runs["change"]]
@@ -93,7 +106,7 @@ def main():
                 ties = sum(a == b for a, b in zip(p, c))
                 cell = lambda xs: "{1:.5g} [{0:.5g}, {2:.5g}]".format(*quartiles(xs))
                 delta = (statistics.median(c) / statistics.median(p) - 1) * 100 if statistics.median(p) else float("nan")
-                print(f"{w:<11}{name:<{width}}{cell(p):>34}{cell(c):>34}{delta:>+8.1f}%{wins:>4}/{n - ties}", flush=True)
+                print(f"{w:<11}{label:<{width}}{cell(p):>34}{cell(c):>34}{delta:>+8.1f}%{wins:>4}/{n - ties}", flush=True)
 
 
 if __name__ == "__main__":
