@@ -81,7 +81,7 @@ verify:
 	$(GO) vet ./...
 	$(MAKE) -s loc-check no-blobs
 	$(GO) test -race ./...
-	$(GO) test -run 'TestAlloc' ./internal/lock/ ./internal/server/ ./internal/client/ ./internal/storage/ ./internal/wal/ ./internal/node/ ./internal/pagestore/
+	$(GO) test -run 'TestAlloc' ./internal/lock/ ./internal/server/ ./internal/client/ ./internal/storage/ ./internal/wal/ ./internal/node/ ./internal/pagestore/ ./internal/btree/
 	$(GO) test -race -count=20 -run 'TestLoopbackTaMixAllProtocols/snapshot' ./internal/bibserve/
 
 # fuzz runs every fuzz target of the repository for 10 s of new inputs, one
@@ -108,7 +108,7 @@ loc:
 # are a goal): it fails when loc's total exceeds LOC_BUDGET, the total of the
 # last PR that moved it. A PR that needs more lines raises the number here,
 # in the open, and says why in its CHANGES.md row; one that deletes lowers it.
-LOC_BUDGET := 15363
+LOC_BUDGET := 15387
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_BUDGET) ]; then \

@@ -1,0 +1,52 @@
+//go:build !race
+
+// Allocation-regression guard for the latch path. The race detector changes
+// allocation behaviour, so this runs only in the non-race suite (make verify
+// runs both).
+
+package btree
+
+import (
+	"fmt"
+	"testing"
+)
+
+// TestAllocCursorLatch pins the latch at zero allocations: a cursor opened
+// and closed on a resident tree, and an Insert into a leaf with room, take
+// and release the tree latch through spin.Lock, whose method-value arguments
+// must stay on the stack.
+func TestAllocCursorLatch(t *testing.T) {
+	tr := newTree(t)
+	for i := 0; i < 100; i++ {
+		if err := tr.Insert([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 200
+	found := []byte("k0050")
+	if avg := testing.AllocsPerRun(runs, func() {
+		c := tr.Cursor()
+		if !c.Find(found) {
+			t.Fatal("k0050 not found")
+		}
+		c.Close()
+	}); avg != 0 {
+		t.Errorf("cursor open, find and close allocates %.1f times, want 0", avg)
+	}
+	fresh := make([][]byte, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range fresh {
+		fresh[i] = []byte(fmt.Sprintf("m%04d", i))
+	}
+	i := 0
+	if avg := testing.AllocsPerRun(runs, func() {
+		if err := tr.Insert(fresh[i], []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); avg != 0 {
+		t.Errorf("Insert into a leaf with room allocates %.1f times, want 0", avg)
+	}
+	if st, err := tr.Stats(); err != nil || st.LeafPages != 1 {
+		t.Errorf("fixture: %d leaves (%v), want the inserts to fit one", st.LeafPages, err)
+	}
+}

@@ -34,6 +34,7 @@ import (
 	"fmt"
 
 	"repro/internal/pagestore"
+	"repro/internal/spin"
 	"repro/internal/splid"
 	"repro/internal/wal"
 	"repro/internal/xmlmodel"
@@ -159,7 +160,9 @@ func (d *Document) metaSig() metaSig {
 // any, then undo payload, then error); its logical undo payload (nil when
 // the operation needs no undo, dropped when it failed) goes into the record
 // and to the acting transaction; with no WAL attached the transaction is
-// the only taker.
+// the only taker. A writer waiting for the latch spins before it parks
+// (spin.Lock): the latch is held for one mutation and its log append, less
+// than it costs to wake a parked goroutine.
 //
 // Page deltas are logged even when fn errors: a failed operation may have
 // mutated pages before failing (the runtime treats that as residue for the
@@ -167,7 +170,7 @@ func (d *Document) metaSig() metaSig {
 // pool holds, or the pageLSN chain would lie.
 func (t TxDoc) logOp(fn func() (undo []byte, err error)) error {
 	d := t.d
-	d.latch.Lock()
+	spin.Lock(d.latch.TryLock, d.latch.Lock)
 	defer d.latch.Unlock()
 	var cap *pagestore.Capture
 	if d.wal != nil {
