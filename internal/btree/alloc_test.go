@@ -50,3 +50,22 @@ func TestAllocCursorLatch(t *testing.T) {
 		t.Errorf("fixture: %d leaves (%v), want the inserts to fit one", st.LeafPages, err)
 	}
 }
+
+// TestAllocHintedSeek pins a hinted cursor at zero allocations, whether the
+// remembered leaf answers its seek or the probe fails and it descends.
+func TestAllocHintedSeek(t *testing.T) {
+	tr := hintTree(t, 256, 0, 300, 1000)
+	start := remember(t, tr, hintKey(100))
+	for _, target := range [][]byte{hintKey(101), hintKey(250)} {
+		if avg := testing.AllocsPerRun(200, func() {
+			h := start
+			c := tr.HintedCursor(&h)
+			if !c.Find(target) {
+				t.Fatalf("%s not found", target)
+			}
+			c.Close()
+		}); avg != 0 {
+			t.Errorf("a hinted seek of %s allocates %.1f times, want 0", target, avg)
+		}
+	}
+}

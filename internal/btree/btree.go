@@ -14,6 +14,23 @@
 // this layer (that is the paper's subject); the tree only needs to be
 // internally consistent.
 //
+// Splits: a full page splits 50/50 by cell bytes, except an insert that
+// lands past the last key of the rightmost leaf. That leaf is recompressed
+// and, if the key still does not fit, the key opens a new rightmost leaf of
+// its own (adopting the old leaf's prefix) and the old leaf stays full — the
+// rightmost-page split of SQLite's quickbalance and PostgreSQL. The document
+// is generated, imported and relabeled in key order, so its leaves fill.
+//
+// Leaf memory: a cursor opened with a Hint (HintedCursor) starts at the leaf
+// the hint's previous cursor closed on. It pins that leaf only if it is
+// resident (pagestore.Store.FixResident: a guess never costs a miss) and uses
+// it only if it is a leaf whose own keys bracket the target; otherwise it
+// descends. A stale hint cannot mislead: no writer runs under the read
+// latch, the only leaf that can hold t is one with keys a < t <= b or t
+// itself, and a page the tree frees goes only to its own free list while the
+// store never reuses a page ID — so the remembered page is a live leaf of the
+// tree, an emptied one, or an internal page. Snapshot views never hint.
+//
 // Deletion is lazy: pages may become underfull, and a page is reclaimed
 // (onto an in-memory free list) only when it empties completely. This suits
 // the benchmark workloads, where subtree deletions remove contiguous key
@@ -214,7 +231,8 @@ func childAt(p []byte, i int) pagestore.PageID {
 
 // search finds the first slot whose full key is >= key; found reports an
 // exact match at that slot. The page prefix is compared once, then the
-// binary search runs on suffixes only.
+// binary search runs on suffixes only: it reads the slot array's base once,
+// slices no value, and settles most probes on their first byte.
 func search(p []byte, key []byte) (slot int, found bool) {
 	pl := prefixLen(p)
 	if pl > 0 {
@@ -235,14 +253,22 @@ func search(p []byte, key []byte) (slot int, found bool) {
 		}
 		key = key[pl:]
 	}
+	base := headerLen + pl
 	lo, hi := 0, nCells(p)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		k, _ := cellAt(p, mid)
-		switch bytes.Compare(k, key) {
-		case -1:
+		mid := int(uint(lo+hi) >> 1)
+		off := int(binary.BigEndian.Uint16(p[base+2*mid:])) + cellHeaderLen
+		k := p[off : off+int(binary.BigEndian.Uint16(p[off-cellHeaderLen:]))]
+		var c int
+		if len(k) > 0 && len(key) > 0 && k[0] != key[0] {
+			c = int(k[0]) - int(key[0])
+		} else {
+			c = bytes.Compare(k, key)
+		}
+		switch {
+		case c < 0:
 			lo = mid + 1
-		case 0:
+		case c == 0:
 			return mid, true
 		default:
 			hi = mid

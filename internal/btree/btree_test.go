@@ -404,9 +404,15 @@ func concurrentReaders(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
+			var h Hint // every other read starts from the leaf the last one left
 			for i := 0; i < 300; i++ {
 				n := rng.Intn(2000)
-				v, err := tr.Get([]byte(fmt.Sprintf("k%05d", n)))
+				k := []byte(fmt.Sprintf("k%05d", n))
+				get := tr.Get
+				if i%2 == 1 {
+					get = func(k []byte) ([]byte, error) { return hintedGet(tr, &h, k) }
+				}
+				v, err := get(k)
 				if err != nil || string(v) != fmt.Sprintf("v%d", n) {
 					t.Errorf("get %d = %q, %v", n, v, err)
 					return

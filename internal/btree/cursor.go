@@ -26,7 +26,9 @@ type View struct {
 // writer's in-place page mutations — and at most one pinned page: the leaf it
 // stands on. A seek whose target lies inside that leaf's key range is a
 // binary search, not a descent; a target just past the leaf is looked for in
-// the next leaf first. A cursor belongs to one goroutine, must be closed, and
+// the next leaf first. A cursor opened with a Hint answers its first seek from
+// the leaf its predecessor closed on, when that leaf is still buffered and
+// brackets the target. A cursor belongs to one goroutine, must be closed, and
 // must not be held across anything that waits for a writer of its tree.
 //
 // The position runs from just before the first key to just past the last:
@@ -49,15 +51,39 @@ type Cursor struct {
 	limit   [MaxKeyLen + 1]byte
 	nlimit  int
 	bounded bool
+	hint    *Hint // the leaf memory the cursor starts from and leaves its leaf in
+}
+
+// Hint is a leaf memory on one tree: the leaf the last cursor opened with it
+// stood on when it closed. The zero Hint remembers nothing. It is a guess
+// that can cost a descent but never give a wrong answer (the package comment
+// says why). A hint belongs to one goroutine at a time, like a cursor.
+type Hint struct {
+	t  *Tree
+	id pagestore.PageID
 }
 
 // Cursor opens a cursor on the view; the caller must Close it.
 func (v *View) Cursor() Cursor { return Cursor{v: v, latch: v.t.mu.rlock()} }
 
+// HintedCursor opens a cursor whose first Seek or SeekLT tries the leaf h
+// remembers before it descends, and which remembers its own last leaf in h
+// when it closes. A snapshot view ignores h; a nil h is no hint.
+func (v *View) HintedCursor(h *Hint) Cursor {
+	c := v.Cursor()
+	if !v.atSnap {
+		c.hint = h
+	}
+	return c
+}
+
 // Close releases the pin and the latch; the cursor is dead afterwards.
 func (c *Cursor) Close() {
 	if c.v == nil {
 		return
+	}
+	if c.hint != nil && c.f != nil {
+		*c.hint = Hint{t: c.v.t, id: c.f.ID()}
 	}
 	c.unpin()
 	c.v.t.mu.runlock(c.latch)
@@ -161,6 +187,25 @@ func (c *Cursor) descend(key []byte, edge int) bool {
 	}
 }
 
+// probe pins the hinted page for a cursor's first seek if it is resident and
+// a leaf; the caller still checks that the leaf's keys bracket its target
+// (an emptied leaf has none), and descends otherwise.
+func (c *Cursor) probe() bool {
+	if c.hint == nil || c.hint.t != c.v.t {
+		return false
+	}
+	f := c.v.t.store.FixResident(c.hint.id)
+	if f == nil {
+		return false
+	}
+	if p := f.Data(); pageKind(p) == kindLeaf {
+		c.enter(p, f)
+		return true
+	}
+	c.v.t.store.Unfix(f)
+	return false
+}
+
 // hop moves the pin along the leaf chain to page id; at the end of the chain
 // (or on an error) it reports false and, at the end, keeps the old leaf.
 func (c *Cursor) hop(id pagestore.PageID) bool {
@@ -193,7 +238,13 @@ func (c *Cursor) Seek(target []byte) bool {
 	if c.err != nil {
 		return false
 	}
-	if c.p != nil && target != nil && nCells(c.p) > 0 {
+	if c.p == nil && target != nil && c.probe() {
+		// The remembered leaf answers only when its own keys bracket the
+		// target; a miss there is no reason to try its neighbours.
+		if _, settled := c.seekHere(target); settled {
+			return c.slot < c.end
+		}
+	} else if c.p != nil && target != nil && nCells(c.p) > 0 {
 		past, settled := c.seekHere(target)
 		switch {
 		case settled:
@@ -235,7 +286,9 @@ func (c *Cursor) SeekLT(target []byte) bool {
 	if c.err != nil {
 		return false
 	}
-	if c.p != nil && target != nil {
+	// The pinned leaf, or on a first seek the remembered one, answers when
+	// its own keys bracket the target.
+	if target != nil && (c.p != nil || c.probe()) {
 		if s, _ := search(c.p, target); s > 0 && s < nCells(c.p) {
 			c.slot = s - 1
 			return true

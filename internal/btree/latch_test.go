@@ -93,8 +93,13 @@ func cursorsDuringSplits(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var h Hint
 			for scans := 0; !stop.Load() || scans == 0; scans++ {
 				if err := checkScan(tr, stable, r%2 == 1); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := checkHintedReads(tr, &h, stable, scans); err != nil {
 					t.Error(err)
 					return
 				}
@@ -152,6 +157,40 @@ func checkScan(tr *Tree, stable int, backward bool) error {
 	}
 	if seen['a'] != stable || seen['c'] != stable {
 		return fmt.Errorf("scan (backward %v) saw %d a and %d c keys, want %d each", backward, seen['a'], seen['c'], stable)
+	}
+	return nil
+}
+
+// checkHintedReads makes point reads from the leaf the reader's last read
+// left, while the leaves around it split, empty and come back from the free
+// list: an a or c key is found with its value, and the keys around a b key
+// are the right ones whatever the writer has done to it.
+func checkHintedReads(tr *Tree, h *Hint, stable, round int) error {
+	for i := 0; i < 20; i++ {
+		n := (round*20 + i) * 7 % stable
+		for _, p := range []byte("ac") {
+			k := []byte(fmt.Sprintf("%c%04d", p, n))
+			if v, err := hintedGet(tr, h, k); err != nil || !bytes.Equal(v, []byte{p}) {
+				return fmt.Errorf("hinted get %q = %q, %v", k, v, err)
+			}
+		}
+		b := []byte(fmt.Sprintf("b%04d", n))
+		var before, after []byte
+		c := tr.HintedCursor(h)
+		if c.Seek(b) {
+			after = append(after, c.Key()...)
+		}
+		c.Close()
+		c = tr.HintedCursor(h)
+		if c.SeekLT(b) {
+			before = append(before, c.Key()...)
+		}
+		c.Close()
+		isB := func(k []byte) bool { return len(k) > 0 && k[0] == 'b' }
+		if !(isB(after) && bytes.Compare(after, b) >= 0 || bytes.Equal(after, []byte("c0000"))) ||
+			!(isB(before) && bytes.Compare(before, b) < 0 || bytes.Equal(before, fmt.Appendf(nil, "a%04d", stable-1))) {
+			return fmt.Errorf("hinted seeks around %q landed on %q and %q", b, before, after)
+		}
 	}
 	return nil
 }

@@ -75,6 +75,17 @@ func (t *Tree) insertRec(id pagestore.PageID, key, val []byte) (sep []byte, newI
 		if insertCell(p, slot, key, val) {
 			return nil, pagestore.InvalidPage, true, nil
 		}
+		if appendSplits && slot == nCells(p) && leafNext(p) == pagestore.InvalidPage {
+			// Past the last key of the rightmost leaf: a load in key order.
+			// Recompressed, the leaf may take the key after all; if not, the
+			// key opens a new rightmost leaf and this one stays full.
+			recompress(p)
+			if insertCell(p, slot, key, val) {
+				return nil, pagestore.InvalidPage, true, nil
+			}
+			sep, newID, err := t.appendLeaf(f, key, val)
+			return sep, newID, true, err
+		}
 		sep, newID, err := t.splitLeafAndInsert(f, key, val)
 		return sep, newID, true, err
 	}
@@ -155,6 +166,32 @@ func (t *Tree) splitLeafAndInsert(f *pagestore.Frame, key, val []byte) ([]byte, 
 	leftLast := fullKey(p, nCells(p)-1, nil)
 	newSep := fullKey(rp, 0, nil)
 	return shortestSeparator(leftLast, newSep), rf.ID(), nil
+}
+
+// appendSplits turns on appendLeaf; a variable only so a test can compare
+// with the 50/50 split the same inserts would otherwise make.
+var appendSplits = true
+
+// appendLeaf starts a new rightmost leaf holding only (key, val), right of
+// the full rightmost leaf in frame f (declared for writing by the caller),
+// whose keys all sort below key: the split of an ordered load, which leaves
+// the old leaf full instead of moving half its cells. The new leaf adopts the
+// old one's prefix, so the keys that follow are compressed from the first.
+func (t *Tree) appendLeaf(f *pagestore.Frame, key, val []byte) ([]byte, pagestore.PageID, error) {
+	p := f.Data()
+	rf, err := t.newPage(kindLeaf)
+	if err != nil {
+		return nil, pagestore.InvalidPage, err
+	}
+	defer t.store.Unfix(rf)
+	rp := rf.Data()
+	adoptPrefix(rp, p)
+	if !insertCell(rp, 0, key, val) {
+		panic("btree: a cell does not fit an empty leaf")
+	}
+	setLeafNext(p, rf.ID())
+	setLeafPrev(rp, f.ID())
+	return shortestSeparator(fullKey(p, nCells(p)-1, nil), key), rf.ID(), nil
 }
 
 // shortestSeparator returns the shortest byte string s with left < s <=

@@ -141,6 +141,58 @@ func TestOpenFreshAndReopen(t *testing.T) {
 	}
 }
 
+// TestGeneratedDocumentReopens: a generated document, whose leaves the
+// ordered load filled (btree's rightmost append split), closes and opens
+// again through Open as a document that verifies and answers a jump.
+func TestGeneratedDocumentReopens(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bib.xtc")
+	backend, err := pagestore.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, cat, err := tamix.GenerateBib(backend, tamix.Scaled(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := doc.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m := media{open: func(t *testing.T) (pagestore.Backend, wal.SegmentStore) {
+		b, err := pagestore.OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, nil
+	}}
+	eng := openEngine(t, m, core.Config{})
+	defer eng.Close()
+	reopened, err := eng.Manager().Document().Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reopened.DocTree != st.DocTree {
+		t.Errorf("document tree reopened as %+v, was %+v", reopened.DocTree, st.DocTree)
+	}
+	if err := eng.Manager().Document().Verify(); err != nil {
+		t.Fatal(err)
+	}
+	err = eng.Exec(core.Repeatable, func(s *core.Session) error {
+		book, err := s.JumpToID(cat.BookIDs[len(cat.BookIDs)/2])
+		if err != nil {
+			return err
+		}
+		_, err = s.Attributes(book.ID)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestOpenRestartsCrashResidue: what a crash burst leaves behind — pages with
 // an arbitrary subset of write-backs (one of them torn, in the second seed)
 // and a log with a torn tail — is opened like any other store, and nobody asks

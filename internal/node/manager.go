@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/btree"
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/protocol"
@@ -156,6 +157,18 @@ func (m *Manager) snap(t *tx.Txn) *storage.Snapshot {
 	v := m.doc.AtSnapshot(t.SnapshotLSN())
 	t.SetSnapView(v)
 	return v
+}
+
+// live returns the live document's reader with the transaction's leaf
+// memory, made on first use and cached on the Txn like the snapshot view:
+// each read starts at the leaf the transaction's previous read ended on.
+func (m *Manager) live(t *tx.Txn) storage.Reader {
+	h, ok := t.LeafHint().(*btree.Hint)
+	if !ok {
+		h = new(btree.Hint)
+		t.SetLeafHint(h)
+	}
+	return m.doc.Reader().WithHint(h)
 }
 
 // Audit is the engine's post-run residue check, meaningful once every

@@ -14,8 +14,9 @@ import (
 )
 
 // op is one node operation in flight: the transaction it runs under, the
-// view it reads — the transaction's frozen snapshot or the live document —
-// and its lock context. The context is nil when the operation takes no locks
+// view it reads — the transaction's frozen snapshot, or the live document
+// through the transaction's leaf memory (Manager.live) — and its lock
+// context. The context is nil when the operation takes no locks
 // (lockPlan: a snapshot transaction's frozen view needs no isolation, and the
 // weak isolation levels skip read or all locks) and every lock step below is
 // then a no-op; that is what lets each operation be written once for every
@@ -93,7 +94,7 @@ func (m *Manager) Do(t *tx.Txn, code wire.Op, a wire.Args) (wire.Result, error) 
 	if !t.Active() {
 		return wire.Result{}, tx.ErrTxnDone
 	}
-	o := op{m: m, t: t, code: code, v: m.doc.Reader()}
+	o := op{m: m, t: t, code: code}
 	spec, _ := code.Spec()
 	iso := t.Isolation()
 	if iso == tx.LevelSnapshot {
@@ -101,6 +102,8 @@ func (m *Manager) Do(t *tx.Txn, code wire.Op, a wire.Args) (wire.Result, error) 
 			return wire.Result{}, o.err(ErrReadOnly)
 		}
 		o.v = m.snap(t).Reader()
+	} else {
+		o.v = m.live(t)
 	}
 	// The two fragment reads that declare update intent are update ops, but
 	// their locks (UpdateTree, the traversed edge) are read locks in an
@@ -171,7 +174,7 @@ func (o op) lockLevel(parent splid.ID) ([]splid.ID, error) {
 	if o.c == nil {
 		return nil, nil
 	}
-	kids, _, err := o.m.doc.ChildIDs(parent)
+	kids, _, err := o.v.ChildIDs(parent)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +189,7 @@ func (o op) lockAttributes(el, ar splid.ID) ([]splid.ID, error) {
 	if o.c == nil {
 		return nil, nil
 	}
-	kids, ok, err := o.m.doc.ChildIDs(ar)
+	kids, ok, err := o.v.ChildIDs(ar)
 	if err != nil {
 		return nil, err
 	}

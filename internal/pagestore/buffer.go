@@ -141,6 +141,29 @@ func (f *Frame) pin() bool {
 	}
 }
 
+// pinResident adds one pin only if the frame is resident now: it never
+// waits for I/O.
+func (f *Frame) pinResident() bool {
+	for {
+		w := f.word.Load()
+		if frameState(w>>32) != frameResident {
+			return false
+		}
+		if f.word.CompareAndSwap(w, w+1) {
+			return true
+		}
+	}
+}
+
+// hit records a pin of a resident page: the CLOCK bit, stored only when it
+// is clear, and the frame's hit count.
+func (f *Frame) hit() {
+	if !f.ref.Load() {
+		f.ref.Store(true)
+	}
+	f.hits.Add(1)
+}
+
 // unpin drops one pin; false when the frame holds none.
 func (f *Frame) unpin() bool {
 	for {
@@ -563,10 +586,7 @@ func (s *Store) Fix(id PageID) (*Frame, error) {
 			// may hold another page, and then the lookup starts over.
 			if f.pin() {
 				if f.id == id {
-					if !f.ref.Load() {
-						f.ref.Store(true)
-					}
-					f.hits.Add(1)
+					f.hit()
 					return f, nil
 				}
 				s.Unfix(f)
@@ -599,6 +619,25 @@ func (s *Store) Fix(id PageID) (*Frame, error) {
 		sh.misses.Add(1)
 		return f, nil
 	}
+}
+
+// FixResident pins page id only if it is buffered and resident: a page-table
+// lookup and a pin, never I/O, never an eviction and never a wait. It returns
+// nil otherwise — the page is not buffered, or is being loaded or written
+// back — and then counts nothing; a pin counts as a hit, like Fix's. It is
+// for a guess that must not cost a miss (btree's leaf memory); the caller
+// Unfixes the frame as after Fix.
+func (s *Store) FixResident(id PageID) *Frame {
+	f := s.table.lookup(id)
+	if f == nil || !f.pinResident() {
+		return nil
+	}
+	if f.id != id { // remapped between the lookup and the pin
+		s.Unfix(f)
+		return nil
+	}
+	f.hit()
+	return f
 }
 
 // FixNew allocates a fresh zeroed page in the backend and pins it. A fresh

@@ -744,6 +744,52 @@ func TestPinRechecksRemappedFrame(t *testing.T) {
 	}
 }
 
+// TestFixResident pins a resident page as a hit, and declines without a
+// wait, a read or a count a page that is not buffered and one whose frame
+// is being written back by an eviction.
+func TestFixResident(t *testing.T) {
+	g := &gatedWrites{Backend: NewMemBackend(), entered: make(chan struct{}), open: make(chan struct{})}
+	s := Open(g, 3) // one shard
+	defer s.Close()
+	fa := newPage(t, s, 'a')
+	a := fa.ID()
+	s.Unfix(fa)
+	s0 := s.Stats()
+	if f := s.FixResident(a); f != fa {
+		t.Fatalf("FixResident of a resident page = %p, want its frame %p", f, fa)
+	}
+	s.Unfix(fa)
+	if s1 := s.Stats(); s1.Hits != s0.Hits+1 || s1.Misses != s0.Misses {
+		t.Errorf("FixResident of a resident page counted %d hits and %d misses, want 1 and 0", s1.Hits-s0.Hits, s1.Misses-s0.Misses)
+	}
+	cold, err := g.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s0, resident := s.Stats(), s.ResidentPages()
+	if f := s.FixResident(cold); f != nil {
+		t.Fatalf("FixResident of a page never read = %p, want nil", f)
+	}
+	if s1 := s.Stats(); s1 != s0 || s.ResidentPages() != resident {
+		t.Errorf("a declined FixResident moved the pool: %+v then %+v, %d then %d pages", s0, s1, resident, s.ResidentPages())
+	}
+
+	held, spare := newPage(t, s, 'p'), newPage(t, s, 's')
+	defer s.Unfix(held)
+	defer s.Unfix(spare)
+	miss := fixAsync(s, cold) // evicts a, the only unpinned page, and writes it back
+	await(t, g.entered, "write-back of the victim")
+	if f := s.FixResident(a); f != nil {
+		t.Errorf("FixResident of a page being written back = %p, want nil", f)
+	}
+	close(g.open)
+	if r := await(t, miss, "Fix(cold)"); r.err != nil {
+		t.Fatal(r.err)
+	} else {
+		s.Unfix(r.f)
+	}
+}
+
 // TestTableSlotsTileThePageSpace checks that the page table's chunks cover
 // every PageID exactly once, in order: each chunk starts where the one
 // before it ends, at offset 0, and the last ends at 2^32.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/pagestore"
 	"repro/internal/splid"
 	"repro/internal/xmlmodel"
@@ -15,6 +16,8 @@ import (
 // per leaf boundary the keys it reads happen to straddle, however long the
 // child or attribute list. (When each child cost a descent of its own,
 // ScanChildren of five children fixed 18 pages and Attributes of four 12.)
+// Through a leaf memory left on the leaf it reads, a primitive fixes that
+// leaf alone.
 func TestFixesPerReadOp(t *testing.T) {
 	const persons = 2500
 	d, err := Create(pagestore.NewMemBackend(), "bib", Options{BufferFrames: 4096})
@@ -54,6 +57,10 @@ func TestFixesPerReadOp(t *testing.T) {
 	visit := func(int) func(xmlmodel.Node) bool {
 		return func(xmlmodel.Node) bool { return true }
 	}
+	// A reader with a leaf memory, which each read below first leaves on the
+	// attribute it is given: a read of that attribute fixes one page.
+	var hint btree.Hint
+	hinted := d.Reader().WithHint(&hint)
 
 	// Every primitive on 200 persons spread over the document: 3 fixes, 4
 	// when the person's few keys straddle a leaf boundary — which, at four
@@ -75,6 +82,7 @@ func TestFixesPerReadOp(t *testing.T) {
 		{"NextSibling", 3, func(_, kid, _ splid.ID) error { _, err := d.NextSibling(kid); return err }},
 		{"PrevSibling", 3, func(_, kid, _ splid.ID) error { _, err := d.PrevSibling(kid); return err }},
 		{"Value", 3, func(_, _, attr splid.ID) error { _, err := d.Value(attr); return err }},
+		{"hinted Value", 1, func(_, _, attr splid.ID) error { _, err := hinted.Value(attr); return err }},
 		{"ScanSubtree", 3, func(_, kid, _ splid.ID) error { return d.ScanSubtree(kid, visit(3)) }},
 		{"Subtree", 3, func(el, _, _ splid.ID) error { _, err := d.Subtree(el); return err }},
 		{"missing GetNode", 3, func(el, _, _ splid.ID) error {
@@ -94,6 +102,9 @@ func TestFixesPerReadOp(t *testing.T) {
 			first, _ := d.FirstChild(el)
 			kid, _ := d.NextSibling(first.ID) // a middle child: it has both siblings
 			attr, _ := d.AttributeByName(el, "city")
+			if _, err := hinted.GetNode(attr.ID); err != nil {
+				t.Fatal(err)
+			}
 			switch n := fixes(func() error { return op.read(el, kid.ID, attr.ID) }); n {
 			case op.fixes:
 				exact++

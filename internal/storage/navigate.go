@@ -37,7 +37,7 @@ func (r reader) ScanSubtree(id splid.ID, fn func(xmlmodel.Node) bool) error {
 // the leaf it starts in — a book's chapter, a history — is allocated once, at
 // its size.
 func (r reader) Subtree(id splid.ID) ([]xmlmodel.Node, error) {
-	c := r.doc.Cursor()
+	c := r.cursor()
 	defer c.Close()
 	var kb, lb [btree.MaxKeyLen]byte
 	c.Limit(id.AppendSubtreeLimit(lb[:0]))
@@ -61,7 +61,7 @@ func (r reader) ScanDocument(fn func(xmlmodel.Node) bool) error {
 }
 
 func (r reader) scanRange(start, limit []byte, fn func(xmlmodel.Node) bool) error {
-	c := r.doc.Cursor()
+	c := r.cursor()
 	defer c.Close()
 	c.Limit(limit)
 	for ok := c.Seek(start); ok; ok = c.Next() {
@@ -110,7 +110,7 @@ func (r reader) ChildIDs(id splid.ID) (ids []splid.ID, found bool, err error) {
 // that child no longer exists and its remains are skipped. A caller that locks
 // what it read must look again after the lock (node's level reads do).
 func (r reader) children(id splid.ID, ids *[]splid.ID, fn func(xmlmodel.Node) bool) (found bool, err error) {
-	c := r.doc.Cursor()
+	c := r.cursor()
 	defer c.Close()
 	var kb, lb [btree.MaxKeyLen]byte
 	c.Limit(id.AppendSubtreeLimit(lb[:0]))
@@ -161,7 +161,7 @@ func (r reader) FirstChild(id splid.ID) (xmlmodel.Node, error) {
 // whose top-level ancestor is already gone. That child no longer exists —
 // the answer is looked for below it.
 func (r reader) LastChild(id splid.ID) (xmlmodel.Node, error) {
-	c := r.doc.Cursor()
+	c := r.cursor()
 	defer c.Close()
 	var kb [btree.MaxKeyLen]byte
 	for limit := id.AppendSubtreeLimit(kb[:0]); ; {
@@ -197,7 +197,7 @@ func (r reader) NextSibling(id splid.ID) (xmlmodel.Node, error) {
 	if parent.IsNull() {
 		return xmlmodel.Node{}, nil // root has no siblings
 	}
-	c := r.doc.Cursor()
+	c := r.cursor()
 	defer c.Close()
 	var kb [btree.MaxKeyLen]byte
 	if !c.Seek(id.AppendSubtreeLimit(kb[:0])) {
@@ -217,7 +217,7 @@ func (r reader) PrevSibling(id splid.ID) (xmlmodel.Node, error) {
 	if parent.IsNull() {
 		return xmlmodel.Node{}, nil
 	}
-	c := r.doc.Cursor()
+	c := r.cursor()
 	defer c.Close()
 	var kb [btree.MaxKeyLen]byte
 	if !c.SeekLT(id.AppendEncode(kb[:0])) {
@@ -251,7 +251,7 @@ func (r reader) Parent(id splid.ID) (xmlmodel.Node, error) {
 // attribute root has none.
 func (r reader) Attributes(el splid.ID, fn func(xmlmodel.Node) bool) error {
 	ar := el.AttributeRoot()
-	c := r.doc.Cursor()
+	c := r.cursor()
 	defer c.Close()
 	var kb, lb [btree.MaxKeyLen]byte
 	c.Limit(ar.AppendSubtreeLimit(lb[:0]))

@@ -25,6 +25,8 @@ type reader struct {
 	elem  *btree.View // name surrogate + SPLID -> nil (element index)
 	ids   *btree.View // id-attribute value -> element SPLID
 	vocab *xmlmodel.Vocabulary
+	// hint is the leaf memory every document cursor starts from (nil: none).
+	hint *btree.Hint
 }
 
 // Reader is that one implementation under an exported name: the read-only
@@ -37,6 +39,18 @@ type Reader = reader
 
 // Reader returns the reader behind a *Document or *Snapshot.
 func (r reader) Reader() Reader { return r }
+
+// WithHint returns the reader with a leaf memory on the document tree: each
+// primitive's cursor starts at the leaf the previous one closed on, and a
+// point read near it fixes that leaf alone. The node manager keeps one per
+// transaction; a snapshot's views ignore it (btree.View.HintedCursor).
+func (r reader) WithHint(h *btree.Hint) Reader {
+	r.hint = h
+	return r
+}
+
+// cursor opens a cursor on the document tree through the leaf memory.
+func (r reader) cursor() btree.Cursor { return r.doc.HintedCursor(r.hint) }
 
 // liveReader builds the reader a Document embeds over its live trees.
 func liveReader(doc, elem, ids *btree.Tree, vocab *xmlmodel.Vocabulary) reader {
@@ -79,14 +93,14 @@ func find(c *btree.Cursor, id splid.ID) (xmlmodel.Node, error) {
 
 // GetNode fetches the node labeled id.
 func (r reader) GetNode(id splid.ID) (xmlmodel.Node, error) {
-	c := r.doc.Cursor()
+	c := r.cursor()
 	defer c.Close()
 	return find(&c, id)
 }
 
 // Exists reports whether a node is stored under id.
 func (r reader) Exists(id splid.ID) (bool, error) {
-	c := r.doc.Cursor()
+	c := r.cursor()
 	defer c.Close()
 	var kb [btree.MaxKeyLen]byte
 	return !id.IsNull() && c.Find(id.AppendEncode(kb[:0])), c.Err()
@@ -95,7 +109,7 @@ func (r reader) Exists(id splid.ID) (bool, error) {
 // Value returns the character data of a text or attribute node. The string
 // node is the key right after its owner, so both are read from one position.
 func (r reader) Value(id splid.ID) ([]byte, error) {
-	c := r.doc.Cursor()
+	c := r.cursor()
 	defer c.Close()
 	n, err := find(&c, id)
 	if err != nil {

@@ -105,6 +105,10 @@ type Txn struct {
 	// analogue of protoCtx: same untyped-slot pattern, same owner-goroutine
 	// discipline.
 	snapView any
+	// leafHint caches the storage layer's leaf memory for the transaction's
+	// live reads (a btree.Hint): same untyped-slot pattern, same
+	// owner-goroutine discipline.
+	leafHint any
 }
 
 // ID returns the transaction identifier.
@@ -132,6 +136,12 @@ func (t *Txn) SnapView() any { return t.snapView }
 
 // SetSnapView caches the snapshot accessor for reuse across operations.
 func (t *Txn) SetSnapView(v any) { t.snapView = v }
+
+// LeafHint returns the cached leaf memory (nil until SetLeafHint).
+func (t *Txn) LeafHint() any { return t.leafHint }
+
+// SetLeafHint caches the leaf memory for reuse across operations.
+func (t *Txn) SetLeafHint(h any) { t.leafHint = h }
 
 // Start returns the begin time.
 func (t *Txn) Start() time.Time { return t.start }
