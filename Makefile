@@ -15,27 +15,30 @@ test:
 	$(GO) test ./...
 
 # chaos runs the fault-injection and recovery suite under the race
-# detector: seeded storage faults and torn writes, buffer-manager retry,
-# the buffer-pool torture and flusher tests, transaction restart loops,
-# lock-timeout residue, and undo aggregation.
+# detector: the fault plan's own tests, seeded storage faults and torn
+# writes, buffer-manager retry, the buffer-pool torture and flusher tests,
+# transaction restart loops, lock-timeout residue, and undo aggregation.
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Retry|Torn|Timeout|Restart|Abort|Torture|Flusher' \
-		./internal/pagestore/ ./internal/tamix/ ./internal/node/ ./internal/tx/
+		./internal/fault/ ./internal/pagestore/ ./internal/tamix/ ./internal/node/ ./internal/tx/
 
 # netchaos runs the connection-lifecycle resilience suite under the race
-# detector: the faultconn injector's unit tests, server keep-alive kills of
-# silent connections, the idle-session reaper (locks released, connection
-# survives), abrupt client kills mid-burst (zero lock residue), client-side
-# session resume with abort-worthy errors, a server bounce under a
-# 16-connection TaMix fleet, and a TaMix run over fault-injected wires.
+# detector: the fault plan's tests (its connection wrapper included), server
+# keep-alive kills of silent connections, the idle-session reaper (locks
+# released, connection survives), abrupt client kills mid-burst (zero lock
+# residue), client-side session resume with abort-worthy errors, a server
+# bounce under a 16-connection TaMix fleet, and a TaMix run over
+# fault-injected wires.
 netchaos:
-	$(GO) test -race ./internal/faultconn/
+	$(GO) test -race ./internal/fault/
 	$(GO) test -race -run 'TestNetChaos' ./internal/bibserve/
 
 # recovery runs the WAL and crash-recovery suite under the race detector:
 # the seeded crash matrix (log crashes, torn write-backs, full-budget
 # bursts, checkpointed bursts, crashes inside the checkpoint protocol's
-# three phases; its residues are opened with core.Open), a crash residue
+# three phases, and one fault plan composing them; every row checks that
+# its planned fault fired, and its residues are opened with core.Open), the
+# log's own planned-crash tests, a crash residue
 # opened twice through core.Open, recovery idempotence, the checkpoint codec
 # and master-record tests (plus their fuzz corpora), the redo-completeness
 # oracle (live store vs a store redone from the log alone, byte for byte,
@@ -108,7 +111,7 @@ loc:
 # are a goal): it fails when loc's total exceeds LOC_BUDGET, the total of the
 # last PR that moved it. A PR that needs more lines raises the number here,
 # in the open, and says why in its CHANGES.md row; one that deletes lowers it.
-LOC_BUDGET := 15500
+LOC_BUDGET := 15376
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_BUDGET) ]; then \

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/faultconn"
+	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/server"
@@ -517,8 +517,8 @@ func TestNetChaosServerRestartUnderTaMixLoad(t *testing.T) {
 		snap.Counters["client.reconnects"], snap.Counters["client.redials"])
 }
 
-// TestNetChaosFaultyNetworkTaMix runs TaMix through faultconn-wrapped
-// connections: seeded corruption, drops, partial writes, and stalls on the
+// TestNetChaosFaultyNetworkTaMix runs TaMix through connections that consult
+// a fault plan: seeded corruption, drops, partial writes, and stalls on the
 // client→server path while the run is mid-flight. Corrupted frames kill
 // connections (the server cannot trust a desynchronized stream), so the
 // fleet must redial and resume its way through the weather — the run still
@@ -549,15 +549,9 @@ func TestNetChaosFaultyNetworkTaMix(t *testing.T) {
 	wsess.Close()
 	warm.Close()
 
-	inj := faultconn.NewInjector(faultconn.Config{
-		Seed:        99,
-		DropProb:    0.001,
-		PartialProb: 0.001,
-		CorruptProb: 0.004,
-		StallProb:   0.002,
-		Stall:       10 * time.Millisecond,
-	})
-	var salt atomic.Int64
+	plan := &fault.Plan{Seed: 99}
+	plan.Prob[fault.ConnDrop], plan.Prob[fault.ConnPartial] = 0.001, 0.001
+	plan.Prob[fault.ConnCorrupt], plan.Prob[fault.ConnStall] = 0.004, 0.002
 	reg := metrics.NewRegistry()
 	cfg := tamix.Config{
 		Protocol:  proto,
@@ -588,7 +582,7 @@ func TestNetChaosFaultyNetworkTaMix(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				return inj.Wrap(nc, salt.Add(1)), nil
+				return plan.Conn(nc), nil
 			},
 		},
 	}
@@ -605,9 +599,9 @@ func TestNetChaosFaultyNetworkTaMix(t *testing.T) {
 	// Arm after the bootstrap (catalog + baseline stats) is done, disarm
 	// before the run's deadline so the final audit runs on clean wires.
 	time.Sleep(400 * time.Millisecond)
-	inj.Arm()
+	plan.Arm()
 	time.Sleep(1600 * time.Millisecond)
-	inj.Disarm()
+	plan.Disarm()
 
 	out := <-done
 	if out.err != nil {
@@ -616,18 +610,18 @@ func TestNetChaosFaultyNetworkTaMix(t *testing.T) {
 	if out.res.Committed == 0 {
 		t.Fatal("no transactions committed under network faults")
 	}
-	st := inj.Stats()
-	if st.Drops+st.Corruptions+st.Partials+st.Stalls == 0 {
-		t.Fatal("fault injector armed but injected nothing — test exercised no chaos")
+	if plan.Injected() == 0 {
+		t.Fatal("fault plan armed but injected nothing — test exercised no chaos")
 	}
-	if st.Drops+st.Corruptions+st.Partials > 0 {
+	killed := plan.Fired(fault.ConnDrop) + plan.Fired(fault.ConnCorrupt) + plan.Fired(fault.ConnPartial)
+	if killed > 0 {
 		if snap := reg.Snapshot(); snap.Counters["client.redials"] < 1 {
-			t.Fatalf("connection-killing faults injected (%+v) but client.redials = %d", st,
+			t.Fatalf("%d connection-killing faults injected but client.redials = %d", killed,
 				snap.Counters["client.redials"])
 		}
 	}
-	t.Logf("faults injected: %+v; committed=%d aborted=%d elapsed=%v",
-		st, out.res.Committed, out.res.Aborted, out.res.Elapsed)
+	t.Logf("faults injected: %d (%d stalls); committed=%d aborted=%d elapsed=%v", plan.Injected(),
+		plan.Fired(fault.ConnStall), out.res.Committed, out.res.Aborted, out.res.Elapsed)
 }
 
 // commitCut wraps the connections one Dialer hands out: while armed, the

@@ -81,8 +81,8 @@ type Config struct {
 	// BufferFrames sizes the page buffer Open puts over the backend.
 	BufferFrames int
 	// Log tunes the write-ahead log opened over the segment store (segment
-	// size, retention, the crash harnesses' scheduled crashes); its Metrics
-	// field is overridden with the engine's registry.
+	// size, retention, the crash harnesses' fault plan); its Metrics field is
+	// overridden with the engine's registry.
 	Log wal.Config
 }
 
@@ -112,8 +112,6 @@ type Engine struct {
 	doc *storage.Document // its WAL() is the engine's log, nil without one
 	mgr *node.Manager
 	rep *storage.RecoveryReport
-	// faults is the injector around the document's backend, nil without one.
-	faults *pagestore.FaultBackend
 }
 
 // Open opens an engine over a page backend and, with segs non-nil, the
@@ -208,7 +206,8 @@ func openLog(segs wal.SegmentStore, p protocol.Protocol, wc wal.Config, reg *met
 // already attached: the transaction manager writes commit and end records to
 // that log, and the snapshot contestant gets its page versions. With it reg
 // holds every layer's instruments: buffer.*, wal.*, lock.*, tx.* and fault.*
-// (zero without an injector around the backend).
+// (the fault plan of a pagestore.FaultBackend around the backend; zero
+// without one).
 func assemble(doc *storage.Document, p protocol.Protocol, cfg Config, reg *metrics.Registry, rep *storage.RecoveryReport) *Engine {
 	mgr := node.New(doc, p, node.Options{
 		Depth:       *cfg.LockDepth,
@@ -222,27 +221,21 @@ func assemble(doc *storage.Document, p protocol.Protocol, cfg Config, reg *metri
 	if protocol.UsesSnapshotReads(p) {
 		mgr.EnableSnapshotReads()
 	}
-	fb, _ := doc.Store().Backend().(*pagestore.FaultBackend)
-	faultStats := func() (s pagestore.FaultStats) {
-		if fb != nil {
-			s = fb.Stats()
-		}
-		return s
+	fb, ok := doc.Store().Backend().(*pagestore.FaultBackend)
+	if !ok {
+		fb = &pagestore.FaultBackend{} // no plan: the fault.* counters read 0
 	}
-	reg.Func("fault.injected", func() uint64 { return faultStats().TotalInjected() })
-	reg.Func("fault.torn_writes", func() uint64 { return faultStats().TornWrites })
-	return &Engine{doc: doc, mgr: mgr, rep: rep, faults: fb}
+	reg.Func("fault.injected", fb.Plan.Injected)
+	reg.Func("fault.torn_writes", fb.Plan.TornWrites)
+	return &Engine{doc: doc, mgr: mgr, rep: rep}
 }
 
-// Close tears the engine down in dependency order: a fault injector around
-// the backend is disarmed first (the final flush must reach the pages), the
-// lock manager's deadlock detector is stopped, the document is flushed and
-// closed — its flush forces the log, which must still be open — and then the
-// log. Transactions must have finished.
+// Close tears the engine down in dependency order: the lock manager's
+// deadlock detector is stopped, the document is flushed and closed — its
+// flush forces the log, which must still be open — and then the log.
+// Transactions must have finished, and a fault plan the backend or the log
+// consults must be disarmed, or the final flush meets its faults.
 func (e *Engine) Close() error {
-	if e.faults != nil {
-		e.faults.Disarm()
-	}
 	e.mgr.Close()
 	log := e.doc.WAL()
 	err := e.doc.Close()
@@ -253,10 +246,6 @@ func (e *Engine) Close() error {
 	}
 	return err
 }
-
-// Faults returns the fault injector the engine found around its backend (nil
-// without one); a harness arms it for its measurement interval.
-func (e *Engine) Faults() *pagestore.FaultBackend { return e.faults }
 
 // Recovery reports the restart Open ran (nil when Open created the document
 // or had no log, and for a wrapped engine).

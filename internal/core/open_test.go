@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/figures"
 	"repro/internal/pagestore"
 	"repro/internal/storage"
@@ -202,8 +203,8 @@ func TestGeneratedDocumentReopens(t *testing.T) {
 // promised about them.)
 func TestOpenRestartsCrashResidue(t *testing.T) {
 	for name, cfg := range map[string]tamix.CrashConfig{
-		"log-crash":       {Seed: 3, CrashAfterAppends: 59},
-		"torn-write-back": {Seed: 1003, TornWriteAt: 4},
+		"log-crash":       {Seed: 3, Faults: &fault.Plan{Schedule: []fault.Fault{{Site: fault.LogAppend, N: 59}}}},
+		"torn-write-back": {Seed: 1003, Faults: &fault.Plan{Schedule: []fault.Fault{{Site: fault.PageWrite, N: 4, Permanent: true, Torn: true}}}},
 	} {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {

@@ -392,9 +392,6 @@ func (e *RetryExhaustedError) Unwrap() error { return e.Err }
 // Transient reports false: the retry budget is spent.
 func (e *RetryExhaustedError) Transient() bool { return false }
 
-// Permanent reports true.
-func (e *RetryExhaustedError) Permanent() bool { return true }
-
 // SetRetryPolicy replaces the store's retry policy (DefaultRetryPolicy at
 // Open). Call before concurrent use.
 func (s *Store) SetRetryPolicy(p RetryPolicy) {

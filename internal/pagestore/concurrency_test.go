@@ -268,12 +268,8 @@ func bufferTorture(t *testing.T, frames int) {
 // but the victim's content stays buffered and dirty, and is written back
 // successfully once the fault clears.
 func TestEvictionUnderFault(t *testing.T) {
-	inner := NewMemBackend()
-	fb := NewFaultBackend(inner, FaultConfig{
-		Schedule: []ScheduledFault{{Op: OpWrite, N: 1, Class: ClassPermanent}},
-	})
-	fb.Disarm()
-	s := Open(fb, 2) // 1 shard of 2 frames
+	plan := writeFault(true, false)
+	s := Open(&FaultBackend{Backend: NewMemBackend(), Plan: plan}, 2) // 1 shard of 2 frames
 	defer s.Close()
 
 	// Three pages through a two-frame pool; creating C evicts A cleanly
@@ -293,13 +289,13 @@ func TestEvictionUnderFault(t *testing.T) {
 
 	// Fixing A forces a dirty eviction; the scheduled permanent write
 	// fault fails it. The error must surface as permanent and unretried.
-	fb.Arm()
+	plan.Arm()
 	if _, err := s.Fix(a); err == nil {
 		t.Fatal("Fix(a) should fail when the eviction write-back faults")
 	} else if !IsPermanent(err) {
 		t.Fatalf("eviction failure %v not classified permanent", err)
 	}
-	fb.Disarm()
+	plan.Disarm()
 	if got := s.Stats().Retries; got != 0 {
 		t.Errorf("permanent fault was retried %d times", got)
 	}

@@ -3,35 +3,43 @@ package pagestore
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
-func newFaultedMem(t *testing.T, cfg FaultConfig, pages int) (*FaultBackend, *MemBackend) {
+// newFaultedMem wraps a memory backend of the given size in plan, which it
+// arms.
+func newFaultedMem(t *testing.T, plan *fault.Plan, pages int) (*FaultBackend, *MemBackend) {
 	t.Helper()
 	mem := NewMemBackend()
-	fb := NewFaultBackend(mem, cfg)
-	fb.Disarm()
 	for i := 0; i < pages; i++ {
-		if _, err := fb.Allocate(); err != nil {
+		if _, err := mem.Allocate(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fb.Arm()
-	return fb, mem
+	plan.Arm()
+	return &FaultBackend{Backend: mem, Plan: plan}, mem
+}
+
+// writeFault schedules the first page write to fail.
+func writeFault(permanent, torn bool) *fault.Plan {
+	return &fault.Plan{Schedule: []fault.Fault{{Site: fault.PageWrite, N: 1, Permanent: permanent, Torn: torn}}}
 }
 
 func TestFaultClassification(t *testing.T) {
-	te := &FaultError{Op: OpRead, Page: 3, Class: ClassTransient}
-	pe := &FaultError{Op: OpWrite, Page: 4, Class: ClassPermanent}
+	te := &fault.Error{Fault: fault.Fault{Site: fault.PageRead}, Where: "page 3"}
+	pe := &fault.Error{Fault: fault.Fault{Site: fault.PageWrite, Permanent: true}, Where: "page 4"}
 	if !IsTransient(te) || IsPermanent(te) {
 		t.Errorf("transient fault classified as %s", Classify(te))
 	}
 	if IsTransient(pe) || !IsPermanent(pe) {
 		t.Errorf("permanent fault classified as %s", Classify(pe))
 	}
-	if !errors.Is(te, ErrInjectedFault) {
-		t.Error("FaultError does not unwrap to ErrInjectedFault")
+	if !errors.Is(te, fault.ErrInjected) {
+		t.Error("fault.Error does not unwrap to fault.ErrInjected")
 	}
 	// Wrapping must preserve the classification.
 	wrapped := errors.Join(errors.New("context"), te)
@@ -47,17 +55,19 @@ func TestFaultClassification(t *testing.T) {
 	if IsTransient(ex) || !IsPermanent(ex) {
 		t.Errorf("exhausted retry classified as %s", Classify(ex))
 	}
-	if !errors.Is(ex, ErrInjectedFault) {
+	if !errors.Is(ex, fault.ErrInjected) {
 		t.Error("RetryExhaustedError lost the error chain")
 	}
 }
 
+// TestFaultScheduleDeterministic: each scheduled page fault fires exactly
+// once, at its occurrence, with its class.
 func TestFaultScheduleDeterministic(t *testing.T) {
-	cfg := FaultConfig{Schedule: []ScheduledFault{
-		{Op: OpRead, N: 2, Class: ClassTransient},
-		{Op: OpWrite, N: 1, Class: ClassPermanent},
+	plan := &fault.Plan{Schedule: []fault.Fault{
+		{Site: fault.PageRead, N: 2},
+		{Site: fault.PageWrite, N: 1, Permanent: true},
 	}}
-	fb, _ := newFaultedMem(t, cfg, 4)
+	fb, _ := newFaultedMem(t, plan, 4)
 	buf := make([]byte, PageSize)
 
 	if err := fb.ReadPage(0, buf); err != nil {
@@ -73,16 +83,20 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 	if err := fb.WritePage(0, buf); !IsPermanent(err) {
 		t.Fatalf("write 1 should fail permanent, got %v", err)
 	}
-	st := fb.Stats()
-	if st.Injected[OpRead] != 1 || st.Injected[OpWrite] != 1 || st.TotalInjected() != 2 {
-		t.Errorf("stats = %+v", st)
+	if err := fb.WritePage(0, buf); err != nil {
+		t.Fatalf("write 2 should pass: %v", err)
+	}
+	if plan.Fired(fault.PageRead) != 1 || plan.Fired(fault.PageWrite) != 1 || plan.Injected() != 2 {
+		t.Errorf("fired %d reads, %d writes, %d in all", plan.Fired(fault.PageRead),
+			plan.Fired(fault.PageWrite), plan.Injected())
 	}
 }
 
 func TestFaultDisarmedPassesThrough(t *testing.T) {
-	cfg := FaultConfig{ReadProb: 1, WriteProb: 1, SyncProb: 1, AllocProb: 1}
-	fb, _ := newFaultedMem(t, cfg, 1)
-	fb.Disarm()
+	plan := &fault.Plan{}
+	plan.Prob[fault.PageRead], plan.Prob[fault.PageWrite], plan.Prob[fault.PageSync], plan.Prob[fault.PageAlloc] = 1, 1, 1, 1
+	fb, _ := newFaultedMem(t, plan, 1)
+	plan.Disarm()
 	buf := make([]byte, PageSize)
 	if err := fb.ReadPage(0, buf); err != nil {
 		t.Errorf("disarmed read failed: %v", err)
@@ -93,45 +107,55 @@ func TestFaultDisarmedPassesThrough(t *testing.T) {
 	if _, err := fb.Allocate(); err != nil {
 		t.Errorf("disarmed allocate failed: %v", err)
 	}
-	if st := fb.Stats(); st.TotalInjected() != 0 || st.Ops[OpRead] != 0 {
-		t.Errorf("disarmed ops counted: %+v", st)
+	if err := fb.Sync(); err != nil {
+		t.Errorf("disarmed sync failed: %v", err)
+	}
+	if plan.Injected() != 0 || plan.Seen(fault.PageRead) != 0 {
+		t.Errorf("disarmed ops counted: %d injected, %d reads seen", plan.Injected(), plan.Seen(fault.PageRead))
 	}
 }
 
+// TestFaultProbabilisticSeededReproducible: equal seeds fail the same reads
+// with the same classes.
 func TestFaultProbabilisticSeededReproducible(t *testing.T) {
-	run := func() FaultStats {
-		fb, _ := newFaultedMem(t, FaultConfig{Seed: 42, ReadProb: 0.3, PermanentFraction: 0.5}, 8)
+	run := func() []string {
+		plan := &fault.Plan{Seed: 42, Permanent: 0.5}
+		plan.Prob[fault.PageRead] = 0.3
+		fb, _ := newFaultedMem(t, plan, 8)
 		buf := make([]byte, PageSize)
+		var fires []string
 		for i := 0; i < 200; i++ {
-			fb.ReadPage(PageID(i%8), buf) //nolint:errcheck — faults expected
+			if err := fb.ReadPage(PageID(i%8), buf); err != nil {
+				fires = append(fires, err.Error())
+			}
 		}
-		return fb.Stats()
+		return fires
 	}
 	a, b := run(), run()
-	if a != b {
-		t.Errorf("same seed diverged: %+v vs %+v", a, b)
+	if !slices.Equal(a, b) {
+		t.Errorf("same seed diverged: %q vs %q", a, b)
 	}
-	if a.Injected[OpRead] == 0 || a.Injected[OpRead] == a.Ops[OpRead] {
-		t.Errorf("implausible injection count: %+v", a)
+	if len(a) == 0 || len(a) == 200 {
+		t.Errorf("implausible injection count: %d of 200", len(a))
 	}
 }
 
 func TestTornWritePersistsPrefix(t *testing.T) {
-	cfg := FaultConfig{Schedule: []ScheduledFault{{Op: OpWrite, N: 1, Class: ClassTransient, Torn: true}}}
-	fb, mem := newFaultedMem(t, cfg, 1)
+	plan := writeFault(false, true)
+	fb, mem := newFaultedMem(t, plan, 1)
 
 	old := bytes.Repeat([]byte{0xAA}, PageSize)
-	fb.Disarm()
+	plan.Disarm()
 	if err := fb.WritePage(0, old); err != nil {
 		t.Fatal(err)
 	}
-	fb.Arm()
+	plan.Arm()
 
 	img := bytes.Repeat([]byte{0xBB}, PageSize)
 	err := fb.WritePage(0, img)
-	var fe *FaultError
+	var fe *fault.Error
 	if !errors.As(err, &fe) || !fe.Torn {
-		t.Fatalf("want torn FaultError, got %v", err)
+		t.Fatalf("want torn fault.Error, got %v", err)
 	}
 	got := make([]byte, PageSize)
 	if err := mem.ReadPage(0, got); err != nil {
@@ -143,19 +167,19 @@ func TestTornWritePersistsPrefix(t *testing.T) {
 	if !bytes.Equal(got[TornPrefix:], old[TornPrefix:]) {
 		t.Error("torn write touched the tail")
 	}
-	if fb.Stats().TornWrites != 1 {
-		t.Errorf("TornWrites = %d", fb.Stats().TornWrites)
+	if plan.TornWrites() != 1 {
+		t.Errorf("TornWrites = %d", plan.TornWrites())
 	}
 }
 
 func TestBufferRetryAbsorbsTransientFaults(t *testing.T) {
 	// Every odd read fails transient; the retry loop must hide that from
 	// Fix entirely.
-	var sched []ScheduledFault
+	plan := &fault.Plan{}
 	for n := uint64(1); n <= 40; n += 2 {
-		sched = append(sched, ScheduledFault{Op: OpRead, N: n, Class: ClassTransient})
+		plan.Schedule = append(plan.Schedule, fault.Fault{Site: fault.PageRead, N: n})
 	}
-	fb, _ := newFaultedMem(t, FaultConfig{Schedule: sched}, 8)
+	fb, _ := newFaultedMem(t, plan, 8)
 	s := Open(fb, 2) // tiny pool forces repeated backend reads
 	s.SetRetryPolicy(RetryPolicy{MaxRetries: 3, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond})
 	for i := 0; i < 16; i++ {
@@ -175,7 +199,9 @@ func TestBufferRetryAbsorbsTransientFaults(t *testing.T) {
 }
 
 func TestBufferRetryEscalatesAfterBudget(t *testing.T) {
-	fb, _ := newFaultedMem(t, FaultConfig{ReadProb: 1}, 1) // every read fails
+	plan := &fault.Plan{}
+	plan.Prob[fault.PageRead] = 1 // every read fails
+	fb, _ := newFaultedMem(t, plan, 1)
 	s := Open(fb, 2)
 	s.SetRetryPolicy(RetryPolicy{MaxRetries: 2, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond})
 	_, err := s.Fix(0)
@@ -190,7 +216,7 @@ func TestBufferRetryEscalatesAfterBudget(t *testing.T) {
 	}
 	// The failed frame must not linger: a later Fix with injection off
 	// reads cleanly.
-	fb.Disarm()
+	plan.Disarm()
 	f, err := s.Fix(0)
 	if err != nil {
 		t.Fatalf("Fix after disarm: %v", err)
@@ -199,7 +225,9 @@ func TestBufferRetryEscalatesAfterBudget(t *testing.T) {
 }
 
 func TestBufferRetryNeverRetriesPermanent(t *testing.T) {
-	fb, _ := newFaultedMem(t, FaultConfig{ReadProb: 1, PermanentFraction: 1}, 1)
+	plan := &fault.Plan{Permanent: 1}
+	plan.Prob[fault.PageRead] = 1
+	fb, _ := newFaultedMem(t, plan, 1)
 	s := Open(fb, 2)
 	s.SetRetryPolicy(RetryPolicy{MaxRetries: 5, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond})
 	if _, err := s.Fix(0); !IsPermanent(err) {
@@ -208,16 +236,16 @@ func TestBufferRetryNeverRetriesPermanent(t *testing.T) {
 	if st := s.Stats(); st.Retries != 0 {
 		t.Errorf("permanent fault was retried %d times", st.Retries)
 	}
-	if fb.Stats().Ops[OpRead] != 1 {
-		t.Errorf("backend saw %d reads, want 1", fb.Stats().Ops[OpRead])
+	if plan.Seen(fault.PageRead) != 1 {
+		t.Errorf("backend saw %d reads, want 1", plan.Seen(fault.PageRead))
 	}
 }
 
 func TestTornWriteHealedByRetry(t *testing.T) {
 	// A transient torn write leaves a half-new page, but the retry rewrites
 	// the full image: the store's view stays consistent.
-	cfg := FaultConfig{Schedule: []ScheduledFault{{Op: OpWrite, N: 1, Class: ClassTransient, Torn: true}}}
-	fb, mem := newFaultedMem(t, cfg, 1)
+	plan := writeFault(false, true)
+	fb, mem := newFaultedMem(t, plan, 1)
 	s := Open(fb, 2)
 	s.SetRetryPolicy(RetryPolicy{MaxRetries: 2, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond})
 
@@ -244,8 +272,8 @@ func TestTornWriteHealedByRetry(t *testing.T) {
 	if err := VerifyChecksum(0, got); err != nil {
 		t.Errorf("healed page fails checksum: %v", err)
 	}
-	if fb.Stats().TornWrites != 1 {
-		t.Errorf("TornWrites = %d", fb.Stats().TornWrites)
+	if plan.TornWrites() != 1 {
+		t.Errorf("TornWrites = %d", plan.TornWrites())
 	}
 }
 
@@ -255,12 +283,12 @@ func TestFixRejectsCorruptPageAsPermanent(t *testing.T) {
 	// must refuse to serve the garbage: it fails with a ChecksumError that
 	// classifies as permanent (retrying the read cannot help), and the
 	// frame is not cached.
-	cfg := FaultConfig{Schedule: []ScheduledFault{{Op: OpWrite, N: 1, Class: ClassPermanent, Torn: true}}}
-	fb, _ := newFaultedMem(t, cfg, 1)
+	plan := writeFault(true, true)
+	fb, _ := newFaultedMem(t, plan, 1)
 	s := Open(fb, 2)
 
 	// Establish a valid stamped page, then overwrite it with a torn image.
-	fb.Disarm()
+	plan.Disarm()
 	f, err := s.Fix(0)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +299,7 @@ func TestFixRejectsCorruptPageAsPermanent(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fb.Arm()
+	plan.Arm()
 	f, err = s.Fix(0)
 	if err != nil {
 		t.Fatal(err)
@@ -282,8 +310,8 @@ func TestFixRejectsCorruptPageAsPermanent(t *testing.T) {
 	if err := s.Flush(); err == nil {
 		t.Fatal("permanent write fault did not surface through Flush")
 	}
-	if fb.Stats().TornWrites != 1 {
-		t.Fatalf("TornWrites = %d, want 1", fb.Stats().TornWrites)
+	if plan.TornWrites() != 1 {
+		t.Fatalf("TornWrites = %d, want 1", plan.TornWrites())
 	}
 
 	// Cold read: a fresh store must detect the torn page.

@@ -90,6 +90,3 @@ func (e *ChecksumError) Error() string {
 
 // Transient implements the fault-classification probe: never retryable.
 func (e *ChecksumError) Transient() bool { return false }
-
-// Permanent implements the fault-classification probe.
-func (e *ChecksumError) Permanent() bool { return true }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/pagestore"
 	"repro/internal/splid"
 	"repro/internal/wal"
@@ -200,13 +201,8 @@ func TestRecoverInterruptedMidRedo(t *testing.T) {
 	// Committed work that never reached the disk forces redo writes; a torn
 	// write injected into the FIRST recovery attempt leaves a page whose
 	// checksum fails, and the retry must heal it from the logged full image.
-	inner := pagestore.NewMemBackend()
-	fb := pagestore.NewFaultBackend(inner, pagestore.FaultConfig{
-		Schedule: []pagestore.ScheduledFault{
-			{Op: pagestore.OpWrite, N: 1, Class: pagestore.ClassPermanent, Torn: true},
-		},
-	})
-	fb.Disarm()
+	plan := &fault.Plan{Schedule: []fault.Fault{{Site: fault.PageWrite, N: 1, Permanent: true, Torn: true}}}
+	fb := &pagestore.FaultBackend{Backend: pagestore.NewMemBackend(), Plan: plan}
 	segs := wal.NewMemSegmentStore()
 	d, log := newLoggedDoc(t, fb, segs)
 	alloc := d.Allocator()
@@ -233,11 +229,11 @@ func TestRecoverInterruptedMidRedo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb.Arm()
-	if _, _, err := Recover(fb, log2, Options{}); !errors.Is(err, pagestore.ErrInjectedFault) {
+	plan.Arm()
+	if _, _, err := Recover(fb, log2, Options{}); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("interrupted recovery error = %v, want injected fault", err)
 	}
-	fb.Disarm()
+	plan.Disarm()
 
 	d2, _, err := Recover(fb, log2, Options{})
 	if err != nil {

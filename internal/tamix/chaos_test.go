@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/pagestore"
 	"repro/internal/tx"
 )
@@ -42,24 +43,13 @@ func chaosConfig(seed int64) Config {
 }
 
 // TestChaosRestartLoopUnderFaults is the acceptance test of the recovery
-// layer: a seeded FaultBackend under a high-conflict mix must finish
+// layer: a seeded fault plan under a high-conflict mix must finish
 // without panic, pass Verify, leak no locks (Run audits both), and show the
 // restart and retry machinery actually working.
 func TestChaosRestartLoopUnderFaults(t *testing.T) {
 	cfg := chaosConfig(7)
-	cfg.Faults = &pagestore.FaultConfig{
-		Seed:       7,
-		ReadProb:   0.05,
-		WriteProb:  0.05,
-		AllocProb:  0.02,
-		TornWrites: true, // transient torn writes must be healed by retry
-	}
-	cfg.Retry = &pagestore.RetryPolicy{
-		MaxRetries:  8,
-		BaseBackoff: 20 * time.Microsecond,
-		MaxBackoff:  500 * time.Microsecond,
-		Seed:        7,
-	}
+	cfg.Faults = &fault.Plan{Seed: 7, Torn: true} // transient torn writes must be healed by retry
+	cfg.Faults.Prob[fault.PageRead], cfg.Faults.Prob[fault.PageWrite], cfg.Faults.Prob[fault.PageAlloc] = 0.05, 0.05, 0.02
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("chaos run failed: %v", err)
@@ -130,13 +120,8 @@ func TestChaosSnapshotContestantVersionAudit(t *testing.T) {
 // result.
 func TestChaosPermanentFaultFailsGracefully(t *testing.T) {
 	cfg := chaosConfig(11)
-	cfg.Faults = &pagestore.FaultConfig{
-		Seed: 11,
-		// The 20th armed read fails permanently; everything else is clean.
-		Schedule: []pagestore.ScheduledFault{
-			{Op: pagestore.OpRead, N: 20, Class: pagestore.ClassPermanent},
-		},
-	}
+	// The 20th armed read fails permanently; everything else is clean.
+	cfg.Faults = &fault.Plan{Schedule: []fault.Fault{{Site: fault.PageRead, N: 20, Permanent: true}}}
 	res, err := Run(cfg)
 	if err == nil {
 		t.Fatalf("run swallowed a permanent fault: %+v", res)
@@ -144,7 +129,7 @@ func TestChaosPermanentFaultFailsGracefully(t *testing.T) {
 	if !pagestore.IsPermanent(err) {
 		t.Errorf("error not classified permanent: %v", err)
 	}
-	if !errors.Is(err, pagestore.ErrInjectedFault) {
+	if !errors.Is(err, fault.ErrInjected) {
 		t.Errorf("error chain lost the injected fault: %v", err)
 	}
 }

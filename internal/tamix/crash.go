@@ -2,10 +2,10 @@ package tamix
 
 // Crash-burst harness for the WAL/recovery crash matrix: a short, violent
 // TaMix-style burst of marker transactions that ends in a hard stop (the
-// log trips a scheduled crash, or a torn page write poisons a write-back),
-// leaving behind exactly what a power failure would — a page backend with
-// an arbitrary subset of write-backs applied and a log with a possibly
-// torn tail.
+// first scheduled fault of its plan: the log crashes at an append or inside
+// a checkpoint, or a torn page write poisons a write-back), leaving behind
+// exactly what a power failure would — a page backend with an arbitrary
+// subset of write-backs applied and a log with a possibly torn tail.
 //
 // Every transaction manipulates one uniquely-identified marker element, and
 // the harness records what each worker KNOWS: states whose commit returned
@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/node"
 	"repro/internal/pagestore"
 	"repro/internal/splid"
@@ -41,11 +42,12 @@ type CrashConfig struct {
 	// OpsPerWorker bounds marker transactions per worker (default 40); the
 	// burst usually ends earlier, at the crash.
 	OpsPerWorker int
-	// CrashAfterAppends makes the LOG crash on its Nth append (0 = none).
-	CrashAfterAppends uint64
-	// TornWriteAt schedules a permanent, torn page-write fault on the Nth
-	// write-back (0 = none); the observing worker then hard-stops the log.
-	TornWriteAt uint64
+	// Faults is the burst's adversary, consulted by the page backend and the
+	// log (nil: the burst runs to its op budget). CrashBurst arms it once the
+	// document is generated and disarms it at the hard stop. The first of
+	// its scheduled faults to fire is the crash: a log fault crashes the log
+	// itself, and after a page fault the next worker to look hard-stops it.
+	Faults *fault.Plan
 	// SegmentSize is the WAL segment size (default 32 KiB, small enough
 	// that bursts rotate segments).
 	SegmentSize int
@@ -56,14 +58,10 @@ type CrashConfig struct {
 	// Retain caps how many newest segments checkpoint GC keeps
 	// (wal.DefaultRetain when 0).
 	Retain int
-	// CheckpointCrashAt crashes the log during the Nth checkpoint, at the
-	// phase given by CheckpointCrashPhase (see wal.Config).
-	CheckpointCrashAt    uint64
-	CheckpointCrashPhase int
 	// LockTimeout bounds lock waits (default 25 ms).
 	LockTimeout time.Duration
-	// Bib sizes the base document (default Scaled(0.02) with a small
-	// buffer pool, so write-backs happen during the burst).
+	// Bib sizes the base document (default Scaled(0.02) in a 48-frame
+	// buffer pool).
 	Bib BibConfig
 	// Seed drives all randomness.
 	Seed int64
@@ -82,7 +80,7 @@ type MarkerState struct {
 // CrashOutcome is the persistent residue of a burst plus the workers'
 // knowledge, everything needed to recover and audit.
 type CrashOutcome struct {
-	// Backend is the page store as the crash left it (fault injection
+	// Backend is the page store as the crash left it (its fault plan
 	// disarmed).
 	Backend pagestore.Backend
 	// Segments is the log's segment store, already power-failed (unsynced
@@ -216,14 +214,34 @@ func (w *crashWorker) noteCommitted(p crashPlan) {
 // crashed reports whether err means the log (or a poisoned write-back)
 // ended the burst.
 func crashed(err error) bool {
-	return errors.Is(err, wal.ErrCrashed) || errors.Is(err, pagestore.ErrInjectedFault)
+	return errors.Is(err, wal.ErrCrashed) || errors.Is(err, fault.ErrInjected)
+}
+
+// over reports whether the burst has reached its crash, hard-stopping the
+// log if a scheduled fault fired where no worker saw it fail (a write-back
+// of the trickle below).
+func (w *crashWorker) over() bool {
+	if p := w.cfg.Faults; p != nil {
+		for _, f := range p.Schedule {
+			if p.Seen(f.Site) >= f.N {
+				w.log.CrashNow()
+			}
+		}
+	}
+	return w.log.Crashed()
 }
 
 func (w *crashWorker) run() {
 	for i := 0; i < w.cfg.OpsPerWorker; i++ {
-		if w.log.Crashed() {
+		// Check for the crash before the trickle below forces the log: a
+		// commit acknowledged without being durable then dies with it.
+		if w.over() {
 			return
 		}
+		// Write the dirty pages back, as the pool's background flusher would:
+		// write-backs give page-write faults something to strike and move
+		// checkpoints' redo LSN forward, so GC has segments to remove.
+		w.doc.Store().FlushDirty()
 		if w.cfg.CheckpointEvery > 0 && i > 0 && i%w.cfg.CheckpointEvery == 0 {
 			// Fuzzy checkpoint mid-burst; other workers keep mutating. A
 			// scheduled checkpoint crash surfaces here as ErrCrashed.
@@ -281,20 +299,11 @@ func CrashBurst(cfg CrashConfig) (*CrashOutcome, error) {
 	}
 	if cfg.Bib.Persons == 0 {
 		cfg.Bib = Scaled(0.02)
-		cfg.Bib.BufferFrames = 48 // force write-backs during the burst
+		cfg.Bib.BufferFrames = 48
 	}
 	cfg.Bib.Seed = cfg.Seed
 
-	var faults *pagestore.FaultConfig
-	if cfg.TornWriteAt > 0 {
-		faults = &pagestore.FaultConfig{
-			Seed: cfg.Seed,
-			Schedule: []pagestore.ScheduledFault{
-				{Op: pagestore.OpWrite, N: cfg.TornWriteAt, Class: pagestore.ClassPermanent, Torn: true},
-			},
-		}
-	}
-	backend := memBackend(faults)
+	backend := memBackend(cfg.Faults)
 	doc, _, err := GenerateBib(backend, cfg.Bib)
 	if err != nil {
 		return nil, err
@@ -305,24 +314,16 @@ func CrashBurst(cfg CrashConfig) (*CrashOutcome, error) {
 		Protocol:    cfg.Protocol,
 		LockDepth:   &depth,
 		LockTimeout: cfg.LockTimeout,
-		Log: wal.Config{
-			SegmentSize:          cfg.SegmentSize,
-			CrashAfterAppends:    cfg.CrashAfterAppends,
-			Retain:               cfg.Retain,
-			CrashAtCheckpoint:    cfg.CheckpointCrashAt,
-			CheckpointCrashPhase: cfg.CheckpointCrashPhase,
-		},
+		Log:         wal.Config{SegmentSize: cfg.SegmentSize, Retain: cfg.Retain, Faults: cfg.Faults},
 	})
 	if err != nil {
 		return nil, err
 	}
 	// No eng.Close(), which would flush: the buffer pool and the log die with
 	// the "process". Only the deadlock detector is stopped.
-	mgr, log, fb := eng.Manager(), doc.WAL(), eng.Faults()
+	mgr, log := eng.Manager(), doc.WAL()
 	defer mgr.Close()
-	if fb != nil {
-		fb.Arm()
-	}
+	cfg.Faults.Arm()
 
 	workers := make([]*crashWorker, cfg.Workers)
 	var wg sync.WaitGroup
@@ -349,9 +350,7 @@ func CrashBurst(cfg CrashConfig) (*CrashOutcome, error) {
 	// Hard stop: even a burst that exhausted its op budget ends in a
 	// simulated power failure, not a clean shutdown.
 	log.CrashNow()
-	if fb != nil {
-		fb.Disarm()
-	}
+	cfg.Faults.Disarm()
 	out := &CrashOutcome{
 		Backend:   backend,
 		Segments:  segs,

@@ -4,8 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/metrics"
-	"repro/internal/pagestore"
 	"repro/internal/protocol"
 )
 
@@ -17,17 +17,17 @@ func TestResultMetricsEqualLayerStats(t *testing.T) {
 	cfg := chaosConfig(11)
 	cfg.Duration = 400 * time.Millisecond
 	// On a loaded machine the 400 ms run makes about 30 backend reads and
-	// writes: at 5 % the seeded injector drew no fault in them and
-	// buffer.retries stayed at zero; at 25 % that takes 0.75^30 ≈ 0.02 %.
-	cfg.Faults = &pagestore.FaultConfig{Seed: 11, ReadProb: 0.25, WriteProb: 0.25}
+	// writes, retried at most 5 times each (pagestore.DefaultRetryPolicy).
+	// Plan seed 40 at 10 % faults the first or second read and write, so
+	// buffer.retries cannot stay at zero, and never faults 4 occurrences in a
+	// row in the first 3000, so no retry budget runs out.
+	cfg.Faults = &fault.Plan{Seed: 40}
+	cfg.Faults.Prob[fault.PageRead], cfg.Faults.Prob[fault.PageWrite] = 0.1, 0.1
 	p, err := protocol.Parse(cfg.Protocol)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.WAL = true
-	cfg.Retry = &pagestore.RetryPolicy{
-		MaxRetries: 8, BaseBackoff: 20 * time.Microsecond, MaxBackoff: 500 * time.Microsecond,
-	}
 	reg := metrics.NewRegistry()
 	eng, cat, err := newLocalEngine(cfg, reg, nil)
 	if err != nil {
@@ -39,7 +39,7 @@ func TestResultMetricsEqualLayerStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := eng.Manager()
-	ls, bs, fs := mgr.LockManager().Stats(), mgr.Document().Store().Stats(), eng.Faults().Stats()
+	ls, bs := mgr.LockManager().Stats(), mgr.Document().Store().Stats()
 	for name, want := range map[string]uint64{
 		"lock.requests":             ls.Requests,
 		"lock.waits":                ls.Waits,
@@ -49,7 +49,7 @@ func TestResultMetricsEqualLayerStats(t *testing.T) {
 		"lock.cache_hits":           ls.CacheHits,
 		"buffer.retries":            bs.Retries,
 		"buffer.retry_failures":     bs.RetryFailures,
-		"fault.injected":            fs.TotalInjected(),
+		"fault.injected":            cfg.Faults.Injected(),
 		"tx.committed":              uint64(res.Committed),
 	} {
 		if got := res.Metrics.CounterValue(name); got != want {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/node"
@@ -62,13 +63,11 @@ type Config struct {
 	// RestartMaxBackoff caps the restart backoff (DefaultRestartMaxBackoff
 	// when zero).
 	RestartMaxBackoff time.Duration
-	// Faults, when non-nil, wraps the document's backend in a seeded
-	// FaultBackend. Injection is armed only for the measurement interval:
-	// document generation and the post-run verification run fault-free.
-	Faults *pagestore.FaultConfig
-	// Retry overrides the buffer manager's transient-fault retry policy
-	// (pagestore.DefaultRetryPolicy when nil).
-	Retry *pagestore.RetryPolicy
+	// Faults, when non-nil, is the fault plan the document's backend
+	// consults (pagestore.FaultBackend). Run arms it for the measurement
+	// interval only: document generation and the post-run verification run
+	// fault-free.
+	Faults *fault.Plan
 	// UseUpdateLocks makes TAlendAndReturn declare its write intent with
 	// update-mode locks (URIX's U, taDOM's SU) instead of converting read
 	// locks — an ablation on the paper's conversion-deadlock observation.
@@ -96,7 +95,7 @@ type Config struct {
 	// session (the server's one-transaction-per-session discipline), the
 	// post-run audit runs server-side and the engine's counters are fetched
 	// over the wire (OpStats) and merged into Result.Metrics. Fields
-	// that configure the in-process engine (Faults, Retry, WAL, LockTimeout,
+	// that configure the in-process engine (Faults, WAL, LockTimeout,
 	// Metrics for engine layers, Bib) are ignored — the server owns its
 	// engine configuration.
 	Remote string
@@ -278,8 +277,8 @@ func Run(cfg Config) (*Result, error) {
 	return runLocal(cfg, res, reg, eng, cat, &txTypes)
 }
 
-// newLocalEngine generates the bib document in memory (behind a fault
-// injector with cfg.Faults) and wraps the engine a local run drives around it;
+// newLocalEngine generates the bib document in memory (behind cfg.Faults, if
+// set) and wraps the engine a local run drives around it;
 // reg receives every layer's instruments. With cfg.WAL every commit forces an
 // in-memory log.
 func newLocalEngine(cfg Config, reg *metrics.Registry, onDeadlock func(lock.DeadlockInfo)) (*core.Engine, *Catalog, error) {
@@ -287,9 +286,6 @@ func newLocalEngine(cfg Config, reg *metrics.Registry, onDeadlock func(lock.Dead
 	doc, cat, err := GenerateBib(memBackend(cfg.Faults), cfg.Bib)
 	if err != nil {
 		return nil, nil, err
-	}
-	if cfg.Retry != nil {
-		doc.Store().SetRetryPolicy(*cfg.Retry)
 	}
 	var segs wal.SegmentStore
 	if cfg.WAL {
@@ -321,34 +317,27 @@ func newResult(cfg Config, p protocol.Protocol) *Result {
 	return res
 }
 
-// memBackend returns an empty in-memory page backend, inside a seeded fault
-// injector with faults set. The injector is handed over disarmed — generation
-// and the baseline flush run fault-free — and the engine built over it finds
-// it (core.Engine.Faults).
-func memBackend(faults *pagestore.FaultConfig) pagestore.Backend {
-	if faults == nil {
+// memBackend returns an empty in-memory page backend that consults plan, if
+// set. The caller arms the plan once generation is done.
+func memBackend(plan *fault.Plan) pagestore.Backend {
+	if plan == nil {
 		return pagestore.NewMemBackend()
 	}
-	fb := pagestore.NewFaultBackend(pagestore.NewMemBackend(), *faults)
-	fb.Disarm()
-	return fb
+	return &pagestore.FaultBackend{Backend: pagestore.NewMemBackend(), Plan: plan}
 }
 
-// runLocal points the slot driver at an in-process engine, arming its fault
-// injector (if any) for the measurement interval only: generation ran, and
-// the audit and teardown run, fault-free.
+// runLocal points the slot driver at an in-process engine, arming the fault
+// plan (if any) for the measurement interval only: generation ran, and the
+// audit and teardown run, fault-free.
 func runLocal(cfg Config, res *Result, reg *metrics.Registry, eng *core.Engine, cat *Catalog, txTypes *sync.Map) (*Result, error) {
-	mgr, faults := eng.Manager(), eng.Faults()
-	if faults != nil {
-		faults.Arm()
-	}
+	mgr := eng.Manager()
+	cfg.Faults.Arm()
+	defer cfg.Faults.Disarm()
 	engine := func(txType TxType, iso tx.Level) (Engine, func(), error) {
 		return &localEngine{m: mgr, iso: iso, txType: txType, txTypes: txTypes}, func() {}, nil
 	}
 	finish := func() error {
-		if faults != nil {
-			faults.Disarm()
-		}
+		cfg.Faults.Disarm()
 		// Every run doubles as an integrity and residue check: a protocol
 		// that let an interleaving corrupt the document, or a release path
 		// that was skipped, must not produce a result.

@@ -40,6 +40,7 @@ import (
 	"hash/crc32"
 	"sort"
 
+	"repro/internal/fault"
 	"repro/internal/pagestore"
 )
 
@@ -252,14 +253,6 @@ func (l *Log) Checkpoint(collect func() ([]pagestore.DirtyPage, uint64)) (LSN, e
 	for txn, first := range l.att {
 		att = append(att, AttEntry{Txn: txn, FirstLSN: first})
 	}
-	l.ckptSeq++
-	crashPhase := 0
-	if l.cfg.CrashAtCheckpoint > 0 && l.ckptSeq == l.cfg.CrashAtCheckpoint {
-		crashPhase = l.cfg.CheckpointCrashPhase
-		if crashPhase == 0 {
-			crashPhase = 1
-		}
-	}
 	l.mu.Unlock()
 	sort.Slice(att, func(i, j int) bool { return att[i].Txn < att[j].Txn })
 
@@ -298,8 +291,7 @@ func (l *Log) Checkpoint(collect func() ([]pagestore.DirtyPage, uint64)) (LSN, e
 		return 0, err
 	}
 
-	if crashPhase == 1 { // record durable, master not yet repointed
-		l.CrashNow()
+	if l.crashAt(fault.CkptForced) {
 		return 0, ErrCrashed
 	}
 
@@ -320,8 +312,7 @@ func (l *Log) Checkpoint(collect func() ([]pagestore.DirtyPage, uint64)) (LSN, e
 	l.lastCkpt = ck
 	l.mu.Unlock()
 
-	if crashPhase == 2 { // master repointed, no segment removed yet
-		l.CrashNow()
+	if l.crashAt(fault.CkptMaster) {
 		return lsn, ErrCrashed
 	}
 
@@ -333,8 +324,7 @@ func (l *Log) Checkpoint(collect func() ([]pagestore.DirtyPage, uint64)) (LSN, e
 		delete(l.bases, idx)
 		l.segsGCed++
 		l.mu.Unlock()
-		if crashPhase == 3 { // partial GC: oldest segment removed, rest not
-			l.CrashNow()
+		if l.crashAt(fault.CkptGC) {
 			return lsn, ErrCrashed
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/pagestore"
 )
 
@@ -245,6 +246,41 @@ func TestCheckpointGCsSegmentsAndReanchors(t *testing.T) {
 		if got[i] <= got[i-1] {
 			t.Fatalf("scan order broken: %v", got)
 		}
+	}
+}
+
+// TestCheckpointCrashSites crashes a checkpoint in each of its three
+// windows: after the forced record (no checkpoint completes), after the
+// master (complete, nothing removed), and after the second segment removal
+// (exactly two removed) — GC counts one occurrence per removal.
+func TestCheckpointCrashSites(t *testing.T) {
+	for _, tc := range []struct {
+		f           fault.Fault
+		ckpts, gced uint64
+	}{
+		{fault.Fault{Site: fault.CkptForced, N: 1}, 0, 0},
+		{fault.Fault{Site: fault.CkptMaster, N: 1}, 1, 0},
+		{fault.Fault{Site: fault.CkptGC, N: 2}, 1, 2},
+	} {
+		t.Run(tc.f.Site.String(), func(t *testing.T) {
+			plan := &fault.Plan{Schedule: []fault.Fault{tc.f}}
+			l, err := Open(NewMemSegmentStore(), Config{SegmentSize: 1024, Retain: 1, Faults: plan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fillLog(t, l, 40, 100)
+			plan.Arm()
+			if _, err := l.Checkpoint(nil); !errors.Is(err, ErrCrashed) || !l.Crashed() {
+				t.Fatalf("checkpoint = %v, want the log crashed", err)
+			}
+			if st := l.Stats(); st.Checkpoints != tc.ckpts || st.SegmentsGCed != tc.gced {
+				t.Errorf("crash left %d checkpoints and %d segments collected, want %d and %d",
+					st.Checkpoints, st.SegmentsGCed, tc.ckpts, tc.gced)
+			}
+			if plan.Injected() != 1 {
+				t.Errorf("plan injected %d faults, want 1", plan.Injected())
+			}
+		})
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/storage"
 	"repro/internal/tamix"
 	"repro/internal/wal"
@@ -32,9 +33,31 @@ func recoverAndAudit(t *testing.T, out *tamix.CrashOutcome) *storage.RecoveryRep
 	return rep
 }
 
+// crashAt plans one crash: the nth occurrence of site, torn if it is a page
+// write.
+func crashAt(site fault.Site, n int) *fault.Plan {
+	return &fault.Plan{Schedule: []fault.Fault{{Site: site, N: uint64(n), Permanent: true, Torn: site == fault.PageWrite}}}
+}
+
+// burst runs one crash burst and fails the row unless every fault its plan
+// schedules fired: a crash that never happens tests nothing.
+func burst(t *testing.T, cfg tamix.CrashConfig) *tamix.CrashOutcome {
+	t.Helper()
+	out, err := tamix.CrashBurst(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range cfg.Faults.Schedule {
+		if cfg.Faults.Fired(f.Site) == 0 {
+			t.Fatalf("the planned %s fault #%d never fired (%d occurrences)", f.Site, f.N, cfg.Faults.Seen(f.Site))
+		}
+	}
+	return out
+}
+
 // TestCrashMatrixLogCrash sweeps seeds over log-side crashes: the log
-// stops accepting appends after a seed-dependent count, mid-burst, and
-// pending (unsynced) records are dropped like a power failure would.
+// crashes at a seed-dependent append, mid-burst, and pending (unsynced)
+// records are dropped like a power failure would.
 func TestCrashMatrixLogCrash(t *testing.T) {
 	seeds := 30
 	if testing.Short() {
@@ -44,13 +67,10 @@ func TestCrashMatrixLogCrash(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			out, err := tamix.CrashBurst(tamix.CrashConfig{
-				Seed:              int64(seed),
-				CrashAfterAppends: uint64(20 + seed*13%160),
+			out := burst(t, tamix.CrashConfig{
+				Seed:   int64(seed),
+				Faults: crashAt(fault.LogAppend, 20+seed*13%160),
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			rep := recoverAndAudit(t, out)
 			if out.CommittedTxns > 0 && len(rep.Committed) == 0 {
 				t.Errorf("%d commits acknowledged but none in the log", out.CommittedTxns)
@@ -72,13 +92,10 @@ func TestCrashMatrixTornWriteback(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			out, err := tamix.CrashBurst(tamix.CrashConfig{
-				Seed:        int64(1000 + seed),
-				TornWriteAt: uint64(1 + seed%12),
+			out := burst(t, tamix.CrashConfig{
+				Seed:   int64(1000 + seed),
+				Faults: crashAt(fault.PageWrite, 1+seed%12),
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			recoverAndAudit(t, out)
 		})
 	}
@@ -97,14 +114,11 @@ func TestCrashMatrixCheckpointedBurst(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			out, err := tamix.CrashBurst(tamix.CrashConfig{
-				Seed:              int64(2000 + seed),
-				CheckpointEvery:   3 + seed%4,
-				CrashAfterAppends: uint64(60 + seed*17%200),
+			out := burst(t, tamix.CrashConfig{
+				Seed:            int64(2000 + seed),
+				CheckpointEvery: 3 + seed%4,
+				Faults:          crashAt(fault.LogAppend, 60+seed*17%200),
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			rep := recoverAndAudit(t, out)
 			if out.LogStats.Checkpoints > 0 && rep.CheckpointLSN == 0 {
 				t.Errorf("burst took %d checkpoints but recovery scanned from LSN 0",
@@ -114,8 +128,8 @@ func TestCrashMatrixCheckpointedBurst(t *testing.T) {
 	}
 }
 
-// TestCrashMatrixMidCheckpoint crashes during the checkpoint itself, after
-// the checkpoint record is forced but before the master pointer moves
+// TestCrashMatrixMidCheckpoint crashes during a seed-dependent checkpoint,
+// after the checkpoint record is forced but before the master pointer moves
 // (phase 1). The master still names the previous checkpoint (or none), and
 // recovery from that older anchor must stay correct.
 func TestCrashMatrixMidCheckpoint(t *testing.T) {
@@ -127,15 +141,11 @@ func TestCrashMatrixMidCheckpoint(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			out, err := tamix.CrashBurst(tamix.CrashConfig{
-				Seed:                 int64(3000 + seed),
-				CheckpointEvery:      2 + seed%3,
-				CheckpointCrashAt:    uint64(1 + seed%5),
-				CheckpointCrashPhase: 1,
+			out := burst(t, tamix.CrashConfig{
+				Seed:            int64(3000 + seed),
+				CheckpointEvery: 2 + seed%3,
+				Faults:          crashAt(fault.CkptForced, 1+seed%5),
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			recoverAndAudit(t, out)
 		})
 	}
@@ -154,15 +164,11 @@ func TestCrashMatrixMasterBeforeGC(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			out, err := tamix.CrashBurst(tamix.CrashConfig{
-				Seed:                 int64(4000 + seed),
-				CheckpointEvery:      2 + seed%3,
-				CheckpointCrashAt:    uint64(2 + seed%5),
-				CheckpointCrashPhase: 2,
+			out := burst(t, tamix.CrashConfig{
+				Seed:            int64(4000 + seed),
+				CheckpointEvery: 2 + seed%3,
+				Faults:          crashAt(fault.CkptMaster, 2+seed%5),
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			rep := recoverAndAudit(t, out)
 			if out.LogStats.CheckpointLSN != 0 && rep.CheckpointLSN != out.LogStats.CheckpointLSN {
 				t.Errorf("recovery anchored at LSN %d, want the durable master's %d",
@@ -172,9 +178,9 @@ func TestCrashMatrixMasterBeforeGC(t *testing.T) {
 	}
 }
 
-// TestCrashMatrixDuringGC crashes mid segment GC (phase 3): the master
-// already points past the removed segments, some removable segments are
-// gone and some linger. Oldest-first removal keeps the survivors
+// TestCrashMatrixDuringGC crashes mid segment GC (phase 3), after a
+// seed-dependent segment removal: the master already points past the
+// removed segments, some removable segments are gone and some linger. Oldest-first removal keeps the survivors
 // contiguous, so reopening must re-anchor and recover cleanly.
 func TestCrashMatrixDuringGC(t *testing.T) {
 	seeds := 8
@@ -185,16 +191,12 @@ func TestCrashMatrixDuringGC(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			out, err := tamix.CrashBurst(tamix.CrashConfig{
-				Seed:                 int64(6000 + seed),
-				CheckpointEvery:      2 + seed%3,
-				SegmentSize:          8 << 10, // small segments so GC has work
-				CheckpointCrashAt:    uint64(2 + seed%6),
-				CheckpointCrashPhase: 3,
+			out := burst(t, tamix.CrashConfig{
+				Seed:            int64(6000 + seed),
+				CheckpointEvery: 2 + seed%3,
+				SegmentSize:     8 << 10, // small segments so GC has work
+				Faults:          crashAt(fault.CkptGC, 2+seed%6),
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			recoverAndAudit(t, out)
 		})
 	}
@@ -251,15 +253,12 @@ func TestCrashMatrixFileBackedRestart(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			out, err := tamix.CrashBurst(tamix.CrashConfig{
-				Seed:              int64(8000 + seed),
-				CheckpointEvery:   3,
-				SegmentSize:       8 << 10,
-				CrashAfterAppends: uint64(60 + seed*23%180),
+			out := burst(t, tamix.CrashConfig{
+				Seed:            int64(8000 + seed),
+				CheckpointEvery: 3,
+				SegmentSize:     8 << 10,
+				Faults:          crashAt(fault.LogAppend, 60+seed*23%180),
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			fs := copyToDisk(t, out.Segments, crashScratch(t))
 			log, err := wal.Open(fs, wal.Config{})
 			if err != nil {
@@ -277,9 +276,9 @@ func TestCrashMatrixFileBackedRestart(t *testing.T) {
 	}
 }
 
-// TestCrashMatrixFullBudgetBurst runs bursts that exhaust their op budget
-// before any induced fault — the crash is then purely the final hard stop,
-// and every acknowledged commit must survive it.
+// TestCrashMatrixFullBudgetBurst runs bursts whose plan schedules no fault,
+// so they exhaust their op budget — the crash is then purely the final hard
+// stop, and every acknowledged commit must survive it.
 func TestCrashMatrixFullBudgetBurst(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
@@ -289,17 +288,62 @@ func TestCrashMatrixFullBudgetBurst(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			out, err := tamix.CrashBurst(tamix.CrashConfig{
+			plan := &fault.Plan{}
+			out := burst(t, tamix.CrashConfig{
 				Seed:         int64(5000 + seed),
 				OpsPerWorker: 25,
+				Faults:       plan,
+			})
+			if out.CommittedTxns == 0 {
+				t.Fatal("burst committed nothing; the matrix is vacuous")
+			}
+			if plan.Injected() != 0 {
+				t.Fatalf("a plan with no faults injected %d", plan.Injected())
+			}
+			recoverAndAudit(t, out)
+		})
+	}
+}
+
+// TestCrashMatrixComposed runs, per seed, one plan that composes what the
+// rows above test one at a time: transient page read and write faults that
+// the buffer's retry absorbs, a torn write-back, a log crash, and
+// checkpoints every few operations. The burst ends at whichever planned
+// crash comes first; the subtest's seed replays it.
+func TestCrashMatrixComposed(t *testing.T) {
+	seeds := 12
+	if testing.Short() {
+		seeds = 4
+	}
+	for seed := 0; seed < seeds; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			plan := &fault.Plan{Seed: int64(seed), Schedule: []fault.Fault{
+				{Site: fault.PageWrite, N: uint64(20 + seed*37%120), Permanent: true, Torn: true},
+				{Site: fault.LogAppend, N: uint64(20 + seed*31%120)},
+			}}
+			plan.Prob[fault.PageRead], plan.Prob[fault.PageWrite] = 0.2, 0.05
+			bib := tamix.Scaled(0.05) // 44 pages in a 24-frame pool: reads miss, and fault
+			bib.BufferFrames = 24
+			out, err := tamix.CrashBurst(tamix.CrashConfig{
+				Seed:            int64(7000 + seed),
+				CheckpointEvery: 2 + seed%4,
+				SegmentSize:     8 << 10,
+				Bib:             bib,
+				Faults:          plan,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if out.CommittedTxns == 0 {
-				t.Fatal("burst committed nothing; the matrix is vacuous")
-			}
 			recoverAndAudit(t, out)
+			if plan.TornWrites()+plan.Fired(fault.LogAppend) == 0 {
+				t.Errorf("neither the torn write-back nor the log crash fired (%d writes, %d appends)",
+					plan.Seen(fault.PageWrite), plan.Seen(fault.LogAppend))
+			}
+			t.Logf("faults: %d read, %d write (%d torn), %d log; commits %d, pending %d",
+				plan.Fired(fault.PageRead), plan.Fired(fault.PageWrite), plan.TornWrites(),
+				plan.Fired(fault.LogAppend), out.CommittedTxns, out.PendingTxns)
 		})
 	}
 }

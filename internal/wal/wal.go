@@ -11,11 +11,12 @@
 // transactions share one fsync (group commit). Force blocks until the log
 // is durable up to a given LSN.
 //
-// Crash testing: CrashNow (or Config.CrashAfterAppends) turns the log
-// fail-stop — pending records are dropped, and every later Append, Force,
-// and FlushTo returns ErrCrashed. The buffer manager calls FlushTo before
-// every dirty-page write-back, so a dead log also stops all page traffic:
-// nothing unlogged can reach the backend after the "power failure".
+// Crash testing: CrashNow, or a fault that Config.Faults plans for an append
+// or a checkpoint window, turns the log fail-stop — pending records are
+// dropped, and every later Append and FlushTo, and every Force of a record
+// not yet durable, returns ErrCrashed. The buffer manager calls FlushTo
+// before every dirty-page write-back, so a dead log also stops all page
+// traffic: nothing unlogged can reach the backend after the "power failure".
 package wal
 
 import (
@@ -25,6 +26,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/pagestore"
 )
@@ -56,10 +58,6 @@ type Config struct {
 	// if <= 0). A batch is written entirely to one segment, so segments
 	// can overshoot by up to one batch; frames never straddle segments.
 	SegmentSize int
-	// CrashAfterAppends, when > 0, makes the Nth Append (and everything
-	// after it) fail with ErrCrashed, dropping all unsynced records — the
-	// deterministic crash point of the crash-matrix tests.
-	CrashAfterAppends uint64
 	// Metrics, when non-nil, receives the log's instruments: the wal.*
 	// counters, append/force latency histograms, and the group-commit
 	// batch-size distribution. Nil disables latency recording.
@@ -69,15 +67,11 @@ type Config struct {
 	// window of history even when the checkpoint would allow truncating
 	// everything; the active segment is never removed regardless.
 	Retain int
-	// CrashAtCheckpoint, when > 0, makes the Nth Checkpoint call crash the
-	// log partway through, at the point selected by CheckpointCrashPhase —
-	// the crash-matrix hook for mid-checkpoint and mid-GC power failures.
-	CrashAtCheckpoint uint64
-	// CheckpointCrashPhase selects where CrashAtCheckpoint fires:
-	// 1 = after the checkpoint record is durable, before the master record
-	// is written; 2 = after the master record, before any segment is
-	// removed; 3 = after the first segment removal, before the rest.
-	CheckpointCrashPhase int
+	// Faults, when non-nil, is consulted at every append (fault.LogAppend)
+	// and at a checkpoint's three windows (fault.CkptForced, CkptMaster,
+	// CkptGC); a planned fault there crashes the log like CrashNow — the
+	// crash matrix's power failures.
+	Faults *fault.Plan
 }
 
 // Stats counts log activity.
@@ -169,7 +163,6 @@ type Log struct {
 	// lastCkpt is the latest complete checkpoint (nil before the first).
 	lastCkpt *Checkpoint
 
-	ckptSeq     uint64 // Checkpoint calls, for CrashAtCheckpoint scheduling
 	checkpoints uint64
 	segsGCed    uint64
 	ckptLSN     LSN
@@ -345,11 +338,13 @@ func (l *Log) append(typ byte, txn uint64, payloadLen int, body func([]byte) []b
 	if l.closed {
 		return 0, ErrClosed
 	}
-	l.appends++
-	if l.cfg.CrashAfterAppends > 0 && l.appends >= l.cfg.CrashAfterAppends {
-		l.crashLocked()
-		return 0, ErrCrashed
+	if l.cfg.Faults != nil {
+		if _, crash := l.cfg.Faults.At(fault.LogAppend); crash {
+			l.crashLocked()
+			return 0, ErrCrashed
+		}
 	}
+	l.appends++
 	lsn := l.next
 	l.noteRecord(Record{LSN: lsn, Type: typ, Txn: txn})
 	// Grow once for the whole frame, not once per piece body appends.
@@ -437,13 +432,22 @@ func (l *Log) AppendEnd(txn uint64) (LSN, error) {
 
 // Force blocks until every record appended at or before lsn is durable.
 // Passing an LSN returned by Append covers that record (durability is
-// tracked past the record's full frame).
-func (l *Log) Force(lsn LSN) error {
+// tracked past the record's full frame). A record synced before the log
+// crashed stays durable, and Force says so: a checkpoint may already have
+// released it from what recovery scans, so a committer told ErrCrashed
+// could never learn that its commit survived.
+func (l *Log) Force(lsn LSN) error { return l.force(lsn, false) }
+
+// FlushTo is the pagestore.LogSyncer hook: Force, except that a crashed log
+// fails every call. The buffer manager calls it with a page's LSN before
+// writing the page back, so after a crash no page reaches the backend.
+func (l *Log) FlushTo(lsn uint64) error { return l.force(lsn, true) }
+
+func (l *Log) force(lsn LSN, barrier bool) error {
 	// Fast path: the record is already durable and the log was healthy
-	// when the watermark was last published. Records synced before a
-	// crash stay durable, but a crashed log must still fail every Force —
-	// crashLocked zeroes the watermark, so only the slow path (which
-	// checks crashed) can answer then.
+	// when the watermark was last published. crashLocked zeroes the
+	// watermark, so only the slow path (which checks crashed) can answer
+	// after a crash.
 	if d := l.fastDurable.Load(); d != 0 && d > lsn {
 		return nil
 	}
@@ -453,13 +457,14 @@ func (l *Log) Force(lsn LSN) error {
 	defer l.mu.Unlock()
 	waited := false
 	for {
-		if l.crashed {
+		durable := l.durable > lsn || (l.durable == lsn && l.next == lsn)
+		if l.crashed && (barrier || !durable) {
 			return ErrCrashed
 		}
 		if l.failure != nil {
 			return l.failure
 		}
-		if l.durable > lsn || (l.durable == lsn && l.next == lsn) {
+		if durable {
 			return nil
 		}
 		if l.closed {
@@ -473,10 +478,6 @@ func (l *Log) Force(lsn LSN) error {
 		l.cond.Wait()
 	}
 }
-
-// FlushTo is the pagestore.LogSyncer hook: identical to Force. The buffer
-// manager calls it with a page's LSN before writing the page back.
-func (l *Log) FlushTo(lsn uint64) error { return l.Force(lsn) }
 
 // kick nudges the flusher without blocking. Caller holds l.mu.
 func (l *Log) kick() {
@@ -502,6 +503,15 @@ func (l *Log) CrashNow() {
 	l.mu.Lock()
 	l.crashLocked()
 	l.mu.Unlock()
+}
+
+// crashAt crashes the log when its fault plan fires at site s.
+func (l *Log) crashAt(s fault.Site) bool {
+	if _, crash := l.cfg.Faults.At(s); !crash {
+		return false
+	}
+	l.CrashNow()
+	return true
 }
 
 // Crashed reports whether the log is fail-stopped.

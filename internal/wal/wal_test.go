@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/pagestore"
 )
 
@@ -189,9 +190,15 @@ func TestCorruptionBeforeTailRejected(t *testing.T) {
 	}
 }
 
-func TestCrashAfterAppends(t *testing.T) {
+// TestCrashAtPlannedAppend: a plan that schedules the third append crashes
+// the log there, exactly once — the first two appends pass, the third and
+// everything after fail with ErrCrashed, except a force of what was already
+// durable — and a power failure keeps only what was synced.
+func TestCrashAtPlannedAppend(t *testing.T) {
 	store := NewMemSegmentStore()
-	l, err := Open(store, Config{CrashAfterAppends: 3})
+	plan := &fault.Plan{Schedule: []fault.Fault{{Site: fault.LogAppend, N: 3}}}
+	plan.Arm()
+	l, err := Open(store, Config{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,10 +224,18 @@ func TestCrashAfterAppends(t *testing.T) {
 	if err := l.Force(l1 + 1000); !errors.Is(err, ErrCrashed) {
 		t.Errorf("force after crash = %v", err)
 	}
+	// A record synced before the crash stays durable, and Force says so.
+	if err := l.Force(l1); err != nil {
+		t.Errorf("force of a record synced before the crash = %v", err)
+	}
 	// FlushTo(0) must fail too: the WAL rule uses it as the write-back
 	// barrier, and after a crash nothing may be written back.
 	if err := l.FlushTo(0); !errors.Is(err, ErrCrashed) {
 		t.Errorf("FlushTo(0) after crash = %v", err)
+	}
+	if plan.Fired(fault.LogAppend) != 1 || plan.Seen(fault.LogAppend) != 3 {
+		t.Errorf("plan fired %d of %d appends, want 1 of 3 (a crashed log consults no plan)",
+			plan.Fired(fault.LogAppend), plan.Seen(fault.LogAppend))
 	}
 
 	// Power failure: only synced bytes survive; record two was pending.
@@ -236,6 +251,41 @@ func TestCrashAfterAppends(t *testing.T) {
 	}
 	if len(pays) != 1 || pays[0] != "one" {
 		t.Fatalf("surviving records = %q, want [one]", pays)
+	}
+}
+
+// TestCrashPlanDisarmedAndSeeded: a disarmed plan that would fail every
+// append passes them all, and two logs under equal seeds crash at the same
+// append.
+func TestCrashPlanDisarmedAndSeeded(t *testing.T) {
+	crashAt := func(plan *fault.Plan) int {
+		l, err := Open(NewMemSegmentStore(), Config{Faults: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		for i := 1; i <= 500; i++ {
+			if _, err := l.Append(RecOp, 1, []byte("x")); errors.Is(err, ErrCrashed) {
+				return i
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return 0
+	}
+	plan := func(seed int64, p float64) *fault.Plan {
+		plan := &fault.Plan{Seed: seed}
+		plan.Prob[fault.LogAppend] = p
+		return plan
+	}
+	if n := crashAt(plan(1, 1)); n != 0 {
+		t.Fatalf("disarmed plan crashed the log at append %d", n)
+	}
+	a, b := plan(7, 0.05), plan(7, 0.05)
+	a.Arm()
+	b.Arm()
+	if na, nb := crashAt(a), crashAt(b); na == 0 || na != nb {
+		t.Fatalf("seed 7 crashed the log at appends %d and %d", na, nb)
 	}
 }
 
