@@ -1,11 +1,14 @@
 package tamix
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/node"
 	"repro/internal/pagestore"
+	"repro/internal/protocol"
 	"repro/internal/tx"
 )
 
@@ -142,6 +145,39 @@ func RunCluster2(protocolName string, docScale float64, runs int) (*Cluster2Resu
 	}
 	res.LockRequests = mgr.LockManager().Stats().Requests
 	return res, nil
+}
+
+// Serial is Run's deterministic counterpart: txns transactions on mgr, one
+// after the other on one worker with no think time, each of a type drawn
+// uniformly from mix's slots by a generator seeded with seed. With nothing
+// running beside it no transaction waits or aborts, so what it counts — lock
+// requests per protocol and lock depth, subtree scans — repeats exactly. The
+// snapshot contestant's readers run at tx.LevelSnapshot, as in Run. It
+// returns how many transactions committed.
+func Serial(mgr *node.Manager, cat *Catalog, mix map[TxType]int, iso tx.Level, seed int64, txns int) (int, error) {
+	var slots []TxType
+	for _, t := range TxTypes {
+		for i := 0; i < mix[t]; i++ {
+			slots = append(slots, t)
+		}
+	}
+	r := newRunner(&localEngine{m: mgr}, cat, newSeededRand(seed))
+	for i := 0; i < txns; i++ {
+		typ := slots[r.rng.Intn(len(slots))]
+		level := iso
+		if protocol.UsesSnapshotReads(mgr.Protocol()) && typ.ReadOnly() {
+			level = tx.LevelSnapshot
+		}
+		txn := mgr.Begin(level)
+		if err := r.run(typ, txn); err != nil {
+			txn.Abort()
+			return i, fmt.Errorf("tamix: %s: %w", typ, err)
+		}
+		if err := txn.Commit(); err != nil {
+			return i, fmt.Errorf("tamix: %s: commit: %w", typ, err)
+		}
+	}
+	return txns, nil
 }
 
 func newSeededRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
