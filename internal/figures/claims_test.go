@@ -89,7 +89,7 @@ func lockRequestTable(t *testing.T) string {
 				t.Fatal(err)
 			}
 			mgr := eng.Manager()
-			committed, err := tamix.Serial(mgr, cat, tamix.Cluster1Mix(), tx.LevelRepeatable, claimSeed, claimTxns)
+			err = tamix.Serial(mgr, cat, tamix.Cluster1Mix(), tx.LevelRepeatable, claimSeed, claimTxns)
 			if err == nil {
 				err = mgr.Audit()
 			}
@@ -100,7 +100,7 @@ func lockRequestTable(t *testing.T) string {
 			if err != nil {
 				t.Fatalf("%s at depth %d: %v", p.Name(), depth, err)
 			}
-			fmt.Fprintf(&b, " %9.3f", float64(requests)/float64(committed))
+			fmt.Fprintf(&b, " %9.3f", float64(requests)/claimTxns)
 		}
 		b.WriteString("\n")
 	}
@@ -121,7 +121,7 @@ func delBookScans(t *testing.T, p protocol.Protocol) int {
 	scans := 0
 	mgr := node.New(doc, scanCounter{p, &scans}, node.Options{Depth: 4})
 	defer mgr.Close()
-	if _, err := tamix.Serial(mgr, cat, map[tamix.TxType]int{tamix.TAdelBook: 1}, tx.LevelRepeatable, claimSeed, delBookTxns); err != nil {
+	if err := tamix.Serial(mgr, cat, map[tamix.TxType]int{tamix.TAdelBook: 1}, tx.LevelRepeatable, claimSeed, delBookTxns); err != nil {
 		t.Fatalf("%s: %v", p.Name(), err)
 	}
 	return scans

@@ -16,9 +16,12 @@ import (
 // the locks (every request answered by the lock cache) under taDOM3+ at lock
 // depth 7. A label is its key and its lock resource name, so a warm GetNode
 // allocates only the ancestor slice of its lock path (measured 1; 6 before
-// PR 21, with a division slice per label and a name per lock), and a warm
-// GetChildren of a history with one child its lock pass's list and label,
-// the path, and the result and its label (measured 5; 15 before PR 21).
+// PR 21, with a division slice per label and a name per lock). A level read
+// under taDOM3+ reads no list before its lock, so a warm GetChildren of a
+// history with one child measured 3 (5 with the lock pass's list and label,
+// 15 before PR 21), and a warm GetAttributes of a book 4 (6 with the lock
+// pass). One more is a cursor moved to the heap: a walk that hands its cursor
+// to a callback lets it escape.
 func TestAllocWarmLockedRead(t *testing.T) {
 	m := newLibrary(t, "taDOM3+", 7)
 	defer m.Close()
@@ -43,7 +46,8 @@ func TestAllocWarmLockedRead(t *testing.T) {
 		read func() error
 	}{
 		{"GetNode(level 6)", 1, func() error { _, err := m.GetNode(txn, lend); return err }},
-		{"GetChildren(history)", 7, func() error { _, err := m.GetChildren(txn, history.ID); return err }},
+		{"GetChildren(history)", 3, func() error { _, err := m.GetChildren(txn, history.ID); return err }},
+		{"GetAttributes(book)", 4, func() error { _, err := m.GetAttributes(txn, book.ID); return err }},
 	} {
 		if err := c.read(); err != nil { // warm: the locks are held
 			t.Fatal(err)

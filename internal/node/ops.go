@@ -164,57 +164,78 @@ func (o op) lockEdge(owner splid.ID, e protocol.Edge) error {
 	return o.err(o.m.proto.ReadEdge(o.c, owner, e))
 }
 
-// lockLevel read-locks parent and all its children with one request. It is
-// the first of a level read's two passes over the child list: it reads the
-// lock set (labels only), and the labels it names (none without a lock
-// context) size the result the second pass reads once the locks are held —
-// and are what relockLevel checks that result against. The cursor of the first
-// pass is closed before the lock manager is asked.
-func (o op) lockLevel(parent splid.ID) ([]splid.ID, error) {
-	if o.c == nil {
-		return nil, nil
-	}
-	kids, _, err := o.v.ChildIDs(parent)
-	if err != nil {
-		return nil, err
-	}
-	return kids, o.err(o.m.proto.ReadLevel(o.c, parent, kids))
+// levelLock is what a level read's lock step holds on the list it reads: a
+// lock that covers every member (all: a protocol's level lock, or no lock
+// context at all), or the labels named one by one by a protocol that locks
+// each child (protocol.ListsChildren).
+type levelLock struct {
+	all   bool
+	named []splid.ID
 }
 
-// lockAttributes is the lock step of getAttributes: a level read on the
-// virtual attribute root covers all attributes with one request. Even "no
-// attributes" must be a repeatable observation, so an element without an
-// attribute root is locked itself.
-func (o op) lockAttributes(el, ar splid.ID) ([]splid.ID, error) {
-	if o.c == nil {
-		return nil, nil
+// readLevel runs a level read of owner's list: getChildren's, or the
+// attributes under an attribute root, whose element el is set then. The lock
+// step read-locks owner and all its children with one request (lockLevel).
+// The result is read after the lock is granted — a writer the lock waited for
+// may have changed the list — and is returned once every member is locked
+// (relockLevel).
+func (o op) readLevel(owner, el splid.ID, read func() ([]xmlmodel.Node, error)) (r wire.Result, err error) {
+	l, err := o.lockLevel(owner, el)
+	for again := true; again && err == nil; {
+		if r.Nodes, err = read(); err == nil {
+			again, err = o.relockLevel(owner, &l, r.Nodes)
+		}
 	}
-	kids, ok, err := o.v.ChildIDs(ar)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, o.lockNode(el, protocol.Navigate)
-	}
-	return kids, o.err(o.m.proto.ReadLevel(o.c, ar, kids))
+	return r, err
 }
 
-// relockLevel checks a level read's result against the labels its lock pass
-// named. The lock pass skips a child it finds half deleted, and the list may
-// change while the lock waits, so protocols that lock each child (NO2PL,
-// OO2PL, MGL*) may hold nothing on a child the deleter's abort restored or an
-// inserter the lock waited for committed. If got holds such a label, the
-// level is locked again with got's labels and again tells the caller to read
-// once more; the lock now held keeps inserters out, so the next read agrees.
-func (o op) relockLevel(owner splid.ID, named []splid.ID, got []xmlmodel.Node) (_ []splid.ID, again bool, err error) {
-	if o.c == nil || covers(named, got) {
-		return named, false, nil
+// lockLevel is a level read's lock step. Only a protocol that locks each child
+// needs the list, and only then does the step read it first (labels only, on
+// a cursor closed before the lock manager is asked). Even "no attributes" must
+// be a repeatable observation, so an element without an attribute root — one
+// probe where the protocol needs no list — is locked itself.
+func (o op) lockLevel(owner, el splid.ID) (levelLock, error) {
+	if o.c == nil {
+		return levelLock{all: true}, nil
 	}
-	named = named[:0]
-	for _, n := range got {
-		named = append(named, n.ID)
+	l := levelLock{all: !o.m.proto.ListsChildren()}
+	found := true
+	var err error
+	switch {
+	case !l.all:
+		l.named, found, err = o.v.ChildIDs(owner)
+	case !el.IsNull():
+		found, err = o.v.Exists(owner)
 	}
-	return named, true, o.err(o.m.proto.ReadLevel(o.c, owner, named))
+	if err != nil {
+		return levelLock{}, err
+	}
+	if !found && !el.IsNull() {
+		return levelLock{}, o.lockNode(el, protocol.Navigate)
+	}
+	return l, o.err(o.m.proto.ReadLevel(o.c, owner, l.named))
+}
+
+// relockLevel checks a level read's result against what the lock step locked.
+// A protocol that locks each child may hold nothing on a child of the result:
+// the lock pass skips a child it finds half deleted, and the list may change
+// while the lock waits — a deleter's abort restores a child, an inserter the
+// lock waited for commits one. An attribute list whose element had no
+// attribute root is covered by no lock at all. If got holds a member no lock
+// covers, the level is locked again — with got's labels, or with the level
+// lock — and again tells the caller to read once more; the lock now held keeps
+// inserters out, so the next read agrees.
+func (o op) relockLevel(owner splid.ID, l *levelLock, got []xmlmodel.Node) (again bool, err error) {
+	if l.all || covers(l.named, got) {
+		return false, nil
+	}
+	if l.all = !o.m.proto.ListsChildren(); !l.all {
+		l.named = l.named[:0]
+		for _, n := range got {
+			l.named = append(l.named, n.ID)
+		}
+	}
+	return true, o.err(o.m.proto.ReadLevel(o.c, owner, l.named))
 }
 
 // covers reports whether every node's label is in named; both are in
@@ -322,32 +343,15 @@ func (o op) parent(a wire.Args) (r wire.Result, err error) {
 }
 
 // getChildren returns all regular children (getChildNodes): one level-read
-// meta-lock. The result is read after the lock is granted — a writer the
-// lock waited for may have changed the list the lock pass saw — and is
-// returned once every label in it is locked (relockLevel).
-func (o op) getChildren(a wire.Args) (r wire.Result, err error) {
-	named, err := o.lockLevel(a.ID)
-	for again := true; again && err == nil; {
-		r.Nodes = make([]xmlmodel.Node, 0, len(named))
-		if err = o.v.ScanChildren(a.ID, func(c xmlmodel.Node) bool { r.Nodes = append(r.Nodes, c); return true }); err == nil {
-			named, again, err = o.relockLevel(a.ID, named, r.Nodes)
-		}
-	}
-	return r, err
+// meta-lock.
+func (o op) getChildren(a wire.Args) (wire.Result, error) {
+	return o.readLevel(a.ID, splid.Null, func() ([]xmlmodel.Node, error) { return o.v.Children(a.ID) })
 }
 
-// getAttributes returns the attribute nodes of an element (getAttributes),
-// read, like getChildren's result, after the lock.
-func (o op) getAttributes(a wire.Args) (r wire.Result, err error) {
-	ar := a.ID.AttributeRoot()
-	named, err := o.lockAttributes(a.ID, ar)
-	for again := true; again && err == nil; {
-		r.Nodes = make([]xmlmodel.Node, 0, len(named))
-		if err = o.v.Attributes(a.ID, func(at xmlmodel.Node) bool { r.Nodes = append(r.Nodes, at); return true }); err == nil {
-			named, again, err = o.relockLevel(ar, named, r.Nodes)
-		}
-	}
-	return r, err
+// getAttributes returns the attribute nodes of an element (getAttributes): a
+// level read on the virtual attribute root covers all of them with one request.
+func (o op) getAttributes(a wire.Args) (wire.Result, error) {
+	return o.readLevel(a.ID.AttributeRoot(), a.ID, func() ([]xmlmodel.Node, error) { return o.v.AttributeNodes(a.ID) })
 }
 
 // value reads the character data of a text or attribute node.

@@ -168,6 +168,10 @@ func (p *mglProto) ReadLevel(c *Ctx, parent splid.ID, children []splid.ID) error
 	return lockBatch(c, reqs)
 }
 
+// ListsChildren implements Protocol: without level locks every child is
+// locked by its label.
+func (p *mglProto) ListsChildren() bool { return true }
+
 // ReadTree implements Protocol: R on the subtree root plus IR on the path.
 func (p *mglProto) ReadTree(c *Ctx, id splid.ID, acc Access) error {
 	tgt, _ := depthTarget(c, id)

@@ -92,6 +92,9 @@ func (p *node2PLa) ReadLevel(c *Ctx, parent splid.ID, children []splid.ID) error
 	return lockPathAndNode(c, tgt, p.ir, p.r, c.Short)
 }
 
+// ListsChildren implements Protocol: the subtree R covers the children.
+func (p *node2PLa) ListsChildren() bool { return false }
+
 // ReadTree implements Protocol: fragment reads anchor a subtree R on the
 // parent of the fragment root — one level coarser than the MGL*/taDOM*
 // protocols, the "reacts a level deeper" effect of Figure 10.

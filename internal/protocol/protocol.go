@@ -142,9 +142,15 @@ type Protocol interface {
 	// WriteNode isolates a content update of a text or attribute node.
 	WriteNode(c *Ctx, id splid.ID) error
 	// ReadLevel isolates getChildNodes/getAttributes: the node and all its
-	// direct children. children carries the current child list for
-	// protocols without level locks.
+	// direct children. children is the current child list when ListsChildren
+	// reports true, and nil otherwise.
 	ReadLevel(c *Ctx, parent splid.ID, children []splid.ID) error
+	// ListsChildren reports whether ReadLevel locks the children one by one
+	// and so needs their labels (NO2PL, OO2PL, the MGL* group). A protocol
+	// whose one lock on the parent covers the level — taDOM's LR, Node2PL's
+	// T, Node2PLa's R — answers false, and its callers read no child list
+	// before they lock.
+	ListsChildren() bool
 	// ReadTree isolates reading the whole subtree rooted at id.
 	ReadTree(c *Ctx, id splid.ID, acc Access) error
 	// UpdateTree isolates reading the subtree with declared intent to

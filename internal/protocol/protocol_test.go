@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -621,5 +623,52 @@ func TestUpdateModeReachable(t *testing.T) {
 	}
 	if !ok {
 		t.Error("a held SU must admit subtree readers")
+	}
+}
+
+// TestListsChildrenMatchesReadLevel holds ListsChildren to what ReadLevel
+// does, at every lock depth shape: a protocol that declares it needs no child
+// list is handed nil by the node manager, so with nil it must request exactly
+// the locks it requests with the real list; one that declares it needs the
+// list must lock more with it at unlimited depth, or its callers read the
+// list for nothing.
+//
+// Mutant (run by hand, not committed): NO2PL declaring false fails the first
+// half — with nil it locks no child.
+func TestListsChildrenMatchesReadLevel(t *testing.T) {
+	parent := splid.MustParse("1.3.3")
+	for _, name := range Names() {
+		for _, depth := range []int{-1, 0, 2, 7} {
+			h := newHarness(t, name)
+			kids, _ := h.tree.Children(parent)
+			// locked runs ReadLevel in a transaction of its own and returns
+			// its requests and the locks it holds, resource and mode.
+			locked := func(children []splid.ID) (uint64, []string) {
+				txn := h.tm.Begin(tx.LevelRepeatable)
+				defer txn.Abort()
+				before := h.lm.Stats().Requests
+				if err := h.p.ReadLevel(h.ctx(txn, depth), parent, children); err != nil {
+					t.Fatalf("%s at depth %d: %v", name, depth, err)
+				}
+				var held []string
+				for _, rs := range h.lm.Snapshot().Resources {
+					for _, hd := range rs.Holders {
+						held = append(held, fmt.Sprintf("%q %s", rs.Resource, hd.Mode))
+					}
+				}
+				return h.lm.Stats().Requests - before, held
+			}
+			nilReqs, nilHeld := locked(nil)
+			listReqs, listHeld := locked(kids)
+			same := nilReqs == listReqs && slices.Equal(nilHeld, listHeld)
+			switch {
+			case !h.p.ListsChildren() && !same:
+				t.Errorf("%s at depth %d declares it needs no child list, but locks %d requests %v with nil and %d requests %v with the list",
+					name, depth, nilReqs, nilHeld, listReqs, listHeld)
+			case h.p.ListsChildren() && depth < 0 && same:
+				t.Errorf("%s declares it needs the child list, but locks the same without it: %v", name, nilHeld)
+			}
+			h.lm.Close()
+		}
 	}
 }

@@ -430,6 +430,9 @@ func (p *tadomProto) ReadLevel(c *Ctx, parent splid.ID, children []splid.ID) err
 	return p.lockNode(c, tgt, m, c.Short)
 }
 
+// ListsChildren implements Protocol: LR needs no child list.
+func (p *tadomProto) ListsChildren() bool { return false }
+
 // ReadTree implements Protocol: SR on the subtree root, IR on the path.
 func (p *tadomProto) ReadTree(c *Ctx, id splid.ID, acc Access) error {
 	tgt, _ := depthTarget(c, id)

@@ -172,6 +172,10 @@ func (p *twoPL) ReadLevel(c *Ctx, parent splid.ID, children []splid.ID) error {
 	}
 }
 
+// ListsChildren implements Protocol: Node2PL's parent lock covers the level;
+// NO2PL and OO2PL lock each child.
+func (p *twoPL) ListsChildren() bool { return p.style != styleNode2PL }
+
 // ReadTree implements Protocol. With no subtree modes, fragment isolation
 // degenerates to node-by-node locking of the whole subtree.
 func (p *twoPL) ReadTree(c *Ctx, id splid.ID, acc Access) error {

@@ -74,8 +74,9 @@ func TestFixesPerReadOp(t *testing.T) {
 		{"Exists", 3, func(el, _, _ splid.ID) error { _, err := d.Exists(el); return err }},
 		{"ScanChildren", 3, func(el, _, _ splid.ID) error { return d.ScanChildren(el, visit(5)) }},
 		{"ChildIDs", 3, func(el, _, _ splid.ID) error { _, _, err := d.ChildIDs(el); return err }},
-		{"CountChildren", 3, func(el, _, _ splid.ID) error { _, err := d.CountChildren(el); return err }},
+		{"Children", 3, func(el, _, _ splid.ID) error { _, err := d.Children(el); return err }},
 		{"Attributes", 3, func(el, _, _ splid.ID) error { return d.Attributes(el, visit(4)) }},
+		{"AttributeNodes", 3, func(el, _, _ splid.ID) error { _, err := d.AttributeNodes(el); return err }},
 		{"AttributeByName", 3, func(el, _, _ splid.ID) error { _, err := d.AttributeByName(el, "rev"); return err }},
 		{"FirstChild", 3, func(el, _, _ splid.ID) error { _, err := d.FirstChild(el); return err }},
 		{"LastChild", 3, func(el, _, _ splid.ID) error { _, err := d.LastChild(el); return err }},

@@ -80,17 +80,31 @@ func (r reader) scanRange(start, limit []byte, fn func(xmlmodel.Node) bool) erro
 // excluding the reserved attribute-root and string-node children (they are
 // not DOM children). fn returns false to stop.
 func (r reader) ScanChildren(id splid.ID, fn func(xmlmodel.Node) bool) error {
-	_, err := r.children(id, nil, fn)
+	_, err := r.children(id, nil, func(n xmlmodel.Node, _ int) bool { return fn(n) })
 	return err
 }
 
-// childIDsRoom caps what ChildIDs reserves up front: the keys left in the
-// leaf bound a child list from above, but they count the children's own
-// descendants too, and most lists are shorter than this.
-const childIDsRoom = 8
+// listRoom caps what a child list reserves up front: the keys left in the leaf
+// bound it from above, but they count the children's own descendants too, and
+// most lists are shorter than this.
+const listRoom = 8
+
+// Children returns what ScanChildren visits as a slice the caller owns,
+// reserved at the first child from the keys left in its leaf.
+func (r reader) Children(id splid.ID) (out []xmlmodel.Node, err error) {
+	_, err = r.children(id, nil, func(n xmlmodel.Node, left int) bool {
+		if out == nil {
+			out = make([]xmlmodel.Node, 0, min(left, listRoom))
+		}
+		out = append(out, n)
+		return true
+	})
+	return out, err
+}
 
 // ChildIDs returns the labels of id's regular children and whether id itself
-// is stored — what a level lock needs of a child list, read from keys alone.
+// is stored — what a level lock that names each child needs of a child list,
+// read from keys alone.
 func (r reader) ChildIDs(id splid.ID) (ids []splid.ID, found bool, err error) {
 	found, err = r.children(id, &ids, nil)
 	return ids, found, err
@@ -99,9 +113,9 @@ func (r reader) ChildIDs(id splid.ID) (ids []splid.ID, found bool, err error) {
 // children is the one walk over a child list: children are exactly the
 // level+1 nodes inside the subtree, so the cursor hops from each child to its
 // SubtreeLimit, skipping whole child subtrees — in-leaf seeks for a list that
-// fits a leaf. It hands each regular child's record to fn or, with ids set,
-// reads no record and appends the labels there. found reports whether id
-// itself is stored.
+// fits a leaf. It hands each regular child's record to fn, with the count of
+// keys left in the leaf, or, with ids set, reads no record and appends the
+// labels there. found reports whether id itself is stored.
 //
 // A child precedes its descendants in document order, so the first key past
 // the previous child's subtree is the next child itself. A deeper key first is
@@ -109,7 +123,7 @@ func (r reader) ChildIDs(id splid.ID) (ids []splid.ID, found bool, err error) {
 // transaction's subtree delete can be caught half done — so, as in LastChild,
 // that child no longer exists and its remains are skipped. A caller that locks
 // what it read must look again after the lock (node's level reads do).
-func (r reader) children(id splid.ID, ids *[]splid.ID, fn func(xmlmodel.Node) bool) (found bool, err error) {
+func (r reader) children(id splid.ID, ids *[]splid.ID, fn func(xmlmodel.Node, int) bool) (found bool, err error) {
 	c := r.cursor()
 	defer c.Close()
 	var kb, lb [btree.MaxKeyLen]byte
@@ -130,12 +144,12 @@ func (r reader) children(id splid.ID, ids *[]splid.ID, fn func(xmlmodel.Node) bo
 		case kid.IsReservedChild():
 		case ids != nil:
 			if *ids == nil {
-				*ids = make([]splid.ID, 0, min(c.Remaining(), childIDsRoom))
+				*ids = make([]splid.ID, 0, min(c.Remaining(), listRoom))
 			}
 			*ids = append(*ids, kid)
 		default:
 			n, err := recordAt(&c, kid)
-			if err != nil || !fn(n) {
+			if err != nil || !fn(n, c.Remaining()) {
 				return found, err
 			}
 		}
@@ -250,6 +264,26 @@ func (r reader) Parent(id splid.ID) (xmlmodel.Node, error) {
 // seek to the attribute root, then its subtree forward. An element without an
 // attribute root has none.
 func (r reader) Attributes(el splid.ID, fn func(xmlmodel.Node) bool) error {
+	return r.attributes(el, func(n xmlmodel.Node, _ int) bool { return fn(n) })
+}
+
+// AttributeNodes returns what Attributes visits as a slice the caller owns.
+// An attribute is two keys, itself and its string node, so the keys left in
+// the leaf at the first one size a list that ends in its leaf.
+func (r reader) AttributeNodes(el splid.ID) (out []xmlmodel.Node, err error) {
+	err = r.attributes(el, func(n xmlmodel.Node, left int) bool {
+		if out == nil {
+			out = make([]xmlmodel.Node, 0, (left+1)/2)
+		}
+		out = append(out, n)
+		return true
+	})
+	return out, err
+}
+
+// attributes is the walk of Attributes, handing fn each attribute with the
+// count of keys left in the leaf.
+func (r reader) attributes(el splid.ID, fn func(xmlmodel.Node, int) bool) error {
 	ar := el.AttributeRoot()
 	c := r.cursor()
 	defer c.Close()
@@ -263,7 +297,7 @@ func (r reader) Attributes(el splid.ID, fn func(xmlmodel.Node) bool) error {
 		if err != nil {
 			return err
 		}
-		if !fn(n) {
+		if !fn(n, c.Remaining()) {
 			break
 		}
 	}
@@ -286,13 +320,6 @@ func (r reader) AttributeByName(el splid.ID, name string) (xmlmodel.Node, error)
 		return true
 	})
 	return out, err
-}
-
-// CountChildren returns the number of regular children of id.
-func (r reader) CountChildren(id splid.ID) (int, error) {
-	n := 0
-	err := r.ScanChildren(id, func(xmlmodel.Node) bool { n++; return true })
-	return n, err
 }
 
 // SubtreeSize returns the number of stored nodes (all kinds) in the subtree

@@ -122,8 +122,8 @@ func TestChildrenSkipAttributeMachinery(t *testing.T) {
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("children = %q, want %q", got, want)
 	}
-	if n, _ := d.CountChildren(book); n != 4 {
-		t.Errorf("CountChildren = %d", n)
+	if kids, _ := d.Children(book); len(kids) != 4 {
+		t.Errorf("Children = %d nodes", len(kids))
 	}
 	// First child must be title, not the attribute root.
 	fc, _ := d.FirstChild(book)
@@ -307,8 +307,8 @@ func TestDeleteSubtree(t *testing.T) {
 	}
 	// Sibling structure is intact.
 	topic, _ := d.ElementByID([]byte("t-1"))
-	if c, _ := d.CountChildren(topic); c != 1 {
-		t.Errorf("topic children = %d", c)
+	if kids, _ := d.Children(topic); len(kids) != 1 {
+		t.Errorf("topic children = %d", len(kids))
 	}
 	// Root is protected.
 	if _, err := d.DeleteSubtree(d.Root()); err == nil {

@@ -125,17 +125,9 @@ func RunCluster2(protocolName string, docScale float64, runs int) (*Cluster2Resu
 	for i := 0; i < runs; i++ {
 		// Deterministic topic choice so every protocol deletes comparable
 		// subtrees.
-		r := newRunner(&localEngine{m: mgr}, &Catalog{
-			TopicIDs: []string{cat.TopicIDs[i]},
-			BookIDs:  cat.BookIDs,
-		}, newSeededRand(int64(i)))
-		txn := mgr.Begin(tx.LevelRepeatable)
+		topic := &Catalog{TopicIDs: []string{cat.TopicIDs[i]}, BookIDs: cat.BookIDs}
 		t0 := time.Now()
-		if err := r.run(TAdelBook, txn); err != nil {
-			txn.Abort()
-			return nil, err
-		}
-		if err := txn.Commit(); err != nil {
+		if err := Serial(mgr, topic, map[TxType]int{TAdelBook: 1}, tx.LevelRepeatable, int64(i), 1); err != nil {
 			return nil, err
 		}
 		res.TotalTime += time.Since(t0)
@@ -152,16 +144,16 @@ func RunCluster2(protocolName string, docScale float64, runs int) (*Cluster2Resu
 // uniformly from mix's slots by a generator seeded with seed. With nothing
 // running beside it no transaction waits or aborts, so what it counts — lock
 // requests per protocol and lock depth, subtree scans — repeats exactly. The
-// snapshot contestant's readers run at tx.LevelSnapshot, as in Run. It
-// returns how many transactions committed.
-func Serial(mgr *node.Manager, cat *Catalog, mix map[TxType]int, iso tx.Level, seed int64, txns int) (int, error) {
+// snapshot contestant's readers run at tx.LevelSnapshot, as in Run. Every
+// transaction commits, or Serial stops at the first that does not.
+func Serial(mgr *node.Manager, cat *Catalog, mix map[TxType]int, iso tx.Level, seed int64, txns int) error {
 	var slots []TxType
 	for _, t := range TxTypes {
 		for i := 0; i < mix[t]; i++ {
 			slots = append(slots, t)
 		}
 	}
-	r := newRunner(&localEngine{m: mgr}, cat, newSeededRand(seed))
+	r := newRunner(&localEngine{m: mgr}, cat, rand.New(rand.NewSource(seed)))
 	for i := 0; i < txns; i++ {
 		typ := slots[r.rng.Intn(len(slots))]
 		level := iso
@@ -171,13 +163,11 @@ func Serial(mgr *node.Manager, cat *Catalog, mix map[TxType]int, iso tx.Level, s
 		txn := mgr.Begin(level)
 		if err := r.run(typ, txn); err != nil {
 			txn.Abort()
-			return i, fmt.Errorf("tamix: %s: %w", typ, err)
+			return fmt.Errorf("tamix: %s: %w", typ, err)
 		}
 		if err := txn.Commit(); err != nil {
-			return i, fmt.Errorf("tamix: %s: commit: %w", typ, err)
+			return fmt.Errorf("tamix: %s: commit: %w", typ, err)
 		}
 	}
-	return txns, nil
+	return nil
 }
-
-func newSeededRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

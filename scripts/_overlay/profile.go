@@ -3,23 +3,21 @@
 // skips directories whose name starts with an underscore. It adds a CPU
 // profile of the measured windows to the benchmark without touching bench/.
 //
-// With BENCH_PROFILE set to a file name, a goroutine waits until a measured
-// window is running (its worker goroutines are under env.runWindow), then
-// profiles for the run's -seconds and writes the profile there. The windows
-// are interleaved with the benchmark's refLoop calibrations; drop those
-// samples with pprof's -ignore 'main\.refLoop'. Run the workload with -trace 0:
-// a traced run's first windows are its untraced share.
+// With BENCH_PROFILE set to a file name, a run with -trace 0 profiles from the
+// start of its last set-up to the end of its windows and writes the profile
+// there. It finds both by the run's forced collections, read from
+// runtime/metrics (no stack walks): every set-up after the first starts with
+// runtime.GC, and so does the live-heap reading after the last window. The
+// profile holds the last set-up and the refLoop calibrations between windows
+// too; pprof's -focus on env.runWindow keeps the windows' workers alone.
 
 package main
 
 import (
-	"bytes"
-	"flag"
 	"fmt"
 	"os"
-	"runtime"
+	"runtime/metrics"
 	"runtime/pprof"
-	"strconv"
 	"time"
 )
 
@@ -36,18 +34,10 @@ func init() {
 	}()
 }
 
-// profileWindows polls the goroutine stacks until the first window runs — the
-// polling stops the world briefly, so it ends before the profile starts —
-// then profiles for the measured time.
+// profileWindows profiles from the second forced collection (the last of
+// bench's three set-ups begins) to the third (the windows have ended).
 func profileWindows(path string) error {
-	buf := make([]byte, 1<<20)
-	for !bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("main.(*env).runWindow")) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	seconds, err := strconv.ParseFloat(flag.Lookup("seconds").Value.String(), 64)
-	if err != nil {
-		return err
-	}
+	waitForcedGCs(2)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -55,8 +45,16 @@ func profileWindows(path string) error {
 	if err := pprof.StartCPUProfile(f); err != nil {
 		return err
 	}
-	time.Sleep(time.Duration(seconds * float64(time.Second)))
+	waitForcedGCs(3)
 	pprof.StopCPUProfile()
-	fmt.Fprintf(os.Stderr, "bench-profile: %.1f s of measured windows in %s\n", seconds, path)
+	fmt.Fprintln(os.Stderr, "bench-profile: last set-up and measured windows in", path)
 	return f.Close()
+}
+
+// waitForcedGCs returns once the program has called runtime.GC n times.
+func waitForcedGCs(n uint64) {
+	s := []metrics.Sample{{Name: "/gc/cycles/forced:gc-cycles"}}
+	for metrics.Read(s); s[0].Value.Uint64() < n; metrics.Read(s) {
+		time.Sleep(time.Millisecond)
+	}
 }
