@@ -1,7 +1,6 @@
 // Package figures regenerates every figure of the paper's evaluation
 // (Section 5): the parameter sweeps, the series extraction, and plain-text/
-// CSV rendering. Both cmd/tamix and the repository's benchmark harness are
-// thin wrappers around this package.
+// CSV rendering. cmd/tamix is a thin wrapper around this package.
 //
 // Scaling: runs are shrunk by two independent factors. DocScale shrinks the
 // bib document (1.0 = the paper's 2000 books), TimeScale shrinks every

@@ -75,7 +75,7 @@ func (m *Manager) LockBatch(tx *Tx, reqs []Req) error {
 			// Held but not a pure cache hit (short-held, stale stamp, or a
 			// conversion): the sequential Lock call resolves it with exact
 			// booking.
-		} else if len(pend) == 0 && m.ft != nil {
+		} else if len(pend) == 0 {
 			hash := fnv1a(string(r.Res))
 			if h := m.stripes[hash&m.mask].index.lookup(r.Res, hash); h != nil &&
 				m.tryFastGrantLocked(tx, h, r.Res, r.Mode, r.Short) {

@@ -1,37 +1,37 @@
 package lock
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Deadlock detection: the manager maintains no explicit wait-for graph;
-// instead, a dedicated detector goroutine derives it on demand from a
-// snapshot of the lock table and searches it for cycles. Every time a
-// request blocks, the requester kicks the detector (a buffered signal, so
-// kicks coalesce under load); a cycle can only come into existence when its
-// last edge appears, and edges only appear when a transaction starts
-// waiting, so running the detector after every block finds every deadlock.
+// instead, a dedicated detector goroutine derives it on demand and searches
+// it for cycles. Every time a request blocks, the requester kicks the
+// detector (a buffered signal, so kicks coalesce under load); a cycle can
+// only come into existence when its last edge appears, and edges only
+// appear when a transaction starts waiting, so running the detector after
+// every block finds every deadlock.
 //
-// Detection is two-phase so the common no-deadlock pass never blocks the
-// grant path:
+// The graph has three pieces, shared with the lock-table dump: one walk
+// over the live heads (walkHeads, dump.go), one rule that turns a head into
+// its edges (waitEdges) and one cycle search (waitGraph.cycle). Detection
+// is two-phase so the common no-deadlock pass never blocks the grant path:
 //
-//  1. An optimistic pass reads the wait-for edges through the per-partition
-//     seqlocks — no mutex, grants and releases proceed underneath. A cycle
-//     that existed when the detector was kicked consists entirely of
-//     standing edges (its waiters stay blocked until the cycle is broken),
-//     so the pass cannot miss it; what it *can* do is suspect a cycle from a
-//     cross-partition view that was never simultaneous.
+//  1. An optimistic pass walks the heads with waiters through the
+//     per-partition seqlocks — no mutex, grants and releases proceed
+//     underneath. A cycle that existed when the detector was kicked
+//     consists entirely of standing edges (its waiters stay blocked until
+//     the cycle is broken), so the pass cannot miss it; what it *can* do is
+//     suspect a cycle from a cross-partition view that was never
+//     simultaneous.
 //  2. Only when the optimistic pass suspects a cycle does the detector lock
 //     every partition (ascending index — the table-wide lock-order
-//     discipline) and re-derive the graph exactly, confirming and resolving
-//     cycles with the same algorithm and determinism as before the fast
-//     path existed. No transaction is ever aborted on optimistic evidence.
+//     discipline) and walks again exactly, confirming and resolving cycles
+//     with the same search. No transaction is ever aborted on optimistic
+//     evidence.
 //
-// Edges of a waiting transaction w:
-//   - to every holder of w's awaited resource whose granted mode is
-//     incompatible with w's requested (converted) mode, and
-//   - to every transaction queued ahead of w on that resource (the FIFO
-//     queue makes w wait for them too).
-//
-// Waiters are scanned newest-first (by request sequence number): the most
+// Waiters are tried newest-first (by request sequence number): the most
 // recent blocker is the one whose edge can have closed a new cycle, so the
 // search starts where the old at-block-time detection started. The victim
 // is the youngest member of the cycle (largest TxID), matching the usual
@@ -87,26 +87,20 @@ func (m *Manager) unlockAllStripes() {
 	}
 }
 
-// detectAndResolve runs one detection pass: optimistic scan, then — only if
-// a cycle is suspected — an exact confirm-and-resolve pass under every
+// detectAndResolve runs one detection pass: the wait-for graph read through
+// the seqlocks, then — only if it has a cycle — the exact graph under every
 // partition mutex, breaking cycles newest waiter first until none remain.
 func (m *Manager) detectAndResolve() {
 	t0 := m.hDetector.Start()
 	defer m.hDetector.Since(t0)
-	if !m.suspectCycle() {
+	if m.waitGraph(walkWaiters).cycle() == nil {
 		return
 	}
 	m.lockAllStripes()
 	defer m.unlockAllStripes()
 	for {
-		waiting, order := m.waitingRequestsLocked()
-		var cycle []*Tx
-		for _, req := range order {
-			if c := m.findCycleLocked(req.txp.Load(), waiting); c != nil {
-				cycle = c
-				break
-			}
-		}
+		g := m.waitGraph(walkWaitersExact)
+		cycle := g.cycle()
 		if cycle == nil {
 			return
 		}
@@ -118,15 +112,10 @@ func (m *Manager) detectAndResolve() {
 		}
 		info := DeadlockInfo{Victim: victim.id}
 		for _, member := range cycle {
+			w := g.waits[member]
 			info.Members = append(info.Members, member.id)
-			if req := waiting[member.id]; req != nil {
-				info.Resources = append(info.Resources, req.res)
-				if req.conversion() {
-					info.Conversion = true
-				}
-			} else {
-				info.Resources = append(info.Resources, "")
-			}
+			info.Resources = append(info.Resources, w.res)
+			info.Conversion = info.Conversion || w.conv
 		}
 		m.stats.deadlocks.Add(1)
 		if info.Conversion {
@@ -137,218 +126,96 @@ func (m *Manager) detectAndResolve() {
 		if m.onDL != nil {
 			m.onDL(info)
 		}
-		m.abortVictimLocked(victim, waiting[victim.id])
+		m.abortVictimLocked(victim, g.waits[victim].req)
 	}
 }
 
-// suspectCycle derives the wait-for graph from per-partition seqlock reads
-// and reports whether it contains a cycle. Mutex-free: a pass over a busy
-// table blocks no grant and no release. False positives are possible (the
-// per-partition reads are not simultaneous); false negatives for standing
-// cycles are not, because a standing cycle's edges persist until a victim
-// is aborted — and aborting only happens in the confirm pass. A stripe
-// without waiters has no edges and is skipped: a waiter counts in its stripe
-// before its request kicks the detector.
-func (m *Manager) suspectCycle() bool {
-	succ := make(map[TxID][]TxID)
-	edges := false
-	for i := range m.stripes {
-		s := &m.stripes[i]
-		if s.waitingHeads.Load() == 0 {
-			continue
+// waitEdges calls edge for every wait-for edge of one head: each waiter
+// waits for every holder whose mode is incompatible with its target, and
+// for every transaction queued ahead of it (the FIFO queue makes it wait
+// for them too). It is the one statement of the rule: the detector's two
+// passes and Snapshot all take their edges from here.
+func (m *Manager) waitEdges(v *headView, edge func(w waitRef, on *Tx)) {
+	for i, w := range v.queue {
+		for _, h := range v.held {
+			if h.tx != w.tx && !m.table.Compatible(h.mode, w.target) {
+				edge(w, h.tx)
+			}
 		}
-		var local [][2]TxID
-		s.stableRead(func() bool {
-			local = local[:0]
-			ok := true
-			s.index.walk(func(_ Resource, h *lockHead) {
-				qp := h.waitq.Load()
-				if qp == nil {
-					return
-				}
-				q := *qp
-				// A queued waiter keeps the head sealed, so the holder
-				// chain is not being fast-pushed while we read it — but
-				// this is a stale-tolerant read regardless.
-				var holders []holderRef
-				n := 0
-				for e := h.holders.Load(); e != nil; e = e.next.Load() {
-					if n++; n > observerWalkBound {
-						ok = false
-						return
-					}
-					if t := e.txp.Load(); t != nil {
-						holders = append(holders, holderRef{t.id, e.mode()})
-					}
-				}
-				for qi, r := range q {
-					rt := r.txp.Load()
-					if rt == nil {
-						continue
-					}
-					w, target := rt.id, r.target()
-					for _, hd := range holders {
-						if hd.id != w && !m.table.Compatible(hd.mode, target) {
-							local = append(local, [2]TxID{w, hd.id})
-						}
-					}
-					for _, a := range q[:qi] {
-						if at := a.txp.Load(); at != nil && at.id != w {
-							local = append(local, [2]TxID{w, at.id})
-						}
-					}
-				}
-			})
-			return ok
-		})
-		for _, e := range local {
-			succ[e[0]] = append(succ[e[0]], e[1])
-			edges = true
+		for _, a := range v.queue[:i] {
+			if a.tx != w.tx {
+				edge(w, a.tx)
+			}
 		}
 	}
-	return edges && hasCycle(succ)
 }
 
-type holderRef struct {
-	id   TxID
-	mode Mode
+// waitGraph is the wait-for graph of one walk over the heads with waiters.
+type waitGraph struct {
+	succ  map[*Tx][]*Tx   // whom each waiter waits for, in TxID order, once each
+	waits map[*Tx]waitRef // the request each waiter is queued with
+	order []waitRef       // every queued request, newest block first
 }
 
-// hasCycle is a plain iterative three-color DFS over the suspected graph.
-func hasCycle(succ map[TxID][]TxID) bool {
-	const gray, black = 1, 2
-	color := make(map[TxID]int, len(succ))
+// waitGraph derives the graph from one walk in the given mode. Read through
+// the seqlocks, stripes are read one after another, so a transaction that
+// moved between two of them can show two requests: succ then holds the
+// edges of both and waits the one walked last. Only the exact walk's caller
+// reads waits, and there a transaction waits on at most one resource.
+func (m *Manager) waitGraph(mode walkMode) *waitGraph {
+	g := &waitGraph{succ: make(map[*Tx][]*Tx), waits: make(map[*Tx]waitRef)}
+	m.walkHeads(mode, func(_ int, v *headView) {
+		for _, w := range v.queue {
+			g.waits[w.tx] = w
+			g.order = append(g.order, w)
+		}
+		m.waitEdges(v, func(w waitRef, on *Tx) { g.succ[w.tx] = append(g.succ[w.tx], on) })
+	})
+	for w, ss := range g.succ {
+		sort.Slice(ss, func(a, b int) bool { return ss[a].id < ss[b].id })
+		g.succ[w] = slices.Compact(ss)
+	}
+	sort.Slice(g.order, func(a, b int) bool { return g.order[a].seq > g.order[b].seq })
+	return g
+}
+
+// cycle searches the graph for a wait-for cycle and returns its members,
+// starting with the waiter whose wait closed it, or nil. Waiters are tried
+// newest block first, each with a depth-first search for a path back to
+// it; successors are visited in TxID order, so one table state always
+// yields the same cycle.
+func (g *waitGraph) cycle() []*Tx {
 	type frame struct {
-		id   TxID
+		tx   *Tx
 		next int
 	}
-	for id := range succ {
-		if color[id] != 0 {
-			continue
-		}
-		color[id] = gray
-		stack := []frame{{id: id}}
+	for _, w := range g.order {
+		start := w.tx
+		visited := map[*Tx]bool{}
+		stack := []frame{{tx: start}}
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			ss := succ[f.id]
-			if f.next >= len(ss) {
-				color[f.id] = black
+			succ := g.succ[f.tx]
+			if f.next >= len(succ) {
 				stack = stack[:len(stack)-1]
 				continue
 			}
-			n := ss[f.next]
+			s := succ[f.next]
 			f.next++
-			switch color[n] {
-			case gray:
-				return true
-			case 0:
-				color[n] = gray
-				stack = append(stack, frame{id: n})
-			}
-		}
-	}
-	return false
-}
-
-// waitingRequestsLocked collects every queued request across all partitions:
-// a map keyed by transaction (each transaction waits on at most one
-// resource) and a slice ordered newest block first. Caller holds all
-// partition mutexes.
-func (m *Manager) waitingRequestsLocked() (map[TxID]*request, []*request) {
-	waiting := make(map[TxID]*request)
-	var order []*request
-	for i := range m.stripes {
-		if m.stripes[i].waitingHeads.Load() == 0 {
-			continue
-		}
-		m.stripes[i].index.walk(func(_ Resource, h *lockHead) {
-			for _, req := range h.queueLocked() {
-				if t := req.txp.Load(); t != nil {
-					waiting[t.id] = req
-					order = append(order, req)
+			if s == start {
+				cycle := make([]*Tx, len(stack))
+				for i := range stack {
+					cycle[i] = stack[i].tx
 				}
+				return cycle
 			}
-		})
-	}
-	sort.Slice(order, func(a, b int) bool { return order[a].seq() > order[b].seq() })
-	return waiting, order
-}
-
-// findCycleLocked searches for a wait-for cycle through start and returns
-// its members (start first), or nil. Caller holds all partition mutexes.
-func (m *Manager) findCycleLocked(start *Tx, waiting map[TxID]*request) []*Tx {
-	// Iterative DFS keeping the current path for cycle reconstruction.
-	type frame struct {
-		tx    *Tx
-		succs []*Tx
-		next  int
-	}
-	visited := map[TxID]bool{}
-	stack := []frame{{tx: start, succs: m.successorsLocked(start, waiting)}}
-	onPath := map[TxID]bool{start.id: true}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next >= len(f.succs) {
-			onPath[f.tx.id] = false
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		succ := f.succs[f.next]
-		f.next++
-		if succ == start {
-			cycle := make([]*Tx, 0, len(stack))
-			for i := range stack {
-				cycle = append(cycle, stack[i].tx)
+			if !visited[s] {
+				visited[s] = true
+				stack = append(stack, frame{tx: s})
 			}
-			return cycle
 		}
-		if visited[succ.id] || onPath[succ.id] {
-			continue
-		}
-		visited[succ.id] = true
-		onPath[succ.id] = true
-		stack = append(stack, frame{tx: succ, succs: m.successorsLocked(succ, waiting)})
 	}
 	return nil
-}
-
-// successorsLocked returns the transactions w is waiting for, sorted by
-// TxID so detection is deterministic. Caller holds all partition mutexes
-// (and the awaited head, having a queued waiter, is sealed — the holder
-// chain is stable).
-func (m *Manager) successorsLocked(w *Tx, waiting map[TxID]*request) []*Tx {
-	req := waiting[w.id]
-	if req == nil {
-		return nil
-	}
-	h := m.headOf(req.res)
-	if h == nil {
-		return nil
-	}
-	var out []*Tx
-	seen := map[TxID]bool{w.id: true}
-	target := req.target()
-	for e := h.holders.Load(); e != nil; e = e.next.Load() {
-		t := e.txp.Load()
-		if t == nil || seen[t.id] {
-			continue
-		}
-		if !m.table.Compatible(e.mode(), target) {
-			seen[t.id] = true
-			out = append(out, t)
-		}
-	}
-	for _, r := range h.queueLocked() {
-		if r == req {
-			break
-		}
-		if rt := r.txp.Load(); rt != nil && !seen[rt.id] {
-			seen[rt.id] = true
-			out = append(out, rt)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].id < out[b].id })
-	return out
 }
 
 // abortVictimLocked dooms the victim and fails its pending request. Caller

@@ -12,7 +12,10 @@ import (
 // information the paper's XTCdeadlockDetector gathers when a deadlock
 // strikes (active transactions, locks held, state of the wait-for graph).
 // Observers read through the per-partition seqlocks, so a snapshot of a
-// busy table never blocks a grant or a release.
+// busy table never blocks a grant or a release. Snapshot, LeakCheck,
+// ActiveResources and the deadlock detector all read the table with one
+// walk (walkHeads), and Snapshot takes its wait-for edges from the
+// detector's rule (waitEdges).
 
 // observerWalkBound caps lock-free holder-chain walks. A chain read without
 // the partition mutex can transiently appear cyclic when recycled entries
@@ -39,6 +42,99 @@ func (s *stripe) stableRead(read func() bool) {
 	s.mu.Lock() // read-only: no seqlock bump
 	read()
 	s.mu.Unlock()
+}
+
+// heldRef is one holder as a walk read it.
+type heldRef struct {
+	tx    *Tx
+	mode  Mode
+	short bool
+}
+
+// waitRef is one queued request as a walk read it.
+type waitRef struct {
+	req    *request
+	tx     *Tx
+	res    Resource
+	target Mode
+	conv   bool
+	seq    uint64
+}
+
+// headView is one live head — one with a holder or a waiter — as a walk
+// read it: its holders in chain order and its queue in FIFO order.
+type headView struct {
+	res   Resource
+	held  []heldRef
+	queue []waitRef
+}
+
+// walkMode says which heads walkHeads reads, and how.
+type walkMode uint8
+
+const (
+	// walkAll reads every live head through the stripe seqlocks.
+	walkAll walkMode = iota
+	// walkWaiters reads the heads with waiters through the seqlocks and
+	// skips stripes whose waitingHeads is 0 (a waiter counts in its stripe
+	// before its request kicks the detector).
+	walkWaiters
+	// walkWaitersExact reads the same heads for a caller that holds every
+	// stripe mutex: directly, not through stableRead, whose fallback takes
+	// that mutex. A head with waiters is sealed, so its chain is stable.
+	walkWaitersExact
+)
+
+// walkHeads calls f once for every live head the mode selects, with the
+// head's partition. Each stripe is one stable read: f sees its views only
+// after the read is validated, so a voided attempt reaches no caller.
+func (m *Manager) walkHeads(mode walkMode, f func(part int, v *headView)) {
+	var views []headView
+	for i := range m.stripes {
+		s := &m.stripes[i]
+		if mode != walkAll && s.waitingHeads.Load() == 0 {
+			continue
+		}
+		read := func() bool {
+			views = views[:0]
+			ok := true
+			s.index.walk(func(res Resource, h *lockHead) {
+				q := h.queueLocked() // an atomic load; "Locked" is about changing it
+				if len(q) == 0 && mode != walkAll {
+					return
+				}
+				v := headView{res: res}
+				n := 0
+				for e := h.holders.Load(); e != nil; e = e.next.Load() {
+					if n++; n > observerWalkBound {
+						ok = false
+						return
+					}
+					if t := e.txp.Load(); t != nil {
+						hm, short := e.loadState()
+						v.held = append(v.held, heldRef{t, hm, short})
+					}
+				}
+				for _, r := range q {
+					if t := r.txp.Load(); t != nil {
+						v.queue = append(v.queue, waitRef{r, t, res, r.target(), r.conversion(), r.seq()})
+					}
+				}
+				if len(v.held) > 0 || len(v.queue) > 0 {
+					views = append(views, v)
+				}
+			})
+			return ok
+		}
+		if mode == walkWaitersExact {
+			read()
+		} else {
+			s.stableRead(read)
+		}
+		for j := range views {
+			f(i, &views[j])
+		}
+	}
 }
 
 // HolderInfo describes one granted lock in a snapshot.
@@ -88,69 +184,18 @@ type Snapshot struct {
 func (m *Manager) Snapshot() Snapshot {
 	snap := Snapshot{Taken: time.Now(), Partitions: len(m.stripes)}
 	edges := make(map[WaitEdge]struct{})
-	for i := range m.stripes {
-		s := &m.stripes[i]
-		var localRes []ResourceState
-		var localEdges []WaitEdge
-		s.stableRead(func() bool {
-			localRes = localRes[:0]
-			localEdges = localEdges[:0]
-			ok := true
-			s.index.walk(func(res Resource, h *lockHead) {
-				rs := ResourceState{Resource: res, Partition: i}
-				var held []holderRef
-				n := 0
-				for e := h.holders.Load(); e != nil; e = e.next.Load() {
-					if n++; n > observerWalkBound {
-						ok = false
-						return
-					}
-					t := e.txp.Load()
-					if t == nil {
-						continue
-					}
-					mode, short := e.loadState()
-					held = append(held, holderRef{t.id, mode})
-					rs.Holders = append(rs.Holders, HolderInfo{
-						Tx: t.id, Mode: m.table.Name(mode), Short: short,
-					})
-				}
-				sort.Slice(rs.Holders, func(a, b int) bool { return rs.Holders[a].Tx < rs.Holders[b].Tx })
-				q := h.queueLocked() // atomic load; "Locked" is about mutating it
-				for qi, r := range q {
-					rt := r.txp.Load()
-					if rt == nil {
-						continue
-					}
-					rs.Waiters = append(rs.Waiters, WaiterInfo{
-						Tx: rt.id, Mode: m.table.Name(r.target()), Conversion: r.conversion(),
-					})
-					// The waiter's wait-for edges: incompatible holders and
-					// everyone queued ahead (the per-head successor rule the
-					// deadlock detector uses).
-					for _, hd := range held {
-						if hd.id != rt.id && !m.table.Compatible(hd.mode, r.target()) {
-							localEdges = append(localEdges, WaitEdge{From: rt.id, To: hd.id})
-						}
-					}
-					for _, a := range q[:qi] {
-						if at := a.txp.Load(); at != nil && at.id != rt.id {
-							localEdges = append(localEdges, WaitEdge{From: rt.id, To: at.id})
-						}
-					}
-				}
-				if len(rs.Holders) == 0 && len(rs.Waiters) == 0 {
-					return // empty head kept for reuse; not a locked resource
-				}
-				localRes = append(localRes, rs)
-			})
-			return ok
-		})
-		snap.Resources = append(snap.Resources, localRes...)
-		for _, e := range localEdges {
-			edges[e] = struct{}{}
+	m.walkHeads(walkAll, func(part int, v *headView) {
+		rs := ResourceState{Resource: v.res, Partition: part}
+		for _, h := range v.held {
+			rs.Holders = append(rs.Holders, HolderInfo{Tx: h.tx.id, Mode: m.table.Name(h.mode), Short: h.short})
 		}
-	}
+		sort.Slice(rs.Holders, func(a, b int) bool { return rs.Holders[a].Tx < rs.Holders[b].Tx })
+		for _, w := range v.queue {
+			rs.Waiters = append(rs.Waiters, WaiterInfo{Tx: w.tx.id, Mode: m.table.Name(w.target), Conversion: w.conv})
+		}
+		snap.Resources = append(snap.Resources, rs)
+		m.waitEdges(v, func(w waitRef, on *Tx) { edges[WaitEdge{From: w.tx.id, To: on.id}] = struct{}{} })
+	})
 	for e := range edges {
 		snap.WaitFor = append(snap.WaitFor, e)
 	}
@@ -204,44 +249,11 @@ func (s Snapshot) Render(w io.Writer) {
 func (m *Manager) LeakCheck() error {
 	var leaked []string
 	total := 0
-	for i := range m.stripes {
-		s := &m.stripes[i]
-		var lt int
-		var ll []string
-		s.stableRead(func() bool {
-			lt, ll = 0, ll[:0]
-			ok := true
-			s.index.walk(func(res Resource, h *lockHead) {
-				busy := h.waitq.Load() != nil
-				if !busy {
-					n := 0
-					for e := h.holders.Load(); e != nil; e = e.next.Load() {
-						if n++; n > observerWalkBound {
-							ok = false
-							return
-						}
-						if e.txp.Load() != nil {
-							busy = true
-							break
-						}
-					}
-				}
-				if busy {
-					lt++
-					if len(ll) < 8 {
-						ll = append(ll, string(res))
-					}
-				}
-			})
-			return ok
-		})
-		total += lt
-		for _, r := range ll {
-			if len(leaked) < 8 {
-				leaked = append(leaked, r)
-			}
+	m.walkHeads(walkAll, func(_ int, v *headView) {
+		if total++; len(leaked) < 8 {
+			leaked = append(leaked, string(v.res))
 		}
-	}
+	})
 	if total == 0 {
 		return nil
 	}
@@ -253,32 +265,6 @@ func (m *Manager) LeakCheck() error {
 // (holders or waiters; retained empty heads don't count).
 func (m *Manager) ActiveResources() int {
 	n := 0
-	for i := range m.stripes {
-		s := &m.stripes[i]
-		var c int
-		s.stableRead(func() bool {
-			c = 0
-			ok := true
-			s.index.walk(func(_ Resource, h *lockHead) {
-				if h.waitq.Load() != nil {
-					c++
-					return
-				}
-				cnt := 0
-				for e := h.holders.Load(); e != nil; e = e.next.Load() {
-					if cnt++; cnt > observerWalkBound {
-						ok = false
-						return
-					}
-					if e.txp.Load() != nil {
-						c++
-						return
-					}
-				}
-			})
-			return ok
-		})
-		n += c
-	}
+	m.walkHeads(walkAll, func(int, *headView) { n++ })
 	return n
 }

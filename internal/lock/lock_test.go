@@ -348,6 +348,62 @@ func TestThreeWayDeadlock(t *testing.T) {
 	}
 }
 
+// TestDeadlockThroughQueuedAhead closes a cycle only through a queued-ahead
+// edge: t3's S on a is compatible with t1's S but queues behind t2's X, so
+// t3 waits for t2 and not for t1. When t1 then waits for t3 on b, the cycle
+// is t1 -> t3 -> t2 -> t1, and t3, its youngest member, is the victim.
+func TestDeadlockThroughQueuedAhead(t *testing.T) {
+	var infos []DeadlockInfo
+	var mu sync.Mutex
+	m := newMgr(t, Options{OnDeadlock: func(i DeadlockInfo) {
+		mu.Lock()
+		infos = append(infos, i)
+		mu.Unlock()
+	}})
+	t1, t2, t3 := m.Begin(), m.Begin(), m.Begin()
+	if err := m.Lock(t1, "a", tS, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Lock(t3, "b", tX, false); err != nil {
+		t.Fatal(err)
+	}
+	// Each transaction releases its locks as soon as its request resolves.
+	errs := make([]chan error, 3)
+	request := func(i int, tx *Tx, res Resource, mode Mode) {
+		errs[i] = make(chan error, 1)
+		go func() {
+			err := m.Lock(tx, res, mode, false)
+			m.ReleaseAll(tx)
+			errs[i] <- err
+		}()
+	}
+	request(1, t2, "a", tX)
+	waitForQueue(t, m, "a", 1)
+	request(2, t3, "a", tS)
+	waitForQueue(t, m, "a", 2)
+	request(0, t1, "b", tS)
+	for i, want := range []error{nil, nil, ErrDeadlockVictim} {
+		select {
+		case err := <-errs[i]:
+			if !errors.Is(err, want) {
+				t.Errorf("t%d: err = %v, want %v", i+1, err, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("t%d: deadlock not resolved", i+1)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(infos) != 1 {
+		t.Fatalf("OnDeadlock calls = %d", len(infos))
+	}
+	got := fmt.Sprint(infos[0].Victim, infos[0].Members, infos[0].Resources, infos[0].Conversion)
+	want := fmt.Sprint(t3.ID(), []TxID{t1.ID(), t3.ID(), t2.ID()}, []Resource{"b", "a", "a"}, false)
+	if got != want {
+		t.Errorf("deadlock (victim members resources conversion) = %s, want %s", got, want)
+	}
+}
+
 func TestTimeout(t *testing.T) {
 	m := newMgr(t, Options{Timeout: 50 * time.Millisecond})
 	t1, t2 := m.Begin(), m.Begin()
@@ -580,11 +636,14 @@ func BenchmarkSharedLockFanout(b *testing.B) {
 
 func TestSnapshotAndRender(t *testing.T) {
 	m := newMgr(t, Options{})
-	t1, t2 := m.Begin(), m.Begin()
-	m.Lock(t1, "res-a", tX, false)
+	t1, t2, t3 := m.Begin(), m.Begin(), m.Begin()
+	m.Lock(t1, "res-a", tS, false)
 	m.Lock(t1, "res-b", tS, true)
-	go m.Lock(t2, "res-a", tS, false)
+	go m.Lock(t2, "res-a", tX, false)
 	waitForQueue(t, m, "res-a", 1)
+	// t3's S is compatible with t1's S but queues behind t2's X.
+	go m.Lock(t3, "res-a", tS, false)
+	waitForQueue(t, m, "res-a", 2)
 
 	snap := m.Snapshot()
 	if len(snap.Resources) != 2 {
@@ -596,23 +655,26 @@ func TestSnapshotAndRender(t *testing.T) {
 			resA = &snap.Resources[i]
 		}
 	}
-	if resA == nil || len(resA.Holders) != 1 || len(resA.Waiters) != 1 {
+	if resA == nil || len(resA.Holders) != 1 || len(resA.Waiters) != 2 {
 		t.Fatalf("res-a state = %+v", resA)
 	}
-	if resA.Holders[0].Tx != t1.ID() || resA.Holders[0].Mode != "X" {
+	if resA.Holders[0].Tx != t1.ID() || resA.Holders[0].Mode != "S" {
 		t.Errorf("holder = %+v", resA.Holders[0])
 	}
-	if resA.Waiters[0].Tx != t2.ID() || resA.Waiters[0].Conversion {
-		t.Errorf("waiter = %+v", resA.Waiters[0])
+	if w := resA.Waiters; w[0].Tx != t2.ID() || w[0].Mode != "X" || w[0].Conversion ||
+		w[1].Tx != t3.ID() || w[1].Mode != "S" || w[1].Conversion {
+		t.Errorf("waiters = %+v", w)
 	}
-	// The wait-for graph has the one edge t2 -> t1.
-	if len(snap.WaitFor) != 1 || snap.WaitFor[0].From != t2.ID() || snap.WaitFor[0].To != t1.ID() {
-		t.Errorf("wait-for = %+v", snap.WaitFor)
+	// The wait-for graph is exactly t2 -> t1 (incompatible holder) and
+	// t3 -> t2 (queued ahead); t3 does not wait for t1, whose S it shares.
+	want := []WaitEdge{{From: t2.ID(), To: t1.ID()}, {From: t3.ID(), To: t2.ID()}}
+	if len(snap.WaitFor) != len(want) || snap.WaitFor[0] != want[0] || snap.WaitFor[1] != want[1] {
+		t.Errorf("wait-for = %+v, want %+v", snap.WaitFor, want)
 	}
 	var buf bytes.Buffer
 	snap.Render(&buf)
 	out := buf.String()
-	for _, frag := range []string{"res-a", "held(tx1 X)", "wait(tx2 S)", "tx2 -> tx1", "short"} {
+	for _, frag := range []string{"res-a", "held(tx1 S)", "wait(tx2 X)", "wait(tx3 S)", "tx2 -> tx1", "tx3 -> tx2", "short"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("render missing %q:\n%s", frag, out)
 		}
@@ -622,6 +684,7 @@ func TestSnapshotAndRender(t *testing.T) {
 	}
 	m.ReleaseAll(t1)
 	m.ReleaseAll(t2)
+	m.ReleaseAll(t3)
 	if m.ActiveResources() != 0 {
 		t.Error("resources should be garbage-collected after release")
 	}

@@ -444,9 +444,7 @@ type Manager struct {
 	timeout time.Duration
 	onDL    func(DeadlockInfo)
 
-	// ft is the packed-word view of table; nil when the table has too many
-	// modes for the word, which disables the fast path (every head stays
-	// sealed).
+	// ft is the packed-word view of table.
 	ft *fastTable
 
 	stripes []stripe
@@ -476,7 +474,9 @@ type Manager struct {
 
 // NewManager builds a Manager for one protocol's mode table and starts its
 // deadlock-detector goroutine. Call Close when the manager is no longer
-// needed to stop the detector.
+// needed to stop the detector. It panics on a table with more modes than
+// the packed word holds (see VerifyPackedCompat): every table must keep
+// the CAS fast path.
 func NewManager(table ModeTable, opts Options) *Manager {
 	m := newManager(table, opts)
 	go m.detectorLoop()
@@ -499,11 +499,15 @@ func newManager(table ModeTable, opts Options) *Manager {
 	for pow < n {
 		pow <<= 1
 	}
+	ft, err := newFastTable(table)
+	if err != nil {
+		panic(err)
+	}
 	m := &Manager{
 		table:   table,
 		timeout: to,
 		onDL:    opts.OnDeadlock,
-		ft:      newFastTable(table),
+		ft:      ft,
 		stripes: make([]stripe, pow),
 		mask:    uint64(pow - 1),
 		detKick: make(chan struct{}, 1),
@@ -719,15 +723,13 @@ func (m *Manager) Lock(tx *Tx, res Resource, mode Mode, short bool) error {
 		return m.lockSlow(tx, res, mode, short, fnv1a(string(res)))
 	}
 	hash := fnv1a(string(res))
-	if m.ft != nil {
-		if h := m.stripes[hash&m.mask].index.lookup(res, hash); h != nil &&
-			m.tryFastGrantLocked(tx, h, res, mode, short) {
-			tx.mu.Unlock()
-			m.stats.requests.Add(1)
-			m.stats.immediateGrants.Add(1)
-			m.stats.fastGrants.Add(1)
-			return nil
-		}
+	if h := m.stripes[hash&m.mask].index.lookup(res, hash); h != nil &&
+		m.tryFastGrantLocked(tx, h, res, mode, short) {
+		tx.mu.Unlock()
+		m.stats.requests.Add(1)
+		m.stats.immediateGrants.Add(1)
+		m.stats.fastGrants.Add(1)
+		return nil
 	}
 	tx.mu.Unlock()
 	m.stats.requests.Add(1)
@@ -926,22 +928,20 @@ func (m *Manager) lockSlow(tx *Tx, res Resource, mode Mode, short bool, hash uin
 
 // finishHeadLocked republishes the packed word at the end of a slow-path
 // critical section: recompute the holder bitset from the chain, bump the
-// epoch, and seal iff the fast path must stay off (waiters present, fast
-// path disabled, or head dead). Cleared entries a fast release could not
-// unlink (see tryFastRelease) are pruned and repooled here — the head is
-// sealed and drained, so the chain is exclusively ours. Empty heads feed
-// the stripe's lazy GC. Caller holds the partition mutex.
+// epoch, and seal iff the fast path must stay off (waiters present or head
+// dead). Cleared entries a fast release could not unlink (see
+// tryFastRelease) are pruned and repooled here — the head is sealed and
+// drained, so the chain is exclusively ours. Empty heads feed the stripe's
+// lazy GC. Caller holds the partition mutex.
 func (m *Manager) finishHeadLocked(s *stripe, h *lockHead) {
 	m.pruneChainLocked(h)
 	var bits uint64
 	empty := true
 	for e := h.holders.Load(); e != nil; e = e.next.Load() {
 		empty = false
-		if m.ft != nil {
-			bits |= m.ft.bit[e.mode()]
-		}
+		bits |= m.ft.bit[e.mode()]
 	}
-	sealed := m.ft == nil || h.dead
+	sealed := h.dead
 	if q := h.queueLocked(); len(q) > 0 {
 		sealed = true
 		empty = false
@@ -1172,9 +1172,6 @@ func (m *Manager) repoolLocked(tx *Tx, es []*holderEntry) {
 // cleared) entry before it could be unlinked, so the entry must NOT be
 // reused until a sealed section prunes it (finishHeadLocked repools it).
 func (m *Manager) tryFastRelease(e *holderEntry) (bool, bool) {
-	if m.ft == nil {
-		return false, false
-	}
 	mode := e.mode()
 	if int(mode) >= len(m.ft.bit) {
 		return false, false
@@ -1251,14 +1248,6 @@ func (m *Manager) HeldMode(tx *Tx, res Resource) Mode {
 		return e.mode()
 	}
 	return ModeNone
-}
-
-// HeldModeCached returns the mode tx holds on res. Protocols use it for
-// held-mode checks on their locking hot path (e.g. taDOM's fan-out
-// conversion tests). With the cache carried on the held entries themselves
-// it is the same single-map lookup as HeldMode; the name survives as API.
-func (m *Manager) HeldModeCached(tx *Tx, res Resource) Mode {
-	return m.HeldMode(tx, res)
 }
 
 // HeldCount returns how many locks tx currently holds.

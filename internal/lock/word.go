@@ -38,29 +38,26 @@ const (
 	wordEpochMask  = uint64(1)<<15 - 1
 	wordModeMask   = uint64(1)<<wordEpochShift - 1
 
-	// maxFastModes is the largest mode index the word can represent; tables
-	// with more modes disable the fast path entirely (every head stays
-	// sealed) rather than approximating.
+	// maxFastModes is the largest mode index the word can represent; a
+	// manager refuses a table with more modes rather than approximate.
 	maxFastModes = 48
 )
 
 // fastTable is the packed-word view of a ModeTable: per-mode bit masks and
 // precomputed incompatibility unions. Immutable after construction.
 type fastTable struct {
-	numModes int
 	bit      [maxFastModes + 1]uint64
 	incompat [maxFastModes + 1]uint64
 }
 
-// newFastTable derives the packed encoding from a mode table, or returns nil
-// when the table has too many modes for the word (the manager then runs
-// slow-path only — correct, just without the CAS grant).
-func newFastTable(t ModeTable) *fastTable {
+// newFastTable derives the packed encoding from a mode table; a table with
+// more modes than the word holds is an error.
+func newFastTable(t ModeTable) (*fastTable, error) {
 	n := t.NumModes()
 	if n-1 > maxFastModes {
-		return nil
+		return nil, fmt.Errorf("lock: table has %d modes, the packed word holds %d", n-1, maxFastModes)
 	}
-	ft := &fastTable{numModes: n}
+	ft := &fastTable{}
 	for m := 1; m < n; m++ {
 		ft.bit[m] = uint64(1) << (m - 1)
 	}
@@ -77,7 +74,7 @@ func newFastTable(t ModeTable) *fastTable {
 			}
 		}
 	}
-	return ft
+	return ft, nil
 }
 
 func wordEpoch(w uint64) uint64 { return (w >> wordEpochShift) & wordEpochMask }
@@ -97,12 +94,12 @@ func nextWord(bits uint64, prev uint64, sealed bool) uint64 {
 // the single-AND word test must agree with ModeTable.Compatible. Group
 // compatibility follows because the word test is a disjunction over held
 // bits and group compatibility is the conjunction of pair compatibilities.
-// Returns nil for tables too large for the fast path (nothing to verify —
-// the encoding is unused then). Exported for protocol-table tests.
+// A table too large for the word is an error: NewManager refuses it.
+// Exported for protocol-table tests.
 func VerifyPackedCompat(t ModeTable) error {
-	ft := newFastTable(t)
-	if ft == nil {
-		return nil
+	ft, err := newFastTable(t)
+	if err != nil {
+		return err
 	}
 	n := t.NumModes()
 	for h := 1; h < n; h++ {

@@ -11,9 +11,9 @@ import (
 // per-holder matrix answers, for every subset of held modes.
 func TestPackedWordMatchesMatrix(t *testing.T) {
 	table := testTable()
-	ft := newFastTable(table)
-	if ft == nil {
-		t.Fatal("test table should support the fast path")
+	ft, err := newFastTable(table)
+	if err != nil {
+		t.Fatal(err)
 	}
 	n := table.NumModes()
 	for set := 0; set < 1<<(n-1); set++ {
@@ -45,7 +45,10 @@ func TestPackedWordMatchesMatrix(t *testing.T) {
 // out-of-range modes must never pass the fast-path compatibility test, even
 // against an empty group.
 func TestPackedWordRejectsSpecials(t *testing.T) {
-	ft := newFastTable(testTable())
+	ft, err := newFastTable(testTable())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range []int{0, testTable().NumModes(), maxFastModes} {
 		if uint64(0)&ft.incompat[r] == 0 && ft.incompat[r] != ^uint64(0) {
 			t.Errorf("mode %d has a grantable incompat mask %#x", r, ft.incompat[r])
@@ -75,42 +78,24 @@ func oversizeTable(n int) *Table {
 	return NewTable(names, compat, conv)
 }
 
-// TestOversizedTableRunsSlowPathOnly checks that a table with more modes
-// than the word can encode disables the fast path (no fastTable, heads stay
-// sealed) while the manager keeps working through the slow path.
-func TestOversizedTableRunsSlowPathOnly(t *testing.T) {
-	table := oversizeTable(maxFastModes + 10)
-	if newFastTable(table) != nil {
-		t.Fatal("oversized table must not build a fastTable")
+// TestOversizedTableRejected checks that the largest table the word can
+// encode is accepted and one mode more is refused: VerifyPackedCompat
+// reports it and NewManager panics, so no manager runs without the CAS fast
+// path.
+func TestOversizedTableRejected(t *testing.T) {
+	if err := VerifyPackedCompat(oversizeTable(maxFastModes + 1)); err != nil {
+		t.Fatalf("largest encodable table: %v", err)
 	}
-	if err := VerifyPackedCompat(table); err != nil {
-		t.Fatalf("VerifyPackedCompat must be a no-op for oversized tables: %v", err)
+	table := oversizeTable(maxFastModes + 2)
+	if err := VerifyPackedCompat(table); err == nil {
+		t.Fatal("VerifyPackedCompat accepted an oversized table")
 	}
-	m := NewManager(table, Options{})
-	defer m.Close()
-	if m.ft != nil {
-		t.Fatal("manager built a fastTable for an oversized table")
-	}
-	t1, t2 := m.Begin(), m.Begin()
-	if err := m.Lock(t1, "res", Mode(50), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Lock(t2, "res", Mode(55), false); err != nil {
-		t.Fatal(err)
-	}
-	// Re-request: the per-tx cache works without the fast path.
-	if err := m.Lock(t1, "res", Mode(50), false); err != nil {
-		t.Fatal(err)
-	}
-	st := m.Stats()
-	if st.CacheHits != 1 {
-		t.Errorf("cache hits = %d, want 1", st.CacheHits)
-	}
-	m.ReleaseAll(t1)
-	m.ReleaseAll(t2)
-	if err := m.LeakCheck(); err != nil {
-		t.Fatal(err)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewManager accepted an oversized table")
+		}
+	}()
+	NewManager(table, Options{}).Close()
 }
 
 // FuzzModeCompat cross-checks the packed-word encoding against arbitrary
@@ -154,9 +139,9 @@ func FuzzModeCompat(f *testing.F) {
 		if err := VerifyPackedCompat(table); err != nil {
 			t.Fatal(err)
 		}
-		ft := newFastTable(table)
-		if ft == nil {
-			t.Fatalf("no fastTable for %d modes", n)
+		ft, err := newFastTable(table)
+		if err != nil {
+			t.Fatalf("%d modes: %v", n, err)
 		}
 		// Spot-check random group subsets (exhaustive for small n).
 		subsets := 1 << (n - 1)

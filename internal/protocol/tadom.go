@@ -316,9 +316,9 @@ func (p *tadomProto) Table() lock.ModeTable { return p.table }
 // the coverage inside a single lock.
 func (p *tadomProto) lockNode(c *Ctx, id splid.ID, m lock.Mode, short bool) error {
 	if !p.combined {
-		// The held-mode probe runs on every node lock — answer it from the
-		// per-transaction cache instead of the shared table when possible.
-		held := c.LM.HeldModeCached(c.Txn.LockTx(), nodeRes(id))
+		// The held-mode probe runs on every node lock; HeldMode answers it
+		// from the transaction's own held map, not the shared table.
+		held := c.LM.HeldMode(c.Txn.LockTx(), nodeRes(id))
 		var childMode lock.Mode
 		switch {
 		// Figure 4, IX_NR / CX_NR / IX_SR / CX_SR: a write request meeting

@@ -15,10 +15,12 @@ import (
 // small to hold the working set, so the run exercises deadlock aborts, lock
 // timeouts, transaction restarts, and storage-fault retries all at once.
 func chaosConfig(seed int64) Config {
-	bib := Scaled(0.05) // 5 topics, 100 books: ~80 pages
-	// Far below the ~80-page working set (forces backend I/O all run) yet
+	bib := Scaled(0.05) // 5 topics, 100 books
+	// Far below the working set, so the run does backend I/O throughout (at
+	// 56 frames, since ordered loads fill their leaves, a run under the race
+	// detector beside other tests did almost none and drew no fault), yet
 	// comfortably above the 12 workers' worst-case concurrent pins.
-	bib.BufferFrames = 56
+	bib.BufferFrames = 40
 	return Config{
 		Protocol:  "taDOM3+",
 		Isolation: tx.LevelRepeatable,
@@ -120,9 +122,14 @@ func TestChaosSnapshotContestantVersionAudit(t *testing.T) {
 // result.
 func TestChaosPermanentFaultFailsGracefully(t *testing.T) {
 	cfg := chaosConfig(11)
-	// The 20th armed read fails permanently; everything else is clean.
-	cfg.Faults = &fault.Plan{Schedule: []fault.Fault{{Site: fault.PageRead, N: 20, Permanent: true}}}
+	// The first armed read fails permanently; everything else is clean. A
+	// later read would not be reached by a slow run (the race detector with
+	// other tests beside it), which then ends clean.
+	cfg.Faults = &fault.Plan{Schedule: []fault.Fault{{Site: fault.PageRead, N: 1, Permanent: true}}}
 	res, err := Run(cfg)
+	if cfg.Faults.Fired(fault.PageRead) < 1 {
+		t.Fatalf("planned fault never fired (%d armed page reads): %v", cfg.Faults.Seen(fault.PageRead), err)
+	}
 	if err == nil {
 		t.Fatalf("run swallowed a permanent fault: %+v", res)
 	}
