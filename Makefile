@@ -112,7 +112,7 @@ loc:
 # are a goal): it fails when loc's total exceeds LOC_BUDGET, the total of the
 # last PR that moved it. A PR that needs more lines raises the number here,
 # in the open, and says why in its CHANGES.md row; one that deletes lowers it.
-LOC_BUDGET := 15253
+LOC_BUDGET := 15334
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_BUDGET) ]; then \
@@ -157,13 +157,18 @@ bench-pairs:
 # overlay in scripts/_overlay/ (bench/ itself is not changed), runs the
 # workload untraced for SECONDS of windows, profiles them, and prints the
 # functions under the windows' workers by cumulative share of the workers'
-# samples. make bench-profile WORKLOAD=cold_jump SECONDS=12; the binary and
-# cpu.pprof stay in bench/out/profile/ for go tool pprof.
+# samples. The overlay adds the profiler and swaps bench/main.go for the copy
+# generated below, whose main is renamed benchMain, so the profiler's main
+# waits for the profile before the process exits; the copy is not named *.go,
+# or go build ./... would compile it, and overlay.json names its path. make
+# bench-profile WORKLOAD=cold_jump SECONDS=12; the binary and cpu.pprof stay
+# in bench/out/profile/ for go tool pprof.
 PROFILE_DIR := bench/out/profile
 SECONDS ?= 12
 bench-profile:
 	@test -n "$(WORKLOAD)" || { echo "usage: make bench-profile WORKLOAD=<one workload> [SECONDS=12]"; exit 2; }
 	mkdir -p $(PROFILE_DIR)
+	sed 's/^func main() {$$/func benchMain() {/' bench/main.go > $(PROFILE_DIR)/main.go.in
 	$(GO) build -overlay scripts/_overlay/overlay.json -o $(PROFILE_DIR)/bench ./bench
 	BENCH_PROFILE=$(PROFILE_DIR)/cpu.pprof $(PROFILE_DIR)/bench -workload $(WORKLOAD) -seconds $(SECONDS) -trace 0 > /dev/null
 	$(GO) tool pprof -top -cum -nodecount=60 -focus 'main\.\(\*env\)\.runWindow' -relative_percentages $(PROFILE_DIR)/bench $(PROFILE_DIR)/cpu.pprof

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/lock"
 	"repro/internal/node"
 	"repro/internal/pagestore"
 	"repro/internal/protocol"
@@ -32,6 +33,10 @@ var claimDepths = []int{0, 2, 7}
 //   - lock requests per committed CLUSTER1 transaction, for every contestant
 //     at lock depths 0, 2 and 7 (the work behind Figures 7-10's shapes, and
 //     claims 4-7's lock-overhead side), against testdata/lock_requests.golden;
+//   - claim 9: TArenameTopic's rename holds the topic node-exclusive (NX,
+//     which a reader of the topic's subtree passes with IR) under taDOM3 and
+//     taDOM3+, and subtree-exclusive (SX, which it does not) under taDOM2 and
+//     taDOM2+ — held modes, since both hold one lock per rename;
 //   - claim 10: TAdelBook scans the doomed subtree for elements owning an ID
 //     attribute under the pure *-2PL protocols, and under no other.
 //
@@ -41,7 +46,9 @@ var claimDepths = []int{0, 2, 7}
 // Mutants (run by hand, not committed): taDOM's read path locking the
 // ancestors of the node instead of the lock-depth target (lock depth ignored
 // on the path) fails the depth-0 and depth-2 columns; Node2PLa locking its
-// anchor without the intention path fails every Node2PLa cell.
+// anchor without the intention path fails every Node2PLa cell; taDOM3's NX
+// mapped to SX, or NX made incompatible with IR in the taDOM3 tables, fails
+// the RenameModes rows of taDOM3 and taDOM3+ (and no lock-request cell).
 func TestClaims(t *testing.T) {
 	t.Run("LockRequests", func(t *testing.T) {
 		got := lockRequestTable(t)
@@ -51,6 +58,23 @@ func TestClaims(t *testing.T) {
 		}
 		if got != string(want) {
 			t.Errorf("lock requests per committed transaction moved; got\n%s\nwant\n%s", got, want)
+		}
+	})
+	t.Run("RenameModes", func(t *testing.T) {
+		for _, p := range protocol.All() {
+			if !strings.HasPrefix(p.Name(), "taDOM") {
+				continue
+			}
+			want := renameHold{"SX", false}
+			if strings.HasPrefix(p.Name(), "taDOM3") {
+				want = renameHold{"NX", true}
+			}
+			for _, got := range renameHolds(t, p) {
+				if got != want {
+					t.Errorf("%s: TArenameTopic holds the topic %s (a subtree reader's IR passes: %v); want %s (%v)",
+						p.Name(), got.mode, got.readerPasses, want.mode, want.readerPasses)
+				}
+			}
 		}
 	})
 	t.Run("IDXScans", func(t *testing.T) {
@@ -149,4 +173,57 @@ type countingTree struct {
 func (t countingTree) ElementsWithIDAttribute(id splid.ID) ([]splid.ID, error) {
 	*t.n++
 	return t.TreeAccess.ElementsWithIDAttribute(id)
+}
+
+// renameTxns is how many TArenameTopic transactions the held-mode check runs.
+const renameTxns = 3
+
+// renameHold is the lock a rename leaves on its node: the held mode's name,
+// and whether another transaction's IR (the intention of a reader below the
+// node) is compatible with it.
+type renameHold struct {
+	mode         string
+	readerPasses bool
+}
+
+// renameHolds runs TArenameTopic serially under p and returns the lock each
+// rename holds on its node.
+func renameHolds(t *testing.T, p protocol.Protocol) []renameHold {
+	doc, cat, err := tamix.GenerateBib(pagestore.NewMemBackend(), tamix.Scaled(quick().DocScale))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer doc.Close()
+	var holds []renameHold
+	mgr := node.New(doc, renameRecorder{p, &holds}, node.Options{Depth: 7})
+	defer mgr.Close()
+	if err := tamix.Serial(mgr, cat, map[tamix.TxType]int{tamix.TArenameTopic: 1}, tx.LevelRepeatable, claimSeed, renameTxns); err != nil {
+		t.Fatalf("%s: %v", p.Name(), err)
+	}
+	if len(holds) != renameTxns {
+		t.Fatalf("%s: %d renames in %d TArenameTopic transactions", p.Name(), len(holds), renameTxns)
+	}
+	return holds
+}
+
+// renameRecorder records the lock its protocol's Rename leaves on the node.
+type renameRecorder struct {
+	protocol.Protocol
+	holds *[]renameHold
+}
+
+func (r renameRecorder) Rename(c *protocol.Ctx, id splid.ID) error {
+	if err := r.Protocol.Rename(c, id); err != nil {
+		return err
+	}
+	table := c.LM.Table()
+	held := c.LM.HeldMode(c.Txn.LockTx(), lock.Resource(id.Key())) // a node's lock resource is its key
+	ir := lock.ModeNone
+	for m := lock.Mode(1); int(m) < table.NumModes(); m++ {
+		if table.Name(m) == "IR" {
+			ir = m
+		}
+	}
+	*r.holds = append(*r.holds, renameHold{table.Name(held), ir != lock.ModeNone && table.Compatible(held, ir)})
+	return nil
 }

@@ -1,6 +1,6 @@
 // Package pagestore provides the disk substrate of the XDBMS: fixed-size
 // pages on a backing store (file or memory) behind a pinning buffer manager
-// with LRU replacement. The document container and all B*-tree indexes of
+// with CLOCK replacement. The document container and all B*-tree indexes of
 // Section 3 live on these pages; the paper's observation that most upper
 // index layers stay buffer-resident ("reference locality ... reducing disk
 // accesses to a minimum") is what the buffer manager reproduces.
@@ -9,7 +9,6 @@ package pagestore
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -140,14 +139,30 @@ func (m *MemBackend) Sync() error { return nil }
 // Close implements Backend.
 func (m *MemBackend) Close() error { return nil }
 
-// FileBackend stores pages in a single OS file at offset id*PageSize.
+// FileBackend stores pages in a single OS file at offset id*PageSize. A read
+// copies the page out of a read-only shared mapping of the file (mmap_unix.go;
+// pread where the platform has no mmap); a write, Allocate's zero-extension
+// and Sync go through pwrite and fsync, so durability, the WAL rule's write
+// order and write errors stay the file's own.
 type FileBackend struct {
-	mu sync.Mutex // serializes Allocate
+	mu sync.Mutex // serializes Allocate and Close
 	f  *os.File
 	// pages is the page count, read without mu: a read or write of a page
 	// below it needs no lock, so concurrent misses share no line here.
 	pages atomic.Uint32
+	// view is the current mapping, nil after Close. It covers every page
+	// below pages: Allocate publishes a bigger one before it raises pages.
+	view atomic.Pointer[[]byte]
+	// old holds the outgrown mappings, unmapped at Close: a reader may still
+	// be copying out of one.
+	old [][]byte
 }
+
+// minMapping is the smallest mapping, so an empty file maps too.
+const minMapping = 64 * PageSize
+
+// errClosed is a read after Close.
+var errClosed = errors.New("pagestore: file backend closed")
 
 // OpenFile opens (creating if necessary) a file backend at path. An existing
 // file must have a size that is a multiple of PageSize.
@@ -166,20 +181,45 @@ func OpenFile(path string) (*FileBackend, error) {
 		return nil, fmt.Errorf("pagestore: %s has size %d, not a multiple of %d", path, st.Size(), PageSize)
 	}
 	b := &FileBackend{f: f}
+	if err := b.remap(st.Size()); err != nil {
+		f.Close()
+		return nil, err
+	}
 	b.pages.Store(uint32(st.Size() / PageSize))
 	return b, nil
 }
 
-// ReadPage implements Backend.
-func (b *FileBackend) ReadPage(id PageID, buf []byte) error {
+// remap maps at least twice size bytes of the file and publishes the
+// mapping; the one it replaces stays mapped until Close. The caller holds mu
+// or owns b.
+func (b *FileBackend) remap(size int64) error {
+	m, err := mapFile(b.f, int(max(2*size, minMapping)))
+	if err != nil {
+		return fmt.Errorf("pagestore: map %s: %w", b.f.Name(), err)
+	}
+	if cur := b.view.Load(); cur != nil {
+		b.old = append(b.old, *cur)
+	}
+	b.view.Store(&m)
+	return nil
+}
+
+// readable returns the mapping to read page id from. The page count is read
+// before the mapping, so the mapping covers the page; the check that it does
+// is the ordering's witness.
+func (b *FileBackend) readable(id PageID) ([]byte, error) {
 	n := PageID(b.pages.Load())
 	if id >= n {
-		return fmt.Errorf("%w: read %d of %d", ErrPageOutOfRange, id, n)
+		return nil, fmt.Errorf("%w: read %d of %d", ErrPageOutOfRange, id, n)
 	}
-	if _, err := b.f.ReadAt(buf[:PageSize], int64(id)*PageSize); err != nil && err != io.EOF {
-		return fmt.Errorf("pagestore: read page %d: %w", id, err)
+	v := b.view.Load()
+	switch {
+	case v == nil:
+		return nil, errClosed
+	case canMap && int64(id+1)*PageSize > int64(len(*v)):
+		return nil, fmt.Errorf("pagestore: read page %d: beyond the %d-byte mapping", id, len(*v))
 	}
-	return nil
+	return *v, nil
 }
 
 // WritePage implements Backend.
@@ -194,7 +234,9 @@ func (b *FileBackend) WritePage(id PageID, buf []byte) error {
 	return nil
 }
 
-// Allocate implements Backend.
+// Allocate implements Backend: it extends the file by a zeroed page, maps a
+// bigger region first if the page lies beyond the mapping, and only then
+// raises the page count readers check against.
 func (b *FileBackend) Allocate() (PageID, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -202,6 +244,12 @@ func (b *FileBackend) Allocate() (PageID, error) {
 	var zero [PageSize]byte
 	if _, err := b.f.WriteAt(zero[:], int64(id)*PageSize); err != nil {
 		return InvalidPage, fmt.Errorf("pagestore: extend to page %d: %w", id, err)
+	}
+	// The write above fails after Close, so the mapping is there.
+	if end := int64(id+1) * PageSize; canMap && end > int64(len(*b.view.Load())) {
+		if err := b.remap(end); err != nil {
+			return InvalidPage, err
+		}
 	}
 	b.pages.Add(1)
 	return id, nil
@@ -213,5 +261,17 @@ func (b *FileBackend) NumPages() PageID { return PageID(b.pages.Load()) }
 // Sync implements Backend.
 func (b *FileBackend) Sync() error { return b.f.Sync() }
 
-// Close implements Backend.
-func (b *FileBackend) Close() error { return b.f.Close() }
+// Close implements Backend: it unmaps every mapping and closes the file. No
+// read may run concurrently with it.
+func (b *FileBackend) Close() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var errs []error
+	if v := b.view.Swap(nil); v != nil {
+		for _, m := range append(b.old, *v) {
+			errs = append(errs, unmapFile(m))
+		}
+	}
+	b.old = nil
+	return errors.Join(append(errs, b.f.Close())...)
+}

@@ -2,6 +2,9 @@
 // (overlay.json beside it; make bench-profile), never from here: the go tool
 // skips directories whose name starts with an underscore. It adds a CPU
 // profile of the measured windows to the benchmark without touching bench/.
+// The overlay also replaces bench/main.go by a copy that make bench-profile
+// generates with its main renamed benchMain; main here runs it and then waits
+// for the profile, which a run would otherwise end before it is written.
 //
 // With BENCH_PROFILE set to a file name, a run with -trace 0 profiles from the
 // start of its last set-up to the end of its windows and writes the profile
@@ -21,17 +24,37 @@ import (
 	"time"
 )
 
+// profiled is closed once the profile is written; nil without BENCH_PROFILE.
+var profiled chan struct{}
+
 func init() {
 	path := os.Getenv("BENCH_PROFILE")
 	if path == "" {
 		return
 	}
+	profiled = make(chan struct{})
 	go func() {
 		if err := profileWindows(path); err != nil {
-			fmt.Fprintln(os.Stderr, "bench-profile:", err)
-			os.Exit(2)
+			fatalProfile(err)
 		}
+		close(profiled)
 	}()
+}
+
+func main() {
+	benchMain()
+	if profiled == nil {
+		return
+	}
+	if n := forcedGCs(); n < 3 {
+		fatalProfile(fmt.Errorf("the run made %d forced collections, not the 3 that bound its windows (run it with -trace 0)", n))
+	}
+	<-profiled
+}
+
+func fatalProfile(err error) {
+	fmt.Fprintln(os.Stderr, "bench-profile:", err)
+	os.Exit(2)
 }
 
 // profileWindows profiles from the second forced collection (the last of
@@ -53,8 +76,14 @@ func profileWindows(path string) error {
 
 // waitForcedGCs returns once the program has called runtime.GC n times.
 func waitForcedGCs(n uint64) {
-	s := []metrics.Sample{{Name: "/gc/cycles/forced:gc-cycles"}}
-	for metrics.Read(s); s[0].Value.Uint64() < n; metrics.Read(s) {
+	for forcedGCs() < n {
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// forcedGCs is how many times the program has called runtime.GC.
+func forcedGCs() uint64 {
+	s := []metrics.Sample{{Name: "/gc/cycles/forced:gc-cycles"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
