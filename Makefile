@@ -6,7 +6,7 @@ SHELL := /bin/bash
 
 GO ?= go
 
-.PHONY: build test verify fuzz loc loc-check no-blobs examples bench-pairs bench-profile claims chaos netchaos recovery metrics server
+.PHONY: build test verify fuzz loc loc-check no-blobs bench-pairs bench-profile claims chaos netchaos recovery metrics server
 
 build:
 	$(GO) build ./...
@@ -112,7 +112,7 @@ loc:
 # are a goal): it fails when loc's total exceeds LOC_BUDGET, the total of the
 # last PR that moved it. A PR that needs more lines raises the number here,
 # in the open, and says why in its CHANGES.md row; one that deletes lowers it.
-LOC_BUDGET := 15334
+LOC_BUDGET := 14789
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_BUDGET) ]; then \
@@ -126,15 +126,6 @@ loc-check:
 no-blobs:
 	@big=$$(git ls-files -z | xargs -0 -r ls -l 2>/dev/null | awk '$$5 > 1048576 { print $$5, $$NF }'); \
 	if [ -n "$$big" ]; then echo "no-blobs: tracked files over 1 MiB:"; echo "$$big"; exit 1; fi
-
-# examples runs the four example programs at their smallest settings: they are
-# the public API's callers (internal/core), and compiling them is not running
-# them.
-examples:
-	$(GO) run ./examples/quickstart > /dev/null
-	$(GO) run ./examples/editor -authors 3 -edits 5 > /dev/null
-	$(GO) run ./examples/library -seconds 1 -patrons 2 -browsers 2 > /dev/null
-	$(GO) run ./examples/contest -millis 50 -workers 4 > /dev/null
 
 # bench-pairs is the one way a number gets into a PR (bench/README.md; the
 # Go micro-benchmarks under internal/ are for iterating on one layer, and CI

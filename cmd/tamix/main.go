@@ -52,7 +52,6 @@ func main() {
 		avg      = flag.Int("avg", 1, "repetitions averaged per CLUSTER1 configuration (the paper used 4)")
 		csvDir   = flag.String("csv", "", "also write CSV files into this directory")
 		seed     = flag.Int64("seed", 0, "workload seed offset")
-		lockTO   = flag.Duration("lock-timeout", 0, "lock-wait timeout (0 = scaled default)")
 
 		protoList = flag.String("protocols", "all", "contest: protocols to rank ("+protocol.NamesHelp()+")")
 		remote    = flag.String("remote", "", "contest: run against an xtcd server at this address instead of in-process engines (\"self\" = an in-process loopback daemon)")
@@ -75,12 +74,12 @@ func main() {
 		} else if len(ds) > 1 {
 			fatal(fmt.Errorf("the contest ranks at one lock depth, -depths names %d", len(ds)))
 		}
-		if err := contest(*protoList, *remote, *jsonOut, depth, *docScale, *timeSc, *seed, *lockTO, *flusher); err != nil {
+		if err := contest(*protoList, *remote, *jsonOut, depth, *docScale, *timeSc, *seed, *flusher); err != nil {
 			fatal(err)
 		}
 		return
 	}
-	opt := figures.Options{DocScale: *docScale, TimeScale: *timeSc, Depths: ds, Runs: *avg, Seed: *seed, LockTimeout: *lockTO}
+	opt := figures.Options{DocScale: *docScale, TimeScale: *timeSc, Depths: ds, Runs: *avg, Seed: *seed}
 
 	want := map[string]bool{}
 	if *fig == "all" {
@@ -182,7 +181,7 @@ func writeCSV(dir, name string, series []figures.Series) {
 // them itself, and ships their counters, not their latency distributions.
 // Every statistic is read from the run's snapshot by the name its layer
 // registered.
-func contest(protoList, remote, jsonOut string, depth int, docScale, timeSc float64, seed int64, lockTO, flusher time.Duration) error {
+func contest(protoList, remote, jsonOut string, depth int, docScale, timeSc float64, seed int64, flusher time.Duration) error {
 	contestants, err := protocol.ParseList(protoList)
 	if err != nil {
 		return err
@@ -190,9 +189,6 @@ func contest(protoList, remote, jsonOut string, depth int, docScale, timeSc floa
 	config := func(p protocol.Protocol) tamix.Config {
 		cfg := tamix.Cluster1Config(p.Name(), tx.LevelRepeatable, depth, docScale, timeSc)
 		cfg.Seed += seed
-		if lockTO > 0 {
-			cfg.LockTimeout = lockTO
-		}
 		cfg.Bib.FlusherInterval = flusher
 		cfg.WAL = true
 		cfg.Remote = remote // read at call time: "self" is the loopback's address by then

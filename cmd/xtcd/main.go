@@ -41,13 +41,11 @@ func main() {
 		ckptEvery    = flag.Duration("checkpoint-interval", 0, "fuzzy-checkpoint cadence per engine; enables WAL logging + segment GC (0 disables)")
 		walRetain    = flag.Int("wal-retain", 0, "newest WAL segments kept by checkpoint GC (0 = default)")
 		maxSessions  = flag.Int("max-sessions", 256, "admission cap on concurrently open sessions")
-		queueDepth   = flag.Int("queue-depth", 16, "per-session request queue bound (excess rejected busy)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain budget before in-flight sessions are cut")
 		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "per-frame write deadline; a peer that stops reading is cut (negative disables)")
 		keepAlive    = flag.Duration("keepalive", 30*time.Second, "expected client heartbeat interval (negative disables keep-alive enforcement)")
 		kaMisses     = flag.Int("keepalive-misses", 3, "missed keep-alive intervals before a silent connection is closed")
 		idleSession  = flag.Duration("idle-session", 5*time.Minute, "reap sessions idle this long: abort their transaction, release locks, free the slot (negative disables)")
-		reapEvery    = flag.Duration("reap-interval", 0, "idle-session sweep cadence (0 = idle-session/4)")
 		debugAddr    = flag.String("debug-addr", "", "serve /metrics (server.* plus every built engine's instruments as engine.<protocol>.*) and /debug/pprof on this address")
 		quiet        = flag.Bool("quiet", false, "suppress connection-level diagnostics")
 	)
@@ -63,14 +61,12 @@ func main() {
 			WALRetain:          *walRetain,
 		}),
 		MaxSessions:  *maxSessions,
-		SessionQueue: *queueDepth,
 		DrainTimeout: *drainTimeout,
 
 		WriteTimeout:       *writeTimeout,
 		KeepAliveInterval:  *keepAlive,
 		KeepAliveMisses:    *kaMisses,
 		SessionIdleTimeout: *idleSession,
-		ReapInterval:       *reapEvery,
 	}
 	if !*quiet {
 		cfg.Logf = logf

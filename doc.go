@@ -5,8 +5,8 @@
 // the TaMix benchmark framework that regenerates every figure of the
 // paper's evaluation.
 //
-// The public API lives in internal/core (see examples/quickstart); the
-// benchmark harness in this package's bench_test.go regenerates Figures
+// An engine is opened in internal/core and its transactions run on the node
+// manager it hands out (see core's ExampleOpen); the benchmark harness in this package's bench_test.go regenerates Figures
 // 7-11, one benchmark per figure. See README.md, DESIGN.md, and
 // EXPERIMENTS.md.
 package repro

@@ -22,14 +22,13 @@ import (
 var nameReads = regexp.MustCompile(`\b(CounterValue|Summary|Hist)\("([^"]+)"\)|\b(Counters|Latencies)\["([^"]+)"\]`)
 
 // TestCounterNamesExist: statistics are read by name, so a typo in a string
-// would print 0 for ever. Every name read by the report, the figures, the
-// tamix CLI and the examples must be an instrument of a seeded local run's
-// snapshot, and every counter among them one an xtcd engine ships over
-// OpStats.
+// would print 0 for ever. Every name read by the report, the figures and the
+// tamix CLI must be an instrument of a seeded local run's snapshot, and every
+// counter among them one an xtcd engine ships over OpStats.
 func TestCounterNamesExist(t *testing.T) {
 	var files []string
 	for _, pattern := range []string{
-		"../tamix/report.go", "../figures/*.go", "../../cmd/tamix/*.go", "../../examples/*/*.go",
+		"../tamix/report.go", "../figures/*.go", "../../cmd/tamix/*.go",
 	} {
 		m, err := filepath.Glob(pattern)
 		if err != nil || len(m) == 0 {
@@ -60,7 +59,7 @@ func TestCounterNamesExist(t *testing.T) {
 		}
 	}
 	// The readers this test exists for; if the scan loses them it is blind.
-	for _, name := range []string{"lock.deadlocks", "lock.timeouts", "lock.requests", "fault.injected", "tx.committed"} {
+	for _, name := range []string{"lock.deadlocks", "lock.timeouts", "lock.requests", "fault.injected"} {
 		if counters[name] == "" {
 			t.Errorf("the scan found no reader of %s: nameReads no longer matches how consumers read counters", name)
 		}

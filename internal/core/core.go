@@ -2,66 +2,44 @@
 // write-ahead log, and a node manager running transactions on it under any
 // of the 11 lock protocols compared in "Contest of XML Lock Protocols" (VLDB
 // 2006) — an embedded XML database in the spirit of XTC (the XML Transaction
-// Coordinator). It is the library's public API and the one place that knows
-// how the layers are assembled, restarted and torn down: the examples, the
-// TaMix harnesses, the crash matrix's reopen, xtc and xtcd's engine factory
-// all open their engine here (DESIGN.md, "Opening, restarting and closing an
-// engine").
+// Coordinator). It is the one place that knows how the layers are assembled,
+// restarted and torn down: the TaMix harnesses, the crash matrix's reopen,
+// xtc and xtcd's engine factory all open their engine here (DESIGN.md,
+// "Opening, restarting and closing an engine"). Transactions run on the
+// engine's node.Manager, whose typed operations are the one in-process
+// spelling of the DOM operations (client.Session is the one over the wire).
 //
-// A minimal durable session:
+// A minimal durable transaction:
 //
 //	backend, err := pagestore.OpenFile("bib.xtc")
 //	segs, err := wal.NewFileSegmentStore("bib.wal")
 //	eng, err := core.Open(backend, segs, core.Config{RootName: "bib"})
 //	defer eng.Close()
-//	err = eng.Exec(core.Repeatable, func(s *core.Session) error {
-//	    book, err := s.JumpToID("b42")
-//	    if err != nil { return err }
-//	    return s.SetAttribute(book.ID, "year", []byte("2006"))
-//	})
+//	m := eng.Manager()
+//	txn := m.Begin(tx.LevelRepeatable)
+//	book, err := m.JumpToID(txn, "b42")
+//	err = m.SetAttribute(txn, book.ID, "year", []byte("2006"))
+//	err = txn.Commit()
 //
 // Open creates the document when the backend is empty and otherwise restarts
-// it from the log, whether or not the last process closed it. Exec retries
-// automatically when the transaction is chosen as a deadlock victim,
-// mirroring the restart behavior of the paper's TaMix clients.
+// it from the log, whether or not the last process closed it. A transaction
+// chosen as a deadlock victim or timed out on a lock fails with an error
+// node.IsAbortWorthy accepts; the caller aborts it and may run it again, as
+// the TaMix clients restart theirs.
 package core
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"time"
 
-	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/pagestore"
 	"repro/internal/protocol"
-	"repro/internal/splid"
 	"repro/internal/storage"
-	"repro/internal/tx"
 	"repro/internal/wal"
-	"repro/internal/xmlmodel"
 )
-
-// Re-exported isolation levels (Section 4.3 of the paper).
-const (
-	// None acquires no locks at all.
-	None = tx.LevelNone
-	// Uncommitted takes long write locks but no read locks.
-	Uncommitted = tx.LevelUncommitted
-	// Committed takes short read locks and long write locks.
-	Committed = tx.LevelCommitted
-	// Repeatable takes long read and write locks — the paper's comparison
-	// level.
-	Repeatable = tx.LevelRepeatable
-)
-
-// Node is a document node as returned by Session operations.
-type Node = xmlmodel.Node
-
-// ID is a stable path labeling identifier.
-type ID = splid.ID
 
 // Config configures an Engine.
 type Config struct {
@@ -69,15 +47,13 @@ type Config struct {
 	// "doc").
 	RootName string
 	// Protocol selects the lock protocol by its paper name (default
-	// "taDOM3+", the contest winner). See Protocols() for the full list.
+	// "taDOM3+", the contest winner); protocol.Names lists them all.
 	Protocol string
 	// LockDepth is the lock-depth parameter (default 7; negative =
 	// unlimited, 0 = document locks).
 	LockDepth *int
 	// LockTimeout bounds lock waits (default 10s).
 	LockTimeout time.Duration
-	// OnDeadlock observes detected deadlocks.
-	OnDeadlock func(lock.DeadlockInfo)
 	// BufferFrames sizes the page buffer Open puts over the backend.
 	BufferFrames int
 	// Log tunes the write-ahead log opened over the segment store (segment
@@ -101,10 +77,6 @@ func (c *Config) fill() {
 		c.LockTimeout = 10 * time.Second
 	}
 }
-
-// Protocols returns the names of all available lock protocols in the
-// paper's presentation order.
-func Protocols() []string { return protocol.Names() }
 
 // Engine is an embedded XML database instance: one document, one lock
 // protocol, arbitrarily many concurrent transactions.
@@ -212,7 +184,6 @@ func assemble(doc *storage.Document, p protocol.Protocol, cfg Config, reg *metri
 	mgr := node.New(doc, p, node.Options{
 		Depth:       *cfg.LockDepth,
 		LockTimeout: cfg.LockTimeout,
-		OnDeadlock:  cfg.OnDeadlock,
 		Metrics:     reg,
 	})
 	if log := doc.WAL(); log != nil {
@@ -255,17 +226,6 @@ func (e *Engine) Recovery() *storage.RecoveryReport { return e.rep }
 // must run before concurrent transactions start.
 func (e *Engine) Load(r io.Reader) error { return e.doc.ImportXML(r) }
 
-// ExportXML writes the subtree under id (or the whole document for the root
-// ID) as indented XML. It reads the store directly, without locks; call it
-// on a quiesced engine or accept fuzzy reads.
-func (e *Engine) ExportXML(w io.Writer, id ID) error { return e.doc.ExportXML(w, id) }
-
-// Root returns the document root ID.
-func (e *Engine) Root() ID { return e.doc.Root() }
-
-// ProtocolName returns the active lock protocol.
-func (e *Engine) ProtocolName() string { return e.mgr.Protocol().Name() }
-
 // Manager exposes the node manager (the harnesses drive it directly) and,
 // through it, the document and its attached log.
 func (e *Engine) Manager() *node.Manager { return e.mgr }
@@ -275,138 +235,3 @@ func (e *Engine) Manager() *node.Manager { return e.mgr }
 // lock.requests, lock.deadlocks, lock.conversion_deadlocks, buffer.hits,
 // buffer.misses, … — plus the latency distributions (lock.wait, tx.commit).
 func (e *Engine) Metrics() *metrics.Snapshot { return e.mgr.Metrics().Snapshot() }
-
-// Size returns the current document size in stored nodes.
-func (e *Engine) Size() int { return e.doc.Size() }
-
-// Session is one transaction's view of the document. All methods follow the
-// DOM-style operations of the node manager and acquire locks through the
-// engine's protocol.
-type Session struct {
-	eng *Engine
-	txn *tx.Txn
-}
-
-// Begin starts an explicit transaction; prefer Exec for automatic
-// deadlock-retry handling.
-func (e *Engine) Begin(iso tx.Level) *Session {
-	return &Session{eng: e, txn: e.mgr.Begin(iso)}
-}
-
-// Commit finishes the session's transaction.
-func (s *Session) Commit() error { return s.txn.Commit() }
-
-// Abort rolls the session's transaction back.
-func (s *Session) Abort() error { return s.txn.Abort() }
-
-// maxRetries bounds Exec's deadlock-retry loop.
-const maxRetries = 10
-
-// Exec runs fn in a transaction at the given isolation level, committing on
-// nil and aborting on error. If the transaction is aborted as a deadlock
-// victim (or times out on a lock), Exec retries it, up to maxRetries
-// attempts.
-func (e *Engine) Exec(iso tx.Level, fn func(*Session) error) error {
-	var lastErr error
-	for attempt := 0; attempt < maxRetries; attempt++ {
-		s := e.Begin(iso)
-		err := fn(s)
-		if err == nil {
-			if err := s.Commit(); err == nil {
-				return nil
-			} else {
-				lastErr = err
-				continue
-			}
-		}
-		s.Abort()
-		if !node.IsAbortWorthy(err) {
-			return err
-		}
-		lastErr = err
-	}
-	return fmt.Errorf("core: transaction failed after %d attempts: %w", maxRetries, lastErr)
-}
-
-// --- Session operations -----------------------------------------------------
-
-// Root returns the document root ID.
-func (s *Session) Root() ID { return s.eng.doc.Root() }
-
-// GetNode reads a node by ID.
-func (s *Session) GetNode(id ID) (Node, error) { return s.eng.mgr.GetNode(s.txn, id) }
-
-// JumpToID jumps to the element carrying the given id attribute value.
-func (s *Session) JumpToID(value string) (Node, error) { return s.eng.mgr.JumpToID(s.txn, value) }
-
-// FirstChild navigates to the first child.
-func (s *Session) FirstChild(id ID) (Node, error) { return s.eng.mgr.FirstChild(s.txn, id) }
-
-// LastChild navigates to the last child.
-func (s *Session) LastChild(id ID) (Node, error) { return s.eng.mgr.LastChild(s.txn, id) }
-
-// NextSibling navigates to the following sibling.
-func (s *Session) NextSibling(id ID) (Node, error) { return s.eng.mgr.NextSibling(s.txn, id) }
-
-// PrevSibling navigates to the preceding sibling.
-func (s *Session) PrevSibling(id ID) (Node, error) { return s.eng.mgr.PrevSibling(s.txn, id) }
-
-// Parent navigates to the parent node.
-func (s *Session) Parent(id ID) (Node, error) { return s.eng.mgr.Parent(s.txn, id) }
-
-// Children returns all regular children (getChildNodes).
-func (s *Session) Children(id ID) ([]Node, error) { return s.eng.mgr.GetChildren(s.txn, id) }
-
-// Attributes returns the element's attribute nodes (getAttributes).
-func (s *Session) Attributes(el ID) ([]Node, error) { return s.eng.mgr.GetAttributes(s.txn, el) }
-
-// Value reads the character data of a text or attribute node.
-func (s *Session) Value(id ID) ([]byte, error) { return s.eng.mgr.Value(s.txn, id) }
-
-// AttributeValue reads one attribute by name (nil when absent).
-func (s *Session) AttributeValue(el ID, name string) ([]byte, error) {
-	return s.eng.mgr.AttributeValue(s.txn, el, name)
-}
-
-// ReadFragment reads the whole subtree under id in document order.
-func (s *Session) ReadFragment(id ID) ([]Node, error) {
-	return s.eng.mgr.ReadFragment(s.txn, id, false)
-}
-
-// Name resolves a node's name surrogate.
-func (s *Session) Name(n Node) string { return s.eng.doc.Vocabulary().Name(n.Name) }
-
-// SetValue overwrites a text or attribute node's character data.
-func (s *Session) SetValue(id ID, value []byte) error {
-	return s.eng.mgr.SetValue(s.txn, id, value)
-}
-
-// Rename renames an element (DOM level 3 renameNode).
-func (s *Session) Rename(id ID, newName string) error {
-	return s.eng.mgr.Rename(s.txn, id, newName)
-}
-
-// AppendElement inserts a new element as the last child of parent.
-func (s *Session) AppendElement(parent ID, name string) (Node, error) {
-	return s.eng.mgr.AppendElement(s.txn, parent, name)
-}
-
-// AppendText inserts a new text node as the last child of parent.
-func (s *Session) AppendText(parent ID, value []byte) (Node, error) {
-	return s.eng.mgr.AppendText(s.txn, parent, value)
-}
-
-// InsertElementBefore inserts a new element before an existing sibling.
-func (s *Session) InsertElementBefore(parent, before ID, name string) (Node, error) {
-	return s.eng.mgr.InsertElementBefore(s.txn, parent, before, name)
-}
-
-// SetAttribute creates or overwrites an attribute.
-func (s *Session) SetAttribute(el ID, name string, value []byte) error {
-	return s.eng.mgr.SetAttribute(s.txn, el, name, value)
-}
-
-// DeleteSubtree removes a node with its entire subtree.
-func (s *Session) DeleteSubtree(id ID) error {
-	return s.eng.mgr.DeleteSubtree(s.txn, id)
-}

@@ -1,15 +1,17 @@
-package core
+package core_test
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/core"
+	"repro/internal/node"
 	"repro/internal/pagestore"
+	"repro/internal/protocol"
+	"repro/internal/tx"
 )
 
 const sampleXML = `
@@ -26,10 +28,10 @@ const sampleXML = `
   </topic>
 </topics>`
 
-func newEngine(t testing.TB, cfg Config) *Engine {
+func newEngine(t testing.TB, cfg core.Config) *core.Engine {
 	t.Helper()
 	cfg.RootName = "bib"
-	eng, err := Open(pagestore.NewMemBackend(), nil, cfg)
+	eng, err := core.Open(pagestore.NewMemBackend(), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,56 +42,67 @@ func newEngine(t testing.TB, cfg Config) *Engine {
 	return eng
 }
 
-func TestOpenDefaults(t *testing.T) {
-	eng := newEngine(t, Config{})
-	if eng.ProtocolName() != "taDOM3+" {
-		t.Errorf("default protocol = %s", eng.ProtocolName())
+// commitTxn runs fn in one repeatable-read transaction on the engine's node
+// manager: it commits when fn returns nil and aborts when it fails.
+func commitTxn(eng *core.Engine, fn func(m *node.Manager, txn *tx.Txn) error) error {
+	m := eng.Manager()
+	txn := m.Begin(tx.LevelRepeatable)
+	if err := fn(m, txn); err != nil {
+		txn.Abort()
+		return err
 	}
-	if len(Protocols()) != 12 {
-		t.Errorf("Protocols() = %v", Protocols())
+	return txn.Commit()
+}
+
+func TestOpenDefaults(t *testing.T) {
+	eng := newEngine(t, core.Config{})
+	if name := eng.Manager().Protocol().Name(); name != "taDOM3+" {
+		t.Errorf("default protocol = %s", name)
 	}
 }
 
 func TestOpenRejectsUnknownProtocol(t *testing.T) {
-	_, err := Open(pagestore.NewMemBackend(), nil, Config{Protocol: "MySQL"})
+	_, err := core.Open(pagestore.NewMemBackend(), nil, core.Config{Protocol: "MySQL"})
 	if err == nil {
 		t.Fatal("expected error")
 	}
 }
 
+// TestExecReadWrite: a committed update is read back by the next
+// transaction, and both count as committed in the engine's registry.
 func TestExecReadWrite(t *testing.T) {
-	eng := newEngine(t, Config{})
-	err := eng.Exec(Repeatable, func(s *Session) error {
-		book, err := s.JumpToID("b1")
+	eng := newEngine(t, core.Config{})
+	err := commitTxn(eng, func(m *node.Manager, txn *tx.Txn) error {
+		book, err := m.JumpToID(txn, "b1")
 		if err != nil {
 			return err
 		}
-		year, err := s.AttributeValue(book.ID, "year")
+		year, err := m.AttributeValue(txn, book.ID, "year")
 		if err != nil {
 			return err
 		}
 		if string(year) != "2005" {
 			return fmt.Errorf("year = %q", year)
 		}
-		title, err := s.FirstChild(book.ID)
+		title, err := m.FirstChild(txn, book.ID)
 		if err != nil {
 			return err
 		}
-		txt, err := s.FirstChild(title.ID)
+		txt, err := m.FirstChild(txn, title.ID)
 		if err != nil {
 			return err
 		}
-		return s.SetValue(txt.ID, []byte("Contest (2nd ed.)"))
+		return m.SetValue(txn, txt.ID, []byte("Contest (2nd ed.)"))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Visible in a fresh transaction.
-	err = eng.Exec(Repeatable, func(s *Session) error {
-		book, _ := s.JumpToID("b1")
-		title, _ := s.FirstChild(book.ID)
-		txt, _ := s.FirstChild(title.ID)
-		v, err := s.Value(txt.ID)
+	err = commitTxn(eng, func(m *node.Manager, txn *tx.Txn) error {
+		book, _ := m.JumpToID(txn, "b1")
+		title, _ := m.FirstChild(txn, book.ID)
+		txt, _ := m.FirstChild(txn, title.ID)
+		v, err := m.Value(txn, txt.ID)
 		if err != nil {
 			return err
 		}
@@ -107,97 +120,43 @@ func TestExecReadWrite(t *testing.T) {
 	}
 }
 
-func TestExecAbortsOnError(t *testing.T) {
-	eng := newEngine(t, Config{})
-	boom := errors.New("boom")
-	err := eng.Exec(Repeatable, func(s *Session) error {
-		book, err := s.JumpToID("b1")
-		if err != nil {
-			return err
-		}
-		if err := s.SetAttribute(book.ID, "year", []byte("1999")); err != nil {
-			return err
-		}
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	eng.Exec(Repeatable, func(s *Session) error {
-		book, _ := s.JumpToID("b1")
-		v, _ := s.AttributeValue(book.ID, "year")
-		if string(v) != "2005" {
-			t.Errorf("year after rollback = %q", v)
-		}
-		return nil
-	})
-}
-
-func TestExecRetriesDeadlocks(t *testing.T) {
-	depth := 7
-	eng := newEngine(t, Config{Protocol: "taDOM2", LockDepth: &depth, LockTimeout: time.Second})
-	// Two transactions updating two books in opposite order; Exec's retry
-	// must absorb the deadlock aborts.
-	update := func(first, second string) error {
-		return eng.Exec(Repeatable, func(s *Session) error {
-			for _, id := range []string{first, second} {
-				book, err := s.JumpToID(id)
-				if err != nil {
-					return err
-				}
-				if err := s.SetAttribute(book.ID, "year", []byte("2006")); err != nil {
-					return err
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-			return nil
-		})
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	wg.Add(2)
-	go func() { defer wg.Done(); errs[0] = update("b1", "b2") }()
-	go func() { defer wg.Done(); errs[1] = update("b2", "b1") }()
-	wg.Wait()
-	if errs[0] != nil || errs[1] != nil {
-		t.Fatalf("errs = %v / %v", errs[0], errs[1])
-	}
-}
-
+// TestSessionStructuralOps: inserts, appends and a subtree delete through
+// the node manager, each seen by the next transaction.
 func TestSessionStructuralOps(t *testing.T) {
-	eng := newEngine(t, Config{})
-	err := eng.Exec(Repeatable, func(s *Session) error {
-		book, err := s.JumpToID("b2")
+	eng := newEngine(t, core.Config{})
+	voc := eng.Manager().Document().Vocabulary()
+	err := commitTxn(eng, func(m *node.Manager, txn *tx.Txn) error {
+		book, err := m.JumpToID(txn, "b2")
 		if err != nil {
 			return err
 		}
-		hist, err := s.LastChild(book.ID)
+		hist, err := m.LastChild(txn, book.ID)
 		if err != nil {
 			return err
 		}
-		lend, err := s.AppendElement(hist.ID, "lend")
+		lend, err := m.AppendElement(txn, hist.ID, "lend")
 		if err != nil {
 			return err
 		}
-		if err := s.SetAttribute(lend.ID, "person", []byte("p7")); err != nil {
+		if err := m.SetAttribute(txn, lend.ID, "person", []byte("p7")); err != nil {
 			return err
 		}
-		isbn, err := s.InsertElementBefore(book.ID, hist.ID, "isbn")
+		isbn, err := m.InsertElementBefore(txn, book.ID, hist.ID, "isbn")
 		if err != nil {
 			return err
 		}
-		if _, err := s.AppendText(isbn.ID, []byte("3-16-148410-0")); err != nil {
+		if _, err := m.AppendText(txn, isbn.ID, []byte("3-16-148410-0")); err != nil {
 			return err
 		}
-		kids, err := s.Children(book.ID)
+		kids, err := m.GetChildren(txn, book.ID)
 		if err != nil {
 			return err
 		}
 		if len(kids) != 3 { // title, isbn, history
 			return fmt.Errorf("children = %d", len(kids))
 		}
-		if s.Name(kids[1]) != "isbn" {
-			return fmt.Errorf("middle child = %s", s.Name(kids[1]))
+		if name := voc.Name(kids[1].Name); name != "isbn" {
+			return fmt.Errorf("middle child = %s", name)
 		}
 		return nil
 	})
@@ -205,18 +164,18 @@ func TestSessionStructuralOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Delete the other book entirely.
-	err = eng.Exec(Repeatable, func(s *Session) error {
-		book, err := s.JumpToID("b1")
+	err = commitTxn(eng, func(m *node.Manager, txn *tx.Txn) error {
+		book, err := m.JumpToID(txn, "b1")
 		if err != nil {
 			return err
 		}
-		return s.DeleteSubtree(book.ID)
+		return m.DeleteSubtree(txn, book.ID)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = eng.Exec(Repeatable, func(s *Session) error {
-		if _, err := s.JumpToID("b1"); err == nil {
+	err = commitTxn(eng, func(m *node.Manager, txn *tx.Txn) error {
+		if _, err := m.JumpToID(txn, "b1"); err == nil {
 			return errors.New("b1 should be gone")
 		}
 		return nil
@@ -227,9 +186,10 @@ func TestSessionStructuralOps(t *testing.T) {
 }
 
 func TestExportXML(t *testing.T) {
-	eng := newEngine(t, Config{})
+	eng := newEngine(t, core.Config{})
+	doc := eng.Manager().Document()
 	var buf bytes.Buffer
-	if err := eng.ExportXML(&buf, eng.Root()); err != nil {
+	if err := doc.ExportXML(&buf, doc.Root()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -241,16 +201,16 @@ func TestExportXML(t *testing.T) {
 }
 
 func TestEveryProtocol(t *testing.T) {
-	for _, name := range Protocols() {
+	for _, name := range protocol.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			eng := newEngine(t, Config{Protocol: name})
-			err := eng.Exec(Repeatable, func(s *Session) error {
-				book, err := s.JumpToID("b1")
+			eng := newEngine(t, core.Config{Protocol: name})
+			err := commitTxn(eng, func(m *node.Manager, txn *tx.Txn) error {
+				book, err := m.JumpToID(txn, "b1")
 				if err != nil {
 					return err
 				}
-				_, err = s.ReadFragment(book.ID)
+				_, err = m.ReadFragment(txn, book.ID, false)
 				return err
 			})
 			if err != nil {
@@ -261,12 +221,15 @@ func TestEveryProtocol(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	eng := newEngine(t, Config{})
+	eng := newEngine(t, core.Config{})
 	before := eng.Metrics()
-	eng.Exec(Repeatable, func(s *Session) error {
-		_, err := s.JumpToID("b1")
+	err := commitTxn(eng, func(m *node.Manager, txn *tx.Txn) error {
+		_, err := m.JumpToID(txn, "b1")
 		return err
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	after := eng.Metrics()
 	if b, a := before.CounterValue("tx.committed"), after.CounterValue("tx.committed"); a != b+1 {
 		t.Errorf("committed: %d -> %d", b, a)
@@ -277,7 +240,7 @@ func TestStatsCounters(t *testing.T) {
 	if after.CounterValue("buffer.hits") == 0 {
 		t.Error("buffer counters missing: the document does not report into the engine's registry")
 	}
-	if eng.Size() == 0 {
+	if eng.Manager().Document().Size() == 0 {
 		t.Error("node count missing")
 	}
 }

@@ -7,12 +7,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pagestore"
+	"repro/internal/tx"
 )
 
-// ExampleEngine_Exec shows the basic transactional session: jump to an
-// element by ID, read, update, and let Exec handle commit and deadlock
-// retry.
-func ExampleEngine_Exec() {
+// ExampleOpen opens an engine, loads a document and runs one transaction on
+// its node manager: jump to an element by ID, read, update, commit.
+func ExampleOpen() {
 	eng, err := core.Open(pagestore.NewMemBackend(), nil, core.Config{RootName: "bib"})
 	if err != nil {
 		log.Fatal(err)
@@ -23,49 +23,30 @@ func ExampleEngine_Exec() {
 		log.Fatal(err)
 	}
 
-	err = eng.Exec(core.Repeatable, func(s *core.Session) error {
-		book, err := s.JumpToID("b1")
-		if err != nil {
-			return err
-		}
-		title, err := s.FirstChild(book.ID)
-		if err != nil {
-			return err
-		}
-		text, err := s.FirstChild(title.ID)
-		if err != nil {
-			return err
-		}
-		v, err := s.Value(text.ID)
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(v))
-		return s.SetAttribute(book.ID, "year", []byte("2006"))
-	})
+	m := eng.Manager()
+	txn := m.Begin(tx.LevelRepeatable)
+	book, err := m.JumpToID(txn, "b1")
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Output: Contest of XML Lock Protocols
-}
-
-// ExampleProtocols lists the paper's 11 contestants plus the MVCC snapshot
-// contestant this repo adds.
-func ExampleProtocols() {
-	for _, name := range core.Protocols() {
-		fmt.Println(name)
+	title, err := m.FirstChild(txn, book.ID)
+	if err != nil {
+		log.Fatal(err)
 	}
-	// Output:
-	// Node2PL
-	// NO2PL
-	// OO2PL
-	// Node2PLa
-	// IRX
-	// IRIX
-	// URIX
-	// taDOM2
-	// taDOM2+
-	// taDOM3
-	// taDOM3+
-	// snapshot
+	text, err := m.FirstChild(txn, title.ID)
+	if err != nil {
+		log.Fatal(err)
+	}
+	v, err := m.Value(txn, text.ID)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(string(v))
+	if err := m.SetAttribute(txn, book.ID, "year", []byte("2006")); err != nil {
+		log.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		log.Fatal(err)
+	}
+	// Output: Contest of XML Lock Protocols
 }

@@ -11,9 +11,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/figures"
+	"repro/internal/node"
 	"repro/internal/pagestore"
+	"repro/internal/protocol"
 	"repro/internal/storage"
 	"repro/internal/tamix"
+	"repro/internal/tx"
 	"repro/internal/wal"
 )
 
@@ -67,12 +70,12 @@ func openEngine(t *testing.T, m media, cfg core.Config) *core.Engine {
 
 func yearOfB1(eng *core.Engine) (string, error) {
 	var year []byte
-	err := eng.Exec(core.Repeatable, func(s *core.Session) error {
-		book, err := s.JumpToID("b1")
+	err := commitTxn(eng, func(m *node.Manager, txn *tx.Txn) error {
+		book, err := m.JumpToID(txn, "b1")
 		if err != nil {
 			return err
 		}
-		year, err = s.AttributeValue(book.ID, "year")
+		year, err = m.AttributeValue(txn, book.ID, "year")
 		return err
 	})
 	return string(year), err
@@ -108,12 +111,12 @@ func TestOpenFreshAndReopen(t *testing.T) {
 			if err := eng.Load(strings.NewReader(bibXML)); err != nil {
 				t.Fatal(err)
 			}
-			err := eng.Exec(core.Repeatable, func(s *core.Session) error {
-				book, err := s.JumpToID("b1")
+			err := commitTxn(eng, func(mgr *node.Manager, txn *tx.Txn) error {
+				book, err := mgr.JumpToID(txn, "b1")
 				if err != nil {
 					return err
 				}
-				return s.SetAttribute(book.ID, "year", []byte("2006"))
+				return mgr.SetAttribute(txn, book.ID, "year", []byte("2006"))
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -127,8 +130,8 @@ func TestOpenFreshAndReopen(t *testing.T) {
 
 			eng = openEngine(t, m, core.Config{Protocol: "URIX"})
 			defer eng.Close()
-			if eng.ProtocolName() != "URIX" {
-				t.Errorf("protocol = %s", eng.ProtocolName())
+			if name := eng.Manager().Protocol().Name(); name != "URIX" {
+				t.Errorf("protocol = %s", name)
 			}
 			if m.logged {
 				wantNoOpRestart(t, eng.Recovery())
@@ -181,12 +184,12 @@ func TestGeneratedDocumentReopens(t *testing.T) {
 	if err := eng.Manager().Document().Verify(); err != nil {
 		t.Fatal(err)
 	}
-	err = eng.Exec(core.Repeatable, func(s *core.Session) error {
-		book, err := s.JumpToID(cat.BookIDs[len(cat.BookIDs)/2])
+	err = commitTxn(eng, func(m *node.Manager, txn *tx.Txn) error {
+		book, err := m.JumpToID(txn, cat.BookIDs[len(cat.BookIDs)/2])
 		if err != nil {
 			return err
 		}
-		_, err = s.Attributes(book.ID)
+		_, err = m.GetAttributes(txn, book.ID)
 		return err
 	})
 	if err != nil {
@@ -266,8 +269,9 @@ func TestOpenRefusesLogWithoutPages(t *testing.T) {
 // of Figure 11.
 func TestCloseStopsEveryGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
+	names := protocol.Names()
 	for i := 0; i < 20; i++ {
-		eng := openEngine(t, memMedia(i%2 == 0), core.Config{Protocol: core.Protocols()[i%len(core.Protocols())]})
+		eng := openEngine(t, memMedia(i%2 == 0), core.Config{Protocol: names[i%len(names)]})
 		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 
 	"repro/internal/tamix"
 	"repro/internal/tx"
@@ -35,9 +34,6 @@ type Options struct {
 	Runs int
 	// Seed offsets the workload randomness.
 	Seed int64
-	// LockTimeout overrides the scaled default lock-wait timeout when
-	// positive (plumbed into every tamix.Config of the sweep).
-	LockTimeout time.Duration
 }
 
 func (o Options) fill() Options {
@@ -85,9 +81,6 @@ func runCluster1(proto string, iso tx.Level, depth int, o Options) (*tamix.Resul
 	for run := 0; run < o.Runs; run++ {
 		cfg := tamix.Cluster1Config(proto, iso, depth, o.DocScale, o.TimeScale)
 		cfg.Seed += o.Seed + int64(run)*104729
-		if o.LockTimeout > 0 {
-			cfg.LockTimeout = o.LockTimeout
-		}
 		r, err := tamix.Run(cfg)
 		if err != nil {
 			return nil, err

@@ -85,7 +85,7 @@ func New(doc *storage.Document, proto protocol.Protocol, opts Options) *Manager 
 		depth: opts.Depth,
 		reg:   opts.Metrics,
 	}
-	m.Exec = m.Do
+	m.Ops.Do = m.Do
 	return m
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // TestLevelReadMeetsHalfDeletedSubtree reproduces the "storage: node not
-// found" that examples/library logged under core.Repeatable and that bench
+// found" that a lend/return program logged at repeatable read and that bench
 // counted as node.vanished_ratio (0.0004 on local_mix): two workers (seeds 1
 // and 2) run TAlendAndReturn alone under taDOM3+ at lock depth 7, and about
 // one GetChildren in 400 failed. It was not the caller's race and no lock was

@@ -61,9 +61,6 @@ type Config struct {
 	// MaxSessions caps concurrently open sessions (default 256); opens past
 	// the cap are rejected with StatusBusy.
 	MaxSessions int
-	// SessionQueue bounds each session's request queue (default 16);
-	// requests past the bound are rejected with StatusBusy.
-	SessionQueue int
 	// DrainTimeout bounds the graceful phase of Shutdown (default 10s).
 	DrainTimeout time.Duration
 	// WriteTimeout bounds each write to a connection (default 10s, negative
@@ -85,11 +82,9 @@ type Config struct {
 	// not heartbeat-touched) for this long (default 5m, negative disables).
 	// Reaping aborts the session's transaction, releases its locks through
 	// the context-cancellation path, and frees the session slot; the
-	// connection itself stays up. Counted in server.reaped_sessions.
+	// connection itself stays up. Counted in server.reaped_sessions. The
+	// reaper scans every SessionIdleTimeout/4, clamped to [100ms, 30s].
 	SessionIdleTimeout time.Duration
-	// ReapInterval is the idle-session scan cadence (default
-	// SessionIdleTimeout/4, clamped to [100ms, 30s]).
-	ReapInterval time.Duration
 	// Metrics receives the server.* instruments (a private registry is used
 	// when nil).
 	Metrics *metrics.Registry
@@ -150,9 +145,6 @@ func Listen(cfg Config) (*Server, error) {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = 256
 	}
-	if cfg.SessionQueue <= 0 {
-		cfg.SessionQueue = 16
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 10 * time.Second
 	}
@@ -167,15 +159,6 @@ func Listen(cfg Config) (*Server, error) {
 	}
 	if cfg.SessionIdleTimeout == 0 {
 		cfg.SessionIdleTimeout = 5 * time.Minute
-	}
-	if cfg.ReapInterval <= 0 {
-		cfg.ReapInterval = cfg.SessionIdleTimeout / 4
-		if cfg.ReapInterval < 100*time.Millisecond {
-			cfg.ReapInterval = 100 * time.Millisecond
-		}
-		if cfg.ReapInterval > 30*time.Second {
-			cfg.ReapInterval = 30 * time.Second
-		}
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
@@ -231,7 +214,8 @@ func (s *Server) readWindow() time.Duration {
 // frees the slot — so a wedged client cannot park locks forever even while
 // its TCP connection stays alive.
 func (s *Server) reaper() {
-	t := time.NewTicker(s.cfg.ReapInterval)
+	every := min(max(s.cfg.SessionIdleTimeout/4, 100*time.Millisecond), 30*time.Second)
+	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
 		select {
@@ -715,7 +699,7 @@ func (s *Server) admitSession(c *conn, m wire.Msg, open wire.OpenSession, resume
 		eng:    eng,
 		iso:    iso,
 		c:      c,
-		queue:  make(chan wire.Msg, s.cfg.SessionQueue),
+		queue:  make(chan wire.Msg, sessionQueue),
 		ctx:    ctx,
 		cancel: cancel,
 		done:   make(chan struct{}),

@@ -13,6 +13,11 @@ import (
 	"repro/internal/wire"
 )
 
+// sessionQueue bounds each session's request queue; requests past it are
+// rejected with StatusBusy. A constant, not a Config field: no caller has a
+// reason to run a session's queue at another depth.
+const sessionQueue = 16
+
 // session is one client session: a protocol choice, at most one active
 // transaction, and a single worker goroutine draining a bounded queue — the
 // one-goroutine-per-transaction discipline the engine requires, enforced

@@ -1,8 +1,6 @@
 package tamix
 
 import (
-	"sync"
-
 	"repro/internal/node"
 	"repro/internal/tx"
 	"repro/internal/wire"
@@ -41,20 +39,9 @@ type Engine interface {
 type localEngine struct {
 	m   *node.Manager
 	iso tx.Level
-	// txType and txTypes (lock.TxID -> TxType), when txTypes is set, register
-	// every transaction the engine begins under its slot's TaMix type so the
-	// run's deadlock observer can attribute victims.
-	txType  TxType
-	txTypes *sync.Map
 }
 
-func (e *localEngine) Begin() (Txn, error) {
-	t := e.m.Begin(e.iso)
-	if ltx := t.LockTx(); ltx != nil && e.txTypes != nil {
-		e.txTypes.Store(ltx.ID(), e.txType)
-	}
-	return t, nil
-}
+func (e *localEngine) Begin() (Txn, error) { return e.m.Begin(e.iso), nil }
 
 // Do unwraps the concrete transaction; mixing engines is a programming
 // error, and the failed assertion panics loudly on it.

@@ -29,12 +29,12 @@ func TestResultMetricsEqualLayerStats(t *testing.T) {
 	}
 	cfg.WAL = true
 	reg := metrics.NewRegistry()
-	eng, cat, err := newLocalEngine(cfg, reg, nil)
+	eng, cat, err := newLocalEngine(cfg, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	res, err := runLocal(cfg, newResult(cfg, p), reg, eng, cat, nil)
+	res, err := runLocal(cfg, newResult(cfg, p), reg, eng, cat)
 	if err != nil {
 		t.Fatal(err)
 	}

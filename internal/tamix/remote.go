@@ -104,7 +104,7 @@ func runRemote(cfg Config, p protocol.Protocol, res *Result, reg *metrics.Regist
 		return nil, fmt.Errorf("tamix: baseline stats: %w", err)
 	}
 
-	engine := func(_ TxType, iso tx.Level) (Engine, func(), error) {
+	engine := func(iso tx.Level) (Engine, func(), error) {
 		sess, err := pool.OpenSession(p.Name(), iso, cfg.Depth)
 		if err != nil {
 			return nil, nil, fmt.Errorf("open session: %w", err)

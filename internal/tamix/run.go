@@ -11,7 +11,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/lock"
 	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/pagestore"
@@ -185,12 +184,6 @@ type Result struct {
 	Restarts    int
 	RestartWait time.Duration
 	Dropped     int
-	// DeadlockVictims attributes deadlock aborts to the victim's
-	// transaction type (the XTCdeadlockDetector analysis of Section 4.2).
-	DeadlockVictims map[TxType]uint64
-	// DeadlockCycleLengths histograms the detected cycle sizes (index =
-	// number of transactions on the cycle; index 0 collects longer ones).
-	DeadlockCycleLengths [8]uint64
 	// Metrics is the end-of-run snapshot of the run's registry, and the only
 	// place a statistic an engine layer counts is found: lock.deadlocks,
 	// lock.requests, buffer.retries, fault.injected, tx.committed, … by the
@@ -254,34 +247,19 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Remote != "" {
 		return runRemote(cfg, p, res, reg)
 	}
-	// Deadlock analysis: every lock-manager transaction is registered with
-	// its TaMix type so detected cycles can be attributed.
-	var txTypes sync.Map // lock.TxID -> TxType
-	var dlMu sync.Mutex
-	eng, cat, err := newLocalEngine(cfg, reg, func(info lock.DeadlockInfo) {
-		dlMu.Lock()
-		defer dlMu.Unlock()
-		if t, ok := txTypes.Load(info.Victim); ok {
-			res.DeadlockVictims[t.(TxType)]++
-		}
-		n := len(info.Members)
-		if n >= len(res.DeadlockCycleLengths) {
-			n = 0
-		}
-		res.DeadlockCycleLengths[n]++
-	})
+	eng, cat, err := newLocalEngine(cfg, reg)
 	if err != nil {
 		return nil, err
 	}
 	defer eng.Close()
-	return runLocal(cfg, res, reg, eng, cat, &txTypes)
+	return runLocal(cfg, res, reg, eng, cat)
 }
 
 // newLocalEngine generates the bib document in memory (behind cfg.Faults, if
 // set) and wraps the engine a local run drives around it;
 // reg receives every layer's instruments. With cfg.WAL every commit forces an
 // in-memory log.
-func newLocalEngine(cfg Config, reg *metrics.Registry, onDeadlock func(lock.DeadlockInfo)) (*core.Engine, *Catalog, error) {
+func newLocalEngine(cfg Config, reg *metrics.Registry) (*core.Engine, *Catalog, error) {
 	cfg.Bib.Metrics = reg
 	doc, cat, err := GenerateBib(memBackend(cfg.Faults), cfg.Bib)
 	if err != nil {
@@ -298,18 +276,16 @@ func newLocalEngine(cfg Config, reg *metrics.Registry, onDeadlock func(lock.Dead
 		Protocol:    cfg.Protocol,
 		LockDepth:   &cfg.Depth,
 		LockTimeout: cfg.LockTimeout,
-		OnDeadlock:  onDeadlock,
 	})
 	return eng, cat, err
 }
 
 func newResult(cfg Config, p protocol.Protocol) *Result {
 	res := &Result{
-		Protocol:        p.Name(),
-		Isolation:       cfg.Isolation,
-		Depth:           cfg.Depth,
-		PerType:         make(map[TxType]*TypeStats),
-		DeadlockVictims: make(map[TxType]uint64),
+		Protocol:  p.Name(),
+		Isolation: cfg.Isolation,
+		Depth:     cfg.Depth,
+		PerType:   make(map[TxType]*TypeStats),
 	}
 	for _, t := range TxTypes {
 		res.PerType[t] = NewTypeStats()
@@ -329,12 +305,12 @@ func memBackend(plan *fault.Plan) pagestore.Backend {
 // runLocal points the slot driver at an in-process engine, arming the fault
 // plan (if any) for the measurement interval only: generation ran, and the
 // audit and teardown run, fault-free.
-func runLocal(cfg Config, res *Result, reg *metrics.Registry, eng *core.Engine, cat *Catalog, txTypes *sync.Map) (*Result, error) {
+func runLocal(cfg Config, res *Result, reg *metrics.Registry, eng *core.Engine, cat *Catalog) (*Result, error) {
 	mgr := eng.Manager()
 	cfg.Faults.Arm()
 	defer cfg.Faults.Disarm()
-	engine := func(txType TxType, iso tx.Level) (Engine, func(), error) {
-		return &localEngine{m: mgr, iso: iso, txType: txType, txTypes: txTypes}, func() {}, nil
+	engine := func(iso tx.Level) (Engine, func(), error) {
+		return &localEngine{m: mgr, iso: iso}, func() {}, nil
 	}
 	finish := func() error {
 		cfg.Faults.Disarm()
@@ -348,12 +324,12 @@ func runLocal(cfg Config, res *Result, reg *metrics.Registry, eng *core.Engine, 
 
 // drive is the slot driver, the one place a run's shape lives. It is
 // parameterised only by what differs between an in-process and a remote
-// run: engine makes the engine one slot of the given type runs against, at
-// the slot's isolation level (plus its release), and finish — called once
+// run: engine makes the engine one slot runs against, at the slot's
+// isolation level (plus its release), and finish — called once
 // every slot has stopped cleanly and res.Metrics holds reg's snapshot —
 // audits the engine.
 func drive(cfg Config, p protocol.Protocol, res *Result, reg *metrics.Registry, cat *Catalog,
-	engine func(TxType, tx.Level) (Engine, func(), error), finish func() error) (*Result, error) {
+	engine func(tx.Level) (Engine, func(), error), finish func() error) (*Result, error) {
 	maxRestarts := cfg.MaxRestarts
 	if maxRestarts == 0 {
 		maxRestarts = DefaultMaxRestarts
@@ -394,7 +370,7 @@ func drive(cfg Config, p protocol.Protocol, res *Result, reg *metrics.Registry, 
 					if protocol.UsesSnapshotReads(p) && txType.ReadOnly() {
 						iso = tx.LevelSnapshot
 					}
-					eng, release, err := engine(txType, iso)
+					eng, release, err := engine(iso)
 					if err != nil {
 						fail(fmt.Errorf("tamix: %s: %w", txType, err))
 						return

@@ -262,38 +262,3 @@ func TestUpdateLocksReduceConversionDeadlocks(t *testing.T) {
 			rate(update), conv(update), update.Committed+update.Aborted)
 	}
 }
-
-func TestDeadlockAttribution(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	cfg := Cluster1Config("taDOM2", tx.LevelRepeatable, 7, 0.005, 0.002)
-	cfg.Mix = map[TxType]int{TAlendAndReturn: 12}
-	cfg.Duration = 800 * time.Millisecond
-	cfg.MaxStartDelay = 5 * time.Millisecond
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadlocks := res.Metrics.CounterValue("lock.deadlocks")
-	if deadlocks == 0 {
-		t.Skip("no deadlocks to attribute")
-	}
-	var attributed uint64
-	for _, n := range res.DeadlockVictims {
-		attributed += n
-	}
-	if attributed != deadlocks {
-		t.Errorf("attributed %d of %d deadlocks", attributed, deadlocks)
-	}
-	if res.DeadlockVictims[TAlendAndReturn] == 0 {
-		t.Error("the only running type must own the victims")
-	}
-	var cycles uint64
-	for _, n := range res.DeadlockCycleLengths {
-		cycles += n
-	}
-	if cycles != deadlocks {
-		t.Errorf("cycle histogram holds %d of %d", cycles, deadlocks)
-	}
-}

@@ -77,7 +77,7 @@ type runner struct {
 }
 
 func newRunner(eng Engine, cat *Catalog, rng *rand.Rand) *runner {
-	return &runner{eng: eng, m: wire.Ops[Txn]{Exec: eng.Do}, cat: cat, rng: rng}
+	return &runner{eng: eng, m: wire.Ops[Txn]{Do: eng.Do}, cat: cat, rng: rng}
 }
 
 // pause models the client think time between operations

@@ -156,26 +156,26 @@ func (o Op) String() string {
 // an Ops over its own Do; the TaMix engines' handle for their transaction
 // bodies).
 type Ops[T any] struct {
-	Exec func(t T, op Op, a Args) (Result, error)
+	Do func(t T, op Op, a Args) (Result, error)
 }
 
 func (o Ops[T]) node(t T, op Op, a Args) (xmlmodel.Node, error) {
-	r, err := o.Exec(t, op, a)
+	r, err := o.Do(t, op, a)
 	return r.Node, err
 }
 
 func (o Ops[T]) nodes(t T, op Op, a Args) ([]xmlmodel.Node, error) {
-	r, err := o.Exec(t, op, a)
+	r, err := o.Do(t, op, a)
 	return r.Nodes, err
 }
 
 func (o Ops[T]) bytes(t T, op Op, a Args) ([]byte, error) {
-	r, err := o.Exec(t, op, a)
+	r, err := o.Do(t, op, a)
 	return r.Bytes, err
 }
 
 func (o Ops[T]) update(t T, op Op, a Args) error {
-	_, err := o.Exec(t, op, a)
+	_, err := o.Do(t, op, a)
 	return err
 }
 
@@ -251,7 +251,7 @@ func (o Ops[T]) ReadFragmentForUpdate(t T, id splid.ID, jump bool) ([]xmlmodel.N
 // whole subtree with declared update intent in one step, returning the
 // child and its fragment.
 func (o Ops[T]) UpdateLastChildFragment(t T, id splid.ID) (xmlmodel.Node, []xmlmodel.Node, error) {
-	r, err := o.Exec(t, OpUpdateLastChildFragment, Args{ID: id})
+	r, err := o.Do(t, OpUpdateLastChildFragment, Args{ID: id})
 	return r.Node, r.Nodes, err
 }
 
