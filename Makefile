@@ -112,7 +112,7 @@ loc:
 # are a goal): it fails when loc's total exceeds LOC_BUDGET, the total of the
 # last PR that moved it. A PR that needs more lines raises the number here,
 # in the open, and says why in its CHANGES.md row; one that deletes lowers it.
-LOC_BUDGET := 14789
+LOC_BUDGET := 14691
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_BUDGET) ]; then \
@@ -122,7 +122,7 @@ loc-check:
 
 # no-blobs fails when git tracks a file over 1 MiB: `go build ./cmd/tamix`
 # drops its binary at the repository root, and PR 18 committed one (8 MB).
-# .gitignore names the four command binaries; this catches whatever it misses.
+# .gitignore names the three command binaries; this catches whatever it misses.
 no-blobs:
 	@big=$$(git ls-files -z | xargs -0 -r ls -l 2>/dev/null | awk '$$5 > 1048576 { print $$5, $$NF }'); \
 	if [ -n "$$big" ]; then echo "no-blobs: tracked files over 1 MiB:"; echo "$$big"; exit 1; fi

@@ -1,10 +1,12 @@
-// Command xtc inspects XTC document files and XML documents through the
-// storage layer: node statistics, SPLID sizes, B*-tree shapes, vocabulary,
-// and optional subtree dumps.
+// Command xtc inspects XTC document files, XML documents and generated TaMix
+// bib documents (Section 4.3) through the storage layer: node statistics,
+// SPLID sizes, B*-tree shapes, vocabulary, and optional subtree dumps.
 //
 // Usage:
 //
 //	xtc -load doc.xml -stats             # import XML, print statistics
+//	xtc -bib 0.01 -dump root             # print a small generated bib as XML
+//	xtc -bib 0.1 -open bib.xtc -verify   # generate a bib into an empty file
 //	xtc -open bib.xtc -stats             # inspect a stored document file
 //	xtc -open bib.xtc -dump 1.17.17      # export one subtree as XML
 //	xtc -open bib.xtc -id b42            # resolve an id attribute
@@ -28,6 +30,7 @@ import (
 	"repro/internal/pagestore"
 	"repro/internal/splid"
 	"repro/internal/storage"
+	"repro/internal/tamix"
 	"repro/internal/wal"
 )
 
@@ -35,6 +38,7 @@ func main() {
 	var (
 		load      = flag.String("load", "", "XML file to import into a fresh in-memory document")
 		open      = flag.String("open", "", "XTC document file to open")
+		bib       = flag.Float64("bib", 0, "generate the TaMix bib document at this scale (1.0 = the paper's 2000 books), in memory or into an empty -open file")
 		stats     = flag.Bool("stats", false, "print document statistics")
 		verify    = flag.Bool("verify", false, "run the structural verifier")
 		dump      = flag.String("dump", "", "SPLID of a subtree to export as XML (\"root\" for everything)")
@@ -46,19 +50,22 @@ func main() {
 
 	var backend pagestore.Backend
 	switch {
-	case *load != "" && *open != "":
-		fatal(fmt.Errorf("-load and -open are mutually exclusive"))
-	case *load != "":
-		backend = pagestore.NewMemBackend()
+	case *load != "" && (*open != "" || *bib != 0):
+		fatal(fmt.Errorf("-load excludes -open and -bib"))
 	case *open != "":
 		fb, err := pagestore.OpenFile(*open)
 		if err != nil {
 			fatal(err)
 		}
-		if fb.NumPages() == 0 {
+		switch {
+		case fb.NumPages() == 0 && *bib == 0:
 			fatal(fmt.Errorf("%s holds no document", *open))
+		case fb.NumPages() > 0 && *bib != 0:
+			fatal(fmt.Errorf("%s is not empty: -bib generates only into an empty file", *open))
 		}
 		backend = fb
+	case *load != "" || *bib != 0:
+		backend = pagestore.NewMemBackend()
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -71,7 +78,16 @@ func main() {
 		}
 		segs = fs
 	}
-	eng, err := core.Open(backend, segs, core.Config{})
+	var eng *core.Engine
+	var err error
+	if *bib != 0 {
+		var doc *storage.Document
+		if doc, _, err = tamix.GenerateBib(backend, tamix.Scaled(*bib)); err == nil {
+			eng, err = core.Wrap(doc, segs, core.Config{})
+		}
+	} else {
+		eng, err = core.Open(backend, segs, core.Config{})
+	}
 	if err != nil {
 		fatal(err)
 	}

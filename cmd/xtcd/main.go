@@ -52,13 +52,14 @@ func main() {
 	flag.Parse()
 
 	logf := log.New(os.Stderr, "xtcd: ", log.LstdFlags).Printf
+	bib := tamix.Scaled(*docScale)
+	bib.CheckpointInterval = *ckptEvery
 	cfg := server.Config{
 		Addr: *addr,
 		NewEngine: bibserve.NewEngineFactory(bibserve.Options{
-			Bib:                tamix.Scaled(*docScale),
-			LockTimeout:        *lockTimeout,
-			CheckpointInterval: *ckptEvery,
-			WALRetain:          *walRetain,
+			Bib:         bib,
+			LockTimeout: *lockTimeout,
+			WALRetain:   *walRetain,
 		}),
 		MaxSessions:  *maxSessions,
 		DrainTimeout: *drainTimeout,

@@ -21,16 +21,16 @@ import (
 // Options configure the engines a factory builds.
 type Options struct {
 	// Bib sizes each engine's document (tamix.DefaultBibConfig when the
-	// Topics field is zero — the zero BibConfig is invalid).
+	// Topics field is zero — the zero BibConfig is invalid). A
+	// Bib.CheckpointInterval > 0 attaches an in-memory WAL to each engine's
+	// document and has the flusher take fuzzy checkpoints at that cadence
+	// (segment GC rides along, bounding log growth).
 	Bib tamix.BibConfig
 	// LockTimeout bounds lock waits in each engine (5s when zero).
 	LockTimeout time.Duration
-	// CheckpointInterval, when > 0, attaches an in-memory WAL to each
-	// engine's document and has the flusher take fuzzy checkpoints at this
-	// cadence (segment GC rides along, bounding log growth).
-	CheckpointInterval time.Duration
 	// WALRetain caps how many newest segments checkpoint GC keeps
-	// (wal.DefaultRetain when 0). Only meaningful with CheckpointInterval.
+	// (wal.DefaultRetain when 0). Only meaningful with
+	// Bib.CheckpointInterval.
 	WALRetain int
 }
 
@@ -46,7 +46,6 @@ func NewEngineFactory(opts Options) func(p protocol.Protocol, depth int) (*serve
 	if opts.LockTimeout <= 0 {
 		opts.LockTimeout = 5 * time.Second
 	}
-	opts.Bib.CheckpointInterval = opts.CheckpointInterval
 	return func(p protocol.Protocol, depth int) (*server.Engine, error) {
 		bib := opts.Bib
 		bib.Metrics = metrics.NewRegistry()
@@ -55,7 +54,7 @@ func NewEngineFactory(opts Options) func(p protocol.Protocol, depth int) (*serve
 			return nil, err
 		}
 		var segs wal.SegmentStore
-		if opts.CheckpointInterval > 0 {
+		if bib.CheckpointInterval > 0 {
 			segs = wal.NewMemSegmentStore()
 		}
 		eng, err := core.Wrap(doc, segs, core.Config{

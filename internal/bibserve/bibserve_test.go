@@ -63,7 +63,7 @@ func TestLoopbackTaMixAllProtocols(t *testing.T) {
 				MaxStartDelay:   2 * time.Millisecond,
 				Seed:            42,
 				Remote:          srv.Addr(),
-				RemoteConns:     2,
+				RemoteClient:    client.Options{Conns: 2},
 			})
 			if err != nil {
 				t.Fatal(err)

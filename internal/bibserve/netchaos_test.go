@@ -429,7 +429,6 @@ func TestNetChaosServerRestartUnderTaMixLoad(t *testing.T) {
 	}
 	addr := srv1.Addr()
 
-	reg := metrics.NewRegistry()
 	cfg := tamix.Config{
 		Protocol:  proto,
 		Isolation: tx.LevelRepeatable,
@@ -447,8 +446,7 @@ func TestNetChaosServerRestartUnderTaMixLoad(t *testing.T) {
 		MaxRestarts:     50, // a bounce aborts every in-flight txn at once
 		Seed:            7,
 		Remote:          addr,
-		RemoteConns:     16,
-		Metrics:         reg,
+		RemoteClient:    client.Options{Conns: 16},
 	}
 	type runOut struct {
 		res *tamix.Result
@@ -497,7 +495,7 @@ func TestNetChaosServerRestartUnderTaMixLoad(t *testing.T) {
 	if res.Committed == 0 {
 		t.Fatal("no transactions committed across the bounce")
 	}
-	snap := reg.Snapshot()
+	snap := res.Metrics
 	if snap.Counters["client.reconnects"] < 1 {
 		t.Fatalf("client.reconnects = %d, want >= 1 (fleet never resumed)",
 			snap.Counters["client.reconnects"])
@@ -552,7 +550,6 @@ func TestNetChaosFaultyNetworkTaMix(t *testing.T) {
 	plan := &fault.Plan{Seed: 99}
 	plan.Prob[fault.ConnDrop], plan.Prob[fault.ConnPartial] = 0.001, 0.001
 	plan.Prob[fault.ConnCorrupt], plan.Prob[fault.ConnStall] = 0.004, 0.002
-	reg := metrics.NewRegistry()
 	cfg := tamix.Config{
 		Protocol:  proto,
 		Isolation: tx.LevelRepeatable,
@@ -570,9 +567,8 @@ func TestNetChaosFaultyNetworkTaMix(t *testing.T) {
 		MaxRestarts:     50,
 		Seed:            13,
 		Remote:          srv.Addr(),
-		RemoteConns:     8,
-		Metrics:         reg,
 		RemoteClient: client.Options{
+			Conns: 8,
 			// Heartbeat under the server's keep-alive window so sessions
 			// parked in lock queues don't get their (healthy) connections
 			// reaped as silent.
@@ -615,7 +611,7 @@ func TestNetChaosFaultyNetworkTaMix(t *testing.T) {
 	}
 	killed := plan.Fired(fault.ConnDrop) + plan.Fired(fault.ConnCorrupt) + plan.Fired(fault.ConnPartial)
 	if killed > 0 {
-		if snap := reg.Snapshot(); snap.Counters["client.redials"] < 1 {
+		if snap := out.res.Metrics; snap.Counters["client.redials"] < 1 {
 			t.Fatalf("%d connection-killing faults injected but client.redials = %d", killed,
 				snap.Counters["client.redials"])
 		}

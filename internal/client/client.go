@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/lock"
 	"repro/internal/metrics"
+	"repro/internal/spin"
 	"repro/internal/storage"
 	"repro/internal/tx"
 	"repro/internal/wire"
@@ -205,15 +206,12 @@ func (p *Pool) isClosed() bool {
 	return p.closed
 }
 
-// backoffSleep sleeps one jittered step (50-150% of cur) and returns the
-// next step, doubled up to cap.
+// backoffSleep sleeps one jittered step of cur (spin.Backoff) and returns
+// the next step, doubled up to cap.
 func backoffSleep(cur, cap time.Duration) time.Duration {
-	d := cur/2 + time.Duration(rand.Int63n(int64(cur)))
+	d, next := spin.Backoff(cur, cap, rand.Int63n)
 	time.Sleep(d)
-	if cur *= 2; cur > cap {
-		cur = cap
-	}
-	return cur
+	return next
 }
 
 // get returns the slot's connection, re-dialing with jittered capped

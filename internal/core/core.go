@@ -107,7 +107,7 @@ func Open(backend pagestore.Backend, segs wal.SegmentStore, cfg Config) (*Engine
 	if err != nil {
 		return nil, err
 	}
-	opts := storage.Options{BufferFrames: cfg.BufferFrames, Metrics: reg}
+	opts := storage.Options{Config: pagestore.Config{BufferFrames: cfg.BufferFrames, Metrics: reg}}
 	var doc *storage.Document
 	var rep *storage.RecoveryReport
 	switch {

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -195,6 +197,66 @@ func TestGeneratedDocumentReopens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestOpenRejectsUnstampedCorruptPage: a page of a generated document whose
+// checksum field reads 0 — the value of a page nobody wrote — but whose bytes
+// are not all zero makes Open or Verify fail with an error, whichever page it
+// is: a zeroed checksum is no way to smuggle a flipped byte past the check.
+func TestOpenRejectsUnstampedCorruptPage(t *testing.T) {
+	dir := t.TempDir()
+	backend, err := pagestore.OpenFile(filepath.Join(dir, "bib.xtc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, err := tamix.GenerateBib(backend, tamix.Scaled(0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := doc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	image, err := os.ReadFile(filepath.Join(dir, "bib.xtc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for page := 0; page < len(image)/pagestore.PageSize; page++ {
+		mutated := bytes.Clone(image)
+		p := mutated[page*pagestore.PageSize : (page+1)*pagestore.PageSize]
+		clear(p[8:12]) // the header's checksum field
+		p[corruptOff] ^= 0xFF
+		path := filepath.Join(dir, fmt.Sprintf("m%d.xtc", page))
+		if err := os.WriteFile(path, mutated, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := openAndVerify(path); err == nil {
+			t.Errorf("page %d: a flipped byte under a zeroed checksum opened and verified", page)
+		}
+	}
+}
+
+// corruptOff is the byte TestOpenRejectsUnstampedCorruptPage flips, past the
+// page header.
+const corruptOff = pagestore.PageHeaderSize + 2
+
+// openAndVerify opens the document file at path and verifies it, turning a
+// panic into an error that says so.
+func openAndVerify(path string) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	backend, err := pagestore.OpenFile(path)
+	if err != nil {
+		return err
+	}
+	eng, err := core.Open(backend, nil, core.Config{})
+	if err != nil {
+		return err
+	}
+	defer eng.Close()
+	return eng.Manager().Document().Verify()
 }
 
 // TestOpenRestartsCrashResidue: what a crash burst leaves behind — pages with

@@ -76,12 +76,12 @@ func newEqHarness(t *testing.T, seed int64, stripes, numTx, numRes int) *eqHarne
 	// up as a state mismatch, never be papered over by a lock timeout.
 	opts := Options{Timeout: time.Minute, stripes: stripes}
 	sOpts, oOpts := opts, opts
-	sOpts.OnDeadlock = func(info DeadlockInfo) {
+	sOpts.onDeadlock = func(info DeadlockInfo) {
 		h.dlMu.Lock()
 		h.sInfos = append(h.sInfos, info)
 		h.dlMu.Unlock()
 	}
-	oOpts.OnDeadlock = func(info DeadlockInfo) {
+	oOpts.onDeadlock = func(info DeadlockInfo) {
 		h.dlMu.Lock()
 		h.oInfos = append(h.oInfos, info)
 		h.dlMu.Unlock()

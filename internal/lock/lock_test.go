@@ -220,7 +220,7 @@ func TestFIFOPreventsStarvation(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	var infos []DeadlockInfo
 	var mu sync.Mutex
-	m := newMgr(t, Options{OnDeadlock: func(i DeadlockInfo) {
+	m := newMgr(t, Options{onDeadlock: func(i DeadlockInfo) {
 		mu.Lock()
 		infos = append(infos, i)
 		mu.Unlock()
@@ -258,7 +258,7 @@ func TestDeadlockDetection(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(infos) != 1 {
-		t.Fatalf("OnDeadlock calls = %d", len(infos))
+		t.Fatalf("onDeadlock calls = %d", len(infos))
 	}
 	// Youngest (t2) is the victim.
 	if infos[0].Victim != t2.ID() {
@@ -272,7 +272,7 @@ func TestDeadlockDetection(t *testing.T) {
 func TestConversionDeadlockClassified(t *testing.T) {
 	var infos []DeadlockInfo
 	var mu sync.Mutex
-	m := newMgr(t, Options{OnDeadlock: func(i DeadlockInfo) {
+	m := newMgr(t, Options{onDeadlock: func(i DeadlockInfo) {
 		mu.Lock()
 		infos = append(infos, i)
 		mu.Unlock()
@@ -355,7 +355,7 @@ func TestThreeWayDeadlock(t *testing.T) {
 func TestDeadlockThroughQueuedAhead(t *testing.T) {
 	var infos []DeadlockInfo
 	var mu sync.Mutex
-	m := newMgr(t, Options{OnDeadlock: func(i DeadlockInfo) {
+	m := newMgr(t, Options{onDeadlock: func(i DeadlockInfo) {
 		mu.Lock()
 		infos = append(infos, i)
 		mu.Unlock()
@@ -395,7 +395,7 @@ func TestDeadlockThroughQueuedAhead(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(infos) != 1 {
-		t.Fatalf("OnDeadlock calls = %d", len(infos))
+		t.Fatalf("onDeadlock calls = %d", len(infos))
 	}
 	got := fmt.Sprint(infos[0].Victim, infos[0].Members, infos[0].Resources, infos[0].Conversion)
 	want := fmt.Sprint(t3.ID(), []TxID{t1.ID(), t3.ID(), t2.ID()}, []Resource{"b", "a", "a"}, false)

@@ -339,7 +339,7 @@ func sealHeadLocked(h *lockHead) {
 	}
 }
 
-// DeadlockInfo describes one detected cycle; it is passed to the OnDeadlock
+// DeadlockInfo describes one detected cycle; it is passed to the onDeadlock
 // observer (the XTCdeadlockDetector role from Section 4.2).
 type DeadlockInfo struct {
 	// Victim is the aborted transaction.
@@ -364,10 +364,11 @@ type Options struct {
 	// of two; DefaultStripes when zero or negative. Only the in-package
 	// tests set it.
 	stripes int
-	// OnDeadlock, when non-nil, observes every detected deadlock. It runs
+	// onDeadlock, when non-nil, observes every detected deadlock. It runs
 	// on the detector goroutine with every partition mutex held and must
-	// return quickly without calling back into the Manager.
-	OnDeadlock func(DeadlockInfo)
+	// return quickly without calling back into the Manager. Only the
+	// in-package tests set it.
+	onDeadlock func(DeadlockInfo)
 	// Metrics, when non-nil, receives the manager's instruments: the
 	// lock.* counters and the acquire/wait/conversion-wait/detector-pass
 	// latency histograms. A nil registry disables latency recording
@@ -506,7 +507,7 @@ func newManager(table ModeTable, opts Options) *Manager {
 	m := &Manager{
 		table:   table,
 		timeout: to,
-		onDL:    opts.OnDeadlock,
+		onDL:    opts.onDeadlock,
 		ft:      ft,
 		stripes: make([]stripe, pow),
 		mask:    uint64(pow - 1),

@@ -80,7 +80,7 @@ func newOracleManager(table ModeTable, opts Options) *oracleManager {
 	return &oracleManager{
 		table:   table,
 		timeout: to,
-		onDL:    opts.OnDeadlock,
+		onDL:    opts.onDeadlock,
 		locks:   make(map[Resource]*oracleHead),
 	}
 }

@@ -47,7 +47,7 @@ func waitBlocked(t *testing.T, m *Manager, tx *Tx) {
 func TestCrossPartitionDeadlock(t *testing.T) {
 	var mu sync.Mutex
 	var infos []DeadlockInfo
-	m := newMgr(t, Options{OnDeadlock: func(info DeadlockInfo) {
+	m := newMgr(t, Options{onDeadlock: func(info DeadlockInfo) {
 		mu.Lock()
 		infos = append(infos, info)
 		mu.Unlock()
@@ -124,7 +124,7 @@ func TestCrossPartitionDeadlock(t *testing.T) {
 func TestCrossPartitionConversionDeadlock(t *testing.T) {
 	var mu sync.Mutex
 	var infos []DeadlockInfo
-	m := newMgr(t, Options{OnDeadlock: func(info DeadlockInfo) {
+	m := newMgr(t, Options{onDeadlock: func(info DeadlockInfo) {
 		mu.Lock()
 		infos = append(infos, info)
 		mu.Unlock()

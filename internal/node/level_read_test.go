@@ -158,7 +158,7 @@ func (p passMark) ReadLevel(c *protocol.Ctx, parent splid.ID, kids []splid.ID) e
 // past a leaf boundary, the remembered leaf does not hold the list's first
 // key, and the result pass pays the probe and a descent on top.
 func TestLevelReadPassesFixOneLeaf(t *testing.T) {
-	d, err := storage.Create(pagestore.NewMemBackend(), "bib", storage.Options{BufferFrames: 4096})
+	d, err := storage.Create(pagestore.NewMemBackend(), "bib", storage.Options{Config: pagestore.Config{BufferFrames: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}

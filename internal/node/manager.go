@@ -34,8 +34,6 @@ type Options struct {
 	Depth int
 	// LockTimeout bounds lock waits (lock.DefaultTimeout when zero).
 	LockTimeout time.Duration
-	// OnDeadlock observes detected deadlocks (the XTCdeadlockDetector hook).
-	OnDeadlock func(lock.DeadlockInfo)
 	// Metrics, when non-nil, receives the lock manager's and transaction
 	// manager's instruments (the lock.* and tx.* namespaces). Harnesses
 	// pass the same registry into storage.Options so every layer reports
@@ -66,9 +64,8 @@ type Manager struct {
 // New builds a Manager for the document under the given protocol.
 func New(doc *storage.Document, proto protocol.Protocol, opts Options) *Manager {
 	lm := lock.NewManager(proto.Table(), lock.Options{
-		Timeout:    opts.LockTimeout,
-		OnDeadlock: opts.OnDeadlock,
-		Metrics:    opts.Metrics,
+		Timeout: opts.LockTimeout,
+		Metrics: opts.Metrics,
 	})
 	tm := tx.NewManager(lm)
 	tm.SetMetrics(opts.Metrics)

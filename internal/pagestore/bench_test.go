@@ -138,7 +138,7 @@ func BenchmarkBufferContention(b *testing.B) {
 		missShift = 6 // 1 miss per 2^6 accesses in the mixed scenario
 	)
 	mb := NewMemBackend()
-	s := OpenConfig(mb, Config{Frames: frames, shards: 16})
+	s := OpenConfig(mb, Config{BufferFrames: frames, shards: 16})
 	defer s.Close()
 
 	// Cold range first, hot set last: the hot pages start resident and

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/spin"
 )
 
 // Stats aggregates buffer-manager counters. Values are monotonically
@@ -303,10 +304,6 @@ type Store struct {
 	// picking a victim and claiming it, holding the shard lock.
 	claimParked func()
 
-	retry    RetryPolicy
-	retryMu  sync.Mutex
-	retryRng *rand.Rand
-
 	flusherStop chan struct{}
 	flusherWG   sync.WaitGroup
 	flusherOnce sync.Once
@@ -347,29 +344,18 @@ func (s *Store) walSyncer() LogSyncer {
 	return nil
 }
 
-// RetryPolicy bounds how the buffer manager re-attempts backend operations
-// that failed with a transient classification (see IsTransient). Permanent
-// and unclassified failures are never retried.
-type RetryPolicy struct {
-	// MaxRetries is the number of re-attempts after the first failure.
-	MaxRetries int
-	// BaseBackoff is slept before the first retry; it doubles per attempt.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the doubling.
-	MaxBackoff time.Duration
-	// Seed drives the backoff jitter (±50%), keeping runs reproducible.
-	Seed int64
-}
-
-// DefaultRetryPolicy absorbs short transient glitches without stalling the
-// engine. Retries never run under a page-table lock (I/O is done in the
-// frameLoading/frameWriting states), so only Fixers of the affected page
-// wait out a backoff.
-var DefaultRetryPolicy = RetryPolicy{
-	MaxRetries:  5,
-	BaseBackoff: 50 * time.Microsecond,
-	MaxBackoff:  2 * time.Millisecond,
-}
+// The buffer manager re-attempts a backend operation that failed with a
+// transient classification (see IsTransient) up to retryMax times, sleeping
+// a jittered step before each that starts at retryBase and doubles up to
+// retryCap; permanent and unclassified failures are never retried. That
+// absorbs short transient glitches without stalling the engine: retries
+// never run under a page-table lock (I/O is done in the frameLoading/
+// frameWriting states), so only Fixers of the affected page wait them out.
+const (
+	retryMax  = 5
+	retryBase = 50 * time.Microsecond
+	retryCap  = 2 * time.Millisecond
+)
 
 // RetryExhaustedError wraps a transient failure that outlived the retry
 // budget. It reclassifies the chain as permanent: the caller must not keep
@@ -392,39 +378,25 @@ func (e *RetryExhaustedError) Unwrap() error { return e.Err }
 // Transient reports false: the retry budget is spent.
 func (e *RetryExhaustedError) Transient() bool { return false }
 
-// SetRetryPolicy replaces the store's retry policy (DefaultRetryPolicy at
-// Open). Call before concurrent use.
-func (s *Store) SetRetryPolicy(p RetryPolicy) {
-	s.retry = p
-	s.retryRng = rand.New(rand.NewSource(p.Seed))
-}
-
 // withRetry runs op, re-attempting transient failures with exponential
-// backoff and seeded jitter. A transient failure that survives the budget
+// backoff and jitter. A transient failure that survives the budget
 // comes back wrapped in RetryExhaustedError (classified permanent).
 func (s *Store) withRetry(op func() error) error {
 	err := op()
 	if err == nil || !IsTransient(err) {
 		return err
 	}
-	backoff := s.retry.BaseBackoff
-	for attempt := 0; attempt < s.retry.MaxRetries; attempt++ {
+	for attempt, step := 0, retryBase; attempt < retryMax; attempt++ {
 		s.retries.Add(1)
-		if backoff > 0 {
-			s.retryMu.Lock()
-			j := s.retryRng.Float64()
-			s.retryMu.Unlock()
-			time.Sleep(backoff/2 + time.Duration(float64(backoff)*j))
-		}
-		if backoff *= 2; backoff > s.retry.MaxBackoff {
-			backoff = s.retry.MaxBackoff
-		}
+		sleep, next := spin.Backoff(step, retryCap, rand.Int63n)
+		time.Sleep(sleep)
+		step = next
 		if err = op(); err == nil || !IsTransient(err) {
 			return err
 		}
 	}
 	s.retryFailures.Add(1)
-	return &RetryExhaustedError{Attempts: s.retry.MaxRetries + 1, Err: err}
+	return &RetryExhaustedError{Attempts: retryMax + 1, Err: err}
 }
 
 // ErrNoFrames is returned when every frame in the target shard is pinned
@@ -447,12 +419,12 @@ const minFramesPerShard = 64
 
 // Config configures a buffer-manager Store.
 type Config struct {
-	// Frames is the pool capacity (DefaultFrames if <= 0).
-	Frames int
+	// BufferFrames is the pool capacity (DefaultFrames if <= 0).
+	BufferFrames int
 	// shards is the requested page-table shard count (DefaultShards if
 	// <= 0). It is rounded down to a power of two and clamped so every
 	// shard holds at least minFramesPerShard frames. Only the in-package
-	// tests set it: every pool runs at the default, clamped from Frames.
+	// tests set it: every pool runs at the default, clamped from BufferFrames.
 	shards int
 	// FlusherInterval enables the background flusher: every interval, all
 	// dirty unpinned frames are trickled to the backend so evictions
@@ -473,12 +445,12 @@ type Config struct {
 // Open wraps backend in a buffer manager with the given frame capacity
 // (DefaultFrames if frames <= 0) and default sharding.
 func Open(backend Backend, frames int) *Store {
-	return OpenConfig(backend, Config{Frames: frames})
+	return OpenConfig(backend, Config{BufferFrames: frames})
 }
 
 // OpenConfig wraps backend in a buffer manager per cfg.
 func OpenConfig(backend Backend, cfg Config) *Store {
-	frames := cfg.Frames
+	frames := cfg.BufferFrames
 	if frames <= 0 {
 		frames = DefaultFrames
 	}
@@ -520,7 +492,6 @@ func OpenConfig(backend Backend, cfg Config) *Store {
 		}
 		s.registerCounters(reg)
 	}
-	s.SetRetryPolicy(DefaultRetryPolicy)
 	if cfg.FlusherInterval > 0 || cfg.CheckpointInterval > 0 {
 		s.startFlusher(cfg.FlusherInterval, cfg.CheckpointInterval)
 	}

@@ -31,7 +31,7 @@ func TestShardClamping(t *testing.T) {
 		{DefaultFrames, DefaultShards, 16},
 	}
 	for _, c := range cases {
-		s := OpenConfig(NewMemBackend(), Config{Frames: c.frames, shards: c.shards})
+		s := OpenConfig(NewMemBackend(), Config{BufferFrames: c.frames, shards: c.shards})
 		if got := s.Shards(); got != c.want {
 			t.Errorf("frames=%d shards=%d: got %d shards, want %d", c.frames, c.shards, got, c.want)
 		}
@@ -42,7 +42,7 @@ func TestShardClamping(t *testing.T) {
 // TestShardCapacitySum checks the per-shard capacities sum to the pool
 // capacity (the remainder frames must not be lost).
 func TestShardCapacitySum(t *testing.T) {
-	s := OpenConfig(NewMemBackend(), Config{Frames: 1030, shards: 16})
+	s := OpenConfig(NewMemBackend(), Config{BufferFrames: 1030, shards: 16})
 	defer s.Close()
 	total := 0
 	for _, sh := range s.shards {
@@ -130,7 +130,7 @@ func bufferTorture(t *testing.T, frames int) {
 		iters   = 400
 	)
 	s := OpenConfig(NewMemBackend(), Config{
-		Frames:          frames,
+		BufferFrames:    frames,
 		shards:          16,
 		FlusherInterval: 200 * time.Microsecond,
 	})
@@ -351,7 +351,7 @@ func TestFlusherTrickles(t *testing.T) { flusherTrickles(t, 8) }
 
 func flusherTrickles(t *testing.T, frames int) {
 	mb := NewMemBackend()
-	s := OpenConfig(mb, Config{Frames: frames, FlusherInterval: time.Millisecond})
+	s := OpenConfig(mb, Config{BufferFrames: frames, FlusherInterval: time.Millisecond})
 	defer s.Close()
 
 	f, err := s.FixNew()
@@ -405,7 +405,7 @@ func TestFlusherHonorsWALRule(t *testing.T) { flusherHonorsWALRule(t, 8) }
 
 func flusherHonorsWALRule(t *testing.T, frames int) {
 	mb := NewMemBackend()
-	s := OpenConfig(mb, Config{Frames: frames, FlusherInterval: time.Millisecond})
+	s := OpenConfig(mb, Config{BufferFrames: frames, FlusherInterval: time.Millisecond})
 	defer s.Close()
 	log := &togglingSyncer{}
 	log.fail.Store(true)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/fault"
 )
@@ -181,7 +180,6 @@ func TestBufferRetryAbsorbsTransientFaults(t *testing.T) {
 	}
 	fb, _ := newFaultedMem(t, plan, 8)
 	s := Open(fb, 2) // tiny pool forces repeated backend reads
-	s.SetRetryPolicy(RetryPolicy{MaxRetries: 3, BaseBackoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond})
 	for i := 0; i < 16; i++ {
 		f, err := s.Fix(PageID(i % 8))
 		if err != nil {
@@ -190,8 +188,8 @@ func TestBufferRetryAbsorbsTransientFaults(t *testing.T) {
 		s.Unfix(f)
 	}
 	st := s.Stats()
-	if st.Retries == 0 {
-		t.Error("no retries recorded")
+	if st.Retries == 0 || st.Retries != plan.Fired(fault.PageRead) {
+		t.Errorf("Retries = %d, want one per injected read fault (%d)", st.Retries, plan.Fired(fault.PageRead))
 	}
 	if st.RetryFailures != 0 {
 		t.Errorf("RetryFailures = %d", st.RetryFailures)
@@ -203,7 +201,6 @@ func TestBufferRetryEscalatesAfterBudget(t *testing.T) {
 	plan.Prob[fault.PageRead] = 1 // every read fails
 	fb, _ := newFaultedMem(t, plan, 1)
 	s := Open(fb, 2)
-	s.SetRetryPolicy(RetryPolicy{MaxRetries: 2, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond})
 	_, err := s.Fix(0)
 	if err == nil {
 		t.Fatal("Fix succeeded through a 100% fault rate")
@@ -211,8 +208,15 @@ func TestBufferRetryEscalatesAfterBudget(t *testing.T) {
 	if !IsPermanent(err) || IsTransient(err) {
 		t.Errorf("exhausted Fix error classified as %s: %v", Classify(err), err)
 	}
-	if st := s.Stats(); st.Retries != 2 || st.RetryFailures != 1 {
-		t.Errorf("stats = %+v", st)
+	var exhausted *RetryExhaustedError
+	if !errors.As(err, &exhausted) || exhausted.Attempts != retryMax+1 {
+		t.Errorf("Fix error = %v, want %d attempts exhausted", err, retryMax+1)
+	}
+	if st := s.Stats(); st.Retries != retryMax || st.RetryFailures != 1 {
+		t.Errorf("stats = %+v, want %d retries and 1 failure", st, retryMax)
+	}
+	if seen := plan.Seen(fault.PageRead); seen != retryMax+1 {
+		t.Errorf("backend saw %d reads, want %d", seen, retryMax+1)
 	}
 	// The failed frame must not linger: a later Fix with injection off
 	// reads cleanly.
@@ -229,7 +233,6 @@ func TestBufferRetryNeverRetriesPermanent(t *testing.T) {
 	plan.Prob[fault.PageRead] = 1
 	fb, _ := newFaultedMem(t, plan, 1)
 	s := Open(fb, 2)
-	s.SetRetryPolicy(RetryPolicy{MaxRetries: 5, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond})
 	if _, err := s.Fix(0); !IsPermanent(err) {
 		t.Fatalf("want permanent fault, got %v", err)
 	}
@@ -247,7 +250,6 @@ func TestTornWriteHealedByRetry(t *testing.T) {
 	plan := writeFault(false, true)
 	fb, mem := newFaultedMem(t, plan, 1)
 	s := Open(fb, 2)
-	s.SetRetryPolicy(RetryPolicy{MaxRetries: 2, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond})
 
 	f, err := s.Fix(0)
 	if err != nil {
@@ -331,5 +333,41 @@ func TestFixRejectsCorruptPageAsPermanent(t *testing.T) {
 	// fails identically instead of serving garbage.
 	if _, err := s2.Fix(0); !errors.As(err, &ce) {
 		t.Errorf("second Fix = %v, want ChecksumError again", err)
+	}
+}
+
+func TestFixRejectsPageWithLostFirstSector(t *testing.T) {
+	// A tear that lost the first sector zeroes the header, checksum field
+	// included. Every written page is stamped and a stamp is never 0, so a
+	// zero field on a page with other bytes set is corruption, not an
+	// unstamped page.
+	mem := NewMemBackend()
+	s := Open(mem, 2)
+	f, err := s.FixNew()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := f.ID()
+	copy(f.Data()[PageHeaderSize:], bytes.Repeat([]byte{0xAA}, PageSize-PageHeaderSize))
+	f.MarkDirty()
+	s.Unfix(f)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	raw := make([]byte, PageSize)
+	if err := mem.ReadPage(id, raw); err != nil {
+		t.Fatal(err)
+	}
+	clear(raw[:PageHeaderSize])
+	if err := mem.WritePage(id, raw); err != nil {
+		t.Fatal(err)
+	}
+	var ce *ChecksumError
+	if _, err := Open(mem, 2).Fix(id); !errors.As(err, &ce) || ce.Stored != 0 {
+		t.Fatalf("Fix of a page with a zeroed header = %v, want ChecksumError with stored 0", err)
+	}
+	// A page the backend zero-extended and nobody wrote stays readable.
+	if err := VerifyChecksum(id, make([]byte, PageSize)); err != nil {
+		t.Errorf("all-zero page: %v", err)
 	}
 }

@@ -5,7 +5,7 @@ package pagestore
 // (btree, storage metadata) lay their content out after it.
 //
 //	off 0  u64  pageLSN — LSN of the last log record applied to this page
-//	off 8  u32  checksum — CRC32-C over the rest of the page; 0 = unstamped
+//	off 8  u32  checksum — CRC32-C over the rest of the page; never 0
 //	off 12 u32  reserved
 //
 // The pageLSN drives the WAL rule (the log must be durable up to it before
@@ -41,8 +41,8 @@ func SetPageLSN(p []byte, lsn uint64) {
 }
 
 // pageCRC computes the page checksum: CRC32-C over the whole page with the
-// checksum field itself skipped. The reserved value 0 ("unstamped") is
-// mapped to 1.
+// checksum field itself skipped. A CRC of 0 is mapped to 1, so a stamped
+// page never holds 0, the field's value on a page nobody wrote.
 func pageCRC(p []byte) uint32 {
 	c := crc32.Update(0, crcTable, p[:checksumOff])
 	c = crc32.Update(c, crcTable, p[checksumOff+4:])
@@ -58,19 +58,30 @@ func StampChecksum(p []byte) {
 	binary.LittleEndian.PutUint32(p[checksumOff:], pageCRC(p))
 }
 
-// VerifyChecksum checks a page image read from the backend. A stored value
-// of 0 means the page was never stamped (fresh allocation, pre-header data)
-// and is accepted; any other mismatch is corruption — typically a torn
-// write — and returns a *ChecksumError.
+// VerifyChecksum checks a page image read from the backend. Every page that
+// was ever written is stamped, and pageCRC never yields 0, so a stored 0 is
+// accepted only on an all-zero page: one the backend zero-extended and
+// nobody wrote. Any other mismatch is corruption — typically a torn write,
+// or one that lost the sector holding the checksum — and returns a
+// *ChecksumError.
 func VerifyChecksum(id PageID, p []byte) error {
 	stored := binary.LittleEndian.Uint32(p[checksumOff:])
-	if stored == 0 {
+	if stored == 0 && allZero(p) {
 		return nil
 	}
 	if got := pageCRC(p); got != stored {
 		return &ChecksumError{Page: id, Stored: stored, Computed: got}
 	}
 	return nil
+}
+
+func allZero(p []byte) bool {
+	for _, b := range p {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // ChecksumError reports a page whose stored checksum does not match its

@@ -1,5 +1,6 @@
 // Package spin makes a latch waiter try the latch on its own CPU for a short
-// while before it parks.
+// while before it parks, and holds the jittered-doubling step (Backoff) of
+// the retry loops that sleep between attempts.
 //
 // A goroutine that blocks on a sync.Mutex or sync.RWMutex gives up its P.
 // The goroutine that releases the latch puts the waiter in its own P's

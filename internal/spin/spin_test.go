@@ -2,6 +2,7 @@ package spin
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -78,4 +79,29 @@ func handOffOnOneP() (waited time.Duration, blocked bool) {
 	mu.Unlock()
 	<-done
 	return waited, blocked
+}
+
+// TestBackoffJittersAndDoubles walks a backoff from 1 ms to its 5 ms cap with
+// the jitter source at both ends of its range: every sleep lies in 50-150 %
+// of its step, and the steps double until the cap holds them.
+func TestBackoffJittersAndDoubles(t *testing.T) {
+	for _, rnd := range []func(int64) int64{
+		func(int64) int64 { return 0 },
+		func(n int64) int64 { return n - 1 },
+	} {
+		step := time.Millisecond
+		var steps []time.Duration
+		for i := 0; i < 5; i++ {
+			sleep, next := Backoff(step, 5*time.Millisecond, rnd)
+			if sleep < step/2 || sleep >= step*3/2 {
+				t.Errorf("step %v slept %v, want [%v, %v)", step, sleep, step/2, step*3/2)
+			}
+			steps = append(steps, step)
+			step = next
+		}
+		want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 5 * time.Millisecond, 5 * time.Millisecond}
+		if !slices.Equal(steps, want) {
+			t.Fatalf("steps %v, want %v", steps, want)
+		}
+	}
 }

@@ -20,7 +20,7 @@ import (
 // leaf alone.
 func TestFixesPerReadOp(t *testing.T) {
 	const persons = 2500
-	d, err := Create(pagestore.NewMemBackend(), "bib", Options{BufferFrames: 4096})
+	d, err := Create(pagestore.NewMemBackend(), "bib", Options{Config: pagestore.Config{BufferFrames: 4096}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,10 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/btree"
-	"repro/internal/metrics"
 	"repro/internal/pagestore"
 	"repro/internal/splid"
 	"repro/internal/wal"
@@ -78,35 +76,18 @@ type Document struct {
 type Options struct {
 	// Dist is the SPLID labeling gap (splid.DefaultDist when zero).
 	Dist uint32
-	// BufferFrames sizes the page buffer (pagestore.DefaultFrames if zero).
-	BufferFrames int
-	// FlusherInterval enables the buffer pool's background flusher
-	// (disabled if zero).
-	FlusherInterval time.Duration
-	// CheckpointInterval makes the flusher goroutine take a fuzzy
-	// checkpoint on this cadence once a WAL is attached (disabled if
-	// zero). Checkpoints bound both restart time and WAL disk usage.
-	CheckpointInterval time.Duration
-	// Metrics, when non-nil, receives the buffer pool's instruments (the
-	// buffer.* namespace); run harnesses pass one registry through every
-	// layer so the run report is a single document.
-	Metrics *metrics.Registry
-}
-
-// bufferConfig translates the options into a pagestore configuration.
-func (o Options) bufferConfig() pagestore.Config {
-	return pagestore.Config{
-		Frames:             o.BufferFrames,
-		FlusherInterval:    o.FlusherInterval,
-		CheckpointInterval: o.CheckpointInterval,
-		Metrics:            o.Metrics,
-	}
+	// Config configures the document's buffer pool: its size, the
+	// background flusher, the fuzzy checkpoints the flusher takes once a WAL
+	// is attached (they bound both restart time and WAL disk usage), and the
+	// registry receiving the buffer.* instruments — run harnesses pass one
+	// registry through every layer so the run report is a single document.
+	pagestore.Config
 }
 
 // Create builds an empty document (just the root element, named rootName)
 // on the given backend.
 func Create(backend pagestore.Backend, rootName string, opts Options) (*Document, error) {
-	store := pagestore.OpenConfig(backend, opts.bufferConfig())
+	store := pagestore.OpenConfig(backend, opts.Config)
 	// Reserve page 0 for the metadata page before any tree allocates it.
 	if store.Backend().NumPages() == 0 {
 		meta, err := store.FixNew()

@@ -68,7 +68,7 @@ func (d *Document) writeMeta() error {
 // Open attaches to a document previously created on backend (and flushed
 // via Flush or Close).
 func Open(backend pagestore.Backend, opts Options) (*Document, error) {
-	store := pagestore.OpenConfig(backend, opts.bufferConfig())
+	store := pagestore.OpenConfig(backend, opts.Config)
 	f, err := store.Fix(0)
 	if err != nil {
 		return nil, fmt.Errorf("storage: reading metadata: %w", err)

@@ -130,7 +130,7 @@ func TestReadsDuringCapturesSmallPool(t *testing.T) {
 		persons = 6000 // x ~2 KiB each: upwards of 20 x frames pages
 	)
 	backend := pagestore.NewMemBackend()
-	d, err := Create(backend, "bib", Options{BufferFrames: frames})
+	d, err := Create(backend, "bib", Options{Config: pagestore.Config{BufferFrames: frames}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,7 @@ package tamix
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/pagestore"
 	"repro/internal/storage"
 )
@@ -30,25 +28,15 @@ type BibConfig struct {
 	ChaptersMin, ChaptersMax int
 	// LendsMin/LendsMax bound each history's lend count (paper: 9-10).
 	LendsMin, LendsMax int
-	// Dist is the SPLID labeling gap.
-	Dist uint32
-	// BufferFrames sizes the document's page buffer
-	// (pagestore.DefaultFrames when zero). Chaos tests shrink it so the
-	// run does real backend I/O instead of staying buffer-resident.
-	BufferFrames int
-	// FlusherInterval enables the buffer pool's background flusher
-	// (disabled when zero).
-	FlusherInterval time.Duration
-	// CheckpointInterval enables flusher-driven fuzzy checkpoints on the
-	// document's WAL (disabled when zero; requires an attached WAL).
-	CheckpointInterval time.Duration
-	// Metrics, when non-nil, receives the document's buffer-pool
-	// instruments (the buffer.* namespace). Generation traffic is recorded
-	// too; harnesses that only want measurement-interval numbers snapshot
-	// before and after and subtract, or simply accept the warm-up tail.
-	Metrics *metrics.Registry
 	// Seed makes generation deterministic.
 	Seed int64
+	// Options create the document: its SPLID labeling gap and its buffer
+	// pool. Chaos tests shrink BufferFrames so a run does real backend I/O
+	// instead of staying buffer-resident. The buffer.* instruments of
+	// Metrics record generation traffic too; harnesses that only want
+	// measurement-interval numbers snapshot before and after and subtract,
+	// or simply accept the warm-up tail.
+	storage.Options
 }
 
 // DefaultBibConfig is the paper's composition: 1000 persons, 100 authors,
@@ -64,8 +52,8 @@ func DefaultBibConfig() BibConfig {
 		ChaptersMax:   10,
 		LendsMin:      9,
 		LendsMax:      10,
-		Dist:          8,
 		Seed:          1,
+		Options:       storage.Options{Dist: 8},
 	}
 }
 
@@ -102,13 +90,7 @@ type Catalog struct {
 // GenerateBib builds the bib document on the given backend and returns it
 // with the catalog of jump targets.
 func GenerateBib(backend pagestore.Backend, cfg BibConfig) (*storage.Document, *Catalog, error) {
-	doc, err := storage.Create(backend, "bib", storage.Options{
-		Dist:               cfg.Dist,
-		BufferFrames:       cfg.BufferFrames,
-		FlusherInterval:    cfg.FlusherInterval,
-		CheckpointInterval: cfg.CheckpointInterval,
-		Metrics:            cfg.Metrics,
-	})
+	doc, err := storage.Create(backend, "bib", cfg.Options)
 	if err != nil {
 		return nil, nil, err
 	}

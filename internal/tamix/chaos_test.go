@@ -37,8 +37,6 @@ func chaosConfig(seed int64) Config {
 		WaitAfterOperation: 500 * time.Microsecond,
 		MaxStartDelay:      5 * time.Millisecond,
 		LockTimeout:        30 * time.Millisecond,
-		RestartBackoff:     time.Millisecond,
-		RestartMaxBackoff:  8 * time.Millisecond,
 		Bib:                bib,
 		Seed:               seed,
 	}

@@ -33,10 +33,10 @@ import (
 	"repro/internal/wal"
 )
 
-// CrashConfig describes one crash burst.
+// CrashConfig describes one crash burst. A burst runs under core's default
+// protocol (taDOM3+), waits at most crashLockTimeout for a lock, and keeps
+// the log's default segment retention (wal.DefaultRetain).
 type CrashConfig struct {
-	// Protocol is the lock protocol (default taDOM3+).
-	Protocol string
 	// Workers is the number of concurrent marker writers (default 3).
 	Workers int
 	// OpsPerWorker bounds marker transactions per worker (default 40); the
@@ -55,17 +55,15 @@ type CrashConfig struct {
 	// every Nth operation, so bursts crash with checkpoints (and possibly
 	// truncated segments) on record.
 	CheckpointEvery int
-	// Retain caps how many newest segments checkpoint GC keeps
-	// (wal.DefaultRetain when 0).
-	Retain int
-	// LockTimeout bounds lock waits (default 25 ms).
-	LockTimeout time.Duration
 	// Bib sizes the base document (default Scaled(0.02) in a 48-frame
 	// buffer pool).
 	Bib BibConfig
 	// Seed drives all randomness.
 	Seed int64
 }
+
+// crashLockTimeout bounds a burst's lock waits.
+const crashLockTimeout = 25 * time.Millisecond
 
 // MarkerState is the expected post-recovery state of one marker element.
 type MarkerState struct {
@@ -294,9 +292,6 @@ func CrashBurst(cfg CrashConfig) (*CrashOutcome, error) {
 	if cfg.SegmentSize <= 0 {
 		cfg.SegmentSize = 32 << 10
 	}
-	if cfg.LockTimeout <= 0 {
-		cfg.LockTimeout = 25 * time.Millisecond
-	}
 	if cfg.Bib.Persons == 0 {
 		cfg.Bib = Scaled(0.02)
 		cfg.Bib.BufferFrames = 48
@@ -311,10 +306,9 @@ func CrashBurst(cfg CrashConfig) (*CrashOutcome, error) {
 	segs := wal.NewMemSegmentStore()
 	depth := -1
 	eng, err := core.Wrap(doc, segs, core.Config{
-		Protocol:    cfg.Protocol,
 		LockDepth:   &depth,
-		LockTimeout: cfg.LockTimeout,
-		Log:         wal.Config{SegmentSize: cfg.SegmentSize, Retain: cfg.Retain, Faults: cfg.Faults},
+		LockTimeout: crashLockTimeout,
+		Log:         wal.Config{SegmentSize: cfg.SegmentSize, Faults: cfg.Faults},
 	})
 	if err != nil {
 		return nil, err
@@ -354,7 +348,7 @@ func CrashBurst(cfg CrashConfig) (*CrashOutcome, error) {
 	out := &CrashOutcome{
 		Backend:   backend,
 		Segments:  segs,
-		Opts:      storage.Options{BufferFrames: cfg.Bib.BufferFrames},
+		Opts:      storage.Options{Config: pagestore.Config{BufferFrames: cfg.Bib.BufferFrames}},
 		Committed: make(map[string]MarkerState),
 		Pending:   make(map[uint64]map[string]MarkerState),
 		LogStats:  log.Stats(),

@@ -17,7 +17,7 @@ func TestResultMetricsEqualLayerStats(t *testing.T) {
 	cfg := chaosConfig(11)
 	cfg.Duration = 400 * time.Millisecond
 	// On a loaded machine the 400 ms run makes about 30 backend reads and
-	// writes, retried at most 5 times each (pagestore.DefaultRetryPolicy).
+	// writes, retried at most 5 times each (the buffer manager's retryMax).
 	// Plan seed 40 at 10 % faults the first or second read and write, so
 	// buffer.retries cannot stay at zero, and never faults 4 occurrences in a
 	// row in the first 3000, so no retry budget runs out.

@@ -66,7 +66,7 @@ func countersSince(after, before *metrics.Snapshot) *metrics.Snapshot {
 // come from it, by name.
 func runRemote(cfg Config, p protocol.Protocol, res *Result, reg *metrics.Registry) (*Result, error) {
 	copts := cfg.RemoteClient
-	if copts.Conns = cfg.RemoteConns; copts.Conns <= 0 {
+	if copts.Conns <= 0 {
 		copts.Conns = 4
 	}
 	copts.Metrics = reg

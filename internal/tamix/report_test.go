@@ -182,7 +182,6 @@ func TestRunCapturesMetrics(t *testing.T) {
 	cfg.Duration = 400 * time.Millisecond
 	cfg.MaxStartDelay = 10 * time.Millisecond
 	cfg.LockTimeout = 2 * time.Second
-	cfg.Metrics = metrics.NewRegistry()
 	cfg.WAL = true
 	res, err := Run(cfg)
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/pagestore"
 	"repro/internal/protocol"
+	"repro/internal/spin"
 	"repro/internal/tx"
 	"repro/internal/wal"
 )
@@ -54,14 +55,6 @@ type Config struct {
 	// paper's contest counts committed work, which presumes victims are
 	// retried until the mix completes — this is that retry loop.
 	MaxRestarts int
-	// RestartBackoff is the base of the randomized exponential backoff
-	// slept before each restart (DefaultRestartBackoff when zero). The
-	// actual sleep is jittered to 50-150% and doubles per restart up to
-	// RestartMaxBackoff.
-	RestartBackoff time.Duration
-	// RestartMaxBackoff caps the restart backoff (DefaultRestartMaxBackoff
-	// when zero).
-	RestartMaxBackoff time.Duration
 	// Faults, when non-nil, is the fault plan the document's backend
 	// consults (pagestore.FaultBackend). Run arms it for the measurement
 	// interval only: document generation and the post-run verification run
@@ -73,13 +66,6 @@ type Config struct {
 	UseUpdateLocks bool
 	// Bib sizes the document.
 	Bib BibConfig
-	// Metrics receives every layer's instruments for this run (lock.*,
-	// buffer.*, tx.*, fault.*, and wal.* with WAL set; client.* for a remote
-	// run); the run uses a registry of its own when nil. Use a fresh registry
-	// per run — instruments accumulate for the registry's lifetime, so
-	// sharing one across runs mixes protocols. Result.Metrics carries the
-	// end-of-run snapshot, the run's statistics.
-	Metrics *metrics.Registry
 	// WAL attaches an in-memory write-ahead log to the run: operations
 	// append redo/undo records and every commit forces the log, so commit
 	// latency includes a durability wait and the wal.* instruments
@@ -94,24 +80,24 @@ type Config struct {
 	// session (the server's one-transaction-per-session discipline), the
 	// post-run audit runs server-side and the engine's counters are fetched
 	// over the wire (OpStats) and merged into Result.Metrics. Fields
-	// that configure the in-process engine (Faults, WAL, LockTimeout,
-	// Metrics for engine layers, Bib) are ignored — the server owns its
-	// engine configuration.
+	// that configure the in-process engine (Faults, WAL, LockTimeout, Bib)
+	// are ignored — the server owns its engine configuration.
 	Remote string
-	// RemoteConns is the number of pooled TCP connections a remote run
-	// stripes its sessions over (default 4).
-	RemoteConns int
 	// RemoteClient tunes the xtcd client pool a remote run dials (zero value
-	// = client defaults): chaos harnesses inject fault-wrapping dialers,
-	// faster heartbeats, or tighter redial budgets here. The Conns and
-	// Metrics fields are overridden by RemoteConns and Metrics.
+	// = client defaults, except Conns: a remote run stripes its sessions
+	// over 4 pooled connections unless Conns says otherwise): chaos
+	// harnesses inject fault-wrapping dialers, faster heartbeats, or tighter
+	// redial budgets here. Its Metrics field is overridden with the run's
+	// registry.
 	RemoteClient client.Options
 }
 
 // DefaultMaxRestarts caps restart attempts per logical transaction.
 const DefaultMaxRestarts = 10
 
-// DefaultRestartBackoff is the base restart backoff.
+// DefaultRestartBackoff is the first step of the jittered backoff
+// (spin.Backoff) slept before a restart; it doubles per restart up to
+// DefaultRestartMaxBackoff.
 const DefaultRestartBackoff = 2 * time.Millisecond
 
 // DefaultRestartMaxBackoff caps the restart backoff doubling.
@@ -239,10 +225,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	reg := metrics.NewRegistry()
 	res := newResult(cfg, p)
 	if cfg.Remote != "" {
 		return runRemote(cfg, p, res, reg)
@@ -336,14 +319,6 @@ func drive(cfg Config, p protocol.Protocol, res *Result, reg *metrics.Registry, 
 	} else if maxRestarts < 0 {
 		maxRestarts = 0
 	}
-	restartBase := cfg.RestartBackoff
-	if restartBase <= 0 {
-		restartBase = DefaultRestartBackoff
-	}
-	restartCap := cfg.RestartMaxBackoff
-	if restartCap <= 0 {
-		restartCap = DefaultRestartMaxBackoff
-	}
 
 	// Graceful degradation: the first engine error cancels every worker
 	// through ctx and becomes Run's return value. Workers never panic.
@@ -385,8 +360,7 @@ func drive(cfg Config, p protocol.Protocol, res *Result, reg *metrics.Registry, 
 						}
 					}
 					for time.Now().Before(deadline) && ctx.Err() == nil {
-						if !runOnce(ctx, r, res, &mu, txType,
-							deadline, maxRestarts, restartBase, restartCap, fail) {
+						if !runOnce(ctx, r, res, &mu, txType, deadline, maxRestarts, fail) {
 							return
 						}
 						if !sleepCtx(ctx, cfg.WaitAfterCommit) {
@@ -422,11 +396,10 @@ func drive(cfg Config, p protocol.Protocol, res *Result, reg *metrics.Registry, 
 // randomized exponential backoff after deadlock/timeout aborts. It reports
 // false when the worker should exit (context canceled or engine failure).
 func runOnce(ctx context.Context, r *runner, res *Result, mu *sync.Mutex, txType TxType,
-	deadline time.Time, maxRestarts int, backoffBase, backoffCap time.Duration,
-	fail func(error)) bool {
+	deadline time.Time, maxRestarts int, fail func(error)) bool {
 
 	restarts := 0
-	backoff := backoffBase
+	backoff := DefaultRestartBackoff
 	for {
 		txn, err := r.eng.Begin()
 		if err != nil {
@@ -481,12 +454,9 @@ func runOnce(ctx context.Context, r *runner, res *Result, mu *sync.Mutex, txType
 			return true
 		}
 		restarts++
-		// Randomized exponential backoff: 50-150% of the current step,
-		// doubling up to the cap, so colliding victims desynchronize.
-		d := backoff/2 + time.Duration(r.rng.Int63n(int64(backoff)))
-		if backoff *= 2; backoff > backoffCap {
-			backoff = backoffCap
-		}
+		// Jittered exponential backoff, so colliding victims desynchronize.
+		d, next := spin.Backoff(backoff, DefaultRestartMaxBackoff, r.rng.Int63n)
+		backoff = next
 		mu.Lock()
 		res.PerType[txType].Restarts++
 		res.PerType[txType].RestartWait += d
