@@ -43,14 +43,12 @@ func last(points []figures.Point) figures.Point {
 // deadlock count.
 func BenchmarkFigure7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tp, dl, err := figures.Figure7(benchOpts())
+		series, err := figures.Figure7(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, s := range tp {
+		for _, s := range series {
 			b.ReportMetric(last(s.Points).Throughput, s.Label+"_tx5min")
-		}
-		for _, s := range dl {
 			if s.Label == "REPEATABLE" {
 				b.ReportMetric(float64(last(s.Points).Deadlocks), "repeatable_deadlocks")
 			}
@@ -83,8 +81,7 @@ func BenchmarkFigure9And10(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tp, _ := figures.Figure9(sweep, opt)
-		for _, s := range tp {
+		for _, s := range figures.Figure9(sweep, opt) {
 			b.ReportMetric(last(s.Points).Throughput, s.Label+"_tx5min")
 		}
 		panels := figures.Figure10(sweep, opt)
@@ -105,7 +102,7 @@ func BenchmarkFigure9And10(b *testing.B) {
 // roughly twice as long as everyone else.
 func BenchmarkFigure11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := figures.Figure11(figures.Options{DocScale: 0.02}, 2)
+		rows, err := figures.Figure11(figures.Options{DocScale: 0.02})
 		if err != nil {
 			b.Fatal(err)
 		}

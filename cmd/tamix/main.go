@@ -48,14 +48,12 @@ func main() {
 		docScale = flag.Float64("doc", 0.02, "document scale (1.0 = the paper's 2000 books)")
 		timeSc   = flag.Float64("time", 0.002, "timing scale (1.0 = 5-minute runs)")
 		depths   = flag.String("depths", "", "comma-separated lock depths (default 0..7; the contest ranks at one depth, default 5)")
-		runs     = flag.Int("runs", 3, "TAdelBook repetitions for figure 11")
 		avg      = flag.Int("avg", 1, "repetitions averaged per CLUSTER1 configuration (the paper used 4)")
 		csvDir   = flag.String("csv", "", "also write CSV files into this directory")
 		seed     = flag.Int64("seed", 0, "workload seed offset")
 
 		protoList = flag.String("protocols", "all", "contest: protocols to rank ("+protocol.NamesHelp()+")")
 		remote    = flag.String("remote", "", "contest: run against an xtcd server at this address instead of in-process engines (\"self\" = an in-process loopback daemon)")
-		flusher   = flag.Duration("flusher", 0, "contest: background flusher interval for dirty pages (0 = disabled)")
 		jsonOut   = flag.String("json", "", "contest: write the JSON run report to this file (\"-\" = stdout, table moves to stderr)")
 	)
 	flag.Parse()
@@ -74,7 +72,7 @@ func main() {
 		} else if len(ds) > 1 {
 			fatal(fmt.Errorf("the contest ranks at one lock depth, -depths names %d", len(ds)))
 		}
-		if err := contest(*protoList, *remote, *jsonOut, depth, *docScale, *timeSc, *seed, *flusher); err != nil {
+		if err := contest(*protoList, *remote, *jsonOut, depth, *docScale, *timeSc, *seed); err != nil {
 			fatal(err)
 		}
 		return
@@ -94,13 +92,13 @@ func main() {
 
 	if want["7"] {
 		fmt.Println("== Figure 7: CLUSTER1 under taDOM3+ — influence of isolation level ==")
-		tp, dl, err := figures.Figure7(opt)
+		series, err := figures.Figure7(opt)
 		if err != nil {
 			fatal(err)
 		}
-		figures.RenderSeries(os.Stdout, "Figure 7 (left)", "throughput", tp)
-		figures.RenderSeries(os.Stdout, "Figure 7 (right)", "deadlocks", dl)
-		writeCSV(*csvDir, "figure7.csv", tp)
+		figures.RenderSeries(os.Stdout, "Figure 7 (left)", "throughput", series)
+		figures.RenderSeries(os.Stdout, "Figure 7 (right)", "deadlocks", series)
+		writeCSV(*csvDir, "figure7.csv", series)
 		fmt.Println()
 	}
 	if want["8"] {
@@ -119,10 +117,10 @@ func main() {
 			fatal(err)
 		}
 		if want["9"] {
-			tp, dl := figures.Figure9(sweep, opt)
-			figures.RenderSeries(os.Stdout, "Figure 9 (left)", "throughput", tp)
-			figures.RenderSeries(os.Stdout, "Figure 9 (right)", "deadlocks", dl)
-			writeCSV(*csvDir, "figure9.csv", tp)
+			series := figures.Figure9(sweep, opt)
+			figures.RenderSeries(os.Stdout, "Figure 9 (left)", "throughput", series)
+			figures.RenderSeries(os.Stdout, "Figure 9 (right)", "deadlocks", series)
+			writeCSV(*csvDir, "figure9.csv", series)
 			fmt.Println()
 		}
 		if want["10"] {
@@ -137,7 +135,7 @@ func main() {
 	}
 	if want["11"] {
 		fmt.Println("== Figure 11: CLUSTER2 — TAdelBook execution times ==")
-		rows, err := figures.Figure11(opt, *runs)
+		rows, err := figures.Figure11(opt)
 		if err != nil {
 			fatal(err)
 		}
@@ -181,7 +179,7 @@ func writeCSV(dir, name string, series []figures.Series) {
 // them itself, and ships their counters, not their latency distributions.
 // Every statistic is read from the run's snapshot by the name its layer
 // registered.
-func contest(protoList, remote, jsonOut string, depth int, docScale, timeSc float64, seed int64, flusher time.Duration) error {
+func contest(protoList, remote, jsonOut string, depth int, docScale, timeSc float64, seed int64) error {
 	contestants, err := protocol.ParseList(protoList)
 	if err != nil {
 		return err
@@ -189,7 +187,6 @@ func contest(protoList, remote, jsonOut string, depth int, docScale, timeSc floa
 	config := func(p protocol.Protocol) tamix.Config {
 		cfg := tamix.Cluster1Config(p.Name(), tx.LevelRepeatable, depth, docScale, timeSc)
 		cfg.Seed += seed
-		cfg.Bib.FlusherInterval = flusher
 		cfg.WAL = true
 		cfg.Remote = remote // read at call time: "self" is the loopback's address by then
 		return cfg

@@ -57,7 +57,7 @@ func TestAllocLoopbackRoundTrip(t *testing.T) {
 		trip    func() error
 	}{
 		{"FirstChild", 23, func() error { _, err := s.FirstChild(book.ID); return err }},
-		{"Ping", 5, pool.Ping},
+		{"Ping", 3, func() error { return client.PingRoundTrip(pool) }},
 	} {
 		got := testing.AllocsPerRun(500, func() {
 			if err := c.trip(); err != nil {

@@ -40,11 +40,6 @@ var ErrBusy = errors.New("client: server busy")
 // ErrShutdown is returned when the server is draining or the connection died.
 var ErrShutdown = errors.New("client: server shutting down")
 
-// ErrTimeout is returned when a Ping round trip got no response in time; the
-// offending connection is evicted (closed — its response demux can no longer
-// be trusted to be prompt) so the next use re-dials.
-var ErrTimeout = errors.New("client: request timed out")
-
 // ErrNoSession is returned when the server no longer knows the session the
 // request named — reaped for idleness, evicted by a resume, or torn down by
 // a drain while the connection stayed up. Sessions recover from it
@@ -80,9 +75,6 @@ func (e *abortWorthyError) AbortWorthy() bool { return true }
 const (
 	// dialTimeout bounds each dial.
 	dialTimeout = 5 * time.Second
-	// pingTimeout bounds each per-connection Ping round trip — one stalled
-	// connection must not hang the health check; it is evicted instead.
-	pingTimeout = 2 * time.Second
 	// redialBackoff is the base of the jittered exponential backoff between
 	// re-dial attempts. The sleep is jittered to 50-150% and doubles per
 	// attempt up to redialMaxBackoff — the same shape as the TaMix restart
@@ -255,31 +247,6 @@ func (p *Pool) slot() *slot {
 // needed.
 func (p *Pool) conn() (*Conn, error) {
 	return p.slot().get()
-}
-
-// Ping round-trips a frame on every currently-connected slot, each under
-// pingTimeout. A connection that stalls past the deadline (or fails) is
-// evicted — closed, so the slot's next use re-dials — and reported; the
-// remaining connections are still checked.
-func (p *Pool) Ping() error {
-	var errs []error
-	for i, sl := range p.slots {
-		sl.mu.Lock()
-		c := sl.c
-		sl.mu.Unlock()
-		if c == nil || c.cause() != nil {
-			errs = append(errs, fmt.Errorf("client: conn %d: %w", i, ErrShutdown))
-			continue
-		}
-		evict := time.AfterFunc(pingTimeout, func() {
-			c.close(fmt.Errorf("%w: %w: ping after %v", ErrShutdown, ErrTimeout, pingTimeout))
-		})
-		if _, err := c.roundTrip(wire.OpPing, 0, []byte("ping")); err != nil {
-			errs = append(errs, fmt.Errorf("client: conn %d: %w", i, err))
-		}
-		evict.Stop()
-	}
-	return errors.Join(errs...)
 }
 
 // Stats fetches the counters of a protocol's server-side engine registry, by

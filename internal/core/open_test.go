@@ -338,7 +338,7 @@ func TestCloseStopsEveryGoroutine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := figures.Figure11(figures.Options{DocScale: 0.01}, 1); err != nil {
+	if _, err := figures.Figure11(figures.Options{DocScale: 0.01}); err != nil {
 		t.Fatal(err)
 	}
 	// A goroutine that has been told to stop may take a moment to be gone.

@@ -47,9 +47,9 @@ func TestThroughputClaims(t *testing.T) {
 		}
 	}
 	total := func(r *tamix.Result) float64 { return r.Throughput() }
-	readers := func(r *tamix.Result) float64 { return perType(r, tamix.TAqueryBook) }
+	readers := func(r *tamix.Result) float64 { return r.TypeThroughput(tamix.TAqueryBook) }
 	writers := func(r *tamix.Result) float64 {
-		return perType(r, tamix.TAchapter) + perType(r, tamix.TAlendAndReturn)
+		return r.TypeThroughput(tamix.TAchapter) + r.TypeThroughput(tamix.TAlendAndReturn)
 	}
 	series := func(c cell, what string, f func(*tamix.Result) float64) sample {
 		s := sample{name: fmt.Sprintf("%s %s@%d", what, c.proto, c.depth)}
@@ -85,12 +85,6 @@ func TestThroughputClaims(t *testing.T) {
 			}
 		}
 	})
-}
-
-// perType is one transaction type's committed transactions, normalised to
-// the paper's 5-minute interval like Result.Throughput.
-func perType(r *tamix.Result, typ tamix.TxType) float64 {
-	return float64(r.PerType[typ].Committed) * 300 / r.Elapsed.Seconds()
 }
 
 // ratio divides a by b seed by seed.

@@ -15,7 +15,11 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/pagestore"
+	"repro/internal/protocol"
 	"repro/internal/tamix"
 	"repro/internal/tx"
 )
@@ -74,8 +78,8 @@ type Series struct {
 	Points []Point
 }
 
-// runCluster1 executes one CLUSTER1 configuration, averaging over o.Runs
-// repetitions with distinct seeds.
+// runCluster1 executes one CLUSTER1 configuration o.Runs times with distinct
+// seeds and returns the runs merged.
 func runCluster1(proto string, iso tx.Level, depth int, o Options) (*tamix.Result, error) {
 	var agg *tamix.Result
 	for run := 0; run < o.Runs; run++ {
@@ -87,71 +91,49 @@ func runCluster1(proto string, iso tx.Level, depth int, o Options) (*tamix.Resul
 		}
 		if agg == nil {
 			agg = r
-			continue
-		}
-		agg.Elapsed += r.Elapsed
-		agg.Committed += r.Committed
-		agg.Aborted += r.Aborted
-		agg.Restarts += r.Restarts
-		agg.RestartWait += r.RestartWait
-		agg.Dropped += r.Dropped
-		agg.Metrics.Merge(r.Metrics)
-		for typ, st := range r.PerType {
-			dst := agg.PerType[typ]
-			dst.Committed += st.Committed
-			dst.Aborted += st.Aborted
-			dst.Restarts += st.Restarts
-			dst.RestartWait += st.RestartWait
-			dst.Dropped += st.Dropped
-			dst.TotalDur += st.TotalDur
-			// MinDur uses -1 as "unset": take any set value over unset,
-			// including a legitimate zero-duration minimum.
-			if st.MinDur >= 0 && (dst.MinDur < 0 || st.MinDur < dst.MinDur) {
-				dst.MinDur = st.MinDur
-			}
-			if st.MaxDur > dst.MaxDur {
-				dst.MaxDur = st.MaxDur
-			}
+		} else {
+			agg.Merge(r)
 		}
 	}
 	return agg, nil
 }
 
-func point(depth int, r *tamix.Result) Point {
+// point reads one measurement from r, the merge of runs runs. Throughput is
+// normalized by the summed elapsed time and deadlocks are counted per run, so
+// both stay comparable across Runs settings.
+func point(depth int, r *tamix.Result, runs int) Point {
 	return Point{
 		Depth:      depth,
 		Throughput: r.Throughput(),
-		Deadlocks:  r.Metrics.CounterValue("lock.deadlocks") + r.Metrics.CounterValue("lock.timeouts"),
+		Deadlocks:  perRun(r.Metrics.CounterValue("lock.deadlocks")+r.Metrics.CounterValue("lock.timeouts"), runs),
 		Committed:  r.Committed,
 		Aborted:    r.Aborted,
 	}
 }
 
-// Note: aggregated results sum deadlocks over o.Runs repetitions while
-// Throughput is normalized by the summed elapsed time, so both stay
-// comparable across different Runs settings per unit of run time.
+// perRun divides a count summed over runs runs, rounded to the nearest.
+func perRun(n uint64, runs int) uint64 {
+	return (n + uint64(runs)/2) / uint64(runs)
+}
 
 // Figure7 reproduces Figure 7: CLUSTER1 under taDOM3+, throughput (left)
 // and deadlocks (right) against lock depth for the four isolation levels.
-func Figure7(o Options) (throughput, deadlocks []Series, err error) {
+// Both panels render the same series.
+func Figure7(o Options) ([]Series, error) {
 	o = o.fill()
-	levels := []tx.Level{tx.LevelNone, tx.LevelUncommitted, tx.LevelCommitted, tx.LevelRepeatable}
-	for _, iso := range levels {
-		tp := Series{Label: strings.ToUpper(iso.String())}
-		dl := Series{Label: strings.ToUpper(iso.String())}
+	var out []Series
+	for _, iso := range []tx.Level{tx.LevelNone, tx.LevelUncommitted, tx.LevelCommitted, tx.LevelRepeatable} {
+		s := Series{Label: strings.ToUpper(iso.String())}
 		for _, depth := range o.Depths {
 			r, err := runCluster1("taDOM3+", iso, depth, o)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			p := point(depth, r)
-			tp.Points = append(tp.Points, p)
-			dl.Points = append(dl.Points, p)
+			s.Points = append(s.Points, point(depth, r, o.Runs))
 		}
-		throughput = append(throughput, tp)
-		deadlocks = append(deadlocks, dl)
+		out = append(out, s)
 	}
-	return throughput, deadlocks, nil
+	return out, nil
 }
 
 // Figure8Row is one bar group of Figure 8: a *-2PL protocol's committed and
@@ -162,29 +144,27 @@ type Figure8Row struct {
 	PerType  map[tamix.TxType]Point
 }
 
-// Figure8 reproduces Figure 8: CLUSTER1 under Node2PL, NO2PL, and OO2PL
-// (throughput left, deadlocks right, split by transaction type). The pure
-// *-2PL protocols have no lock depth; the depth parameter is ignored.
+// Figure8 reproduces Figure 8: CLUSTER1 under the protocols that have no
+// lock depth, the pure *-2PL group Node2PL, NO2PL, and OO2PL (throughput
+// left, deadlocks right, split by transaction type).
 func Figure8(o Options) ([]Figure8Row, error) {
 	o = o.fill()
 	var rows []Figure8Row
-	for _, proto := range []string{"Node2PL", "NO2PL", "OO2PL"} {
-		r, err := runCluster1(proto, tx.LevelRepeatable, -1, o)
+	for _, p := range protocol.All() {
+		if p.DepthAware() {
+			continue
+		}
+		r, err := runCluster1(p.Name(), tx.LevelRepeatable, -1, o)
 		if err != nil {
 			return nil, err
 		}
 		row := Figure8Row{
-			Protocol: proto,
-			Total:    point(-1, r),
+			Protocol: p.Name(),
+			Total:    point(-1, r, o.Runs),
 			PerType:  make(map[tamix.TxType]Point),
 		}
 		for _, typ := range tamix.TxTypes {
-			st := r.PerType[typ]
-			row.PerType[typ] = Point{
-				Throughput: float64(st.Committed) * 300 / r.Elapsed.Seconds(),
-				Committed:  st.Committed,
-				Aborted:    st.Aborted,
-			}
+			row.PerType[typ] = typePoint(-1, r, typ)
 		}
 		rows = append(rows, row)
 	}
@@ -214,28 +194,21 @@ func Cluster1Sweep(protocols []string, o Options) (map[string]map[int]*tamix.Res
 // the contestants of Figures 9 and 10 (the paper's eight plus the snapshot
 // contestant, whose writers are taDOM3+ and so depth-aware).
 func DepthProtocols() []string {
-	return []string{"Node2PLa", "IRX", "IRIX", "URIX", "taDOM2", "taDOM2+", "taDOM3", "taDOM3+", "snapshot"}
+	var out []string
+	for _, p := range protocol.All() {
+		if p.DepthAware() {
+			out = append(out, p.Name())
+		}
+	}
+	return out
 }
 
 // Figure9 extracts Figure 9 from a sweep: total throughput (left) and
-// deadlocks (right) per protocol against lock depth.
-func Figure9(sweep map[string]map[int]*tamix.Result, o Options) (throughput, deadlocks []Series) {
+// deadlocks (right) per protocol against lock depth. Both panels render the
+// same series.
+func Figure9(sweep map[string]map[int]*tamix.Result, o Options) []Series {
 	o = o.fill()
-	for _, proto := range DepthProtocols() {
-		byDepth, ok := sweep[proto]
-		if !ok {
-			continue
-		}
-		tp := Series{Label: proto}
-		for _, depth := range o.Depths {
-			if r, ok := byDepth[depth]; ok {
-				tp.Points = append(tp.Points, point(depth, r))
-			}
-		}
-		throughput = append(throughput, tp)
-		deadlocks = append(deadlocks, tp)
-	}
-	return throughput, deadlocks
+	return sweepSeries(sweep, o, func(depth int, r *tamix.Result) Point { return point(depth, r, o.Runs) })
 }
 
 // Figure10 extracts Figure 10 from the same sweep: throughput per
@@ -246,66 +219,98 @@ func Figure10(sweep map[string]map[int]*tamix.Result, o Options) map[tamix.TxTyp
 	panels := []tamix.TxType{tamix.TAqueryBook, tamix.TAchapter, tamix.TAlendAndReturn, tamix.TArenameTopic}
 	out := make(map[tamix.TxType][]Series, len(panels))
 	for _, typ := range panels {
-		for _, proto := range DepthProtocols() {
-			byDepth, ok := sweep[proto]
-			if !ok {
-				continue
-			}
-			s := Series{Label: proto}
-			for _, depth := range o.Depths {
-				r, ok := byDepth[depth]
-				if !ok {
-					continue
-				}
-				st := r.PerType[typ]
-				s.Points = append(s.Points, Point{
-					Depth:      depth,
-					Throughput: float64(st.Committed) * 300 / r.Elapsed.Seconds(),
-					Committed:  st.Committed,
-					Aborted:    st.Aborted,
-				})
-			}
-			out[typ] = append(out[typ], s)
-		}
+		out[typ] = sweepSeries(sweep, o, func(depth int, r *tamix.Result) Point { return typePoint(depth, r, typ) })
 	}
 	return out
 }
+
+// sweepSeries reads one series per depth-aware protocol of the sweep, one
+// point per swept depth.
+func sweepSeries(sweep map[string]map[int]*tamix.Result, o Options, at func(int, *tamix.Result) Point) []Series {
+	var out []Series
+	for _, proto := range DepthProtocols() {
+		byDepth, ok := sweep[proto]
+		if !ok {
+			continue
+		}
+		s := Series{Label: proto}
+		for _, depth := range o.Depths {
+			if r, ok := byDepth[depth]; ok {
+				s.Points = append(s.Points, at(depth, r))
+			}
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
+// typePoint is one transaction type's share of r.
+func typePoint(depth int, r *tamix.Result, typ tamix.TxType) Point {
+	st := r.PerType[typ]
+	return Point{Depth: depth, Throughput: r.TypeThroughput(typ), Committed: st.Committed, Aborted: st.Aborted}
+}
+
+// cluster2Books is how many books TAdelBook deletes per protocol in Figure 11.
+const cluster2Books = 3
 
 // Figure11Row is one bar of Figure 11.
 type Figure11Row struct {
 	Protocol string
 	// AvgTimeMs is the mean TAdelBook execution time in milliseconds.
 	AvgTimeMs float64
-	// LockRequests is the total locking work behind the time.
+	// LockRequests is the locking work behind one TAdelBook execution.
 	LockRequests uint64
 }
 
-// Figure11 reproduces Figure 11: single-user TAdelBook execution time under
-// all 11 protocols (CLUSTER2).
-func Figure11(o Options, runs int) ([]Figure11Row, error) {
+// Figure11 reproduces Figure 11 (CLUSTER2): the execution time of TAdelBook
+// in single-user mode at isolation level repeatable (Section 5.3), under
+// every protocol. The pure *-2PL protocols pay for the subtree search that
+// IDX-locks every element owning an ID attribute; the intention-lock
+// protocols do not.
+func Figure11(o Options) ([]Figure11Row, error) {
 	o = o.fill()
-	if runs <= 0 {
-		runs = 3
-	}
-	protos := []string{
-		"Node2PL", "NO2PL", "OO2PL",
-		"IRX", "IRIX", "URIX", "Node2PLa",
-		"taDOM2", "taDOM2+", "taDOM3", "taDOM3+",
-		"snapshot",
-	}
 	var rows []Figure11Row
-	for _, proto := range protos {
-		r, err := tamix.RunCluster2(proto, o.DocScale, runs)
+	for _, p := range protocol.All() {
+		row, err := cluster2(p.Name(), o.DocScale)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, Figure11Row{
-			Protocol:     proto,
-			AvgTimeMs:    float64(r.AvgTime.Microseconds()) / 1000,
-			LockRequests: r.LockRequests,
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// cluster2 runs TAdelBook cluster2Books times under one protocol at lock
+// depth 4 (fewer when the document has fewer topics), run i in topic i with
+// seed i, so every protocol deletes the same subtrees. Only the transactions
+// are timed.
+func cluster2(proto string, docScale float64) (Figure11Row, error) {
+	doc, cat, err := tamix.GenerateBib(pagestore.NewMemBackend(), tamix.Scaled(docScale))
+	if err != nil {
+		return Figure11Row{}, err
+	}
+	depth := 4
+	eng, err := core.Wrap(doc, nil, core.Config{Protocol: proto, LockDepth: &depth})
+	if err != nil {
+		return Figure11Row{}, err
+	}
+	defer eng.Close()
+	mgr := eng.Manager()
+	runs := min(cluster2Books, len(cat.TopicIDs))
+	var total time.Duration
+	for i := 0; i < runs; i++ {
+		topic := &tamix.Catalog{TopicIDs: []string{cat.TopicIDs[i]}, BookIDs: cat.BookIDs}
+		t0 := time.Now()
+		if err := tamix.Serial(mgr, topic, map[tamix.TxType]int{tamix.TAdelBook: 1}, tx.LevelRepeatable, int64(i), 1); err != nil {
+			return Figure11Row{}, err
+		}
+		total += time.Since(t0)
+	}
+	return Figure11Row{
+		Protocol:     proto,
+		AvgTimeMs:    float64((total / time.Duration(runs)).Microseconds()) / 1000,
+		LockRequests: perRun(mgr.LockManager().Stats().Requests, runs),
+	}, nil
 }
 
 // --- rendering ---------------------------------------------------------------

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/metrics"
+	"repro/internal/protocol"
 	"repro/internal/tamix"
 )
 
@@ -15,12 +18,12 @@ func quick() Options {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	tp, dl, err := Figure7(quick())
+	tp, err := Figure7(quick())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tp) != 4 || len(dl) != 4 {
-		t.Fatalf("series = %d/%d, want 4 isolation levels", len(tp), len(dl))
+	if len(tp) != 4 {
+		t.Fatalf("series = %d, want 4 isolation levels", len(tp))
 	}
 	labels := map[string]bool{}
 	for _, s := range tp {
@@ -68,8 +71,8 @@ func TestSweepAndFigures9And10(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp, dl := Figure9(sweep, o)
-	if len(tp) != 2 || len(dl) != 2 {
+	tp := Figure9(sweep, o)
+	if len(tp) != 2 {
 		t.Fatalf("figure 9 series = %d", len(tp))
 	}
 	panels := Figure10(sweep, o)
@@ -83,7 +86,7 @@ func TestSweepAndFigures9And10(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	RenderSeries(&buf, "Figure 9", "throughput", tp)
-	RenderSeries(&buf, "Figure 9", "deadlocks", dl)
+	RenderSeries(&buf, "Figure 9", "deadlocks", tp)
 	out := buf.String()
 	if !strings.Contains(out, "URIX") || !strings.Contains(out, "taDOM3+") {
 		t.Errorf("render output incomplete:\n%s", out)
@@ -99,12 +102,17 @@ func TestSweepAndFigures9And10(t *testing.T) {
 }
 
 func TestFigure11AllProtocols(t *testing.T) {
-	rows, err := Figure11(Options{DocScale: 0.01, TimeScale: 1}, 1)
+	rows, err := Figure11(Options{DocScale: 0.01, TimeScale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 12 {
 		t.Fatalf("rows = %d, want 12 (11 paper contestants + snapshot)", len(rows))
+	}
+	for i, p := range protocol.All() {
+		if rows[i].Protocol != p.Name() {
+			t.Errorf("row %d is %s, want %s (the registry's order)", i, rows[i].Protocol, p.Name())
+		}
 	}
 	byProto := map[string]Figure11Row{}
 	for _, r := range rows {
@@ -123,10 +131,30 @@ func TestFigure11AllProtocols(t *testing.T) {
 			}
 		}
 	}
+	// Node2PL pays for the IDX subtree scan the intention-lock protocols
+	// skip: at least 4x taDOM3+'s lock requests.
+	if n2pl, tadom := byProto["Node2PL"].LockRequests, byProto["taDOM3+"].LockRequests; n2pl < 4*tadom {
+		t.Errorf("Node2PL requests %d not >= 4x taDOM3+ requests %d", n2pl, tadom)
+	}
 	var buf bytes.Buffer
 	RenderFigure11(&buf, rows)
 	if !strings.Contains(buf.String(), "taDOM3+") {
 		t.Error("render missing protocol")
+	}
+}
+
+// TestDeadlocksPerRun: a point of merged runs counts deadlocks per run, as
+// EXPERIMENTS.md reports them, not their sum.
+func TestDeadlocksPerRun(t *testing.T) {
+	run := func(deadlocks uint64) *tamix.Result {
+		reg := metrics.NewRegistry()
+		reg.Counter("lock.deadlocks").Add(deadlocks)
+		return &tamix.Result{Elapsed: time.Second, Metrics: reg.Snapshot()}
+	}
+	agg := run(10)
+	agg.Merge(run(30))
+	if p := point(3, agg, 2); p.Deadlocks != 20 {
+		t.Errorf("deadlocks = %d over 2 runs of 10 and 30, want 20 per run", p.Deadlocks)
 	}
 }
 

@@ -164,13 +164,6 @@ func GenerateBib(backend pagestore.Backend, cfg BibConfig) (*storage.Document, *
 	return doc, cat, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 var firstNames = []string{
 	"Ada", "Edgar", "Grace", "Donald", "Barbara", "Jim", "Theo", "Michael",
 	"Konstantin", "Hedy", "Alan", "Leslie", "Margaret", "Tony", "Pat", "Niklaus",

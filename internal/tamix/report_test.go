@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/protocol"
 	"repro/internal/tx"
 )
 
@@ -42,6 +43,49 @@ func TestTypeStatsMinDurRegression(t *testing.T) {
 	}
 }
 
+// TestResultMerge: Merge adds two runs' totals and per-type statistics, the
+// merged totals equal the sum of the merged per-type statistics, an unset
+// MinDur never wins, and a zero-duration minimum survives.
+func TestResultMerge(t *testing.T) {
+	run := func(elapsed time.Duration, durs ...time.Duration) *Result {
+		res := newResult(Config{}, protocol.All()[0])
+		res.Elapsed = elapsed
+		for _, d := range durs {
+			res.PerType[TAqueryBook].record(d)
+		}
+		res.PerType[TAchapter].Aborted = 2
+		res.PerType[TAchapter].Restarts = 1
+		for _, typ := range TxTypes {
+			res.add(res.PerType[typ])
+		}
+		return res
+	}
+	agg := run(time.Second, 0, 5*time.Millisecond)
+	agg.Merge(run(2*time.Second, 3*time.Millisecond, 9*time.Millisecond))
+	agg.Merge(run(time.Second))
+
+	sum := *NewTypeStats()
+	for _, typ := range TxTypes {
+		sum.add(agg.PerType[typ])
+	}
+	if agg.TypeStats != sum {
+		t.Errorf("totals %+v, want the per-type sum %+v", agg.TypeStats, sum)
+	}
+	q := agg.PerType[TAqueryBook]
+	if q.Committed != 4 || q.TotalDur != 17*time.Millisecond || q.MinDur != 0 || q.MaxDur != 9*time.Millisecond {
+		t.Errorf("TAqueryBook merged to %+v, want 4 commits in 17ms, min 0, max 9ms", q)
+	}
+	if d := agg.PerType[TAdelBook].MinDur; d != -1 {
+		t.Errorf("TAdelBook never committed, MinDur = %v, want -1 (unset)", d)
+	}
+	if agg.Elapsed != 4*time.Second || agg.Aborted != 6 || agg.Restarts != 3 {
+		t.Errorf("merged elapsed %v, aborted %d, restarts %d; want 4s, 6, 3", agg.Elapsed, agg.Aborted, agg.Restarts)
+	}
+	if want := 4.0 * 300 / 4; agg.TypeThroughput(TAqueryBook) != want {
+		t.Errorf("TAqueryBook throughput %v, want %v", agg.TypeThroughput(TAqueryBook), want)
+	}
+}
+
 // goldenResult is a fully deterministic Result for the schema test.
 func goldenResult() *Result {
 	reg := metrics.NewRegistry()
@@ -59,17 +103,19 @@ func goldenResult() *Result {
 		reg.Histogram("tx.commit").Record(uint64(i) * 3000)
 	}
 	res := &Result{
-		Protocol:    "taDOM3+",
-		Isolation:   tx.LevelRepeatable,
-		Depth:       5,
-		Elapsed:     600 * time.Millisecond,
-		PerType:     map[TxType]*TypeStats{},
-		Committed:   150,
-		Aborted:     12,
-		Restarts:    10,
-		RestartWait: 40 * time.Millisecond,
-		Dropped:     2,
-		Metrics:     reg.Snapshot(),
+		Protocol:  "taDOM3+",
+		Isolation: tx.LevelRepeatable,
+		Depth:     5,
+		Elapsed:   600 * time.Millisecond,
+		TypeStats: TypeStats{
+			Committed:   150,
+			Aborted:     12,
+			Restarts:    10,
+			RestartWait: 40 * time.Millisecond,
+			Dropped:     2,
+		},
+		PerType: map[TxType]*TypeStats{},
+		Metrics: reg.Snapshot(),
 	}
 	for _, typ := range TxTypes {
 		st := NewTypeStats()

@@ -126,9 +126,7 @@ type TypeStats struct {
 }
 
 // NewTypeStats returns an empty TypeStats with MinDur at its -1 "unset"
-// sentinel. Aggregators that build TypeStats by hand must start from this
-// (or handle MinDur<0) or a zero-duration commit is lost to the old
-// 0-as-unset ambiguity.
+// sentinel, which record and add keep.
 func NewTypeStats() *TypeStats {
 	return &TypeStats{MinDur: -1}
 }
@@ -152,6 +150,21 @@ func (s *TypeStats) record(d time.Duration) {
 	}
 }
 
+// add folds o into s: counts and durations sum, the extremes keep the
+// shorter minimum and the longer maximum, and an unset MinDur never wins.
+func (s *TypeStats) add(o *TypeStats) {
+	s.Committed += o.Committed
+	s.Aborted += o.Aborted
+	s.Restarts += o.Restarts
+	s.RestartWait += o.RestartWait
+	s.Dropped += o.Dropped
+	s.TotalDur += o.TotalDur
+	if o.MinDur >= 0 && (s.MinDur < 0 || o.MinDur < s.MinDur) {
+		s.MinDur = o.MinDur
+	}
+	s.MaxDur = max(s.MaxDur, o.MaxDur)
+}
+
 // Result is the outcome of one TaMix run.
 type Result struct {
 	// Protocol, Isolation, and Depth echo the configuration.
@@ -160,16 +173,10 @@ type Result struct {
 	Depth     int
 	// Elapsed is the measured wall-clock interval.
 	Elapsed time.Duration
+	// TypeStats totals PerType across the transaction types.
+	TypeStats
 	// PerType holds the per-transaction-type statistics.
 	PerType map[TxType]*TypeStats
-	// Committed and Aborted are the totals across types.
-	Committed, Aborted int
-	// Restarts, RestartWait, and Dropped total the restart loop's work:
-	// retried aborts, backoff time slept, and logical transactions given up
-	// after the restart cap.
-	Restarts    int
-	RestartWait time.Duration
-	Dropped     int
 	// Metrics is the end-of-run snapshot of the run's registry, and the only
 	// place a statistic an engine layer counts is found: lock.deadlocks,
 	// lock.requests, buffer.retries, fault.injected, tx.committed, … by the
@@ -184,11 +191,27 @@ type Result struct {
 
 // Throughput returns committed transactions, normalized to the paper's
 // 5-minute interval so numbers are comparable across scaled-down runs.
-func (r *Result) Throughput() float64 {
+func (r *Result) Throughput() float64 { return r.per5Min(r.Committed) }
+
+// TypeThroughput is Throughput for the transactions of one type.
+func (r *Result) TypeThroughput(typ TxType) float64 { return r.per5Min(r.PerType[typ].Committed) }
+
+func (r *Result) per5Min(committed int) float64 {
 	if r.Elapsed <= 0 {
 		return 0
 	}
-	return float64(r.Committed) * (5 * time.Minute).Seconds() / r.Elapsed.Seconds()
+	return float64(committed) * (5 * time.Minute).Seconds() / r.Elapsed.Seconds()
+}
+
+// Merge folds o, another run of the same configuration, into r: elapsed
+// times and statistics add up, total and per type, and so do the metrics.
+func (r *Result) Merge(o *Result) {
+	r.Elapsed += o.Elapsed
+	r.add(&o.TypeStats)
+	for typ, st := range o.PerType {
+		r.PerType[typ].add(st)
+	}
+	r.Metrics.Merge(o.Metrics)
 }
 
 // sleepCtx sleeps d unless ctx is canceled first; it reports whether the
@@ -268,6 +291,7 @@ func newResult(cfg Config, p protocol.Protocol) *Result {
 		Protocol:  p.Name(),
 		Isolation: cfg.Isolation,
 		Depth:     cfg.Depth,
+		TypeStats: *NewTypeStats(),
 		PerType:   make(map[TxType]*TypeStats),
 	}
 	for _, t := range TxTypes {
@@ -382,12 +406,7 @@ func drive(cfg Config, p protocol.Protocol, res *Result, reg *metrics.Registry, 
 		return nil, fmt.Errorf("tamix: audit after run under %s: %w", p.Name(), err)
 	}
 	for _, t := range TxTypes {
-		st := res.PerType[t]
-		res.Committed += st.Committed
-		res.Aborted += st.Aborted
-		res.Restarts += st.Restarts
-		res.RestartWait += st.RestartWait
-		res.Dropped += st.Dropped
+		res.add(res.PerType[t])
 	}
 	return res, nil
 }

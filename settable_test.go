@@ -17,7 +17,7 @@ import (
 // internal/ plus the flags the commands under cmd/ define. A change that
 // adds one removes another or raises this number, in the open, as
 // LOC_BUDGET does for lines.
-const settableBudget = 110
+const settableBudget = 108
 
 // TestSettableValues counts the settable values and fails above
 // settableBudget, printing the count per struct and per command. An embedded
