@@ -43,8 +43,7 @@ func main() {
 		maxSessions  = flag.Int("max-sessions", 256, "admission cap on concurrently open sessions")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain budget before in-flight sessions are cut")
 		writeTimeout = flag.Duration("write-timeout", 10*time.Second, "per-frame write deadline; a peer that stops reading is cut (negative disables)")
-		keepAlive    = flag.Duration("keepalive", 30*time.Second, "expected client heartbeat interval (negative disables keep-alive enforcement)")
-		kaMisses     = flag.Int("keepalive-misses", 3, "missed keep-alive intervals before a silent connection is closed")
+		keepAlive    = flag.Duration("keepalive-timeout", 90*time.Second, "close a connection silent this long: no heartbeat, no request (negative disables)")
 		idleSession  = flag.Duration("idle-session", 5*time.Minute, "reap sessions idle this long: abort their transaction, release locks, free the slot (negative disables)")
 		debugAddr    = flag.String("debug-addr", "", "serve /metrics (server.* plus every built engine's instruments as engine.<protocol>.*) and /debug/pprof on this address")
 		quiet        = flag.Bool("quiet", false, "suppress connection-level diagnostics")
@@ -65,8 +64,7 @@ func main() {
 		DrainTimeout: *drainTimeout,
 
 		WriteTimeout:       *writeTimeout,
-		KeepAliveInterval:  *keepAlive,
-		KeepAliveMisses:    *kaMisses,
+		KeepAliveTimeout:   *keepAlive,
 		SessionIdleTimeout: *idleSession,
 	}
 	if !*quiet {

@@ -74,9 +74,9 @@ func counterAtLeast(t *testing.T, srv *server.Server, name string, want uint64) 
 
 // TestNetChaosKeepAliveClosesSilentConn: a connection that goes silent
 // mid-transaction (no heartbeats, no requests) while holding an X lock must
-// be closed after KeepAliveInterval×KeepAliveMisses, counted in
-// server.heartbeat_misses, and its locks released so a healthy client
-// acquires them well inside the engine lock timeout.
+// be closed after KeepAliveTimeout, counted in server.heartbeat_misses, and
+// its locks released so a healthy client acquires them well inside the
+// engine lock timeout.
 func TestNetChaosKeepAliveClosesSilentConn(t *testing.T) {
 	const proto = "taDOM2"
 	// The window is the test's clock in both directions: the silent victim
@@ -85,8 +85,7 @@ func TestNetChaosKeepAliveClosesSilentConn(t *testing.T) {
 	// -race copies on two CPUs) stalled the heartbeating clients long enough
 	// to get them closed about once in 70 runs; 400ms leaves room.
 	srv := startServer(t, server.Config{
-		KeepAliveInterval: 200 * time.Millisecond,
-		KeepAliveMisses:   2,
+		KeepAliveTimeout: 400 * time.Millisecond,
 	})
 
 	// Warm the engine through a heartbeating client first: building the
@@ -529,8 +528,7 @@ func TestNetChaosFaultyNetworkTaMix(t *testing.T) {
 	// the default 90s window one poisoned connection stalls a session for
 	// the whole test; at 1.5s the fleet shrugs it off.
 	srv := startServer(t, server.Config{
-		KeepAliveInterval: 500 * time.Millisecond,
-		KeepAliveMisses:   3,
+		KeepAliveTimeout: 1500 * time.Millisecond,
 	})
 
 	// Warm the engine through a heartbeating client: the document build is

@@ -100,6 +100,11 @@ const (
 
 	// maxPrefixLen caps the page prefix; keys are at most MaxKeyLen anyway.
 	maxPrefixLen = MaxKeyLen
+
+	// maxHeight bounds a descent: a level comes only from a root split,
+	// which at least doubles the pages below the root, so a tree within
+	// 2^32 page IDs has fewer than 34; a longer path is a pointer cycle.
+	maxHeight = 64
 )
 
 // ErrKeyTooLong is returned for keys above MaxKeyLen; the document layer
@@ -111,6 +116,28 @@ var ErrValueTooLong = errors.New("btree: value exceeds MaxValueLen")
 
 // ErrNotFound is returned by Get and Delete for absent keys.
 var ErrNotFound = errors.New("btree: key not found")
+
+// CorruptPageError reports a tree page whose bytes contradict the page
+// layout, which its checksum cannot catch when the damage was stamped with
+// it: a kind, prefix, slot count or cell that does not fit the page, or a
+// descent or leaf chain that does not end. Like pagestore.ChecksumError it
+// is permanent.
+type CorruptPageError struct {
+	Page   pagestore.PageID
+	Reason string
+}
+
+// Error implements error.
+func (e *CorruptPageError) Error() string {
+	return fmt.Sprintf("btree: page %d is corrupt: %s", e.Page, e.Reason)
+}
+
+// Transient implements the fault-classification probe: never retryable.
+func (e *CorruptPageError) Transient() bool { return false }
+
+func corrupt(id pagestore.PageID, reason string) error {
+	return &CorruptPageError{Page: id, Reason: reason}
+}
 
 // Tree is a B+tree over a page store. Create with Create or attach to an
 // existing root with Open. Its read methods are those of the embedded live
@@ -206,15 +233,62 @@ func setSlotOff(p []byte, i, off int) {
 	binary.BigEndian.PutUint16(p[slotBase(p)+2*i:], uint16(off))
 }
 
+// checkHeader checks what every access to page p relies on: its kind, and a
+// prefix, slot array and cell start inside the page. Every fix runs it; a
+// cell is checked where it is first reached (cellOK), never by a walk over
+// the page on the descent.
+func checkHeader(id pagestore.PageID, p []byte) error {
+	if k, cs := pageKind(p), cellStart(p); (k == kindLeaf || k == kindInternal) &&
+		prefixLen(p) <= maxPrefixLen && slotBase(p)+2*nCells(p) <= cs && cs <= len(p) {
+		return nil
+	}
+	return badHeader(id, p)
+}
+
+func badHeader(id pagestore.PageID, p []byte) error {
+	return corrupt(id, fmt.Sprintf("header of kind %d, prefix %d, %d slots, cell start %d",
+		pageKind(p), prefixLen(p), nCells(p), cellStart(p)))
+}
+
+// cellOK reports whether slot i's cell lies between the cell start and the
+// page end, with a key of at most MaxKeyLen and, on an internal page, a
+// 4-byte child pointer. p must have passed checkHeader.
+func cellOK(p []byte, i int) bool {
+	off, k, v, ok := cellSpan(p, i)
+	return ok && off-cellHeaderLen >= cellStart(p) && prefixLen(p)+k-off <= MaxKeyLen &&
+		(pageKind(p) == kindLeaf || v-k == 4)
+}
+
+// cellsOK checks every cell of p, as a write does before a step that reads
+// them all (a prefix rewrite, a compaction, a split).
+func cellsOK(p []byte) bool {
+	for i := 0; i < nCells(p); i++ {
+		if !cellOK(p, i) {
+			return false
+		}
+	}
+	return true
+}
+
+// cellSpan returns where slot i's cell keeps its key suffix, p[off:k], and
+// its value, p[k:v]; ok is false when the cell does not end inside the page.
+// p must have passed checkHeader.
+func cellSpan(p []byte, i int) (off, k, v int, ok bool) {
+	off = slotOff(p, i) + cellHeaderLen
+	if off > len(p) {
+		return 0, 0, 0, false
+	}
+	k = off + int(binary.BigEndian.Uint16(p[off-cellHeaderLen:]))
+	v = k + int(binary.BigEndian.Uint16(p[off-2:]))
+	return off, k, v, v <= len(p)
+}
+
 // cellAt returns the key *suffix* and value of slot i without copying; the
-// full key is pagePrefix(p) + suffix.
+// full key is pagePrefix(p) + suffix. On a page from the store the cell must
+// have been checked (cellSpan, cellOK).
 func cellAt(p []byte, i int) (suffix, val []byte) {
-	off := slotOff(p, i)
-	klen := int(binary.BigEndian.Uint16(p[off:]))
-	vlen := int(binary.BigEndian.Uint16(p[off+2:]))
-	suffix = p[off+cellHeaderLen : off+cellHeaderLen+klen]
-	val = p[off+cellHeaderLen+klen : off+cellHeaderLen+klen+vlen]
-	return suffix, val
+	off, k, v, _ := cellSpan(p, i)
+	return p[off:k], p[k:v]
 }
 
 // fullKey appends the full key of slot i (prefix + suffix) to buf.
@@ -232,7 +306,9 @@ func childAt(p []byte, i int) pagestore.PageID {
 // search finds the first slot whose full key is >= key; found reports an
 // exact match at that slot. The page prefix is compared once, then the
 // binary search runs on suffixes only: it reads the slot array's base once,
-// slices no value, and settles most probes on their first byte.
+// slices no value, and settles most probes on their first byte. A probe
+// clamps a key that runs past the page, so a corrupt page yields some slot,
+// which cellOK then refuses.
 func search(p []byte, key []byte) (slot int, found bool) {
 	pl := prefixLen(p)
 	if pl > 0 {
@@ -257,8 +333,8 @@ func search(p []byte, key []byte) (slot int, found bool) {
 	lo, hi := 0, nCells(p)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		off := int(binary.BigEndian.Uint16(p[base+2*mid:])) + cellHeaderLen
-		k := p[off : off+int(binary.BigEndian.Uint16(p[off-cellHeaderLen:]))]
+		off := min(int(binary.BigEndian.Uint16(p[base+2*mid:]))+cellHeaderLen, len(p))
+		k := p[off:min(off+int(binary.BigEndian.Uint16(p[off-cellHeaderLen:])), len(p))]
 		var c int
 		if len(k) > 0 && len(key) > 0 && k[0] != key[0] {
 			c = int(k[0]) - int(key[0])
@@ -287,11 +363,17 @@ func childIndexFor(p []byte, key []byte) int {
 	return slot - 1
 }
 
-func childPage(p []byte, idx int) pagestore.PageID {
+// childPage returns the child pointer idx of an internal page (-1: child0);
+// ok is false when its cell does not end inside the page with a 4-byte
+// value.
+func childPage(p []byte, idx int) (id pagestore.PageID, ok bool) {
 	if idx < 0 {
-		return child0(p)
+		return child0(p), true
 	}
-	return childAt(p, idx)
+	if _, k, v, ok := cellSpan(p, idx); ok && v-k == 4 {
+		return pagestore.PageID(binary.BigEndian.Uint32(p[k:])), true
+	}
+	return pagestore.InvalidPage, false
 }
 
 // freeSpace returns the bytes available for one more cell (body + slot).
@@ -322,6 +404,19 @@ func initPage(p []byte, kind byte) {
 	if kind == kindLeaf {
 		setLeafNext(p, pagestore.InvalidPage)
 	}
+}
+
+// fix pins page id, depth levels below the root, and checks its header.
+func (t *Tree) fix(id pagestore.PageID, depth int) (f *pagestore.Frame, err error) {
+	if depth >= maxHeight {
+		return nil, corrupt(id, "deeper than any tree grows")
+	}
+	if f, err = t.store.Fix(id); err == nil {
+		if err = checkHeader(id, f.Data()); err != nil {
+			t.store.Unfix(f)
+		}
+	}
+	return f, err
 }
 
 // newPage returns a pinned, initialized page of the given kind, already
@@ -536,12 +631,15 @@ func (t *Tree) Stats() (TreeStats, error) {
 }
 
 func (t *Tree) statsRec(id pagestore.PageID, depth int, st *TreeStats) error {
-	f, err := t.store.Fix(id)
+	f, err := t.fix(id, depth)
 	if err != nil {
 		return err
 	}
 	defer t.store.Unfix(f)
 	p := f.Data()
+	if !cellsOK(p) {
+		return corrupt(id, "a cell runs past the page")
+	}
 	if depth > st.Depth {
 		st.Depth = depth
 	}

@@ -39,11 +39,16 @@ type Cursor struct {
 	latch int
 	p     []byte           // the pinned leaf; nil before the first seek and after an error
 	f     *pagestore.Frame // its pin; nil when p is a version-chain image
-	slot  int              // position in p: -1 … nCells(p)
-	end   int              // slots of p below the limit; Seek and Next stop there
-	exact bool             // the last Seek landed on its target
-	err   error
-	kbuf  [MaxKeyLen]byte
+	id    pagestore.PageID // its page
+	// The cell under the cursor, key suffix p[koff:kend] and value
+	// p[kend:vend], checked by the move that landed on it (cellSpan).
+	koff, kend, vend int
+	slot             int  // position in p: -1 … nCells(p)
+	end              int  // slots of p below the limit; Seek and Next stop there
+	exact            bool // the last Seek landed on its target
+	hops             int  // leaf-chain hops so far: more than the store has pages is a cycle
+	err              error
+	kbuf             [MaxKeyLen]byte
 	// limit[:nlimit] bounds forward movement when bounded. It is a copy, so a
 	// caller may build the bound in a stack buffer; keys are at most MaxKeyLen
 	// bytes, and a bound's first MaxKeyLen+1 bytes order every key as the
@@ -99,7 +104,7 @@ func (c *Cursor) Err() error { return c.err }
 func (c *Cursor) Limit(limit []byte) {
 	c.nlimit, c.bounded = copy(c.limit[:], limit), limit != nil
 	if c.p != nil {
-		c.enter(c.p, c.f)
+		c.enter(c.id, c.p, c.f)
 	}
 }
 
@@ -117,26 +122,49 @@ func (c *Cursor) Remaining() int {
 
 // Key returns the key under the cursor, assembled in the cursor's own buffer:
 // valid until the next move.
-func (c *Cursor) Key() []byte { return fullKey(c.p, c.slot, c.kbuf[:0]) }
+func (c *Cursor) Key() []byte {
+	return append(append(c.kbuf[:0], pagePrefix(c.p)...), c.p[c.koff:c.kend]...)
+}
 
 // Value returns the value under the cursor. It aliases page memory: valid
 // until the next move or Close.
-func (c *Cursor) Value() []byte {
-	_, v := cellAt(c.p, c.slot)
-	return v
+func (c *Cursor) Value() []byte { return c.p[c.kend:c.vend] }
+
+// fix resolves one page for the view, its header checked: the live frame,
+// or the page as of the snapshot (whose image may come from the version
+// chain, without a pin).
+func (c *Cursor) fix(id pagestore.PageID) (p []byte, f *pagestore.Frame, err error) {
+	if c.v.atSnap {
+		p, f, err = c.v.t.store.FixAt(id, c.v.snap)
+	} else if f, err = c.v.t.store.Fix(id); err == nil {
+		p = f.Data()
+	}
+	if err == nil {
+		if err = checkHeader(id, p); err != nil && f != nil {
+			c.v.t.store.Unfix(f)
+		}
+	}
+	return p, f, err
 }
 
-// fix resolves one page for the view: the live frame, or the page as of the
-// snapshot (whose image may come from the version chain, without a pin).
-func (c *Cursor) fix(id pagestore.PageID) ([]byte, *pagestore.Frame, error) {
-	if c.v.atSnap {
-		return c.v.t.store.FixAt(id, c.v.snap)
+// fail ends the cursor's moves with err and drops its pin; it reports false.
+func (c *Cursor) fail(err error) bool {
+	c.err = err
+	c.unpin()
+	return false
+}
+
+// at reports ok after reading the cell under the cursor for Key and Value:
+// a move is where a cell is reached, so it is checked here. ok implies a
+// pinned leaf and no error.
+func (c *Cursor) at(ok bool) bool {
+	if ok {
+		c.koff, c.kend, c.vend, ok = cellSpan(c.p, c.slot)
+		if !ok || c.koff-cellHeaderLen < cellStart(c.p) {
+			return c.fail(corrupt(c.id, fmt.Sprintf("cell %d lies outside the page's cells", c.slot)))
+		}
 	}
-	f, err := c.v.t.store.Fix(id)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f.Data(), f, nil
+	return ok
 }
 
 func (c *Cursor) unpin() {
@@ -146,9 +174,9 @@ func (c *Cursor) unpin() {
 	c.p, c.f = nil, nil
 }
 
-// enter makes p the pinned leaf and places the limit in it.
-func (c *Cursor) enter(p []byte, f *pagestore.Frame) {
-	c.p, c.f = p, f
+// enter makes p, page id, the pinned leaf and places the limit in it.
+func (c *Cursor) enter(id pagestore.PageID, p []byte, f *pagestore.Frame) {
+	c.id, c.p, c.f = id, p, f
 	c.end = nCells(p)
 	if c.bounded {
 		c.end, _ = search(p, c.limit[:c.nlimit])
@@ -163,27 +191,33 @@ func (c *Cursor) descend(key []byte, edge int) bool {
 	if !c.v.atSnap {
 		id = c.v.t.root // stable under the latch
 	}
-	for {
+	for depth := 0; ; depth++ {
+		if depth == maxHeight {
+			return c.fail(corrupt(id, "deeper than any tree grows"))
+		}
 		p, f, err := c.fix(id)
 		if err != nil {
-			c.err = fmt.Errorf("btree: descend to page %d: %w", id, err)
-			return false
+			return c.fail(fmt.Errorf("btree: descend to page %d: %w", id, err))
 		}
 		if pageKind(p) == kindLeaf {
-			c.enter(p, f)
+			c.enter(id, p, f)
 			return true
 		}
+		idx := -1 // child0; also the last child of a page with no cells
 		switch {
 		case edge == 0:
-			id = childPage(p, childIndexFor(p, key))
-		case edge < 0 || nCells(p) == 0:
-			id = child0(p)
-		default:
-			id = childAt(p, nCells(p)-1)
+			idx = childIndexFor(p, key)
+		case edge > 0:
+			idx = nCells(p) - 1
 		}
+		next, ok := childPage(p, idx)
 		if f != nil {
 			c.v.t.store.Unfix(f)
 		}
+		if !ok {
+			return c.fail(corrupt(id, fmt.Sprintf("cell %d runs past the page", idx)))
+		}
+		id = next
 	}
 }
 
@@ -198,8 +232,8 @@ func (c *Cursor) probe() bool {
 	if f == nil {
 		return false
 	}
-	if p := f.Data(); pageKind(p) == kindLeaf {
-		c.enter(p, f)
+	if p := f.Data(); pageKind(p) == kindLeaf && checkHeader(c.hint.id, p) == nil {
+		c.enter(c.hint.id, p, f)
 		return true
 	}
 	c.v.t.store.Unfix(f)
@@ -212,13 +246,15 @@ func (c *Cursor) hop(id pagestore.PageID) bool {
 	if id == pagestore.InvalidPage {
 		return false
 	}
+	if c.hops++; c.hops > int(c.v.t.store.Backend().NumPages()) {
+		return c.fail(corrupt(id, "the leaf chain has a cycle"))
+	}
 	c.unpin()
 	p, f, err := c.fix(id)
 	if err != nil {
-		c.err = fmt.Errorf("btree: leaf chain to page %d: %w", id, err)
-		return false
+		return c.fail(fmt.Errorf("btree: leaf chain to page %d: %w", id, err))
 	}
-	c.enter(p, f)
+	c.enter(id, p, f)
 	return true
 }
 
@@ -242,7 +278,7 @@ func (c *Cursor) Seek(target []byte) bool {
 		// The remembered leaf answers only when its own keys bracket the
 		// target; a miss there is no reason to try its neighbours.
 		if _, settled := c.seekHere(target); settled {
-			return c.slot < c.end
+			return c.at(c.slot < c.end)
 		}
 	} else if c.p != nil && target != nil && nCells(c.p) > 0 {
 		past, settled := c.seekHere(target)
@@ -260,7 +296,7 @@ func (c *Cursor) Seek(target []byte) bool {
 			_, settled = c.seekHere(target) // just before it: likewise
 		}
 		if settled || c.err != nil {
-			return c.err == nil && c.slot < c.end
+			return c.at(c.err == nil && c.slot < c.end)
 		}
 	}
 	edge := 0
@@ -275,9 +311,11 @@ func (c *Cursor) Seek(target []byte) bool {
 		c.seekHere(target)
 	}
 	if c.slot == nCells(c.p) && c.hop(leafNext(c.p)) {
-		c.slot = 0 // routed past the leaf's last key: the answer opens the next leaf
+		// Routed past the leaf's last key: the answer opens the next leaf,
+		// at slot 0 unless a corrupt chain led elsewhere, as the search shows.
+		c.slot, c.exact = search(c.p, target)
 	}
-	return c.p != nil && c.slot < c.end
+	return c.at(c.p != nil && c.slot < c.end)
 }
 
 // SeekLT moves to the last key < target (nil: the last key) and reports
@@ -291,7 +329,7 @@ func (c *Cursor) SeekLT(target []byte) bool {
 	if target != nil && (c.p != nil || c.probe()) {
 		if s, _ := search(c.p, target); s > 0 && s < nCells(c.p) {
 			c.slot = s - 1
-			return true
+			return c.at(true)
 		}
 	}
 	edge := 0
@@ -301,15 +339,21 @@ func (c *Cursor) SeekLT(target []byte) bool {
 	if !c.descend(target, edge) {
 		return false
 	}
-	c.slot = nCells(c.p) - 1
-	if target != nil {
-		s, _ := search(c.p, target)
-		c.slot = s - 1
-	}
+	c.slot = c.lastBelow(target)
 	if c.slot < 0 && c.hop(leafPrev(c.p)) {
-		c.slot = nCells(c.p) - 1
+		c.slot = c.lastBelow(target) // -1 only when a corrupt chain led here
 	}
-	return c.p != nil && c.slot >= 0
+	return c.at(c.p != nil && c.slot >= 0)
+}
+
+// lastBelow is the slot of the pinned leaf's last key below target (nil: its
+// last key), -1 when there is none.
+func (c *Cursor) lastBelow(target []byte) int {
+	if target == nil {
+		return nCells(c.p) - 1
+	}
+	s, _ := search(c.p, target)
+	return s - 1
 }
 
 // Next moves one key forward and reports whether it is below the limit.
@@ -326,7 +370,7 @@ func (c *Cursor) Next() bool {
 		}
 		c.slot = 0
 	}
-	return true
+	return c.at(true)
 }
 
 // Prev moves one key back and reports whether there is one.
@@ -343,7 +387,7 @@ func (c *Cursor) Prev() bool {
 		}
 		c.slot = nCells(c.p) - 1
 	}
-	return true
+	return c.at(true)
 }
 
 // Find moves to key and reports whether it is stored.

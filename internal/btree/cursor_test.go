@@ -53,7 +53,7 @@ func (o oracle) findLeaf(key []byte) ([]byte, func(), error) {
 		if pageKind(p) == kindLeaf {
 			return p, rel, nil
 		}
-		id = childPage(p, childIndexFor(p, key))
+		id, _ = childPage(p, childIndexFor(p, key))
 		rel()
 	}
 }

@@ -20,7 +20,7 @@ func (t *Tree) Insert(key, val []byte) error {
 	}
 	t.mu.lock()
 	defer t.mu.unlock()
-	sep, newID, added, err := t.insertRec(t.root, key, val)
+	sep, newID, added, err := t.insertRec(t.root, key, val, 0)
 	if err != nil {
 		return err
 	}
@@ -47,10 +47,18 @@ func encodeChild(id pagestore.PageID) []byte {
 	return []byte{byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id)}
 }
 
-// insertRec inserts into the subtree at id. When the page splits, it returns
-// the separator key and the new right sibling's page ID.
-func (t *Tree) insertRec(id pagestore.PageID, key, val []byte) (sep []byte, newID pagestore.PageID, added bool, err error) {
-	f, err := t.store.Fix(id)
+// fitsAsIs reports whether insertCell places key and val on p without
+// reading another cell: the key keeps the page prefix and the gap holds it.
+// Otherwise a write checks every cell first (cellsOK).
+func fitsAsIs(p []byte, key, val []byte) bool {
+	return bytes.HasPrefix(key, pagePrefix(p)) && freeSpace(p) >= cellHeaderLen+len(key)-prefixLen(p)+len(val)
+}
+
+// insertRec inserts into the subtree at id, depth levels below the root.
+// When the page splits, it returns the separator key and the new right
+// sibling's page ID.
+func (t *Tree) insertRec(id pagestore.PageID, key, val []byte, depth int) (sep []byte, newID pagestore.PageID, added bool, err error) {
+	f, err := t.fix(id, depth)
 	if err != nil {
 		return nil, pagestore.InvalidPage, false, fmt.Errorf("btree: insert: fix page %d: %w", id, err)
 	}
@@ -58,10 +66,13 @@ func (t *Tree) insertRec(id pagestore.PageID, key, val []byte) (sep []byte, newI
 	p := f.Data()
 
 	if pageKind(p) == kindLeaf {
+		slot, found := search(p, key)
+		if found && !cellOK(p, slot) || !fitsAsIs(p, key, val) && !cellsOK(p) {
+			return nil, pagestore.InvalidPage, false, corrupt(id, "a cell runs past the page")
+		}
 		// Every path below writes the leaf (a cell that does not fit may
 		// still have compacted the page), so declare it before the first.
 		f.MarkDirty()
-		slot, found := search(p, key)
 		if found {
 			if replaceCellValue(p, slot, key, val) {
 				return nil, pagestore.InvalidPage, false, nil
@@ -90,10 +101,16 @@ func (t *Tree) insertRec(id pagestore.PageID, key, val []byte) (sep []byte, newI
 		return sep, newID, true, err
 	}
 
-	idx := childIndexFor(p, key)
-	childSep, childNew, added, err := t.insertRec(childPage(p, idx), key, val)
+	child, ok := childPage(p, childIndexFor(p, key))
+	if !ok {
+		return nil, pagestore.InvalidPage, false, corrupt(id, "a cell runs past the page")
+	}
+	childSep, childNew, added, err := t.insertRec(child, key, val, depth+1)
 	if err != nil || childNew == pagestore.InvalidPage {
 		return nil, pagestore.InvalidPage, added, err
+	}
+	if !fitsAsIs(p, childSep, encodeChild(childNew)) && !cellsOK(p) {
+		return nil, pagestore.InvalidPage, added, corrupt(id, "a cell runs past the page")
 	}
 	f.MarkDirty()
 	slot, _ := search(p, childSep)
@@ -141,7 +158,7 @@ func (t *Tree) splitLeafAndInsert(f *pagestore.Frame, key, val []byte) ([]byte, 
 	setLeafPrev(rp, f.ID())
 	setLeafNext(rp, oldNext)
 	if oldNext != pagestore.InvalidPage {
-		nf, err := t.store.Fix(oldNext)
+		nf, err := t.fix(oldNext, 0)
 		if err != nil {
 			return nil, pagestore.InvalidPage, err
 		}
@@ -275,7 +292,7 @@ func splitPoint(p []byte) int {
 func (t *Tree) Delete(key []byte) error {
 	t.mu.lock()
 	defer t.mu.unlock()
-	removed, _, err := t.deleteRec(t.root, key)
+	removed, _, err := t.deleteRec(t.root, key, 0)
 	if err != nil {
 		return err
 	}
@@ -289,8 +306,8 @@ func (t *Tree) Delete(key []byte) error {
 
 // collapseRoot replaces an internal root that has a single child.
 func (t *Tree) collapseRoot() {
-	for {
-		f, err := t.store.Fix(t.root)
+	for range maxHeight {
+		f, err := t.fix(t.root, 0)
 		if err != nil {
 			return
 		}
@@ -306,11 +323,12 @@ func (t *Tree) collapseRoot() {
 	}
 }
 
-// deleteRec removes key from the subtree at id. emptied reports that the
-// page at id holds no data anymore and was detached from leaf chains; the
-// caller must drop its pointer and reclaim the page.
-func (t *Tree) deleteRec(id pagestore.PageID, key []byte) (removed, emptied bool, err error) {
-	f, err := t.store.Fix(id)
+// deleteRec removes key from the subtree at id, depth levels below the
+// root. emptied reports that the page at id holds no data anymore and was
+// detached from leaf chains; the caller must drop its pointer and reclaim
+// the page.
+func (t *Tree) deleteRec(id pagestore.PageID, key []byte, depth int) (removed, emptied bool, err error) {
+	f, err := t.fix(id, depth)
 	if err != nil {
 		return false, false, fmt.Errorf("btree: delete: fix page %d: %w", id, err)
 	}
@@ -334,8 +352,11 @@ func (t *Tree) deleteRec(id pagestore.PageID, key []byte) (removed, emptied bool
 	}
 
 	idx := childIndexFor(p, key)
-	childID := childPage(p, idx)
-	removed, childEmptied, err := t.deleteRec(childID, key)
+	childID, ok := childPage(p, idx)
+	if !ok || idx < 0 && nCells(p) > 0 && !cellOK(p, 0) { // cell 0's child may replace child0
+		return false, false, corrupt(id, "a cell runs past the page")
+	}
+	removed, childEmptied, err := t.deleteRec(childID, key, depth+1)
 	if err != nil || !childEmptied {
 		return removed, false, err
 	}
@@ -359,7 +380,7 @@ func (t *Tree) deleteRec(id pagestore.PageID, key []byte) (removed, emptied bool
 func (t *Tree) unlinkLeaf(p []byte) error {
 	prev, next := leafPrev(p), leafNext(p)
 	if prev != pagestore.InvalidPage {
-		pf, err := t.store.Fix(prev)
+		pf, err := t.fix(prev, 0)
 		if err != nil {
 			return err
 		}
@@ -368,7 +389,7 @@ func (t *Tree) unlinkLeaf(p []byte) error {
 		t.store.Unfix(pf)
 	}
 	if next != pagestore.InvalidPage {
-		nf, err := t.store.Fix(next)
+		nf, err := t.fix(next, 0)
 		if err != nil {
 			return err
 		}

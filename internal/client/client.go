@@ -94,7 +94,7 @@ type Options struct {
 	Conns int
 	// HeartbeatInterval is the keep-alive cadence each connection ticks
 	// OpHeartbeat at (default 10s, negative disables). Keep it under the
-	// server's KeepAliveInterval so idle-but-healthy clients are not reaped.
+	// server's KeepAliveTimeout so idle-but-healthy clients are not reaped.
 	HeartbeatInterval time.Duration
 	// Dialer overrides the TCP dial (fault-injection harnesses wrap
 	// connections here); net.DialTimeout when nil.

@@ -11,18 +11,12 @@ import (
 	"testing"
 )
 
-// allocWalk issues one ancestor-path-plus-leaf batch, reusing the caller's
-// request buffer — the protocol layer's hot-path calling convention.
-func allocWalk(m *Manager, tx *Tx, reqs []Req, ancestors []Resource, leaf Resource) []Req {
-	reqs = reqs[:0]
-	for _, res := range ancestors {
-		reqs = append(reqs, Req{Res: res, Mode: tIS})
-	}
-	reqs = append(reqs, Req{Res: leaf, Mode: tS})
-	if err := m.LockBatch(tx, reqs); err != nil {
+// mustWalk locks one ancestor path root first and then a leaf, one Lock
+// call per request — the protocol layer's calling convention.
+func mustWalk(m *Manager, tx *Tx, ancestors []Resource, leaf Resource) {
+	if err := seqWalk(m.Lock, tx, ancestors, leaf); err != nil {
 		panic(err)
 	}
-	return reqs
 }
 
 func allocFixture() (ancestors []Resource, leaves []Resource) {
@@ -41,11 +35,10 @@ func TestAllocWarmPathZero(t *testing.T) {
 	ancestors, leaves := allocFixture()
 	tx := m.Begin()
 	defer m.ReleaseAll(tx)
-	reqs := make([]Req, 0, 8)
-	reqs = allocWalk(m, tx, reqs, ancestors, leaves[0])
+	mustWalk(m, tx, ancestors, leaves[0])
 
 	avg := testing.AllocsPerRun(100, func() {
-		reqs = allocWalk(m, tx, reqs, ancestors, leaves[0])
+		mustWalk(m, tx, ancestors, leaves[0])
 	})
 	if avg != 0 {
 		t.Fatalf("warm path walk allocated %.2f times, want 0", avg)
@@ -62,11 +55,10 @@ func TestAllocUncontendedTurnover(t *testing.T) {
 	m := NewManager(testTable(), Options{})
 	defer m.Close()
 	ancestors, leaves := allocFixture()
-	reqs := make([]Req, 0, 8)
 	cycle := func() {
 		tx := m.Begin()
 		for i := 0; i < 64; i++ {
-			reqs = allocWalk(m, tx, reqs, ancestors, leaves[i%len(leaves)])
+			mustWalk(m, tx, ancestors, leaves[i%len(leaves)])
 		}
 		m.ReleaseAll(tx)
 	}

@@ -103,14 +103,11 @@ func benchContention[T any](b *testing.B, goroutines int, sc benchScenario, sys 
 	wg.Wait()
 }
 
-// BenchmarkLockTableContention compares the locking hot path before and
-// after the refactor under increasing goroutine counts:
+// BenchmarkLockTableContention compares the locking hot path of the striped
+// table with the seed design under increasing goroutine counts:
 //
-//   - striped-batch: the new path — LockBatch over the ancestor path plus
-//     leaf, answered mostly by the per-transaction cache (this is what the
-//     protocol layer now issues via lockPathAndNode)
-//   - striped-lock: the new table through the old call pattern, one Lock
-//     per node
+//   - striped-lock: the lock table, one Lock per node — what the protocol
+//     layer issues, answered mostly by the per-transaction cache
 //   - singlemutex: the seed design, kept verbatim as the equivalence
 //     oracle — one global mutex, one Lock call per node
 //
@@ -118,29 +115,6 @@ func benchContention[T any](b *testing.B, goroutines int, sc benchScenario, sys 
 func BenchmarkLockTableContention(b *testing.B) {
 	for _, sc := range benchScenarios {
 		for _, g := range []int{1, 4, 16, 64} {
-			b.Run(fmt.Sprintf("%s/striped-batch/goroutines=%d", sc.name, g), func(b *testing.B) {
-				m := NewManager(testTable(), Options{})
-				defer m.Close()
-				// batchTx pairs the transaction with a request scratch
-				// buffer, as the protocol layer's Ctx does on the real hot
-				// path.
-				type batchTx struct {
-					tx   *Tx
-					reqs []Req
-				}
-				benchContention(b, g, sc.benchScenario, benchSystem[*batchTx]{
-					begin: func() *batchTx { return &batchTx{tx: m.Begin(), reqs: make([]Req, 0, 8)} },
-					walk: func(bt *batchTx, ancestors []Resource, leaf Resource) error {
-						reqs := bt.reqs[:0]
-						for _, res := range ancestors {
-							reqs = append(reqs, Req{Res: res, Mode: tIS})
-						}
-						reqs = append(reqs, Req{Res: leaf, Mode: tS})
-						return m.LockBatch(bt.tx, reqs)
-					},
-					release: func(bt *batchTx) { m.ReleaseAll(bt.tx) },
-				})
-			})
 			b.Run(fmt.Sprintf("%s/striped-lock/goroutines=%d", sc.name, g), func(b *testing.B) {
 				m := NewManager(testTable(), Options{})
 				defer m.Close()

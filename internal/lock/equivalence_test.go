@@ -15,15 +15,8 @@ import (
 // Operations are serialized — the driver issues the next one only after the
 // previous one has either completed in both systems or blocked in both — so
 // the interleaving is fully controlled and every grant, block, deadlock
-// victim, and statistics counter must come out identical.
-//
-// Serialized means no operation may have work left after the request it
-// blocks on: the striped ReleaseAll frees one resource at a time where the
-// oracle's is one critical section, so a waiter woken by the first release
-// runs beside the rest of it, and a batch that went on to request a resource
-// the releaser had not reached yet booked a wait where the oracle booked an
-// immediate grant (22 failures in 800 runs under load). Batches are therefore
-// cut after the first request the model says will block (blockingPrefix).
+// victim, and statistics counter must come out identical. Every operation
+// is one request, so none has work left after the request it blocks on.
 
 type eqOp struct {
 	err  error
@@ -239,53 +232,6 @@ func (h *eqHarness) issueLock(i int, res Resource, mode Mode, short bool) {
 		func() error { return h.om.Lock(otx, res, mode, short) })
 }
 
-// issueBatch drives LockBatch on the striped side against its specified
-// model — the same requests through sequential Lock calls, first error wins
-// — on the oracle side.
-func (h *eqHarness) issueBatch(i int, reqs []Req) {
-	tx, otx := h.txs[i], h.otxs[i]
-	h.issue(i,
-		func() error { return h.m.LockBatch(tx, reqs) },
-		func() error {
-			for _, r := range reqs {
-				if err := h.om.Lock(otx, r.Res, r.Mode, r.Short); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-}
-
-// blockingPrefix returns how many leading requests of a batch transaction i
-// can issue before one blocks, that one included — asked of the oracle, whose
-// state is stable between steps. held overlays the modes the batch's own
-// earlier requests will have been granted, so a duplicate resource is judged
-// as the sequential calls would see it.
-func (h *eqHarness) blockingPrefix(i int, reqs []Req) int {
-	om, otx := h.om, h.otxs[i]
-	om.mu.Lock()
-	defer om.mu.Unlock()
-	held := map[Resource]Mode{}
-	for k, r := range reqs {
-		hm, ok := held[r.Res]
-		if e := otx.held[r.Res]; !ok && e != nil {
-			hm, ok = e.mode, true
-		}
-		target := r.Mode
-		if ok {
-			if target = om.table.Convert(hm, r.Mode); target == hm {
-				continue
-			}
-		}
-		head := om.locks[r.Res]
-		if head != nil && (!ok && len(head.queue) > 0 || !om.compatibleWithOthers(head, otx.id, target)) {
-			return k + 1
-		}
-		held[r.Res] = target
-	}
-	return len(reqs)
-}
-
 func (h *eqHarness) issueReleaseShort(i int) {
 	tx, otx := h.txs[i], h.otxs[i]
 	h.issue(i,
@@ -337,15 +283,8 @@ func runEquivalenceRound(t *testing.T, seed int64, stripes, numTx, numRes, steps
 		}
 
 		switch r := h.rng.Float64(); {
-		case r < 0.55:
-			h.issueLock(i, h.randRes(), h.randMode(), h.rng.Intn(4) == 0)
 		case r < 0.72:
-			n := 1 + h.rng.Intn(4)
-			reqs := make([]Req, n)
-			for k := range reqs {
-				reqs[k] = Req{Res: h.randRes(), Mode: h.randMode(), Short: h.rng.Intn(6) == 0}
-			}
-			h.issueBatch(i, reqs[:h.blockingPrefix(i, reqs)])
+			h.issueLock(i, h.randRes(), h.randMode(), h.rng.Intn(4) == 0)
 		case r < 0.82:
 			h.issueReleaseShort(i)
 		case r < 0.9:
@@ -415,56 +354,5 @@ func TestEquivalenceRandomized(t *testing.T) {
 				runEquivalenceRound(t, seed, c.stripes, c.numTx, c.numRes, c.steps)
 			})
 		}
-	}
-}
-
-// TestBatchMatchesSequential pins the non-blocking half of the LockBatch
-// contract directly: the same request list against two striped managers —
-// one via LockBatch, one via sequential Lock — yields identical held modes
-// and identical statistics (cache hits included, since both sides cache).
-func TestBatchMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	modes := []Mode{tIS, tIX, tS, tU, tX}
-	for round := 0; round < 50; round++ {
-		mb := newMgr(t, Options{})
-		ms := newMgr(t, Options{})
-		tb, ts := mb.Begin(), ms.Begin()
-		var resources []Resource
-		for i := 0; i < 6; i++ {
-			resources = append(resources, Resource(fmt.Sprintf("seq-%d-%d", round, i)))
-		}
-		for op := 0; op < 12; op++ {
-			// Distinct resources per batch, like the protocol layers issue:
-			// an intra-batch duplicate is booked as an immediate grant where
-			// sequential Lock sees a cache hit (see LockBatch).
-			n := 1 + rng.Intn(5)
-			perm := rng.Perm(len(resources))
-			reqs := make([]Req, n)
-			for k := range reqs {
-				reqs[k] = Req{
-					Res:   resources[perm[k]],
-					Mode:  modes[rng.Intn(len(modes))],
-					Short: rng.Intn(5) == 0,
-				}
-			}
-			if err := mb.LockBatch(tb, reqs); err != nil {
-				t.Fatalf("round %d op %d: LockBatch: %v", round, op, err)
-			}
-			for _, r := range reqs {
-				if err := ms.Lock(ts, r.Res, r.Mode, r.Short); err != nil {
-					t.Fatalf("round %d op %d: Lock: %v", round, op, err)
-				}
-			}
-			for _, res := range resources {
-				if bm, sm := mb.HeldMode(tb, res), ms.HeldMode(ts, res); bm != sm {
-					t.Fatalf("round %d op %d: %s: batch holds %v, sequential holds %v", round, op, res, bm, sm)
-				}
-			}
-		}
-		if bs, ss := mb.Stats(), ms.Stats(); bs != ss {
-			t.Fatalf("round %d: stats diverged: batch %+v, sequential %+v", round, bs, ss)
-		}
-		mb.ReleaseAll(tb)
-		ms.ReleaseAll(ts)
 	}
 }

@@ -58,7 +58,7 @@ type Tx struct {
 	id  TxID
 	mgr *Manager
 
-	// mu guards held, waiting, done, cache, ctx, and freeEntry. It is always
+	// mu guards held, waiting, done, ctx, and freeEntry. It is always
 	// acquired after the partition mutex (stripe.mu before Tx.mu, never the
 	// reverse), because sweeps on any partition must update the winner's
 	// held set. The CAS fast path takes only this mutex — never a partition
@@ -76,16 +76,6 @@ type Tx struct {
 	// victim. Atomic so the owner's cache fast path can observe it without
 	// taking any mutex.
 	doomed atomic.Bool
-
-	// cacheEpoch implements the per-transaction lock cache without a second
-	// map: a long-duration grant stamps its holder entry with the current
-	// epoch, and a re-request covered by a held entry is a cache hit iff
-	// the entry is long-duration and its stamp is current. InvalidateCache
-	// bumps the epoch, staling every stamp at once. (Long entries never
-	// weaken and only the owner converts them, so a current stamp cannot
-	// describe a stale mode.) A cache hit costs one uncontended Tx mutex
-	// and one map lookup — no shared partition state. Guarded by mu.
-	cacheEpoch uint64
 
 	// freeEntry is a one-slot holder-entry freelist: ReleaseAll parks one
 	// entry here and the next acquisition reuses it without touching the
@@ -112,33 +102,6 @@ func (tx *Tx) SetContext(ctx context.Context) {
 // ID returns the transaction's identifier (monotonic: larger = younger).
 func (tx *Tx) ID() TxID { return tx.id }
 
-// InvalidateCache drops the per-transaction lock cache. The transaction
-// layer owns the cache lifecycle and calls this on abort and on partial
-// (operation-end) release. One epoch bump stales every cached entry.
-func (tx *Tx) InvalidateCache() {
-	tx.mu.Lock()
-	tx.cacheEpoch++
-	tx.mu.Unlock()
-}
-
-// stampLocked marks a long-duration entry as cache-answerable under the
-// current epoch (short entries are never cached). Caller holds tx.mu.
-func (tx *Tx) stampLocked(e *holderEntry) {
-	if !e.isShort() {
-		e.cacheEpoch = tx.cacheEpoch
-	}
-}
-
-// stampGrant is stampLocked for grants delivered through a wait: the sweep
-// inserted the entry into tx.held before completing the request.
-func (tx *Tx) stampGrant(res Resource) {
-	tx.mu.Lock()
-	if e := tx.held[res]; e != nil {
-		tx.stampLocked(e)
-	}
-	tx.mu.Unlock()
-}
-
 // holderEntry is one granted lock. Entries are pooled (sync.Pool plus the
 // per-tx freelist) and linked into the head's lock-free holder chain, so
 // every field a lock-free observer may read is atomic: a stale reader that
@@ -156,10 +119,6 @@ type holderEntry struct {
 	// indexed: gcStripeLocked kills only heads with no live entry (txp !=
 	// nil) and no waiter. Lock-free observers never read it.
 	head *lockHead
-
-	// cacheEpoch is the lock-cache stamp (see Tx.cacheEpoch). Guarded by
-	// the owner's Tx mutex; lock-free observers never read it.
-	cacheEpoch uint64
 }
 
 const entryShortFlag = 1 << 8
@@ -660,9 +619,9 @@ func (m *Manager) compatibleWithOthersLocked(h *lockHead, self *Tx, mode Mode) b
 // (committed-read isolation); a long request on the same resource upgrades
 // the entry to long duration.
 //
-// Re-requests covered by a long-duration lock the transaction already holds
-// are answered from the per-transaction cache (an epoch-stamped held entry)
-// without touching the shared table. A first acquisition whose resource
+// A re-request is a cache hit when the transaction holds a long entry whose
+// mode covers it (Convert(held, mode) == held): it is answered from the
+// transaction's own held map without touching the shared table. A first acquisition whose resource
 // head is unsealed and whose mode is compatible with the packed
 // granted-group word is granted by CAS — no partition mutex, no allocation
 // (pooled entry). Everything else (conflict, conversion, queued waiters,
@@ -690,16 +649,15 @@ func (m *Manager) Lock(tx *Tx, res Resource, mode Mode, short bool) error {
 	if e := tx.held[res]; e != nil {
 		hm, hshort := e.loadState()
 		if hm == mode || m.table.Convert(hm, mode) == hm {
-			if !hshort && e.cacheEpoch == tx.cacheEpoch {
+			if !hshort {
 				tx.mu.Unlock()
 				// Counted as a request and an immediate grant too, by
 				// derivation in the stats snapshot.
 				m.stats.cacheHits.Add(1)
 				return nil
 			}
-			// Covered but not cache-answerable (short-held, or the cache
-			// was invalidated): a table re-request. The granted mode does
-			// not change, so the duration upgrade and the restamp are
+			// Covered by a short entry: a table re-request, not a cache hit.
+			// The granted mode does not change, so the duration upgrade is
 			// owner-local — no partition state is involved, exactly as the
 			// slow path would conclude after taking the partition mutex.
 			if tx.ctx != nil {
@@ -713,7 +671,6 @@ func (m *Manager) Lock(tx *Tx, res Resource, mode Mode, short bool) error {
 			if !short && hshort {
 				e.setState(hm, false)
 			}
-			tx.stampLocked(e)
 			tx.mu.Unlock()
 			m.stats.requests.Add(1)
 			m.stats.immediateGrants.Add(1)
@@ -775,7 +732,6 @@ func (m *Manager) tryFastGrantLocked(tx *Tx, h *lockHead, res Resource, mode Mod
 	pushHolder(h, e)
 	h.inflight.Add(-1)
 	tx.held[res] = e
-	tx.stampLocked(e)
 	return true
 }
 
@@ -812,7 +768,6 @@ func (m *Manager) lockSlow(tx *Tx, res Resource, mode Mode, short bool, hash uin
 			entry.setState(entry.mode(), false)
 		}
 		if target == entry.mode() {
-			tx.stampLocked(entry)
 			tx.mu.Unlock()
 			m.finishHeadLocked(s, h)
 			s.unlock()
@@ -823,7 +778,6 @@ func (m *Manager) lockSlow(tx *Tx, res Resource, mode Mode, short bool, hash uin
 		m.stats.conversions.Add(1)
 		if m.compatibleWithOthersLocked(h, tx, target) {
 			entry.setState(target, entry.isShort())
-			tx.stampLocked(entry)
 			tx.mu.Unlock()
 			m.finishHeadLocked(s, h)
 			s.unlock()
@@ -841,7 +795,6 @@ func (m *Manager) lockSlow(tx *Tx, res Resource, mode Mode, short bool, hash uin
 			e.head = h
 			pushHolder(h, e)
 			tx.held[res] = e
-			tx.stampLocked(e)
 			tx.mu.Unlock()
 			m.finishHeadLocked(s, h)
 			s.unlock()
@@ -884,9 +837,6 @@ func (m *Manager) lockSlow(tx *Tx, res Resource, mode Mode, short bool, hash uin
 			// Grant raced with the timeout/cancellation; honor the grant.
 			s.unlock()
 			record()
-			if err == nil {
-				tx.stampGrant(res)
-			}
 			m.putRequest(req)
 			return err
 		default:
@@ -915,9 +865,6 @@ func (m *Manager) lockSlow(tx *Tx, res Resource, mode Mode, short bool, hash uin
 	select {
 	case err := <-req.result:
 		record()
-		if err == nil {
-			tx.stampGrant(res)
-		}
 		m.putRequest(req)
 		return err
 	case <-ctxDone:
@@ -1217,10 +1164,9 @@ func (m *Manager) releaseOne(e *holderEntry) {
 
 // ReleaseShort releases the locks tx acquired only with short duration —
 // the end-of-operation release for isolation levels uncommitted and
-// committed read. Short entries are never cache-stamped, so the lock cache
-// stays valid across this partial release (the transaction layer may still
-// choose to invalidate it). Only the owner converts its entries, so reading
-// the short flag under tx.mu alone is sound.
+// committed read. Short entries are never cache hits, so the lock cache
+// stays valid across this partial release. Only the owner converts its
+// entries, so reading the short flag under tx.mu alone is sound.
 func (m *Manager) ReleaseShort(tx *Tx) {
 	var short []*holderEntry
 	tx.mu.Lock()

@@ -4,13 +4,13 @@
 //
 // The table is striped: resources hash onto partitions, each with its own
 // mutex, granted groups, and wait queues, so concurrent traffic on
-// different resources never serializes on a single table mutex. Each
-// transaction additionally carries a private held-lock cache that answers
-// re-requests covered by a long-duration lock without touching the shared
-// table at all, and a batch API (LockBatch) acquires ancestor-path requests
-// under one partition-ordered critical section. Deadlock detection runs on
-// a dedicated goroutine over a cross-partition snapshot. See DESIGN.md,
-// "Lock-table architecture".
+// different resources never serializes on a single table mutex. Every lock
+// is acquired through one primitive, Lock: a re-request covered by a
+// long-duration lock the transaction holds is answered from its own held
+// map (the lock cache) without touching the shared table, a first request
+// on an unsealed head is granted by CAS, and everything else takes the
+// partition mutex. Deadlock detection runs on a dedicated goroutine over a
+// cross-partition snapshot. See DESIGN.md, "Lock-table architecture".
 //
 // The manager is deliberately protocol-agnostic. Each of the paper's 11
 // XML lock protocols supplies its own ModeTable (compatibility and

@@ -144,13 +144,12 @@ func TestHeadIndexGrowAndGCUnderCollision(t *testing.T) {
 	}
 }
 
-// TestSuitesUnderFullCollision runs the equivalence oracle, the batch
-// oracle, the stress invariant and the observer storm again with every
-// resource of a stripe in one bucket, so every lookup walks a shared chain.
+// TestSuitesUnderFullCollision runs the equivalence oracle, the stress
+// invariant and the observer storm again with every resource of a stripe in
+// one bucket, so every lookup walks a shared chain.
 func TestSuitesUnderFullCollision(t *testing.T) {
 	collideBuckets(t)
 	t.Run("equivalence", TestEquivalenceRandomized)
-	t.Run("batch", TestBatchMatchesSequential)
 	t.Run("stress", TestStressInvariant)
 	t.Run("storm", TestObserverStorm)
 }

@@ -14,7 +14,7 @@ import (
 // TestObserverStorm hammers the mutex-free observer paths — Stats, Snapshot
 // (with Render), ActiveResources, LeakCheck — concurrently with acquire/
 // release storms that exercise every grant path: CAS fast grants, cache
-// hits, batch walks, conversions, blocking waits, deadlocks, and short
+// hits, path walks, conversions, blocking waits, deadlocks, and short
 // (operation-duration) locks. Run under -race this is the seqlock torture
 // test: observers must never tear a read or trip the detector while the
 // table churns underneath them.
@@ -50,21 +50,15 @@ func TestObserverStorm(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w) * 7919))
-			reqs := make([]Req, 0, 8)
 			for !stop.Load() {
 				tx := m.Begin()
 				abort := false
 				for step := 0; step < 6 && !abort; step++ {
 					var err error
 					switch rng.Intn(4) {
-					case 0: // batch path walk onto a private leaf — fast grants + hits
-						reqs = reqs[:0]
-						for _, res := range ancestors {
-							reqs = append(reqs, Req{Res: res, Mode: tIS})
-						}
+					case 0: // path walk onto a private leaf — fast grants + hits
 						leaf := Resource(fmt.Sprintf("st/r/a/b/leaf-%d-%d", w, rng.Intn(4)))
-						reqs = append(reqs, Req{Res: leaf, Mode: tS})
-						err = m.LockBatch(tx, reqs)
+						err = seqWalk(m.Lock, tx, ancestors, leaf)
 					case 1: // contended resource, random mode — waits, conversions
 						err = m.Lock(tx, hot[rng.Intn(hotRes)], modes[rng.Intn(len(modes))], false)
 					case 2: // short-duration lock, released mid-transaction

@@ -152,20 +152,25 @@ func (p *mglProto) ReadLevel(c *Ctx, parent splid.ID, children []splid.ID) error
 	}
 	// The child list itself must be a repeatable observation: lock the
 	// traversal edges too (taDOM's LR mode makes all of this one request).
-	reqs := make([]lock.Req, 0, 2*len(children)+1)
-	reqs = append(reqs, lock.Req{Res: edgeRes(parent, EdgeFirstChild), Mode: p.es, Short: c.Short})
+	if err := lockOne(c, edgeRes(parent, EdgeFirstChild), p.es, c.Short); err != nil {
+		return err
+	}
 	for _, ch := range children {
 		chTgt, chSub := depthTarget(c, ch)
 		m := p.ir
 		if chSub {
 			m = p.r
 		}
-		reqs = append(reqs, lock.Req{Res: nodeRes(chTgt), Mode: m, Short: c.Short})
+		if err := lockOne(c, nodeRes(chTgt), m, c.Short); err != nil {
+			return err
+		}
 		if !chSub {
-			reqs = append(reqs, lock.Req{Res: edgeRes(ch, EdgeNextSibling), Mode: p.es, Short: c.Short})
+			if err := lockOne(c, edgeRes(ch, EdgeNextSibling), p.es, c.Short); err != nil {
+				return err
+			}
 		}
 	}
-	return lockBatch(c, reqs)
+	return nil
 }
 
 // ListsChildren implements Protocol: without level locks every child is

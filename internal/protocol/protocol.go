@@ -104,22 +104,6 @@ type Ctx struct {
 	// (node.Manager.Do), which also never calls a protocol at all when the
 	// level takes no lock for the operation. Write locks are always long.
 	Short bool
-
-	// reqs is the scratch buffer for batched lock requests. A context serves
-	// one transaction, and a transaction runs on one goroutine at a time, so
-	// the buffer is reused across lock calls without synchronization
-	// (LockBatch does not retain it).
-	reqs []lock.Req
-}
-
-// reqBuf returns the context's request scratch buffer, emptied, with room
-// for at least n requests. Builders fill it and pass it to lockBatch before
-// the next reqBuf call.
-func (c *Ctx) reqBuf(n int) []lock.Req {
-	if cap(c.reqs) < n {
-		c.reqs = make([]lock.Req, 0, n)
-	}
-	return c.reqs[:0]
 }
 
 // Protocol is one XML concurrency control protocol. Implementations are
@@ -186,41 +170,34 @@ var edgeSuffix = [...]string{EdgeFirstChild: ":e0", EdgeLastChild: ":e1", EdgeNe
 // edgeRes names an edge lock resource.
 func edgeRes(id splid.ID, e Edge) lock.Resource { return lock.Resource(id.Key() + edgeSuffix[e]) }
 
-// lockOne acquires one lock respecting the transaction's lifecycle.
+// lockOne acquires one lock respecting the transaction's lifecycle. Every
+// lock a protocol takes goes through it, one at a time and in the order the
+// builder issues them — ancestors root first, the discipline that keeps the
+// protocols' own requests from deadlocking on a path.
 func lockOne(c *Ctx, res lock.Resource, m lock.Mode, short bool) error {
 	return c.LM.Lock(c.Txn.LockTx(), res, m, short)
 }
 
-// lockBatch submits pre-built requests through the manager's batch API,
-// which answers cache-covered requests without touching the lock table and
-// grants the rest under one partition-ordered critical section.
-func lockBatch(c *Ctx, reqs []lock.Req) error {
-	return c.LM.LockBatch(c.Txn.LockTx(), reqs)
-}
-
-// lockPath locks every proper ancestor of id (root first) in the given
-// intention mode, as one batched request. Thanks to SPLIDs the path derives
-// from the label alone — no document access (Section 3.2).
-func lockPath(c *Ctx, id splid.ID, m lock.Mode, short bool) error {
-	anc := id.Ancestors()
-	reqs := c.reqBuf(len(anc))
-	for _, a := range anc {
-		reqs = append(reqs, lock.Req{Res: nodeRes(a), Mode: m, Short: short})
+// lockEach locks res(id) in mode m for every id, in order; the first error
+// ends it.
+func lockEach(c *Ctx, ids []splid.ID, res func(splid.ID) lock.Resource, m lock.Mode, short bool) error {
+	for _, id := range ids {
+		if err := lockOne(c, res(id), m, short); err != nil {
+			return err
+		}
 	}
-	return lockBatch(c, reqs)
+	return nil
 }
 
-// lockPathAndNode locks the ancestor path of id in pathMode and id itself in
-// nodeMode as a single batch — the common shape of every path-protecting
-// lock request (root-first intention locks, then the node lock).
+// lockPathAndNode locks every proper ancestor of id (root first) in pathMode,
+// then id itself in nodeMode — the common shape of every path-protecting
+// lock request. Thanks to SPLIDs the path derives from the label alone — no
+// document access (Section 3.2).
 func lockPathAndNode(c *Ctx, id splid.ID, pathMode, nodeMode lock.Mode, short bool) error {
-	anc := id.Ancestors()
-	reqs := c.reqBuf(len(anc) + 1)
-	for _, a := range anc {
-		reqs = append(reqs, lock.Req{Res: nodeRes(a), Mode: pathMode, Short: short})
+	if err := lockEach(c, id.Ancestors(), nodeRes, pathMode, short); err != nil {
+		return err
 	}
-	reqs = append(reqs, lock.Req{Res: nodeRes(id), Mode: nodeMode, Short: short})
-	return lockBatch(c, reqs)
+	return lockOne(c, nodeRes(id), nodeMode, short)
 }
 
 // lockBoundaryEdges exclusively locks (mode ex, long) the edges a structural

@@ -341,11 +341,7 @@ func (p *tadomProto) lockNode(c *Ctx, id splid.ID, m lock.Mode, short bool) erro
 			if err != nil {
 				return err
 			}
-			reqs := make([]lock.Req, len(children))
-			for i, ch := range children {
-				reqs[i] = lock.Req{Res: nodeRes(ch), Mode: childMode, Short: short}
-			}
-			if err := lockBatch(c, reqs); err != nil {
+			if err := lockEach(c, children, nodeRes, childMode, short); err != nil {
 				return err
 			}
 		}
@@ -354,23 +350,12 @@ func (p *tadomProto) lockNode(c *Ctx, id splid.ID, m lock.Mode, short bool) erro
 }
 
 // writePath protects the ancestor path of a write: CX on the direct parent
-// (some child of it is exclusively locked), IX on all higher ancestors. The
-// "+" protocols never fan out, so their whole path goes through one batch;
-// the base protocols must probe each ancestor for fan-out conversions.
-// Write locks are long at every isolation level.
+// (some child of it is exclusively locked), IX on all higher ancestors,
+// root first. Each ancestor goes through lockNode, which probes the base
+// protocols' held mode for fan-out conversions and skips that for the "+"
+// protocols. Write locks are long at every isolation level.
 func (p *tadomProto) writePath(c *Ctx, target splid.ID) error {
 	anc := target.Ancestors()
-	if p.combined {
-		reqs := c.reqBuf(len(anc))
-		for i, a := range anc {
-			m := p.ix
-			if i == len(anc)-1 {
-				m = p.cx
-			}
-			reqs = append(reqs, lock.Req{Res: nodeRes(a), Mode: m})
-		}
-		return lockBatch(c, reqs)
-	}
 	for i, a := range anc {
 		m := p.ix
 		if i == len(anc)-1 {
@@ -383,12 +368,12 @@ func (p *tadomProto) writePath(c *Ctx, target splid.ID) error {
 	return nil
 }
 
-// readPath protects the ancestor path of a read with IR locks, as one
-// batch: IR requests never trigger fan-out conversions (Figure 4 converts
-// IR into any held mode without child materialization), so the probe in
-// lockNode is unnecessary for every variant.
+// readPath protects the ancestor path of a read with IR locks, root first.
+// IR requests never trigger fan-out conversions (Figure 4 converts IR into
+// any held mode without child materialization), so the probe in lockNode is
+// unnecessary for every variant.
 func (p *tadomProto) readPath(c *Ctx, target splid.ID) error {
-	return lockPath(c, target, p.ir, c.Short)
+	return lockEach(c, target.Ancestors(), nodeRes, p.ir, c.Short)
 }
 
 // ReadNode implements Protocol: NR on the node (SR on the lock-depth

@@ -129,12 +129,23 @@ func (p *twoPL) ReadNode(c *Ctx, id splid.ID, acc Access) error {
 }
 
 func (p *twoPL) lockAncestorsT(c *Ctx, id splid.ID) error {
-	anc := id.Ancestors()
-	reqs := c.reqBuf(len(anc))
-	for _, a := range anc {
-		reqs = append(reqs, lock.Req{Res: structRes(a), Mode: p.t, Short: c.Short})
+	return lockEach(c, id.Ancestors(), structRes, p.t, c.Short)
+}
+
+// lockNodeByNode is OO2PL's fragment lock, node by node in document order:
+// each node's content in cm, then the given edges of it in em.
+func lockNodeByNode(c *Ctx, nodes []splid.ID, cm, em lock.Mode, short bool, edges ...Edge) error {
+	for _, n := range nodes {
+		if err := lockOne(c, contentRes(n), cm, short); err != nil {
+			return err
+		}
+		for _, e := range edges {
+			if err := lockOne(c, edgeRes(n, e), em, short); err != nil {
+				return err
+			}
+		}
 	}
-	return lockBatch(c, reqs)
+	return nil
 }
 
 // WriteNode implements Protocol: a content-exclusive lock; structure locks
@@ -154,21 +165,15 @@ func (p *twoPL) ReadLevel(c *Ctx, parent splid.ID, children []splid.ID) error {
 		}
 		return lockOne(c, structRes(parent), p.t, c.Short)
 	case styleNO2PL:
-		reqs := make([]lock.Req, 0, len(children)+1)
-		reqs = append(reqs, lock.Req{Res: structRes(parent), Mode: p.t, Short: c.Short})
-		for _, ch := range children {
-			reqs = append(reqs, lock.Req{Res: structRes(ch), Mode: p.t, Short: c.Short})
+		if err := lockOne(c, structRes(parent), p.t, c.Short); err != nil {
+			return err
 		}
-		return lockBatch(c, reqs)
+		return lockEach(c, children, structRes, p.t, c.Short)
 	default: // OO2PL: the traversal edges
-		reqs := make([]lock.Req, 0, 2*len(children)+1)
-		reqs = append(reqs, lock.Req{Res: edgeRes(parent, EdgeFirstChild), Mode: p.es, Short: c.Short})
-		for _, ch := range children {
-			reqs = append(reqs,
-				lock.Req{Res: contentRes(ch), Mode: p.cs, Short: c.Short},
-				lock.Req{Res: edgeRes(ch, EdgeNextSibling), Mode: p.es, Short: c.Short})
+		if err := lockOne(c, edgeRes(parent, EdgeFirstChild), p.es, c.Short); err != nil {
+			return err
 		}
-		return lockBatch(c, reqs)
+		return lockNodeByNode(c, children, p.cs, p.es, c.Short, EdgeNextSibling)
 	}
 }
 
@@ -193,22 +198,17 @@ func (p *twoPL) ReadTree(c *Ctx, id splid.ID, acc Access) error {
 		if err := p.lockAncestorsT(c, id); err != nil {
 			return err
 		}
-		reqs := make([]lock.Req, 0, 2*len(nodes))
 		for _, n := range nodes {
-			reqs = append(reqs,
-				lock.Req{Res: structRes(n), Mode: p.t, Short: c.Short},
-				lock.Req{Res: contentRes(n), Mode: p.cs, Short: c.Short})
+			if err := lockOne(c, structRes(n), p.t, c.Short); err != nil {
+				return err
+			}
+			if err := lockOne(c, contentRes(n), p.cs, c.Short); err != nil {
+				return err
+			}
 		}
-		return lockBatch(c, reqs)
+		return nil
 	default: // OO2PL
-		reqs := make([]lock.Req, 0, 3*len(nodes))
-		for _, n := range nodes {
-			reqs = append(reqs,
-				lock.Req{Res: contentRes(n), Mode: p.cs, Short: c.Short},
-				lock.Req{Res: edgeRes(n, EdgeFirstChild), Mode: p.es, Short: c.Short},
-				lock.Req{Res: edgeRes(n, EdgeNextSibling), Mode: p.es, Short: c.Short})
-		}
-		return lockBatch(c, reqs)
+		return lockNodeByNode(c, nodes, p.cs, p.es, c.Short, EdgeFirstChild, EdgeNextSibling)
 	}
 }
 
@@ -255,11 +255,7 @@ func (p *twoPL) DeleteTree(c *Ctx, id, left, right splid.ID) error {
 	if err != nil {
 		return err
 	}
-	idReqs := make([]lock.Req, len(idOwners))
-	for i, el := range idOwners {
-		idReqs[i] = lock.Req{Res: jumpRes(el), Mode: p.idx}
-	}
-	if err := lockBatch(c, idReqs); err != nil {
+	if err := lockEach(c, idOwners, jumpRes, p.idx, false); err != nil {
 		return err
 	}
 	nodes, err := c.Tree.SubtreeNodes(id)
@@ -268,33 +264,20 @@ func (p *twoPL) DeleteTree(c *Ctx, id, left, right splid.ID) error {
 	}
 	switch p.style {
 	case styleNode2PL:
-		reqs := make([]lock.Req, 0, len(nodes)+1)
-		reqs = append(reqs, lock.Req{Res: structRes(id.Parent()), Mode: p.m})
-		for _, n := range nodes {
-			reqs = append(reqs, lock.Req{Res: structRes(n), Mode: p.m})
+		if err := lockOne(c, structRes(id.Parent()), p.m, false); err != nil {
+			return err
 		}
-		return lockBatch(c, reqs)
+		return lockEach(c, nodes, structRes, p.m, false)
 	case styleNO2PL:
 		if err := p.lockNeighborsM(c, id.Parent(), left, right); err != nil {
 			return err
 		}
-		reqs := make([]lock.Req, len(nodes))
-		for i, n := range nodes {
-			reqs[i] = lock.Req{Res: structRes(n), Mode: p.m}
-		}
-		return lockBatch(c, reqs)
+		return lockEach(c, nodes, structRes, p.m, false)
 	default: // OO2PL
 		if err := lockBoundaryEdges(c, p.ex, -1, id.Parent(), left, right); err != nil {
 			return err
 		}
-		reqs := make([]lock.Req, 0, 5*len(nodes))
-		for _, n := range nodes {
-			reqs = append(reqs, lock.Req{Res: contentRes(n), Mode: p.cx})
-			for _, e := range []Edge{EdgeFirstChild, EdgeLastChild, EdgeNextSibling, EdgePrevSibling} {
-				reqs = append(reqs, lock.Req{Res: edgeRes(n, e), Mode: p.ex})
-			}
-		}
-		return lockBatch(c, reqs)
+		return lockNodeByNode(c, nodes, p.cx, p.ex, false, EdgeFirstChild, EdgeLastChild, EdgeNextSibling, EdgePrevSibling)
 	}
 }
 

@@ -68,16 +68,12 @@ type Config struct {
 	// otherwise park the replying session worker indefinitely — through
 	// Shutdown's drain window included.
 	WriteTimeout time.Duration
-	// KeepAliveInterval is the heartbeat cadence clients are expected to
-	// tick at (default 30s, negative disables keep-alive enforcement). Any
-	// frame counts as a heartbeat; a connection silent for
-	// KeepAliveInterval×KeepAliveMisses is closed and counted in
-	// server.heartbeat_misses. The allowance also bounds how long a peer may
-	// stall mid-frame.
-	KeepAliveInterval time.Duration
-	// KeepAliveMisses is how many intervals a silent connection survives
-	// before it is closed (default 3).
-	KeepAliveMisses int
+	// KeepAliveTimeout is how long a connection may stay silent before it
+	// is closed and counted in server.heartbeat_misses (default 90s,
+	// negative disables keep-alive enforcement). Any frame counts as a
+	// heartbeat. The allowance also bounds how long a peer may stall
+	// mid-frame.
+	KeepAliveTimeout time.Duration
 	// SessionIdleTimeout reaps sessions that executed no request (and were
 	// not heartbeat-touched) for this long (default 5m, negative disables).
 	// Reaping aborts the session's transaction, releases its locks through
@@ -151,11 +147,8 @@ func Listen(cfg Config) (*Server, error) {
 	if cfg.WriteTimeout == 0 {
 		cfg.WriteTimeout = 10 * time.Second
 	}
-	if cfg.KeepAliveInterval == 0 {
-		cfg.KeepAliveInterval = 30 * time.Second
-	}
-	if cfg.KeepAliveMisses <= 0 {
-		cfg.KeepAliveMisses = 3
+	if cfg.KeepAliveTimeout == 0 {
+		cfg.KeepAliveTimeout = 90 * time.Second
 	}
 	if cfg.SessionIdleTimeout == 0 {
 		cfg.SessionIdleTimeout = 5 * time.Minute
@@ -195,16 +188,6 @@ func Listen(cfg Config) (*Server, error) {
 		go s.reaper()
 	}
 	return s, nil
-}
-
-// readWindow is the connection read-idle allowance: how long a peer may send
-// nothing (no heartbeat, no request, or a stalled partial frame) before the
-// server closes it. Zero disables the read deadline.
-func (s *Server) readWindow() time.Duration {
-	if s.cfg.KeepAliveInterval <= 0 {
-		return 0
-	}
-	return s.cfg.KeepAliveInterval * time.Duration(s.cfg.KeepAliveMisses)
 }
 
 // reaper periodically cancels sessions idle past SessionIdleTimeout. The
@@ -500,11 +483,11 @@ func (c *conn) replyErr(m wire.Msg, status wire.Status, err error) {
 // framing error is fatal to the connection: a peer that desynchronizes the
 // stream cannot be trusted to resynchronize it. Each received frame renews
 // the keep-alive allowance; a connection silent (or stalled mid-frame) past
-// KeepAliveInterval×KeepAliveMisses is closed as missing its heartbeats.
+// KeepAliveTimeout is closed as missing its heartbeats.
 func (c *conn) readLoop() {
 	defer c.srv.connWG.Done()
 	defer c.close()
-	window := c.srv.readWindow()
+	window := c.srv.cfg.KeepAliveTimeout
 	for {
 		if window > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(window))
@@ -514,8 +497,7 @@ func (c *conn) readLoop() {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
 				c.srv.mHBMiss.Add(1)
-				c.srv.logf("server: %s: missed %d keep-alive intervals, closing",
-					c.nc.RemoteAddr(), c.srv.cfg.KeepAliveMisses)
+				c.srv.logf("server: %s: silent for %v, closing", c.nc.RemoteAddr(), window)
 			}
 			return
 		}

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
 
 	"repro/internal/btree"
@@ -135,6 +136,11 @@ func (r reader) children(id splid.ID, ids *[]splid.ID, fn func(xmlmodel.Node, in
 	}
 	for level := id.Level() + 1; ok; {
 		kid, err := splid.Decode(c.Key())
+		if err == nil && !id.IsAncestorOf(kid) {
+			// Not in the subtree whose key range the cursor is in: only a
+			// corrupt page gets here, and the walk would not advance.
+			err = fmt.Errorf("storage: %v read as a descendant of %v (corrupt page)", kid, id)
+		}
 		if err != nil {
 			return found, err
 		}

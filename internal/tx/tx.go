@@ -429,10 +429,8 @@ func (t *Txn) Abort() error {
 		_, _ = w.AppendEnd(t.id)
 	}
 	if t.ltx != nil {
-		// The transaction layer owns the lock-cache lifecycle: an aborted
-		// transaction must not keep cached grants around (a restart gets a
-		// fresh lock.Tx, but the protocol context may hold on to this one).
-		t.ltx.InvalidateCache()
+		// ReleaseAll marks the lock.Tx done, so a protocol context that
+		// holds on to it gets lock.ErrTxDone, never a cached grant.
 		t.mgr.lm.ReleaseAll(t.ltx)
 	}
 	t.mgr.aborted.Add(1)
@@ -448,8 +446,4 @@ func (t *Txn) EndOperation() {
 		return
 	}
 	t.mgr.lm.ReleaseShort(t.ltx)
-	// Short-duration entries are never cached, so the cache is still valid
-	// here; dropping it anyway keeps the lifecycle contract simple — partial
-	// release means the cache starts over.
-	t.ltx.InvalidateCache()
 }

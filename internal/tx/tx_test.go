@@ -203,6 +203,37 @@ func TestEndOperationReleasesShortLocks(t *testing.T) {
 	t1.Commit()
 }
 
+// TestLongLockCachedAcrossOperations pins the lock cache's lifecycle at the
+// transaction layer: a long lock still answers re-requests from the cache
+// after EndOperation drops the short ones, and after Abort the same request
+// is refused, not answered from the cache.
+func TestLongLockCachedAcrossOperations(t *testing.T) {
+	m := newMgr()
+	lm := m.LockManager()
+	t1 := m.Begin(LevelCommitted)
+	ltx := t1.LockTx()
+	if err := lm.Lock(ltx, "write", mX, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := lm.Lock(ltx, "read", mS, true); err != nil {
+		t.Fatal(err)
+	}
+	t1.EndOperation()
+	before := lm.Stats()
+	if err := lm.Lock(ltx, "write", mS, false); err != nil {
+		t.Fatal(err)
+	}
+	after := lm.Stats()
+	if after.CacheHits != before.CacheHits+1 || after.Requests != before.Requests+1 {
+		t.Fatalf("cache hits %d -> %d, requests %d -> %d; want one more of each",
+			before.CacheHits, after.CacheHits, before.Requests, after.Requests)
+	}
+	t1.Abort()
+	if err := lm.Lock(ltx, "write", mS, false); !errors.Is(err, lock.ErrTxDone) {
+		t.Fatalf("re-request after Abort: %v, want lock.ErrTxDone", err)
+	}
+}
+
 func TestEndOperationNoopForRepeatable(t *testing.T) {
 	m := newMgr()
 	lm := m.LockManager()
