@@ -1,6 +1,7 @@
 //go:build !race
 
-// Allocation-regression guards for the lock-acquire fast path. The race
+// Allocation-regression guards for lock acquisition and release: the warm
+// path of cache hits and the uncontended turnover cycle. The race
 // detector instruments allocations and disables pooling heuristics, so these
 // run only in the non-race suite (make verify runs both).
 

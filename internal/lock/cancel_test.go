@@ -59,7 +59,7 @@ func TestCancelPendingWait(t *testing.T) {
 }
 
 // TestCancelBeforeRequest: an already-canceled context fails the next
-// slow-path request up front without queueing.
+// request that reaches the table up front without queueing.
 func TestCancelBeforeRequest(t *testing.T) {
 	m := newMgr(t, Options{Timeout: time.Minute})
 	holder, waiter := m.Begin(), m.Begin()

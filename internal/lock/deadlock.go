@@ -16,15 +16,15 @@ import (
 // The graph has three pieces, shared with the lock-table dump: one walk
 // over the live heads (walkHeads, dump.go), one rule that turns a head into
 // its edges (waitEdges) and one cycle search (waitGraph.cycle). Detection
-// is two-phase so the common no-deadlock pass never blocks the grant path:
+// is two-phase so the common no-deadlock pass holds one partition mutex
+// at a time and never the whole table:
 //
-//  1. An optimistic pass walks the heads with waiters through the
-//     per-partition seqlocks — no mutex, grants and releases proceed
-//     underneath. A cycle that existed when the detector was kicked
-//     consists entirely of standing edges (its waiters stay blocked until
-//     the cycle is broken), so the pass cannot miss it; what it *can* do is
-//     suspect a cycle from a cross-partition view that was never
-//     simultaneous.
+//  1. An optimistic pass walks the heads with waiters one partition at a
+//     time — grants and releases in the other partitions proceed. A cycle
+//     that existed when the detector was kicked consists entirely of
+//     standing edges (its waiters stay blocked until the cycle is broken),
+//     so the pass cannot miss it; what it *can* do is suspect a cycle from
+//     a cross-partition view that was never simultaneous.
 //  2. Only when the optimistic pass suspects a cycle does the detector lock
 //     every partition (ascending index — the table-wide lock-order
 //     discipline) and walks again exactly, confirming and resolving cycles
@@ -72,24 +72,23 @@ func (m *Manager) kickDetector() {
 	}
 }
 
-// lockAllStripes acquires every partition mutex in ascending order (with
-// the seqlock bumps — the combined section mutates the table when it aborts
-// a victim).
+// lockAllStripes acquires every partition mutex in ascending order.
 func (m *Manager) lockAllStripes() {
 	for i := range m.stripes {
-		m.stripes[i].lock()
+		m.stripes[i].mu.Lock()
 	}
 }
 
 func (m *Manager) unlockAllStripes() {
 	for i := len(m.stripes) - 1; i >= 0; i-- {
-		m.stripes[i].unlock()
+		m.stripes[i].mu.Unlock()
 	}
 }
 
-// detectAndResolve runs one detection pass: the wait-for graph read through
-// the seqlocks, then — only if it has a cycle — the exact graph under every
-// partition mutex, breaking cycles newest waiter first until none remain.
+// detectAndResolve runs one detection pass: the wait-for graph read one
+// partition at a time, then — only if it has a cycle — the exact graph
+// under every partition mutex, breaking cycles newest waiter first until
+// none remain.
 func (m *Manager) detectAndResolve() {
 	t0 := m.hDetector.Start()
 	defer m.hDetector.Since(t0)
@@ -157,10 +156,10 @@ type waitGraph struct {
 	order []waitRef       // every queued request, newest block first
 }
 
-// waitGraph derives the graph from one walk in the given mode. Read through
-// the seqlocks, stripes are read one after another, so a transaction that
-// moved between two of them can show two requests: succ then holds the
-// edges of both and waits the one walked last. Only the exact walk's caller
+// waitGraph derives the graph from one walk in the given mode. Read one
+// partition at a time, a transaction that moved between two of them can
+// show two requests: succ then holds the edges of both and waits the one
+// walked last. Only the exact walk's caller
 // reads waits, and there a transaction waits on at most one resource.
 func (m *Manager) waitGraph(mode walkMode) *waitGraph {
 	g := &waitGraph{succ: make(map[*Tx][]*Tx), waits: make(map[*Tx]waitRef)}
@@ -233,9 +232,7 @@ func (m *Manager) abortVictimLocked(victim *Tx, req *request) {
 	hash := fnv1a(string(req.res))
 	s := &m.stripes[hash&m.mask]
 	if h := s.index.lookup(req.res, hash); h != nil {
-		sealHeadLocked(h)
 		m.removeRequestLocked(s, h, req)
-		m.finishHeadLocked(s, h)
 	}
 	req.result <- ErrDeadlockVictim
 }

@@ -3,7 +3,6 @@ package lock
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"time"
 )
@@ -11,38 +10,10 @@ import (
 // Diagnostics: snapshot and render the live lock table — the kind of
 // information the paper's XTCdeadlockDetector gathers when a deadlock
 // strikes (active transactions, locks held, state of the wait-for graph).
-// Observers read through the per-partition seqlocks, so a snapshot of a
-// busy table never blocks a grant or a release. Snapshot, LeakCheck,
-// ActiveResources and the deadlock detector all read the table with one
-// walk (walkHeads), and Snapshot takes its wait-for edges from the
-// detector's rule (waitEdges).
-
-// observerWalkBound caps lock-free holder-chain walks. A chain read without
-// the partition mutex can transiently appear cyclic when recycled entries
-// are re-pushed elsewhere mid-walk; a walk that runs past the bound gives
-// up and the attempt is retried (the seqlock recheck would have discarded
-// it anyway). Real chains are tiny — one entry per holding transaction.
-const observerWalkBound = 1 << 14
-
-// stableRead runs read under the stripe's seqlock: a bounded number of
-// optimistic attempts (read must only follow atomics, reset its own
-// accumulation on entry, and return false to void an attempt), each
-// validated by an unchanged even sequence; then a read-only fallback under
-// the mutex, which observes an exact state. Fast-path grants do not bump
-// the sequence — they only push fully initialized entries onto holder
-// chains, which a reader sees entirely or not at all.
-func (s *stripe) stableRead(read func() bool) {
-	for attempt := 0; attempt < 4; attempt++ {
-		v := s.seq.Load()
-		if v&1 == 0 && read() && s.seq.Load() == v {
-			return
-		}
-		runtime.Gosched()
-	}
-	s.mu.Lock() // read-only: no seqlock bump
-	read()
-	s.mu.Unlock()
-}
+// Snapshot, LeakCheck, ActiveResources and the deadlock detector all read
+// the table with one walk (walkHeads), which holds one partition mutex at a
+// time, and Snapshot takes its wait-for edges from the detector's rule
+// (waitEdges).
 
 // heldRef is one holder as a walk read it.
 type heldRef struct {
@@ -73,66 +44,46 @@ type headView struct {
 type walkMode uint8
 
 const (
-	// walkAll reads every live head through the stripe seqlocks.
+	// walkAll reads every live head, each stripe under its mutex.
 	walkAll walkMode = iota
-	// walkWaiters reads the heads with waiters through the seqlocks and
-	// skips stripes whose waitingHeads is 0 (a waiter counts in its stripe
-	// before its request kicks the detector).
+	// walkWaiters reads the heads with waiters, each stripe under its
+	// mutex, and skips stripes whose waitingHeads is 0 (a waiter counts in
+	// its stripe before its request kicks the detector).
 	walkWaiters
-	// walkWaitersExact reads the same heads for a caller that holds every
-	// stripe mutex: directly, not through stableRead, whose fallback takes
-	// that mutex. A head with waiters is sealed, so its chain is stable.
+	// walkWaitersExact reads the same heads for a caller that already
+	// holds every stripe mutex.
 	walkWaitersExact
 )
 
 // walkHeads calls f once for every live head the mode selects, with the
-// head's partition. Each stripe is one stable read: f sees its views only
-// after the read is validated, so a voided attempt reaches no caller.
+// head's partition. f runs with the head's stripe mutex held, so it must
+// not call back into the Manager; the views it gets are copies, valid after
+// the mutex is released.
 func (m *Manager) walkHeads(mode walkMode, f func(part int, v *headView)) {
-	var views []headView
 	for i := range m.stripes {
 		s := &m.stripes[i]
 		if mode != walkAll && s.waitingHeads.Load() == 0 {
 			continue
 		}
-		read := func() bool {
-			views = views[:0]
-			ok := true
-			s.index.walk(func(res Resource, h *lockHead) {
-				q := h.queueLocked() // an atomic load; "Locked" is about changing it
-				if len(q) == 0 && mode != walkAll {
-					return
-				}
-				v := headView{res: res}
-				n := 0
-				for e := h.holders.Load(); e != nil; e = e.next.Load() {
-					if n++; n > observerWalkBound {
-						ok = false
-						return
-					}
-					if t := e.txp.Load(); t != nil {
-						hm, short := e.loadState()
-						v.held = append(v.held, heldRef{t, hm, short})
-					}
-				}
-				for _, r := range q {
-					if t := r.txp.Load(); t != nil {
-						v.queue = append(v.queue, waitRef{r, t, res, r.target(), r.conversion(), r.seq()})
-					}
-				}
-				if len(v.held) > 0 || len(v.queue) > 0 {
-					views = append(views, v)
-				}
-			})
-			return ok
+		if mode != walkWaitersExact {
+			s.mu.Lock()
 		}
-		if mode == walkWaitersExact {
-			read()
-		} else {
-			s.stableRead(read)
-		}
-		for j := range views {
-			f(i, &views[j])
+		s.index.walk(func(res Resource, h *lockHead) {
+			if len(h.queue) == 0 && (mode != walkAll || h.holders == nil) {
+				return
+			}
+			v := headView{res: res}
+			for e := h.holders; e != nil; e = e.next {
+				hm, short := e.loadState()
+				v.held = append(v.held, heldRef{e.tx, hm, short})
+			}
+			for _, r := range h.queue {
+				v.queue = append(v.queue, waitRef{r, r.tx, res, r.target, r.conv, r.seq})
+			}
+			f(i, &v)
+		})
+		if mode != walkWaitersExact {
+			s.mu.Unlock()
 		}
 	}
 }
@@ -165,13 +116,13 @@ type WaitEdge struct {
 }
 
 // Snapshot captures the lock table and the derived wait-for graph. Each
-// partition is internally consistent (one stable seqlock read); partitions
+// partition is internally consistent (read under its mutex); partitions
 // are read in sequence, so cross-partition relations can be skewed by
 // concurrent activity — it is a diagnostic view, immediately stale either
 // way. On a quiescent table it is exact. All slices are sorted and the
 // wait-for edges deduplicated, so rendering the same table state always
 // produces identical output. Resources whose heads are empty (kept around
-// for fast-path reuse) are not reported.
+// for reuse) are not reported.
 type Snapshot struct {
 	Taken      time.Time
 	Partitions int
@@ -179,8 +130,8 @@ type Snapshot struct {
 	WaitFor    []WaitEdge
 }
 
-// Snapshot captures the current lock-table state without blocking any
-// grant: it reads through the per-partition seqlocks.
+// Snapshot captures the current lock-table state, holding one partition
+// mutex at a time.
 func (m *Manager) Snapshot() Snapshot {
 	snap := Snapshot{Taken: time.Now(), Partitions: len(m.stripes)}
 	edges := make(map[WaitEdge]struct{})
@@ -243,8 +194,8 @@ func (s Snapshot) Render(w io.Writer) {
 
 // LeakCheck audits the lock table for leftovers. After every transaction
 // has committed or aborted the table must be empty: a surviving holder or
-// waiter means a release path was skipped. (Empty heads retained for
-// fast-path reuse are not leaks.) The TaMix harness runs this audit at the
+// waiter means a release path was skipped. (Empty heads retained for reuse
+// are not leaks.) The TaMix harness runs this audit at the
 // end of every run, next to the document's Verify.
 func (m *Manager) LeakCheck() error {
 	var leaked []string

@@ -600,6 +600,55 @@ func TestStressInvariant(t *testing.T) {
 	}
 }
 
+// TestWideTableGrantsByMatrix runs a manager over a table of 49 modes, more
+// than a 48-bit mode set could hold: the compatible ones share a resource
+// and the last, exclusive mode waits for them and then blocks them.
+func TestWideTableGrantsByMatrix(t *testing.T) {
+	const n = 50 // ModeNone and 49 modes
+	names := make([]string, n)
+	compat := make([][]bool, n)
+	conv := make([][]Mode, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("m%d", i)
+		compat[i] = make([]bool, n)
+		conv[i] = make([]Mode, n)
+		for j := range names {
+			compat[i][j] = i > 0 && j > 0 && i < n-1 && j < n-1
+			conv[i][j] = Mode(max(i, j))
+		}
+	}
+	m := NewManager(NewTable(names, compat, conv), Options{})
+	defer m.Close()
+	excl := Mode(n - 1)
+	shared := []*Tx{m.Begin(), m.Begin(), m.Begin()}
+	for i, mode := range []Mode{1, 24, excl - 1} {
+		if err := m.Lock(shared[i], "w", mode, false); err != nil {
+			t.Fatalf("%s: %v", names[mode], err)
+		}
+	}
+	x := m.Begin()
+	got := make(chan error, 1)
+	go func() { got <- m.Lock(x, "w", excl, false) }()
+	waitForQueue(t, m, "w", 1)
+	for _, tx := range shared {
+		m.ReleaseAll(tx)
+	}
+	if err := <-got; err != nil || m.HeldMode(x, "w") != excl {
+		t.Fatalf("exclusive request after the shared holders left: %v, holds %s", err, names[m.HeldMode(x, "w")])
+	}
+	late := m.Begin()
+	go func() { got <- m.Lock(late, "w", excl-1, false) }()
+	waitForQueue(t, m, "w", 1)
+	m.ReleaseAll(x)
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	m.ReleaseAll(late)
+	if err := m.LeakCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTableValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -2,15 +2,12 @@ package lock
 
 import "sync/atomic"
 
-// headIndex is a per-stripe resource→lockHead index readable without the
-// stripe mutex — the lock-free registry the fast path resolves resources
-// through (the apache-lucy LockFreeRegistry shape: atomic bucket chains,
-// insert-by-CAS-visible-publish, reads never block). All *mutations* happen
-// under the stripe mutex, which is what keeps the structure simple: readers
-// only ever follow atomic pointers, and a reader racing a grow or an unlink
-// at worst misses an entry — a miss sends the request to the slow path,
-// which re-resolves under the mutex, so a stale view is never wrong, only
-// slow.
+// headIndex is a per-stripe resource→lockHead index in the shape of
+// apache-lucy's LockFreeRegistry: atomic bucket chains, insert by a fully
+// initialized publish, reads that never block. All mutations happen under
+// the stripe mutex, and so do all of today's reads; the atomics would let a
+// reader without the mutex follow the chains safely, at worst missing an
+// entry that a grow or an unlink moves.
 //
 // Slots are never reused for a different resource, so a stale reader cannot
 // be redirected to the wrong head (the ABA that makes pooled heads unsound —
@@ -51,9 +48,7 @@ func (ix *headIndex) init() {
 	ix.buckets.Store(b)
 }
 
-// lookup resolves res without any mutex. Safe concurrently with mutations;
-// may return nil (or a sealed dead head) while a mutation is in flight —
-// both divert the caller to the slow path.
+// lookup resolves res (nil if absent). Exact under the stripe mutex.
 func (ix *headIndex) lookup(res Resource, hash uint64) *lockHead {
 	b := ix.buckets.Load()
 	for sl := b.bucketOf(hash).Load(); sl != nil; sl = sl.next.Load() {
@@ -96,9 +91,7 @@ func (ix *headIndex) growLocked(old *headBuckets) *headBuckets {
 	return nb
 }
 
-// walk visits every (resource, head) pair. Safe both under the stripe mutex
-// (exact) and lock-free (stale-but-typed; callers pair it with the stripe
-// seqlock for stability).
+// walk visits every (resource, head) pair. Exact under the stripe mutex.
 func (ix *headIndex) walk(f func(res Resource, h *lockHead)) {
 	b := ix.buckets.Load()
 	for i := range b.slots {

@@ -109,9 +109,9 @@ func TestHeadIndexGrowAndGCUnderCollision(t *testing.T) {
 	}
 	m.ReleaseAll(drop)
 	gc := func() {
-		s.lock()
+		s.mu.Lock()
 		m.gcStripeLocked(s)
-		s.unlock()
+		s.mu.Unlock()
 	}
 	gc()
 	if s.index.count != n/2 {
@@ -125,7 +125,7 @@ func TestHeadIndexGrowAndGCUnderCollision(t *testing.T) {
 			}
 			continue
 		}
-		if h == nil || h.dead || keep.held[res(i)].head != h {
+		if h == nil || keep.held[res(i)].head != h {
 			t.Fatalf("%s: held entry's head %p is not the live indexed head %p", res(i), keep.held[res(i)].head, h)
 		}
 	}
@@ -155,9 +155,9 @@ func TestSuitesUnderFullCollision(t *testing.T) {
 }
 
 // TestSweptGrantReleasesThroughItsHead grants two waiters by a sweep, one
-// long and one short, then releases them by ReleaseShort (two holders: the
-// mutexed release) and ReleaseAll (sole holder: the CAS release). Both go
-// through the head the sweep recorded in the entry.
+// long and one short, then releases them by ReleaseShort (one of two
+// holders) and ReleaseAll (the sole holder). Both go through the head the
+// sweep recorded in the entry.
 func TestSweptGrantReleasesThroughItsHead(t *testing.T) {
 	m := newMgr(t, Options{Timeout: 5 * time.Second})
 	const res = Resource("swept")

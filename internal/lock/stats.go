@@ -37,12 +37,6 @@ type counters struct {
 	subtreeDeadlocks    atomic.Uint64
 	timeouts            atomic.Uint64
 	canceled            atomic.Uint64
-
-	// fastGrants counts immediate grants that took the CAS fast path (a
-	// subset of immediateGrants, already included there). Not part of
-	// Stats — it describes *how* grants happened, not lock semantics — but
-	// exported through the metrics registry for observability.
-	fastGrants atomic.Uint64
 }
 
 // snapshot loads every counter. Each field is individually consistent;
@@ -89,5 +83,4 @@ func (m *Manager) registerCounters(reg *metrics.Registry) {
 	reg.Func("lock.subtree_deadlocks", m.stats.subtreeDeadlocks.Load)
 	reg.Func("lock.timeouts", m.stats.timeouts.Load)
 	reg.Func("lock.canceled", m.stats.canceled.Load)
-	reg.Func("lock.fast_grants", m.stats.fastGrants.Load)
 }

@@ -11,13 +11,13 @@ import (
 	"time"
 )
 
-// TestObserverStorm hammers the mutex-free observer paths — Stats, Snapshot
-// (with Render), ActiveResources, LeakCheck — concurrently with acquire/
-// release storms that exercise every grant path: CAS fast grants, cache
-// hits, path walks, conversions, blocking waits, deadlocks, and short
-// (operation-duration) locks. Run under -race this is the seqlock torture
-// test: observers must never tear a read or trip the detector while the
-// table churns underneath them.
+// TestObserverStorm hammers the observers — Stats, Snapshot (with Render),
+// ActiveResources, LeakCheck — concurrently with acquire/release storms
+// that exercise every grant path: immediate grants, cache hits, path walks,
+// conversions, blocking waits, deadlocks, and short (operation-duration)
+// locks. Run under -race it checks that observers read the table only
+// under its partition mutexes and never trip the detector while the table
+// churns underneath them.
 func TestObserverStorm(t *testing.T) {
 	m := newMgr(t, Options{Timeout: 2 * time.Second, stripes: 8})
 
@@ -56,7 +56,7 @@ func TestObserverStorm(t *testing.T) {
 				for step := 0; step < 6 && !abort; step++ {
 					var err error
 					switch rng.Intn(4) {
-					case 0: // path walk onto a private leaf — fast grants + hits
+					case 0: // path walk onto a private leaf — grants + hits
 						leaf := Resource(fmt.Sprintf("st/r/a/b/leaf-%d-%d", w, rng.Intn(4)))
 						err = seqWalk(m.Lock, tx, ancestors, leaf)
 					case 1: // contended resource, random mode — waits, conversions
