@@ -1,7 +1,9 @@
 package repro
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -44,6 +46,57 @@ func TestDocPathsExist(t *testing.T) {
 		}
 		if checked == 0 {
 			t.Errorf("%s names no repository path: the test matched nothing", doc)
+		}
+	}
+}
+
+// TestDocTestNamesExist fails when DESIGN.md or README.md names, in
+// backticks, a Test, Benchmark or Fuzz function that no _test.go file
+// defines. A package qualifier is dropped (`node.TestLevelRead…` is
+// `TestLevelRead…`), so is a subtest path (`BenchmarkX/case`), and a
+// trailing `*` matches a prefix (`pagestore.TestFixAt*`).
+func TestDocTestNamesExist(t *testing.T) {
+	defined := map[string]bool{}
+	fn := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range fn.FindAllStringSubmatch(string(src), -1) {
+			defined[m[1]] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exists := func(name string) bool {
+		prefix, star := strings.CutSuffix(name, "*")
+		if !star {
+			return defined[name]
+		}
+		for d := range defined {
+			if strings.HasPrefix(d, prefix) {
+				return true
+			}
+		}
+		return false
+	}
+	token := regexp.MustCompile("`(?:\\w+\\.)?((?:Test|Benchmark|Fuzz)[A-Z0-9_]\\w*\\*?)(?:/[^`\\s]*)?`")
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for _, m := range token.FindAllStringSubmatch(string(text), -1) {
+			if checked++; !exists(m[1]) {
+				t.Errorf("%s names `%s`, but no _test.go file defines it", doc, m[1])
+			}
+		}
+		if checked == 0 {
+			t.Errorf("%s names no test function: the test matched nothing", doc)
 		}
 	}
 }

@@ -45,7 +45,8 @@ var benchScenarios = []struct {
 	{"warm", benchScenario{turnover: 1 << 30, leavesPer: 4}},
 	// turnover-splid: turnover over the keys the engine locks. Every leaf is
 	// a sibling under one parent, and sibling keys differ only in their last
-	// bytes — the distribution the head index's bucket choice must spread.
+	// bytes — the distribution the stripe hash and the stripe's map must
+	// spread.
 	{"turnover-splid", benchScenario{turnover: 64, leavesPer: 32, splidKeys: true}},
 }
 

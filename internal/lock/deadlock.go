@@ -220,18 +220,14 @@ func (g *waitGraph) cycle() []*Tx {
 // abortVictimLocked dooms the victim and fails its pending request. Caller
 // holds all partition mutexes and no Tx mutex.
 func (m *Manager) abortVictimLocked(victim *Tx, req *request) {
-	victim.doomed.Store(true)
-	if req == nil {
-		return
-	}
 	victim.mu.Lock()
+	victim.doomed = true
 	if victim.waiting == req {
 		victim.waiting = nil
 	}
 	victim.mu.Unlock()
-	hash := fnv1a(string(req.res))
-	s := &m.stripes[hash&m.mask]
-	if h := s.index.lookup(req.res, hash); h != nil {
+	s := m.stripeOf(req.res)
+	if h := s.heads[req.res]; h != nil {
 		m.removeRequestLocked(s, h, req)
 	}
 	req.result <- ErrDeadlockVictim

@@ -68,20 +68,19 @@ func (m *Manager) walkHeads(mode walkMode, f func(part int, v *headView)) {
 		if mode != walkWaitersExact {
 			s.mu.Lock()
 		}
-		s.index.walk(func(res Resource, h *lockHead) {
+		for res, h := range s.heads {
 			if len(h.queue) == 0 && (mode != walkAll || h.holders == nil) {
-				return
+				continue
 			}
 			v := headView{res: res}
 			for e := h.holders; e != nil; e = e.next {
-				hm, short := e.loadState()
-				v.held = append(v.held, heldRef{e.tx, hm, short})
+				v.held = append(v.held, heldRef{e.tx, e.mode, e.short})
 			}
 			for _, r := range h.queue {
 				v.queue = append(v.queue, waitRef{r, r.tx, res, r.target, r.conv, r.seq})
 			}
 			f(i, &v)
-		})
+		}
 		if mode != walkWaitersExact {
 			s.mu.Unlock()
 		}
@@ -199,17 +198,12 @@ func (s Snapshot) Render(w io.Writer) {
 // end of every run, next to the document's Verify.
 func (m *Manager) LeakCheck() error {
 	var leaked []string
-	total := 0
-	m.walkHeads(walkAll, func(_ int, v *headView) {
-		if total++; len(leaked) < 8 {
-			leaked = append(leaked, string(v.res))
-		}
-	})
-	if total == 0 {
+	m.walkHeads(walkAll, func(_ int, v *headView) { leaked = append(leaked, string(v.res)) })
+	if len(leaked) == 0 {
 		return nil
 	}
-	sort.Strings(leaked)
-	return fmt.Errorf("lock: leak audit: %d resources still locked after all transactions finished (e.g. %q)", total, leaked)
+	sort.Strings(leaked) // the sample below is the same for one table state
+	return fmt.Errorf("lock: leak audit: %d resources still locked after all transactions finished (e.g. %q)", len(leaked), leaked[:min(len(leaked), 8)])
 }
 
 // ActiveResources returns the number of resources currently carrying locks

@@ -45,9 +45,9 @@ const DefaultTimeout = 10 * time.Second
 const DefaultStripes = 64
 
 // gcInterval is how many became-empty head observations a stripe accumulates
-// before sweeping its empty heads out of the index. Empty heads are kept for
+// before sweeping its empty heads out of its map. Empty heads are kept for
 // reuse rather than deleted eagerly: deleting on every release would make
-// every next acquisition of the same resource allocate a head and an index
+// every next acquisition of the same resource allocate a head and a map
 // slot again.
 const gcInterval = 512
 
@@ -58,7 +58,7 @@ type Tx struct {
 	id  TxID
 	mgr *Manager
 
-	// mu guards held, waiting, done, ctx, and freeEntry. It is always
+	// mu guards held, waiting, done, doomed, ctx, and freeEntry. It is always
 	// acquired after the partition mutex (stripe.mu before Tx.mu, never the
 	// reverse), because sweeps on any partition must update the winner's
 	// held set. A cache hit takes only this mutex.
@@ -67,14 +67,13 @@ type Tx struct {
 	waiting *request
 	done    bool
 
+	// doomed is set, under mu, when the deadlock detector picks this
+	// transaction as a victim.
+	doomed bool
+
 	// tables is what the transaction borrows from the manager between Begin
 	// and ReleaseAll: held is its map. Nil once handed back.
 	tables *txTables
-
-	// doomed flips when the deadlock detector picks this transaction as a
-	// victim. Atomic so the owner's cache hit can observe it without taking
-	// a partition mutex.
-	doomed atomic.Bool
 
 	// freeEntry is a one-slot holder-entry freelist: ReleaseAll parks one
 	// entry here and the next acquisition reuses it without touching the
@@ -103,38 +102,22 @@ func (tx *Tx) ID() TxID { return tx.id }
 
 // holderEntry is one granted lock. Entries are pooled (sync.Pool plus the
 // per-tx freelist). tx, next and head change only under the stripe mutex of
-// the head the entry is chained on. state is atomic because the owner's cache
-// hit reads it, and upgrades its duration, under the transaction mutex alone.
+// the head the entry is chained on. mode and short change only while that
+// stripe mutex and the owner's tx.mu are both held, so either one suffices to
+// read them: the owner's cache hit holds tx.mu, a grant decision the stripe
+// mutex.
 type holderEntry struct {
 	tx    *Tx
-	state atomic.Uint32 // mode | short flag; see loadState
-	next  *holderEntry  // holder-chain link
+	mode  Mode
+	short bool         // operation duration: ReleaseShort frees it
+	next  *holderEntry // holder-chain link
 
 	// head is the head the entry is chained on, so a release goes straight
 	// to it without a lookup. It is cleared before the entry is pooled, so a
 	// pooled entry keeps no collected head alive. A held entry's head is
-	// indexed: gcStripeLocked collects only heads with no holder and no
+	// mapped: gcStripeLocked collects only heads with no holder and no
 	// waiter.
 	head *lockHead
-}
-
-const entryShortFlag = 1 << 8
-
-func (e *holderEntry) loadState() (Mode, bool) {
-	s := e.state.Load()
-	return Mode(s & 0xFF), s&entryShortFlag != 0
-}
-
-func (e *holderEntry) mode() Mode { return Mode(e.state.Load() & 0xFF) }
-
-func (e *holderEntry) isShort() bool { return e.state.Load()&entryShortFlag != 0 }
-
-func (e *holderEntry) setState(m Mode, short bool) {
-	v := uint32(m)
-	if short {
-		v |= entryShortFlag
-	}
-	e.state.Store(v)
 }
 
 // request is one queued lock request. Requests are pooled. Every field but
@@ -159,7 +142,7 @@ type lockHead struct {
 	holders *holderEntry
 	queue   []*request // conversions first, see enqueueLocked
 
-	// stripe is the partition that indexes the head: a release that reaches
+	// stripe is the partition that maps the head: a release that reaches
 	// the head through its holder entry takes this stripe's mutex.
 	stripe *stripe
 }
@@ -209,7 +192,7 @@ type DeadlockInfo struct {
 	// whose wait closed it.
 	Members []TxID
 	// Resources are the resources each member was waiting for, aligned with
-	// Members (running transactions contribute an empty resource).
+	// Members.
 	Resources []Resource
 	// Conversion reports whether any member was waiting on a lock
 	// conversion — the paper's "frequent" deadlock class, as opposed to
@@ -237,12 +220,12 @@ type Options struct {
 	Metrics *metrics.Registry
 }
 
-// stripe is one lock-table partition: its own mutex and head index.
+// stripe is one lock-table partition: its own mutex and its heads.
 type stripe struct {
 	mu sync.Mutex
 
-	// index maps resources to heads; mutations happen under mu.
-	index headIndex
+	// heads maps the stripe's resources to their heads. Guarded by mu.
+	heads map[Resource]*lockHead
 
 	// emptySeen counts heads observed empty at release time; every
 	// gcInterval observations the stripe sweeps its empty heads. Guarded
@@ -255,17 +238,17 @@ type stripe struct {
 	// without mu.
 	waitingHeads atomic.Int32
 
-	_ [28]byte // keep adjacent stripes off one cache line
+	_ [36]byte // keep adjacent stripes off one cache line
 }
 
-// headLocked resolves res to its head, creating and indexing one if absent.
-// Caller holds the stripe mutex.
-func (s *stripe) headLocked(res Resource, hash uint64) *lockHead {
-	if h := s.index.lookup(res, hash); h != nil {
-		return h
+// headLocked resolves res to its head, creating one if absent. Caller holds
+// the stripe mutex.
+func (s *stripe) headLocked(res Resource) *lockHead {
+	h := s.heads[res]
+	if h == nil {
+		h = &lockHead{stripe: s}
+		s.heads[res] = h
 	}
-	h := &lockHead{stripe: s}
-	s.index.insertLocked(res, hash, h)
 	return h
 }
 
@@ -345,7 +328,7 @@ func newManager(table ModeTable, opts Options) *Manager {
 		return &txTables{held: make(map[Resource]*holderEntry, 32), entries: make([]*holderEntry, 0, 32)}
 	}
 	for i := range m.stripes {
-		m.stripes[i].index.init()
+		m.stripes[i].heads = make(map[Resource]*lockHead)
 	}
 	if reg := opts.Metrics; reg != nil {
 		m.hAcquire = reg.Histogram("lock.acquire")
@@ -378,6 +361,11 @@ func (m *Manager) PartitionOf(res Resource) int {
 	return int(fnv1a(string(res)) & m.mask)
 }
 
+// stripeOf returns the partition res hashes to.
+func (m *Manager) stripeOf(res Resource) *stripe {
+	return &m.stripes[fnv1a(string(res))&m.mask]
+}
+
 func fnv1a(s string) uint64 {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
@@ -391,8 +379,7 @@ func fnv1a(s string) uint64 {
 // headOf resolves res to its head (nil if absent). Caller holds the stripe
 // mutex (or all of them).
 func (m *Manager) headOf(res Resource) *lockHead {
-	hash := fnv1a(string(res))
-	return m.stripes[hash&m.mask].index.lookup(res, hash)
+	return m.stripeOf(res).heads[res]
 }
 
 // txTables are the per-transaction tables that outlive the transaction: the
@@ -427,7 +414,7 @@ func (m *Manager) grantLocked(h *lockHead, tx *Tx, res Resource, mode Mode, shor
 		e = m.entryPool.Get().(*holderEntry)
 	}
 	e.tx, e.head, e.next = tx, h, h.holders
-	e.setState(mode, short)
+	e.mode, e.short = mode, short
 	h.holders = e
 	tx.held[res] = e
 }
@@ -464,7 +451,7 @@ func (m *Manager) putRequest(r *request) {
 // mutex.
 func (m *Manager) compatibleWithOthersLocked(h *lockHead, self *Tx, mode Mode) bool {
 	for e := h.holders; e != nil; e = e.next {
-		if e.tx != self && !m.table.Compatible(e.mode(), mode) {
+		if e.tx != self && !m.table.Compatible(e.mode, mode) {
 			return false
 		}
 	}
@@ -479,7 +466,8 @@ func (m *Manager) compatibleWithOthersLocked(h *lockHead, self *Tx, mode Mode) b
 // A re-request is a cache hit when the transaction holds a long entry whose
 // mode covers it (Convert(held, mode) == held): it is answered from the
 // transaction's own held map without touching the shared table. Every other
-// request takes the resource's partition mutex (acquire).
+// request takes the resource's partition mutex (acquire), a re-request
+// covered by a short entry too.
 //
 // A cache hit does not consult tx's context: the
 // already-canceled-context-fails-upfront contract applies to requests that
@@ -494,41 +482,17 @@ func (m *Manager) Lock(tx *Tx, res Resource, mode Mode, short bool) error {
 		m.stats.requests.Add(1)
 		return ErrTxDone
 	}
-	if tx.doomed.Load() {
+	if tx.doomed {
 		tx.mu.Unlock()
 		m.stats.requests.Add(1)
 		return ErrDeadlockVictim
 	}
-	if e := tx.held[res]; e != nil {
-		hm, hshort := e.loadState()
-		if hm == mode || m.table.Convert(hm, mode) == hm {
-			if !hshort {
-				tx.mu.Unlock()
-				// Counted as a request and an immediate grant too, by
-				// derivation in the stats snapshot.
-				m.stats.cacheHits.Add(1)
-				return nil
-			}
-			// Covered by a short entry: a table re-request, not a cache hit.
-			// The granted mode does not change, so the duration upgrade is
-			// owner-local — no partition state is involved, exactly as
-			// acquire would conclude after taking the partition mutex.
-			if tx.ctx != nil {
-				if cerr := tx.ctx.Err(); cerr != nil {
-					tx.mu.Unlock()
-					m.stats.requests.Add(1)
-					m.stats.canceled.Add(1)
-					return fmt.Errorf("%w: %w", ErrCanceled, cerr)
-				}
-			}
-			if !short && hshort {
-				e.setState(hm, false)
-			}
-			tx.mu.Unlock()
-			m.stats.requests.Add(1)
-			m.stats.immediateGrants.Add(1)
-			return nil
-		}
+	if e := tx.held[res]; e != nil && !e.short && (e.mode == mode || m.table.Convert(e.mode, mode) == e.mode) {
+		tx.mu.Unlock()
+		// Counted as a request and an immediate grant too, by derivation in
+		// the stats snapshot.
+		m.stats.cacheHits.Add(1)
+		return nil
 	}
 	tx.mu.Unlock()
 	m.stats.requests.Add(1)
@@ -539,8 +503,7 @@ func (m *Manager) Lock(tx *Tx, res Resource, mode Mode, short bool) error {
 // mutex and waits out a queued request.
 func (m *Manager) acquire(tx *Tx, res Resource, mode Mode, short bool) error {
 	t0 := m.hAcquire.Start()
-	hash := fnv1a(string(res))
-	s := &m.stripes[hash&m.mask]
+	s := m.stripeOf(res)
 	s.mu.Lock()
 	tx.mu.Lock()
 	if tx.done {
@@ -548,7 +511,7 @@ func (m *Manager) acquire(tx *Tx, res Resource, mode Mode, short bool) error {
 		s.mu.Unlock()
 		return ErrTxDone
 	}
-	if tx.doomed.Load() {
+	if tx.doomed {
 		tx.mu.Unlock()
 		s.mu.Unlock()
 		return ErrDeadlockVictim
@@ -562,14 +525,14 @@ func (m *Manager) acquire(tx *Tx, res Resource, mode Mode, short bool) error {
 			return fmt.Errorf("%w: %w", ErrCanceled, cerr)
 		}
 	}
-	h := s.headLocked(res, hash)
+	h := s.headLocked(res)
 	var req *request
 	if entry := tx.held[res]; entry != nil {
-		target := m.table.Convert(entry.mode(), mode)
+		target := m.table.Convert(entry.mode, mode)
 		if !short {
-			entry.setState(entry.mode(), false)
+			entry.short = false
 		}
-		if target == entry.mode() {
+		if target == entry.mode {
 			tx.mu.Unlock()
 			s.mu.Unlock()
 			m.stats.immediateGrants.Add(1)
@@ -578,7 +541,7 @@ func (m *Manager) acquire(tx *Tx, res Resource, mode Mode, short bool) error {
 		}
 		m.stats.conversions.Add(1)
 		if m.compatibleWithOthersLocked(h, tx, target) {
-			entry.setState(target, entry.isShort())
+			entry.mode = target
 			tx.mu.Unlock()
 			s.mu.Unlock()
 			m.stats.immediateGrants.Add(1)
@@ -664,26 +627,23 @@ func (m *Manager) acquire(tx *Tx, res Resource, mode Mode, short bool) error {
 	}
 }
 
-// gcStripeLocked sweeps the stripe's empty heads out of the index so the
+// gcStripeLocked sweeps the stripe's empty heads out of its map so the
 // table does not grow with every resource ever touched. A head is collected
 // only with no holder and no waiter, so nothing reaches it afterwards: a
-// held entry points at a live, indexed head (what lets a release skip the
-// lookup, holderEntry.head), and a queued request keeps its head live.
-// Caller holds the stripe mutex.
+// held entry points at a live, mapped head (what lets a release skip the
+// lookup, holderEntry.head), and a queued request keeps its head live. The
+// live heads move to a new map: a Go map never shrinks, so deleting in
+// place would keep the stripe's peak size for good. Caller holds the stripe
+// mutex.
 func (m *Manager) gcStripeLocked(s *stripe) {
 	s.emptySeen = 0
-	b := s.index.buckets.Load()
-	for i := range b.slots {
-		prev := &b.slots[i]
-		for sl := prev.Load(); sl != nil; sl = prev.Load() {
-			if h := sl.head; h.holders == nil && len(h.queue) == 0 {
-				prev.Store(sl.next.Load())
-				s.index.count--
-				continue
-			}
-			prev = &sl.next
+	live := make(map[Resource]*lockHead)
+	for res, h := range s.heads {
+		if h.holders != nil || len(h.queue) > 0 {
+			live[res] = h
 		}
 	}
+	s.heads = live
 }
 
 // removeRequestLocked drops req from h's queue (if still present), then
@@ -707,7 +667,7 @@ func (m *Manager) sweepLocked(s *stripe, h *lockHead) {
 		req := q[granted]
 		rtx := req.tx
 		rtx.mu.Lock()
-		if rtx.done || rtx.doomed.Load() {
+		if rtx.done || rtx.doomed {
 			granted++
 			if rtx.waiting == req {
 				rtx.waiting = nil
@@ -729,7 +689,7 @@ func (m *Manager) sweepLocked(s *stripe, h *lockHead) {
 				rtx.mu.Unlock()
 				break
 			}
-			entry.setState(req.target, entry.isShort() && req.short)
+			entry.mode, entry.short = req.target, entry.short && req.short
 		} else {
 			if !m.compatibleWithOthersLocked(h, rtx, req.target) {
 				rtx.mu.Unlock()
@@ -765,8 +725,7 @@ func (m *Manager) ReleaseAll(tx *Tx) {
 		// Defensive: with the one-goroutine-per-transaction discipline the
 		// owner cannot be blocked in Lock while calling ReleaseAll, but a
 		// stale pending request must not outlive the transaction.
-		hash := fnv1a(string(w.res))
-		s := &m.stripes[hash&m.mask]
+		s := m.stripeOf(w.res)
 		s.mu.Lock()
 		tx.mu.Lock()
 		stillWaiting := tx.waiting == w
@@ -776,7 +735,7 @@ func (m *Manager) ReleaseAll(tx *Tx) {
 			// Not yet granted (sweeps clear waiting before completing a
 			// request, and we hold the partition mutex), so completing it
 			// here cannot race with a grant.
-			if h := s.index.lookup(w.res, hash); h != nil {
+			if h := s.heads[w.res]; h != nil {
 				m.removeRequestLocked(s, h, w)
 			}
 			w.result <- ErrTxDone
@@ -828,13 +787,13 @@ func (m *Manager) releaseEntries(tx *Tx, es []*holderEntry) {
 // ReleaseShort releases the locks tx acquired only with short duration —
 // the end-of-operation release for isolation levels uncommitted and
 // committed read. Short entries are never cache hits, so the lock cache
-// stays valid across this partial release. Only the owner converts its
-// entries, so reading the short flag under tx.mu alone is sound.
+// stays valid across this partial release. Every write of the short flag
+// holds tx.mu, so reading it under tx.mu alone is sound.
 func (m *Manager) ReleaseShort(tx *Tx) {
 	var short []*holderEntry
 	tx.mu.Lock()
 	for res, e := range tx.held {
-		if e.isShort() {
+		if e.short {
 			short = append(short, e)
 			delete(tx.held, res)
 		}
@@ -846,13 +805,13 @@ func (m *Manager) ReleaseShort(tx *Tx) {
 }
 
 // HeldMode returns the mode tx holds on res (ModeNone if none) — a test and
-// debugging aid. The entry state is atomic and only the owner converts it,
-// so tx.mu alone suffices.
+// debugging aid. Every write of an entry's mode holds tx.mu, so tx.mu alone
+// suffices.
 func (m *Manager) HeldMode(tx *Tx, res Resource) Mode {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if e := tx.held[res]; e != nil {
-		return e.mode()
+		return e.mode
 	}
 	return ModeNone
 }
@@ -873,11 +832,10 @@ func (m *Manager) Waiting(tx *Tx) bool {
 
 // QueueLength returns the number of waiters on res (test aid).
 func (m *Manager) QueueLength(res Resource) int {
-	hash := fnv1a(string(res))
-	s := &m.stripes[hash&m.mask]
+	s := m.stripeOf(res)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if h := s.index.lookup(res, hash); h != nil {
+	if h := s.heads[res]; h != nil {
 		return len(h.queue)
 	}
 	return 0

@@ -14,10 +14,11 @@ import (
 // TestObserverStorm hammers the observers — Stats, Snapshot (with Render),
 // ActiveResources, LeakCheck — concurrently with acquire/release storms
 // that exercise every grant path: immediate grants, cache hits, path walks,
-// conversions, blocking waits, deadlocks, and short (operation-duration)
-// locks. Run under -race it checks that observers read the table only
-// under its partition mutexes and never trip the detector while the table
-// churns underneath them.
+// conversions, blocking waits, deadlocks, short (operation-duration) locks,
+// and a short lock re-requested long. Run under -race it checks that
+// observers read the table only under its partition mutexes and never trip
+// the detector while the table churns underneath them, and that an entry's
+// mode and duration change only under its stripe mutex.
 func TestObserverStorm(t *testing.T) {
 	m := newMgr(t, Options{Timeout: 2 * time.Second, stripes: 8})
 
@@ -55,7 +56,7 @@ func TestObserverStorm(t *testing.T) {
 				abort := false
 				for step := 0; step < 6 && !abort; step++ {
 					var err error
-					switch rng.Intn(4) {
+					switch rng.Intn(5) {
 					case 0: // path walk onto a private leaf — grants + hits
 						leaf := Resource(fmt.Sprintf("st/r/a/b/leaf-%d-%d", w, rng.Intn(4)))
 						err = seqWalk(m.Lock, tx, ancestors, leaf)
@@ -64,6 +65,11 @@ func TestObserverStorm(t *testing.T) {
 					case 2: // short-duration lock, released mid-transaction
 						if err = m.Lock(tx, hot[rng.Intn(hotRes)], tIS, true); err == nil {
 							m.ReleaseShort(tx)
+						}
+					case 3: // short lock re-requested long — a duration upgrade
+						res := hot[rng.Intn(hotRes)]
+						if err = m.Lock(tx, res, tIS, true); err == nil {
+							err = m.Lock(tx, res, tIS, false)
 						}
 					default: // re-request something likely held — cache-hit path
 						err = m.Lock(tx, ancestors[rng.Intn(len(ancestors))], tIS, false)
