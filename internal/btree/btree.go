@@ -21,6 +21,14 @@
 // rightmost-page split of SQLite's quickbalance and PostgreSQL. The document
 // is generated, imported and relabeled in key order, so its leaves fill.
 //
+// Ordered loads: Append writes a key into the rightmost leaf without a
+// descent when it sorts past that leaf's last key, its parent key is on the
+// leaf and the cell fits as it is, and declines otherwise, leaving the key
+// and any split to Insert. The tree remembers the leaf and checks it as a
+// hint is checked: a remembered page that is not buffered, not a leaf, has a
+// right sibling or has no cells costs a right-edge descent. The document
+// Builder is its one caller.
+//
 // Leaf memory: a cursor opened with a Hint (HintedCursor) starts at the leaf
 // the hint's previous cursor closed on. It pins that leaf only if it is
 // resident (pagestore.Store.FixResident: a guess never costs a miss) and uses
@@ -149,6 +157,7 @@ type Tree struct {
 	root  pagestore.PageID
 	free  []pagestore.PageID // reclaimed pages available for reuse
 	size  int                // number of keys; maintained, not persisted
+	tail  Hint               // the leaf Append last wrote: a guess, checked on use
 }
 
 // Create allocates an empty tree (a single empty leaf root).

@@ -54,6 +54,59 @@ func fitsAsIs(p []byte, key, val []byte) bool {
 	return bytes.HasPrefix(key, pagePrefix(p)) && freeSpace(p) >= cellHeaderLen+len(key)-prefixLen(p)+len(val)
 }
 
+// Append stores val under key in the rightmost leaf and reports true when
+// key sorts past that leaf's last key (so past every key of the tree), the
+// parent key is on the leaf, and the cell fits there as it is. Otherwise it
+// writes nothing and reports false, and the caller stores the pair with
+// Insert, which makes any split. It is the write of an ordered load: one
+// leaf, no descent while the leaf the tree remembers is still the rightmost.
+func (t *Tree) Append(key, val, parent []byte) (bool, error) {
+	if len(key) == 0 || len(key) > MaxKeyLen || len(val) > MaxValueLen {
+		return false, nil
+	}
+	t.mu.lock()
+	defer t.mu.unlock()
+	f, err := t.rightmost()
+	if err != nil {
+		return false, err
+	}
+	defer t.store.Unfix(f)
+	p := f.Data()
+	n := nCells(p)
+	if n == 0 || !fitsAsIs(p, key, val) || !cellOK(p, n-1) {
+		return false, nil
+	}
+	if last, _ := cellAt(p, n-1); bytes.Compare(key[prefixLen(p):], last) <= 0 {
+		return false, nil
+	}
+	if slot, found := search(p, parent); !found || !cellOK(p, slot) {
+		return false, nil
+	}
+	f.MarkDirty()
+	if !insertCell(p, n, key, val) {
+		panic("btree: a cell that fits as is was not placed")
+	}
+	t.size++
+	return true, nil
+}
+
+// rightmost pins the rightmost leaf: the one the tree remembers if it is
+// still buffered, a leaf, the last of the chain and not empty, else the one
+// a descent along the right edge reaches, which it then remembers. By the
+// argument of a hint (see the package comment), a remembered page that
+// passes is the rightmost leaf. The caller holds the write latch, which the
+// cursor's probe and descent do not take.
+func (t *Tree) rightmost() (*pagestore.Frame, error) {
+	c := Cursor{v: &t.View, hint: &t.tail}
+	if !c.probe() || leafNext(c.p) != pagestore.InvalidPage || nCells(c.p) == 0 {
+		if !c.descend(nil, 1) {
+			return nil, c.err
+		}
+		t.tail = Hint{t: t, id: c.id}
+	}
+	return c.f, nil
+}
+
 // insertRec inserts into the subtree at id, depth levels below the root.
 // When the page splits, it returns the separator key and the new right
 // sibling's page ID.

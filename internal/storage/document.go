@@ -229,15 +229,16 @@ func (d *Document) InsertElement(id splid.ID, name string) (xmlmodel.Node, error
 // returns its result (if it has one), the logical inverse of what it did —
 // the undo payload that both a runtime abort and recovery replay through
 // TxDoc.ApplyUndo — and its error. This is the one place an update
-// operation's inverse is stated.
+// operation's inverse is stated. A mutator that creates nodes stores them
+// with put: insertRaw for a transaction, Builder.put for a load.
 
-func (d *Document) insertElementLocked(id splid.ID, name string) (xmlmodel.Node, []byte, error) {
+func (d *Document) insertElementLocked(put func(xmlmodel.Node) error, id splid.ID, name string) (xmlmodel.Node, []byte, error) {
 	sur, err := d.vocab.Intern(name)
 	if err != nil {
 		return xmlmodel.Node{}, nil, err
 	}
 	n := xmlmodel.Node{ID: id, Kind: xmlmodel.KindElement, Name: sur}
-	return n, encodeUndoDelete(id), d.insertRaw(n)
+	return n, encodeUndoDelete(id), put(n)
 }
 
 // InsertText adds a text node labeled id with the given character data (a
@@ -246,13 +247,13 @@ func (d *Document) InsertText(id splid.ID, value []byte) (xmlmodel.Node, error) 
 	return d.ForTx(SystemTxn).InsertText(id, value)
 }
 
-func (d *Document) insertTextLocked(id splid.ID, value []byte) (xmlmodel.Node, []byte, error) {
+func (d *Document) insertTextLocked(put func(xmlmodel.Node) error, id splid.ID, value []byte) (xmlmodel.Node, []byte, error) {
 	n := xmlmodel.Node{ID: id, Kind: xmlmodel.KindText}
-	if err := d.insertRaw(n); err != nil {
+	if err := put(n); err != nil {
 		return xmlmodel.Node{}, nil, err
 	}
 	s := xmlmodel.Node{ID: id.StringNode(), Kind: xmlmodel.KindString, Value: value}
-	return n, encodeUndoDelete(id), d.insertRaw(s)
+	return n, encodeUndoDelete(id), put(s)
 }
 
 // SetAttribute adds (or overwrites) an attribute on element el, creating the
@@ -262,24 +263,24 @@ func (d *Document) SetAttribute(el splid.ID, name string, value []byte) (xmlmode
 }
 
 // setAttributeLocked's inverse deletes the attribute when it was created and
-// restores the previous value when it was overwritten.
-func (d *Document) setAttributeLocked(el splid.ID, name string, value []byte) (xmlmodel.Node, []byte, error) {
+// restores the previous value when it was overwritten. Its probes read r.
+func (d *Document) setAttributeLocked(r reader, put func(xmlmodel.Node) error, el splid.ID, name string, value []byte) (xmlmodel.Node, []byte, error) {
 	sur, err := d.vocab.Intern(name)
 	if err != nil {
 		return xmlmodel.Node{}, nil, err
 	}
 	ar := el.AttributeRoot()
-	if ok, err := d.Exists(ar); err != nil {
+	if ok, err := r.Exists(ar); err != nil {
 		return xmlmodel.Node{}, nil, err
 	} else if !ok {
-		if err := d.insertRaw(xmlmodel.Node{ID: ar, Kind: xmlmodel.KindAttributeRoot}); err != nil {
+		if err := put(xmlmodel.Node{ID: ar, Kind: xmlmodel.KindAttributeRoot}); err != nil {
 			return xmlmodel.Node{}, nil, err
 		}
 	}
 	// Find an existing attribute with this name, else append a new one.
 	var existing splid.ID
 	var last splid.ID
-	err = d.ScanChildren(ar, func(n xmlmodel.Node) bool {
+	err = r.ScanChildren(ar, func(n xmlmodel.Node) bool {
 		last = n.ID
 		if n.Kind == xmlmodel.KindAttribute && n.Name == sur {
 			existing = n.ID
@@ -301,11 +302,11 @@ func (d *Document) setAttributeLocked(el splid.ID, name string, value []byte) (x
 		attrID = d.alloc.NextSibling(last)
 	}
 	n := xmlmodel.Node{ID: attrID, Kind: xmlmodel.KindAttribute, Name: sur}
-	if err := d.insertRaw(n); err != nil {
+	if err := put(n); err != nil {
 		return xmlmodel.Node{}, nil, err
 	}
 	s := xmlmodel.Node{ID: attrID.StringNode(), Kind: xmlmodel.KindString, Value: value}
-	if err := d.insertRaw(s); err != nil {
+	if err := put(s); err != nil {
 		return xmlmodel.Node{}, nil, err
 	}
 	if name == IDAttrName {

@@ -411,6 +411,53 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestBuilderOverPopulatedDocument: a second Builder labels its first child
+// as the document's first child already is. The key sorts below the last
+// key, so the load falls back to insertRaw, which refuses it.
+func TestBuilderOverPopulatedDocument(t *testing.T) {
+	d := buildLibrary(t)
+	size := d.Size()
+	for name, write := range map[string]func(*Builder){
+		"element": func(b *Builder) { b.StartElement("persons") },
+		"text":    func(b *Builder) { b.Text("again") },
+	} {
+		b := d.NewBuilder()
+		if write(b); !errors.Is(b.Err(), ErrNodeExists) || d.Size() != size {
+			t.Errorf("%s over a stored node: %v, size %d, was %d", name, b.Err(), d.Size(), size)
+		}
+	}
+}
+
+// TestBuilderUnderDeletedElement: the element a Builder has open is deleted
+// between two calls. Its next child sorts past every key but finds no parent
+// on the rightmost leaf, so the load falls back to insertRaw, which reports
+// the missing parent.
+func TestBuilderUnderDeletedElement(t *testing.T) {
+	for name, write := range map[string]func(*Builder){
+		"element":   func(b *Builder) { b.StartElement("y") },
+		"text":      func(b *Builder) { b.Text("y") },
+		"attribute": func(b *Builder) { b.Attribute("y", "1") },
+	} {
+		d, err := Create(pagestore.NewMemBackend(), "r", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := d.NewBuilder()
+		b.StartElement("a").Element("x", "1")
+		a, err := d.FirstChild(d.Root())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.DeleteSubtree(a.ID); err != nil {
+			t.Fatal(err)
+		}
+		if write(b); !errors.Is(b.Err(), ErrNodeNotFound) || d.Size() != 1 {
+			t.Errorf("%s under a deleted element: %v, size %d", name, b.Err(), d.Size())
+		}
+		d.Close()
+	}
+}
+
 func TestPersistenceAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "doc.db")
 	fb, err := pagestore.OpenFile(path)

@@ -224,7 +224,7 @@ func (t TxDoc) logOp(fn func() (undo []byte, err error)) error {
 // InsertElement adds an element node labeled id.
 func (t TxDoc) InsertElement(id splid.ID, name string) (n xmlmodel.Node, err error) {
 	err = t.logOp(func() (undo []byte, err error) {
-		n, undo, err = t.d.insertElementLocked(id, name)
+		n, undo, err = t.d.insertElementLocked(t.d.insertRaw, id, name)
 		return undo, err
 	})
 	return n, err
@@ -233,7 +233,7 @@ func (t TxDoc) InsertElement(id splid.ID, name string) (n xmlmodel.Node, err err
 // InsertText adds a text node (and its string child) labeled id.
 func (t TxDoc) InsertText(id splid.ID, value []byte) (n xmlmodel.Node, err error) {
 	err = t.logOp(func() (undo []byte, err error) {
-		n, undo, err = t.d.insertTextLocked(id, value)
+		n, undo, err = t.d.insertTextLocked(t.d.insertRaw, id, value)
 		return undo, err
 	})
 	return n, err
@@ -242,7 +242,7 @@ func (t TxDoc) InsertText(id splid.ID, value []byte) (n xmlmodel.Node, err error
 // SetAttribute adds or overwrites an attribute on element el.
 func (t TxDoc) SetAttribute(el splid.ID, name string, value []byte) (n xmlmodel.Node, err error) {
 	err = t.logOp(func() (undo []byte, err error) {
-		n, undo, err = t.d.setAttributeLocked(el, name, value)
+		n, undo, err = t.d.setAttributeLocked(t.d.reader, t.d.insertRaw, el, name, value)
 		return undo, err
 	})
 	return n, err

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/btree"
 	"repro/internal/splid"
 	"repro/internal/xmlmodel"
 )
@@ -14,11 +15,15 @@ import (
 // SPLIDs level by level (the paper's "initial document storage only assigns
 // odd division values"). It is not safe for concurrent use and bypasses
 // locking — use it only to construct benchmark fixtures before transactions
-// start.
+// start. Each call is one logged system operation, as through TxDoc, but its
+// document-tree writes go through put, which appends to the tree's rightmost
+// leaf (btree.Tree.Append), and its attribute probes start from the leaf
+// memory hint.
 type Builder struct {
 	d     *Document
 	stack []builderFrame
 	err   error
+	hint  btree.Hint
 }
 
 type builderFrame struct {
@@ -32,6 +37,33 @@ func (d *Document) NewBuilder() *Builder {
 }
 
 func (b *Builder) top() *builderFrame { return &b.stack[len(b.stack)-1] }
+
+// put stores a node the load creates. A node in document order sorts past
+// every stored key and finds its parent on the rightmost leaf, unless a leaf
+// boundary falls between them: then Append writes it without a descent.
+// Otherwise insertRaw probes and inserts it, as for a transaction, and
+// reports an existing node or a missing parent.
+func (b *Builder) put(n xmlmodel.Node) error {
+	d := b.d
+	var kb [btree.MaxKeyLen]byte
+	key := n.ID.AppendEncode(kb[:0])
+	ok, err := d.doc.Append(key, xmlmodel.EncodeRecord(n), key[:n.ID.Parent().EncodedLen()])
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return d.insertRaw(n)
+	}
+	if n.Kind == xmlmodel.KindElement {
+		if err := d.elem.Insert(elemKey(n.Name, n.ID), nil); err != nil {
+			return err
+		}
+	}
+	d.mu.Lock()
+	d.size++
+	d.mu.Unlock()
+	return nil
+}
 
 // nextChildID allocates the label for the next child of the current frame.
 func (b *Builder) nextChildID() splid.ID {
@@ -47,11 +79,13 @@ func (b *Builder) StartElement(name string) *Builder {
 		return b
 	}
 	id := b.nextChildID()
-	if _, err := b.d.InsertElement(id, name); err != nil {
-		b.err = err
-		return b
+	b.err = b.d.ForTx(SystemTxn).logOp(func() ([]byte, error) {
+		_, undo, err := b.d.insertElementLocked(b.put, id, name)
+		return undo, err
+	})
+	if b.err == nil {
+		b.stack = append(b.stack, builderFrame{id: id})
 	}
-	b.stack = append(b.stack, builderFrame{id: id})
 	return b
 }
 
@@ -77,9 +111,11 @@ func (b *Builder) Attribute(name, value string) *Builder {
 		b.err = fmt.Errorf("storage: Attribute outside an element")
 		return b
 	}
-	if _, err := b.d.SetAttribute(b.top().id, name, []byte(value)); err != nil {
-		b.err = err
-	}
+	el := b.top().id
+	b.err = b.d.ForTx(SystemTxn).logOp(func() ([]byte, error) {
+		_, undo, err := b.d.setAttributeLocked(b.d.WithHint(&b.hint), b.put, el, name, []byte(value))
+		return undo, err
+	})
 	return b
 }
 
@@ -89,9 +125,10 @@ func (b *Builder) Text(value string) *Builder {
 		return b
 	}
 	id := b.nextChildID()
-	if _, err := b.d.InsertText(id, []byte(value)); err != nil {
-		b.err = err
-	}
+	b.err = b.d.ForTx(SystemTxn).logOp(func() ([]byte, error) {
+		_, undo, err := b.d.insertTextLocked(b.put, id, []byte(value))
+		return undo, err
+	})
 	return b
 }
 

@@ -1,6 +1,8 @@
 package tamix
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 	"time"
@@ -88,6 +90,58 @@ func TestGenerateBibDeterministic(t *testing.T) {
 	if fmt.Sprint(c1.BookIDs) != fmt.Sprint(c2.BookIDs) {
 		t.Error("catalogs differ")
 	}
+}
+
+// bibImage is the page count of a seeded Scaled(0.1) document and the
+// SHA-256 of its pages past their recovery headers, recorded before the
+// Builder appended to the rightmost leaf: a faster load must build the same
+// pages.
+const (
+	bibImagePages = 86
+	bibImageHash  = "164dbf40fe253715b34ee783c735ffa3812eb4ed297aaf33a1c241724ddc146d"
+)
+
+// TestGenerateBibPageImage compares every page of a generated document, not
+// only its size, with the image recorded above.
+func TestGenerateBibPageImage(t *testing.T) {
+	be := pagestore.NewMemBackend()
+	doc, _, err := GenerateBib(be, Scaled(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer doc.Close()
+	if err := doc.Store().Flush(); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	buf := make([]byte, pagestore.PageSize)
+	for id := pagestore.PageID(0); id < be.NumPages(); id++ {
+		if err := be.ReadPage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		h.Write(buf[pagestore.PageHeaderSize:])
+	}
+	if n, sum := int(be.NumPages()), hex.EncodeToString(h.Sum(nil)); n != bibImagePages || sum != bibImageHash {
+		t.Errorf("%d pages, SHA-256 %s; recorded %d pages, %s", n, sum, bibImagePages, bibImageHash)
+	}
+}
+
+// BenchmarkGenerateBib builds the seeded Scaled(0.1) document on a
+// MemBackend and reports generated nodes per second: the load path on its
+// own, without the benchmark's engine and warm-up.
+func BenchmarkGenerateBib(b *testing.B) {
+	nodes := 0
+	for i := 0; i < b.N; i++ {
+		doc, _, err := GenerateBib(pagestore.NewMemBackend(), Scaled(0.1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes += doc.Size()
+		b.StopTimer()
+		doc.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
 }
 
 func TestTxTypeStrings(t *testing.T) {
