@@ -129,8 +129,8 @@ func main() {
 		fmt.Printf("elem index: depth %d, %d keys\n", st.ElemTree.Depth, st.ElemTree.Keys)
 		fmt.Printf("id index:   depth %d, %d keys\n", st.IDTree.Depth, st.IDTree.Keys)
 		bs := doc.Store().Stats()
-		fmt.Printf("buffer:     %d shards, %d hits, %d misses, %d evictions, %d writebacks (%d by flusher)\n",
-			doc.Store().Shards(), bs.Hits, bs.Misses, bs.Evictions, bs.Writebacks, bs.FlusherWrites)
+		fmt.Printf("buffer:     %d hits, %d misses, %d evictions, %d writebacks (%d by flusher)\n",
+			bs.Hits, bs.Misses, bs.Evictions, bs.Writebacks, bs.FlusherWrites)
 	}
 	if *verify {
 		if err := doc.Verify(); err != nil {

@@ -8,11 +8,10 @@
 // limited to MaxKeyLen = 128 bytes — the document layer reacts to longer
 // labels with subtree relabeling, exactly as XTC does.
 //
-// Concurrency: a tree-level striped reader latch (see latch.go) admits
-// parallel readers without sharing a reader-count cache line and
-// serializes writers. Transaction-level concurrency control happens above
-// this layer (that is the paper's subject); the tree only needs to be
-// internally consistent.
+// Concurrency: one tree-level read-write latch (see latch.go) admits
+// parallel readers and serializes writers. Transaction-level concurrency
+// control happens above this layer (that is the paper's subject); the tree
+// only needs to be internally consistent.
 //
 // Splits: a full page splits 50/50 by cell bytes, except an insert that
 // lands past the last key of the rightmost leaf. That leaf is recompressed
@@ -190,15 +189,15 @@ func Open(store *pagestore.Store, root pagestore.PageID) (*Tree, error) {
 // Root returns the current root page ID; callers persist it in their own
 // metadata to reopen the tree later.
 func (t *Tree) Root() pagestore.PageID {
-	slot := t.mu.rlock()
-	defer t.mu.runlock(slot)
+	t.mu.rlock()
+	defer t.mu.runlock()
 	return t.root
 }
 
 // Len returns the number of keys in the tree.
 func (t *Tree) Len() int {
-	slot := t.mu.rlock()
-	defer t.mu.runlock(slot)
+	t.mu.rlock()
+	defer t.mu.runlock()
 	return t.size
 }
 
@@ -632,8 +631,8 @@ type TreeStats struct {
 
 // Stats walks the tree and returns its physical statistics.
 func (t *Tree) Stats() (TreeStats, error) {
-	slot := t.mu.rlock()
-	defer t.mu.runlock(slot)
+	t.mu.rlock()
+	defer t.mu.runlock()
 	var st TreeStats
 	err := t.statsRec(t.root, 1, &st)
 	return st, err

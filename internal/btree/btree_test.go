@@ -391,9 +391,7 @@ func TestSPLIDKeysDocumentOrder(t *testing.T) {
 	}
 }
 
-func TestConcurrentReaders(t *testing.T) { concurrentReaders(t) }
-
-func concurrentReaders(t *testing.T) {
+func TestConcurrentReaders(t *testing.T) {
 	tr := newTree(t)
 	for i := 0; i < 2000; i++ {
 		tr.Insert([]byte(fmt.Sprintf("k%05d", i)), []byte(fmt.Sprintf("v%d", i)))
@@ -423,9 +421,7 @@ func concurrentReaders(t *testing.T) {
 	wg.Wait()
 }
 
-func TestConcurrentMixed(t *testing.T) { concurrentMixed(t) }
-
-func concurrentMixed(t *testing.T) {
+func TestConcurrentMixed(t *testing.T) {
 	tr := newTree(t)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

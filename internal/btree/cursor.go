@@ -35,11 +35,10 @@ type View struct {
 // a move that reports false leaves the cursor at that end, from where the
 // opposite move comes back.
 type Cursor struct {
-	v     *View
-	latch int
-	p     []byte           // the pinned leaf; nil before the first seek and after an error
-	f     *pagestore.Frame // its pin; nil when p is a version-chain image
-	id    pagestore.PageID // its page
+	v  *View
+	p  []byte           // the pinned leaf; nil before the first seek and after an error
+	f  *pagestore.Frame // its pin; nil when p is a version-chain image
+	id pagestore.PageID // its page
 	// The cell under the cursor, key suffix p[koff:kend] and value
 	// p[kend:vend], checked by the move that landed on it (cellSpan).
 	koff, kend, vend int
@@ -69,7 +68,10 @@ type Hint struct {
 }
 
 // Cursor opens a cursor on the view; the caller must Close it.
-func (v *View) Cursor() Cursor { return Cursor{v: v, latch: v.t.mu.rlock()} }
+func (v *View) Cursor() Cursor {
+	v.t.mu.rlock()
+	return Cursor{v: v}
+}
 
 // HintedCursor opens a cursor whose first Seek or SeekLT tries the leaf h
 // remembers before it descends, and which remembers its own last leaf in h
@@ -91,7 +93,7 @@ func (c *Cursor) Close() {
 		*c.hint = Hint{t: c.v.t, id: c.f.ID()}
 	}
 	c.unpin()
-	c.v.t.mu.runlock(c.latch)
+	c.v.t.mu.runlock()
 	c.v = nil
 }
 

@@ -10,72 +10,29 @@ import (
 	"time"
 )
 
-// collideStripes sends every reader to stripe 0 until the test ends — the
-// registry test of apache-lucy's LockFreeRegistry, whose keys hash to 1.
-func collideStripes(t *testing.T) {
-	old := stripeOf
-	stripeOf = func(uintptr) int { return 0 }
-	t.Cleanup(func() { stripeOf = old })
-}
-
-// TestLatchStripesSpreadGoroutines has 64 goroutines hold a read latch at
-// once, all taken from the same call site: they must not share one stripe.
-// Hashing the low bits of a stack address gives them all the same one,
-// because those bits are an offset inside each goroutine's aligned stack.
-func TestLatchStripesSpreadGoroutines(t *testing.T) {
-	const goroutines = 64
-	var (
-		l       treeLatch
-		slots   [goroutines]int
-		taken   sync.WaitGroup
-		done    sync.WaitGroup
-		release = make(chan struct{})
-	)
-	taken.Add(goroutines)
-	done.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
-		go func() {
-			defer done.Done()
-			slots[g] = l.rlock()
-			taken.Done()
-			<-release // hold the latch, so no two goroutines share a stack
-			l.runlock(slots[g])
-		}()
-	}
-	taken.Wait()
-	close(release)
-	done.Wait()
-	used := map[int]bool{}
-	for _, s := range slots {
-		used[s] = true
-	}
-	if len(used) < 4 {
-		t.Errorf("%d goroutines used %d of %d stripes, want at least 4", goroutines, len(used), latchStripes)
-	}
-}
-
-// TestSuitesOnOneStripe runs the concurrent suites again with every reader
-// on stripe 0, so readers and writers meet on one RWMutex.
-func TestSuitesOnOneStripe(t *testing.T) {
-	collideStripes(t)
-	t.Run("readers", concurrentReaders)
-	t.Run("mixed", concurrentMixed)
-	t.Run("cursors-during-splits", cursorsDuringSplits)
-}
-
-func TestCursorsDuringSplits(t *testing.T) { cursorsDuringSplits(t) }
-
 // copies is how many times a b key's value repeats the key.
 const copies = 60
 
-// cursorsDuringSplits scans with cursors, forward and backward, while a
+// TestSuitesOnOneStripe runs the concurrent suites again on one processor.
+// Every reader and writer meets on the one latch, and a waiter that spins
+// (spin.Lock) shares the CPU with the goroutine it waits for: the suites
+// pass only if the waiter's yields let the holder run and release.
+func TestSuitesOnOneStripe(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	t.Run("readers", TestConcurrentReaders)
+	t.Run("mixed", TestConcurrentMixed)
+	t.Run("cursors-during-splits", TestCursorsDuringSplits)
+}
+
+// TestCursorsDuringSplits scans with cursors, forward and backward, while a
 // writer splits leaves and empties them again: the a and c keys stay put,
 // and the b keys between them, with values large enough to fill several
 // leaves, are inserted and deleted in rounds, so leaves split, empty, leave
 // the chain and come back from the free list, and the root grows and
 // collapses. Every scan must see every a and c key in order, and every b
 // value it meets intact.
-func cursorsDuringSplits(t *testing.T) {
+func TestCursorsDuringSplits(t *testing.T) {
 	const stable, churn, rounds, readers = 100, 120, 3, 2
 	tr := newTree(t)
 	key := func(p byte, i int) []byte { return []byte(fmt.Sprintf("%c%04d", p, i)) }
@@ -131,7 +88,7 @@ func cursorsDuringSplits(t *testing.T) {
 }
 
 // checkScan walks the whole tree with one cursor and checks what
-// cursorsDuringSplits promises.
+// TestCursorsDuringSplits promises.
 func checkScan(tr *Tree, stable int, backward bool) error {
 	c := tr.Cursor()
 	defer c.Close()
@@ -195,13 +152,12 @@ func checkHintedReads(tr *Tree, h *Hint, stable, round int) error {
 	return nil
 }
 
-// TestLatchWriterProgress has four readers hold stripe 0 back to back — each
-// lets go only once another holds it, so the stripe is never free — while a
-// writer takes the latch. Probing alone never finds the stripe free; the
-// blocking Lock the writer falls back to stops new readers, and the writer
-// is in within 100 ms.
+// TestLatchWriterProgress has four readers hold the latch back to back — each
+// lets go only once another holds it, so the latch is never free — while a
+// writer takes it. Probing alone never finds the latch free; the blocking
+// Lock the writer falls back to stops new readers, and the writer is in
+// within 100 ms.
 func TestLatchWriterProgress(t *testing.T) {
-	collideStripes(t)
 	const readers = 4
 	var (
 		l       treeLatch
@@ -215,7 +171,7 @@ func TestLatchWriterProgress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				slot := l.rlock()
+				l.rlock()
 				held.Add(1)
 				// Yield at least once while holding, as a goroutine of the
 				// engine returns to the scheduler between operations, and
@@ -231,7 +187,7 @@ func TestLatchWriterProgress(t *testing.T) {
 					handoff.Add(1)
 				}
 				held.Add(-1)
-				l.runlock(slot)
+				l.runlock()
 			}
 		}()
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -27,13 +28,14 @@ import (
 // wireTap wraps the connections a Dialer hands out: it records every Write,
 // and while armed cuts the connection around the first Write that starts with
 // an OpBegin frame — before it leaves (cutBefore), or once the server has
-// answered it (cutAfter: the replies are dropped, so the server did the work
-// and the client never hears of it).
+// answered its last frame (cutAfter: the replies are dropped, so the server
+// did the work and the client never hears of it).
 type wireTap struct {
 	mu       sync.Mutex
 	writes   [][]byte
 	armed    cutMode
 	draining net.Conn // the connection whose next Read is cut
+	lastReq  uint32   // the request whose reply completes the cut
 }
 
 type cutMode int
@@ -79,7 +81,7 @@ func (c *tappedConn) Write(b []byte) (int, error) {
 		mode, w.armed = w.armed, noCut
 	}
 	if mode == cutAfter {
-		w.draining = c.Conn
+		w.draining, w.lastReq = c.Conn, lastReq(b)
 	}
 	w.mu.Unlock()
 	if mode == cutBefore {
@@ -89,16 +91,40 @@ func (c *tappedConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
+// Read cuts the draining connection once the reply to the tapped Write's last
+// frame is in, swallowing it and every reply before it. Cutting at the first
+// reply bytes could cut before the server read the later frames.
 func (c *tappedConn) Read(b []byte) (int, error) {
 	n, err := c.Conn.Read(b)
 	c.tap.mu.Lock()
-	cut := c.tap.draining == c.Conn && n > 0
+	cut, last := c.tap.draining == c.Conn && n > 0, c.tap.lastReq
 	c.tap.mu.Unlock()
-	if cut {
-		c.Conn.Close()
-		return 0, errors.New("wiretap: connection cut before the replies arrived")
+	if !cut {
+		return n, err
 	}
-	return n, err
+	fr := wire.NewFrameReader(io.MultiReader(bytes.NewReader(b[:n]), c.Conn))
+	for {
+		p, err := fr.Next()
+		if err != nil {
+			break
+		}
+		if m, err := wire.DecodeMsg(p); err == nil && m.Req == last {
+			break
+		}
+	}
+	c.Conn.Close()
+	return 0, errors.New("wiretap: connection cut before the replies arrived")
+}
+
+// lastReq returns the request id of the last frame in a Write's bytes.
+func lastReq(b []byte) (req uint32) {
+	fr := wire.NewFrameReader(bytes.NewReader(b))
+	for p, err := fr.Next(); err == nil; p, err = fr.Next() {
+		if m, err := wire.DecodeMsg(p); err == nil {
+			req = m.Req
+		}
+	}
+	return req
 }
 
 // beginFixture is a loopback server, a one-connection pool dialled through a

@@ -226,7 +226,7 @@ func (m *Manager) abortVictimLocked(victim *Tx, req *request) {
 		victim.waiting = nil
 	}
 	victim.mu.Unlock()
-	s := m.stripeOf(req.res)
+	s := m.stripeFor(req.res)
 	if h := s.heads[req.res]; h != nil {
 		m.removeRequestLocked(s, h, req)
 	}

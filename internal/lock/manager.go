@@ -361,8 +361,8 @@ func (m *Manager) PartitionOf(res Resource) int {
 	return int(fnv1a(string(res)) & m.mask)
 }
 
-// stripeOf returns the partition res hashes to.
-func (m *Manager) stripeOf(res Resource) *stripe {
+// stripeFor returns the partition res hashes to.
+func (m *Manager) stripeFor(res Resource) *stripe {
 	return &m.stripes[fnv1a(string(res))&m.mask]
 }
 
@@ -379,7 +379,7 @@ func fnv1a(s string) uint64 {
 // headOf resolves res to its head (nil if absent). Caller holds the stripe
 // mutex (or all of them).
 func (m *Manager) headOf(res Resource) *lockHead {
-	return m.stripeOf(res).heads[res]
+	return m.stripeFor(res).heads[res]
 }
 
 // txTables are the per-transaction tables that outlive the transaction: the
@@ -503,7 +503,7 @@ func (m *Manager) Lock(tx *Tx, res Resource, mode Mode, short bool) error {
 // mutex and waits out a queued request.
 func (m *Manager) acquire(tx *Tx, res Resource, mode Mode, short bool) error {
 	t0 := m.hAcquire.Start()
-	s := m.stripeOf(res)
+	s := m.stripeFor(res)
 	s.mu.Lock()
 	tx.mu.Lock()
 	if tx.done {
@@ -725,7 +725,7 @@ func (m *Manager) ReleaseAll(tx *Tx) {
 		// Defensive: with the one-goroutine-per-transaction discipline the
 		// owner cannot be blocked in Lock while calling ReleaseAll, but a
 		// stale pending request must not outlive the transaction.
-		s := m.stripeOf(w.res)
+		s := m.stripeFor(w.res)
 		s.mu.Lock()
 		tx.mu.Lock()
 		stillWaiting := tx.waiting == w
@@ -832,7 +832,7 @@ func (m *Manager) Waiting(tx *Tx) bool {
 
 // QueueLength returns the number of waiters on res (test aid).
 func (m *Manager) QueueLength(res Resource) int {
-	s := m.stripeOf(res)
+	s := m.stripeFor(res)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if h := s.heads[res]; h != nil {

@@ -8,11 +8,10 @@ import (
 	"time"
 )
 
-// mutexLRU replicates the pre-sharding buffer manager's synchronization
-// design — one global mutex guarding the page table, pin counts, and an
-// LRU list touched on every hit, with miss I/O performed *under* the table
-// lock (as the old Fix did) — as the in-run baseline the sharded pool is
-// measured against. Backend reads are modeled as a sleep so both designs
+// mutexLRU replicates the first buffer manager's synchronization design —
+// one global mutex guarding the page table, pin counts, and an LRU list
+// touched on every hit, with miss I/O performed *under* the table lock (as
+// the old Fix did) — as the in-run baseline the pool is measured against. Backend reads are modeled as a sleep so both designs
 // pay the same per-miss latency; what differs is who else that latency
 // blocks.
 type mutexLRU struct {
@@ -106,8 +105,8 @@ func runContention(b *testing.B, g int, op func(x uint64)) {
 	b.StopTimer()
 }
 
-// BenchmarkBufferContention measures Fix/Unfix throughput for the sharded
-// pool and for the single-mutex LRU design it replaced, in the same run.
+// BenchmarkBufferContention measures Fix/Unfix throughput for the pool and
+// for the single-mutex LRU design it replaced, in the same run.
 // Three scenarios:
 //
 //   - hits: every access is a buffer hit. This isolates raw
@@ -116,13 +115,13 @@ func runContention(b *testing.B, g int, op func(x uint64)) {
 //     simulated backend latency; the rest are resident hits. The old
 //     design performed miss I/O under the global table lock, so one
 //     goroutine's miss stalls every other goroutine's hits for the full
-//     I/O; the sharded pool does I/O with only the frame marked loading,
+//     I/O; the pool does I/O with only the frame marked loading,
 //     so other goroutines' hits overlap the latency. This is the
 //     contention the redesign removes, and it shows even on a single-CPU
 //     host where parallel speedup of the lock-free-I/O hit path is
 //     unobservable.
-//   - cold: cold_jump's shape at 2 goroutines — a 64-frame pool (one
-//     shard), a working set 16 times the pool, a hot set of 8 pages standing
+//   - cold: cold_jump's shape at 2 goroutines — a 64-frame pool, a
+//     working set 16 times the pool, a hot set of 8 pages standing
 //     in for the B*-tree inner pages every lookup fixes, 1 access in 16 a
 //     cold page, and no simulated latency: misses sweep and load while hits
 //     on the hot set run beside them.
@@ -138,12 +137,12 @@ func BenchmarkBufferContention(b *testing.B) {
 		missShift = 6 // 1 miss per 2^6 accesses in the mixed scenario
 	)
 	mb := NewMemBackend()
-	s := OpenConfig(mb, Config{BufferFrames: frames, shards: 16})
+	s := Open(mb, frames)
 	defer s.Close()
 
 	// Cold range first, hot set last: the hot pages start resident and
 	// constant re-reference keeps them resident (LRU recency in the
-	// baseline, CLOCK ref bits in the sharded pool).
+	// baseline, CLOCK ref bits in the pool).
 	cold := make([]PageID, coldPages)
 	for i := range cold {
 		f, err := s.FixNew()
@@ -173,7 +172,7 @@ func BenchmarkBufferContention(b *testing.B) {
 		base.unfix(base.fix(id))
 	}
 
-	shardedOp := func(id PageID) {
+	poolOp := func(id PageID) {
 		f, err := s.Fix(id)
 		if err != nil {
 			b.Error(err)
@@ -192,7 +191,7 @@ func BenchmarkBufferContention(b *testing.B) {
 		for _, im := range []struct {
 			name string
 			op   func(PageID)
-		}{{"sharded", shardedOp}, {"mutex", mutexOp}} {
+		}{{"pool", poolOp}, {"mutex", mutexOp}} {
 			for _, g := range []int{1, 4, 16} {
 				b.Run(fmt.Sprintf("%s/%s/g%d", sc.name, im.name, g), func(b *testing.B) {
 					runContention(b, g, func(x uint64) {
@@ -242,7 +241,7 @@ func benchColdContention(b *testing.B) {
 		name string
 		op   func(PageID)
 	}{
-		{"sharded", func(id PageID) {
+		{"pool", func(id PageID) {
 			f, err := s.Fix(id)
 			if err != nil {
 				b.Error(err)

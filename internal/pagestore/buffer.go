@@ -43,7 +43,7 @@ type frameState uint32
 
 const (
 	// frameFree: the frame is not mapped to any page (new, or recycled after
-	// a failed load and parked on the shard free list).
+	// a failed load and parked on the pool's free list).
 	frameFree frameState = iota
 	// frameLoading: a Fix miss owns the frame and is reading its page from
 	// the backend. Nobody may pin it; Fixers of the page wait on cond.
@@ -71,8 +71,8 @@ type Frame struct {
 	// resident frame (pin), and the evictor and the flusher claim only a
 	// resident frame with no pins (claim). Nobody pins an in-flight frame.
 	word atomic.Uint64
-	// hits counts Fix hits on this frame; the shard and pool counters sum
-	// it. It shares word's cache line, which every hit writes anyway.
+	// hits counts Fix hits on this frame; the pool's counters sum it. It
+	// shares word's cache line, which every hit writes anyway.
 	hits atomic.Uint64
 	// ref is the CLOCK second-chance bit: set by a Fix when clear, cleared
 	// by the sweep.
@@ -81,12 +81,11 @@ type Frame struct {
 	// line the other cores' pins keep taking away.
 	_ [64 - 20]byte
 
-	// id is the page held. Remapped only under shard.mu write-locked while
+	// id is the page held. Remapped only under Store.mu write-locked while
 	// the frame is claimed or free; stable while the frame is pinned (a
-	// pinner reads it after its CAS) or while shard.mu is held.
+	// pinner reads it after its CAS) or while Store.mu is held.
 	id    PageID
 	store *Store
-	shard *bufShard
 	data  []byte
 
 	// dirty marks content that must reach the backend before the frame is
@@ -236,45 +235,29 @@ func (f *Frame) markClean() {
 	f.imaged.Store(false)
 }
 
-// bufShard is one partition of the buffer pool's misses: the frames it may
-// map its pages to, a free list, and a CLOCK hand. Fix hits never touch it.
-// The miss path holds mu for the sweep and the page-table surgery — never
-// across backend I/O or WAL forces; the walkers (flush, trickle,
-// dirty-page table, counters) read the frames under it shared.
-type bufShard struct {
-	store *Store
-
-	mu sync.RWMutex
-	// misses counts Fix misses on this shard; Stats and the buffer.*
-	// counters sum it with the frames' hit counts.
-	misses atomic.Uint64
-
-	frames []*Frame // every frame allocated in this shard
-	free   []*Frame // unmapped frames (recycled after failed loads)
-	hand   int      // CLOCK hand over frames
-	cap    int
-
-	// Per-shard instruments (nil without Config.Metrics; Counter and
-	// Histogram methods no-op on nil): which shard the evictions and
-	// write-back stalls landed on (hits and misses are summed under
-	// buffer.shardNN.hits and .misses).
-	cEvictions *metrics.Counter
-	hWriteback *metrics.Histogram
-}
-
 // Store is the buffer manager: a fixed pool of page frames over a Backend,
-// found through one lock-free page table and partitioned into power-of-two
-// shards with per-shard CLOCK replacement of unpinned frames.
+// found through one lock-free page table, with CLOCK replacement of unpinned
+// frames.
 type Store struct {
 	// table is what every Fix reads; the pad keeps the fields below, which
 	// misses and captures write, off its cache lines.
 	table pageTable
 	_     [64]byte
 
-	backend   Backend
-	shards    []*bufShard
-	shardMask uint32
-	cap       int
+	backend Backend
+	cap     int
+
+	// mu is the miss latch. Fix hits never take it. The miss path holds it
+	// for the CLOCK sweep and the page-table surgery — never across backend
+	// I/O or WAL forces; the walkers (flush, trickle, dirty-page table,
+	// counters) read the frames under it shared.
+	mu     sync.RWMutex
+	frames []*Frame // every frame allocated, at most cap
+	free   []*Frame // unmapped frames (recycled after failed loads)
+	hand   int      // CLOCK hand over frames
+	// misses counts Fix misses; Stats and the buffer.* counters sum it with
+	// the frames' hit counts.
+	misses atomic.Uint64
 
 	wal     atomic.Pointer[walRef]
 	capture Capture // the one reusable capture session (capture.go)
@@ -301,7 +284,7 @@ type Store struct {
 	// on the live frame and consulting the version chain.
 	fixAtParked func()
 	// claimParked is a test seam: when set, the CLOCK sweep calls it between
-	// picking a victim and claiming it, holding the shard lock.
+	// picking a victim and claiming it, holding the miss latch.
 	claimParked func()
 
 	flusherStop chan struct{}
@@ -399,33 +382,17 @@ func (s *Store) withRetry(op func() error) error {
 	return &RetryExhaustedError{Attempts: retryMax + 1, Err: err}
 }
 
-// ErrNoFrames is returned when every frame in the target shard is pinned
-// and a new page is requested.
+// ErrNoFrames is returned when every frame of the pool is pinned and a new
+// page is requested.
 var ErrNoFrames = errors.New("pagestore: all buffer frames pinned")
 
 // DefaultFrames is the default buffer pool capacity.
 const DefaultFrames = 1024
 
-// DefaultShards is the default shard count; the effective count is clamped
-// so small pools keep whole-pool eviction semantics (see Config).
-const DefaultShards = 16
-
-// minFramesPerShard is the smallest per-shard capacity sharding is allowed
-// to produce. Below it the pool degrades to fewer shards (ultimately one):
-// a tiny shard would return ErrNoFrames while other shards still had room,
-// which small fixed-capacity configurations (tests, chaos harnesses) rely
-// on not happening.
-const minFramesPerShard = 64
-
 // Config configures a buffer-manager Store.
 type Config struct {
 	// BufferFrames is the pool capacity (DefaultFrames if <= 0).
 	BufferFrames int
-	// shards is the requested page-table shard count (DefaultShards if
-	// <= 0). It is rounded down to a power of two and clamped so every
-	// shard holds at least minFramesPerShard frames. Only the in-package
-	// tests set it: every pool runs at the default, clamped from BufferFrames.
-	shards int
 	// FlusherInterval enables the background flusher: every interval, all
 	// dirty unpinned frames are trickled to the backend so evictions
 	// rarely stall on a write-back. Zero or negative disables it.
@@ -436,14 +403,13 @@ type Config struct {
 	// disables it. The goroutine runs whenever either interval is set.
 	CheckpointInterval time.Duration
 	// Metrics, when non-nil, receives the buffer instruments: the buffer.*
-	// counters, fix-miss and write-back latency histograms, and per-shard
-	// hit/miss/eviction counters plus write-back latency. Nil disables all
-	// latency recording (no clock reads on the Fix path).
+	// counters and the fix-miss and write-back latency histograms. Nil
+	// disables all latency recording (no clock reads on the Fix path).
 	Metrics *metrics.Registry
 }
 
 // Open wraps backend in a buffer manager with the given frame capacity
-// (DefaultFrames if frames <= 0) and default sharding.
+// (DefaultFrames if frames <= 0).
 func Open(backend Backend, frames int) *Store {
 	return OpenConfig(backend, Config{BufferFrames: frames})
 }
@@ -454,42 +420,11 @@ func OpenConfig(backend Backend, cfg Config) *Store {
 	if frames <= 0 {
 		frames = DefaultFrames
 	}
-	shards := cfg.shards
-	if shards <= 0 {
-		shards = DefaultShards
-	}
-	for shards&(shards-1) != 0 {
-		shards &= shards - 1 // round down to a power of two
-	}
-	for shards > 1 && frames/shards < minFramesPerShard {
-		shards >>= 1
-	}
-	s := &Store{
-		backend:   backend,
-		shards:    make([]*bufShard, shards),
-		shardMask: uint32(shards - 1),
-		cap:       frames,
-		reg:       cfg.Metrics,
-	}
+	s := &Store{backend: backend, cap: frames, reg: cfg.Metrics}
 	s.capture.s = s
-	base, rem := frames/shards, frames%shards
-	for i := range s.shards {
-		c := base
-		if i < rem {
-			c++
-		}
-		s.shards[i] = &bufShard{store: s, cap: c}
-	}
 	if reg := cfg.Metrics; reg != nil {
 		s.hFixMiss = reg.Histogram("buffer.fix_miss")
 		s.hWriteback = reg.Histogram("buffer.writeback")
-		for i, sh := range s.shards {
-			prefix := fmt.Sprintf("buffer.shard%02d.", i)
-			reg.Func(prefix+"hits", sh.hitCount)
-			reg.Func(prefix+"misses", sh.misses.Load)
-			sh.cEvictions = reg.Counter(prefix + "evictions")
-			sh.hWriteback = reg.Histogram(prefix + "writeback")
-		}
 		s.registerCounters(reg)
 	}
 	if cfg.FlusherInterval > 0 || cfg.CheckpointInterval > 0 {
@@ -503,7 +438,7 @@ func OpenConfig(backend Backend, cfg Config) *Store {
 // existing single atomic adds.
 func (s *Store) registerCounters(reg *metrics.Registry) {
 	reg.Func("buffer.hits", s.hitCount)
-	reg.Func("buffer.misses", s.missCount)
+	reg.Func("buffer.misses", s.misses.Load)
 	reg.Func("buffer.evictions", s.evictions.Load)
 	reg.Func("buffer.writebacks", s.writebacks.Load)
 	reg.Func("buffer.retries", s.retries.Load)
@@ -513,20 +448,6 @@ func (s *Store) registerCounters(reg *metrics.Registry) {
 	reg.Func("buffer.resident_pages", func() uint64 { return uint64(s.ResidentPages()) })
 }
 
-// Shards reports the effective shard count after clamping.
-func (s *Store) Shards() int { return len(s.shards) }
-
-// shardHash picks a page's shard. Multiplicative hashing spreads the
-// sequential IDs Allocate hands out across all shards. Only misses call it;
-// it is a variable so a test can put every page in one shard.
-var shardHash = func(id PageID) uint32 {
-	h := uint32(id) * 0x9E3779B1
-	return h ^ h>>16
-}
-
-// shardFor returns the shard whose lock guards the mapping of page id.
-func (s *Store) shardFor(id PageID) *bufShard { return s.shards[shardHash(id)&s.shardMask] }
-
 // Backend exposes the underlying backend (used by tests and tools).
 func (s *Store) Backend() Backend { return s.backend }
 
@@ -535,9 +456,9 @@ func (s *Store) Backend() Backend { return s.backend }
 // other layers into the same one.
 func (s *Store) Metrics() *metrics.Registry { return s.reg }
 
-// newFrame allocates an empty frame for a shard.
-func newFrame(s *Store, sh *bufShard) *Frame {
-	f := &Frame{store: s, shard: sh, data: make([]byte, PageSize)}
+// newFrame allocates an empty frame.
+func newFrame(s *Store) *Frame {
+	f := &Frame{store: s, data: make([]byte, PageSize)}
 	f.cond = sync.NewCond(&f.mu)
 	return f
 }
@@ -568,8 +489,7 @@ func (s *Store) Fix(id PageID) (*Frame, error) {
 		if n := s.backend.NumPages(); id >= n {
 			return nil, fmt.Errorf("%w: fix %d of %d", ErrPageOutOfRange, id, n)
 		}
-		sh := s.shardFor(id)
-		f, err := sh.alloc(id)
+		f, err := s.alloc(id)
 		if err != nil {
 			return nil, err
 		}
@@ -579,12 +499,12 @@ func (s *Store) Fix(id PageID) (*Frame, error) {
 			continue
 		}
 		t0 := s.hFixMiss.Start()
-		if err := s.loadFrame(sh, f, id); err != nil {
+		if err := s.loadFrame(f, id); err != nil {
 			s.hFixMiss.Since(t0)
 			return nil, err
 		}
 		s.hFixMiss.Since(t0)
-		sh.misses.Add(1)
+		s.misses.Add(1)
 		return f, nil
 	}
 }
@@ -618,8 +538,7 @@ func (s *Store) FixNew() (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := s.shardFor(id)
-	f, err := sh.alloc(id)
+	f, err := s.alloc(id)
 	if err != nil {
 		return nil, err
 	}
@@ -639,43 +558,42 @@ func (s *Store) FixNew() (*Frame, error) {
 }
 
 // alloc claims a frame for page id: it re-checks the table, reuses a free
-// frame, grows the shard up to its capacity, or CLOCK-evicts. The returned
+// frame, grows the pool up to its capacity, or CLOCK-evicts. The returned
 // frame is mapped to id, pinned once, and in frameLoading state — the
 // caller must fill data and publish frameResident (or fail the load). A
 // nil, nil return means another goroutine mapped id concurrently; the
 // caller should retry its lookup.
-func (sh *bufShard) alloc(id PageID) (*Frame, error) {
-	s := sh.store
+func (s *Store) alloc(id PageID) (*Frame, error) {
 	for {
-		sh.mu.Lock()
+		s.mu.Lock()
 		if s.table.lookup(id) != nil {
-			sh.mu.Unlock()
+			s.mu.Unlock()
 			return nil, nil
 		}
-		if n := len(sh.free); n > 0 {
-			f := sh.free[n-1]
-			sh.free = sh.free[:n-1]
-			sh.mapFrameLocked(f, id)
-			sh.mu.Unlock()
+		if n := len(s.free); n > 0 {
+			f := s.free[n-1]
+			s.free = s.free[:n-1]
+			s.mapFrameLocked(f, id)
+			s.mu.Unlock()
 			return f, nil
 		}
-		if len(sh.frames) < sh.cap {
-			f := newFrame(s, sh)
-			sh.frames = append(sh.frames, f)
-			sh.mapFrameLocked(f, id)
-			sh.mu.Unlock()
+		if len(s.frames) < s.cap {
+			f := newFrame(s)
+			s.frames = append(s.frames, f)
+			s.mapFrameLocked(f, id)
+			s.mu.Unlock()
 			return f, nil
 		}
 
 		// CLOCK sweep: up to two revolutions (the first may only clear
 		// reference bits). A victim must be resident, unpinned, and
 		// unreferenced. It is claimed (claim: a CAS that fails if a Fix
-		// pinned it since) before the shard lock is dropped, which excludes
+		// pinned it since) before the miss latch is dropped, which excludes
 		// the background flusher and concurrent Fixers.
 		var victim, inflight *Frame
-		for i := 0; i < 2*len(sh.frames); i++ {
-			f := sh.frames[sh.hand]
-			sh.hand = (sh.hand + 1) % len(sh.frames)
+		for i := 0; i < 2*len(s.frames); i++ {
+			f := s.frames[s.hand]
+			s.hand = (s.hand + 1) % len(s.frames)
 			w := f.word.Load()
 			if st := frameState(w >> 32); st == frameLoading || st == frameWriting {
 				inflight = f
@@ -697,7 +615,7 @@ func (sh *bufShard) alloc(id PageID) (*Frame, error) {
 			}
 		}
 		if victim == nil {
-			sh.mu.Unlock()
+			s.mu.Unlock()
 			if inflight == nil {
 				return nil, fmt.Errorf("%w (capacity %d)", ErrNoFrames, s.cap)
 			}
@@ -709,63 +627,61 @@ func (sh *bufShard) alloc(id PageID) (*Frame, error) {
 
 		if !victim.dirty.Load() {
 			s.table.remove(victim.id, victim)
-			sh.mapFrameLocked(victim, id)
+			s.mapFrameLocked(victim, id)
 			s.evictions.Add(1)
-			sh.cEvictions.Add(1)
-			sh.mu.Unlock()
+			s.mu.Unlock()
 			return victim, nil
 		}
 
-		// Dirty victim: write it back with no shard lock held. The frame
-		// stays mapped in frameWriting, so Fixers of the old page sleep on
-		// the frame — not the shard — and cannot pin it while the backend
+		// Dirty victim: write it back with the miss latch released. The
+		// frame stays mapped in frameWriting, so Fixers of the old page sleep
+		// on the frame — not the latch — and cannot pin it while the backend
 		// reads its bytes.
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		err := s.writeBack(victim)
-		sh.mu.Lock()
+		s.mu.Lock()
 		if err != nil {
 			// Requeue: the page stays buffered and dirty — a failed
 			// write-back must never drop content. The error surfaces to
 			// the caller (permanent or retry-exhausted by now).
 			victim.settle(frameResident)
-			sh.mu.Unlock()
+			s.mu.Unlock()
 			return nil, err
 		}
 		victim.markClean()
 		s.evictions.Add(1)
-		sh.cEvictions.Add(1)
 		if s.table.lookup(id) != nil {
 			// Someone mapped our target page while we wrote; release the
 			// victim as a clean resident frame and retry the lookup.
 			victim.settle(frameResident)
-			sh.mu.Unlock()
+			s.mu.Unlock()
 			return nil, nil
 		}
 		s.table.remove(victim.id, victim)
-		sh.mapFrameLocked(victim, id)
-		sh.mu.Unlock()
+		s.mapFrameLocked(victim, id)
+		s.mu.Unlock()
 		return victim, nil
 	}
 }
 
 // mapFrameLocked binds a free or just-claimed frame to page id in
 // frameLoading state with one pin for the caller, and enters it in the page
-// table. The caller holds sh.mu write-locked. A Fixer sleeping on the frame
+// table. The caller holds s.mu write-locked. A Fixer sleeping on the frame
 // under its old page keeps sleeping until the load settles it, then finds
 // that the frame holds another page.
-func (sh *bufShard) mapFrameLocked(f *Frame, id PageID) {
+func (s *Store) mapFrameLocked(f *Frame, id PageID) {
 	f.id = id
 	f.ref.Store(true)
 	f.markClean()
 	f.influx.Store(false)
 	f.word.Store(frameWord(frameLoading, 1))
-	sh.store.table.insert(id, f)
+	s.table.insert(id, f)
 }
 
 // loadFrame fills a just-mapped frame from the backend and publishes it
 // resident. On failure the frame is unmapped and recycled through the free
 // list; waiters retry their lookup and surface their own errors.
-func (s *Store) loadFrame(sh *bufShard, f *Frame, id PageID) error {
+func (s *Store) loadFrame(f *Frame, id PageID) error {
 	err := s.withRetry(func() error { return s.backend.ReadPage(id, f.data) })
 	if err == nil {
 		// Detect torn or corrupt images at read time: the checksum was
@@ -778,21 +694,21 @@ func (s *Store) loadFrame(sh *bufShard, f *Frame, id PageID) error {
 		f.settle(frameResident)
 		return nil
 	}
-	sh.mu.Lock()
+	s.mu.Lock()
 	s.table.remove(id, f)
 	f.mu.Lock()
 	f.word.Store(frameWord(frameFree, 0)) // the loader's pin goes with the mapping
 	f.cond.Broadcast()
 	f.mu.Unlock()
-	sh.free = append(sh.free, f)
-	sh.mu.Unlock()
+	s.free = append(s.free, f)
+	s.mu.Unlock()
 	return err
 }
 
 // writeBack persists one frame the caller has claimed in frameWriting: it
 // enforces the WAL rule (force the log up to the page's LSN first — with no
 // attached log the rule is vacuous), stamps the page checksum, and writes
-// through the retry policy. No table lock is held. FlushTo is called
+// through the retry policy. The miss latch is not held. FlushTo is called
 // unconditionally, even for pages with LSN 0: a crashed log fails every
 // FlushTo, which is exactly the barrier that keeps post-crash unlogged
 // content off the backend.
@@ -811,7 +727,6 @@ func (s *Store) writeBack(f *Frame) error {
 	}
 	s.writebacks.Add(1)
 	s.hWriteback.Since(t0)
-	f.shard.hWriteback.Since(t0)
 	return nil
 }
 
@@ -827,25 +742,14 @@ func (s *Store) Unfix(f *Frame) {
 	}
 }
 
-// Flush writes all dirty buffered pages (pinned ones included — callers
-// quiesce mutators) to the backend and syncs it.
+// Flush writes all dirty buffered pages to the backend, waiting out
+// in-flight I/O, and syncs it. Unlike the flusher it does not skip pinned
+// frames: Flush is a checkpoint barrier and its callers hold the document
+// quiescent.
 func (s *Store) Flush() error {
-	for _, sh := range s.shards {
-		if err := sh.flushAll(); err != nil {
-			return err
-		}
-	}
-	return s.withRetry(s.backend.Sync)
-}
-
-// flushAll writes every dirty frame of the shard, waiting out in-flight
-// I/O. Unlike the flusher it does not skip pinned frames: Flush is a
-// checkpoint barrier and its callers hold the document quiescent.
-func (sh *bufShard) flushAll() error {
-	s := sh.store
-	sh.mu.RLock()
-	frames := append([]*Frame(nil), sh.frames...)
-	sh.mu.RUnlock()
+	s.mu.RLock()
+	frames := append([]*Frame(nil), s.frames...)
+	s.mu.RUnlock()
 	for _, f := range frames {
 		if !f.claimDirty() {
 			continue
@@ -859,7 +763,7 @@ func (sh *bufShard) flushAll() error {
 			return err
 		}
 	}
-	return nil
+	return s.withRetry(s.backend.Sync)
 }
 
 // claimDirty claims a dirty resident frame for Flush, pinned or not, after
@@ -894,7 +798,7 @@ func (s *Store) Close() error {
 func (s *Store) Stats() Stats {
 	return Stats{
 		Hits:          s.hitCount(),
-		Misses:        s.missCount(),
+		Misses:        s.misses.Load(),
 		Evictions:     s.evictions.Load(),
 		Writebacks:    s.writebacks.Load(),
 		Retries:       s.retries.Load(),
@@ -904,38 +808,19 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// eachFrame calls fn for every frame of every shard, holding the frame's
-// shard lock shared: no frame is added or remapped meanwhile.
+// eachFrame calls fn for every frame, holding the miss latch shared: no
+// frame is added or remapped meanwhile.
 func (s *Store) eachFrame(fn func(*Frame)) {
-	for _, sh := range s.shards {
-		sh.eachFrame(fn)
-	}
-}
-
-func (sh *bufShard) eachFrame(fn func(*Frame)) {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	for _, f := range sh.frames {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, f := range s.frames {
 		fn(f)
 	}
 }
 
-// hitCount sums the shard's frames' hit counters.
-func (sh *bufShard) hitCount() (n uint64) {
-	sh.eachFrame(func(f *Frame) { n += f.hits.Load() })
-	return n
-}
-
-// hitCount and missCount sum the Fix counters of the whole pool.
+// hitCount sums the frames' hit counters.
 func (s *Store) hitCount() (n uint64) {
 	s.eachFrame(func(f *Frame) { n += f.hits.Load() })
-	return n
-}
-
-func (s *Store) missCount() (n uint64) {
-	for _, sh := range s.shards {
-		n += sh.misses.Load()
-	}
 	return n
 }
 
@@ -950,7 +835,7 @@ func (s *Store) PinnedFrames() (n int) {
 	return n
 }
 
-// ResidentPages reports how many pages are currently buffered (all shards).
+// ResidentPages reports how many pages are currently buffered.
 func (s *Store) ResidentPages() (n int) {
 	s.eachFrame(func(f *Frame) {
 		if f.state() != frameFree {

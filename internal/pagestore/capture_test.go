@@ -183,11 +183,9 @@ func TestCapturePinsOnlyDeclaredPages(t *testing.T) {
 	}
 	c.Commit(7)
 	c.Close()
-	for _, sh := range s.shards {
-		for _, f := range sh.frames {
-			if n := f.pins(); n != 0 {
-				t.Errorf("page %d still has %d pins after Close", f.id, n)
-			}
+	for _, f := range s.frames {
+		if n := f.pins(); n != 0 {
+			t.Errorf("page %d still has %d pins after Close", f.id, n)
 		}
 	}
 	f, err := s.Fix(ids[0])

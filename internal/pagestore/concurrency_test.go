@@ -13,46 +13,6 @@ import (
 	"time"
 )
 
-// TestShardClamping pins the shard-count policy: requested counts are
-// rounded down to powers of two and clamped so each shard holds at least
-// minFramesPerShard frames — tiny pools must keep whole-pool semantics.
-func TestShardClamping(t *testing.T) {
-	cases := []struct {
-		frames, shards, want int
-	}{
-		{2, 0, 1},        // tiny pool: single shard
-		{64, 16, 1},      // one shard's worth of frames
-		{128, 16, 2},     // clamped to frames/minFramesPerShard
-		{256, 16, 4},     // clamped
-		{1024, 0, 16},    // default frames/shards
-		{1024, 5, 4},     // rounded down to a power of two
-		{4096, 16, 16},   // fits
-		{100000, 64, 64}, // large pool honors the request
-		{DefaultFrames, DefaultShards, 16},
-	}
-	for _, c := range cases {
-		s := OpenConfig(NewMemBackend(), Config{BufferFrames: c.frames, shards: c.shards})
-		if got := s.Shards(); got != c.want {
-			t.Errorf("frames=%d shards=%d: got %d shards, want %d", c.frames, c.shards, got, c.want)
-		}
-		s.Close()
-	}
-}
-
-// TestShardCapacitySum checks the per-shard capacities sum to the pool
-// capacity (the remainder frames must not be lost).
-func TestShardCapacitySum(t *testing.T) {
-	s := OpenConfig(NewMemBackend(), Config{BufferFrames: 1030, shards: 16})
-	defer s.Close()
-	total := 0
-	for _, sh := range s.shards {
-		total += sh.cap
-	}
-	if total != 1030 {
-		t.Errorf("shard capacities sum to %d, want 1030", total)
-	}
-}
-
 // TestUnfixPanicMessage is the regression test for the double-Unfix
 // corruption bug: an Unfix on an already-unpinned frame must panic — not
 // silently push the pin count negative — and the message must identify the
@@ -117,21 +77,24 @@ func checkPage(data []byte, id PageID) (uint32, error) {
 // oracle. Per-page RW locks in the test serialize content access the way
 // the layers above the buffer do, so any corruption the test observes is
 // the buffer manager's fault. Run it under -race.
-func TestBufferTorture(t *testing.T) {
-	bufferTorture(t, 256) // half the working set: constant eviction traffic
+func TestBufferTorture(t *testing.T) { atSizes(t, bufferTorture, 256, DefaultFrames) }
+
+// atSizes runs suite once per pool size, each a subtest named by the size.
+func atSizes(t *testing.T, suite func(*testing.T, int), sizes ...int) {
+	for _, n := range sizes {
+		t.Run(fmt.Sprintf("frames=%d", n), func(t *testing.T) { suite(t, n) })
+	}
 }
 
-// bufferTorture runs the torture on a pool of frames frames, requesting 16
-// shards (256 frames clamp to 4).
+// bufferTorture runs the torture on a pool of frames frames.
 func bufferTorture(t *testing.T, frames int) {
 	const (
-		pages   = 512
 		workers = 8
 		iters   = 400
 	)
+	pages := 2 * frames // the pool holds half of them: constant eviction traffic
 	s := OpenConfig(NewMemBackend(), Config{
 		BufferFrames:    frames,
-		shards:          16,
 		FlusherInterval: 200 * time.Microsecond,
 	})
 	defer s.Close()
@@ -269,7 +232,7 @@ func bufferTorture(t *testing.T, frames int) {
 // successfully once the fault clears.
 func TestEvictionUnderFault(t *testing.T) {
 	plan := writeFault(true, false)
-	s := Open(&FaultBackend{Backend: NewMemBackend(), Plan: plan}, 2) // 1 shard of 2 frames
+	s := Open(&FaultBackend{Backend: NewMemBackend(), Plan: plan}, 2)
 	defer s.Close()
 
 	// Three pages through a two-frame pool; creating C evicts A cleanly
@@ -347,7 +310,7 @@ func (l *togglingSyncer) FlushTo(uint64) error {
 // TestFlusherTrickles checks the background flusher writes dirty unpinned
 // frames to the backend without evicting them, and leaves pinned frames
 // alone.
-func TestFlusherTrickles(t *testing.T) { flusherTrickles(t, 8) }
+func TestFlusherTrickles(t *testing.T) { atSizes(t, flusherTrickles, 8, DefaultFrames) }
 
 func flusherTrickles(t *testing.T, frames int) {
 	mb := NewMemBackend()
@@ -401,7 +364,7 @@ func flusherTrickles(t *testing.T, frames int) {
 // TestFlusherHonorsWALRule checks the flusher enforces the WAL rule: while
 // the log refuses FlushTo (crashed), dirty pages must not reach the
 // backend; once the log recovers, they trickle out.
-func TestFlusherHonorsWALRule(t *testing.T) { flusherHonorsWALRule(t, 8) }
+func TestFlusherHonorsWALRule(t *testing.T) { atSizes(t, flusherHonorsWALRule, 8, DefaultFrames) }
 
 func flusherHonorsWALRule(t *testing.T, frames int) {
 	mb := NewMemBackend()
@@ -452,7 +415,7 @@ func flusherHonorsWALRule(t *testing.T, frames int) {
 
 // TestConcurrentSamePageMiss checks that concurrent Fix misses of one page
 // load it exactly once and everybody gets the same frame.
-func TestConcurrentSamePageMiss(t *testing.T) { concurrentSamePageMiss(t, 8) }
+func TestConcurrentSamePageMiss(t *testing.T) { atSizes(t, concurrentSamePageMiss, 8, DefaultFrames) }
 
 func concurrentSamePageMiss(t *testing.T, frames int) {
 	mb := NewMemBackend()
@@ -510,30 +473,6 @@ func concurrentSamePageMiss(t *testing.T, frames int) {
 	}
 }
 
-// collideShards puts every page in shard 0 until the test ends — the
-// registry test of apache-lucy's LockFreeRegistry, whose keys hash to 1.
-// Stores opened meanwhile must be closed before the test returns.
-func collideShards(t *testing.T) {
-	old := shardHash
-	shardHash = func(PageID) uint32 { return 0 }
-	t.Cleanup(func() { shardHash = old })
-}
-
-// TestSuitesInOneShard runs the torture, small-pool, same-page-miss and
-// flusher suites again on a 1024-frame pool of 16 shards whose pages all
-// land in shard 0: the page table is shared by every shard, and a pool whose
-// misses crowd one shard must behave like a pool of that shard's 64 frames.
-func TestSuitesInOneShard(t *testing.T) {
-	collideShards(t)
-	const frames, usable = 1024, 1024 / DefaultShards
-	t.Run("torture", func(t *testing.T) { bufferTorture(t, frames) })
-	t.Run("all-pinned", func(t *testing.T) { bufferAllPinned(t, frames, usable) })
-	t.Run("eviction-writes-back", func(t *testing.T) { bufferEvictionWritesBack(t, frames, usable) })
-	t.Run("same-page-miss", func(t *testing.T) { concurrentSamePageMiss(t, frames) })
-	t.Run("flusher-trickles", func(t *testing.T) { flusherTrickles(t, frames) })
-	t.Run("flusher-wal-rule", func(t *testing.T) { flusherHonorsWALRule(t, frames) })
-}
-
 // newPage creates a page tagged with tag through FixNew and returns it
 // pinned.
 func newPage(t *testing.T, s *Store, tag byte) *Frame {
@@ -546,8 +485,8 @@ func newPage(t *testing.T, s *Store, tag byte) *Frame {
 	return f
 }
 
-// parkFirstClaim makes the first victim claim of s park, holding its shard
-// lock, until the returned release is called; parked is closed once it
+// parkFirstClaim makes the first victim claim of s park, holding the miss
+// latch, until the returned release is called; parked is closed once it
 // has.
 func parkFirstClaim(s *Store) (parked chan struct{}, release func()) {
 	parked, resume := make(chan struct{}), make(chan struct{})
@@ -602,11 +541,11 @@ func awaitStack(t *testing.T, fn string) {
 }
 
 // TestHitDoesNotWaitForClaim parks a miss in its victim claim, where it owns
-// the shard's sweep, and fixes another resident page of the same shard: the
-// hit must return while the miss is still parked. With the hit under the
-// shard lock, it waited for the whole sweep.
+// the sweep, and fixes another resident page: the hit must return while the
+// miss is still parked. With the hit under the miss latch, it waited for the
+// whole sweep.
 func TestHitDoesNotWaitForClaim(t *testing.T) {
-	s := Open(NewMemBackend(), 3) // one shard
+	s := Open(NewMemBackend(), 3)
 	defer s.Close()
 	victim, hit, held := newPage(t, s, 'v'), newPage(t, s, 'h'), newPage(t, s, 'p')
 	s.Unfix(victim)
@@ -652,7 +591,7 @@ func TestHitDoesNotWaitForClaim(t *testing.T) {
 // that flipped the state without the pin count in the same CAS would remap
 // the pinned frame underneath its holder.
 func TestClaimLosesToAPin(t *testing.T) {
-	s := Open(NewMemBackend(), 3) // one shard
+	s := Open(NewMemBackend(), 3)
 	defer s.Close()
 	victim, spare, held := newPage(t, s, 'v'), newPage(t, s, 's'), newPage(t, s, 'p')
 	v := victim.ID()
@@ -707,7 +646,7 @@ func (g *gatedWrites) WritePage(id PageID, buf []byte) error {
 // frame now holds another page; it must look again and load its own.
 func TestPinRechecksRemappedFrame(t *testing.T) {
 	g := &gatedWrites{Backend: NewMemBackend(), entered: make(chan struct{}), open: make(chan struct{})}
-	s := Open(g, 3) // one shard
+	s := Open(g, 3)
 	defer s.Close()
 	fa := newPage(t, s, 'a')
 	a := fa.ID()
@@ -745,7 +684,7 @@ func TestPinRechecksRemappedFrame(t *testing.T) {
 // is being written back by an eviction.
 func TestFixResident(t *testing.T) {
 	g := &gatedWrites{Backend: NewMemBackend(), entered: make(chan struct{}), open: make(chan struct{})}
-	s := Open(g, 3) // one shard
+	s := Open(g, 3)
 	defer s.Close()
 	fa := newPage(t, s, 'a')
 	a := fa.ID()

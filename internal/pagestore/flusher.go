@@ -64,28 +64,21 @@ func (s *Store) stopFlusher() {
 	s.flusherWG.Wait()
 }
 
-// FlushDirty performs one flusher pass over all shards: every frame that is
-// dirty, unpinned, and resident is written back. Exported so tools and
-// tests can force a pass; the background flusher calls it on every tick.
-// Unlike Flush it skips pinned frames (their holders may be mutating the
-// bytes) and does not sync the backend.
+// FlushDirty performs one flusher pass: every frame that is dirty, unpinned,
+// and resident is written back. Exported so tools and tests can force a
+// pass; the background flusher calls it on every tick. Unlike Flush it skips
+// pinned frames (their holders may be mutating the bytes) and does not sync
+// the backend.
+//
+// Candidates are collected under the miss latch shared; each is then claimed
+// like an eviction victim (Frame.claim), which re-validates the frame (it
+// may have been pinned or evicted since the scan) and excludes concurrent
+// evictors and Fixers: once the frame is in frameWriting no Fix can pin it
+// until the write finishes. Dirt is checked after the claim, when nobody can
+// clean the frame underneath.
 func (s *Store) FlushDirty() {
-	for _, sh := range s.shards {
-		sh.trickle()
-	}
-}
-
-// trickle writes back the shard's dirty unpinned frames. Candidates are
-// collected under the read lock; each is then claimed like an eviction
-// victim (Frame.claim), which re-validates the frame (it may have been
-// pinned or evicted since the scan) and excludes concurrent evictors and
-// Fixers: once the frame is in frameWriting no Fix can pin it until the
-// write finishes. Dirt is checked after the claim, when nobody can clean the
-// frame underneath.
-func (sh *bufShard) trickle() {
-	s := sh.store
 	var cands []*Frame
-	sh.eachFrame(func(f *Frame) {
+	s.eachFrame(func(f *Frame) {
 		if f.dirty.Load() && f.pins() == 0 {
 			cands = append(cands, f)
 		}

@@ -129,15 +129,17 @@ func TestBufferFixUnfix(t *testing.T) {
 	}
 }
 
-func TestBufferEvictionWritesBack(t *testing.T) { bufferEvictionWritesBack(t, 2, 2) }
+func TestBufferEvictionWritesBack(t *testing.T) {
+	atSizes(t, bufferEvictionWritesBack, 2, DefaultFrames)
+}
 
 // bufferEvictionWritesBack writes twice as many pages as a pool of frames
-// frames can use (usable) through it, then reads them all back.
-func bufferEvictionWritesBack(t *testing.T, frames, usable int) {
+// frames holds through it, then reads them all back.
+func bufferEvictionWritesBack(t *testing.T, frames int) {
 	mb := NewMemBackend()
 	s := Open(mb, frames)
 	var ids []PageID
-	for i := 0; i < 2*usable; i++ {
+	for i := 0; i < 2*frames; i++ {
 		f, err := s.FixNew()
 		if err != nil {
 			t.Fatal(err)
@@ -147,11 +149,11 @@ func bufferEvictionWritesBack(t *testing.T, frames, usable int) {
 		ids = append(ids, f.ID())
 		s.Unfix(f)
 	}
-	// The pool held twice what it can: at least usable evictions with
+	// The pool held twice what it can: at least frames evictions with
 	// write-back.
 	st := s.Stats()
-	if st.Evictions < uint64(usable) || st.Writebacks < uint64(usable) {
-		t.Errorf("stats = %+v, want >=%d evictions and writebacks", st, usable)
+	if st.Evictions < uint64(frames) || st.Writebacks < uint64(frames) {
+		t.Errorf("stats = %+v, want >=%d evictions and writebacks", st, frames)
 	}
 	// All pages readable with correct content, whether buffered or not.
 	for i, id := range ids {
@@ -169,31 +171,33 @@ func bufferEvictionWritesBack(t *testing.T, frames, usable int) {
 	}
 }
 
-func TestBufferAllPinned(t *testing.T) { bufferAllPinned(t, 2, 2) }
+// TestBufferAllPinned fills the pool with pinned pages, at 2 frames and at
+// DefaultFrames: ErrNoFrames means the whole pool is pinned, at every size.
+func TestBufferAllPinned(t *testing.T) { atSizes(t, bufferAllPinned, 2, DefaultFrames) }
 
-// bufferAllPinned pins usable fresh pages in a pool of frames frames: the
+// bufferAllPinned pins frames fresh pages in a pool of frames frames: the
 // next FixNew finds no frame until one of them is unpinned.
-func bufferAllPinned(t *testing.T, frames, usable int) {
+func bufferAllPinned(t *testing.T, frames int) {
 	s := Open(NewMemBackend(), frames)
 	defer s.Close()
-	pinned := make([]*Frame, usable)
+	pinned := make([]*Frame, frames)
 	for i := range pinned {
 		f, err := s.FixNew()
 		if err != nil {
-			t.Fatalf("FixNew %d of %d: %v", i+1, usable, err)
+			t.Fatalf("FixNew %d of %d: %v", i+1, frames, err)
 		}
 		pinned[i] = f
 	}
 	if _, err := s.FixNew(); !errors.Is(err, ErrNoFrames) {
 		t.Errorf("expected ErrNoFrames, got %v", err)
 	}
-	s.Unfix(pinned[usable-1])
+	s.Unfix(pinned[frames-1])
 	f, err := s.FixNew()
 	if err != nil {
 		t.Fatalf("after Unfix, FixNew should succeed: %v", err)
 	}
 	s.Unfix(f)
-	for _, f := range pinned[:usable-1] {
+	for _, f := range pinned[:frames-1] {
 		s.Unfix(f)
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// pageTable maps a PageID to the frame holding it, for every shard of the
-// pool, without a lock: a Fix hit reads it with plain atomic loads, and the
-// miss path (under the page's shard lock) inserts and removes entries by CAS.
+// pageTable maps a PageID to the frame holding it, without a lock: a Fix hit
+// reads it with plain atomic loads, and the miss path (under the pool's miss
+// latch) inserts and removes entries by CAS.
 //
 // It is a directory of chunks of frame slots indexed by the page ID itself.
 // Chunk 0 holds pages [0, 2^tableChunkBits); chunk k >= 1 holds the
@@ -44,10 +44,9 @@ func (t *pageTable) lookup(id PageID) *Frame {
 	return nil
 }
 
-// insert maps id to f. The caller holds id's shard lock and has seen id
-// unmapped under it, so the slot CAS cannot lose; two shards that allocate
-// the same chunk at once race on the directory CAS, and the loser adopts
-// the winner's chunk.
+// insert maps id to f. The caller holds the miss latch and has seen id
+// unmapped under it, so the slot CAS cannot lose; a directory CAS lost to
+// another inserter adopts the winner's chunk.
 func (t *pageTable) insert(id PageID, f *Frame) {
 	k, off, size := tableSlot(id)
 	c := t.chunks[k].Load()
@@ -64,7 +63,7 @@ func (t *pageTable) insert(id PageID, f *Frame) {
 	}
 }
 
-// remove unmaps id from f. The caller holds id's shard lock.
+// remove unmaps id from f. The caller holds the miss latch.
 func (t *pageTable) remove(id PageID, f *Frame) {
 	k, off, _ := tableSlot(id)
 	if c := t.chunks[k].Load(); c == nil || !(*c)[off].CompareAndSwap(f, nil) {

@@ -340,9 +340,9 @@ func (r *Reader) Catalog() Catalog {
 	}
 }
 
-// MaxCounters bounds the counter list of an OpStats response: several times
-// what an engine registers (~100 names with the per-shard buffer counters),
-// small enough that a hostile count cannot size an allocation.
+// MaxCounters bounds the counter list of an OpStats response: many times what
+// an engine registers (~50 names), small enough that a hostile count cannot
+// size an allocation.
 const MaxCounters = 1024
 
 // AppendCounters appends an OpStats response body: the count, then each
