@@ -291,7 +291,7 @@ func TestOpenRestartsCrashResidue(t *testing.T) {
 			}
 			owed := out.Expected(rep)
 			if err := tamix.AuditRecovered(eng.Manager().Document(), owed); err != nil {
-				t.Errorf("audit (commits %d, pending %d, losers %v): %v", out.CommittedTxns, out.PendingTxns, rep.Losers, err)
+				t.Errorf("audit (commits %d, pending %d, losers %v): %v", out.CommittedTxns, len(out.Pending), rep.Losers, err)
 			}
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)

@@ -231,7 +231,10 @@ func (r reader) NextSibling(id splid.ID) (xmlmodel.Node, error) {
 }
 
 // PrevSibling returns the preceding regular sibling of id, or a null-ID
-// node when id is the first child.
+// node when id is the first child. As in LastChild, the seek can land in
+// what a concurrent subtree delete has left of a sibling whose own record is
+// gone; that sibling no longer exists, and the answer is looked for before
+// it.
 func (r reader) PrevSibling(id splid.ID) (xmlmodel.Node, error) {
 	parent := id.Parent()
 	if parent.IsNull() {
@@ -240,21 +243,26 @@ func (r reader) PrevSibling(id splid.ID) (xmlmodel.Node, error) {
 	c := r.cursor()
 	defer c.Close()
 	var kb [btree.MaxKeyLen]byte
-	if !c.SeekLT(id.AppendEncode(kb[:0])) {
-		return xmlmodel.Node{}, c.Err()
+	for bound := id; ; {
+		if !c.SeekLT(bound.AppendEncode(kb[:0])) {
+			return xmlmodel.Node{}, c.Err()
+		}
+		before, err := splid.Decode(c.Key())
+		if err != nil {
+			return xmlmodel.Node{}, err
+		}
+		if before.Equal(parent) || !parent.IsAncestorOf(before) {
+			return xmlmodel.Node{}, nil // id is the first child
+		}
+		bound = before.AncestorAtLevel(id.Level())
+		if bound.IsReservedChild() {
+			return xmlmodel.Node{}, nil // only the attribute root precedes id
+		}
+		n, err := find(&c, bound)
+		if !errors.Is(err, ErrNodeNotFound) {
+			return n, err
+		}
 	}
-	before, err := splid.Decode(c.Key())
-	if err != nil {
-		return xmlmodel.Node{}, err
-	}
-	if before.Equal(parent) || !parent.IsAncestorOf(before) {
-		return xmlmodel.Node{}, nil // id is the first child
-	}
-	sib := before.AncestorAtLevel(id.Level())
-	if sib.IsReservedChild() {
-		return xmlmodel.Node{}, nil // only the attribute root precedes id
-	}
-	return find(&c, sib)
 }
 
 // Parent returns the parent node of id, or a null-ID node for the root.

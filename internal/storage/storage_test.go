@@ -67,6 +67,33 @@ func TestCreateAndRoot(t *testing.T) {
 	}
 }
 
+// TestPrevSiblingPastHalfDeletedSibling: a subtree delete removes its
+// records one by one in document order, the element's own record first, and
+// reads are latch-free. A sibling caught with its record gone and its
+// attributes and children still stored does not exist, and PrevSibling looks
+// past it instead of failing on it.
+func TestPrevSiblingPastHalfDeletedSibling(t *testing.T) {
+	d := buildLibrary(t)
+	persons, err := d.FirstChild(d.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ann, err := d.FirstChild(persons.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob, err := d.NextSibling(ann.ID)
+	if err != nil || bob.ID.IsNull() {
+		t.Fatalf("NextSibling(ann) = %+v, %v", bob, err)
+	}
+	if err := d.deleteRaw(ann); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := d.PrevSibling(bob.ID); err != nil || !n.ID.IsNull() {
+		t.Errorf("PrevSibling(bob) with ann half deleted = %+v, %v; want no sibling", n, err)
+	}
+}
+
 func TestNavigationAxes(t *testing.T) {
 	d := buildLibrary(t)
 	root := d.Root()

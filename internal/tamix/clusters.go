@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/node"
-	"repro/internal/protocol"
 	"repro/internal/tx"
 )
 
@@ -67,17 +66,9 @@ func Serial(mgr *node.Manager, cat *Catalog, mix map[TxType]int, iso tx.Level, s
 	r := newRunner(&localEngine{m: mgr}, cat, rand.New(rand.NewSource(seed)))
 	for i := 0; i < txns; i++ {
 		typ := slots[r.rng.Intn(len(slots))]
-		level := iso
-		if protocol.UsesSnapshotReads(mgr.Protocol()) && typ.ReadOnly() {
-			level = tx.LevelSnapshot
-		}
-		txn := mgr.Begin(level)
-		if err := r.run(typ, txn); err != nil {
-			txn.Abort()
+		eng := &localEngine{m: mgr, iso: levelFor(mgr.Protocol(), iso, typ)}
+		if err := attempt(eng, func(t Txn) error { return r.run(typ, t) }); err != nil {
 			return fmt.Errorf("tamix: %s: %w", typ, err)
-		}
-		if err := txn.Commit(); err != nil {
-			return fmt.Errorf("tamix: %s: commit: %w", typ, err)
 		}
 	}
 	return nil

@@ -23,9 +23,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/node"
 	"repro/internal/pagestore"
 	"repro/internal/splid"
 	"repro/internal/storage"
@@ -34,8 +32,9 @@ import (
 )
 
 // CrashConfig describes one crash burst. A burst runs under core's default
-// protocol (taDOM3+), waits at most crashLockTimeout for a lock, and keeps
-// the log's default segment retention (wal.DefaultRetain).
+// protocol (taDOM3+), waits at most crashLockTimeout for a lock, writes its
+// log in crashSegmentSize segments, and keeps the log's default segment
+// retention (wal.DefaultRetain).
 type CrashConfig struct {
 	// Workers is the number of concurrent marker writers (default 3).
 	Workers int
@@ -48,9 +47,6 @@ type CrashConfig struct {
 	// its scheduled faults to fire is the crash: a log fault crashes the log
 	// itself, and after a page fault the next worker to look hard-stops it.
 	Faults *fault.Plan
-	// SegmentSize is the WAL segment size (default 32 KiB, small enough
-	// that bursts rotate segments).
-	SegmentSize int
 	// CheckpointEvery, when > 0, makes each worker take a fuzzy checkpoint
 	// every Nth operation, so bursts crash with checkpoints (and possibly
 	// truncated segments) on record.
@@ -64,6 +60,10 @@ type CrashConfig struct {
 
 // crashLockTimeout bounds a burst's lock waits.
 const crashLockTimeout = 25 * time.Millisecond
+
+// crashSegmentSize is a burst's WAL segment size, small enough that bursts
+// rotate segments and checkpoints have segments to remove.
+const crashSegmentSize = 8 << 10
 
 // MarkerState is the expected post-recovery state of one marker element.
 type MarkerState struct {
@@ -90,13 +90,14 @@ type CrashOutcome struct {
 	// Committed holds the latest marker states whose commit returned
 	// success.
 	Committed map[string]MarkerState
-	// Pending holds, per in-flight transaction ID, the marker states that
-	// transaction was committing when the crash swallowed the outcome.
+	// Pending holds, per transaction ID, the marker states of every
+	// transaction in flight at the crash. Only those whose commit record
+	// survived are owed (Expected).
 	Pending map[uint64]map[string]MarkerState
 
-	// CommittedTxns and AbortedTxns count definite outcomes; PendingTxns
-	// counts crash-swallowed ones.
-	CommittedTxns, AbortedTxns, PendingTxns int
+	// CommittedTxns and AbortedTxns count definite outcomes; Pending holds
+	// the others.
+	CommittedTxns, AbortedTxns int
 	// LogStats is the log's state at the hard stop.
 	LogStats wal.Stats
 }
@@ -126,14 +127,14 @@ type crashPlan struct {
 	next   MarkerState
 }
 
+// crashWorker runs one worker's marker transactions, on a runner over a
+// localEngine at tx.LevelRepeatable.
 type crashWorker struct {
-	id   int
-	rng  *rand.Rand
-	mgr  *node.Manager
-	log  *wal.Log
-	doc  *storage.Document
-	cfg  *CrashConfig
-	root splid.ID
+	*runner
+	id  int
+	log *wal.Log
+	doc *storage.Document
+	cfg *CrashConfig
 
 	committed map[string]MarkerState
 	live      []string // own non-deleted committed markers
@@ -168,28 +169,28 @@ func (w *crashWorker) plan() crashPlan {
 	}
 }
 
-func (w *crashWorker) exec(t *tx.Txn, p crashPlan) error {
+func (w *crashWorker) exec(t Txn, p crashPlan) error {
 	if p.kind == 0 {
-		el, err := w.mgr.AppendElement(t, w.root, "crashmark")
+		el, err := w.m.AppendElement(t, splid.Root(), "crashmark")
 		if err != nil {
 			return err
 		}
-		if err := w.mgr.SetAttribute(t, el.ID, "id", []byte(p.marker)); err != nil {
+		if err := w.m.SetAttribute(t, el.ID, "id", []byte(p.marker)); err != nil {
 			return err
 		}
-		return w.mgr.SetAttribute(t, el.ID, "v", []byte(p.next.Value))
+		return w.m.SetAttribute(t, el.ID, "v", []byte(p.next.Value))
 	}
-	n, err := w.mgr.JumpToID(t, p.marker)
+	n, err := w.m.JumpToID(t, p.marker)
 	if err != nil {
 		return err
 	}
 	switch p.kind {
 	case 1:
-		return w.mgr.SetAttribute(t, n.ID, "v", []byte(p.next.Value))
+		return w.m.SetAttribute(t, n.ID, "v", []byte(p.next.Value))
 	case 2:
-		return w.mgr.Rename(t, n.ID, p.next.Name)
+		return w.m.Rename(t, n.ID, p.next.Name)
 	default:
-		return w.mgr.DeleteSubtree(t, n.ID)
+		return w.m.DeleteSubtree(t, n.ID)
 	}
 }
 
@@ -229,12 +230,15 @@ func (w *crashWorker) over() bool {
 	return w.log.Crashed()
 }
 
-func (w *crashWorker) run() {
+// burst drives the worker's marker transactions until the crash or the op
+// budget stops it, and returns any failure that is neither an abort-worthy
+// one nor the crash.
+func (w *crashWorker) burst() error {
 	for i := 0; i < w.cfg.OpsPerWorker; i++ {
 		// Check for the crash before the trickle below forces the log: a
 		// commit acknowledged without being durable then dies with it.
 		if w.over() {
-			return
+			return nil
 		}
 		// Write the dirty pages back, as the pool's background flusher would:
 		// write-backs give page-write faults something to strike and move
@@ -243,45 +247,49 @@ func (w *crashWorker) run() {
 		if w.cfg.CheckpointEvery > 0 && i > 0 && i%w.cfg.CheckpointEvery == 0 {
 			// Fuzzy checkpoint mid-burst; other workers keep mutating. A
 			// scheduled checkpoint crash surfaces here as ErrCrashed.
-			if _, err := w.doc.Checkpoint(); err != nil && crashed(err) {
-				return
+			if _, err := w.doc.Checkpoint(); err != nil {
+				return w.stop(err)
 			}
 		}
 		p := w.plan()
-		t := w.mgr.Begin(tx.LevelRepeatable)
-		w.pending[t.ID()] = map[string]MarkerState{p.marker: p.next}
-		err := w.exec(t, p)
-		if err == nil {
-			if err = t.Commit(); err == nil {
-				delete(w.pending, t.ID())
-				w.noteCommitted(p)
-				continue
-			}
-			if crashed(err) {
-				// Outcome unknown: the commit record may or may not have
-				// reached the durable log. Leave it pending and stop.
-				w.log.CrashNow()
-				_ = t.Abort()
-				return
-			}
-		}
-		// Operation failed (lock timeout, deadlock victim, crash): roll
-		// back. Runtime rollback — or recovery's, if the log is gone —
-		// restores the prior committed state either way.
-		_ = t.Abort()
-		delete(w.pending, t.ID())
-		w.aborts++
-		if crashed(err) {
-			w.log.CrashNow()
-			return
+		var id uint64
+		switch err := attempt(w.eng, func(t Txn) error {
+			id = t.ID()
+			w.pending[id] = map[string]MarkerState{p.marker: p.next}
+			return w.exec(t, p)
+		}); {
+		case err == nil:
+			delete(w.pending, id)
+			w.noteCommitted(p)
+		case retryable(err):
+			// Deadlock victim or lock timeout, rolled back: an abort, not
+			// restarted.
+			delete(w.pending, id)
+			w.aborts++
+		default:
+			// An interrupted transaction stays pending: its commit record
+			// may or may not have reached the durable log.
+			return w.stop(err)
 		}
 	}
+	return nil
+}
+
+// stop ends the burst at err: the crash is the hard stop, and anything else
+// the worker's failure.
+func (w *crashWorker) stop(err error) error {
+	if !crashed(err) {
+		return err
+	}
+	w.log.CrashNow()
+	return nil
 }
 
 // CrashBurst runs marker transactions until the configured crash (or the
 // op budget) stops the burst, then power-fails the log's segment store and
 // returns the residue. The document's buffer pool is deliberately
-// abandoned un-flushed.
+// abandoned un-flushed. A worker failure that is neither an abort-worthy one
+// nor the crash ends the burst, and CrashBurst returns it.
 func CrashBurst(cfg CrashConfig) (*CrashOutcome, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 3
@@ -289,55 +297,47 @@ func CrashBurst(cfg CrashConfig) (*CrashOutcome, error) {
 	if cfg.OpsPerWorker <= 0 {
 		cfg.OpsPerWorker = 40
 	}
-	if cfg.SegmentSize <= 0 {
-		cfg.SegmentSize = 32 << 10
-	}
 	if cfg.Bib.Persons == 0 {
 		cfg.Bib = Scaled(0.02)
 		cfg.Bib.BufferFrames = 48
 	}
 	cfg.Bib.Seed = cfg.Seed
 
-	backend := memBackend(cfg.Faults)
-	doc, _, err := GenerateBib(backend, cfg.Bib)
-	if err != nil {
-		return nil, err
-	}
 	segs := wal.NewMemSegmentStore()
-	depth := -1
-	eng, err := core.Wrap(doc, segs, core.Config{
-		LockDepth:   &depth,
-		LockTimeout: crashLockTimeout,
-		Log:         wal.Config{SegmentSize: cfg.SegmentSize, Faults: cfg.Faults},
-	})
+	eng, _, err := newLocalEngine(Config{Depth: -1, LockTimeout: crashLockTimeout, Faults: cfg.Faults, Bib: cfg.Bib},
+		nil, segs, wal.Config{SegmentSize: crashSegmentSize, Faults: cfg.Faults})
 	if err != nil {
 		return nil, err
 	}
 	// No eng.Close(), which would flush: the buffer pool and the log die with
 	// the "process". Only the deadlock detector is stopped.
-	mgr, log := eng.Manager(), doc.WAL()
+	mgr := eng.Manager()
+	doc := mgr.Document()
+	log := doc.WAL()
 	defer mgr.Close()
 	cfg.Faults.Arm()
 
 	workers := make([]*crashWorker, cfg.Workers)
+	errs := make([]error, cfg.Workers)
 	var wg sync.WaitGroup
 	for i := range workers {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
 		workers[i] = &crashWorker{
+			runner:    newRunner(&localEngine{m: mgr, iso: tx.LevelRepeatable}, nil, rng),
 			id:        i,
-			rng:       rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
-			mgr:       mgr,
 			log:       log,
 			doc:       doc,
 			cfg:       &cfg,
-			root:      doc.Root(),
 			committed: make(map[string]MarkerState),
 			pending:   make(map[uint64]map[string]MarkerState),
 		}
 		wg.Add(1)
-		go func(w *crashWorker) {
+		go func(i int) {
 			defer wg.Done()
-			w.run()
-		}(workers[i])
+			if errs[i] = workers[i].burst(); errs[i] != nil {
+				log.CrashNow() // stops the other workers
+			}
+		}(i)
 	}
 	wg.Wait()
 
@@ -345,8 +345,11 @@ func CrashBurst(cfg CrashConfig) (*CrashOutcome, error) {
 	// simulated power failure, not a clean shutdown.
 	log.CrashNow()
 	cfg.Faults.Disarm()
+	if err := errors.Join(errs...); err != nil {
+		return nil, fmt.Errorf("tamix: crash burst: %w", err)
+	}
 	out := &CrashOutcome{
-		Backend:   backend,
+		Backend:   doc.Store().Backend(),
 		Segments:  segs,
 		Opts:      storage.Options{Config: pagestore.Config{BufferFrames: cfg.Bib.BufferFrames}},
 		Committed: make(map[string]MarkerState),
@@ -363,7 +366,6 @@ func CrashBurst(cfg CrashConfig) (*CrashOutcome, error) {
 		out.CommittedTxns += w.commits
 		out.AbortedTxns += w.aborts
 	}
-	out.PendingTxns = len(out.Pending)
 	segs.Crash()
 	return out, nil
 }

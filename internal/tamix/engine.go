@@ -1,6 +1,9 @@
 package tamix
 
 import (
+	"errors"
+	"fmt"
+
 	"repro/internal/node"
 	"repro/internal/tx"
 	"repro/internal/wire"
@@ -32,6 +35,39 @@ type Engine interface {
 	Do(t Txn, op wire.Op, a wire.Args) (wire.Result, error)
 	// LookupName resolves a vocabulary name to its surrogate.
 	LookupName(name string) (xmlmodel.Sur, bool)
+}
+
+// errRollback marks a transaction whose rollback failed. The document may then
+// hold partial effects of an aborted transaction, so no caller goes on after
+// it, whatever failure the rollback followed.
+var errRollback = errors.New("abort")
+
+// attempt is TaMix's one transaction step: Begin on eng, body, Commit, and a
+// rollback when the body or the commit fails. It returns nil once the commit
+// is acknowledged and otherwise the failure ("begin: …", "commit: …" or the
+// body's error), or errRollback wrapping the rollback's own error.
+func attempt(eng Engine, body func(Txn) error) error {
+	t, err := eng.Begin()
+	if err != nil {
+		return fmt.Errorf("begin: %w", err)
+	}
+	if err = body(t); err == nil {
+		if err = t.Commit(); err == nil {
+			return nil
+		}
+		err = fmt.Errorf("commit: %w", err)
+	}
+	if aerr := t.Abort(); aerr != nil && !errors.Is(aerr, tx.ErrTxnDone) {
+		return fmt.Errorf("%w: %w (after %v)", errRollback, aerr, err)
+	}
+	return err
+}
+
+// retryable reports whether an attempt's failure left nothing behind and
+// may be run again: a deadlock victim or a lock timeout (node.IsAbortWorthy),
+// rolled back.
+func retryable(err error) bool {
+	return node.IsAbortWorthy(err) && !errors.Is(err, errRollback)
 }
 
 // localEngine adapts a node.Manager (plus a fixed isolation level) to

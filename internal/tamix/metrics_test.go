@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/protocol"
+	"repro/internal/wal"
 )
 
 // TestResultMetricsEqualLayerStats: a run's statistics are its registry
@@ -27,9 +28,8 @@ func TestResultMetricsEqualLayerStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.WAL = true
 	reg := metrics.NewRegistry()
-	eng, cat, err := newLocalEngine(cfg, reg)
+	eng, cat, err := newLocalEngine(cfg, reg, wal.NewMemSegmentStore(), wal.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

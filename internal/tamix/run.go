@@ -2,7 +2,6 @@ package tamix
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/metrics"
-	"repro/internal/node"
 	"repro/internal/pagestore"
 	"repro/internal/protocol"
 	"repro/internal/spin"
@@ -253,7 +251,11 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Remote != "" {
 		return runRemote(cfg, p, res, reg)
 	}
-	eng, cat, err := newLocalEngine(cfg, reg)
+	var segs wal.SegmentStore
+	if cfg.WAL {
+		segs = wal.NewMemSegmentStore()
+	}
+	eng, cat, err := newLocalEngine(cfg, reg, segs, wal.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -262,18 +264,14 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // newLocalEngine generates the bib document in memory (behind cfg.Faults, if
-// set) and wraps the engine a local run drives around it;
-// reg receives every layer's instruments. With cfg.WAL every commit forces an
-// in-memory log.
-func newLocalEngine(cfg Config, reg *metrics.Registry) (*core.Engine, *Catalog, error) {
+// set) and wraps the engine a local run or a crash burst drives around it,
+// with a log configured by lc in segs (nil: no log, so no commit forces one);
+// reg receives every layer's instruments.
+func newLocalEngine(cfg Config, reg *metrics.Registry, segs wal.SegmentStore, lc wal.Config) (*core.Engine, *Catalog, error) {
 	cfg.Bib.Metrics = reg
 	doc, cat, err := GenerateBib(memBackend(cfg.Faults), cfg.Bib)
 	if err != nil {
 		return nil, nil, err
-	}
-	var segs wal.SegmentStore
-	if cfg.WAL {
-		segs = wal.NewMemSegmentStore()
 	}
 	if cfg.LockTimeout <= 0 {
 		cfg.LockTimeout = 5 * time.Second
@@ -282,6 +280,7 @@ func newLocalEngine(cfg Config, reg *metrics.Registry) (*core.Engine, *Catalog, 
 		Protocol:    cfg.Protocol,
 		LockDepth:   &cfg.Depth,
 		LockTimeout: cfg.LockTimeout,
+		Log:         lc,
 	})
 	return eng, cat, err
 }
@@ -362,14 +361,9 @@ func drive(cfg Config, p protocol.Protocol, res *Result, reg *metrics.Registry, 
 				wg.Add(1)
 				go func(txType TxType, seed int64) {
 					defer wg.Done()
-					// The snapshot contestant runs its pure readers lock-free
-					// on frozen views; an engine's isolation level is fixed, so
-					// those slots get engines at tx.LevelSnapshot.
-					iso := cfg.Isolation
-					if protocol.UsesSnapshotReads(p) && txType.ReadOnly() {
-						iso = tx.LevelSnapshot
-					}
-					eng, release, err := engine(iso)
+					// An engine's isolation level is fixed, so every slot gets
+					// its own.
+					eng, release, err := engine(levelFor(p, cfg.Isolation, txType))
 					if err != nil {
 						fail(fmt.Errorf("tamix: %s: %w", txType, err))
 						return
@@ -411,6 +405,16 @@ func drive(cfg Config, p protocol.Protocol, res *Result, reg *metrics.Registry, 
 	return res, nil
 }
 
+// levelFor is the isolation level a transaction of type typ runs at under p:
+// iso, except that the snapshot contestant runs its pure readers lock-free on
+// frozen views, at tx.LevelSnapshot.
+func levelFor(p protocol.Protocol, iso tx.Level, typ TxType) tx.Level {
+	if protocol.UsesSnapshotReads(p) && typ.ReadOnly() {
+		return tx.LevelSnapshot
+	}
+	return iso
+}
+
 // runOnce drives one logical transaction to commit, restarting it with
 // randomized exponential backoff after deadlock/timeout aborts. It reports
 // false when the worker should exit (context canceled or engine failure).
@@ -420,42 +424,27 @@ func runOnce(ctx context.Context, r *runner, res *Result, mu *sync.Mutex, txType
 	restarts := 0
 	backoff := DefaultRestartBackoff
 	for {
-		txn, err := r.eng.Begin()
-		if err != nil {
-			fail(fmt.Errorf("tamix: %s: begin: %w", txType, err))
-			return false
-		}
-		t0 := time.Now()
-		err = r.run(txType, txn)
+		var t0 time.Time
+		err := attempt(r.eng, func(txn Txn) error {
+			t0 = time.Now()
+			return r.run(txType, txn)
+		})
 		if err == nil {
-			err = txn.Commit()
-			if err == nil {
-				mu.Lock()
-				res.PerType[txType].record(time.Since(t0))
-				mu.Unlock()
-				return true
-			}
-			if !node.IsAbortWorthy(err) {
-				fail(fmt.Errorf("tamix: %s: commit: %w", txType, err))
-				return false
-			}
-			// An abort-worthy commit failure (connection lost to a server
-			// bounce, request canceled by a draining server) falls through to
-			// the restart path: count it as an abort and rerun. The resume's
-			// fate report resolves interrupted commits that actually landed
-			// (those return nil above); only a commit whose fate was
-			// unknowable — the server process itself died — still leaves the
-			// committed count a lower bound across restarts.
+			mu.Lock()
+			res.PerType[txType].record(time.Since(t0))
+			mu.Unlock()
+			return true
 		}
-		if aerr := txn.Abort(); aerr != nil && !errors.Is(aerr, tx.ErrTxnDone) {
-			// A failed rollback is unrecoverable: the document may hold
-			// partial effects of an aborted transaction.
-			fail(fmt.Errorf("tamix: %s: abort: %w", txType, aerr))
-			return false
-		}
-		if !node.IsAbortWorthy(err) {
-			// Unexpected failures (including permanent storage faults)
-			// cancel the run instead of panicking the process.
+		// An abort-worthy commit failure (connection lost to a server bounce,
+		// request canceled by a draining server) takes the restart path too:
+		// count it as an abort and rerun. The resume's fate report resolves
+		// interrupted commits that actually landed (those return nil above);
+		// only a commit whose fate was unknowable — the server process itself
+		// died — still leaves the committed count a lower bound across
+		// restarts.
+		if !retryable(err) {
+			// Unexpected failures (permanent storage faults, a failed
+			// rollback) cancel the run instead of panicking the process.
 			fail(fmt.Errorf("tamix: %s: %w", txType, err))
 			return false
 		}

@@ -28,7 +28,7 @@ func recoverAndAudit(t *testing.T, out *tamix.CrashOutcome) *storage.RecoveryRep
 	rep := eng.Recovery()
 	if err := tamix.AuditRecovered(eng.Manager().Document(), out.Expected(rep)); err != nil {
 		t.Errorf("audit (commits %d, aborts %d, pending %d, losers %v): %v",
-			out.CommittedTxns, out.AbortedTxns, out.PendingTxns, rep.Losers, err)
+			out.CommittedTxns, out.AbortedTxns, len(out.Pending), rep.Losers, err)
 	}
 	return rep
 }
@@ -194,7 +194,6 @@ func TestCrashMatrixDuringGC(t *testing.T) {
 			out := burst(t, tamix.CrashConfig{
 				Seed:            int64(6000 + seed),
 				CheckpointEvery: 2 + seed%3,
-				SegmentSize:     8 << 10, // small segments so GC has work
 				Faults:          crashAt(fault.CkptGC, 2+seed%6),
 			})
 			recoverAndAudit(t, out)
@@ -256,7 +255,6 @@ func TestCrashMatrixFileBackedRestart(t *testing.T) {
 			out := burst(t, tamix.CrashConfig{
 				Seed:            int64(8000 + seed),
 				CheckpointEvery: 3,
-				SegmentSize:     8 << 10,
 				Faults:          crashAt(fault.LogAppend, 60+seed*23%180),
 			})
 			fs := copyToDisk(t, out.Segments, crashScratch(t))
@@ -329,7 +327,6 @@ func TestCrashMatrixComposed(t *testing.T) {
 			out, err := tamix.CrashBurst(tamix.CrashConfig{
 				Seed:            int64(7000 + seed),
 				CheckpointEvery: 2 + seed%4,
-				SegmentSize:     8 << 10,
 				Bib:             bib,
 				Faults:          plan,
 			})
@@ -343,7 +340,7 @@ func TestCrashMatrixComposed(t *testing.T) {
 			}
 			t.Logf("faults: %d read, %d write (%d torn), %d log; commits %d, pending %d",
 				plan.Fired(fault.PageRead), plan.Fired(fault.PageWrite), plan.TornWrites(),
-				plan.Fired(fault.LogAppend), out.CommittedTxns, out.PendingTxns)
+				plan.Fired(fault.LogAppend), out.CommittedTxns, len(out.Pending))
 		})
 	}
 }

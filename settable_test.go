@@ -18,12 +18,12 @@ import (
 // internal/ plus the flags the commands under cmd/ define. A change that
 // adds one removes another or raises this number, in the open, as
 // LOC_BUDGET does for lines.
-const settableBudget = 106
+const settableBudget = 105
 
 // designBudget is the size of DESIGN.md in bytes. A change that grows the
 // document shortens it elsewhere or raises this number, in the open, as
 // settableBudget does for settable values.
-const designBudget = 96934
+const designBudget = 96825
 
 // TestSettableValues counts the settable values and fails above
 // settableBudget, printing the count per struct and per command. An embedded
