@@ -112,7 +112,7 @@ loc:
 # are a goal): it fails when loc's total exceeds LOC_BUDGET, the total of the
 # last PR that moved it. A PR that needs more lines raises the number here,
 # in the open, and says why in its CHANGES.md row; one that deletes lowers it.
-LOC_BUDGET := 14037
+LOC_BUDGET := 14068
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
 	if [ "$$total" -gt $(LOC_BUDGET) ]; then \

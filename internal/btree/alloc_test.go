@@ -69,3 +69,34 @@ func TestAllocHintedSeek(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocPageRewrite pins the kernels that rebuild a page, compact and
+// rewritePrefix, at zero allocations: they read the cells from a pooled copy
+// of the page, and assemble each full key in a stack buffer.
+func TestAllocPageRewrite(t *testing.T) {
+	tr := hintTree(t, 256, 0, 7, 1000) // one leaf, keys k0000 … k0006
+	want := keysOf(t, tr)
+	f, err := tr.store.Fix(tr.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.MarkDirty()
+	p := f.Data()
+	for _, k := range []struct {
+		name string
+		run  func()
+	}{
+		{"compact", func() { compact(p) }},
+		{"rewritePrefix", func() {
+			if !rewritePrefix(p, 4) || !rewritePrefix(p, 0) {
+				t.Fatal("a prefix rewrite did not fit")
+			}
+		}},
+	} {
+		if avg := testing.AllocsPerRun(100, k.run); avg != 0 {
+			t.Errorf("%s allocates %.1f times, want 0", k.name, avg)
+		}
+	}
+	tr.store.Unfix(f)
+	checkAppended(t, tr, want)
+}

@@ -20,23 +20,24 @@
 // rightmost-page split of SQLite's quickbalance and PostgreSQL. The document
 // is generated, imported and relabeled in key order, so its leaves fill.
 //
-// Ordered loads: Append writes a key into the rightmost leaf without a
-// descent when it sorts past that leaf's last key, its parent key is on the
-// leaf and the cell fits as it is, and declines otherwise, leaving the key
-// and any split to Insert. The tree remembers the leaf and checks it as a
-// hint is checked: a remembered page that is not buffered, not a leaf, has a
-// right sibling or has no cells costs a right-edge descent. The document
-// Builder is its one caller.
+// Ordered loads: Append writes a key into the leaf a Hint remembers, without
+// a descent, when that leaf covers the key — its own keys bracket it, or it
+// sorts past the last key and the leaf has no right sibling — the key is
+// new, its parent key (if it names one) is on the leaf and the cell fits as
+// it is. A leaf that does not cover the key costs a descent, which the hint
+// then remembers; in the other cases Append declines and leaves the key and
+// any split to Insert. The document Builder is its one caller.
 //
 // Leaf memory: a cursor opened with a Hint (HintedCursor) starts at the leaf
 // the hint's previous cursor closed on. It pins that leaf only if it is
 // resident (pagestore.Store.FixResident: a guess never costs a miss) and uses
 // it only if it is a leaf whose own keys bracket the target; otherwise it
 // descends. A stale hint cannot mislead: no writer runs under the read
-// latch, the only leaf that can hold t is one with keys a < t <= b or t
-// itself, and a page the tree frees goes only to its own free list while the
-// store never reuses a page ID — so the remembered page is a live leaf of the
-// tree, an emptied one, or an internal page. Snapshot views never hint.
+// latch, nor beside Append under the write latch, the only leaf that can
+// hold t is one with keys a < t <= b or t itself, and a page the tree frees
+// goes only to its own free list while the store never reuses a page ID —
+// so the remembered page is a live leaf of the tree, an emptied one, or an
+// internal page. Snapshot views never hint.
 //
 // Deletion is lazy: pages may become underfull, and a page is reclaimed
 // (onto an in-memory free list) only when it empties completely. This suits
@@ -49,6 +50,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/pagestore"
 )
@@ -156,7 +158,6 @@ type Tree struct {
 	root  pagestore.PageID
 	free  []pagestore.PageID // reclaimed pages available for reuse
 	size  int                // number of keys; maintained, not persisted
-	tail  Hint               // the leaf Append last wrote: a guess, checked on use
 }
 
 // Create allocates an empty tree (a single empty leaf root).
@@ -517,56 +518,47 @@ func replaceCellValue(p []byte, i int, key, val []byte) bool {
 }
 
 // compact rewrites all live cells tightly against the page end, keeping the
-// prefix unchanged.
-func compact(p []byte) {
-	n := nCells(p)
-	prefix := append([]byte(nil), pagePrefix(p)...)
-	type cell struct{ key, val []byte }
-	cells := make([]cell, n)
-	for i := 0; i < n; i++ {
-		k, v := cellAt(p, i)
-		full := append(append([]byte(nil), prefix...), k...)
-		cells[i] = cell{full, append([]byte(nil), v...)}
-	}
-	setCellStart(p, pagestore.PageSize)
-	setNCells(p, 0)
-	for i, c := range cells {
-		if !insertCell(p, i, c.key, c.val) {
-			panic("btree: compaction lost cells")
-		}
-	}
-}
+// prefix unchanged: a prefix rewrite to the same length.
+func compact(p []byte) { rewritePrefix(p, prefixLen(p)) }
+
+// pageCopies lends rewritePrefix the page-sized buffer it rebuilds a page
+// from. A page-sized array on the stack would be zeroed on every call and
+// would grow the stack of each goroutine that rewrites a page, every
+// transaction goroutine included.
+var pageCopies = sync.Pool{New: func() any { return new([pagestore.PageSize]byte) }}
 
 // rewritePrefix rebuilds the page with a different (shorter or longer)
-// prefix length over the same full keys. It reports false when the rewrite
-// would not fit (only possible when shortening a prefix on a full page).
+// prefix length over the same full keys, read from a pooled copy of the page
+// with each full key assembled in a stack buffer. It reports false when the
+// rewrite would not fit (only possible when shortening a prefix on a full
+// page).
 func rewritePrefix(p []byte, newLen int) bool {
-	n := nCells(p)
-	oldPrefix := append([]byte(nil), pagePrefix(p)...)
-	type cell struct{ key, val []byte }
-	cells := make([]cell, n)
+	n, pl := nCells(p), prefixLen(p)
 	total := 0
-	for i := 0; i < n; i++ {
+	for i := range n {
 		k, v := cellAt(p, i)
-		full := append(append([]byte(nil), oldPrefix...), k...)
-		cells[i] = cell{full, append([]byte(nil), v...)}
-		total += cellHeaderLen + len(full) - newLen + len(v)
+		total += cellHeaderLen + pl + len(k) - newLen + len(v)
 	}
 	if headerLen+newLen+2*n+total > pagestore.PageSize {
 		return false
 	}
+	page := pageCopies.Get().(*[pagestore.PageSize]byte)
+	defer pageCopies.Put(page)
+	var kb [MaxKeyLen]byte
+	q := page[:copy(page[:], p)]
 	var newPrefix []byte
 	if n > 0 {
-		newPrefix = cells[0].key[:newLen]
-	} else if newLen <= len(oldPrefix) {
-		newPrefix = oldPrefix[:newLen]
+		newPrefix = fullKey(q, 0, kb[:0])[:newLen]
+	} else if newLen <= pl {
+		newPrefix = pagePrefix(q)[:newLen]
 	}
 	setNCells(p, 0)
 	setCellStart(p, pagestore.PageSize)
 	setPrefixLen(p, len(newPrefix))
 	copy(p[headerLen:], newPrefix)
-	for i, c := range cells {
-		if !insertCell(p, i, c.key, c.val) {
+	for i := range n {
+		_, v := cellAt(q, i)
+		if !insertCell(p, i, fullKey(q, i, kb[:0]), v) {
 			panic("btree: prefix rewrite lost cells")
 		}
 	}
@@ -593,8 +585,9 @@ func recompress(p []byte) {
 	if n < 2 {
 		return
 	}
-	first := fullKey(p, 0, nil)
-	last := fullKey(p, n-1, nil)
+	var fb, lb [MaxKeyLen]byte
+	first := fullKey(p, 0, fb[:0])
+	last := fullKey(p, n-1, lb[:0])
 	common := 0
 	for common < len(first) && common < len(last) && first[common] == last[common] {
 		common++

@@ -59,9 +59,10 @@ type Cursor struct {
 }
 
 // Hint is a leaf memory on one tree: the leaf the last cursor opened with it
-// stood on when it closed. The zero Hint remembers nothing. It is a guess
-// that can cost a descent but never give a wrong answer (the package comment
-// says why). A hint belongs to one goroutine at a time, like a cursor.
+// stood on when it closed, or the leaf Tree.Append last wrote through it.
+// The zero Hint remembers nothing. It is a guess that can cost a descent but
+// never give a wrong answer (the package comment says why). A hint belongs
+// to one goroutine at a time, like a cursor.
 type Hint struct {
 	t  *Tree
 	id pagestore.PageID

@@ -54,57 +54,69 @@ func fitsAsIs(p []byte, key, val []byte) bool {
 	return bytes.HasPrefix(key, pagePrefix(p)) && freeSpace(p) >= cellHeaderLen+len(key)-prefixLen(p)+len(val)
 }
 
-// Append stores val under key in the rightmost leaf and reports true when
-// key sorts past that leaf's last key (so past every key of the tree), the
-// parent key is on the leaf, and the cell fits there as it is. Otherwise it
-// writes nothing and reports false, and the caller stores the pair with
-// Insert, which makes any split. It is the write of an ordered load: one
-// leaf, no descent while the leaf the tree remembers is still the rightmost.
-func (t *Tree) Append(key, val, parent []byte) (bool, error) {
+// Append stores val under key without a descent when the leaf h remembers
+// covers key: its own keys bracket key, or key sorts past its last key and it
+// has no right sibling. Otherwise it descends by key and remembers the leaf
+// it reaches in h. It writes, and reports true, only when key is new, parent
+// (unless nil) is on the leaf and the cell fits there as it is; otherwise it
+// writes nothing, and the caller stores the pair with Insert, which makes any
+// split. It is the write of an ordered load: one leaf, no descent while the
+// keys keep landing where the last one did. h must not be nil.
+func (t *Tree) Append(h *Hint, key, val, parent []byte) (bool, error) {
 	if len(key) == 0 || len(key) > MaxKeyLen || len(val) > MaxValueLen {
 		return false, nil
 	}
 	t.mu.lock()
 	defer t.mu.unlock()
-	f, err := t.rightmost()
-	if err != nil {
-		return false, err
+	// The cursor's probe and descent take no latch: the write latch is held.
+	c := Cursor{v: &t.View, hint: h}
+	slot, found := 0, false
+	if c.probe() {
+		n := nCells(c.p)
+		if slot, found = place(c.p, key); !(slot < n && (slot > 0 || found) ||
+			slot == n && n > 0 && leafNext(c.p) == pagestore.InvalidPage) {
+			c.unpin()
+		}
 	}
-	defer t.store.Unfix(f)
-	p := f.Data()
-	n := nCells(p)
-	if n == 0 || !fitsAsIs(p, key, val) || !cellOK(p, n-1) {
+	if c.p == nil {
+		if !c.descend(key, 0) {
+			return false, c.err
+		}
+		*h = Hint{t: t, id: c.id}
+		slot, found = place(c.p, key)
+	}
+	defer t.store.Unfix(c.f)
+	p := c.p
+	if found || !fitsAsIs(p, key, val) {
 		return false, nil
 	}
-	if last, _ := cellAt(p, n-1); bytes.Compare(key[prefixLen(p):], last) <= 0 {
-		return false, nil
+	if parent != nil {
+		if ps, ok := place(p, parent); !ok || !cellOK(p, ps) {
+			return false, nil
+		}
 	}
-	if slot, found := search(p, parent); !found || !cellOK(p, slot) {
-		return false, nil
-	}
-	f.MarkDirty()
-	if !insertCell(p, n, key, val) {
+	c.f.MarkDirty()
+	if !insertCell(p, slot, key, val) {
 		panic("btree: a cell that fits as is was not placed")
 	}
 	t.size++
 	return true, nil
 }
 
-// rightmost pins the rightmost leaf: the one the tree remembers if it is
-// still buffered, a leaf, the last of the chain and not empty, else the one
-// a descent along the right edge reaches, which it then remembers. By the
-// argument of a hint (see the package comment), a remembered page that
-// passes is the rightmost leaf. The caller holds the write latch, which the
-// cursor's probe and descent do not take.
-func (t *Tree) rightmost() (*pagestore.Frame, error) {
-	c := Cursor{v: &t.View, hint: &t.tail}
-	if !c.probe() || leafNext(c.p) != pagestore.InvalidPage || nCells(c.p) == 0 {
-		if !c.descend(nil, 1) {
-			return nil, c.err
+// place is search with the last cell looked at first, where an ordered
+// load's next key sorts past and its parent often is.
+func place(p []byte, key []byte) (slot int, found bool) {
+	n := nCells(p)
+	if pl := prefixLen(p); n > 0 && len(key) >= pl && bytes.Equal(key[:pl], pagePrefix(p)) && cellOK(p, n-1) {
+		last, _ := cellAt(p, n-1)
+		switch bytes.Compare(key[pl:], last) {
+		case 1:
+			return n, false
+		case 0:
+			return n - 1, true
 		}
-		t.tail = Hint{t: t, id: c.id}
 	}
-	return c.f, nil
+	return search(p, key)
 }
 
 // insertRec inserts into the subtree at id, depth levels below the root.

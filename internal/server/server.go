@@ -570,10 +570,13 @@ func (s *Server) dispatch(c *conn, m wire.Msg) {
 		return
 	}
 	sess.touch()
+	// The depth rises before the send: once m is queued, the worker may take
+	// it and lower the depth before this goroutine runs again.
+	s.mQueue.Add(1)
 	select {
 	case sess.queue <- m:
-		s.mQueue.Add(1)
 	default:
+		s.mQueue.Add(-1)
 		s.mBusy.Add(1)
 		c.replyErr(m, wire.StatusBusy, fmt.Errorf("server: session %d queue full", m.Session))
 	}

@@ -214,9 +214,12 @@ func (d *Document) deleteRaw(n xmlmodel.Node) error {
 
 // elemKey builds the element-index composite key: surrogate, then SPLID.
 func elemKey(sur xmlmodel.Sur, id splid.ID) []byte {
-	key := make([]byte, 2, 2+id.EncodedLen())
-	binary.BigEndian.PutUint16(key, uint16(sur))
-	return id.AppendEncode(key)
+	return appendElemKey(make([]byte, 0, 2+id.EncodedLen()), sur, id)
+}
+
+// appendElemKey appends the element-index key of (sur, id) to buf.
+func appendElemKey(buf []byte, sur xmlmodel.Sur, id splid.ID) []byte {
+	return id.AppendEncode(binary.BigEndian.AppendUint16(buf, uint16(sur)))
 }
 
 // InsertElement adds an element node labeled id, attributed to the system
@@ -263,24 +266,20 @@ func (d *Document) SetAttribute(el splid.ID, name string, value []byte) (xmlmode
 }
 
 // setAttributeLocked's inverse deletes the attribute when it was created and
-// restores the previous value when it was overwritten. Its probes read r.
-func (d *Document) setAttributeLocked(r reader, put func(xmlmodel.Node) error, el splid.ID, name string, value []byte) (xmlmodel.Node, []byte, error) {
+// restores the previous value when it was overwritten. It reads what the
+// element has of attributes, then writes through addAttributeLocked.
+func (d *Document) setAttributeLocked(el splid.ID, name string, value []byte) (xmlmodel.Node, []byte, error) {
 	sur, err := d.vocab.Intern(name)
 	if err != nil {
 		return xmlmodel.Node{}, nil, err
 	}
 	ar := el.AttributeRoot()
-	if ok, err := r.Exists(ar); err != nil {
+	root, err := d.Exists(ar)
+	if err != nil {
 		return xmlmodel.Node{}, nil, err
-	} else if !ok {
-		if err := put(xmlmodel.Node{ID: ar, Kind: xmlmodel.KindAttributeRoot}); err != nil {
-			return xmlmodel.Node{}, nil, err
-		}
 	}
-	// Find an existing attribute with this name, else append a new one.
-	var existing splid.ID
-	var last splid.ID
-	err = r.ScanChildren(ar, func(n xmlmodel.Node) bool {
+	var existing, last splid.ID
+	err = d.ScanChildren(ar, func(n xmlmodel.Node) bool {
 		last = n.ID
 		if n.Kind == xmlmodel.KindAttribute && n.Name == sur {
 			existing = n.ID
@@ -291,15 +290,29 @@ func (d *Document) setAttributeLocked(r reader, put func(xmlmodel.Node) error, e
 	if err != nil {
 		return xmlmodel.Node{}, nil, err
 	}
+	return d.addAttributeLocked(d.insertRaw, el, root, existing, last, sur, name, value)
+}
+
+// addAttributeLocked sets attribute name (surrogate sur) on el, given what el
+// has: root tells whether its attribute root exists, existing is its
+// attribute of that name and last its last attribute (null: none). It
+// overwrites existing, or stores a new attribute after last, creating the
+// attribute root first when there is none. It is the one write step of
+// SetAttribute and Builder.Attribute, which knows the element's attributes
+// without reading them.
+func (d *Document) addAttributeLocked(put func(xmlmodel.Node) error, el splid.ID, root bool, existing, last splid.ID, sur xmlmodel.Sur, name string, value []byte) (xmlmodel.Node, []byte, error) {
 	if !existing.IsNull() {
 		undo, err := d.setValueLocked(existing, value)
 		return xmlmodel.Node{ID: existing, Kind: xmlmodel.KindAttribute, Name: sur}, undo, err
 	}
-	var attrID splid.ID
-	if last.IsNull() {
-		attrID = d.alloc.FirstChild(ar)
-	} else {
+	ar := el.AttributeRoot()
+	attrID := d.alloc.FirstChild(ar)
+	if !last.IsNull() {
 		attrID = d.alloc.NextSibling(last)
+	} else if !root {
+		if err := put(xmlmodel.Node{ID: ar, Kind: xmlmodel.KindAttributeRoot}); err != nil {
+			return xmlmodel.Node{}, nil, err
+		}
 	}
 	n := xmlmodel.Node{ID: attrID, Kind: xmlmodel.KindAttribute, Name: sur}
 	if err := put(n); err != nil {

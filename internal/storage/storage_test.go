@@ -3,7 +3,9 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -483,6 +485,77 @@ func TestBuilderUnderDeletedElement(t *testing.T) {
 		}
 		d.Close()
 	}
+}
+
+// TestBuilderRepeatedAttribute: a Builder that sets an element's id twice,
+// with another attribute and a child element that has one of its own in
+// between, keeps one id attribute with the second value, and the ID index
+// maps that value alone; an attribute set after the child follows the
+// element's last. The nodes are those SetAttribute writes for the same calls.
+func TestBuilderRepeatedAttribute(t *testing.T) {
+	build := func(t *testing.T, viaBuilder bool) []string {
+		d, err := Create(pagestore.NewMemBackend(), "r", Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		before, after := [][2]string{{"id", "x"}, {"rev", "1"}}, [][2]string{{"id", "y"}, {"year", "2006"}}
+		attrs := func(b *Builder, attrs [][2]string) {
+			for _, a := range attrs {
+				if viaBuilder {
+					b.Attribute(a[0], a[1])
+				}
+			}
+		}
+		b := d.NewBuilder().StartElement("a")
+		attrs(b, before)
+		b.StartElement("c").Attribute("lang", "en").Text("t").EndElement()
+		attrs(b, after)
+		if b.EndElement(); b.Err() != nil {
+			t.Fatal(b.Err())
+		}
+		a, err := d.FirstChild(d.Root())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, at := range append(before, after...) {
+			if !viaBuilder {
+				if _, err := d.SetAttribute(a.ID, at[0], []byte(at[1])); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var nodes []string
+		if err := d.ScanDocument(func(n xmlmodel.Node) bool {
+			nodes = append(nodes, fmt.Sprintf("%v %v %s %q", n.ID, n.Kind, d.vocab.Name(n.Name), n.Value))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := d.AttributeNodes(a.ID); err != nil || len(got) != 3 {
+			t.Fatalf("attributes %v, %v; want id, rev and year", got, err)
+		}
+		if v, err := d.Value(mustAttr(t, d, a.ID, "id").ID); err != nil || string(v) != "y" {
+			t.Fatalf("id is %q, %v; want y", v, err)
+		}
+		if el, err := d.ElementByID([]byte("y")); err != nil || el != a.ID || d.ids.Len() != 1 {
+			t.Fatalf("ID index: y -> %v, %v, %d entries; want %v alone", el, err, d.ids.Len(), a.ID)
+		}
+		return nodes
+	}
+	if built, set := build(t, true), build(t, false); !slices.Equal(built, set) {
+		t.Fatalf("the Builder wrote\n%s\nSetAttribute\n%s", strings.Join(built, "\n"), strings.Join(set, "\n"))
+	}
+}
+
+// mustAttr returns el's attribute of the given name.
+func mustAttr(t *testing.T, d *Document, el splid.ID, name string) xmlmodel.Node {
+	t.Helper()
+	n, err := d.AttributeByName(el, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 func TestPersistenceAcrossReopen(t *testing.T) {

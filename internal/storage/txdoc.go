@@ -242,7 +242,7 @@ func (t TxDoc) InsertText(id splid.ID, value []byte) (n xmlmodel.Node, err error
 // SetAttribute adds or overwrites an attribute on element el.
 func (t TxDoc) SetAttribute(el splid.ID, name string, value []byte) (n xmlmodel.Node, err error) {
 	err = t.logOp(func() (undo []byte, err error) {
-		n, undo, err = t.d.setAttributeLocked(t.d.reader, t.d.insertRaw, el, name, value)
+		n, undo, err = t.d.setAttributeLocked(el, name, value)
 		return undo, err
 	})
 	return n, err
@@ -308,7 +308,7 @@ func takeSplid(p []byte) (splid.ID, []byte, error) {
 }
 
 func encodeUndoDelete(id splid.ID) []byte {
-	return appendSplid([]byte{undoDelete}, id)
+	return appendSplid(append(make([]byte, 0, 3+id.EncodedLen()), undoDelete), id)
 }
 
 func encodeUndoSetValue(id splid.ID, old []byte) []byte {

@@ -15,20 +15,31 @@ import (
 // SPLIDs level by level (the paper's "initial document storage only assigns
 // odd division values"). It is not safe for concurrent use and bypasses
 // locking — use it only to construct benchmark fixtures before transactions
-// start. Each call is one logged system operation, as through TxDoc, but its
-// document-tree writes go through put, which appends to the tree's rightmost
-// leaf (btree.Tree.Append), and its attribute probes start from the leaf
-// memory hint.
+// start. Each call is one logged system operation, as through TxDoc, but a
+// node is written once, where the load last wrote (put), and an attribute
+// without reading the element's others: the Builder keeps them.
 type Builder struct {
 	d     *Document
 	stack []builderFrame
+	attrs []builderAttr // the attributes of the open elements, outermost first
 	err   error
-	hint  btree.Hint
+	// The leaves the last writes landed on (btree.Tree.Append): one in the
+	// document tree, one per element name in the element index, whose keys
+	// for one name ascend as the document's do.
+	doc  btree.Hint
+	elem []btree.Hint
 }
 
 type builderFrame struct {
 	id       splid.ID
 	children int
+	attrs    int // where the element's attributes begin in Builder.attrs
+}
+
+// builderAttr is an attribute the Builder wrote on an open element.
+type builderAttr struct {
+	name xmlmodel.Sur
+	id   splid.ID
 }
 
 // NewBuilder starts building below the document root.
@@ -38,16 +49,17 @@ func (d *Document) NewBuilder() *Builder {
 
 func (b *Builder) top() *builderFrame { return &b.stack[len(b.stack)-1] }
 
-// put stores a node the load creates. A node in document order sorts past
-// every stored key and finds its parent on the rightmost leaf, unless a leaf
-// boundary falls between them: then Append writes it without a descent.
-// Otherwise insertRaw probes and inserts it, as for a transaction, and
-// reports an existing node or a missing parent.
+// put stores a node the load creates. In document order a node lands on the
+// leaf the last one did, or past it on the rightmost leaf, and finds its
+// parent there unless a leaf boundary falls between them: then Append writes
+// it without a descent, and its element-index entry likewise. Otherwise
+// insertRaw probes and inserts it, as for a transaction, and reports an
+// existing node or a missing parent.
 func (b *Builder) put(n xmlmodel.Node) error {
 	d := b.d
 	var kb [btree.MaxKeyLen]byte
 	key := n.ID.AppendEncode(kb[:0])
-	ok, err := d.doc.Append(key, xmlmodel.EncodeRecord(n), key[:n.ID.Parent().EncodedLen()])
+	ok, err := d.doc.Append(&b.doc, key, xmlmodel.EncodeRecord(n), key[:n.ID.Parent().EncodedLen()])
 	if err != nil {
 		return err
 	}
@@ -55,7 +67,15 @@ func (b *Builder) put(n xmlmodel.Node) error {
 		return d.insertRaw(n)
 	}
 	if n.Kind == xmlmodel.KindElement {
-		if err := d.elem.Insert(elemKey(n.Name, n.ID), nil); err != nil {
+		if int(n.Name) >= len(b.elem) {
+			b.elem = append(b.elem, make([]btree.Hint, int(n.Name)+1-len(b.elem))...)
+		}
+		var eb [2 + btree.MaxKeyLen]byte
+		ekey := appendElemKey(eb[:0], n.Name, n.ID)
+		if ok, err = d.elem.Append(&b.elem[n.Name], ekey, nil, nil); err == nil && !ok {
+			err = d.elem.Insert(ekey, nil)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -84,7 +104,7 @@ func (b *Builder) StartElement(name string) *Builder {
 		return undo, err
 	})
 	if b.err == nil {
-		b.stack = append(b.stack, builderFrame{id: id})
+		b.stack = append(b.stack, builderFrame{id: id, attrs: len(b.attrs)})
 	}
 	return b
 }
@@ -98,6 +118,7 @@ func (b *Builder) EndElement() *Builder {
 		b.err = fmt.Errorf("storage: EndElement without StartElement")
 		return b
 	}
+	b.attrs = b.attrs[:b.top().attrs]
 	b.stack = b.stack[:len(b.stack)-1]
 	return b
 }
@@ -111,9 +132,22 @@ func (b *Builder) Attribute(name, value string) *Builder {
 		b.err = fmt.Errorf("storage: Attribute outside an element")
 		return b
 	}
-	el := b.top().id
+	f := b.top()
 	b.err = b.d.ForTx(SystemTxn).logOp(func() ([]byte, error) {
-		_, undo, err := b.d.setAttributeLocked(b.d.WithHint(&b.hint), b.put, el, name, []byte(value))
+		sur, err := b.d.vocab.Intern(name)
+		if err != nil {
+			return nil, err
+		}
+		var existing, last splid.ID
+		for _, a := range b.attrs[f.attrs:] {
+			if last = a.id; a.name == sur {
+				existing = a.id
+			}
+		}
+		n, undo, err := b.d.addAttributeLocked(b.put, f.id, !last.IsNull(), existing, last, sur, name, []byte(value))
+		if err == nil && existing.IsNull() {
+			b.attrs = append(b.attrs, builderAttr{name: sur, id: n.ID})
+		}
 		return undo, err
 	})
 	return b

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -92,47 +94,97 @@ func TestGenerateBibDeterministic(t *testing.T) {
 	}
 }
 
-// bibImage is the page count of a seeded Scaled(0.1) document and the
-// SHA-256 of its pages past their recovery headers, recorded before the
-// Builder appended to the rightmost leaf: a faster load must build the same
-// pages.
-const (
-	bibImagePages = 86
-	bibImageHash  = "164dbf40fe253715b34ee783c735ffa3812eb4ed297aaf33a1c241724ddc146d"
-)
+// bibImages are the page counts of two seeded Scaled(0.1) documents and the
+// SHA-256 of their pages past their recovery headers: one built in a pool
+// that holds it, recorded before the Builder appended to the rightmost leaf,
+// and one on a file in a 64-frame pool, where the load evicts leaves it
+// remembers, recorded before it remembered them. Both loads write the same
+// pages, and a faster load must too.
+var bibImages = []struct {
+	name   string
+	file   bool
+	frames int
+	pages  int
+	hash   string
+}{
+	{"memory", false, 0, 86, "164dbf40fe253715b34ee783c735ffa3812eb4ed297aaf33a1c241724ddc146d"},
+	{"file, 64 frames", true, 64, 86, "164dbf40fe253715b34ee783c735ffa3812eb4ed297aaf33a1c241724ddc146d"},
+}
 
 // TestGenerateBibPageImage compares every page of a generated document, not
 // only its size, with the image recorded above.
 func TestGenerateBibPageImage(t *testing.T) {
-	be := pagestore.NewMemBackend()
-	doc, _, err := GenerateBib(be, Scaled(0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer doc.Close()
-	if err := doc.Store().Flush(); err != nil {
-		t.Fatal(err)
-	}
-	h := sha256.New()
-	buf := make([]byte, pagestore.PageSize)
-	for id := pagestore.PageID(0); id < be.NumPages(); id++ {
-		if err := be.ReadPage(id, buf); err != nil {
-			t.Fatal(err)
-		}
-		h.Write(buf[pagestore.PageHeaderSize:])
-	}
-	if n, sum := int(be.NumPages()), hex.EncodeToString(h.Sum(nil)); n != bibImagePages || sum != bibImageHash {
-		t.Errorf("%d pages, SHA-256 %s; recorded %d pages, %s", n, sum, bibImagePages, bibImageHash)
+	for _, img := range bibImages {
+		t.Run(img.name, func(t *testing.T) {
+			var be pagestore.Backend = pagestore.NewMemBackend()
+			if img.file {
+				fb, err := pagestore.OpenFile(filepath.Join(t.TempDir(), "bib.xtc"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				be = fb
+			}
+			cfg := Scaled(0.1)
+			cfg.BufferFrames = img.frames
+			doc, _, err := GenerateBib(be, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer doc.Close()
+			if err := doc.Store().Flush(); err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			buf := make([]byte, pagestore.PageSize)
+			for id := pagestore.PageID(0); id < be.NumPages(); id++ {
+				if err := be.ReadPage(id, buf); err != nil {
+					t.Fatal(err)
+				}
+				h.Write(buf[pagestore.PageHeaderSize:])
+			}
+			if n, sum := int(be.NumPages()), hex.EncodeToString(h.Sum(nil)); n != img.pages || sum != img.hash {
+				t.Errorf("%d pages, SHA-256 %s; recorded %d pages, %s", n, sum, img.pages, img.hash)
+			}
+		})
 	}
 }
 
-// BenchmarkGenerateBib builds the seeded Scaled(0.1) document on a
-// MemBackend and reports generated nodes per second: the load path on its
-// own, without the benchmark's engine and warm-up.
+// BenchmarkGenerateBib reports generated nodes per second of the load path
+// on its own, without the benchmark's engine and warm-up: "memory" builds
+// the seeded Scaled(0.1) document on a MemBackend, "cold" the cold_jump
+// document (Scaled(1.0), 8 chapters and 10 lends per book) on a file in a
+// 64-frame pool, with its allocations.
 func BenchmarkGenerateBib(b *testing.B) {
+	b.Run("memory", func(b *testing.B) {
+		benchGenerateBib(b, Scaled(0.1), func() pagestore.Backend { return pagestore.NewMemBackend() })
+	})
+	b.Run("cold", func(b *testing.B) {
+		cfg := Scaled(1.0)
+		cfg.ChaptersMin, cfg.ChaptersMax = 8, 8
+		cfg.LendsMin, cfg.LendsMax = 10, 10
+		cfg.BufferFrames = 64
+		path := filepath.Join(b.TempDir(), "bib.xtc")
+		b.ReportAllocs()
+		benchGenerateBib(b, cfg, func() pagestore.Backend {
+			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+				b.Fatal(err)
+			}
+			fb, err := pagestore.OpenFile(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return fb
+		})
+	})
+}
+
+func benchGenerateBib(b *testing.B, cfg BibConfig, backend func() pagestore.Backend) {
 	nodes := 0
 	for i := 0; i < b.N; i++ {
-		doc, _, err := GenerateBib(pagestore.NewMemBackend(), Scaled(0.1))
+		b.StopTimer()
+		be := backend()
+		b.StartTimer()
+		doc, _, err := GenerateBib(be, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -23,7 +23,7 @@ const settableBudget = 105
 // designBudget is the size of DESIGN.md in bytes. A change that grows the
 // document shortens it elsewhere or raises this number, in the open, as
 // settableBudget does for settable values.
-const designBudget = 96825
+const designBudget = 96783
 
 // TestSettableValues counts the settable values and fails above
 // settableBudget, printing the count per struct and per command. An embedded
